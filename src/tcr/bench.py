@@ -47,13 +47,10 @@ STEP_ORDER = {
     "modify_encrypted": ("record_lookup", "content_digest", "certificates", "secret_store",
                          "root_update", "persist_records", "total"),
     "info": ("record_lookup", "certificates", "module_verify", "total"),
-    "fetch": ("record_lookup", "certificates", "verify_lookup", "verify_certificates",
-              "module_verify", "total"),
-    "fetch_encrypted": ("record_lookup", "certificates", "secret_release", "verify_lookup",
-                        "verify_certificates", "module_verify", "total"),
+    "fetch": ("record_lookup", "certificates", "module_verify", "total"),
+    "fetch_encrypted": ("record_lookup", "certificates", "module_verify", "secret_release",
+                        "total"),
 }
-
-_VERIFY_RENAMES = {"record_lookup": "verify_lookup", "certificates": "verify_certificates"}
 
 CSV_HEADER = ("h", "operation", "step", "median_us", "stderr_us")
 
@@ -259,37 +256,34 @@ def _time_modify(service: Service, credential: UserCredential, targets: list[int
 
 
 def _time_info(service: Service, credential: UserCredential, targets: list[int]) -> dict[str, float]:
-    steps: dict[str, list[int]] = {}
-    for idx in targets:
-        nonce = secrets.token_bytes(DIGEST_SIZE)
-        clock = StepClock()
-        start = StepClock.now()
-        info = service.handle_info(idx, 0, nonce, credential.user_idx, clock=clock)
-        elapsed = StepClock.now() - start
-        if info.response.denied:
-            raise BenchError(f"info of {idx} was denied")
-        _collect(steps, clock, elapsed)
-    return _means(steps)
+    return _time_query(
+        targets,
+        lambda idx, nonce, clock: service.handle_info(
+            idx, 0, nonce, credential.user_idx, clock=clock
+        ),
+    )
 
 
 def _time_fetch(service: Service, credential: UserCredential, targets: list[int]) -> dict[str, float]:
-    # Retrieval is two requests: content first, verification second.
+    return _time_query(
+        targets,
+        lambda idx, nonce, clock: service.handle_fetch(
+            idx, 0, credential.user_idx, nonce=nonce, clock=clock
+        ).verify,
+    )
+
+
+def _time_query(targets: list[int], query: Callable) -> dict[str, float]:
+    """Time ``query(idx, nonce, clock)``, which returns an ``InfoResult``."""
     steps: dict[str, list[int]] = {}
     for idx in targets:
         nonce = secrets.token_bytes(DIGEST_SIZE)
-        fetch_clock = StepClock()
-        verify_clock = StepClock()
+        clock = StepClock()
         start = StepClock.now()
-        fetched = service.handle_fetch(idx, 0, credential.user_idx, clock=fetch_clock)
-        info = service.handle_info(idx, fetched.version, nonce, credential.user_idx, clock=verify_clock)
+        info = query(idx, nonce, clock)
         elapsed = StepClock.now() - start
         if info.response.denied:
-            raise BenchError(f"fetch of {idx} was denied")
-        clock = StepClock()
-        clock.steps.update(fetch_clock.steps)
-        for label, ns in verify_clock.steps.items():
-            renamed = _VERIFY_RENAMES.get(label, label)
-            clock.steps[renamed] = clock.steps.get(renamed, 0) + ns
+            raise BenchError(f"query of {idx} was denied")
         _collect(steps, clock, elapsed)
     return _means(steps)
 

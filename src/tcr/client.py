@@ -8,6 +8,7 @@ says is believed on its own.
 
 from __future__ import annotations
 
+import hmac
 import json
 import secrets
 import socket
@@ -24,7 +25,6 @@ from .merkle import (
     hmac_sha256,
     macs_equal,
     sha256,
-    u64,
 )
 from .module import RequestEnvelope, RequestKind, VerifyResponse, secret_commitment
 from .storage import BlobSet
@@ -104,13 +104,14 @@ def xor_keystream(secret: bytes, data: bytes) -> bytes:
     """
     if len(secret) != DIGEST_SIZE:
         raise ValueError("keystream secret must be 32 bytes")
-    out = bytearray(len(data))
+    keyed = hmac.new(secret, digestmod="sha256")
+    pads = bytearray()
     for block in range((len(data) + DIGEST_SIZE - 1) // DIGEST_SIZE):
-        pad = hmac_sha256(u64(block), secret)
-        base = block * DIGEST_SIZE
-        chunk = data[base : base + DIGEST_SIZE]
-        out[base : base + len(chunk)] = bytes(a ^ b for a, b in zip(chunk, pad))
-    return bytes(out)
+        mac = keyed.copy()
+        mac.update(block.to_bytes(8, "big"))  # the u64 encoding of j
+        pads += mac.digest()
+    stream = int.from_bytes(pads[: len(data)], "big")
+    return (int.from_bytes(data, "big") ^ stream).to_bytes(len(data), "big")
 
 
 def wrap_secret(cred: UserCredential, secret: bytes, idx: int, counter: int) -> tuple[bytes, bytes]:
@@ -260,21 +261,16 @@ class RepositoryClient:
         )
         return self._mutate("CREATE", envelope)
 
-    def _info_raw(self, idx: int, version: int) -> tuple[bytes, str, dict]:
+    def _query(self, op: str, payload: dict) -> tuple[bytes, str, dict]:
+        """Send a query under a fresh nonce; returns the nonce and the reply."""
         nonce = secrets.token_bytes(DIGEST_SIZE)
         status, body = self._request(
-            "INFO",
-            {
-                "idx": idx,
-                "requested_version": version,
-                "nonce": nonce.hex(),
-                "user": self.credential.user_idx,
-            },
+            op, {**payload, "nonce": nonce.hex(), "user": self.credential.user_idx}
         )
         return nonce, status, body
 
     def info(self, idx: int, version: int = 0, expect_exists: Optional[bool] = None) -> InfoOutcome:
-        nonce, status, body = self._info_raw(idx, version)
+        nonce, status, body = self._query("INFO", {"idx": idx, "requested_version": version})
         if status not in (STATUS_OK, STATUS_DENIED):
             raise ProtocolFailure(body.get("message", "INFO failed"))
         response = response_from_json(body["response"])
@@ -290,7 +286,7 @@ class RepositoryClient:
         falls back to the unverified hint riding on the error reply; a wrong
         hint only costs a rejected request.
         """
-        nonce, status, body = self._info_raw(idx, 0)
+        nonce, status, body = self._query("INFO", {"idx": idx, "requested_version": 0})
         hints = body.get("hints")
         if status in (STATUS_OK, STATUS_DENIED):
             response = response_from_json(body["response"])
@@ -332,19 +328,18 @@ class RepositoryClient:
         return self._mutate("ACL_SET", envelope, {"target_user": target_user, "level": level})
 
     def fetch(self, idx: int, version: int = 0) -> FetchOutcome:
-        status, body = self._request(
-            "FETCH", {"idx": idx, "version": version, "user": self.credential.user_idx}
-        )
-        if status != STATUS_OK:
-            # No content; authenticated denial (or its absence) comes from INFO.
-            outcome = self.info(idx, version)
-            if outcome.verdict == Verdict.DENIED:
-                return FetchOutcome(Verdict.DENIED, None, None, False)
+        """Content checked against the module's answer from the same reply."""
+        nonce, status, body = self._query("FETCH", {"idx": idx, "version": version})
+        if status not in (STATUS_OK, STATUS_DENIED):
             raise ProtocolFailure(body.get("message", "FETCH failed"))
+        response = response_from_json(body["response"])
+        verdict = check_info_response(
+            self.credential, response, nonce, idx, requested_version=version
+        )
+        if verdict != Verdict.VERIFIED:
+            return FetchOutcome(verdict, None, None, False)
 
-        fetched_version = int(body["version"])
-        if version and fetched_version != version:
-            return FetchOutcome(Verdict.INVALID, None, None, False)
+        fetched_version = response.requested_version
         blobs = BlobSet(
             bytes.fromhex(body["image"]),
             bytes.fromhex(body["build"]),
@@ -352,11 +347,7 @@ class RepositoryClient:
         )
         commitment = bytes.fromhex(body["secret_commitment"])
         encrypted = commitment != ZERO_DIGEST
-
-        outcome = self.info(idx, fetched_version)
-        if outcome.verdict != Verdict.VERIFIED:
-            return FetchOutcome(outcome.verdict, None, None, encrypted)
-        attested = outcome.response.content_digest
+        attested = response.content_digest
         if content_digest_of(blobs.image, blobs.build, blobs.compose, commitment) != attested:
             return FetchOutcome(Verdict.INVALID, None, None, encrypted)
 

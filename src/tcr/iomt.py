@@ -146,6 +146,9 @@ class MemoryTreeStore:
     def get_node(self, pos: int) -> bytes:
         return self._nodes.get(pos, ZERO_DIGEST)
 
+    def get_nodes(self, positions: Sequence[int]) -> list[bytes]:
+        return [self._nodes.get(pos, ZERO_DIGEST) for pos in positions]
+
     def set_node(self, pos: int, digest: bytes) -> None:
         if digest == ZERO_DIGEST:
             self._nodes.pop(pos, None)
@@ -193,26 +196,29 @@ class Iomt:
 
     def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> bytes:
         """Write a leaf and recompute the path to the root; returns the new root."""
+        path = self.complement_path(slot)
         pos = self.geometry.leaf_node(slot)
         self.store.set_leaf(slot, leaf)
         value = leaf_digest(leaf)
         self.store.set_node(pos, value)
-        while pos != 0:
-            sibling, side = self._sibling(pos)
-            value = parent(self.store.get_node(sibling), value, side)
+        for sibling, side in path:
+            value = parent(sibling, value, side)
             pos = parent_index(pos)
             self.store.set_node(pos, value)
         return value
 
     def complement_path(self, slot: int) -> list[tuple[bytes, Side]]:
-        """Sibling digests from the leaf level up, tagged with the sibling's side."""
+        """Sibling digests from the leaf level up, tagged with the sibling's side.
+
+        The siblings are read in one batch from the store.
+        """
         pos = self.geometry.leaf_node(slot)
-        path: list[tuple[bytes, Side]] = []
+        siblings: list[tuple[int, Side]] = []
         while pos != 0:
-            sibling, side = self._sibling(pos)
-            path.append((self.store.get_node(sibling), side))
+            siblings.append(self._sibling(pos))
             pos = parent_index(pos)
-        return path
+        digests = self.store.get_nodes([sibling for sibling, _ in siblings])
+        return [(digest, side) for digest, (_, side) in zip(digests, siblings)]
 
     @staticmethod
     def _sibling(pos: int) -> tuple[int, Side]:

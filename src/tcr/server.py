@@ -53,7 +53,9 @@ class RepositoryServer(socketserver.ThreadingTCPServer):
             if exc.hints is not None:
                 body["hints"] = exc.hints
             return STATUS_ERROR, body
-        except (WireError, IomtError, StorageError, KeyError, ValueError) as exc:
+        except StorageError as exc:
+            return STATUS_ERROR, {"message": f"storage failure: {exc}"}
+        except (WireError, IomtError, KeyError, ValueError) as exc:
             return STATUS_ERROR, {"message": f"malformed request: {exc}"}
 
     def _dispatch(self, op: str, payload: dict, peer: str) -> tuple[str, dict]:
@@ -114,26 +116,24 @@ class RepositoryServer(socketserver.ThreadingTCPServer):
             return status, body
 
         if op == "FETCH":
-            nonce = payload.get("nonce")
             result = service.handle_fetch(
                 int(payload["idx"]),
                 int(payload["version"]),
                 int(payload["user"]),
-                nonce=bytes.fromhex(nonce) if nonce else None,
+                nonce=bytes.fromhex(payload["nonce"]),
             )
-            body = {
-                "version": result.version,
-                "image": result.blobs.image.hex(),
-                "build": result.blobs.build.hex(),
-                "compose": result.blobs.compose.hex(),
-                "secret_commitment": result.secret_commitment.hex(),
-            }
+            # A denial is answered exactly as INFO answers it.
+            body = {"response": response_to_json(result.verify.response)}
+            if result.verify.response.denied:
+                return STATUS_DENIED, body
+            body.update(
+                image=result.blobs.image.hex(),
+                build=result.blobs.build.hex(),
+                compose=result.blobs.compose.hex(),
+                secret_commitment=result.secret_commitment.hex(),
+            )
             if result.sealed_for_user is not None:
                 body["sealed_for_user"] = result.sealed_for_user.hex()
-            if result.verify is not None:
-                body["verify"] = response_to_json(result.verify.response)
-                if result.verify.hints is not None:
-                    body["hints"] = result.verify.hints
             return STATUS_OK, body
 
         if op == "BENCH_PREPOPULATE":

@@ -142,11 +142,23 @@ class InfoResult:
 
 @dataclass(frozen=True)
 class FetchResult:
-    blobs: BlobSet
-    version: int
-    secret_commitment: bytes
-    sealed_for_user: Optional[bytes]
-    verify: Optional[InfoResult] = None
+    """A verified answer; the content fields are set only for a full response."""
+
+    verify: InfoResult
+    blobs: Optional[BlobSet] = None
+    secret_commitment: Optional[bytes] = None
+    sealed_for_user: Optional[bytes] = None
+
+
+@dataclass(frozen=True)
+class _Answer:
+    """The module's answer to a query and the evidence it was given."""
+
+    response: VerifyResponse
+    record: Optional[ContainerRecord]
+    version_row: Optional[VersionRecord]
+    container_proof: Proof
+    acl_proof: Optional[Proof]
 
 
 class Service:
@@ -527,140 +539,102 @@ class Service:
     ) -> InfoResult:
         """Assemble proofs and relay the module's answer for one query.
 
-        A version of 0 is resolved here to the latest stored version.  Hints
-        (current counter, ACL leaves) ride alongside full responses, and
-        alongside protocol errors when the requester holds read access; they
-        are never attached to denials, which must stay uninformative.
+        Hints (current counter, ACL leaves) ride alongside full responses,
+        and alongside protocol errors when the requester holds read access;
+        they are never attached to denials, which must stay uninformative.
         """
         with self._lock:
-            return self._info_once(idx, requested_version, nonce, user_idx, clock)
-
-    def _info_once(self, idx, requested_version, nonce, user_idx, clock) -> InfoResult:
-        module = self.module
-        with _step(clock, "record_lookup"):
-            record = self.storage.record_get(idx)
-
-        if record is None:
-            with _step(clock, "certificates"):
-                proof = self._container_proof(idx)
-                if proof is None:
-                    raise ProtocolError("cannot assemble a consistent absence proof")
-            with _step(clock, "module_verify"):
-                response = module.verify_container(user_idx, nonce, requested_version, proof)
-            if response is None:
-                raise ProtocolError("module rejected the assembled evidence")
-            return InfoResult(response=response, hints=None)
-
-        hints = self._hints(record)
-        resolved = requested_version if requested_version != 0 else record.version_count
-        with _step(clock, "record_lookup"):
-            version_row = (
-                self.storage.version_get(idx, resolved)
-                if 1 <= resolved <= record.version_count
-                else None
-            )
-
-        with _step(clock, "certificates"):
-            container_proof = self._container_proof(idx)
-            acl_proof = self._acl_proof(idx, user_idx)
-            if container_proof is None or acl_proof is None:
-                raise ProtocolError("cannot assemble consistent proofs")
-            version_cert = version_row.as_certificate() if version_row is not None else None
-
-        with _step(clock, "module_verify"):
-            response = module.verify_container(
-                user_idx,
-                nonce,
-                resolved,
-                container_proof,
-                record=record.as_certificate(),
-                acl_proof=acl_proof,
-                version_cert=version_cert,
-            )
-        if response is None:
-            # Typically an unattestable version number.  Reveal hints only to
-            # callers the service can see hold read access.
-            if self._access_level(idx, user_idx) >= 1:
-                raise ProtocolError("no proof exists for the requested version", hints=hints)
-            raise ProtocolError("no proof exists for the requested version")
-        return InfoResult(response=response, hints=None if response.denied else hints)
+            answer = self._verified_answer(idx, requested_version, nonce, user_idx, clock)
+            denied = answer.response.denied
+            return InfoResult(answer.response, hints=None if denied else self._hints(answer.record))
 
     def handle_fetch(
         self,
         idx: int,
         version: int,
         user_idx: int,
-        nonce: Optional[bytes] = None,
+        nonce: bytes,
         clock: Optional[StepClock] = None,
     ) -> FetchResult:
-        """Phase one of retrieval: content plus, when present, the re-padded secret.
+        """A verified answer as for :meth:`handle_info`, plus the content.
 
-        With ``nonce`` given, verification is folded into the same call,
-        reusing the proofs assembled here instead of repeating the lookups.
+        Blobs are read, and a stored secret is re-padded for the caller, only
+        when the module's answer is a full response; a denial carries nothing
+        else, so it looks the same for absent containers and unreadable ones.
         """
         with self._lock:
             return self._fetch_once(idx, version, user_idx, nonce, clock)
 
     def _fetch_once(self, idx, version, user_idx, nonce, clock) -> FetchResult:
-        module = self.module
+        answer = self._verified_answer(idx, version, nonce, user_idx, clock)
+        verify = InfoResult(response=answer.response)
+        if answer.response.denied:
+            return FetchResult(verify=verify)
+        # A full response attests the record and the version row.
+        record, version_row = answer.record, answer.version_row
         with _step(clock, "record_lookup"):
-            record = self.storage.record_get(idx)
-            if record is None:
-                raise ProtocolError("no content stored for that index")
-            resolved = version if version != 0 else record.version_count
-            version_row = self.storage.version_get(idx, resolved)
-            blobs = self.storage.blob_get(idx, resolved)
-            if version_row is None or blobs is None:
+            blobs = self.storage.blob_get(idx, version_row.version)
+            if blobs is None:
                 raise ProtocolError("no content stored for that version")
-
-        with _step(clock, "certificates"):
-            container_proof = self._container_proof(idx)
-            acl_proof = self._acl_proof(idx, user_idx)
-            if container_proof is None or acl_proof is None:
-                raise ProtocolError("cannot assemble consistent proofs")
 
         sealed_for_user = None
         if version_row.wrapped_secret != ZERO_DIGEST:
             with _step(clock, "secret_release"):
-                sealed_for_user = module.release_secret(
+                sealed_for_user = self.module.release_secret(
                     user_idx,
                     idx,
                     record.counter,
                     record.version_count,
-                    container_proof,
-                    acl_proof,
+                    answer.container_proof,
+                    answer.acl_proof,
                     record.as_certificate(),
                     version_row.wrapped_secret,
                     version_row.secret_commitment,
                 )
                 # None: the caller gets content but no usable secret.
 
-        verify = None
-        if nonce is not None:
-            with _step(clock, "verify_lookup"):
-                pass  # proofs and rows reused from phase one
-            with _step(clock, "verify_certificates"):
-                version_cert = version_row.as_certificate()
-            with _step(clock, "module_verify"):
-                response = module.verify_container(
-                    user_idx,
-                    nonce,
-                    resolved,
-                    container_proof,
-                    record=record.as_certificate(),
-                    acl_proof=acl_proof,
-                    version_cert=version_cert,
-                )
-            if response is None:
-                raise ProtocolError("module rejected the assembled evidence")
-            verify = InfoResult(
-                response=response, hints=None if response.denied else self._hints(record)
-            )
-
         return FetchResult(
+            verify=verify,
             blobs=blobs,
-            version=resolved,
             secret_commitment=version_row.secret_commitment,
             sealed_for_user=sealed_for_user,
-            verify=verify,
         )
+
+    def _verified_answer(self, idx, requested_version, nonce, user_idx, clock) -> _Answer:
+        """Look up the rows, certify the proofs and ask the module for its answer.
+
+        A version of 0 is resolved here to the latest stored version.
+        """
+        with _step(clock, "record_lookup"):
+            record = self.storage.record_get(idx)
+            resolved, version_row = requested_version, None
+            if record is not None:
+                resolved = requested_version or record.version_count
+                if 1 <= resolved <= record.version_count:
+                    version_row = self.storage.version_get(idx, resolved)
+
+        with _step(clock, "certificates"):
+            container_proof = self._container_proof(idx)
+            acl_proof = self._acl_proof(idx, user_idx) if record is not None else None
+            if container_proof is None or (record is not None and acl_proof is None):
+                raise ProtocolError("cannot assemble consistent proofs")
+
+        with _step(clock, "module_verify"):
+            response = self.module.verify_container(
+                user_idx,
+                nonce,
+                resolved,
+                container_proof,
+                record=record.as_certificate() if record is not None else None,
+                acl_proof=acl_proof,
+                version_cert=version_row.as_certificate() if version_row is not None else None,
+            )
+        if response is None:
+            # Typically an unattestable version number.  Reveal hints only to
+            # callers the service can see hold read access.
+            if record is not None and self._access_level(idx, user_idx) >= 1:
+                raise ProtocolError(
+                    "no proof exists for the requested version", hints=self._hints(record)
+                )
+            raise ProtocolError("no proof exists for the requested version")
+        return _Answer(response, record, version_row, container_proof, acl_proof)

@@ -16,7 +16,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .iomt import Geometry, Leaf, counter_digest, encloses, leaf_digest, left_child, right_child
 from .merkle import Side, ZERO_DIGEST, encode_fields, hmac_sha256, parent, sha256
@@ -193,6 +193,20 @@ class Storage:
             ).fetchone()
         return row[0] if row else ZERO_DIGEST
 
+    def nodes_get(self, tree: str, positions: Sequence[int]) -> list[bytes]:
+        """Digests at ``positions`` from one query; missing rows read as zero."""
+        if not positions:
+            return []
+        with self._lock:
+            found = dict(
+                self._conn.execute(
+                    "SELECT pos, digest FROM nodes WHERE tree=? AND pos IN "
+                    f"({','.join('?' * len(positions))})",
+                    (tree, *positions),
+                ).fetchall()
+            )
+        return [found.get(pos, ZERO_DIGEST) for pos in positions]
+
     def leaf_put(self, tree: str, slot: int, leaf: Optional[Leaf]) -> None:
         # free_slots tracks every empty slot below the occupied high-water
         # mark, so lowest-free allocation stays O(log n) however large the
@@ -344,7 +358,11 @@ class Storage:
             ).fetchone()
         if row is None:
             return None
-        return BlobSet(*(self._blob_path(h).read_bytes() for h in row))
+        try:
+            return BlobSet(*(self._blob_path(h).read_bytes() for h in row))
+        except OSError as exc:
+            # The message reaches clients: name the failure, not the path.
+            raise StorageError(f"content blob unreadable ({exc.strerror})") from exc
 
     def is_empty(self) -> bool:
         with self._lock:
@@ -363,6 +381,9 @@ class SqliteTreeStore:
 
     def get_node(self, pos: int) -> bytes:
         return self.storage.node_get(self.tree_id, pos)
+
+    def get_nodes(self, positions: Sequence[int]) -> list[bytes]:
+        return self.storage.nodes_get(self.tree_id, positions)
 
     def set_node(self, pos: int, digest: bytes) -> None:
         self.storage.node_put(self.tree_id, pos, digest)

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from tcr.client import (
+    ProtocolFailure,
     RepositoryClient,
     RequestRejected,
     UserCredential,
@@ -16,7 +17,7 @@ from tcr.client import (
     wrap_secret,
     xor_keystream,
 )
-from tcr.merkle import hmac_sha256, sha256
+from tcr.merkle import hmac_sha256, sha256, u64
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule, VerifyResponse
 from tcr.server import RepositoryServer
 from tcr.service import Service
@@ -45,7 +46,24 @@ def client_for(server, keys, user, transcript=None) -> RepositoryClient:
     return RepositoryClient("127.0.0.1", port, UserCredential(user, keys[user]), transcript=transcript)
 
 
+def per_block_keystream(secret: bytes, data: bytes) -> bytes:
+    """The keystream as first written, one HMAC and one byte loop per block."""
+    out = bytearray(len(data))
+    for block in range((len(data) + 31) // 32):
+        pad = hmac_sha256(u64(block), secret)
+        base = block * 32
+        chunk = data[base : base + 32]
+        out[base : base + len(chunk)] = bytes(a ^ b for a, b in zip(chunk, pad))
+    return bytes(out)
+
+
 class TestCrypto:
+    @pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 12 * 1024, 256 * 1024 + 7])
+    def test_keystream_matches_per_block_reference(self, size):
+        secret = secrets.token_bytes(32)
+        data = secrets.token_bytes(size)
+        assert xor_keystream(secret, data) == per_block_keystream(secret, data)
+
     def test_keystream_involution(self):
         secret = secrets.token_bytes(32)
         data = secrets.token_bytes(12 * 1024)
@@ -148,6 +166,30 @@ class TestWireFlows:
         assert outcome.blobs.image == IMAGE
         wire = b"\n".join(transcript)
         assert IMAGE.hex().encode() not in wire  # plaintext never crosses the wire
+
+    def test_fetch_denials_do_not_tell_absent_from_unreadable(self, env):
+        server, keys = env
+        alice, bob = client_for(server, keys, 1), client_for(server, keys, 2)
+        alice.create(3)
+        alice.modify(3, IMAGE, BUILD, COMPOSE)
+        replies = []
+        for idx in (3, 999):  # bob cannot read 3; 999 does not exist
+            payload = {"idx": idx, "version": 0, "nonce": secrets.token_bytes(32).hex(), "user": 2}
+            status, body = bob._request("FETCH", payload)
+            replies.append((status, sorted(body), sorted(body.get("response", {}))))
+            assert bob.fetch(idx).verdict == Verdict.DENIED
+        assert replies[0] == replies[1]
+        assert replies[0][:2] == ("denied", ["response"])  # no content, version or hints
+
+    def test_missing_blob_is_protocol_error(self, env):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(11)
+        alice.modify(11, IMAGE, BUILD, COMPOSE)
+        server.service.storage._blob_path(sha256(IMAGE)).unlink()
+        with pytest.raises(ProtocolFailure, match="content blob unreadable"):
+            alice.fetch(11)
+        assert alice.info(11).verdict == Verdict.VERIFIED
 
     def test_absent_container_denied(self, env):
         server, keys = env

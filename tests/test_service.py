@@ -12,10 +12,11 @@ from tcr.client import (
     wrap_secret,
     xor_keystream,
 )
+from tcr.iomt import Iomt
 from tcr.merkle import ZERO_DIGEST, sha256
-from tcr.module import RequestEnvelope, RequestKind
+from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule
 from tcr.service import ProtocolError, Service, StepClock
-from tcr.storage import CONTAINER_TREE, BlobSet
+from tcr.storage import CONTAINER_TREE, BlobSet, Storage, bulk_prepopulate
 
 BLOBS = BlobSet(b"layer-bytes" * 200, b"FROM base\n", b"services: {app: {}}\n")
 
@@ -246,47 +247,58 @@ class TestInfo:
 
 class TestFetch:
     def test_two_phase_content_verifies(self, service, credentials):
+        # The content from a fetch also matches a separate query's digest.
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))
         service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
-        fetched = service.handle_fetch(7, 0, 1)
-        assert fetched.blobs == BLOBS and fetched.version == 1
+        fetched = service.handle_fetch(7, 0, 1, nonce=secrets.token_bytes(32))
+        assert fetched.blobs == BLOBS and fetched.verify.response.requested_version == 1
         nonce = secrets.token_bytes(32)
-        info = service.handle_info(7, fetched.version, nonce, 1)
+        info = service.handle_info(7, 1, nonce, 1)
         assert check_info_response(credentials[1], info.response, nonce, 7) == Verdict.VERIFIED
         recomputed = content_digest_of(
             fetched.blobs.image, fetched.blobs.build, fetched.blobs.compose, fetched.secret_commitment
         )
-        assert recomputed == info.response.content_digest
+        assert recomputed == info.response.content_digest == fetched.verify.response.content_digest
 
-    def test_combined_fetch_reuses_proofs(self, service, credentials):
+    def test_combined_fetch_reuses_proofs(self, service, credentials, monkeypatch):
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))
         service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
+        path_reads = []
+        complement_path = Iomt.complement_path
+
+        def counted(tree, slot):
+            path_reads.append(slot)
+            return complement_path(tree, slot)
+
+        monkeypatch.setattr(Iomt, "complement_path", counted)
         nonce = secrets.token_bytes(32)
         clock = StepClock()
         fetched = service.handle_fetch(7, 0, 1, nonce=nonce, clock=clock)
-        assert fetched.verify is not None
         assert check_info_response(cred, fetched.verify.response, nonce, 7) == Verdict.VERIFIED
-        assert "verify_lookup" in clock.steps and "module_verify" in clock.steps
+        assert fetched.blobs == BLOBS
+        # One container path and one ACL path serve the answer and the content.
+        assert len(path_reads) == 2
+        assert {"record_lookup", "certificates", "module_verify"} <= set(clock.steps)
 
     def test_tampered_blob_detected_by_client(self, service, credentials):
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))
         service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
-        fetched = service.handle_fetch(7, 1, 1)
+        fetched = service.handle_fetch(7, 1, 1, nonce=secrets.token_bytes(32))
         tampered = bytearray(fetched.blobs.image)
         tampered[0] ^= 0x01
-        nonce = secrets.token_bytes(32)
-        info = service.handle_info(7, 1, nonce, 1)
         recomputed = content_digest_of(
             bytes(tampered), fetched.blobs.build, fetched.blobs.compose, fetched.secret_commitment
         )
-        assert recomputed != info.response.content_digest
+        assert recomputed != fetched.verify.response.content_digest
 
-    def test_absent_content_is_protocol_error(self, service, credentials):
-        with pytest.raises(ProtocolError):
-            service.handle_fetch(99, 0, 1)
+    def test_absent_content_is_denied(self, service, credentials):
+        nonce = secrets.token_bytes(32)
+        fetched = service.handle_fetch(99, 0, 1, nonce=nonce)
+        assert check_info_response(credentials[1], fetched.verify.response, nonce, 99) == Verdict.DENIED
+        assert fetched.blobs is None and fetched.secret_commitment is None
 
     def test_unauthorized_fetch_of_encrypted_yields_no_secret(self, service, credentials):
         cred = credentials[1]
@@ -296,9 +308,34 @@ class TestFetch:
         cipher = BlobSet(xor_keystream(secret, BLOBS.image), BLOBS.build, BLOBS.compose)
         env = signed_modify(cred, 7, 1, cipher, commitment)
         service.handle_modify(env, cipher, wrapped_secret=wrapped, secret_commitment=commitment)
-        fetched = service.handle_fetch(7, 1, 3)  # user 3 has no access
+        nonce = secrets.token_bytes(32)
+        fetched = service.handle_fetch(7, 1, 3, nonce=nonce)  # user 3 has no access
+        assert check_info_response(credentials[3], fetched.verify.response, nonce, 7) == Verdict.DENIED
         assert fetched.sealed_for_user is None
-        assert fetched.blobs.image != BLOBS.image  # ciphertext only
+        assert fetched.blobs is None  # not even the ciphertext
+
+
+class TestStatementCounts:
+    def test_verified_queries_at_h16(self, tmp_path, user_keys, credentials):
+        # Worst case: no cached certificate, so both paths are read.
+        storage = Storage(tmp_path / "h16.db", tmp_path / "blobs")
+        state = ModuleState.fresh(user_keys)
+        bulk_prepopulate(storage, 16, 8, 1, state)
+        service = Service(storage, TrustedModule(state), height=16, use_cert_cache=False)
+        statements: list[str] = []
+        storage._conn.set_trace_callback(statements.append)
+        nonce = secrets.token_bytes(32)
+
+        info = service.handle_info(5, 0, nonce, 1)
+        assert check_info_response(credentials[1], info.response, nonce, 5) == Verdict.VERIFIED
+        assert len(statements) <= 7, statements
+
+        statements.clear()
+        fetched = service.handle_fetch(5, 0, 1, nonce=nonce)
+        assert check_info_response(credentials[1], fetched.verify.response, nonce, 5) == Verdict.VERIFIED
+        assert fetched.blobs is not None
+        assert len(statements) <= 7, statements
+        storage.close()
 
 
 class TestEpochSafety:

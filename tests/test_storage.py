@@ -6,7 +6,7 @@ import secrets
 import pytest
 
 from tcr.iomt import Geometry, Iomt, Leaf, counter_digest, leaf_digest, oracle_root
-from tcr.merkle import ZERO_DIGEST, sha256
+from tcr.merkle import Side, ZERO_DIGEST, sha256
 from tcr.module import ModuleState, TrustedModule
 from tcr.storage import (
     CONTAINER_TREE,
@@ -45,6 +45,48 @@ class TestNodeTable:
         assert tree.root == ZERO_DIGEST
         assert storage.node_count("tall") == 0
         assert storage.leaf_count("tall") == 0
+
+
+def per_node_path(tree: Iomt, slot: int) -> list:
+    """Complement path read one sibling at a time, as the store first served it."""
+    pos = tree.geometry.leaf_node(slot)
+    path = []
+    while pos != 0:
+        sibling, side = (pos + 1, Side.RIGHT) if pos % 2 == 1 else (pos - 1, Side.LEFT)
+        path.append((tree.store.get_node(sibling), side))
+        pos = (pos - 1) // 2
+    return path
+
+
+class TestBatchedPathReads:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_path_matches_per_node_reference(self, storage, backend):
+        rng = random.Random(5)
+        zero_siblings = 0
+        for trial in range(6):
+            height = rng.randrange(1, 8)
+            store = None if backend == "memory" else storage.tree(f"sparse/{trial}")
+            tree = Iomt(height, store)
+            last = (1 << height) - 1
+            # Sparse: most siblings along any path are zero.
+            occupied = rng.sample(range(last + 1), max(1, (last + 1) // 5))
+            for slot in occupied:
+                tree.set_leaf(slot, Leaf(slot + 1, slot + 2, counter_digest(rng.randrange(1, 99))))
+            probes = {0, last, *occupied, *(rng.randrange(last + 1) for _ in range(4))}
+            for slot in sorted(probes):
+                path = tree.complement_path(slot)
+                assert path == per_node_path(tree, slot), (height, slot)
+                zero_siblings += sum(digest == ZERO_DIGEST for digest, _ in path)
+        assert zero_siblings > 0
+
+    def test_height_zero_issues_no_batch_query(self, storage):
+        statements: list[str] = []
+        storage._conn.set_trace_callback(statements.append)
+        tree = Iomt(0, storage.tree("single"))
+        leaf = Leaf(4, 4, counter_digest(1))
+        assert tree.set_leaf(0, leaf) == leaf_digest(leaf)
+        assert tree.complement_path(0) == []
+        assert statements and not any(" IN (" in sql for sql in statements)
 
 
 class TestLeafTable:
