@@ -147,7 +147,9 @@ def check_info_response(
     evidence of service misbehavior.
 
     The nonce echo defeats replays; the requested-version echo stops the
-    service answering about a different version than was asked for.
+    service answering about a different version than was asked for, and
+    a request for version 0 (the latest) must be answered about
+    ``max_version``.
     """
     if not cred.check_response(response):
         return Verdict.INVALID
@@ -157,7 +159,7 @@ def check_info_response(
         if expect_exists:
             return Verdict.INVALID  # a verified creation says otherwise
         return Verdict.DENIED
-    if requested_version and response.requested_version != requested_version:
+    if response.requested_version != (requested_version or response.max_version):
         return Verdict.INVALID
     if expect_exists is False:
         return Verdict.INVALID

@@ -1,5 +1,9 @@
 """TCP front end for the service: one JSON message per line, one reply each.
 
+A fixed set of handler threads, started by ``serve_forever``, each accept a
+connection and answer it; a connection idle for ``READ_TIMEOUT_S`` is closed
+so that idle clients cannot pin every thread.
+
 Run with ``tcr-server --listen 127.0.0.1:7700 --db repo.db --module-state
 module.bin --height 16 --data-dir blobs``.
 """
@@ -8,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import socket
 import socketserver
 import sys
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -32,10 +38,18 @@ from .wire import (
 
 _LOOPBACK = ("127.0.0.1", "::1", "::ffff:127.0.0.1")
 
+# Seconds a connection may sit in one socket read or write before it is closed.
+READ_TIMEOUT_S = 30.0
 
-class RepositoryServer(socketserver.ThreadingTCPServer):
+
+class RepositoryServer(socketserver.TCPServer):
     allow_reuse_address = True
-    daemon_threads = True
+    # Each long-lived thread keeps its own glibc malloc arena, so every thread
+    # adds to the server's RSS; two serve a closed-loop client as fast as four.
+    handler_threads = 2
+    # Connections wait in the kernel's accept queue while every thread is busy;
+    # a full queue drops SYNs and costs the client a one-second retransmit.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address: tuple[str, int], service: Service,
                  state: Optional[ModuleState] = None,
@@ -44,6 +58,54 @@ class RepositoryServer(socketserver.ThreadingTCPServer):
         self.service = service
         self.module_state = state
         self.state_path = state_path
+        self._lock = threading.Lock()
+        self._stopping = threading.Event()
+        self._workers: list[threading.Thread] = []
+
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Answer connections from ``handler_threads`` threads until ``shutdown()``.
+
+        ``poll_interval`` is accepted for compatibility and unused: the
+        threads block in ``accept()`` and ``shutdown()`` wakes them.
+        """
+        with self._lock:
+            if self._stopping.is_set():
+                return
+            # Started under the lock, so shutdown() only ever joins started threads.
+            self._workers = [
+                threading.Thread(target=self._accept_loop, name=f"tcr-handler-{i}", daemon=True)
+                for i in range(self.handler_threads)
+            ]
+            for worker in self._workers:
+                worker.start()
+        self._stopping.wait()
+
+    def shutdown(self) -> None:
+        """Stop accepting, let requests in flight finish and join the threads."""
+        with self._lock:
+            self._stopping.set()
+            workers = self._workers
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)  # wakes every thread in accept()
+        except OSError:
+            pass  # already shut down by an earlier call
+        for worker in workers:
+            worker.join()
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                request, client_address = self.get_request()
+            except OSError:
+                if self._stopping.is_set():
+                    return
+                continue  # e.g. a connection aborted before it was accepted
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
 
     def dispatch(self, op: str, payload: dict, peer: str) -> tuple[str, dict]:
         try:
@@ -152,7 +214,15 @@ class RepositoryServer(socketserver.ThreadingTCPServer):
 
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
+    timeout = READ_TIMEOUT_S
+
     def handle(self) -> None:
+        try:
+            self._serve_connection()
+        except TimeoutError:
+            pass  # idle too long: close quietly and free the thread
+
+    def _serve_connection(self) -> None:
         while True:
             try:
                 message = read_message(self.rfile)
@@ -222,6 +292,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         pass
     finally:
         server.shutdown()
+        server.server_close()
         storage.close()
     return 0
 

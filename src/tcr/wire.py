@@ -18,6 +18,9 @@ STATUS_DENIED = "denied"
 STATUS_REJECTED = "rejected"
 STATUS_ERROR = "error"
 
+# Longest accepted line, newline included: a 16 MiB image travels as 32 MiB of hex.
+MAX_MESSAGE_BYTES = 64 * 1024 * 1024
+
 
 class WireError(Exception):
     pass
@@ -29,9 +32,11 @@ def write_message(fp: IO[bytes], obj: dict) -> None:
 
 
 def read_message(fp: IO[bytes]) -> Optional[dict]:
-    line = fp.readline()
+    line = fp.readline(MAX_MESSAGE_BYTES)
     if not line:
         return None
+    if len(line) == MAX_MESSAGE_BYTES and not line.endswith(b"\n"):
+        raise WireError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -275,7 +275,9 @@ def test_criterion_4_access_control(tmp_path):
 
         nonce = secrets.token_bytes(32)
         info = service.handle_info(10, 1, nonce, user)
-        can_info = check_info_response(cred, info.response, nonce, 10) == Verdict.VERIFIED
+        can_info = check_info_response(
+            cred, info.response, nonce, 10, requested_version=1
+        ) == Verdict.VERIFIED
 
         fetched = service.handle_fetch(10, 1, user, nonce=secrets.token_bytes(32))
         can_fetch = not fetched.verify.response.denied
@@ -415,11 +417,11 @@ def test_criterion_7_replay_freshness(tmp_path):
 
     nonce = secrets.token_bytes(32)
     response = service.handle_info(10, 1, nonce, 1).response
-    assert check_info_response(cred, response, nonce, 10) == Verdict.VERIFIED
+    assert check_info_response(cred, response, nonce, 10, requested_version=1) == Verdict.VERIFIED
     stale_rejected = 0
     for _ in range(1000):
         fresh = secrets.token_bytes(32)
-        if check_info_response(cred, response, fresh, 10) == Verdict.INVALID:
+        if check_info_response(cred, response, fresh, 10, requested_version=1) == Verdict.INVALID:
             stale_rejected += 1
     assert stale_rejected == 1000
     storage.close()

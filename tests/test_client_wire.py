@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import io
 import secrets
+import socket
+import sys
 import threading
+import time
 
 import pytest
 
+from tcr import server as server_module
+from tcr import wire
 from tcr.client import (
     ProtocolFailure,
     RepositoryClient,
@@ -22,7 +28,7 @@ from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule,
 from tcr.server import RepositoryServer
 from tcr.service import Service
 from tcr.storage import Storage
-from tcr.wire import response_from_json, response_to_json
+from tcr.wire import WireError, read_message, response_from_json, response_to_json
 
 IMAGE, BUILD, COMPOSE = b"image" * 500, b"FROM scratch\n", b"services: {}\n"
 
@@ -38,6 +44,7 @@ def env(tmp_path, user_keys):
     thread.start()
     yield server, user_keys
     server.shutdown()
+    server.server_close()
     storage.close()
 
 
@@ -130,6 +137,22 @@ class TestResponseChecks:
             alice.credential, outcome.response, outcome.response.nonce, 7, requested_version=1
         )
         assert mismatch == Verdict.INVALID
+
+    def test_latest_query_answered_about_an_older_version_rejected(self, env):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(7)
+        alice.modify(7, IMAGE, BUILD, COMPOSE)
+        alice.modify(7, IMAGE + b"2", BUILD, COMPOSE)
+        nonce = secrets.token_bytes(32)
+        stale = server.service.handle_fetch(7, 1, 1, nonce=nonce).verify.response
+        assert (stale.requested_version, stale.max_version) == (1, 2)
+        # Asked for the latest (version 0), the service answers about version 1.
+        assert check_info_response(alice.credential, stale, nonce, 7) == Verdict.INVALID
+        assert check_info_response(
+            alice.credential, stale, nonce, 7, requested_version=1
+        ) == Verdict.VERIFIED
+        assert alice.info(7).response.requested_version == 2
 
     def test_response_json_round_trip(self):
         full = VerifyResponse(
@@ -257,6 +280,100 @@ class TestWireFlows:
         alice = client_for(server, keys, 1)
         status, body = alice._request("NO_SUCH_OP", {})
         assert status == "error" and "unknown" in body["message"]
+
+
+class TestMessageBound:
+    def test_read_message_stops_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", 16)
+        assert read_message(io.BytesIO(b'{"op":"INFO"}\n')) == {"op": "INFO"}
+        assert read_message(io.BytesIO(b'{"op":"FETCH_"}\n')) == {"op": "FETCH_"}  # 16 bytes
+        with pytest.raises(WireError, match="exceeds 16 bytes"):
+            read_message(io.BytesIO(b'{"op":"FETCH__"}\n'))
+
+    def test_oversized_message_answered_and_connection_closed(self, env, monkeypatch):
+        server, keys = env
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", 1024)
+        request = b'{"op":"INFO","payload":{"pad":"' + b"0" * 4096 + b'"}}\n'
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            sock.sendall(request)
+            fp = sock.makefile("rb")
+            reply, rest = read_message(fp), fp.read()
+        assert reply["status"] == "error" and "exceeds 1024 bytes" in reply["payload"]["message"]
+        assert rest == b""  # the server closed the connection
+        assert client_for(server, keys, 2).info(3).verdict == Verdict.DENIED
+
+
+class TestConnectionModel:
+    def test_sequential_requests_reuse_the_handler_threads(self, env, monkeypatch):
+        server, keys = env
+        idents = set()
+        dispatch = server.dispatch
+
+        def recording_dispatch(*args):
+            idents.add(threading.get_ident())
+            return dispatch(*args)
+
+        monkeypatch.setattr(server, "dispatch", recording_dispatch)
+        bob = client_for(server, keys, 2)
+        for idx in range(50):
+            assert bob.info(idx).verdict == Verdict.DENIED
+        assert 1 <= len(idents) <= server.handler_threads
+
+    def test_concurrent_clients_all_verify(self, env):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        for idx in range(8):
+            alice.create(idx)
+            alice.modify(idx, IMAGE + bytes([idx]), BUILD, COMPOSE)
+        verdicts: list = []
+
+        def run(idx: int) -> None:
+            client = client_for(server, keys, 1)
+            for i in range(20):
+                outcome = client.fetch(idx) if i % 2 else client.info(idx)
+                verdicts.append(outcome.verdict)
+
+        threads = [threading.Thread(target=run, args=(idx,)) for idx in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert verdicts == [Verdict.VERIFIED] * 160
+
+    def test_idle_connections_time_out(self, env, monkeypatch):
+        server, keys = env
+        monkeypatch.setattr(server_module._ConnectionHandler, "timeout", 0.2)
+        # As many idle connections as there are threads pin every one of them.
+        idle = [socket.create_connection(server.server_address[:2], timeout=5)
+                for _ in range(server.handler_threads)]
+        try:
+            start = time.monotonic()
+            for sock in idle:
+                assert sock.recv(1) == b""  # closed by the server, with no reply
+            assert time.monotonic() - start < 4
+        finally:
+            for sock in idle:
+                sock.close()
+        assert client_for(server, keys, 2).info(3).verdict == Verdict.DENIED
+
+    def test_shutdown_right_after_start_returns(self, service):
+        server = RepositoryServer(("127.0.0.1", 0), service)
+        returned: list = []
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        stopping = threading.Thread(target=lambda: returned.append(server.shutdown()), daemon=True)
+        serving.start()
+        stopping.start()
+        stopping.join(timeout=2)
+        serving.join(timeout=2)
+        assert not stopping.is_alive() and not serving.is_alive()
+        assert returned == [None]  # shutdown() returned rather than raised
+        server.server_close()
 
 
 class TestCli:
