@@ -40,8 +40,8 @@ from .storage import MOCK_BUILD, MOCK_COMPOSE, BlobSet, Storage, bulk_prepopulat
 OPERATIONS = ("create", "modify", "modify_encrypted", "info", "fetch", "fetch_encrypted")
 
 STEP_ORDER = {
-    "create": ("eq_certificate", "placeholder_insert", "ru_certificate", "root_update",
-               "persist_records", "total"),
+    "create": ("record_lookup", "eq_certificate", "placeholder_insert", "ru_certificate",
+               "root_update", "persist_records", "total"),
     "modify": ("record_lookup", "content_digest", "certificates", "root_update",
                "persist_records", "total"),
     "modify_encrypted": ("record_lookup", "content_digest", "certificates", "secret_store",
@@ -75,7 +75,6 @@ class BenchConfig:
     keep_db: bool = False
     workdir: Optional[Path] = None
     seed: int = 7
-    use_cert_cache: bool = True
 
     def __post_init__(self) -> None:
         if not self.heights or self.ops < 1 or self.repeats < 1:
@@ -145,9 +144,7 @@ def _one_repeat(cfg: BenchConfig, height: int, seed: int) -> dict[str, dict[str,
         count = (1 << height) - cfg.ops
         blobs = BlobSet(_payload(cfg.payload_size, seed), MOCK_BUILD, MOCK_COMPOSE)
         bulk_prepopulate(storage, height, count, _OWNER, state, blobs=blobs)
-        service = Service(
-            storage, TrustedModule(state), height, use_cert_cache=cfg.use_cert_cache
-        )
+        service = Service(storage, TrustedModule(state), height)
         _check_prepopulation(service, credential, count, rng)
 
         counters: dict[int, int] = {}
@@ -325,7 +322,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--keep-db", action="store_true")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workdir", type=Path, default=None)
-    parser.add_argument("--no-cert-cache", action="store_true")
     args = parser.parse_args(argv)
 
     cfg = BenchConfig(
@@ -337,7 +333,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         keep_db=args.keep_db,
         workdir=args.workdir,
         seed=args.seed,
-        use_cert_cache=not args.no_cert_cache,
     )
     try:
         rows = run_bench(cfg)

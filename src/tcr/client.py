@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .iomt import Leaf, counter_digest, leaf_digest, oracle_root, updated_leaf_map
+from .iomt import Iomt, Leaf, counter_digest, leaf_digest
 from .merkle import (
     DIGEST_SIZE,
     ZERO_DIGEST,
@@ -173,13 +173,10 @@ def predicted_acl_root(hints: dict, target_user: int, level: int) -> bytes:
     signature over this root is what authorizes the change, and a lying
     service only strands itself with a tree it cannot re-prove.
     """
-    height = int(hints["acl_height"])
-    leaves = {
-        int(slot): Leaf(int(idx), int(nxt), bytes.fromhex(val))
-        for slot, idx, nxt, val in hints["acl"]
-    }
-    updated = updated_leaf_map(leaves, height, target_user, counter_digest(level))
-    return oracle_root(updated, height)
+    tree = Iomt(int(hints["acl_height"]))
+    for slot, idx, nxt, val in hints["acl"]:
+        tree.set_leaf(int(slot), Leaf(int(idx), int(nxt), bytes.fromhex(val)))
+    return tree.upsert(target_user, counter_digest(level))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ initialized but holds no record yet.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -170,13 +171,32 @@ class MemoryTreeStore:
     def has_leaves(self) -> bool:
         return bool(self._leaves)
 
+    def find_leaf(self, idx: int) -> Optional[tuple[int, Leaf]]:
+        return next(((s, l) for s, l in self._leaves.items() if l.idx == idx), None)
+
+    def find_encloser(self, idx: int) -> Optional[tuple[int, Leaf]]:
+        return next(
+            ((s, l) for s, l in self._leaves.items() if encloses(l.idx, l.next_idx, idx)), None
+        )
+
+    def first_free_slot(self) -> int:
+        return next(s for s in itertools.count() if s not in self._leaves)
+
 
 class Iomt:
     """An IOMT bound to a node/leaf store.
 
     Instances are single-writer; concurrent readers are safe between edits.
-    The store may provide optimized ``find_encloser``/``first_free_slot``
-    hooks (the SQL store does); otherwise leaves are scanned.
+    The store (:class:`MemoryTreeStore`, ``storage.SqliteTreeStore``) provides:
+
+    - ``get_node(pos)``, ``get_nodes(positions)``, ``set_node(pos, digest)``:
+      node digests, the zero digest where none is stored;
+    - ``get_leaf(slot)``, ``set_leaf(slot, leaf)``, ``leaf_items()`` in slot
+      order, and ``has_leaves()``: leaf records, ``None`` for an empty slot;
+    - ``find_leaf(idx)``: the ``(slot, leaf)`` holding ``idx``, or ``None``;
+    - ``find_encloser(idx)``: the ``(slot, leaf)`` enclosing an absent
+      ``idx``, or ``None``;
+    - ``first_free_slot()``: the lowest empty slot, with no upper bound.
     """
 
     def __init__(self, height: int, store=None) -> None:
@@ -227,47 +247,28 @@ class Iomt:
         return pos - 1, Side.LEFT
 
     def find_leaf(self, idx: int) -> Optional[tuple[int, Leaf]]:
-        finder = getattr(self.store, "find_leaf", None)
-        if finder is not None:
-            return finder(idx)
-        for slot, leaf in self.store.leaf_items():
-            if leaf.idx == idx:
-                return slot, leaf
-        return None
+        return self.store.find_leaf(idx)
 
     def find_encloser(self, idx: int) -> Optional[tuple[int, Leaf]]:
         """The unique leaf enclosing an absent index; ``None`` if none qualifies."""
-        finder = getattr(self.store, "find_encloser", None)
-        if finder is not None:
-            return finder(idx)
-        for slot, leaf in self.store.leaf_items():
-            if encloses(leaf.idx, leaf.next_idx, idx):
-                return slot, leaf
-        return None
-
-    def first_free_slot(self) -> Optional[int]:
-        finder = getattr(self.store, "first_free_slot", None)
-        if finder is not None:
-            slot = finder()
-        else:
-            used = {s for s, _ in self.store.leaf_items()}
-            slot = next((s for s in range(self.geometry.leaf_count) if s not in used), None)
-        if slot is None or slot >= self.geometry.leaf_count:
-            return None
-        return slot
+        return self.store.find_encloser(idx)
 
     def placeholder_plan(self, new_idx: int) -> PlaceholderPlan:
-        """Plan the encloser edit plus placeholder insertion for ``new_idx``."""
-        if self.find_leaf(new_idx) is not None:
-            raise IndexPresentError(f"index {new_idx} already present")
-        slot = self.first_free_slot()
-        if slot is None:
-            raise TreeFullError(f"all {self.geometry.leaf_count} slots used")
-        if not self.store.has_leaves():
-            return PlaceholderPlan(None, None, None, slot, Leaf(new_idx, new_idx, ZERO_DIGEST))
-        found = self.find_encloser(new_idx)
-        if found is None:
+        """Plan the encloser edit plus placeholder insertion for an absent ``new_idx``.
+
+        Callers look ``new_idx`` up first; the plan looks it up again only to
+        explain why no leaf encloses it.
+        """
+        found = self.store.find_encloser(new_idx)
+        if found is None and self.store.has_leaves():
+            if self.store.find_leaf(new_idx) is not None:
+                raise IndexPresentError(f"index {new_idx} already present")
             raise IomtError(f"no encloser for {new_idx}: circular linkage broken")
+        slot = self.store.first_free_slot()
+        if slot >= self.geometry.leaf_count:
+            raise TreeFullError(f"all {self.geometry.leaf_count} slots used")
+        if found is None:
+            return PlaceholderPlan(None, None, None, slot, Leaf(new_idx, new_idx, ZERO_DIGEST))
         enc_slot, enc = found
         return PlaceholderPlan(
             encloser_slot=enc_slot,
@@ -277,27 +278,20 @@ class Iomt:
             placeholder_leaf=Leaf(new_idx, enc.next_idx, ZERO_DIGEST),
         )
 
-    def insert_placeholder(self, new_idx: int) -> bytes:
-        plan = self.placeholder_plan(new_idx)
+    def upsert(self, idx: int, val: bytes) -> bytes:
+        """Set the value of ``idx``, inserting its leaf if absent; returns the new root.
+
+        A new index follows :meth:`placeholder_plan`: the encloser is relinked
+        to it, and its leaf takes the lowest free slot.
+        """
+        found = self.store.find_leaf(idx)
+        if found is not None:
+            slot, leaf = found
+            return self.set_leaf(slot, Leaf(idx, leaf.next_idx, val))
+        plan = self.placeholder_plan(idx)
         if plan.encloser_slot is not None:
             self.set_leaf(plan.encloser_slot, plan.updated_encloser)
-        return self.set_leaf(plan.placeholder_slot, plan.placeholder_leaf)
-
-    def remove_placeholder(self, idx: int) -> bytes:
-        """Exact inverse of :meth:`insert_placeholder`."""
-        found = self.find_leaf(idx)
-        if found is None:
-            raise IomtError(f"index {idx} not present")
-        slot, leaf = found
-        if not leaf.is_placeholder:
-            raise IomtError(f"index {idx} is not a placeholder")
-        if leaf.idx == leaf.next_idx:
-            return self.set_leaf(slot, None)
-        for pred_slot, pred in self.store.leaf_items():
-            if pred.next_idx == idx and pred_slot != slot:
-                self.set_leaf(pred_slot, Leaf(pred.idx, leaf.next_idx, pred.val))
-                return self.set_leaf(slot, None)
-        raise IomtError(f"no predecessor links to {idx}: circular linkage broken")
+        return self.set_leaf(plan.placeholder_slot, Leaf(idx, plan.placeholder_leaf.next_idx, val))
 
 
 def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: int) -> bytes:
@@ -318,35 +312,3 @@ def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: i
     for pos in range(geo.leaf_count - 2, -1, -1):
         nodes[pos] = parent(nodes[left_child(pos)], nodes[right_child(pos)], Side.LEFT)
     return nodes[0]
-
-
-def updated_leaf_map(
-    leaves: Mapping[int, Leaf], height: int, idx: int, val: bytes
-) -> dict[int, Leaf]:
-    """Leaf map after setting ``idx`` to ``val``, inserting the leaf if absent.
-
-    Pure function shared by the service and by clients that must predict a
-    tree root before signing for it; both sides apply the same deterministic
-    edit (lowest free slot for new leaves).
-    """
-    geo = Geometry(height)
-    out = dict(leaves)
-    for slot, leaf in out.items():
-        if leaf.idx == idx:
-            out[slot] = Leaf(leaf.idx, leaf.next_idx, val)
-            return out
-    slot = next((s for s in range(geo.leaf_count) if s not in out), None)
-    if slot is None:
-        raise TreeFullError(f"all {geo.leaf_count} slots used")
-    if not out:
-        out[slot] = Leaf(idx, idx, val)
-        return out
-    encloser = next(
-        ((s, l) for s, l in out.items() if encloses(l.idx, l.next_idx, idx)), None
-    )
-    if encloser is None:
-        raise IomtError(f"no encloser for {idx}: circular linkage broken")
-    enc_slot, enc = encloser
-    out[enc_slot] = Leaf(enc.idx, idx, enc.val)
-    out[slot] = Leaf(idx, enc.next_idx, val)
-    return out

@@ -271,18 +271,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--acl-height", type=int, default=8)
     parser.add_argument("--users", type=Path, default=None,
                         help="JSON user-key map for first-run provisioning")
-    parser.add_argument("--no-cert-cache", action="store_true")
     args = parser.parse_args(argv)
 
     state = _load_or_init_state(Path(args.module_state), args.users)
     storage = Storage(args.db, args.data_dir)
-    service = Service(
-        storage,
-        TrustedModule(state),
-        args.height,
-        acl_height=args.acl_height,
-        use_cert_cache=not args.no_cert_cache,
-    )
+    service = Service(storage, TrustedModule(state), args.height, acl_height=args.acl_height)
     server = RepositoryServer(args.listen, service, state=state, state_path=Path(args.module_state))
     host, port = server.server_address[:2]
     print(f"listening on {host}:{port}", file=sys.stderr)

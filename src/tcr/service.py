@@ -17,16 +17,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .iomt import (
-    Iomt,
-    IndexPresentError,
-    Leaf,
-    TreeFullError,
-    counter_digest,
-    counter_value,
-    leaf_digest,
-    updated_leaf_map,
-)
+from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value, leaf_digest
 from .merkle import ZERO_DIGEST, sha256
 from .module import (
     Certificate,
@@ -164,9 +155,9 @@ class _Answer:
 class Service:
     """Request pipelines over one storage instance and one trusted module.
 
-    All module interactions and store writes funnel through one lock, so
+    All module interactions and store accesses funnel through one lock, so
     pipelines execute in a total order; concurrent wire handlers simply
-    queue.
+    queue.  The storage has no lock of its own and relies on this one.
     """
 
     def __init__(
@@ -175,13 +166,12 @@ class Service:
         module: TrustedModule,
         height: int,
         acl_height: int = DEFAULT_ACL_HEIGHT,
-        use_cert_cache: bool = True,
     ) -> None:
         self.storage = storage
         self.module = module
         self.height = height
         self.acl_height = acl_height
-        self._cache = CertCache() if use_cert_cache else None
+        self._cache = CertCache()
         self._lock = threading.RLock()
 
     def _retrying(self, pipeline, *args):
@@ -221,13 +211,12 @@ class Service:
         digest = leaf_digest(leaf)
         return self.module.certify_node_update(digest, digest, siblings, sides)
 
-    def _record_proof(self, tree: Iomt, idx: int, cache_key: Optional[tuple]) -> Optional[Proof]:
+    def _record_proof(self, tree: Iomt, idx: int, cache_key: tuple) -> Optional[Proof]:
         """RV for a present index, or an enclosure pair proving its absence."""
         epoch = self.module.root
-        if self._cache is not None and cache_key is not None:
-            hit = self._cache.get(cache_key, epoch)
-            if hit is not None:
-                return hit
+        hit = self._cache.get(cache_key, epoch)
+        if hit is not None:
+            return hit
         found = tree.find_leaf(idx)
         if found is not None:
             slot, leaf = found
@@ -246,7 +235,7 @@ class Service:
                     ZERO_DIGEST, ZERO_DIGEST, [p[0] for p in path], [p[1] for p in path]
                 )
                 proof = self.module.certify_record(node_proof, None, absent_idx=idx)
-        if proof is not None and self._cache is not None and cache_key is not None:
+        if proof is not None:
             self._cache.put(cache_key, epoch, proof)
         return proof
 
@@ -305,7 +294,7 @@ class Service:
         tree = self.container_tree()
         module = self.module
         with self.storage.transaction(commit_timer=_step(clock, "persist_records")):
-            with _step(clock, "eq_certificate"):
+            with _step(clock, "record_lookup"):
                 existing = tree.find_leaf(req.idx)
             if existing is not None:
                 # Drive the module anyway: a record update claiming the leaf
@@ -320,7 +309,7 @@ class Service:
             with _step(clock, "eq_certificate"):
                 try:
                     plan = tree.placeholder_plan(req.idx)
-                except (TreeFullError, IndexPresentError) as exc:
+                except TreeFullError as exc:
                     raise ProtocolError(str(exc)) from exc
                 if plan.encloser_slot is None:
                     path = tree.complement_path(plan.placeholder_slot)
@@ -487,44 +476,39 @@ class Service:
     def _acl_set_once(self, req, target_user, level, clock):
         tree = self.container_tree()
         module = self.module
-        with self.storage.transaction():
-            record = self.storage.record_get(req.idx)
-            found = tree.find_leaf(req.idx)
-            if record is None or found is None:
-                return None
-            slot, leaf = found
+        with self.storage.transaction(commit_timer=_step(clock, "persist_records")):
+            with _step(clock, "record_lookup"):
+                record = self.storage.record_get(req.idx)
+                found = tree.find_leaf(req.idx)
+                if record is None or found is None:
+                    return None
+                slot, leaf = found
 
-            acl = self.acl_tree(req.idx)
-            current = dict(acl.leaves())
-            try:
-                updated = updated_leaf_map(
-                    current, self.acl_height, target_user, counter_digest(level)
+            with _step(clock, "certificates"):
+                acl_proof = self._acl_proof(req.idx, req.user_idx)
+                ru = self._counter_update_cert(tree, slot, leaf, record.counter + 1)
+                if ru is None or acl_proof is None:
+                    return None
+
+            with _step(clock, "root_update"):
+                try:
+                    new_acl_root = self.acl_tree(req.idx).upsert(target_user, counter_digest(level))
+                except TreeFullError as exc:
+                    raise ProtocolError(str(exc)) from exc
+                if new_acl_root != req.value:
+                    raise ProtocolError("request signature names a different ACL root: stale view")
+                result = module.apply_request(
+                    req, ru, acl_proof=acl_proof, record=record.as_certificate()
                 )
-            except TreeFullError as exc:
-                raise ProtocolError(str(exc)) from exc
+                if result is None:
+                    raise _Rejected()
 
-            acl_proof = self._acl_proof(req.idx, req.user_idx)
-            ru = self._counter_update_cert(tree, slot, leaf, record.counter + 1)
-            if ru is None or acl_proof is None:
-                return None
-
-            for changed_slot, changed in updated.items():
-                if current.get(changed_slot) != changed:
-                    acl.set_leaf(changed_slot, changed)
-            if acl.root != req.value:
-                raise ProtocolError("request signature names a different ACL root: stale view")
-
-            result = module.apply_request(
-                req, ru, acl_proof=acl_proof, record=record.as_certificate()
-            )
-            if result is None:
-                raise _Rejected()
-
-            _, counter, version_count, acl_root = result.record_cert.values
-            tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)))
-            self.storage.record_put(
-                ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
-            )
+            with _step(clock, "persist_records"):
+                _, counter, version_count, acl_root = result.record_cert.values
+                tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)))
+                self.storage.record_put(
+                    ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
+                )
         return AclResult(ack=result.ack, record_cert=result.record_cert)
 
     # -- query pipelines ----------------------------------------------------------

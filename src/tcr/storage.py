@@ -11,8 +11,8 @@ is stored once regardless of how many versions reference it.
 
 from __future__ import annotations
 
+import os
 import sqlite3
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,15 +134,14 @@ CREATE TABLE IF NOT EXISTS blob_sets(
 class Storage:
     """One sqlite connection plus a content-addressed blob directory.
 
-    The connection is shared across threads behind a lock; writers are
-    expected to group a request's writes inside :meth:`transaction` so they
-    commit or roll back as a unit.
+    Not thread-safe: its one owner (the :class:`~tcr.service.Service`, under
+    its lock) serializes every access.  Writers group a request's writes
+    inside :meth:`transaction` so they commit or roll back as a unit.
     """
 
     def __init__(self, db_path: str | Path, data_dir: Optional[str | Path] = None) -> None:
         self.db_path = str(db_path)
         self.data_dir = Path(data_dir) if data_dir is not None else None
-        self._lock = threading.RLock()
         self._conn = sqlite3.connect(self.db_path, isolation_level=None, check_same_thread=False)
         if self.db_path != ":memory:":
             self._conn.execute("PRAGMA journal_mode=WAL")
@@ -152,99 +151,92 @@ class Storage:
         self._conn.executescript(_SCHEMA)
 
     def close(self) -> None:
-        with self._lock:
-            self._conn.close()
+        self._conn.close()
 
     @contextmanager
     def transaction(self, commit_timer=None) -> Iterator[None]:
         """Group writes; ``commit_timer`` (a context manager) may bracket the
         commit so step timings attribute the flush to the persisting step."""
-        with self._lock:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                yield
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            else:
-                if commit_timer is not None:
-                    with commit_timer:
-                        self._conn.execute("COMMIT")
-                else:
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+        else:
+            if commit_timer is not None:
+                with commit_timer:
                     self._conn.execute("COMMIT")
+            else:
+                self._conn.execute("COMMIT")
 
     # -- tree node and leaf tables ---------------------------------------------
 
     def node_put(self, tree: str, pos: int, digest: bytes) -> None:
-        with self._lock:
-            if digest == ZERO_DIGEST:
-                self._conn.execute("DELETE FROM nodes WHERE tree=? AND pos=?", (tree, pos))
-            else:
-                self._conn.execute(
-                    "INSERT INTO nodes(tree, pos, digest) VALUES(?,?,?) "
-                    "ON CONFLICT(tree, pos) DO UPDATE SET digest=excluded.digest",
-                    (tree, pos, digest),
-                )
+        if digest == ZERO_DIGEST:
+            self._conn.execute("DELETE FROM nodes WHERE tree=? AND pos=?", (tree, pos))
+        else:
+            self._conn.execute(
+                "INSERT INTO nodes(tree, pos, digest) VALUES(?,?,?) "
+                "ON CONFLICT(tree, pos) DO UPDATE SET digest=excluded.digest",
+                (tree, pos, digest),
+            )
 
     def node_get(self, tree: str, pos: int) -> bytes:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT digest FROM nodes WHERE tree=? AND pos=?", (tree, pos)
-            ).fetchone()
+        row = self._conn.execute(
+            "SELECT digest FROM nodes WHERE tree=? AND pos=?", (tree, pos)
+        ).fetchone()
         return row[0] if row else ZERO_DIGEST
 
     def nodes_get(self, tree: str, positions: Sequence[int]) -> list[bytes]:
         """Digests at ``positions`` from one query; missing rows read as zero."""
         if not positions:
             return []
-        with self._lock:
-            found = dict(
-                self._conn.execute(
-                    "SELECT pos, digest FROM nodes WHERE tree=? AND pos IN "
-                    f"({','.join('?' * len(positions))})",
-                    (tree, *positions),
-                ).fetchall()
-            )
+        found = dict(
+            self._conn.execute(
+                "SELECT pos, digest FROM nodes WHERE tree=? AND pos IN "
+                f"({','.join('?' * len(positions))})",
+                (tree, *positions),
+            ).fetchall()
+        )
         return [found.get(pos, ZERO_DIGEST) for pos in positions]
 
     def leaf_put(self, tree: str, slot: int, leaf: Optional[Leaf]) -> None:
         # free_slots tracks every empty slot below the occupied high-water
         # mark, so lowest-free allocation stays O(log n) however large the
         # tree grows.
-        with self._lock:
-            if leaf is None:
-                deleted = self._conn.execute(
-                    "DELETE FROM leaves WHERE tree=? AND slot=?", (tree, slot)
-                ).rowcount
-                if deleted:
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO free_slots(tree, slot) VALUES(?,?)", (tree, slot)
-                    )
-            else:
-                row = self._conn.execute(
-                    "SELECT MAX(slot) FROM leaves WHERE tree=?", (tree,)
-                ).fetchone()
-                high_water = -1 if row[0] is None else row[0]
-                if slot > high_water + 1:
-                    self._conn.executemany(
-                        "INSERT OR IGNORE INTO free_slots(tree, slot) VALUES(?,?)",
-                        ((tree, hole) for hole in range(high_water + 1, slot)),
-                    )
+        if leaf is None:
+            deleted = self._conn.execute(
+                "DELETE FROM leaves WHERE tree=? AND slot=?", (tree, slot)
+            ).rowcount
+            if deleted:
                 self._conn.execute(
-                    "INSERT INTO leaves(tree, slot, idx, next_idx, val) VALUES(?,?,?,?,?) "
-                    "ON CONFLICT(tree, slot) DO UPDATE SET "
-                    "idx=excluded.idx, next_idx=excluded.next_idx, val=excluded.val",
-                    (tree, slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val),
+                    "INSERT OR IGNORE INTO free_slots(tree, slot) VALUES(?,?)", (tree, slot)
                 )
-                self._conn.execute(
-                    "DELETE FROM free_slots WHERE tree=? AND slot=?", (tree, slot)
+        else:
+            row = self._conn.execute(
+                "SELECT MAX(slot) FROM leaves WHERE tree=?", (tree,)
+            ).fetchone()
+            high_water = -1 if row[0] is None else row[0]
+            if slot > high_water + 1:
+                self._conn.executemany(
+                    "INSERT OR IGNORE INTO free_slots(tree, slot) VALUES(?,?)",
+                    ((tree, hole) for hole in range(high_water + 1, slot)),
                 )
+            self._conn.execute(
+                "INSERT INTO leaves(tree, slot, idx, next_idx, val) VALUES(?,?,?,?,?) "
+                "ON CONFLICT(tree, slot) DO UPDATE SET "
+                "idx=excluded.idx, next_idx=excluded.next_idx, val=excluded.val",
+                (tree, slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val),
+            )
+            self._conn.execute(
+                "DELETE FROM free_slots WHERE tree=? AND slot=?", (tree, slot)
+            )
 
     def leaf_get(self, tree: str, slot: int) -> Optional[Leaf]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT idx, next_idx, val FROM leaves WHERE tree=? AND slot=?", (tree, slot)
-            ).fetchone()
+        row = self._conn.execute(
+            "SELECT idx, next_idx, val FROM leaves WHERE tree=? AND slot=?", (tree, slot)
+        ).fetchone()
         if row is None:
             return None
         return Leaf(int.from_bytes(row[0], "big"), int.from_bytes(row[1], "big"), row[2])
@@ -252,48 +244,29 @@ class Storage:
     def tree(self, tree_id: str) -> "SqliteTreeStore":
         return SqliteTreeStore(self, tree_id)
 
-    def node_count(self, tree: str) -> int:
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM nodes WHERE tree=?", (tree,)
-            ).fetchone()[0]
-
-    def leaf_count(self, tree: str) -> int:
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM leaves WHERE tree=?", (tree,)
-            ).fetchone()[0]
-
     # -- container and version records -------------------------------------------
 
     def record_put(self, record: ContainerRecord) -> None:
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO containers(idx, counter, version_count, acl_root, seal) "
-                "VALUES(?,?,?,?,?) ON CONFLICT(idx) DO UPDATE SET "
-                "counter=excluded.counter, version_count=excluded.version_count, "
-                "acl_root=excluded.acl_root, seal=excluded.seal",
-                (_key(record.idx), record.counter, record.version_count, record.acl_root, record.seal),
-            )
+        self._conn.execute(
+            "INSERT INTO containers(idx, counter, version_count, acl_root, seal) "
+            "VALUES(?,?,?,?,?) ON CONFLICT(idx) DO UPDATE SET "
+            "counter=excluded.counter, version_count=excluded.version_count, "
+            "acl_root=excluded.acl_root, seal=excluded.seal",
+            (_key(record.idx), record.counter, record.version_count, record.acl_root, record.seal),
+        )
 
     def record_get(self, idx: int) -> Optional[ContainerRecord]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT counter, version_count, acl_root, seal FROM containers WHERE idx=?",
-                (_key(idx),),
-            ).fetchone()
+        row = self._conn.execute(
+            "SELECT counter, version_count, acl_root, seal FROM containers WHERE idx=?",
+            (_key(idx),),
+        ).fetchone()
         if row is None:
             return None
         return ContainerRecord(idx, row[0], row[1], row[2], row[3])
 
     def version_put(self, record: VersionRecord) -> None:
-        with self._lock:
-            exists = self._conn.execute(
-                "SELECT 1 FROM versions WHERE idx=? AND version=?",
-                (_key(record.idx), record.version),
-            ).fetchone()
-            if exists:
-                raise VersionExistsError(f"version {record.version} of {record.idx} already stored")
+        # A failed statement leaves the enclosing transaction open.
+        try:
             self._conn.execute(
                 "INSERT INTO versions(idx, version, secret_commitment, wrapped_secret, "
                 "content_digest, seal) VALUES(?,?,?,?,?,?)",
@@ -306,14 +279,17 @@ class Storage:
                     record.seal,
                 ),
             )
+        except sqlite3.IntegrityError as exc:
+            raise VersionExistsError(
+                f"version {record.version} of {record.idx} already stored"
+            ) from exc
 
     def version_get(self, idx: int, version: int) -> Optional[VersionRecord]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT secret_commitment, wrapped_secret, content_digest, seal "
-                "FROM versions WHERE idx=? AND version=?",
-                (_key(idx), version),
-            ).fetchone()
+        row = self._conn.execute(
+            "SELECT secret_commitment, wrapped_secret, content_digest, seal "
+            "FROM versions WHERE idx=? AND version=?",
+            (_key(idx), version),
+        ).fetchone()
         if row is None:
             return None
         return VersionRecord(idx, version, row[0], row[1], row[2], row[3])
@@ -330,7 +306,15 @@ class Storage:
         path = self._blob_path(digest)
         if not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(content)
+            # Renamed into place whole, so a torn write never sits under the
+            # content address, where every later put of the same bytes would
+            # skip it.
+            partial = path.with_name(f"payload.{os.getpid()}.tmp")
+            try:
+                partial.write_bytes(content)
+                os.replace(partial, path)
+            finally:
+                partial.unlink(missing_ok=True)
         return digest
 
     def blob_put(self, idx: int, version: int, blobs: BlobSet) -> tuple[bytes, bytes, bytes]:
@@ -339,23 +323,21 @@ class Storage:
             self._write_blob(blobs.build),
             self._write_blob(blobs.compose),
         )
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO blob_sets(idx, version, image_hash, build_hash, compose_hash) "
-                "VALUES(?,?,?,?,?) ON CONFLICT(idx, version) DO UPDATE SET "
-                "image_hash=excluded.image_hash, build_hash=excluded.build_hash, "
-                "compose_hash=excluded.compose_hash",
-                (_key(idx), version, *hashes),
-            )
+        self._conn.execute(
+            "INSERT INTO blob_sets(idx, version, image_hash, build_hash, compose_hash) "
+            "VALUES(?,?,?,?,?) ON CONFLICT(idx, version) DO UPDATE SET "
+            "image_hash=excluded.image_hash, build_hash=excluded.build_hash, "
+            "compose_hash=excluded.compose_hash",
+            (_key(idx), version, *hashes),
+        )
         return hashes
 
     def blob_get(self, idx: int, version: int) -> Optional[BlobSet]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT image_hash, build_hash, compose_hash FROM blob_sets "
-                "WHERE idx=? AND version=?",
-                (_key(idx), version),
-            ).fetchone()
+        row = self._conn.execute(
+            "SELECT image_hash, build_hash, compose_hash FROM blob_sets "
+            "WHERE idx=? AND version=?",
+            (_key(idx), version),
+        ).fetchone()
         if row is None:
             return None
         try:
@@ -365,10 +347,9 @@ class Storage:
             raise StorageError(f"content blob unreadable ({exc.strerror})") from exc
 
     def is_empty(self) -> bool:
-        with self._lock:
-            for table in ("nodes", "leaves", "free_slots", "containers", "versions", "blob_sets"):
-                if self._conn.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone():
-                    return False
+        for table in ("nodes", "leaves", "free_slots", "containers", "versions", "blob_sets"):
+            if self._conn.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone():
+                return False
         return True
 
 
@@ -395,32 +376,29 @@ class SqliteTreeStore:
         self.storage.leaf_put(self.tree_id, slot, leaf)
 
     def leaf_items(self) -> Iterator[tuple[int, Leaf]]:
-        with self.storage._lock:
-            rows = self.storage._conn.execute(
-                "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? ORDER BY slot",
-                (self.tree_id,),
-            ).fetchall()
+        rows = self.storage._conn.execute(
+            "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? ORDER BY slot",
+            (self.tree_id,),
+        ).fetchall()
         for slot, idx, next_idx, val in rows:
             yield slot, Leaf(int.from_bytes(idx, "big"), int.from_bytes(next_idx, "big"), val)
 
     def has_leaves(self) -> bool:
-        with self.storage._lock:
-            return (
-                self.storage._conn.execute(
-                    "SELECT 1 FROM leaves WHERE tree=? LIMIT 1", (self.tree_id,)
-                ).fetchone()
-                is not None
-            )
+        return (
+            self.storage._conn.execute(
+                "SELECT 1 FROM leaves WHERE tree=? LIMIT 1", (self.tree_id,)
+            ).fetchone()
+            is not None
+        )
 
     def find_leaf(self, idx: int) -> Optional[tuple[int, Leaf]]:
         # INDEXED BY: without table stats the planner prefers the primary
         # key and scans the whole tree's rows.
-        with self.storage._lock:
-            row = self.storage._conn.execute(
-                "SELECT slot, next_idx, val FROM leaves INDEXED BY leaves_by_idx "
-                "WHERE tree=? AND idx=?",
-                (self.tree_id, _key(idx)),
-            ).fetchone()
+        row = self.storage._conn.execute(
+            "SELECT slot, next_idx, val FROM leaves INDEXED BY leaves_by_idx "
+            "WHERE tree=? AND idx=?",
+            (self.tree_id, _key(idx)),
+        ).fetchone()
         if row is None:
             return None
         return row[0], Leaf(idx, int.from_bytes(row[1], "big"), row[2])
@@ -429,18 +407,17 @@ class SqliteTreeStore:
         # In a well-formed circular linkage the encloser of an absent index is
         # the leaf with the greatest index below it, or the overall greatest
         # index when none is below (wrap-around).
-        with self.storage._lock:
+        row = self.storage._conn.execute(
+            "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? AND idx<? "
+            "ORDER BY idx DESC LIMIT 1",
+            (self.tree_id, _key(idx)),
+        ).fetchone()
+        if row is None:
             row = self.storage._conn.execute(
-                "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? AND idx<? "
+                "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? "
                 "ORDER BY idx DESC LIMIT 1",
-                (self.tree_id, _key(idx)),
+                (self.tree_id,),
             ).fetchone()
-            if row is None:
-                row = self.storage._conn.execute(
-                    "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? "
-                    "ORDER BY idx DESC LIMIT 1",
-                    (self.tree_id,),
-                ).fetchone()
         if row is None:
             return None
         leaf = Leaf(int.from_bytes(row[1], "big"), int.from_bytes(row[2], "big"), row[3])
@@ -448,18 +425,13 @@ class SqliteTreeStore:
             return None
         return row[0], leaf
 
-    def first_free_slot(self) -> Optional[int]:
-        with self.storage._lock:
-            conn = self.storage._conn
-            hole = conn.execute(
-                "SELECT MIN(slot) FROM free_slots WHERE tree=?", (self.tree_id,)
-            ).fetchone()[0]
-            if hole is not None:
-                return hole
-            top = conn.execute(
-                "SELECT MAX(slot) FROM leaves WHERE tree=?", (self.tree_id,)
-            ).fetchone()[0]
-        return 0 if top is None else top + 1
+    def first_free_slot(self) -> int:
+        # The lowest hole below the high-water mark, else the slot above it.
+        return self.storage._conn.execute(
+            "SELECT COALESCE((SELECT MIN(slot) FROM free_slots WHERE tree=?), "
+            "(SELECT MAX(slot) + 1 FROM leaves WHERE tree=?), 0)",
+            (self.tree_id, self.tree_id),
+        ).fetchone()[0]
 
 
 MOCK_IMAGE = bytes((i * 31 + 7) % 256 for i in range(12 * 1024))
@@ -567,26 +539,25 @@ def bulk_prepopulate(
     storage._write_blob(blobs.build)
     storage._write_blob(blobs.compose)
 
-    with storage._lock:
-        conn = storage._conn
-        conn.execute("PRAGMA journal_mode=OFF")
-        conn.execute("PRAGMA synchronous=OFF")
-        try:
-            conn.execute("BEGIN")
-            _batched(conn, "INSERT INTO leaves VALUES(?,?,?,?,?)", leaf_rows, batch)
-            _batched(conn, "INSERT INTO leaves VALUES(?,?,?,?,?)", acl_leaf_rows(), batch)
-            _batched(conn, "INSERT INTO nodes VALUES(?,?,?)", node_rows(), batch)
-            _batched(conn, "INSERT INTO containers VALUES(?,?,?,?,?)", record_rows(), batch)
-            _batched(conn, "INSERT INTO versions VALUES(?,?,?,?,?,?)", version_rows(), batch)
-            _batched(conn, "INSERT INTO blob_sets VALUES(?,?,?,?,?)", blob_rows(), batch)
-            conn.execute("COMMIT")
-        except BaseException:
-            conn.execute("ROLLBACK")
-            raise
-        finally:
-            if storage.db_path != ":memory:":
-                conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
+    conn = storage._conn
+    conn.execute("PRAGMA journal_mode=OFF")
+    conn.execute("PRAGMA synchronous=OFF")
+    try:
+        conn.execute("BEGIN")
+        _batched(conn, "INSERT INTO leaves VALUES(?,?,?,?,?)", leaf_rows, batch)
+        _batched(conn, "INSERT INTO leaves VALUES(?,?,?,?,?)", acl_leaf_rows(), batch)
+        _batched(conn, "INSERT INTO nodes VALUES(?,?,?)", node_rows(), batch)
+        _batched(conn, "INSERT INTO containers VALUES(?,?,?,?,?)", record_rows(), batch)
+        _batched(conn, "INSERT INTO versions VALUES(?,?,?,?,?,?)", version_rows(), batch)
+        _batched(conn, "INSERT INTO blob_sets VALUES(?,?,?,?,?)", blob_rows(), batch)
+        conn.execute("COMMIT")
+    except BaseException:
+        conn.execute("ROLLBACK")
+        raise
+    finally:
+        if storage.db_path != ":memory:":
+            conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
 
     state.root = root
     return root

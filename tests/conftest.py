@@ -5,9 +5,32 @@ import secrets
 import pytest
 
 from tcr.client import UserCredential
+from tcr.iomt import Iomt, IomtError, Leaf
 from tcr.module import ModuleState, TrustedModule
 from tcr.service import Service
 from tcr.storage import Storage
+
+
+def remove_placeholder(tree: Iomt, idx: int) -> bytes:
+    """Exact inverse of ``tree.upsert(idx, ZERO_DIGEST)`` on an index that was absent."""
+    found = tree.find_leaf(idx)
+    if found is None:
+        raise IomtError(f"index {idx} not present")
+    slot, leaf = found
+    if not leaf.is_placeholder:
+        raise IomtError(f"index {idx} is not a placeholder")
+    if leaf.idx == leaf.next_idx:
+        return tree.set_leaf(slot, None)
+    for pred_slot, pred in tree.leaves():
+        if pred.next_idx == idx and pred_slot != slot:
+            tree.set_leaf(pred_slot, Leaf(pred.idx, leaf.next_idx, pred.val))
+            return tree.set_leaf(slot, None)
+    raise IomtError(f"no predecessor links to {idx}: circular linkage broken")
+
+
+def acl_hints(service: Service, idx: int) -> dict:
+    """The hints an INFO reply carries for container ``idx``, ACL leaves included."""
+    return service._hints(service.storage.record_get(idx))
 
 
 @pytest.fixture

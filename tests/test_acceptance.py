@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from conftest import acl_hints, remove_placeholder
 from tcr.bench import BenchConfig, run_bench
 from tcr.client import (
     RepositoryClient,
@@ -23,6 +24,7 @@ from tcr.client import (
     Verdict,
     check_info_response,
     content_digest_of,
+    predicted_acl_root,
 )
 from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest, oracle_root
 from tcr.merkle import ZERO_DIGEST, hmac_sha256
@@ -56,13 +58,7 @@ def _modify(service, cred, idx, counter, blobs=BLOBS, commitment=ZERO_DIGEST, **
 
 
 def _grant(service, owner_cred, idx, counter, target, level):
-    from tcr.iomt import updated_leaf_map
-
-    current = dict(service.acl_tree(idx).leaves())
-    new_root = oracle_root(
-        updated_leaf_map(current, service.acl_height, target, counter_digest(level)),
-        service.acl_height,
-    )
+    new_root = predicted_acl_root(acl_hints(service, idx), target, level)
     env = owner_cred.sign_request(RequestKind.ACL, idx, counter, new_root)
     result = service.handle_acl_set(env, target, level)
     assert result is not None
@@ -98,9 +94,9 @@ def test_criterion_1_oracle_equivalence():
                     candidates = [i for i in range(64) if i not in present]
                     if not candidates or len(leaves) >= tree.geometry.leaf_count:
                         continue
-                    tree.insert_placeholder(rng.choice(candidates))
+                    tree.upsert(rng.choice(candidates), ZERO_DIGEST)
                 elif move == "delete":
-                    tree.remove_placeholder(rng.choice(placeholders))
+                    remove_placeholder(tree, rng.choice(placeholders))
                 assert tree.root == oracle_root(dict(tree.leaves()), height)
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
@@ -122,7 +118,7 @@ def test_criterion_2_non_existence_completeness():
         tree = Iomt(3)
         indices = rng.sample(range(256), 8)
         for idx in indices:
-            tree.insert_placeholder(idx)
+            tree.upsert(idx, ZERO_DIGEST)
         for slot, leaf in list(tree.leaves()):
             tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(rng.randrange(1, 99))))
         present = set(indices)

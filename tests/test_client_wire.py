@@ -346,6 +346,44 @@ class TestConnectionModel:
             sys.setswitchinterval(interval)
         assert verdicts == [Verdict.VERIFIED] * 160
 
+    def test_concurrent_writers_keep_the_store_provable(self, env):
+        # Storage has no lock of its own: the service's lock must serialize
+        # every pipeline, or the store drifts from the sealed root.
+        server, keys = env
+        failures: list = []
+
+        def run(user: int) -> None:
+            client = client_for(server, keys, user)
+            idx = 100 + user
+            others = [other for other in keys if other != user]
+            try:
+                client.create(idx)
+                for i in range(10):
+                    client.modify(idx, IMAGE + bytes([user, i]), BUILD, COMPOSE)
+                    client.acl_set(idx, others[i % len(others)], i % 4)
+                    outcome = client.fetch(idx)
+                    latest = outcome.blobs.image[-2:] if outcome.blobs else None
+                    if outcome.verdict != Verdict.VERIFIED or latest != bytes([user, i]):
+                        failures.append((user, i, outcome.verdict))
+            except Exception as exc:  # reported by the assertion below
+                failures.append((user, repr(exc)))
+
+        threads = [threading.Thread(target=run, args=(user,)) for user in (1, 2, 3, 4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        server.shutdown()
+        assert failures == []
+        service = server.service
+        assert service.module.root == service.container_tree().root
+
     def test_idle_connections_time_out(self, env, monkeypatch):
         server, keys = env
         monkeypatch.setattr(server_module._ConnectionHandler, "timeout", 0.2)

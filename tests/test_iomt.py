@@ -7,6 +7,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import remove_placeholder
 from tcr.iomt import (
     Geometry,
     IndexPresentError,
@@ -18,7 +19,6 @@ from tcr.iomt import (
     encloses,
     leaf_digest,
     oracle_root,
-    updated_leaf_map,
 )
 from tcr.merkle import Side, ZERO_DIGEST, compute_root
 
@@ -219,7 +219,7 @@ class TestPlaceholderPlan:
         assert plan.encloser_leaf == Leaf(1, 3, W[1])
         assert plan.updated_encloser == Leaf(1, 2, W[1])
         assert plan.placeholder_leaf == Leaf(2, 3, ZERO_DIGEST)
-        tree.insert_placeholder(2)
+        tree.upsert(2, ZERO_DIGEST)
         expected = dict(tree.leaves())
         assert tree.root == oracle_root(expected, 3)
 
@@ -237,9 +237,9 @@ class TestPlaceholderPlan:
         for slot, leaf in enumerate(FOUR_LEAVES):
             tree.set_leaf(slot, leaf)
         before = tree.root
-        tree.insert_placeholder(5)
+        tree.upsert(5, ZERO_DIGEST)
         assert tree.root != before
-        tree.remove_placeholder(5)
+        remove_placeholder(tree, 5)
         assert tree.root == before
 
 
@@ -283,7 +283,7 @@ def _walk_cycle(leaves: dict[int, Leaf]) -> list[int]:
 def test_circular_linkage_after_inserts(indices):
     tree = Iomt(3)
     for idx in indices:
-        tree.insert_placeholder(idx)
+        tree.upsert(idx, ZERO_DIGEST)
     leaves = dict(tree.leaves())
     cycle = _walk_cycle(leaves)
     assert sorted(cycle) == sorted(indices)
@@ -296,11 +296,11 @@ def test_placeholder_insert_never_touches_values(indices):
     tree = Iomt(3)
     *existing, newcomer = indices
     for idx in existing:
-        tree.insert_placeholder(idx)
+        tree.upsert(idx, ZERO_DIGEST)
     for slot, leaf in list(tree.leaves()):
         tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(leaf.idx + 1)))
     before = {leaf.idx: leaf.val for _, leaf in tree.leaves()}
-    tree.insert_placeholder(newcomer)
+    tree.upsert(newcomer, ZERO_DIGEST)
     after = {leaf.idx: leaf.val for _, leaf in tree.leaves()}
     assert all(after[idx] == val for idx, val in before.items())
 
@@ -310,7 +310,7 @@ def test_placeholder_insert_never_touches_values(indices):
 def test_absent_index_has_exactly_one_encloser(indices):
     tree = Iomt(3)
     for idx in indices:
-        tree.insert_placeholder(idx)
+        tree.upsert(idx, ZERO_DIGEST)
     leaves = [leaf for _, leaf in tree.leaves()]
     present = set(indices)
     for candidate in range(256):
@@ -321,17 +321,24 @@ def test_absent_index_has_exactly_one_encloser(indices):
             assert len(hits) == 1
 
 
-def test_updated_leaf_map_matches_tree_edits():
-    tree = four_leaf_tree()
-    current = dict(tree.leaves())
-    new = updated_leaf_map(current, 2, 4, counter_digest(2))
-    assert new[2] == Leaf(4, 7, counter_digest(2))
-    tree.set_leaf(2, new[2])
-    assert tree.root == oracle_root(new, 2)
+def test_upsert_sets_present_index_in_place():
+    tree = four_leaf_tree()  # full: a present index needs no free slot
+    root = tree.upsert(4, counter_digest(2))
+    expected = dict(enumerate(FOUR_LEAVES))
+    expected[2] = Leaf(4, 7, counter_digest(2))
+    assert dict(tree.leaves()) == expected
+    assert root == tree.root == oracle_root(expected, 2)
 
 
-def test_updated_leaf_map_inserts_new_index():
-    leaves = {0: Leaf(3, 3, counter_digest(3))}
-    new = updated_leaf_map(leaves, 3, 10, counter_digest(1))
-    assert new[0] == Leaf(3, 10, counter_digest(3))
-    assert new[1] == Leaf(10, 3, counter_digest(1))
+def test_upsert_inserts_new_index_after_its_encloser():
+    tree = Iomt(3)
+    tree.set_leaf(0, Leaf(3, 20, counter_digest(3)))
+    tree.set_leaf(2, Leaf(20, 3, counter_digest(5)))
+    root = tree.upsert(10, counter_digest(1))
+    expected = {  # the new leaf takes slot 1, the lowest free one
+        0: Leaf(3, 10, counter_digest(3)),
+        1: Leaf(10, 20, counter_digest(1)),
+        2: Leaf(20, 3, counter_digest(5)),
+    }
+    assert dict(tree.leaves()) == expected
+    assert root == tree.root == oracle_root(expected, 3)

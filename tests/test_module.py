@@ -54,7 +54,7 @@ def sign(user: int, kind: RequestKind, idx: int, counter: int, value: bytes) -> 
 def random_tree(rng: random.Random, height: int = 3, fill: int = 5) -> Iomt:
     tree = Iomt(height)
     for idx in rng.sample(range(2, 200), fill):
-        tree.insert_placeholder(idx)
+        tree.upsert(idx, ZERO_DIGEST)
     for slot, leaf in list(tree.leaves()):
         tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(rng.randrange(1, 9))))
     return tree
@@ -162,8 +162,8 @@ class TestRecordVerify:
     def test_non_enclosed_extra_index_yields_single(self):
         module = fresh_module()
         tree = Iomt(3)
-        tree.insert_placeholder(3)
-        tree.insert_placeholder(9)
+        tree.upsert(3, ZERO_DIGEST)
+        tree.upsert(9, ZERO_DIGEST)
         slot, leaf = tree.find_leaf(3)
         proof = module.certify_record(verification_proof(module, tree, slot), leaf, absent_idx=9)
         assert isinstance(proof, Certificate)
@@ -257,7 +257,7 @@ class TestRootEquivalence:
     def test_swapped_proofs_refused(self):
         module = fresh_module()
         tree = Iomt(3)
-        tree.insert_placeholder(3)
+        tree.upsert(3, ZERO_DIGEST)
         plan = tree.placeholder_plan(6)
         nu1 = update_proof(module, tree, plan.encloser_slot, plan.updated_encloser)
         tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
@@ -287,7 +287,7 @@ class TestRootEquivalence:
     def test_bootstrap_requires_empty_root(self):
         module = fresh_module()
         tree = Iomt(3)
-        tree.insert_placeholder(3)
+        tree.upsert(3, ZERO_DIGEST)
         # A self-linked "first" leaf proved against a non-empty tree must fail.
         path = tree.complement_path(1)
         nu2 = module.certify_node_update(
@@ -451,13 +451,7 @@ class ContainerFixture:
 
     def set_access(self, requester: int, target: int, level: int):
         requester_proof = self.acl_proof(requester)  # over the pre-edit ACL root
-        found = self.acl.find_leaf(target)
-        if found is not None:
-            self.acl.set_leaf(found[0], Leaf(target, found[1].next_idx, counter_digest(level)))
-        else:
-            self.acl.insert_placeholder(target)
-            t_slot, t_leaf = self.acl.find_leaf(target)
-            self.acl.set_leaf(t_slot, Leaf(target, t_leaf.next_idx, counter_digest(level)))
+        self.acl.upsert(target, counter_digest(level))
         slot, leaf = self.tree.find_leaf(self.idx)
         new_leaf = Leaf(self.idx, leaf.next_idx, counter_digest(self.counter + 1))
         ru = self.module.certify_record_update(

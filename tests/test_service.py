@@ -3,16 +3,19 @@ from __future__ import annotations
 import secrets
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import acl_hints
 from tcr.client import (
     UserCredential,
     Verdict,
     check_info_response,
     content_digest_of,
+    predicted_acl_root,
     wrap_secret,
     xor_keystream,
 )
-from tcr.iomt import Iomt
+from tcr.iomt import Iomt, TreeFullError
 from tcr.merkle import ZERO_DIGEST, sha256
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule
 from tcr.service import ProtocolError, Service, StepClock
@@ -129,16 +132,16 @@ class TestModify:
 
 
 class TestAclSet:
-    def grant(self, service, credentials, requester, target, level, counter):
-        from tcr.iomt import counter_digest, oracle_root, updated_leaf_map
-
-        current = dict(service.acl_tree(7).leaves())
-        new_root = oracle_root(
-            updated_leaf_map(current, service.acl_height, target, counter_digest(level)),
-            service.acl_height,
-        )
+    def grant(self, service, credentials, requester, target, level, counter, clock=None):
+        new_root = predicted_acl_root(acl_hints(service, 7), target, level)
         env = credentials[requester].sign_request(RequestKind.ACL, 7, counter, new_root)
-        return service.handle_acl_set(env, target, level)
+        return service.handle_acl_set(env, target, level, clock=clock)
+
+    def test_step_clock_times_each_step(self, service, credentials):
+        service.handle_create(signed_create(credentials[1], 7))
+        clock = StepClock()
+        assert self.grant(service, credentials, 1, 2, 1, 1, clock=clock) is not None
+        assert set(clock.steps) == {"record_lookup", "certificates", "root_update", "persist_records"}
 
     def test_owner_grants_and_user_queries(self, service, credentials):
         service.handle_create(signed_create(credentials[1], 7))
@@ -167,6 +170,41 @@ class TestAclSet:
         env = credentials[1].sign_request(RequestKind.ACL, 7, 1, sha256(b"wrong root"))
         with pytest.raises(ProtocolError):
             service.handle_acl_set(env, 2, 1)
+
+
+OWNER = UserCredential(1, bytes(range(32)))
+
+
+@settings(max_examples=40, deadline=None)
+@example(grants=[(2, 1), (3, 2), (2, 3), (4, 0), (5, 1)])  # fills the tree, then one more
+@given(st.lists(st.tuples(st.integers(2, 9), st.integers(0, 3)), min_size=1, max_size=8))
+def test_predicted_acl_root_is_the_stored_root(grants):
+    """Re-grants and new grants alike: the client predicts what the service stores."""
+    storage = Storage(":memory:")
+    module = TrustedModule(ModuleState.fresh({1: OWNER.key}))
+    service = Service(storage, module, height=3, acl_height=2)  # four ACL slots
+    try:
+        assert service.handle_create(signed_create(OWNER, 7)) is not None
+        for counter, (target, level) in enumerate(grants, start=1):
+            hints = acl_hints(service, 7)
+            held = {leaf_idx for _, leaf_idx, _, _ in hints["acl"]}
+            if target not in held and len(held) == 4:
+                with pytest.raises(TreeFullError):
+                    predicted_acl_root(hints, target, level)
+                root = module.root
+                env = OWNER.sign_request(RequestKind.ACL, 7, counter, service.acl_tree(7).root)
+                with pytest.raises(ProtocolError):
+                    service.handle_acl_set(env, target, level)
+                assert module.root == root and acl_hints(service, 7) == hints
+                return
+            new_root = predicted_acl_root(hints, target, level)
+            env = OWNER.sign_request(RequestKind.ACL, 7, counter, new_root)
+            result = service.handle_acl_set(env, target, level)
+            assert result is not None and OWNER.verify_ack(env, result.ack)
+            assert service.acl_tree(7).root == new_root == result.record_cert.values[3]
+            assert module.root == service.container_tree().root
+    finally:
+        storage.close()
 
 
 class TestInfo:
@@ -317,11 +355,12 @@ class TestFetch:
 
 class TestStatementCounts:
     def test_verified_queries_at_h16(self, tmp_path, user_keys, credentials):
-        # Worst case: no cached certificate, so both paths are read.
+        # Worst case: no cached certificate, so both paths are read; the
+        # fetch asks for another container than the info did.
         storage = Storage(tmp_path / "h16.db", tmp_path / "blobs")
         state = ModuleState.fresh(user_keys)
         bulk_prepopulate(storage, 16, 8, 1, state)
-        service = Service(storage, TrustedModule(state), height=16, use_cert_cache=False)
+        service = Service(storage, TrustedModule(state), height=16)
         statements: list[str] = []
         storage._conn.set_trace_callback(statements.append)
         nonce = secrets.token_bytes(32)
@@ -331,8 +370,8 @@ class TestStatementCounts:
         assert len(statements) <= 7, statements
 
         statements.clear()
-        fetched = service.handle_fetch(5, 0, 1, nonce=nonce)
-        assert check_info_response(credentials[1], fetched.verify.response, nonce, 5) == Verdict.VERIFIED
+        fetched = service.handle_fetch(6, 0, 1, nonce=nonce)
+        assert check_info_response(credentials[1], fetched.verify.response, nonce, 6) == Verdict.VERIFIED
         assert fetched.blobs is not None
         assert len(statements) <= 7, statements
         storage.close()
@@ -369,8 +408,6 @@ class TestEpochSafety:
 
 class TestMonotonicCounter:
     def test_accepted_record_counters_increase_by_one(self, service, credentials):
-        from tcr.iomt import counter_digest, oracle_root, updated_leaf_map
-
         cred = credentials[1]
         counters = []
         result = service.handle_create(signed_create(cred, 7))
@@ -378,11 +415,7 @@ class TestMonotonicCounter:
         for counter in (1, 2, 3):
             result = service.handle_modify(signed_modify(cred, 7, counter), BLOBS)
             counters.append(result.record_cert.values[1])
-        current = dict(service.acl_tree(7).leaves())
-        new_root = oracle_root(
-            updated_leaf_map(current, service.acl_height, 2, counter_digest(1)),
-            service.acl_height,
-        )
+        new_root = predicted_acl_root(acl_hints(service, 7), 2, 1)
         env = cred.sign_request(RequestKind.ACL, 7, 4, new_root)
         result = service.handle_acl_set(env, 2, 1)
         counters.append(result.record_cert.values[1])

@@ -2,10 +2,22 @@ from __future__ import annotations
 
 import random
 import secrets
+from pathlib import Path
 
 import pytest
 
-from tcr.iomt import Geometry, Iomt, Leaf, counter_digest, leaf_digest, oracle_root
+from conftest import remove_placeholder
+from tcr.iomt import (
+    Geometry,
+    Iomt,
+    Leaf,
+    MemoryTreeStore,
+    TreeFullError,
+    counter_digest,
+    encloses,
+    leaf_digest,
+    oracle_root,
+)
 from tcr.merkle import Side, ZERO_DIGEST, sha256
 from tcr.module import ModuleState, TrustedModule
 from tcr.storage import (
@@ -26,14 +38,19 @@ def keys():
     return {1: secrets.token_bytes(32)}
 
 
+def node_rows(storage, tree: str) -> int:
+    """Rows the node table holds for ``tree``; zero digests are never stored."""
+    return storage._conn.execute("SELECT COUNT(*) FROM nodes WHERE tree=?", (tree,)).fetchone()[0]
+
+
 class TestNodeTable:
     def test_zero_put_deletes_row(self, storage):
         digest = sha256(b"x")
         storage.node_put("t", 5, digest)
-        assert storage.node_count("t") == 1
+        assert node_rows(storage, "t") == 1
         storage.node_put("t", 5, ZERO_DIGEST)
         assert storage.node_get("t", 5) == ZERO_DIGEST
-        assert storage.node_count("t") == 0
+        assert node_rows(storage, "t") == 0
 
     def test_round_trip(self, storage):
         digest = sha256(b"y")
@@ -43,8 +60,8 @@ class TestNodeTable:
     def test_fresh_tall_tree_stores_nothing(self, storage):
         tree = Iomt(20, storage.tree("tall"))
         assert tree.root == ZERO_DIGEST
-        assert storage.node_count("tall") == 0
-        assert storage.leaf_count("tall") == 0
+        assert node_rows(storage, "tall") == 0
+        assert not tree.store.has_leaves()
 
 
 def per_node_path(tree: Iomt, slot: int) -> list:
@@ -99,27 +116,36 @@ class TestLeafTable:
 
     def test_find_encloser_matches_scan(self, storage):
         rng = random.Random(3)
-        sql_tree = Iomt(4, storage.tree("t"))
-        mem_tree = Iomt(4)
-        for idx in rng.sample(range(1, 250), 12):
-            sql_tree.insert_placeholder(idx)
-            mem_tree.insert_placeholder(idx)
-        assert sql_tree.root == mem_tree.root
-        for candidate in range(0, 256):
-            sql_hit = sql_tree.find_encloser(candidate)
-            mem_hit = mem_tree.find_encloser(candidate)
-            if mem_hit is None:
-                assert sql_hit is None
-            else:
-                assert sql_hit is not None and sql_hit[1] == mem_hit[1]
+        for store in (MemoryTreeStore(), storage.tree("t")):
+            tree = Iomt(4, store)
+            indices = rng.sample(range(1, 250), 12)
+            for idx in indices:
+                tree.upsert(idx, ZERO_DIGEST)
+            remove_placeholder(tree, indices[5])  # frees a slot in the middle
+            leaves = list(tree.leaves())
+            for candidate in range(0, 256):
+                scan = [(s, l) for s, l in leaves if encloses(l.idx, l.next_idx, candidate)]
+                assert len(scan) <= 1
+                assert store.find_encloser(candidate) == (scan[0] if scan else None), candidate
+                held = [(s, l) for s, l in leaves if l.idx == candidate]
+                assert store.find_leaf(candidate) == (held[0] if held else None), candidate
 
     def test_first_free_slot_finds_gaps(self, storage):
-        tree = storage.tree("t")
-        assert tree.first_free_slot() == 0
-        storage.leaf_put("t", 0, Leaf(1, 1, ZERO_DIGEST))
-        storage.leaf_put("t", 1, Leaf(2, 2, ZERO_DIGEST))
-        storage.leaf_put("t", 3, Leaf(3, 3, ZERO_DIGEST))
-        assert tree.first_free_slot() == 2
+        for store in (MemoryTreeStore(), storage.tree("t")):
+            tree = Iomt(2, store)
+            assert store.first_free_slot() == 0
+            store.set_leaf(0, Leaf(1, 1, ZERO_DIGEST))
+            store.set_leaf(1, Leaf(2, 2, ZERO_DIGEST))
+            store.set_leaf(3, Leaf(3, 3, ZERO_DIGEST))
+            assert store.first_free_slot() == 2
+            store.set_leaf(1, None)  # a deleted slot is free again
+            assert store.first_free_slot() == 1
+            store.set_leaf(1, Leaf(2, 2, ZERO_DIGEST))
+            store.set_leaf(2, Leaf(4, 4, ZERO_DIGEST))
+            # Full: the store has no bound, the tree maps it to "full".
+            assert store.first_free_slot() == 4
+            with pytest.raises(TreeFullError):
+                tree.placeholder_plan(9)
 
 
 class TestSparseDenseEquivalence:
@@ -162,6 +188,12 @@ class TestRecords:
         assert storage.version_get(7, 1) == record
         with pytest.raises(VersionExistsError):
             storage.version_put(record)
+        # The refused insert leaves the enclosing transaction open.
+        with storage.transaction():
+            storage.record_put(ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal")))
+            with pytest.raises(VersionExistsError):
+                storage.version_put(record)
+        assert storage.record_get(7).counter == 2
 
 
 class TestBlobs:
@@ -180,12 +212,29 @@ class TestBlobs:
         files = list(storage.data_dir.rglob("payload"))
         assert len(files) == 3
 
+    def test_torn_write_is_never_served(self, storage, monkeypatch):
+        blobs = BlobSet(b"image" * 100, b"build", b"compose")
+        write_bytes = Path.write_bytes
+
+        def torn(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", torn)
+        with pytest.raises(OSError):
+            storage.blob_put(5, 1, blobs)
+        monkeypatch.undo()
+        storage.blob_put(5, 1, blobs)
+        assert storage.blob_get(5, 1) == blobs
+        files = [p.name for p in storage.data_dir.rglob("*") if p.is_file()]
+        assert files == ["payload"] * 3  # no partial file left behind
+
 
 class TestDurability:
     def test_reopen_preserves_everything(self, tmp_path, keys):
         storage = Storage(tmp_path / "d.db", tmp_path / "blobs")
         tree = Iomt(3, storage.tree(CONTAINER_TREE))
-        tree.insert_placeholder(5)
+        tree.upsert(5, ZERO_DIGEST)
         record = ContainerRecord(5, 1, 0, sha256(b"a"), sha256(b"s"))
         storage.record_put(record)
         blobs = BlobSet(b"i", b"b", b"c")
@@ -231,8 +280,8 @@ class TestBulkPrepopulate:
         state = ModuleState.fresh(keys)
         count = (1 << 10) - 500
         root = bulk_prepopulate(storage, 10, count, 1, state)
-        assert storage.leaf_count(CONTAINER_TREE) == count == 524
         leaves = dict(Iomt(10, storage.tree(CONTAINER_TREE)).leaves())
+        assert len(leaves) == count == 524
         assert root == oracle_root(leaves, 10) == state.root
         assert storage.node_get(CONTAINER_TREE, 0) == root
         record = storage.record_get(1)
