@@ -144,17 +144,15 @@ class MemoryTreeStore:
         self._nodes: dict[int, bytes] = {}
         self._leaves: dict[int, Leaf] = {}
 
-    def get_node(self, pos: int) -> bytes:
-        return self._nodes.get(pos, ZERO_DIGEST)
-
     def get_nodes(self, positions: Sequence[int]) -> list[bytes]:
         return [self._nodes.get(pos, ZERO_DIGEST) for pos in positions]
 
-    def set_node(self, pos: int, digest: bytes) -> None:
-        if digest == ZERO_DIGEST:
-            self._nodes.pop(pos, None)
-        else:
-            self._nodes[pos] = digest
+    def set_nodes(self, nodes: Sequence[tuple[int, bytes]]) -> None:
+        for pos, digest in nodes:
+            if digest == ZERO_DIGEST:
+                self._nodes.pop(pos, None)
+            else:
+                self._nodes[pos] = digest
 
     def get_leaf(self, slot: int) -> Optional[Leaf]:
         return self._leaves.get(slot)
@@ -189,8 +187,8 @@ class Iomt:
     Instances are single-writer; concurrent readers are safe between edits.
     The store (:class:`MemoryTreeStore`, ``storage.SqliteTreeStore``) provides:
 
-    - ``get_node(pos)``, ``get_nodes(positions)``, ``set_node(pos, digest)``:
-      node digests, the zero digest where none is stored;
+    - ``get_nodes(positions)`` and ``set_nodes([(pos, digest), ...])``: node
+      digests in one batch each way, the zero digest where none is stored;
     - ``get_leaf(slot)``, ``set_leaf(slot, leaf)``, ``leaf_items()`` in slot
       order, and ``has_leaves()``: leaf records, ``None`` for an empty slot;
     - ``find_leaf(idx)``: the ``(slot, leaf)`` holding ``idx``, or ``None``;
@@ -205,7 +203,7 @@ class Iomt:
 
     @property
     def root(self) -> bytes:
-        return self.store.get_node(0)
+        return self.store.get_nodes([0])[0]
 
     def leaf(self, slot: int) -> Optional[Leaf]:
         self.geometry.leaf_node(slot)  # range check
@@ -214,18 +212,23 @@ class Iomt:
     def leaves(self) -> Iterator[tuple[int, Leaf]]:
         return self.store.leaf_items()
 
-    def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> bytes:
-        """Write a leaf and recompute the path to the root; returns the new root."""
+    def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> list[tuple[bytes, Side]]:
+        """Write a leaf and the h+1 nodes from it to the root in one batch.
+
+        Returns the slot's complement path, which the write leaves unchanged,
+        so a certificate for the edit needs no second read.
+        """
         path = self.complement_path(slot)
         pos = self.geometry.leaf_node(slot)
-        self.store.set_leaf(slot, leaf)
         value = leaf_digest(leaf)
-        self.store.set_node(pos, value)
+        nodes = [(pos, value)]
         for sibling, side in path:
             value = parent(sibling, value, side)
             pos = parent_index(pos)
-            self.store.set_node(pos, value)
-        return value
+            nodes.append((pos, value))
+        self.store.set_leaf(slot, leaf)
+        self.store.set_nodes(nodes)
+        return path
 
     def complement_path(self, slot: int) -> list[tuple[bytes, Side]]:
         """Sibling digests from the leaf level up, tagged with the sibling's side.
@@ -287,11 +290,13 @@ class Iomt:
         found = self.store.find_leaf(idx)
         if found is not None:
             slot, leaf = found
-            return self.set_leaf(slot, Leaf(idx, leaf.next_idx, val))
-        plan = self.placeholder_plan(idx)
-        if plan.encloser_slot is not None:
-            self.set_leaf(plan.encloser_slot, plan.updated_encloser)
-        return self.set_leaf(plan.placeholder_slot, Leaf(idx, plan.placeholder_leaf.next_idx, val))
+            self.set_leaf(slot, Leaf(idx, leaf.next_idx, val))
+        else:
+            plan = self.placeholder_plan(idx)
+            if plan.encloser_slot is not None:
+                self.set_leaf(plan.encloser_slot, plan.updated_encloser)
+            self.set_leaf(plan.placeholder_slot, Leaf(idx, plan.placeholder_leaf.next_idx, val))
+        return self.root
 
 
 def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: int) -> bytes:

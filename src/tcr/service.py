@@ -1,9 +1,10 @@
 """The untrusted service: assembles certificates, drives the module, persists.
 
-Every pipeline follows the same discipline: build node proofs from the
-stored trees, ask the module to certify them, and only persist once the
-module has accepted.  If the module rejects anything the enclosing sqlite
-transaction rolls back, so the store never holds state it cannot re-prove.
+Every mutation pipeline runs in one sqlite transaction: it writes each tree
+edit, has the module certify the edit from the complement path that the
+write returned, and asks the module to accept the request.  Any refusal
+raises, so the transaction rolls back and the store never holds state it
+cannot re-prove.
 
 Certificates are cached per root epoch; an entry minted under an older root
 is never served again, it is simply rebuilt.
@@ -174,23 +175,13 @@ class Service:
         self._cache = CertCache()
         self._lock = threading.RLock()
 
-    def _retrying(self, pipeline, *args):
-        """Run a mutation pipeline, retrying once if the root moved under it.
-
-        The service serializes its own pipelines, but the placeholder toggle
-        is deliberately open to anyone holding the module, so a rejection
-        caused by a mid-flight root change is benign and worth one rebuild.
-        """
-        result = None
-        for _ in range(2):
-            epoch = self.module.root
-            try:
-                result = pipeline(*args)
-            except _Rejected:
-                result = None
-            if result is not None or self.module.root == epoch:
-                return result
-        return result
+    @staticmethod
+    def _unless_rejected(pipeline, *args):
+        """Run a mutation pipeline; ``None`` once a refusal has rolled it back."""
+        try:
+            return pipeline(*args)
+        except _Rejected:
+            return None
 
     def container_tree(self) -> Iomt:
         return Iomt(self.height, self.storage.tree(CONTAINER_TREE))
@@ -204,12 +195,23 @@ class Service:
 
     # -- proof assembly ---------------------------------------------------------
 
-    def _verification_proof(self, tree: Iomt, slot: int, leaf: Leaf) -> Certificate:
-        path = tree.complement_path(slot)
-        siblings = [p[0] for p in path]
-        sides = [p[1] for p in path]
-        digest = leaf_digest(leaf)
-        return self.module.certify_node_update(digest, digest, siblings, sides)
+    def _node_update(self, path, leaf: Optional[Leaf], new_leaf: Optional[Leaf]) -> Certificate:
+        """NU for one slot's edit along its complement path; ``None`` is an empty slot."""
+        return self.module.certify_node_update(
+            leaf_digest(leaf), leaf_digest(new_leaf), [d for d, _ in path], [s for _, s in path]
+        )
+
+    def _bump_counter(
+        self, tree: Iomt, slot: int, leaf: Leaf, counter: int
+    ) -> Optional[Certificate]:
+        """Write ``leaf`` with value ``counter``; the RU for that write, from its path.
+
+        A caller refused after this must raise :class:`_Rejected` to roll the write back.
+        """
+        new_val = counter_digest(counter)
+        bumped = Leaf(leaf.idx, leaf.next_idx, new_val)
+        node_proof = self._node_update(tree.set_leaf(slot, bumped), leaf, bumped)
+        return self.module.certify_record_update(node_proof, leaf, new_val)
 
     def _record_proof(self, tree: Iomt, idx: int, cache_key: tuple) -> Optional[Proof]:
         """RV for a present index, or an enclosure pair proving its absence."""
@@ -217,24 +219,13 @@ class Service:
         hit = self._cache.get(cache_key, epoch)
         if hit is not None:
             return hit
-        found = tree.find_leaf(idx)
-        if found is not None:
-            slot, leaf = found
-            proof = self.module.certify_record(self._verification_proof(tree, slot, leaf), leaf)
-        else:
-            enclosing = tree.find_encloser(idx)
-            if enclosing is not None:
-                slot, leaf = enclosing
-                proof = self.module.certify_record(
-                    self._verification_proof(tree, slot, leaf), leaf, absent_idx=idx
-                )
-            else:
-                # Empty tree: absence is proved directly against the zero root.
-                path = tree.complement_path(0)
-                node_proof = self.module.certify_node_update(
-                    ZERO_DIGEST, ZERO_DIGEST, [p[0] for p in path], [p[1] for p in path]
-                )
-                proof = self.module.certify_record(node_proof, None, absent_idx=idx)
+        found, absent_idx = tree.find_leaf(idx), None
+        if found is None:
+            found, absent_idx = tree.find_encloser(idx), idx
+        # No encloser: the tree is empty, and absence is proved against the zero root.
+        slot, leaf = found if found is not None else (0, None)
+        node_proof = self._node_update(tree.complement_path(slot), leaf, leaf)
+        proof = self.module.certify_record(node_proof, leaf, absent_idx=absent_idx)
         if proof is not None:
             self._cache.put(cache_key, epoch, proof)
         return proof
@@ -246,18 +237,6 @@ class Service:
         return self._record_proof(
             self.acl_tree(container_idx), user_idx, ("acl", container_idx, user_idx)
         )
-
-    def _counter_update_cert(
-        self, tree: Iomt, slot: int, leaf: Leaf, new_counter: int
-    ) -> Optional[Certificate]:
-        path = tree.complement_path(slot)
-        siblings = [p[0] for p in path]
-        sides = [p[1] for p in path]
-        new_val = counter_digest(new_counter)
-        node_proof = self.module.certify_node_update(
-            leaf_digest(leaf), leaf_digest(Leaf(leaf.idx, leaf.next_idx, new_val)), siblings, sides
-        )
-        return self.module.certify_record_update(node_proof, leaf, new_val)
 
     def _access_level(self, container_idx: int, user_idx: int) -> int:
         found = self.acl_tree(container_idx).find_leaf(user_idx)
@@ -288,7 +267,7 @@ class Service:
         if req.kind != RequestKind.ACL or req.counter != 0:
             raise ProtocolError("creation must be an ACL-typed request with counter 0")
         with self._lock:
-            return self._retrying(self._create_once, req, clock)
+            return self._unless_rejected(self._create_once, req, clock)
 
     def _create_once(self, req: RequestEnvelope, clock: Optional[StepClock]):
         tree = self.container_tree()
@@ -300,59 +279,47 @@ class Service:
                 # Drive the module anyway: a record update claiming the leaf
                 # was a placeholder cannot map to the live root.
                 slot, leaf = existing
-                fake = Leaf(req.idx, leaf.next_idx, ZERO_DIGEST)
-                ru = self._counter_update_cert(tree, slot, fake, 1)
+                ru = self._bump_counter(tree, slot, Leaf(req.idx, leaf.next_idx, ZERO_DIGEST), 1)
                 if ru is not None:
                     module.apply_request(req, ru)
-                return None
+                raise _Rejected()
+
+            with _step(clock, "persist_records"):
+                # Checked before the module moves the root: a refusal after
+                # that would leave the sealed root ahead of the store.
+                acl = self.acl_tree(req.idx)
+                acl.set_leaf(0, Leaf(req.user_idx, req.user_idx, counter_digest(3)))
+                if acl.root != req.value:
+                    raise ProtocolError("creation request names an unexpected ACL root")
 
             with _step(clock, "eq_certificate"):
                 try:
                     plan = tree.placeholder_plan(req.idx)
                 except TreeFullError as exc:
                     raise ProtocolError(str(exc)) from exc
-                if plan.encloser_slot is None:
-                    path = tree.complement_path(plan.placeholder_slot)
-                    placeholder_proof = module.certify_node_update(
-                        ZERO_DIGEST,
-                        leaf_digest(plan.placeholder_leaf),
-                        [p[0] for p in path],
-                        [p[1] for p in path],
+                encloser_proof = None
+                if plan.encloser_slot is not None:
+                    enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
+                    encloser_proof = self._node_update(
+                        enc_path, plan.encloser_leaf, plan.updated_encloser
                     )
-                    equivalence = module.certify_root_equivalence(
-                        None, placeholder_proof, None, req.idx
-                    )
-                else:
-                    enc_path = tree.complement_path(plan.encloser_slot)
-                    encloser_proof = module.certify_node_update(
-                        leaf_digest(plan.encloser_leaf),
-                        leaf_digest(plan.updated_encloser),
-                        [p[0] for p in enc_path],
-                        [p[1] for p in enc_path],
-                    )
-                    tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
-                    ph_path = tree.complement_path(plan.placeholder_slot)
-                    placeholder_proof = module.certify_node_update(
-                        ZERO_DIGEST,
-                        leaf_digest(plan.placeholder_leaf),
-                        [p[0] for p in ph_path],
-                        [p[1] for p in ph_path],
-                    )
-                    equivalence = module.certify_root_equivalence(
-                        encloser_proof, placeholder_proof, plan.encloser_leaf, req.idx
-                    )
+                # The placeholder's slot is written once, below, with the
+                # created leaf; the module's root passes through the placeholder.
+                placeholder_proof = self._node_update(
+                    tree.complement_path(plan.placeholder_slot), None, plan.placeholder_leaf
+                )
+                equivalence = module.certify_root_equivalence(
+                    encloser_proof, placeholder_proof, plan.encloser_leaf, req.idx
+                )
                 if equivalence is None:
                     raise ProtocolError("module refused the placeholder equivalence proof")
 
             with _step(clock, "placeholder_insert"):
                 if module.toggle_placeholder(equivalence) is None:
-                    raise _Rejected()  # root moved under us; retryable
-                tree.set_leaf(plan.placeholder_slot, plan.placeholder_leaf)
+                    raise _Rejected()  # the sealed root is not the store's
 
             with _step(clock, "ru_certificate"):
-                ru = self._counter_update_cert(
-                    tree, plan.placeholder_slot, plan.placeholder_leaf, 1
-                )
+                ru = self._bump_counter(tree, plan.placeholder_slot, plan.placeholder_leaf, 1)
 
             with _step(clock, "root_update"):
                 result = module.apply_request(req, ru) if ru is not None else None
@@ -363,16 +330,10 @@ class Service:
                     raise _Rejected()
 
             with _step(clock, "persist_records"):
-                created = Leaf(req.idx, plan.placeholder_leaf.next_idx, counter_digest(1))
-                tree.set_leaf(plan.placeholder_slot, created)
                 _, counter, version_count, acl_root = result.record_cert.values
                 self.storage.record_put(
                     ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
                 )
-                acl = self.acl_tree(req.idx)
-                acl.set_leaf(0, Leaf(req.user_idx, req.user_idx, counter_digest(3)))
-                if acl.root != req.value:
-                    raise ProtocolError("creation request names an unexpected ACL root")
         return CreateResult(ack=result.ack, record_cert=result.record_cert)
 
     def handle_modify(
@@ -390,7 +351,7 @@ class Service:
         if encrypted != (secret_commitment is not None):
             raise ProtocolError("wrapped secret and commitment must come together")
         with self._lock:
-            return self._retrying(
+            return self._unless_rejected(
                 self._modify_once, req, blobs, wrapped_secret, secret_commitment, clock
             )
 
@@ -413,10 +374,10 @@ class Service:
                     raise ProtocolError("request signature does not cover the supplied content")
 
             with _step(clock, "certificates"):
-                ru = self._counter_update_cert(tree, slot, leaf, record.counter + 1)
+                ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 acl_proof = self._acl_proof(req.idx, req.user_idx)
                 if ru is None or acl_proof is None:
-                    return None
+                    raise _Rejected()
 
             sealed = None
             if wrapped_secret is not None:
@@ -425,7 +386,7 @@ class Service:
                         req.idx, req.counter, req.user_idx, wrapped_secret, commitment
                     )
                     if sealed is None:
-                        return None
+                        raise _Rejected()
 
             with _step(clock, "root_update"):
                 result = module.apply_request(
@@ -436,7 +397,6 @@ class Service:
 
             with _step(clock, "persist_records"):
                 _, counter, version_count, acl_root = result.record_cert.values
-                tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)))
                 self.storage.record_put(
                     ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
                 )
@@ -471,7 +431,7 @@ class Service:
         if level not in (0, 1, 2, 3):
             raise ProtocolError(f"access level {level} out of range")
         with self._lock:
-            return self._retrying(self._acl_set_once, req, target_user, level, clock)
+            return self._unless_rejected(self._acl_set_once, req, target_user, level, clock)
 
     def _acl_set_once(self, req, target_user, level, clock):
         tree = self.container_tree()
@@ -486,9 +446,9 @@ class Service:
 
             with _step(clock, "certificates"):
                 acl_proof = self._acl_proof(req.idx, req.user_idx)
-                ru = self._counter_update_cert(tree, slot, leaf, record.counter + 1)
+                ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 if ru is None or acl_proof is None:
-                    return None
+                    raise _Rejected()
 
             with _step(clock, "root_update"):
                 try:
@@ -505,7 +465,6 @@ class Service:
 
             with _step(clock, "persist_records"):
                 _, counter, version_count, acl_root = result.record_cert.values
-                tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)))
                 self.storage.record_put(
                     ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
                 )

@@ -170,79 +170,8 @@ class Storage:
             else:
                 self._conn.execute("COMMIT")
 
-    # -- tree node and leaf tables ---------------------------------------------
-
-    def node_put(self, tree: str, pos: int, digest: bytes) -> None:
-        if digest == ZERO_DIGEST:
-            self._conn.execute("DELETE FROM nodes WHERE tree=? AND pos=?", (tree, pos))
-        else:
-            self._conn.execute(
-                "INSERT INTO nodes(tree, pos, digest) VALUES(?,?,?) "
-                "ON CONFLICT(tree, pos) DO UPDATE SET digest=excluded.digest",
-                (tree, pos, digest),
-            )
-
-    def node_get(self, tree: str, pos: int) -> bytes:
-        row = self._conn.execute(
-            "SELECT digest FROM nodes WHERE tree=? AND pos=?", (tree, pos)
-        ).fetchone()
-        return row[0] if row else ZERO_DIGEST
-
-    def nodes_get(self, tree: str, positions: Sequence[int]) -> list[bytes]:
-        """Digests at ``positions`` from one query; missing rows read as zero."""
-        if not positions:
-            return []
-        found = dict(
-            self._conn.execute(
-                "SELECT pos, digest FROM nodes WHERE tree=? AND pos IN "
-                f"({','.join('?' * len(positions))})",
-                (tree, *positions),
-            ).fetchall()
-        )
-        return [found.get(pos, ZERO_DIGEST) for pos in positions]
-
-    def leaf_put(self, tree: str, slot: int, leaf: Optional[Leaf]) -> None:
-        # free_slots tracks every empty slot below the occupied high-water
-        # mark, so lowest-free allocation stays O(log n) however large the
-        # tree grows.
-        if leaf is None:
-            deleted = self._conn.execute(
-                "DELETE FROM leaves WHERE tree=? AND slot=?", (tree, slot)
-            ).rowcount
-            if deleted:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO free_slots(tree, slot) VALUES(?,?)", (tree, slot)
-                )
-        else:
-            row = self._conn.execute(
-                "SELECT MAX(slot) FROM leaves WHERE tree=?", (tree,)
-            ).fetchone()
-            high_water = -1 if row[0] is None else row[0]
-            if slot > high_water + 1:
-                self._conn.executemany(
-                    "INSERT OR IGNORE INTO free_slots(tree, slot) VALUES(?,?)",
-                    ((tree, hole) for hole in range(high_water + 1, slot)),
-                )
-            self._conn.execute(
-                "INSERT INTO leaves(tree, slot, idx, next_idx, val) VALUES(?,?,?,?,?) "
-                "ON CONFLICT(tree, slot) DO UPDATE SET "
-                "idx=excluded.idx, next_idx=excluded.next_idx, val=excluded.val",
-                (tree, slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val),
-            )
-            self._conn.execute(
-                "DELETE FROM free_slots WHERE tree=? AND slot=?", (tree, slot)
-            )
-
-    def leaf_get(self, tree: str, slot: int) -> Optional[Leaf]:
-        row = self._conn.execute(
-            "SELECT idx, next_idx, val FROM leaves WHERE tree=? AND slot=?", (tree, slot)
-        ).fetchone()
-        if row is None:
-            return None
-        return Leaf(int.from_bytes(row[0], "big"), int.from_bytes(row[1], "big"), row[2])
-
     def tree(self, tree_id: str) -> "SqliteTreeStore":
-        return SqliteTreeStore(self, tree_id)
+        return SqliteTreeStore(self._conn, tree_id)
 
     # -- container and version records -------------------------------------------
 
@@ -304,11 +233,11 @@ class Storage:
     def _write_blob(self, content: bytes) -> bytes:
         digest = sha256(content)
         path = self._blob_path(digest)
-        if not path.exists():
+        if not path.exists() or sha256(path.read_bytes()) != digest:
+            # A damaged file is rewritten, so storing the content again
+            # repairs every version that shares it.  The bytes are renamed
+            # into place whole, so a torn write never sits under the address.
             path.parent.mkdir(parents=True, exist_ok=True)
-            # Renamed into place whole, so a torn write never sits under the
-            # content address, where every later put of the same bytes would
-            # skip it.
             partial = path.with_name(f"payload.{os.getpid()}.tmp")
             try:
                 partial.write_bytes(content)
@@ -354,29 +283,90 @@ class Storage:
 
 
 class SqliteTreeStore:
-    """Node/leaf store view of one tree, with SQL-backed lookup hooks."""
+    """Node/leaf store of one tree: every statement on the node, leaf and
+    free-slot tables, for the :class:`~tcr.iomt.Iomt` store protocol."""
 
-    def __init__(self, storage: Storage, tree_id: str) -> None:
-        self.storage = storage
+    def __init__(self, conn: sqlite3.Connection, tree_id: str) -> None:
+        self._conn = conn
         self.tree_id = tree_id
 
-    def get_node(self, pos: int) -> bytes:
-        return self.storage.node_get(self.tree_id, pos)
-
     def get_nodes(self, positions: Sequence[int]) -> list[bytes]:
-        return self.storage.nodes_get(self.tree_id, positions)
+        """Digests at ``positions`` from one query; missing rows read as zero."""
+        if not positions:
+            return []
+        found = dict(
+            self._conn.execute(
+                "SELECT pos, digest FROM nodes WHERE tree=? AND pos IN "
+                f"({','.join('?' * len(positions))})",
+                (self.tree_id, *positions),
+            ).fetchall()
+        )
+        return [found.get(pos, ZERO_DIGEST) for pos in positions]
 
-    def set_node(self, pos: int, digest: bytes) -> None:
-        self.storage.node_put(self.tree_id, pos, digest)
+    def set_nodes(self, nodes: Sequence[tuple[int, bytes]]) -> None:
+        """One upsert for the non-zero digests; zero digests delete their rows."""
+        kept = [(self.tree_id, pos, d) for pos, d in nodes if d != ZERO_DIGEST]
+        zeroed = [pos for pos, d in nodes if d == ZERO_DIGEST]
+        if kept:
+            self._conn.execute(
+                "INSERT INTO nodes(tree, pos, digest) VALUES "
+                f"{','.join(['(?,?,?)'] * len(kept))} "
+                "ON CONFLICT(tree, pos) DO UPDATE SET digest=excluded.digest",
+                [field for row in kept for field in row],
+            )
+        if zeroed:
+            self._conn.execute(
+                f"DELETE FROM nodes WHERE tree=? AND pos IN ({','.join('?' * len(zeroed))})",
+                (self.tree_id, *zeroed),
+            )
 
     def get_leaf(self, slot: int) -> Optional[Leaf]:
-        return self.storage.leaf_get(self.tree_id, slot)
+        row = self._conn.execute(
+            "SELECT idx, next_idx, val FROM leaves WHERE tree=? AND slot=?", (self.tree_id, slot)
+        ).fetchone()
+        if row is None:
+            return None
+        return Leaf(int.from_bytes(row[0], "big"), int.from_bytes(row[1], "big"), row[2])
 
     def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> None:
-        self.storage.leaf_put(self.tree_id, slot, leaf)
+        # free_slots holds exactly the empty slots below the occupied
+        # high-water mark, so lowest-free allocation stays O(log n) however
+        # large the tree grows.
+        tree = self.tree_id
+        if leaf is None:
+            deleted = self._conn.execute("DELETE FROM leaves WHERE tree=? AND slot=?", (tree, slot))
+            if deleted.rowcount:
+                self._conn.execute("INSERT OR IGNORE INTO free_slots VALUES(?,?)", (tree, slot))
+                # Freeing the top slot lowers the mark: drop the holes above it.
+                self._conn.execute(
+                    "DELETE FROM free_slots WHERE tree=? AND slot > "
+                    "(SELECT COALESCE(MAX(slot), -1) FROM leaves WHERE tree=?)",
+                    (tree, tree),
+                )
+            return
+        fields = (_key(leaf.idx), _key(leaf.next_idx), leaf.val)
+        if self._conn.execute(
+            "UPDATE leaves SET idx=?, next_idx=?, val=? WHERE tree=? AND slot=?",
+            (*fields, tree, slot),
+        ).rowcount:
+            return
+        (high_water,) = self._conn.execute(
+            "SELECT COALESCE(MAX(slot), -1) FROM leaves WHERE tree=?", (tree,)
+        ).fetchone()
+        if slot < high_water:
+            self._conn.execute("DELETE FROM free_slots WHERE tree=? AND slot=?", (tree, slot))
+        elif slot > high_water + 1:
+            self._conn.executemany(
+                "INSERT OR IGNORE INTO free_slots(tree, slot) VALUES(?,?)",
+                ((tree, hole) for hole in range(high_water + 1, slot)),
+            )
+        self._conn.execute(
+            "INSERT INTO leaves(tree, slot, idx, next_idx, val) VALUES(?,?,?,?,?)",
+            (tree, slot, *fields),
+        )
 
     def leaf_items(self) -> Iterator[tuple[int, Leaf]]:
-        rows = self.storage._conn.execute(
+        rows = self._conn.execute(
             "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? ORDER BY slot",
             (self.tree_id,),
         ).fetchall()
@@ -385,7 +375,7 @@ class SqliteTreeStore:
 
     def has_leaves(self) -> bool:
         return (
-            self.storage._conn.execute(
+            self._conn.execute(
                 "SELECT 1 FROM leaves WHERE tree=? LIMIT 1", (self.tree_id,)
             ).fetchone()
             is not None
@@ -394,7 +384,7 @@ class SqliteTreeStore:
     def find_leaf(self, idx: int) -> Optional[tuple[int, Leaf]]:
         # INDEXED BY: without table stats the planner prefers the primary
         # key and scans the whole tree's rows.
-        row = self.storage._conn.execute(
+        row = self._conn.execute(
             "SELECT slot, next_idx, val FROM leaves INDEXED BY leaves_by_idx "
             "WHERE tree=? AND idx=?",
             (self.tree_id, _key(idx)),
@@ -407,13 +397,13 @@ class SqliteTreeStore:
         # In a well-formed circular linkage the encloser of an absent index is
         # the leaf with the greatest index below it, or the overall greatest
         # index when none is below (wrap-around).
-        row = self.storage._conn.execute(
+        row = self._conn.execute(
             "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? AND idx<? "
             "ORDER BY idx DESC LIMIT 1",
             (self.tree_id, _key(idx)),
         ).fetchone()
         if row is None:
-            row = self.storage._conn.execute(
+            row = self._conn.execute(
                 "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? "
                 "ORDER BY idx DESC LIMIT 1",
                 (self.tree_id,),
@@ -427,7 +417,7 @@ class SqliteTreeStore:
 
     def first_free_slot(self) -> int:
         # The lowest hole below the high-water mark, else the slot above it.
-        return self.storage._conn.execute(
+        return self._conn.execute(
             "SELECT COALESCE((SELECT MIN(slot) FROM free_slots WHERE tree=?), "
             "(SELECT MAX(slot) + 1 FROM leaves WHERE tree=?), 0)",
             (self.tree_id, self.tree_id),

@@ -20,11 +20,13 @@ def remove_placeholder(tree: Iomt, idx: int) -> bytes:
     if not leaf.is_placeholder:
         raise IomtError(f"index {idx} is not a placeholder")
     if leaf.idx == leaf.next_idx:
-        return tree.set_leaf(slot, None)
+        tree.set_leaf(slot, None)
+        return tree.root
     for pred_slot, pred in tree.leaves():
         if pred.next_idx == idx and pred_slot != slot:
             tree.set_leaf(pred_slot, Leaf(pred.idx, leaf.next_idx, pred.val))
-            return tree.set_leaf(slot, None)
+            tree.set_leaf(slot, None)
+            return tree.root
     raise IomtError(f"no predecessor links to {idx}: circular linkage broken")
 
 

@@ -214,6 +214,16 @@ class TestWireFlows:
             alice.fetch(11)
         assert alice.info(11).verdict == Verdict.VERIFIED
 
+    def test_damaged_blob_is_repaired_by_storing_it_again(self, env):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(11)
+        alice.modify(11, IMAGE, BUILD, COMPOSE)
+        server.service.storage._blob_path(sha256(IMAGE)).write_bytes(b"rotten")
+        assert alice.fetch(11, 1).verdict == Verdict.INVALID
+        alice.modify(11, IMAGE, BUILD, COMPOSE)
+        assert alice.fetch(11, 1).verdict == alice.fetch(11, 2).verdict == Verdict.VERIFIED
+
     def test_absent_container_denied(self, env):
         server, keys = env
         bob = client_for(server, keys, 2)

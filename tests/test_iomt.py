@@ -187,7 +187,8 @@ class TestSetLeaf:
     def test_idempotent(self):
         tree = four_leaf_tree()
         before = tree.root
-        assert tree.set_leaf(1, Leaf(1, 3, W[1])) == before
+        tree.set_leaf(1, Leaf(1, 3, W[1]))
+        assert tree.root == before
 
     def test_out_of_range(self):
         with pytest.raises(Exception):

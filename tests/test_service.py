@@ -71,6 +71,17 @@ class TestCreate:
         assert dump_store(service.storage) == before
         assert service.module.root == root
 
+    def test_wrong_acl_root_persists_nothing(self, service, credentials):
+        cred = credentials[1]
+        assert service.handle_create(signed_create(cred, 7)) is not None
+        before = dump_store(service.storage)
+        env = cred.sign_request(RequestKind.ACL, 8, 0, sha256(b"not the initial ACL root"))
+        with pytest.raises(ProtocolError):
+            service.handle_create(env)
+        assert dump_store(service.storage) == before
+        assert service.module.root == service.container_tree().root
+        assert service.handle_create(signed_create(cred, 8)) is not None
+
     def test_second_container_uses_encloser(self, service, credentials):
         cred = credentials[1]
         assert service.handle_create(signed_create(cred, 7)) is not None
@@ -376,6 +387,56 @@ class TestStatementCounts:
         assert len(statements) <= 7, statements
         storage.close()
 
+    def test_writes_at_h16(self, tmp_path, user_keys, credentials):
+        # One transaction each: create, modify, a new grant and a re-grant.
+        storage = Storage(tmp_path / "h16.db", tmp_path / "blobs")
+        state = ModuleState.fresh(user_keys)
+        bulk_prepopulate(storage, 16, 8, 1, state)
+        service = Service(storage, TrustedModule(state), height=16)
+        cred = credentials[1]
+        statements: list[str] = []
+        storage._conn.set_trace_callback(statements.append)
+
+        def counted(handle, *args):
+            statements.clear()
+            assert handle(*args) is not None
+            return len(statements)
+
+        assert counted(service.handle_create, signed_create(cred, 100)) <= 21, statements
+        assert counted(service.handle_modify, signed_modify(cred, 5, 2), BLOBS) <= 12, statements
+        for counter, level, bound in ((3, 1, 22), (4, 2, 15)):  # new grant, then re-grant
+            root = predicted_acl_root(acl_hints(service, 5), 2, level)
+            env = cred.sign_request(RequestKind.ACL, 5, counter, root)
+            assert counted(service.handle_acl_set, env, 2, level) <= bound, statements
+        assert service.module.root == service.container_tree().root
+        storage.close()
+
+
+class TestRejectedMutationsRollBack:
+    @pytest.mark.parametrize("refusal", ["modify_by_reader", "acl_set_by_reader", "bad_secret"])
+    def test_refusal_persists_nothing(self, service, credentials, refusal):
+        owner, reader = credentials[1], credentials[2]
+        service.handle_create(signed_create(owner, 7))
+        grant_root = predicted_acl_root(acl_hints(service, 7), 2, 1)
+        assert service.handle_acl_set(owner.sign_request(RequestKind.ACL, 7, 1, grant_root), 2, 1)
+        before = dump_store(service.storage)
+        if refusal == "modify_by_reader":
+            result = service.handle_modify(signed_modify(reader, 7, 2), BLOBS)
+        elif refusal == "acl_set_by_reader":
+            root = predicted_acl_root(acl_hints(service, 7), 3, 1)
+            result = service.handle_acl_set(reader.sign_request(RequestKind.ACL, 7, 2, root), 3, 1)
+        else:
+            # The commitment names another secret, so store_secret refuses.
+            wrapped, _ = wrap_secret(owner, secrets.token_bytes(32), 7, 2)
+            _, commitment = wrap_secret(owner, secrets.token_bytes(32), 7, 2)
+            env = signed_modify(owner, 7, 2, BLOBS, commitment)
+            result = service.handle_modify(
+                env, BLOBS, wrapped_secret=wrapped, secret_commitment=commitment
+            )
+        assert result is None
+        assert dump_store(service.storage) == before
+        assert service.module.root == service.container_tree().root
+
 
 class TestEpochSafety:
     def test_cache_entries_die_with_the_epoch(self, service, credentials):
@@ -422,7 +483,7 @@ class TestMonotonicCounter:
         assert counters == [1, 2, 3, 4, 5]
 
 
-class TestEpochRaceRetry:
+class TestForeignRootChange:
     @staticmethod
     def foreign_equivalence(service, new_idx):
         """An EQ certificate for a placeholder the store will never hold."""
@@ -448,35 +509,30 @@ class TestEpochRaceRetry:
         shadow.set_leaf(plan.placeholder_slot, None)
         return equivalence
 
-    def test_create_retries_across_transient_root_change(self, service, credentials):
-        # A module-level actor toggles a placeholder in and back out around
-        # the service's own toggle; the first attempt hits a stale root and
-        # the pipeline succeeds on its one retry.
+    def test_foreign_toggle_refuses_create_until_undone(self, service, credentials):
+        # A module-level actor toggles a placeholder in just before the
+        # service's own toggle: the create is refused and writes nothing.
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))
         module = service.module
         foreign = self.foreign_equivalence(service, 99)
         real_toggle = module.toggle_placeholder
-        calls = {"n": 0}
 
         def interfering_toggle(eq):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                assert real_toggle(foreign) is not None  # root moves away
-                return real_toggle(eq)  # stale: refused
-            if calls["n"] == 2:
-                assert real_toggle(foreign) is not None  # involution: restored
-            return real_toggle(eq)
+            assert real_toggle(foreign) is not None  # root moves away
+            return real_toggle(eq)  # stale: refused
 
+        before = dump_store(service.storage)
         module.toggle_placeholder = interfering_toggle
         try:
-            result = service.handle_create(signed_create(cred, 8))
+            assert service.handle_create(signed_create(cred, 8)) is None
         finally:
             module.toggle_placeholder = real_toggle
-        assert result is not None
-        assert calls["n"] == 2
-        assert service.module.root == service.container_tree().root
-        assert service.container_tree().find_leaf(8) is not None
+        assert dump_store(service.storage) == before
+        assert real_toggle(foreign) is not None  # involution: the foreign toggle undone
+        assert module.root == service.container_tree().root
+        assert service.handle_create(signed_create(cred, 8)) is not None
+        assert module.root == service.container_tree().root
 
 
 class TestConsistencyAcrossRestart:

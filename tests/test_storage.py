@@ -45,17 +45,17 @@ def node_rows(storage, tree: str) -> int:
 
 class TestNodeTable:
     def test_zero_put_deletes_row(self, storage):
-        digest = sha256(b"x")
-        storage.node_put("t", 5, digest)
+        store = storage.tree("t")
+        store.set_nodes([(5, sha256(b"x")), (6, sha256(b"z"))])
+        assert node_rows(storage, "t") == 2
+        store.set_nodes([(5, ZERO_DIGEST), (6, sha256(b"w"))])
+        assert store.get_nodes([5, 6]) == [ZERO_DIGEST, sha256(b"w")]
         assert node_rows(storage, "t") == 1
-        storage.node_put("t", 5, ZERO_DIGEST)
-        assert storage.node_get("t", 5) == ZERO_DIGEST
-        assert node_rows(storage, "t") == 0
 
     def test_round_trip(self, storage):
         digest = sha256(b"y")
-        storage.node_put("t", 3, digest)
-        assert storage.node_get("t", 3) == digest
+        storage.tree("t").set_nodes([(3, digest)])
+        assert storage.tree("t").get_nodes([3]) == [digest]
 
     def test_fresh_tall_tree_stores_nothing(self, storage):
         tree = Iomt(20, storage.tree("tall"))
@@ -70,7 +70,7 @@ def per_node_path(tree: Iomt, slot: int) -> list:
     path = []
     while pos != 0:
         sibling, side = (pos + 1, Side.RIGHT) if pos % 2 == 1 else (pos - 1, Side.LEFT)
-        path.append((tree.store.get_node(sibling), side))
+        path.append((tree.store.get_nodes([sibling])[0], side))
         pos = (pos - 1) // 2
     return path
 
@@ -101,18 +101,32 @@ class TestBatchedPathReads:
         storage._conn.set_trace_callback(statements.append)
         tree = Iomt(0, storage.tree("single"))
         leaf = Leaf(4, 4, counter_digest(1))
-        assert tree.set_leaf(0, leaf) == leaf_digest(leaf)
+        assert tree.set_leaf(0, leaf) == []
         assert tree.complement_path(0) == []
         assert statements and not any(" IN (" in sql for sql in statements)
+        assert tree.root == leaf_digest(leaf)
 
 
 class TestLeafTable:
     def test_round_trip_and_delete(self, storage):
+        store = storage.tree("t")
         leaf = Leaf(9, 12, counter_digest(3))
-        storage.leaf_put("t", 4, leaf)
-        assert storage.leaf_get("t", 4) == leaf
-        storage.leaf_put("t", 4, None)
-        assert storage.leaf_get("t", 4) is None
+        store.set_leaf(4, leaf)
+        assert store.get_leaf(4) == leaf
+        store.set_leaf(4, None)
+        assert store.get_leaf(4) is None
+
+    def test_overwrite_is_one_statement(self, storage):
+        store = storage.tree("t")
+        statements: list[str] = []
+        storage._conn.set_trace_callback(statements.append)
+        store.set_leaf(0, Leaf(9, 9, counter_digest(1)))
+        assert len(statements) == 3, statements  # a new slot
+        statements.clear()
+        store.set_leaf(0, Leaf(9, 9, counter_digest(2)))
+        assert len(statements) == 1, statements  # an overwrite
+        storage._conn.set_trace_callback(None)
+        assert store.get_leaf(0) == Leaf(9, 9, counter_digest(2))
 
     def test_find_encloser_matches_scan(self, storage):
         rng = random.Random(3)
@@ -147,6 +161,18 @@ class TestLeafTable:
             with pytest.raises(TreeFullError):
                 tree.placeholder_plan(9)
 
+    def test_freed_top_slot_is_refilled_before_higher_ones(self, storage):
+        for store in (MemoryTreeStore(), storage.tree("t")):
+            for slot in (0, 1, 2, 4):
+                store.set_leaf(slot, Leaf(slot + 1, slot + 1, ZERO_DIGEST))
+            store.set_leaf(4, None)  # the hole at 3 is now above the high-water mark
+            store.set_leaf(2, None)
+            assert store.first_free_slot() == 2
+            store.set_leaf(2, Leaf(3, 3, ZERO_DIGEST))
+            assert store.first_free_slot() == 3
+            store.set_leaf(3, Leaf(4, 4, ZERO_DIGEST))
+            assert store.first_free_slot() == 4
+
 
 class TestSparseDenseEquivalence:
     def test_small_trees(self, storage):
@@ -161,7 +187,7 @@ class TestSparseDenseEquivalence:
                 tree.set_leaf(slot, leaf)
             # Dense reconstruction from sparse rows matches a full recompute.
             geo = Geometry(height)
-            dense = [storage.node_get(tree_id, pos) for pos in range(geo.node_count)]
+            dense = tree.store.get_nodes(list(range(geo.node_count)))
             from tcr.iomt import left_child, right_child
             from tcr.merkle import Side, parent
 
@@ -229,6 +255,14 @@ class TestBlobs:
         files = [p.name for p in storage.data_dir.rglob("*") if p.is_file()]
         assert files == ["payload"] * 3  # no partial file left behind
 
+    def test_damaged_blob_is_rewritten_by_the_next_put(self, storage):
+        blobs = BlobSet(b"image" * 100, b"build", b"compose")
+        storage.blob_put(5, 1, blobs)
+        storage._blob_path(sha256(blobs.image)).write_bytes(b"rotten")
+        assert storage.blob_get(5, 1).image == b"rotten"  # reads do not hash
+        storage.blob_put(6, 1, blobs)
+        assert storage.blob_get(5, 1) == storage.blob_get(6, 1) == blobs
+
 
 class TestDurability:
     def test_reopen_preserves_everything(self, tmp_path, keys):
@@ -251,14 +285,13 @@ class TestDurability:
         reopened.close()
 
     def test_transaction_rollback(self, storage):
-        storage.node_put("t", 1, sha256(b"keep"))
+        store = storage.tree("t")
+        store.set_nodes([(1, sha256(b"keep"))])
         with pytest.raises(RuntimeError):
             with storage.transaction():
-                storage.node_put("t", 1, sha256(b"discard"))
-                storage.node_put("t", 2, sha256(b"discard2"))
+                store.set_nodes([(1, sha256(b"discard")), (2, sha256(b"discard2"))])
                 raise RuntimeError("boom")
-        assert storage.node_get("t", 1) == sha256(b"keep")
-        assert storage.node_get("t", 2) == ZERO_DIGEST
+        assert store.get_nodes([1, 2]) == [sha256(b"keep"), ZERO_DIGEST]
 
 
 class TestAclIsolation:
@@ -267,10 +300,10 @@ class TestAclIsolation:
         b = Iomt(3, storage.tree(acl_tree_id(2)))
         a.set_leaf(0, Leaf(1, 1, counter_digest(3)))
         b.set_leaf(0, Leaf(2, 2, counter_digest(3)))
-        b_nodes_before = [storage.node_get(acl_tree_id(2), pos) for pos in range(15)]
+        b_nodes_before = b.store.get_nodes(list(range(15)))
         a.set_leaf(1, Leaf(9, 9, counter_digest(1)))
         a.set_leaf(0, Leaf(1, 9, counter_digest(3)))
-        b_nodes_after = [storage.node_get(acl_tree_id(2), pos) for pos in range(15)]
+        b_nodes_after = b.store.get_nodes(list(range(15)))
         assert b_nodes_before == b_nodes_after
 
 
@@ -280,10 +313,10 @@ class TestBulkPrepopulate:
         state = ModuleState.fresh(keys)
         count = (1 << 10) - 500
         root = bulk_prepopulate(storage, 10, count, 1, state)
-        leaves = dict(Iomt(10, storage.tree(CONTAINER_TREE)).leaves())
+        tree = Iomt(10, storage.tree(CONTAINER_TREE))
+        leaves = dict(tree.leaves())
         assert len(leaves) == count == 524
-        assert root == oracle_root(leaves, 10) == state.root
-        assert storage.node_get(CONTAINER_TREE, 0) == root
+        assert root == oracle_root(leaves, 10) == state.root == tree.root
         record = storage.record_get(1)
         assert record.counter == 2 and record.version_count == 1
         # Seals verify under the module built from the same state.
@@ -301,7 +334,7 @@ class TestBulkPrepopulate:
 
     def test_requires_fresh_store(self, tmp_path, keys):
         storage = Storage(tmp_path / "f.db", tmp_path / "blobs")
-        storage.node_put("t", 0, sha256(b"x"))
+        storage.tree("t").set_nodes([(0, sha256(b"x"))])
         with pytest.raises(StoreNotEmptyError):
             bulk_prepopulate(storage, 3, 2, 1, ModuleState.fresh(keys))
         storage.close()
