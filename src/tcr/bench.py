@@ -295,22 +295,6 @@ def emit_csv(rows: Iterable[TimingRow], path: Path | str) -> None:
             )
 
 
-def read_csv(path: Path | str) -> list[TimingRow]:
-    rows = []
-    with open(path, newline="") as fp:
-        for record in csv.DictReader(fp):
-            rows.append(
-                TimingRow(
-                    int(record["h"]),
-                    record["operation"],
-                    record["step"],
-                    float(record["median_us"]),
-                    float(record["stderr_us"]),
-                )
-            )
-    return rows
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="tcr-bench", description=__doc__)
     parser.add_argument("--heights", type=parse_heights, default=parse_heights("10..20"),

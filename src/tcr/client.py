@@ -173,9 +173,13 @@ def predicted_acl_root(hints: dict, target_user: int, level: int) -> bytes:
     signature over this root is what authorizes the change, and a lying
     service only strands itself with a tree it cannot re-prove.
     """
-    tree = Iomt(int(hints["acl_height"]))
-    for slot, idx, nxt, val in hints["acl"]:
-        tree.set_leaf(int(slot), Leaf(int(idx), int(nxt), bytes.fromhex(val)))
+    tree = Iomt.from_leaves(
+        int(hints["acl_height"]),
+        [
+            (int(slot), Leaf(int(idx), int(nxt), bytes.fromhex(val)))
+            for slot, idx, nxt, val in hints["acl"]
+        ],
+    )
     return tree.upsert(target_user, counter_digest(level))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .merkle import DIGEST_SIZE, Side, ZERO_DIGEST, encode_fields, parent, sha256
 
@@ -201,6 +201,32 @@ class Iomt:
         self.geometry = Geometry(height)
         self.store = store if store is not None else MemoryTreeStore()
 
+    @classmethod
+    def from_leaves(cls, height: int, items: Iterable[tuple[int, Leaf]]) -> "Iomt":
+        """A memory-backed tree holding the ``(slot, leaf)`` pairs of ``items``.
+
+        Built level by level over the non-zero nodes only, so the cost follows
+        the leaf count, not 2^height, and no complement path is read.
+        """
+        tree = cls(height)
+        level: dict[int, bytes] = {}
+        for slot, leaf in items:
+            tree.store.set_leaf(slot, leaf)
+            level[tree.geometry.leaf_node(slot)] = leaf_digest(leaf)
+        nodes = dict(level)
+        for _ in range(height):
+            level = {
+                up: parent(
+                    level.get(left_child(up), ZERO_DIGEST),
+                    level.get(right_child(up), ZERO_DIGEST),
+                    Side.LEFT,
+                )
+                for up in {parent_index(pos) for pos in level}
+            }
+            nodes.update(level)
+        tree.store.set_nodes(list(nodes.items()))
+        return tree
+
     @property
     def root(self) -> bytes:
         return self.store.get_nodes([0])[0]
@@ -212,13 +238,17 @@ class Iomt:
     def leaves(self) -> Iterator[tuple[int, Leaf]]:
         return self.store.leaf_items()
 
-    def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> list[tuple[bytes, Side]]:
+    def set_leaf(
+        self, slot: int, leaf: Optional[Leaf], path: Optional[list[tuple[bytes, Side]]] = None
+    ) -> list[tuple[bytes, Side]]:
         """Write a leaf and the h+1 nodes from it to the root in one batch.
 
         Returns the slot's complement path, which the write leaves unchanged,
-        so a certificate for the edit needs no second read.
+        so a certificate for the edit needs no second read.  A caller that
+        already holds that path passes it as ``path`` and nothing is read.
         """
-        path = self.complement_path(slot)
+        if path is None:
+            path = self.complement_path(slot)
         pos = self.geometry.leaf_node(slot)
         value = leaf_digest(leaf)
         nodes = [(pos, value)]

@@ -23,8 +23,6 @@ _U8 = "u8"
 _U64 = "u64"
 _D32 = "d32"
 
-_FIELD_SIZES = {_U8: 1, _U64: 8, _D32: DIGEST_SIZE}
-
 
 class EncodingError(ValueError):
     """A value does not fit its declared canonical field."""
@@ -58,26 +56,6 @@ def encode_fields(schema: Sequence[str], values: Sequence[FieldValue]) -> bytes:
         else:
             raise EncodingError(f"unknown field kind {kind!r}")
     return bytes(out)
-
-
-def decode_fields(schema: Sequence[str], data: bytes) -> tuple[FieldValue, ...]:
-    """Inverse of :func:`encode_fields` for the same schema."""
-    expected = sum(_FIELD_SIZES.get(kind, -1) for kind in schema)
-    if any(kind not in _FIELD_SIZES for kind in schema):
-        raise EncodingError("unknown field kind in schema")
-    if len(data) != expected:
-        raise EncodingError(f"expected {expected} bytes, got {len(data)}")
-    values: list[FieldValue] = []
-    offset = 0
-    for kind in schema:
-        size = _FIELD_SIZES[kind]
-        chunk = data[offset : offset + size]
-        offset += size
-        if kind == _D32:
-            values.append(chunk)
-        else:
-            values.append(int.from_bytes(chunk, "big"))
-    return tuple(values)
 
 
 def u64(value: int) -> bytes:

@@ -273,8 +273,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="JSON user-key map for first-run provisioning")
     args = parser.parse_args(argv)
 
+    try:
+        storage = Storage(args.db, args.data_dir)
+    except StorageError as exc:
+        raise SystemExit(f"cannot open {args.db}: {exc}") from exc
     state = _load_or_init_state(Path(args.module_state), args.users)
-    storage = Storage(args.db, args.data_dir)
     service = Service(storage, TrustedModule(state), args.height, acl_height=args.acl_height)
     server = RepositoryServer(args.listen, service, state=state, state_path=Path(args.module_state))
     host, port = server.server_address[:2]

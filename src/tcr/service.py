@@ -6,6 +6,10 @@ write returned, and asks the module to accept the request.  Any refusal
 raises, so the transaction rolls back and the store never holds state it
 cannot re-prove.
 
+A container's ACL tree is rebuilt in memory from its leaf rows, at most
+once per request; its proofs, the hints and an ACL edit all use that copy,
+and an accepted edit writes the leaves back.
+
 Certificates are cached per root epoch; an entry minted under an older root
 is never served again, it is simply rebuilt.
 """
@@ -28,16 +32,9 @@ from .module import (
     TrustedModule,
     VerifyResponse,
 )
-from .storage import (
-    CONTAINER_TREE,
-    BlobSet,
-    ContainerRecord,
-    DEFAULT_ACL_HEIGHT,
-    Storage,
-    VersionRecord,
-    acl_tree_id,
-    bulk_prepopulate,
-)
+from .storage import BlobSet, ContainerRecord, Storage, VersionRecord, bulk_prepopulate
+
+DEFAULT_ACL_HEIGHT = 8
 
 
 class ProtocolError(Exception):
@@ -151,6 +148,7 @@ class _Answer:
     version_row: Optional[VersionRecord]
     container_proof: Proof
     acl_proof: Optional[Proof]
+    acl: Optional[Iomt]  # the container's ACL tree, loaded when the record exists
 
 
 class Service:
@@ -184,10 +182,11 @@ class Service:
             return None
 
     def container_tree(self) -> Iomt:
-        return Iomt(self.height, self.storage.tree(CONTAINER_TREE))
+        return Iomt(self.height, self.storage.tree())
 
     def acl_tree(self, container_idx: int) -> Iomt:
-        return Iomt(self.acl_height, self.storage.tree(acl_tree_id(container_idx)))
+        """The container's ACL tree, rebuilt in memory from one read of its leaves."""
+        return Iomt.from_leaves(self.acl_height, self.storage.acl_leaves(container_idx))
 
     def prepopulate(self, count: int, owner_idx: int, state, **kwargs) -> bytes:
         with self._lock:
@@ -202,15 +201,16 @@ class Service:
         )
 
     def _bump_counter(
-        self, tree: Iomt, slot: int, leaf: Leaf, counter: int
+        self, tree: Iomt, slot: int, leaf: Leaf, counter: int, path=None
     ) -> Optional[Certificate]:
         """Write ``leaf`` with value ``counter``; the RU for that write, from its path.
 
+        ``path`` is the slot's complement path if the caller has already read it.
         A caller refused after this must raise :class:`_Rejected` to roll the write back.
         """
         new_val = counter_digest(counter)
         bumped = Leaf(leaf.idx, leaf.next_idx, new_val)
-        node_proof = self._node_update(tree.set_leaf(slot, bumped), leaf, bumped)
+        node_proof = self._node_update(tree.set_leaf(slot, bumped, path), leaf, bumped)
         return self.module.certify_record_update(node_proof, leaf, new_val)
 
     def _record_proof(self, tree: Iomt, idx: int, cache_key: tuple) -> Optional[Proof]:
@@ -233,28 +233,28 @@ class Service:
     def _container_proof(self, idx: int) -> Optional[Proof]:
         return self._record_proof(self.container_tree(), idx, ("container", idx))
 
-    def _acl_proof(self, container_idx: int, user_idx: int) -> Optional[Proof]:
-        return self._record_proof(
-            self.acl_tree(container_idx), user_idx, ("acl", container_idx, user_idx)
-        )
+    def _acl_proof(
+        self, container_idx: int, user_idx: int, acl: Optional[Iomt] = None
+    ) -> Optional[Proof]:
+        """RV or enclosure pair for ``user_idx`` in the ACL, loaded unless given."""
+        if acl is None:
+            acl = self.acl_tree(container_idx)
+        return self._record_proof(acl, user_idx, ("acl", container_idx, user_idx))
 
-    def _access_level(self, container_idx: int, user_idx: int) -> int:
-        found = self.acl_tree(container_idx).find_leaf(user_idx)
+    @staticmethod
+    def _access_level(acl: Iomt, user_idx: int) -> int:
+        found = acl.find_leaf(user_idx)
         if found is None:
             return 0
         level = counter_value(found[1].val)
         return level if level is not None else 0
 
-    def _hints(self, record: ContainerRecord) -> dict:
-        acl = [
-            [slot, leaf.idx, leaf.next_idx, leaf.val.hex()]
-            for slot, leaf in self.acl_tree(record.idx).leaves()
-        ]
+    def _hints(self, record: ContainerRecord, acl: Iomt) -> dict:
         return {
             "counter": record.counter,
             "max_version": record.version_count,
             "acl_height": self.acl_height,
-            "acl": acl,
+            "acl": [[slot, leaf.idx, leaf.next_idx, leaf.val.hex()] for slot, leaf in acl.leaves()],
         }
 
     # -- mutation pipelines -------------------------------------------------------
@@ -287,8 +287,9 @@ class Service:
             with _step(clock, "persist_records"):
                 # Checked before the module moves the root: a refusal after
                 # that would leave the sealed root ahead of the store.
-                acl = self.acl_tree(req.idx)
-                acl.set_leaf(0, Leaf(req.user_idx, req.user_idx, counter_digest(3)))
+                acl = Iomt.from_leaves(
+                    self.acl_height, [(0, Leaf(req.user_idx, req.user_idx, counter_digest(3)))]
+                )
                 if acl.root != req.value:
                     raise ProtocolError("creation request names an unexpected ACL root")
 
@@ -304,9 +305,11 @@ class Service:
                         enc_path, plan.encloser_leaf, plan.updated_encloser
                     )
                 # The placeholder's slot is written once, below, with the
-                # created leaf; the module's root passes through the placeholder.
+                # created leaf; the module's root passes through the placeholder,
+                # so the path read here is still the slot's path at that write.
+                placeholder_path = tree.complement_path(plan.placeholder_slot)
                 placeholder_proof = self._node_update(
-                    tree.complement_path(plan.placeholder_slot), None, plan.placeholder_leaf
+                    placeholder_path, None, plan.placeholder_leaf
                 )
                 equivalence = module.certify_root_equivalence(
                     encloser_proof, placeholder_proof, plan.encloser_leaf, req.idx
@@ -319,7 +322,9 @@ class Service:
                     raise _Rejected()  # the sealed root is not the store's
 
             with _step(clock, "ru_certificate"):
-                ru = self._bump_counter(tree, plan.placeholder_slot, plan.placeholder_leaf, 1)
+                ru = self._bump_counter(
+                    tree, plan.placeholder_slot, plan.placeholder_leaf, 1, placeholder_path
+                )
 
             with _step(clock, "root_update"):
                 result = module.apply_request(req, ru) if ru is not None else None
@@ -331,6 +336,7 @@ class Service:
 
             with _step(clock, "persist_records"):
                 _, counter, version_count, acl_root = result.record_cert.values
+                self.storage.acl_put(req.idx, acl.leaves())
                 self.storage.record_put(
                     ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
                 )
@@ -445,14 +451,15 @@ class Service:
                 slot, leaf = found
 
             with _step(clock, "certificates"):
-                acl_proof = self._acl_proof(req.idx, req.user_idx)
+                acl = self.acl_tree(req.idx)
+                acl_proof = self._acl_proof(req.idx, req.user_idx, acl)
                 ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 if ru is None or acl_proof is None:
                     raise _Rejected()
 
             with _step(clock, "root_update"):
                 try:
-                    new_acl_root = self.acl_tree(req.idx).upsert(target_user, counter_digest(level))
+                    new_acl_root = acl.upsert(target_user, counter_digest(level))
                 except TreeFullError as exc:
                     raise ProtocolError(str(exc)) from exc
                 if new_acl_root != req.value:
@@ -465,6 +472,7 @@ class Service:
 
             with _step(clock, "persist_records"):
                 _, counter, version_count, acl_root = result.record_cert.values
+                self.storage.acl_put(req.idx, acl.leaves())
                 self.storage.record_put(
                     ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
                 )
@@ -489,7 +497,8 @@ class Service:
         with self._lock:
             answer = self._verified_answer(idx, requested_version, nonce, user_idx, clock)
             denied = answer.response.denied
-            return InfoResult(answer.response, hints=None if denied else self._hints(answer.record))
+            hints = None if denied else self._hints(answer.record, answer.acl)
+            return InfoResult(answer.response, hints=hints)
 
     def handle_fetch(
         self,
@@ -558,7 +567,10 @@ class Service:
 
         with _step(clock, "certificates"):
             container_proof = self._container_proof(idx)
-            acl_proof = self._acl_proof(idx, user_idx) if record is not None else None
+            acl = acl_proof = None
+            if record is not None:
+                acl = self.acl_tree(idx)
+                acl_proof = self._acl_proof(idx, user_idx, acl)
             if container_proof is None or (record is not None and acl_proof is None):
                 raise ProtocolError("cannot assemble consistent proofs")
 
@@ -575,9 +587,9 @@ class Service:
         if response is None:
             # Typically an unattestable version number.  Reveal hints only to
             # callers the service can see hold read access.
-            if record is not None and self._access_level(idx, user_idx) >= 1:
+            if acl is not None and self._access_level(acl, user_idx) >= 1:
                 raise ProtocolError(
-                    "no proof exists for the requested version", hints=self._hints(record)
+                    "no proof exists for the requested version", hints=self._hints(record, acl)
                 )
             raise ProtocolError("no proof exists for the requested version")
-        return _Answer(response, record, version_row, container_proof, acl_proof)
+        return _Answer(response, record, version_row, container_proof, acl_proof, acl)

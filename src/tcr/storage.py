@@ -1,9 +1,14 @@
 """SQLite-backed persistence for trees, records, and content blobs.
 
-Node and leaf tables are sparse: zero-valued nodes are deleted rows, and a
-missing row reads back as the zero digest.  Container indices are stored as
-8-byte big-endian blobs so the full u64 domain sorts correctly, which the
-encloser lookup relies on.
+The node, leaf and free-slot tables hold the container tree only.  They are
+sparse: zero-valued nodes are deleted rows, and a missing row reads back as
+the zero digest.  Each container's ACL tree (at most 2^8 leaves) is kept as
+its leaf rows alone, in ``acl_leaves``; the service rebuilds the tree in
+memory from one query.  Indices are stored as 8-byte big-endian blobs so
+the full u64 domain sorts correctly, which the encloser lookup relies on.
+
+The layout's version is stamped in ``PRAGMA user_version``; a store written
+under another version is refused, not migrated.
 
 Blobs are content-addressed files under a data directory; identical content
 is stored once regardless of how many versions reference it.
@@ -16,18 +21,13 @@ import sqlite3
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .iomt import Geometry, Leaf, counter_digest, encloses, leaf_digest, left_child, right_child
 from .merkle import Side, ZERO_DIGEST, encode_fields, hmac_sha256, parent, sha256
 from .module import CERT_SCHEMAS, CertKind, Certificate, ModuleState
 
-CONTAINER_TREE = "container"
-DEFAULT_ACL_HEIGHT = 8
-
-
-def acl_tree_id(container_idx: int) -> str:
-    return f"acl/{container_idx}"
+SCHEMA_VERSION = 1
 
 
 class StorageError(Exception):
@@ -83,35 +83,39 @@ def _key(idx: int) -> bytes:
     return idx.to_bytes(8, "big")
 
 
+def _leaf(idx: bytes, next_idx: bytes, val: bytes) -> Leaf:
+    return Leaf(int.from_bytes(idx, "big"), int.from_bytes(next_idx, "big"), val)
+
+
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS nodes(
-    tree TEXT NOT NULL,
-    pos INTEGER NOT NULL,
-    digest BLOB NOT NULL,
-    PRIMARY KEY(tree, pos)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS leaves(
-    tree TEXT NOT NULL,
+CREATE TABLE nodes(
+    pos INTEGER PRIMARY KEY,
+    digest BLOB NOT NULL
+);
+CREATE TABLE leaves(
+    slot INTEGER PRIMARY KEY,
+    idx BLOB NOT NULL,
+    next_idx BLOB NOT NULL,
+    val BLOB NOT NULL
+);
+CREATE INDEX leaves_by_idx ON leaves(idx);
+CREATE TABLE free_slots(slot INTEGER PRIMARY KEY);
+CREATE TABLE acl_leaves(
+    container BLOB NOT NULL,
     slot INTEGER NOT NULL,
     idx BLOB NOT NULL,
     next_idx BLOB NOT NULL,
     val BLOB NOT NULL,
-    PRIMARY KEY(tree, slot)
+    PRIMARY KEY(container, slot)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS leaves_by_idx ON leaves(tree, idx);
-CREATE TABLE IF NOT EXISTS free_slots(
-    tree TEXT NOT NULL,
-    slot INTEGER NOT NULL,
-    PRIMARY KEY(tree, slot)
-) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS containers(
+CREATE TABLE containers(
     idx BLOB PRIMARY KEY,
     counter INTEGER NOT NULL,
     version_count INTEGER NOT NULL,
     acl_root BLOB NOT NULL,
     seal BLOB NOT NULL
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS versions(
+CREATE TABLE versions(
     idx BLOB NOT NULL,
     version INTEGER NOT NULL,
     secret_commitment BLOB NOT NULL,
@@ -120,7 +124,7 @@ CREATE TABLE IF NOT EXISTS versions(
     seal BLOB NOT NULL,
     PRIMARY KEY(idx, version)
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS blob_sets(
+CREATE TABLE blob_sets(
     idx BLOB NOT NULL,
     version INTEGER NOT NULL,
     image_hash BLOB NOT NULL,
@@ -137,18 +141,32 @@ class Storage:
     Not thread-safe: its one owner (the :class:`~tcr.service.Service`, under
     its lock) serializes every access.  Writers group a request's writes
     inside :meth:`transaction` so they commit or roll back as a unit.
+
+    An empty database gets the current layout; a non-empty one must carry
+    :data:`SCHEMA_VERSION`, or opening it raises :class:`StorageError`.
     """
 
     def __init__(self, db_path: str | Path, data_dir: Optional[str | Path] = None) -> None:
         self.db_path = str(db_path)
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self._conn = sqlite3.connect(self.db_path, isolation_level=None, check_same_thread=False)
+        (version,) = self._conn.execute("PRAGMA user_version").fetchone()
+        fresh = self._conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchone() is None
+        if version != SCHEMA_VERSION and not fresh:
+            self._conn.close()
+            raise StorageError(
+                f"store has schema version {version}, this build needs {SCHEMA_VERSION}: "
+                "provision a fresh store"
+            )
         if self.db_path != ":memory:":
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA wal_autocheckpoint=10000")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA cache_size=-65536")
-        self._conn.executescript(_SCHEMA)
+        if fresh:
+            self._conn.executescript(
+                f"BEGIN; {_SCHEMA} PRAGMA user_version={SCHEMA_VERSION}; COMMIT;"
+            )
 
     def close(self) -> None:
         self._conn.close()
@@ -170,8 +188,37 @@ class Storage:
             else:
                 self._conn.execute("COMMIT")
 
-    def tree(self, tree_id: str) -> "SqliteTreeStore":
-        return SqliteTreeStore(self._conn, tree_id)
+    def tree(self) -> "SqliteTreeStore":
+        return SqliteTreeStore(self._conn)
+
+    # -- ACL leaf rows --------------------------------------------------------------
+
+    def acl_leaves(self, idx: int) -> list[tuple[int, Leaf]]:
+        """Container ``idx``'s ACL leaves in slot order, from one query."""
+        rows = self._conn.execute(
+            "SELECT slot, idx, next_idx, val FROM acl_leaves WHERE container=? ORDER BY slot",
+            (_key(idx),),
+        ).fetchall()
+        return [(slot, _leaf(*fields)) for slot, *fields in rows]
+
+    def acl_put(self, idx: int, items: Iterable[tuple[int, Leaf]]) -> None:
+        """Upsert ``(slot, leaf)`` pairs of container ``idx``'s ACL in one statement.
+
+        ACL leaves are never removed (a revocation writes level 0), so the
+        rows written are always a superset of the rows stored.
+        """
+        container = _key(idx)
+        rows = [
+            (container, slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val) for slot, leaf in items
+        ]
+        if rows:
+            self._conn.execute(
+                "INSERT INTO acl_leaves(container, slot, idx, next_idx, val) VALUES "
+                f"{','.join(['(?,?,?,?,?)'] * len(rows))} "
+                "ON CONFLICT(container, slot) DO UPDATE SET "
+                "idx=excluded.idx, next_idx=excluded.next_idx, val=excluded.val",
+                [field for row in rows for field in row],
+            )
 
     # -- container and version records -------------------------------------------
 
@@ -276,19 +323,20 @@ class Storage:
             raise StorageError(f"content blob unreadable ({exc.strerror})") from exc
 
     def is_empty(self) -> bool:
-        for table in ("nodes", "leaves", "free_slots", "containers", "versions", "blob_sets"):
+        for table in (
+            "nodes", "leaves", "free_slots", "acl_leaves", "containers", "versions", "blob_sets"
+        ):
             if self._conn.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone():
                 return False
         return True
 
 
 class SqliteTreeStore:
-    """Node/leaf store of one tree: every statement on the node, leaf and
-    free-slot tables, for the :class:`~tcr.iomt.Iomt` store protocol."""
+    """Node/leaf store of the container tree: every statement on the node,
+    leaf and free-slot tables, for the :class:`~tcr.iomt.Iomt` store protocol."""
 
-    def __init__(self, conn: sqlite3.Connection, tree_id: str) -> None:
+    def __init__(self, conn: sqlite3.Connection) -> None:
         self._conn = conn
-        self.tree_id = tree_id
 
     def get_nodes(self, positions: Sequence[int]) -> list[bytes]:
         """Digests at ``positions`` from one query; missing rows read as zero."""
@@ -296,98 +344,79 @@ class SqliteTreeStore:
             return []
         found = dict(
             self._conn.execute(
-                "SELECT pos, digest FROM nodes WHERE tree=? AND pos IN "
-                f"({','.join('?' * len(positions))})",
-                (self.tree_id, *positions),
+                f"SELECT pos, digest FROM nodes WHERE pos IN ({','.join('?' * len(positions))})",
+                positions,
             ).fetchall()
         )
         return [found.get(pos, ZERO_DIGEST) for pos in positions]
 
     def set_nodes(self, nodes: Sequence[tuple[int, bytes]]) -> None:
         """One upsert for the non-zero digests; zero digests delete their rows."""
-        kept = [(self.tree_id, pos, d) for pos, d in nodes if d != ZERO_DIGEST]
+        kept = [(pos, d) for pos, d in nodes if d != ZERO_DIGEST]
         zeroed = [pos for pos, d in nodes if d == ZERO_DIGEST]
         if kept:
             self._conn.execute(
-                "INSERT INTO nodes(tree, pos, digest) VALUES "
-                f"{','.join(['(?,?,?)'] * len(kept))} "
-                "ON CONFLICT(tree, pos) DO UPDATE SET digest=excluded.digest",
+                f"INSERT INTO nodes(pos, digest) VALUES {','.join(['(?,?)'] * len(kept))} "
+                "ON CONFLICT(pos) DO UPDATE SET digest=excluded.digest",
                 [field for row in kept for field in row],
             )
         if zeroed:
             self._conn.execute(
-                f"DELETE FROM nodes WHERE tree=? AND pos IN ({','.join('?' * len(zeroed))})",
-                (self.tree_id, *zeroed),
+                f"DELETE FROM nodes WHERE pos IN ({','.join('?' * len(zeroed))})", zeroed
             )
 
     def get_leaf(self, slot: int) -> Optional[Leaf]:
         row = self._conn.execute(
-            "SELECT idx, next_idx, val FROM leaves WHERE tree=? AND slot=?", (self.tree_id, slot)
+            "SELECT idx, next_idx, val FROM leaves WHERE slot=?", (slot,)
         ).fetchone()
-        if row is None:
-            return None
-        return Leaf(int.from_bytes(row[0], "big"), int.from_bytes(row[1], "big"), row[2])
+        return _leaf(*row) if row is not None else None
 
     def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> None:
         # free_slots holds exactly the empty slots below the occupied
         # high-water mark, so lowest-free allocation stays O(log n) however
         # large the tree grows.
-        tree = self.tree_id
         if leaf is None:
-            deleted = self._conn.execute("DELETE FROM leaves WHERE tree=? AND slot=?", (tree, slot))
+            deleted = self._conn.execute("DELETE FROM leaves WHERE slot=?", (slot,))
             if deleted.rowcount:
-                self._conn.execute("INSERT OR IGNORE INTO free_slots VALUES(?,?)", (tree, slot))
+                self._conn.execute("INSERT OR IGNORE INTO free_slots VALUES(?)", (slot,))
                 # Freeing the top slot lowers the mark: drop the holes above it.
                 self._conn.execute(
-                    "DELETE FROM free_slots WHERE tree=? AND slot > "
-                    "(SELECT COALESCE(MAX(slot), -1) FROM leaves WHERE tree=?)",
-                    (tree, tree),
+                    "DELETE FROM free_slots WHERE slot > "
+                    "(SELECT COALESCE(MAX(slot), -1) FROM leaves)"
                 )
             return
         fields = (_key(leaf.idx), _key(leaf.next_idx), leaf.val)
         if self._conn.execute(
-            "UPDATE leaves SET idx=?, next_idx=?, val=? WHERE tree=? AND slot=?",
-            (*fields, tree, slot),
+            "UPDATE leaves SET idx=?, next_idx=?, val=? WHERE slot=?", (*fields, slot)
         ).rowcount:
             return
         (high_water,) = self._conn.execute(
-            "SELECT COALESCE(MAX(slot), -1) FROM leaves WHERE tree=?", (tree,)
+            "SELECT COALESCE(MAX(slot), -1) FROM leaves"
         ).fetchone()
         if slot < high_water:
-            self._conn.execute("DELETE FROM free_slots WHERE tree=? AND slot=?", (tree, slot))
+            self._conn.execute("DELETE FROM free_slots WHERE slot=?", (slot,))
         elif slot > high_water + 1:
             self._conn.executemany(
-                "INSERT OR IGNORE INTO free_slots(tree, slot) VALUES(?,?)",
-                ((tree, hole) for hole in range(high_water + 1, slot)),
+                "INSERT OR IGNORE INTO free_slots(slot) VALUES(?)",
+                ((hole,) for hole in range(high_water + 1, slot)),
             )
         self._conn.execute(
-            "INSERT INTO leaves(tree, slot, idx, next_idx, val) VALUES(?,?,?,?,?)",
-            (tree, slot, *fields),
+            "INSERT INTO leaves(slot, idx, next_idx, val) VALUES(?,?,?,?)", (slot, *fields)
         )
 
     def leaf_items(self) -> Iterator[tuple[int, Leaf]]:
         rows = self._conn.execute(
-            "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? ORDER BY slot",
-            (self.tree_id,),
+            "SELECT slot, idx, next_idx, val FROM leaves ORDER BY slot"
         ).fetchall()
-        for slot, idx, next_idx, val in rows:
-            yield slot, Leaf(int.from_bytes(idx, "big"), int.from_bytes(next_idx, "big"), val)
+        for slot, *fields in rows:
+            yield slot, _leaf(*fields)
 
     def has_leaves(self) -> bool:
-        return (
-            self._conn.execute(
-                "SELECT 1 FROM leaves WHERE tree=? LIMIT 1", (self.tree_id,)
-            ).fetchone()
-            is not None
-        )
+        return self._conn.execute("SELECT 1 FROM leaves LIMIT 1").fetchone() is not None
 
     def find_leaf(self, idx: int) -> Optional[tuple[int, Leaf]]:
-        # INDEXED BY: without table stats the planner prefers the primary
-        # key and scans the whole tree's rows.
         row = self._conn.execute(
-            "SELECT slot, next_idx, val FROM leaves INDEXED BY leaves_by_idx "
-            "WHERE tree=? AND idx=?",
-            (self.tree_id, _key(idx)),
+            "SELECT slot, next_idx, val FROM leaves WHERE idx=?", (_key(idx),)
         ).fetchone()
         if row is None:
             return None
@@ -398,19 +427,16 @@ class SqliteTreeStore:
         # the leaf with the greatest index below it, or the overall greatest
         # index when none is below (wrap-around).
         row = self._conn.execute(
-            "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? AND idx<? "
-            "ORDER BY idx DESC LIMIT 1",
-            (self.tree_id, _key(idx)),
+            "SELECT slot, idx, next_idx, val FROM leaves WHERE idx<? ORDER BY idx DESC LIMIT 1",
+            (_key(idx),),
         ).fetchone()
         if row is None:
             row = self._conn.execute(
-                "SELECT slot, idx, next_idx, val FROM leaves WHERE tree=? "
-                "ORDER BY idx DESC LIMIT 1",
-                (self.tree_id,),
+                "SELECT slot, idx, next_idx, val FROM leaves ORDER BY idx DESC LIMIT 1"
             ).fetchone()
         if row is None:
             return None
-        leaf = Leaf(int.from_bytes(row[1], "big"), int.from_bytes(row[2], "big"), row[3])
+        leaf = _leaf(*row[1:])
         if not encloses(leaf.idx, leaf.next_idx, idx):
             return None
         return row[0], leaf
@@ -418,9 +444,8 @@ class SqliteTreeStore:
     def first_free_slot(self) -> int:
         # The lowest hole below the high-water mark, else the slot above it.
         return self._conn.execute(
-            "SELECT COALESCE((SELECT MIN(slot) FROM free_slots WHERE tree=?), "
-            "(SELECT MAX(slot) + 1 FROM leaves WHERE tree=?), 0)",
-            (self.tree_id, self.tree_id),
+            "SELECT COALESCE((SELECT MIN(slot) FROM free_slots), "
+            "(SELECT MAX(slot) + 1 FROM leaves), 0)"
         ).fetchone()[0]
 
 
@@ -436,16 +461,16 @@ def bulk_prepopulate(
     owner_idx: int,
     state: ModuleState,
     *,
-    acl_height: int = DEFAULT_ACL_HEIGHT,
     blobs: Optional[BlobSet] = None,
     batch: int = 50_000,
 ) -> bytes:
     """Fill a fresh store with ``count`` containers and install the root.
 
-    Everything (leaves, nodes, sealed records, one shared version per
-    container) is computed in memory and bulk-written.  Runs at provisioning
-    time, before the module state is put behind the module boundary, since
-    sealing the records requires the module secret.  Returns the new root.
+    Everything (container leaves and nodes; per container an owner-only ACL
+    leaf, a sealed record and one shared version) is computed in memory and
+    bulk-written.  Runs at provisioning time, before the module state is put
+    behind the module boundary, since sealing the records requires the
+    module secret.  Returns the new root.
     """
     geo = Geometry(height)
     if count < 0 or count > geo.leaf_count:
@@ -461,16 +486,7 @@ def bulk_prepopulate(
     image_hash, build_hash, compose_hash = blobs.hashes()
     content_digest = sha256(image_hash + build_hash + compose_hash + ZERO_DIGEST)
 
-    acl_leaf = Leaf(owner_idx, owner_idx, counter_digest(3))
-    acl_node = leaf_digest(acl_leaf)  # single leaf: every ancestor carries its digest
-    acl_geo = Geometry(acl_height)
-    acl_path = []
-    pos = acl_geo.leaf_node(0)
-    while True:
-        acl_path.append(pos)
-        if pos == 0:
-            break
-        pos = (pos - 1) // 2
+    acl_root = leaf_digest(Leaf(owner_idx, owner_idx, counter_digest(3)))  # one-leaf tree
 
     counter = 2  # one creation plus one content update
     version = 1
@@ -484,7 +500,7 @@ def bulk_prepopulate(
         next_idx = idx + 1 if slot + 1 < count else 1
         leaf = Leaf(idx, next_idx, ctr_val)
         node_values[geo.leaf_node(slot)] = leaf_digest(leaf)
-        leaf_rows.append((CONTAINER_TREE, slot, _key(idx), _key(next_idx), ctr_val))
+        leaf_rows.append((slot, _key(idx), _key(next_idx), ctr_val))
     for pos in range(geo.leaf_count - 2, -1, -1):
         node_values[pos] = parent(
             node_values[left_child(pos)], node_values[right_child(pos)], Side.LEFT
@@ -498,8 +514,8 @@ def bulk_prepopulate(
     def record_rows():
         for slot in range(count):
             idx = slot + 1
-            body = encode_fields(cr_schema, (int(CertKind.CR), idx, counter, version, acl_node))
-            yield (_key(idx), counter, version, acl_node, hmac_sha256(body, secret))
+            body = encode_fields(cr_schema, (int(CertKind.CR), idx, counter, version, acl_root))
+            yield (_key(idx), counter, version, acl_root, hmac_sha256(body, secret))
 
     def version_rows():
         for slot in range(count):
@@ -514,16 +530,12 @@ def bulk_prepopulate(
     def node_rows():
         for pos, value in enumerate(node_values):
             if value != ZERO_DIGEST:
-                yield (CONTAINER_TREE, pos, value)
-        for slot in range(count):
-            tree = acl_tree_id(slot + 1)
-            for pos in acl_path:
-                yield (tree, pos, acl_node)
+                yield (pos, value)
 
     def acl_leaf_rows():
         owner_key = _key(owner_idx)
         for slot in range(count):
-            yield (acl_tree_id(slot + 1), 0, owner_key, owner_key, counter_digest(3))
+            yield (_key(slot + 1), 0, owner_key, owner_key, counter_digest(3))
 
     storage._write_blob(blobs.image)
     storage._write_blob(blobs.build)
@@ -534,9 +546,9 @@ def bulk_prepopulate(
     conn.execute("PRAGMA synchronous=OFF")
     try:
         conn.execute("BEGIN")
-        _batched(conn, "INSERT INTO leaves VALUES(?,?,?,?,?)", leaf_rows, batch)
-        _batched(conn, "INSERT INTO leaves VALUES(?,?,?,?,?)", acl_leaf_rows(), batch)
-        _batched(conn, "INSERT INTO nodes VALUES(?,?,?)", node_rows(), batch)
+        _batched(conn, "INSERT INTO leaves VALUES(?,?,?,?)", leaf_rows, batch)
+        _batched(conn, "INSERT INTO acl_leaves VALUES(?,?,?,?,?)", acl_leaf_rows(), batch)
+        _batched(conn, "INSERT INTO nodes VALUES(?,?)", node_rows(), batch)
         _batched(conn, "INSERT INTO containers VALUES(?,?,?,?,?)", record_rows(), batch)
         _batched(conn, "INSERT INTO versions VALUES(?,?,?,?,?,?)", version_rows(), batch)
         _batched(conn, "INSERT INTO blob_sets VALUES(?,?,?,?,?)", blob_rows(), batch)

@@ -32,7 +32,7 @@ def remove_placeholder(tree: Iomt, idx: int) -> bytes:
 
 def acl_hints(service: Service, idx: int) -> dict:
     """The hints an INFO reply carries for container ``idx``, ACL leaves included."""
-    return service._hints(service.storage.record_get(idx))
+    return service._hints(service.storage.record_get(idx), service.acl_tree(idx))
 
 
 @pytest.fixture

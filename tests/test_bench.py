@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from tcr.bench import (
@@ -7,11 +9,26 @@ from tcr.bench import (
     OPERATIONS,
     STEP_ORDER,
     BenchConfig,
+    TimingRow,
     emit_csv,
     parse_heights,
-    read_csv,
     run_bench,
 )
+
+
+def read_csv(path) -> list[TimingRow]:
+    """Rows of a CSV written by :func:`emit_csv`."""
+    with open(path, newline="") as fp:
+        return [
+            TimingRow(
+                int(record["h"]),
+                record["operation"],
+                record["step"],
+                float(record["median_us"]),
+                float(record["stderr_us"]),
+            )
+            for record in csv.DictReader(fp)
+        ]
 
 
 def test_parse_heights():

@@ -425,6 +425,24 @@ class TestConnectionModel:
 
 
 class TestCli:
+    def test_server_refuses_a_store_of_another_layout(self, tmp_path):
+        import json
+        import sqlite3
+
+        from tcr.server import main as server_main
+
+        db = tmp_path / "old.db"
+        conn = sqlite3.connect(db)
+        conn.execute("CREATE TABLE nodes(tree TEXT, pos INTEGER, digest BLOB)")
+        conn.close()
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps({"1": "00" * 32}))
+        with pytest.raises(SystemExit, match="schema version 0.*provision a fresh store"):
+            server_main(["--listen", "127.0.0.1:0", "--db", str(db), "--module-state",
+                         str(tmp_path / "module.bin"), "--height", "4", "--data-dir",
+                         str(tmp_path / "blobs"), "--users", str(users)])
+        assert not (tmp_path / "module.bin").exists()  # nothing provisioned
+
     def test_exit_codes(self, env, tmp_path):
         from tcr.cli import main
 

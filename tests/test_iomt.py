@@ -3,15 +3,17 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import remove_placeholder
 from tcr.iomt import (
     Geometry,
     IndexPresentError,
     Iomt,
+    IomtError,
     Leaf,
     TreeFullError,
     counter_digest,
@@ -242,6 +244,53 @@ class TestPlaceholderPlan:
         assert tree.root != before
         remove_placeholder(tree, 5)
         assert tree.root == before
+
+
+def _slot_sets():
+    return st.integers(0, 8).flatmap(
+        lambda height: st.tuples(st.just(height), st.sets(st.integers(0, (1 << height) - 1)))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@example((0, set()))
+@example((0, {0}))
+@example((8, set()))
+@example((8, set(range(256))))
+@given(_slot_sets())
+def test_from_leaves_matches_incremental_writes(case):
+    height, slots = case
+    leaves = {
+        slot: Leaf(slot * 7 + 1, slot * 7 + 8, hashlib.sha256(struct.pack(">I", slot)).digest())
+        for slot in slots
+    }
+    with mock.patch.object(Iomt, "complement_path", side_effect=AssertionError) as path_reads:
+        built = Iomt.from_leaves(height, leaves.items())
+    assert not path_reads.called
+    assert built.root == oracle_root(leaves, height)
+    incremental = Iomt(height)
+    for slot, leaf in leaves.items():
+        incremental.set_leaf(slot, leaf)
+    positions = range(incremental.geometry.node_count)
+    assert built.store.get_nodes(positions) == incremental.store.get_nodes(positions)
+    assert list(built.leaves()) == list(incremental.leaves())
+
+
+def test_from_leaves_rejects_out_of_range_slots():
+    with pytest.raises(IomtError):
+        Iomt.from_leaves(2, [(4, Leaf(1, 1, counter_digest(1)))])
+
+
+class TestSetLeafWithPath:
+    def test_given_path_is_not_read_again(self):
+        tree = four_leaf_tree()
+        path = tree.complement_path(1)
+        leaf = Leaf(1, 3, counter_digest(5))
+        with mock.patch.object(Iomt, "complement_path", side_effect=AssertionError):
+            assert tree.set_leaf(1, leaf, path) == path
+        expected = dict(enumerate(FOUR_LEAVES))
+        expected[1] = leaf
+        assert tree.root == oracle_root(expected, 2)
 
 
 class TestOracleRoot:

@@ -11,7 +11,6 @@ from tcr.merkle import (
     Side,
     ZERO_DIGEST,
     compute_root,
-    decode_fields,
     encode_fields,
     hmac_sha256,
     macs_equal,
@@ -28,6 +27,23 @@ RFC4231_MSG = b"Hi There"
 RFC4231_TAG = bytes.fromhex("b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7")
 
 W3 = hashlib.sha256(b"w3").digest()
+
+FIELD_SIZES = {"u8": 1, "u64": 8, "d32": 32}
+
+
+def decode_fields(schema, data: bytes) -> tuple:
+    """Inverse of :func:`encode_fields` for the same schema."""
+    if any(kind not in FIELD_SIZES for kind in schema):
+        raise EncodingError("unknown field kind in schema")
+    expected = sum(FIELD_SIZES[kind] for kind in schema)
+    if len(data) != expected:
+        raise EncodingError(f"expected {expected} bytes, got {len(data)}")
+    values, offset = [], 0
+    for kind in schema:
+        chunk = data[offset : offset + FIELD_SIZES[kind]]
+        offset += FIELD_SIZES[kind]
+        values.append(chunk if kind == "d32" else int.from_bytes(chunk, "big"))
+    return tuple(values)
 W4 = hashlib.sha256(b"w4").digest()
 
 

@@ -19,7 +19,7 @@ from tcr.iomt import Iomt, TreeFullError
 from tcr.merkle import ZERO_DIGEST, sha256
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule
 from tcr.service import ProtocolError, Service, StepClock
-from tcr.storage import CONTAINER_TREE, BlobSet, Storage, bulk_prepopulate
+from tcr.storage import BlobSet, Storage, bulk_prepopulate
 
 BLOBS = BlobSet(b"layer-bytes" * 200, b"FROM base\n", b"services: {app: {}}\n")
 
@@ -35,7 +35,7 @@ def signed_modify(cred: UserCredential, idx: int, counter: int, blobs: BlobSet =
 
 
 def dump_store(storage) -> list:
-    tables = ("nodes", "leaves", "containers", "versions", "blob_sets")
+    tables = ("nodes", "leaves", "acl_leaves", "containers", "versions", "blob_sets")
     out = []
     for table in tables:
         out.append(storage._conn.execute(f"SELECT * FROM {table} ORDER BY 1, 2").fetchall())
@@ -366,8 +366,9 @@ class TestFetch:
 
 class TestStatementCounts:
     def test_verified_queries_at_h16(self, tmp_path, user_keys, credentials):
-        # Worst case: no cached certificate, so both paths are read; the
-        # fetch asks for another container than the info did.
+        # Worst case: no cached certificate, so the container path is read;
+        # each query asks for another container than the one before.  The
+        # ACL tree costs one read of its leaf rows.
         storage = Storage(tmp_path / "h16.db", tmp_path / "blobs")
         state = ModuleState.fresh(user_keys)
         bulk_prepopulate(storage, 16, 8, 1, state)
@@ -378,17 +379,23 @@ class TestStatementCounts:
 
         info = service.handle_info(5, 0, nonce, 1)
         assert check_info_response(credentials[1], info.response, nonce, 5) == Verdict.VERIFIED
-        assert len(statements) <= 7, statements
+        assert len(statements) == 5, statements
 
         statements.clear()
         fetched = service.handle_fetch(6, 0, 1, nonce=nonce)
         assert check_info_response(credentials[1], fetched.verify.response, nonce, 6) == Verdict.VERIFIED
         assert fetched.blobs is not None
-        assert len(statements) <= 7, statements
+        assert len(statements) == 6, statements
+
+        statements.clear()
+        denied = service.handle_info(7, 0, nonce, 2)  # user 2 holds no access
+        assert check_info_response(credentials[2], denied.response, nonce, 7) == Verdict.DENIED
+        assert len(statements) == 5, statements
         storage.close()
 
     def test_writes_at_h16(self, tmp_path, user_keys, credentials):
         # One transaction each: create, modify, a new grant and a re-grant.
+        # An ACL is read as one query and written back as one upsert.
         storage = Storage(tmp_path / "h16.db", tmp_path / "blobs")
         state = ModuleState.fresh(user_keys)
         bulk_prepopulate(storage, 16, 8, 1, state)
@@ -402,12 +409,12 @@ class TestStatementCounts:
             assert handle(*args) is not None
             return len(statements)
 
-        assert counted(service.handle_create, signed_create(cred, 100)) <= 21, statements
-        assert counted(service.handle_modify, signed_modify(cred, 5, 2), BLOBS) <= 12, statements
-        for counter, level, bound in ((3, 1, 22), (4, 2, 15)):  # new grant, then re-grant
+        assert counted(service.handle_create, signed_create(cred, 100)) == 15, statements
+        assert counted(service.handle_modify, signed_modify(cred, 5, 2), BLOBS) == 11, statements
+        for counter, level in ((3, 1), (4, 2)):  # new grant, then re-grant
             root = predicted_acl_root(acl_hints(service, 5), 2, level)
             env = cred.sign_request(RequestKind.ACL, 5, counter, root)
-            assert counted(service.handle_acl_set, env, 2, level) <= bound, statements
+            assert counted(service.handle_acl_set, env, 2, level) == 10, statements
         assert service.module.root == service.container_tree().root
         storage.close()
 
@@ -487,11 +494,10 @@ class TestForeignRootChange:
     @staticmethod
     def foreign_equivalence(service, new_idx):
         """An EQ certificate for a placeholder the store will never hold."""
-        from tcr.iomt import Iomt, leaf_digest
-        from tcr.storage import CONTAINER_TREE
+        from tcr.iomt import leaf_digest
 
         module = service.module
-        shadow = Iomt(service.height, service.storage.tree(CONTAINER_TREE))
+        shadow = service.container_tree()
         plan = shadow.placeholder_plan(new_idx)
         enc_path = shadow.complement_path(plan.encloser_slot)
         nu1 = module.certify_node_update(

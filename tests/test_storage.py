@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import secrets
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -21,14 +22,14 @@ from tcr.iomt import (
 from tcr.merkle import Side, ZERO_DIGEST, sha256
 from tcr.module import ModuleState, TrustedModule
 from tcr.storage import (
-    CONTAINER_TREE,
+    SCHEMA_VERSION,
     BlobSet,
     ContainerRecord,
     Storage,
+    StorageError,
     StoreNotEmptyError,
     VersionExistsError,
     VersionRecord,
-    acl_tree_id,
     bulk_prepopulate,
 )
 
@@ -38,29 +39,29 @@ def keys():
     return {1: secrets.token_bytes(32)}
 
 
-def node_rows(storage, tree: str) -> int:
-    """Rows the node table holds for ``tree``; zero digests are never stored."""
-    return storage._conn.execute("SELECT COUNT(*) FROM nodes WHERE tree=?", (tree,)).fetchone()[0]
+def node_rows(storage) -> int:
+    """Rows the node table holds; zero digests are never stored."""
+    return storage._conn.execute("SELECT COUNT(*) FROM nodes").fetchone()[0]
 
 
 class TestNodeTable:
     def test_zero_put_deletes_row(self, storage):
-        store = storage.tree("t")
+        store = storage.tree()
         store.set_nodes([(5, sha256(b"x")), (6, sha256(b"z"))])
-        assert node_rows(storage, "t") == 2
+        assert node_rows(storage) == 2
         store.set_nodes([(5, ZERO_DIGEST), (6, sha256(b"w"))])
         assert store.get_nodes([5, 6]) == [ZERO_DIGEST, sha256(b"w")]
-        assert node_rows(storage, "t") == 1
+        assert node_rows(storage) == 1
 
     def test_round_trip(self, storage):
         digest = sha256(b"y")
-        storage.tree("t").set_nodes([(3, digest)])
-        assert storage.tree("t").get_nodes([3]) == [digest]
+        storage.tree().set_nodes([(3, digest)])
+        assert storage.tree().get_nodes([3]) == [digest]
 
     def test_fresh_tall_tree_stores_nothing(self, storage):
-        tree = Iomt(20, storage.tree("tall"))
+        tree = Iomt(20, storage.tree())
         assert tree.root == ZERO_DIGEST
-        assert node_rows(storage, "tall") == 0
+        assert node_rows(storage) == 0
         assert not tree.store.has_leaves()
 
 
@@ -77,13 +78,14 @@ def per_node_path(tree: Iomt, slot: int) -> list:
 
 class TestBatchedPathReads:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_path_matches_per_node_reference(self, storage, backend):
+    def test_path_matches_per_node_reference(self, backend):
         rng = random.Random(5)
         zero_siblings = 0
-        for trial in range(6):
+        for _ in range(6):
             height = rng.randrange(1, 8)
-            store = None if backend == "memory" else storage.tree(f"sparse/{trial}")
-            tree = Iomt(height, store)
+            # One store per tree: the sqlite tables hold a single tree.
+            trial_storage = Storage(":memory:")
+            tree = Iomt(height, None if backend == "memory" else trial_storage.tree())
             last = (1 << height) - 1
             # Sparse: most siblings along any path are zero.
             occupied = rng.sample(range(last + 1), max(1, (last + 1) // 5))
@@ -94,12 +96,13 @@ class TestBatchedPathReads:
                 path = tree.complement_path(slot)
                 assert path == per_node_path(tree, slot), (height, slot)
                 zero_siblings += sum(digest == ZERO_DIGEST for digest, _ in path)
+            trial_storage.close()
         assert zero_siblings > 0
 
     def test_height_zero_issues_no_batch_query(self, storage):
         statements: list[str] = []
         storage._conn.set_trace_callback(statements.append)
-        tree = Iomt(0, storage.tree("single"))
+        tree = Iomt(0, storage.tree())
         leaf = Leaf(4, 4, counter_digest(1))
         assert tree.set_leaf(0, leaf) == []
         assert tree.complement_path(0) == []
@@ -109,7 +112,7 @@ class TestBatchedPathReads:
 
 class TestLeafTable:
     def test_round_trip_and_delete(self, storage):
-        store = storage.tree("t")
+        store = storage.tree()
         leaf = Leaf(9, 12, counter_digest(3))
         store.set_leaf(4, leaf)
         assert store.get_leaf(4) == leaf
@@ -117,7 +120,7 @@ class TestLeafTable:
         assert store.get_leaf(4) is None
 
     def test_overwrite_is_one_statement(self, storage):
-        store = storage.tree("t")
+        store = storage.tree()
         statements: list[str] = []
         storage._conn.set_trace_callback(statements.append)
         store.set_leaf(0, Leaf(9, 9, counter_digest(1)))
@@ -130,7 +133,7 @@ class TestLeafTable:
 
     def test_find_encloser_matches_scan(self, storage):
         rng = random.Random(3)
-        for store in (MemoryTreeStore(), storage.tree("t")):
+        for store in (MemoryTreeStore(), storage.tree()):
             tree = Iomt(4, store)
             indices = rng.sample(range(1, 250), 12)
             for idx in indices:
@@ -145,7 +148,7 @@ class TestLeafTable:
                 assert store.find_leaf(candidate) == (held[0] if held else None), candidate
 
     def test_first_free_slot_finds_gaps(self, storage):
-        for store in (MemoryTreeStore(), storage.tree("t")):
+        for store in (MemoryTreeStore(), storage.tree()):
             tree = Iomt(2, store)
             assert store.first_free_slot() == 0
             store.set_leaf(0, Leaf(1, 1, ZERO_DIGEST))
@@ -162,7 +165,7 @@ class TestLeafTable:
                 tree.placeholder_plan(9)
 
     def test_freed_top_slot_is_refilled_before_higher_ones(self, storage):
-        for store in (MemoryTreeStore(), storage.tree("t")):
+        for store in (MemoryTreeStore(), storage.tree()):
             for slot in (0, 1, 2, 4):
                 store.set_leaf(slot, Leaf(slot + 1, slot + 1, ZERO_DIGEST))
             store.set_leaf(4, None)  # the hole at 3 is now above the high-water mark
@@ -175,11 +178,11 @@ class TestLeafTable:
 
 
 class TestSparseDenseEquivalence:
-    def test_small_trees(self, storage):
+    def test_small_trees(self):
         rng = random.Random(11)
         for height in range(5):
-            tree_id = f"h{height}"
-            tree = Iomt(height, storage.tree(tree_id))
+            storage = Storage(":memory:")  # one store per tree
+            tree = Iomt(height, storage.tree())
             leaves: dict[int, Leaf] = {}
             for slot in rng.sample(range(1 << height), max(1, (1 << height) // 2)):
                 leaf = Leaf(rng.randrange(999), rng.randrange(999), counter_digest(rng.randrange(5)))
@@ -197,6 +200,7 @@ class TestSparseDenseEquivalence:
             for pos in range(geo.leaf_count - 2, -1, -1):
                 expected[pos] = parent(expected[left_child(pos)], expected[right_child(pos)], Side.LEFT)
             assert dense == expected
+            storage.close()
 
 
 class TestRecords:
@@ -267,7 +271,7 @@ class TestBlobs:
 class TestDurability:
     def test_reopen_preserves_everything(self, tmp_path, keys):
         storage = Storage(tmp_path / "d.db", tmp_path / "blobs")
-        tree = Iomt(3, storage.tree(CONTAINER_TREE))
+        tree = Iomt(3, storage.tree())
         tree.upsert(5, ZERO_DIGEST)
         record = ContainerRecord(5, 1, 0, sha256(b"a"), sha256(b"s"))
         storage.record_put(record)
@@ -277,7 +281,7 @@ class TestDurability:
         storage.close()
 
         reopened = Storage(tmp_path / "d.db", tmp_path / "blobs")
-        tree2 = Iomt(3, reopened.tree(CONTAINER_TREE))
+        tree2 = Iomt(3, reopened.tree())
         assert tree2.root == root
         assert tree2.find_leaf(5) is not None
         assert reopened.record_get(5) == record
@@ -285,7 +289,7 @@ class TestDurability:
         reopened.close()
 
     def test_transaction_rollback(self, storage):
-        store = storage.tree("t")
+        store = storage.tree()
         store.set_nodes([(1, sha256(b"keep"))])
         with pytest.raises(RuntimeError):
             with storage.transaction():
@@ -296,15 +300,38 @@ class TestDurability:
 
 class TestAclIsolation:
     def test_edits_do_not_cross_trees(self, storage):
-        a = Iomt(3, storage.tree(acl_tree_id(1)))
-        b = Iomt(3, storage.tree(acl_tree_id(2)))
-        a.set_leaf(0, Leaf(1, 1, counter_digest(3)))
-        b.set_leaf(0, Leaf(2, 2, counter_digest(3)))
-        b_nodes_before = b.store.get_nodes(list(range(15)))
-        a.set_leaf(1, Leaf(9, 9, counter_digest(1)))
-        a.set_leaf(0, Leaf(1, 9, counter_digest(3)))
-        b_nodes_after = b.store.get_nodes(list(range(15)))
-        assert b_nodes_before == b_nodes_after
+        storage.acl_put(1, [(0, Leaf(1, 1, counter_digest(3)))])
+        storage.acl_put(2, [(0, Leaf(2, 2, counter_digest(3)))])
+        b_before = storage.acl_leaves(2)
+        a = Iomt.from_leaves(3, storage.acl_leaves(1))
+        a.upsert(9, counter_digest(1))
+        storage.acl_put(1, a.leaves())
+        assert storage.acl_leaves(2) == b_before == [(0, Leaf(2, 2, counter_digest(3)))]
+        assert storage.acl_leaves(1) == [
+            (0, Leaf(1, 9, counter_digest(3))),
+            (1, Leaf(9, 1, counter_digest(1))),
+        ]
+        assert Iomt.from_leaves(3, storage.acl_leaves(1)).root == a.root
+
+    def test_put_is_one_statement_and_overwrites(self, storage):
+        statements: list[str] = []
+        storage._conn.set_trace_callback(statements.append)
+        storage.acl_put(1, [(slot, Leaf(slot, slot, counter_digest(3))) for slot in range(256)])
+        storage.acl_put(1, [(7, Leaf(7, 7, ZERO_DIGEST))])  # a revocation
+        storage.acl_put(1, [])
+        assert len(statements) == 2, statements
+        statements.clear()
+        leaves = storage.acl_leaves(1)
+        assert len(statements) == 1
+        storage._conn.set_trace_callback(None)
+        assert len(leaves) == 256 and leaves[7] == (7, Leaf(7, 7, ZERO_DIGEST))
+        assert storage.acl_leaves(2) == []
+
+    def test_u64_container_keys(self, storage):
+        top = (1 << 64) - 1
+        storage.acl_put(top, [(0, Leaf(top, top, counter_digest(3)))])
+        assert storage.acl_leaves(top) == [(0, Leaf(top, top, counter_digest(3)))]
+        assert storage.acl_leaves(top - 1) == []
 
 
 class TestBulkPrepopulate:
@@ -313,11 +340,20 @@ class TestBulkPrepopulate:
         state = ModuleState.fresh(keys)
         count = (1 << 10) - 500
         root = bulk_prepopulate(storage, 10, count, 1, state)
-        tree = Iomt(10, storage.tree(CONTAINER_TREE))
+        tree = Iomt(10, storage.tree())
         leaves = dict(tree.leaves())
         assert len(leaves) == count == 524
         assert root == oracle_root(leaves, 10) == state.root == tree.root
+        # The node table holds the container tree's non-zero nodes and nothing else.
+        stored = dict(storage._conn.execute("SELECT pos, digest FROM nodes").fetchall())
+        assert stored == Iomt.from_leaves(10, leaves.items()).store._nodes
+        # One owner-only ACL leaf row per container, under the record's ACL root.
+        owner_acl = [(0, Leaf(1, 1, counter_digest(3)))]
+        assert storage._conn.execute("SELECT COUNT(*) FROM acl_leaves").fetchone()[0] == count
+        assert storage.acl_leaves(1) == storage.acl_leaves(count) == owner_acl
+        assert storage.acl_leaves(count + 1) == []
         record = storage.record_get(1)
+        assert record.acl_root == Iomt.from_leaves(8, owner_acl).root
         assert record.counter == 2 and record.version_count == 1
         # Seals verify under the module built from the same state.
         module = TrustedModule(state)
@@ -334,7 +370,12 @@ class TestBulkPrepopulate:
 
     def test_requires_fresh_store(self, tmp_path, keys):
         storage = Storage(tmp_path / "f.db", tmp_path / "blobs")
-        storage.tree("t").set_nodes([(0, sha256(b"x"))])
+        storage.tree().set_nodes([(0, sha256(b"x"))])
+        with pytest.raises(StoreNotEmptyError):
+            bulk_prepopulate(storage, 3, 2, 1, ModuleState.fresh(keys))
+        storage.close()
+        storage = Storage(tmp_path / "g.db", tmp_path / "blobs")
+        storage.acl_put(4, [(0, Leaf(1, 1, counter_digest(3)))])
         with pytest.raises(StoreNotEmptyError):
             bulk_prepopulate(storage, 3, 2, 1, ModuleState.fresh(keys))
         storage.close()
@@ -355,3 +396,51 @@ class TestBulkPrepopulate:
         result = service.handle_create(env)
         assert result is not None and cred.verify_ack(env, result.ack)
         storage.close()
+
+
+# The layout before schema versions: every tree table keyed by a text tree id.
+UNVERSIONED_LAYOUT = """
+CREATE TABLE nodes(tree TEXT NOT NULL, pos INTEGER NOT NULL, digest BLOB NOT NULL,
+    PRIMARY KEY(tree, pos)) WITHOUT ROWID;
+CREATE TABLE leaves(tree TEXT NOT NULL, slot INTEGER NOT NULL, idx BLOB NOT NULL,
+    next_idx BLOB NOT NULL, val BLOB NOT NULL, PRIMARY KEY(tree, slot)) WITHOUT ROWID;
+CREATE TABLE free_slots(tree TEXT NOT NULL, slot INTEGER NOT NULL,
+    PRIMARY KEY(tree, slot)) WITHOUT ROWID;
+"""
+
+
+class TestSchemaVersion:
+    def test_fresh_store_is_stamped(self, tmp_path):
+        Storage(tmp_path / "s.db").close()
+        conn = sqlite3.connect(tmp_path / "s.db")
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 1
+        conn.close()
+        Storage(tmp_path / "s.db").close()  # the stamped store reopens
+
+    def test_old_store_is_refused(self, tmp_path):
+        path = tmp_path / "old.db"
+        conn = sqlite3.connect(path)
+        conn.executescript(UNVERSIONED_LAYOUT)
+        conn.execute("INSERT INTO nodes VALUES('container', 0, ?)", (sha256(b"root"),))
+        conn.commit()
+        conn.close()
+        with pytest.raises(StorageError) as err:
+            Storage(path)
+        message = str(err.value)
+        assert "version 0" in message and f"needs {SCHEMA_VERSION}" in message
+        assert "fresh store" in message
+        conn = sqlite3.connect(path)  # left exactly as it was
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == 0
+        assert conn.execute("SELECT tree FROM nodes").fetchall() == [("container",)]
+        conn.close()
+
+    def test_other_version_is_refused_even_when_empty(self, tmp_path):
+        path = tmp_path / "next.db"
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "CREATE TABLE nodes(pos INTEGER PRIMARY KEY, digest BLOB);"
+            f"PRAGMA user_version={SCHEMA_VERSION + 1};"
+        )
+        conn.close()
+        with pytest.raises(StorageError, match=f"version {SCHEMA_VERSION + 1}"):
+            Storage(path)
