@@ -16,7 +16,7 @@ from .client import (
     wrap_secret,
     xor_keystream,
 )
-from .iomt import Geometry, Iomt, Leaf, counter_digest, counter_value, encloses, oracle_root
+from .iomt import Geometry, Iomt, Leaf, counter_digest, counter_value, encloses
 from .merkle import Side, ZERO_DIGEST, compute_root, hmac_sha256, parent, sha256
 from .module import (
     Certificate,
@@ -68,7 +68,6 @@ __all__ = [
     "encloses",
     "hmac_sha256",
     "load_state",
-    "oracle_root",
     "parent",
     "save_state",
     "sha256",

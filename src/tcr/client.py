@@ -12,10 +12,11 @@ import hmac
 import json
 import secrets
 import socket
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .iomt import Iomt, Leaf, counter_digest, leaf_digest
 from .merkle import (
@@ -52,6 +53,16 @@ class RequestRejected(Exception):
 
 class ProtocolFailure(Exception):
     """Transport trouble or a malformed exchange."""
+
+
+@contextmanager
+def _decoding(op: str) -> Iterator[None]:
+    """Report a reply that lacks a field or carries a malformed one as a
+    :class:`ProtocolFailure`, not as whatever the decoding raised."""
+    try:
+        yield
+    except (KeyError, ValueError, TypeError, WireError) as exc:
+        raise ProtocolFailure(f"malformed {op} reply: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -240,7 +251,10 @@ class RepositoryClient:
             self.transcript.append(json.dumps(reply).encode())
         if reply.get("request_id") != self._next_id:
             raise ProtocolFailure("reply does not match the request")
-        return reply.get("status", ""), reply.get("payload") or {}
+        body = reply.get("payload") or {}
+        if not isinstance(body, dict):
+            raise ProtocolFailure("reply payload is not an object")
+        return reply.get("status", ""), body
 
     def _mutate(self, op: str, envelope: RequestEnvelope, extra: Optional[dict] = None) -> dict:
         payload = envelope_to_json(envelope)
@@ -251,7 +265,8 @@ class RepositoryClient:
             raise RequestRejected(f"{op} was not acknowledged")
         if status != STATUS_OK:
             raise ProtocolFailure(body.get("message", f"{op} failed"))
-        ack = bytes.fromhex(body.get("ack", ""))
+        with _decoding(op):
+            ack = bytes.fromhex(body.get("ack", ""))
         if not self.credential.verify_ack(envelope, ack):
             raise RequestRejected(f"{op} acknowledgement does not verify")
         return body
@@ -276,10 +291,12 @@ class RepositoryClient:
         nonce, status, body = self._query("INFO", {"idx": idx, "requested_version": version})
         if status not in (STATUS_OK, STATUS_DENIED):
             raise ProtocolFailure(body.get("message", "INFO failed"))
-        response = response_from_json(body["response"])
-        verdict = check_info_response(
-            self.credential, response, nonce, idx, requested_version=version, expect_exists=expect_exists
-        )
+        with _decoding("INFO"):
+            response = response_from_json(body["response"])
+            verdict = check_info_response(
+                self.credential, response, nonce, idx, requested_version=version,
+                expect_exists=expect_exists,
+            )
         return InfoOutcome(verdict=verdict, response=response, hints=body.get("hints"))
 
     def _counter_and_hints(self, idx: int) -> tuple[int, Optional[dict]]:
@@ -291,17 +308,18 @@ class RepositoryClient:
         """
         nonce, status, body = self._query("INFO", {"idx": idx, "requested_version": 0})
         hints = body.get("hints")
-        if status in (STATUS_OK, STATUS_DENIED):
-            response = response_from_json(body["response"])
-            verdict = check_info_response(self.credential, response, nonce, idx)
-            if verdict == Verdict.VERIFIED:
-                return response.counter, hints
-            if verdict == Verdict.INVALID:
-                raise RequestRejected("cannot trust the service's view of the container")
-            raise RequestRejected("container is not accessible")
-        if hints is None or "counter" not in hints:
-            raise RequestRejected("no usable counter for the request")
-        return int(hints["counter"]), hints
+        with _decoding("INFO"):
+            if status in (STATUS_OK, STATUS_DENIED):
+                response = response_from_json(body["response"])
+                verdict = check_info_response(self.credential, response, nonce, idx)
+                if verdict == Verdict.VERIFIED:
+                    return response.counter, hints
+                if verdict == Verdict.INVALID:
+                    raise RequestRejected("cannot trust the service's view of the container")
+                raise RequestRejected("container is not accessible")
+            if hints is None or "counter" not in hints:
+                raise RequestRejected("no usable counter for the request")
+            return int(hints["counter"]), hints
 
     def modify(
         self, idx: int, image: bytes, build: bytes, compose: bytes, encrypt: bool = False
@@ -326,7 +344,8 @@ class RepositoryClient:
         counter, hints = self._counter_and_hints(idx)
         if hints is None:
             raise RequestRejected("no ACL view available; cannot form the request")
-        new_root = predicted_acl_root(hints, target_user, level)
+        with _decoding("INFO"):
+            new_root = predicted_acl_root(hints, target_user, level)
         envelope = self.credential.sign_request(RequestKind.ACL, idx, counter, new_root)
         return self._mutate("ACL_SET", envelope, {"target_user": target_user, "level": level})
 
@@ -335,20 +354,22 @@ class RepositoryClient:
         nonce, status, body = self._query("FETCH", {"idx": idx, "version": version})
         if status not in (STATUS_OK, STATUS_DENIED):
             raise ProtocolFailure(body.get("message", "FETCH failed"))
-        response = response_from_json(body["response"])
-        verdict = check_info_response(
-            self.credential, response, nonce, idx, requested_version=version
-        )
-        if verdict != Verdict.VERIFIED:
-            return FetchOutcome(verdict, None, None, False)
+        with _decoding("FETCH"):
+            response = response_from_json(body["response"])
+            verdict = check_info_response(
+                self.credential, response, nonce, idx, requested_version=version
+            )
+            if verdict != Verdict.VERIFIED:
+                return FetchOutcome(verdict, None, None, False)
+            blobs = BlobSet(
+                bytes.fromhex(body["image"]),
+                bytes.fromhex(body["build"]),
+                bytes.fromhex(body["compose"]),
+            )
+            commitment = bytes.fromhex(body["secret_commitment"])
+            delivered = bytes.fromhex(body.get("sealed_for_user") or "")
 
         fetched_version = response.requested_version
-        blobs = BlobSet(
-            bytes.fromhex(body["image"]),
-            bytes.fromhex(body["build"]),
-            bytes.fromhex(body["compose"]),
-        )
-        commitment = bytes.fromhex(body["secret_commitment"])
         encrypted = commitment != ZERO_DIGEST
         attested = response.content_digest
         if content_digest_of(blobs.image, blobs.build, blobs.compose, commitment) != attested:
@@ -357,10 +378,9 @@ class RepositoryClient:
         if not encrypted:
             return FetchOutcome(Verdict.VERIFIED, fetched_version, blobs, False)
 
-        delivered = body.get("sealed_for_user")
         if not delivered:
             return FetchOutcome(Verdict.INVALID, None, None, True)
-        secret = unwrap_secret(self.credential, bytes.fromhex(delivered), commitment, idx)
+        secret = unwrap_secret(self.credential, delivered, commitment, idx)
         if secret is None:
             return FetchOutcome(Verdict.INVALID, None, None, True)
         plain = BlobSet(

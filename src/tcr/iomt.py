@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .merkle import DIGEST_SIZE, Side, ZERO_DIGEST, encode_fields, parent, sha256
 
@@ -43,10 +43,6 @@ class Leaf:
             raise ValueError("leaf indices must be u64")
         if len(self.val) != DIGEST_SIZE:
             raise ValueError("leaf value must be a 32-byte digest")
-
-    @property
-    def is_placeholder(self) -> bool:
-        return self.val == ZERO_DIGEST
 
     def encode(self) -> bytes:
         return encode_fields(LEAF_SCHEMA, (self.idx, self.next_idx, self.val))
@@ -120,6 +116,28 @@ class Geometry:
         if not 0 <= slot < self.leaf_count:
             raise IomtError(f"slot {slot} out of range for height {self.height}")
         return self.leaf_count - 1 + slot
+
+
+def node_levels(height: int, items: Iterable[tuple[int, Leaf]]) -> Iterator[dict[int, bytes]]:
+    """The non-zero nodes of the tree holding the ``(slot, leaf)`` pairs of
+    ``items``, one ``{pos: digest}`` level at a time, leaves first.
+
+    Empty subtrees are never visited, so the cost follows the leaf count,
+    not 2^height.
+    """
+    geo = Geometry(height)
+    level = {geo.leaf_node(slot): leaf_digest(leaf) for slot, leaf in items}
+    yield level
+    for _ in range(height):
+        level = {
+            up: parent(
+                level.get(left_child(up), ZERO_DIGEST),
+                level.get(right_child(up), ZERO_DIGEST),
+                Side.LEFT,
+            )
+            for up in {parent_index(pos) for pos in level}
+        }
+        yield level
 
 
 @dataclass(frozen=True)
@@ -205,35 +223,19 @@ class Iomt:
     def from_leaves(cls, height: int, items: Iterable[tuple[int, Leaf]]) -> "Iomt":
         """A memory-backed tree holding the ``(slot, leaf)`` pairs of ``items``.
 
-        Built level by level over the non-zero nodes only, so the cost follows
-        the leaf count, not 2^height, and no complement path is read.
+        Built by :func:`node_levels`, so no complement path is read.
         """
         tree = cls(height)
-        level: dict[int, bytes] = {}
+        items = list(items)
         for slot, leaf in items:
             tree.store.set_leaf(slot, leaf)
-            level[tree.geometry.leaf_node(slot)] = leaf_digest(leaf)
-        nodes = dict(level)
-        for _ in range(height):
-            level = {
-                up: parent(
-                    level.get(left_child(up), ZERO_DIGEST),
-                    level.get(right_child(up), ZERO_DIGEST),
-                    Side.LEFT,
-                )
-                for up in {parent_index(pos) for pos in level}
-            }
-            nodes.update(level)
-        tree.store.set_nodes(list(nodes.items()))
+        for level in node_levels(height, items):
+            tree.store.set_nodes(list(level.items()))
         return tree
 
     @property
     def root(self) -> bytes:
         return self.store.get_nodes([0])[0]
-
-    def leaf(self, slot: int) -> Optional[Leaf]:
-        self.geometry.leaf_node(slot)  # range check
-        return self.store.get_leaf(slot)
 
     def leaves(self) -> Iterator[tuple[int, Leaf]]:
         return self.store.leaf_items()
@@ -328,22 +330,3 @@ class Iomt:
             self.set_leaf(plan.placeholder_slot, Leaf(idx, plan.placeholder_leaf.next_idx, val))
         return self.root
 
-
-def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: int) -> bytes:
-    """Root by full bottom-up recomputation, with no incremental shortcuts.
-
-    Test oracle: independent of the path-update code in :class:`Iomt`.
-    """
-    geo = Geometry(height)
-    if isinstance(leaves, Mapping):
-        slots = dict(leaves)
-    else:
-        if len(leaves) > geo.leaf_count:
-            raise IomtError("more leaves than slots")
-        slots = {i: leaf for i, leaf in enumerate(leaves) if leaf is not None}
-    nodes = [ZERO_DIGEST] * geo.node_count
-    for slot, leaf in slots.items():
-        nodes[geo.leaf_node(slot)] = leaf_digest(leaf)
-    for pos in range(geo.leaf_count - 2, -1, -1):
-        nodes[pos] = parent(nodes[left_child(pos)], nodes[right_child(pos)], Side.LEFT)
-    return nodes[0]

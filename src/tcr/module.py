@@ -59,6 +59,14 @@ _TAG_DENIAL = 0x21
 _TAG_FULL = 0x22
 
 
+def _cert_body(kind: int, values: Sequence[FieldValue]) -> bytes:
+    """Canonical bytes a certificate's MAC covers: the kind, then its fields."""
+    schema = CERT_SCHEMAS.get(kind)
+    if schema is None:
+        raise ValueError(f"unknown certificate kind {kind}")
+    return encode_fields(("u8",) + schema, (int(kind),) + tuple(values))
+
+
 @dataclass(frozen=True)
 class Certificate:
     kind: int
@@ -66,10 +74,7 @@ class Certificate:
     mac: bytes
 
     def body(self) -> bytes:
-        schema = CERT_SCHEMAS.get(self.kind)
-        if schema is None:
-            raise ValueError(f"unknown certificate kind {self.kind}")
-        return encode_fields(("u8",) + schema, (int(self.kind),) + tuple(self.values))
+        return _cert_body(self.kind, self.values)
 
 
 @dataclass(frozen=True)
@@ -189,6 +194,10 @@ class ModuleState:
                 raise ValueError("user keys must map u64 indices to 32-byte keys")
         return cls(root=ZERO_DIGEST, secret=secrets.token_bytes(DIGEST_SIZE), user_keys=dict(user_keys))
 
+    def seal(self, kind: int, values: Sequence[FieldValue]) -> bytes:
+        """MAC of the certificate ``(kind, values)`` under the module secret."""
+        return hmac_sha256(_cert_body(kind, values), self.secret)
+
 
 def save_state(state: ModuleState, path: Path | str) -> None:
     body = bytearray()
@@ -262,8 +271,7 @@ class TrustedModule:
 
     def _issue(self, kind: CertKind, values: Sequence[FieldValue]) -> Certificate:
         fields = tuple(values)
-        body = Certificate(kind, fields, b"").body()
-        return Certificate(kind, fields, hmac_sha256(body, self._state.secret))
+        return Certificate(kind, fields, self._state.seal(kind, fields))
 
     def _cert_ok(self, cert, kind: Optional[CertKind] = None) -> bool:
         if not isinstance(cert, Certificate):
@@ -271,10 +279,10 @@ class TrustedModule:
         if kind is not None and cert.kind != kind:
             return False
         try:
-            body = cert.body()
+            expected = self._state.seal(cert.kind, cert.values)
         except (ValueError, TypeError):
             return False
-        return macs_equal(cert.mac, hmac_sha256(body, self._state.secret))
+        return macs_equal(cert.mac, expected)
 
     def _pair_ok(self, pair: RvPair) -> bool:
         if not isinstance(pair, RvPair):
@@ -310,6 +318,29 @@ class TrustedModule:
         if proof.values[0] != idx:
             return None
         return proof.values  # type: ignore[return-value]
+
+    def _access(
+        self, record: Optional[Certificate], acl_proof: Optional[Proof], idx: int, counter: int,
+        user_idx: int,
+    ) -> Optional[tuple[int, bytes, int]]:
+        """Check a sealed container record against ``(idx, counter)`` and the
+        caller's ACL proof against its ACL root.
+
+        Returns ``(version_count, acl_root, level)``, or ``None`` when any
+        certificate fails or the certificates disagree.
+        """
+        if not self._cert_ok(record, CertKind.CR):
+            return None
+        c_idx, c_ctr, c_ver, acl_root = record.values
+        if c_idx != idx or c_ctr != counter:
+            return None  # inconsistent certificates
+        rv = self._select_rv(acl_proof, user_idx)
+        if rv is None or rv[2] != acl_root:
+            return None
+        level = counter_value(rv[1])
+        if level is None:
+            return None
+        return c_ver, acl_root, level
 
     # -- certificate generators -----------------------------------------------
 
@@ -357,10 +388,7 @@ class TrustedModule:
             if absent_idx is None or not encloses(leaf.idx, leaf.next_idx, absent_idx):
                 return self._issue(CertKind.RV, existing)
             absent = (absent_idx, ZERO_DIGEST, root)
-            joint = (
-                Certificate(CertKind.RV, existing, b"").body()
-                + Certificate(CertKind.RV, absent, b"").body()
-            )
+            joint = _cert_body(CertKind.RV, existing) + _cert_body(CertKind.RV, absent)
             mac = hmac_sha256(joint, self._state.secret)
             return RvPair(
                 Certificate(CertKind.RV, existing, mac),
@@ -487,32 +515,20 @@ class TrustedModule:
                 self._state.root = new_root
                 return UpdateResult(record_cert, None, ack)
 
-            if not self._cert_ok(record, CertKind.CR):
+            checked = self._access(record, acl_proof, request.idx, ctr, request.user_idx)
+            if checked is None or request.counter != ctr:
                 return None
-            c_idx, c_ctr, c_ver, acl_root = record.values
-            if c_idx != request.idx or c_ctr != ctr or request.counter != c_ctr:
-                return None  # inconsistent certificates
-            rv = self._select_rv(acl_proof, request.user_idx) if acl_proof is not None else None
-            if rv is None:
-                return None
-            _, access_digest, rv_root = rv
-            if rv_root != acl_root:
-                return None
-            access = counter_value(access_digest)
-            if access is None:
-                return None
+            c_ver, acl_root, access = checked
 
             if request.kind == RequestKind.CONTAINER and access >= 2:
-                record_cert = self._issue(
-                    CertKind.CR, (request.idx, c_ctr + 1, c_ver + 1, acl_root)
-                )
+                record_cert = self._issue(CertKind.CR, (request.idx, ctr + 1, c_ver + 1, acl_root))
                 version_cert = self._issue(CertKind.VR, (request.idx, c_ver + 1, request.value))
                 self._state.root = new_root
                 return UpdateResult(record_cert, version_cert, ack)
 
             if request.kind == RequestKind.ACL and access >= 3:
                 # ACL updates bump the counter but leave the version count alone.
-                record_cert = self._issue(CertKind.CR, (request.idx, c_ctr + 1, c_ver, request.value))
+                record_cert = self._issue(CertKind.CR, (request.idx, ctr + 1, c_ver, request.value))
                 self._state.root = new_root
                 return UpdateResult(record_cert, None, ack)
 
@@ -555,20 +571,10 @@ class TrustedModule:
             if ctr == 0:
                 return self._denial(idx, nonce, key)
 
-            if not self._cert_ok(record, CertKind.CR):
+            checked = self._access(record, acl_proof, idx, ctr, user_idx)
+            if checked is None:
                 return None
-            c_idx, c_ctr, c_ver, acl_root = record.values
-            if c_idx != idx or c_ctr != ctr:
-                return None
-            rv = self._select_rv(acl_proof, user_idx) if acl_proof is not None else None
-            if rv is None:
-                return None
-            _, access_digest, rv_root = rv
-            if rv_root != acl_root:
-                return None
-            access = counter_value(access_digest)
-            if access is None:
-                return None
+            c_ver, acl_root, access = checked
             if access == 0:
                 return self._denial(idx, nonce, key)
 
@@ -581,7 +587,7 @@ class TrustedModule:
                 idx=idx,
                 nonce=nonce,
                 tag=b"",
-                counter=c_ctr,
+                counter=ctr,
                 max_version=c_ver,
                 requested_version=requested_version,
                 acl_root=acl_root,
@@ -639,20 +645,9 @@ class TrustedModule:
                 return None
             if counter_value(val) != counter:
                 return None
-            if not self._cert_ok(record, CertKind.CR):
-                return None
-            c_idx, c_ctr, c_ver, acl_root = record.values
-            if c_idx != idx or c_ctr != counter or c_ver != version_count:
-                return None
-            rv2 = self._select_rv(acl_proof, user_idx)
-            if rv2 is None:
-                return None
-            _, access_digest, rv_root = rv2
-            if rv_root != acl_root:
-                return None
-            access = counter_value(access_digest)
-            if access is None or access < 1:
-                return None  # improper privileges
+            checked = self._access(record, acl_proof, idx, counter, user_idx)
+            if checked is None or checked[0] != version_count or checked[2] < 1:
+                return None  # inconsistent certificates or improper privileges
             secret = _xor(sealed, sha256(commitment + self._state.secret))
             if not macs_equal(commitment, secret_commitment(idx, secret)):
                 return None

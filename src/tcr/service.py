@@ -188,9 +188,9 @@ class Service:
         """The container's ACL tree, rebuilt in memory from one read of its leaves."""
         return Iomt.from_leaves(self.acl_height, self.storage.acl_leaves(container_idx))
 
-    def prepopulate(self, count: int, owner_idx: int, state, **kwargs) -> bytes:
+    def prepopulate(self, count: int, owner_idx: int, state) -> bytes:
         with self._lock:
-            return bulk_prepopulate(self.storage, self.height, count, owner_idx, state, **kwargs)
+            return bulk_prepopulate(self.storage, self.height, count, owner_idx, state)
 
     # -- proof assembly ---------------------------------------------------------
 

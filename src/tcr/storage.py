@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .iomt import Geometry, Leaf, counter_digest, encloses, leaf_digest, left_child, right_child
-from .merkle import Side, ZERO_DIGEST, encode_fields, hmac_sha256, parent, sha256
-from .module import CERT_SCHEMAS, CertKind, Certificate, ModuleState
+from .iomt import Geometry, Leaf, counter_digest, encloses, leaf_digest, node_levels
+from .merkle import ZERO_DIGEST, sha256
+from .module import CertKind, Certificate, ModuleState
 
 SCHEMA_VERSION = 1
 
@@ -462,18 +462,20 @@ def bulk_prepopulate(
     state: ModuleState,
     *,
     blobs: Optional[BlobSet] = None,
-    batch: int = 50_000,
 ) -> bytes:
     """Fill a fresh store with ``count`` containers and install the root.
 
-    Everything (container leaves and nodes; per container an owner-only ACL
-    leaf, a sealed record and one shared version) is computed in memory and
-    bulk-written.  Runs at provisioning time, before the module state is put
-    behind the module boundary, since sealing the records requires the
-    module secret.  Returns the new root.
+    Container ``i`` (1..count) takes slot ``i - 1`` of the circularly linked
+    container tree, with counter 2 (one creation plus one content update),
+    one shared version, a sealed record and an owner-only ACL leaf.  The
+    tree's non-zero nodes come from :func:`~tcr.iomt.node_levels` and the
+    seals from :meth:`~tcr.module.ModuleState.seal`; this function only
+    streams the rows into sqlite, one ``executemany`` per table, so time
+    and memory follow ``count`` rather than 2^height.  Runs at provisioning
+    time, before the module state is put behind the module boundary, since
+    sealing needs the module secret.  Returns the new root.
     """
-    geo = Geometry(height)
-    if count < 0 or count > geo.leaf_count:
+    if count < 0 or count > Geometry(height).leaf_count:
         raise StorageError(f"cannot place {count} containers in 2^{height} slots")
     if not storage.is_empty():
         raise StoreNotEmptyError("bulk prepopulation requires a fresh store")
@@ -485,73 +487,65 @@ def bulk_prepopulate(
     blobs = blobs if blobs is not None else BlobSet(MOCK_IMAGE, MOCK_BUILD, MOCK_COMPOSE)
     image_hash, build_hash, compose_hash = blobs.hashes()
     content_digest = sha256(image_hash + build_hash + compose_hash + ZERO_DIGEST)
-
-    acl_root = leaf_digest(Leaf(owner_idx, owner_idx, counter_digest(3)))  # one-leaf tree
-
-    counter = 2  # one creation plus one content update
-    version = 1
+    owner = Leaf(owner_idx, owner_idx, counter_digest(3))
+    acl_root = leaf_digest(owner)  # one-leaf tree
+    counter, version = 2, 1
     ctr_val = counter_digest(counter)
+    indices = range(1, count + 1)
 
-    # Container leaves: indices 1..count in slots 0..count-1, circularly linked.
-    node_values = [ZERO_DIGEST] * geo.node_count
-    leaf_rows = []
-    for slot in range(count):
-        idx = slot + 1
-        next_idx = idx + 1 if slot + 1 < count else 1
-        leaf = Leaf(idx, next_idx, ctr_val)
-        node_values[geo.leaf_node(slot)] = leaf_digest(leaf)
-        leaf_rows.append((slot, _key(idx), _key(next_idx), ctr_val))
-    for pos in range(geo.leaf_count - 2, -1, -1):
-        node_values[pos] = parent(
-            node_values[left_child(pos)], node_values[right_child(pos)], Side.LEFT
-        )
-    root = node_values[0]
+    def container_leaves() -> Iterator[tuple[int, Leaf]]:
+        for idx in indices:
+            yield idx - 1, Leaf(idx, idx + 1 if idx < count else 1, ctr_val)
 
-    secret = state.secret
-    cr_schema = ("u8",) + CERT_SCHEMAS[CertKind.CR]
-    vr_schema = ("u8",) + CERT_SCHEMAS[CertKind.VR]
+    # Top level first and each level sorted: node rows go in by ascending
+    # position, which keeps the B-tree as compact as a sequential build.
+    levels = list(node_levels(height, container_leaves()))
+    root = levels[-1].get(0, ZERO_DIGEST)
 
-    def record_rows():
-        for slot in range(count):
-            idx = slot + 1
-            body = encode_fields(cr_schema, (int(CertKind.CR), idx, counter, version, acl_root))
-            yield (_key(idx), counter, version, acl_root, hmac_sha256(body, secret))
+    for content in (blobs.image, blobs.build, blobs.compose):
+        storage._write_blob(content)
 
-    def version_rows():
-        for slot in range(count):
-            idx = slot + 1
-            body = encode_fields(vr_schema, (int(CertKind.VR), idx, version, content_digest))
-            yield (_key(idx), version, ZERO_DIGEST, ZERO_DIGEST, content_digest, hmac_sha256(body, secret))
-
-    def blob_rows():
-        for slot in range(count):
-            yield (_key(slot + 1), version, image_hash, build_hash, compose_hash)
-
-    def node_rows():
-        for pos, value in enumerate(node_values):
-            if value != ZERO_DIGEST:
-                yield (pos, value)
-
-    def acl_leaf_rows():
-        owner_key = _key(owner_idx)
-        for slot in range(count):
-            yield (_key(slot + 1), 0, owner_key, owner_key, counter_digest(3))
-
-    storage._write_blob(blobs.image)
-    storage._write_blob(blobs.build)
-    storage._write_blob(blobs.compose)
-
+    owner_key = _key(owner_idx)
     conn = storage._conn
     conn.execute("PRAGMA journal_mode=OFF")
     conn.execute("PRAGMA synchronous=OFF")
     try:
         conn.execute("BEGIN")
-        _batched(conn, "INSERT INTO leaves VALUES(?,?,?,?)", leaf_rows, batch)
-        _batched(conn, "INSERT INTO acl_leaves VALUES(?,?,?,?,?)", acl_leaf_rows(), batch)
-        _batched(conn, "INSERT INTO nodes VALUES(?,?)", node_rows(), batch)
-        _batched(conn, "INSERT INTO containers VALUES(?,?,?,?,?)", record_rows(), batch)
-        _batched(conn, "INSERT INTO versions VALUES(?,?,?,?,?,?)", version_rows(), batch)
-        _batched(conn, "INSERT INTO blob_sets VALUES(?,?,?,?,?)", blob_rows(), batch)
+        conn.executemany(
+            "INSERT INTO leaves VALUES(?,?,?,?)",
+            (
+                (slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val)
+                for slot, leaf in container_leaves()
+            ),
+        )
+        conn.executemany(
+            "INSERT INTO acl_leaves VALUES(?,?,?,?,?)",
+            ((_key(idx), 0, owner_key, owner_key, owner.val) for idx in indices),
+        )
+        conn.executemany(
+            "INSERT INTO nodes VALUES(?,?)",
+            ((pos, level[pos]) for level in reversed(levels) for pos in sorted(level)),
+        )
+        conn.executemany(
+            "INSERT INTO containers VALUES(?,?,?,?,?)",
+            (
+                (_key(idx), counter, version, acl_root,
+                 state.seal(CertKind.CR, (idx, counter, version, acl_root)))
+                for idx in indices
+            ),
+        )
+        conn.executemany(
+            "INSERT INTO versions VALUES(?,?,?,?,?,?)",
+            (
+                (_key(idx), version, ZERO_DIGEST, ZERO_DIGEST, content_digest,
+                 state.seal(CertKind.VR, (idx, version, content_digest)))
+                for idx in indices
+            ),
+        )
+        conn.executemany(
+            "INSERT INTO blob_sets VALUES(?,?,?,?,?)",
+            ((_key(idx), version, image_hash, build_hash, compose_hash) for idx in indices),
+        )
         conn.execute("COMMIT")
     except BaseException:
         conn.execute("ROLLBACK")
@@ -563,14 +557,3 @@ def bulk_prepopulate(
 
     state.root = root
     return root
-
-
-def _batched(conn: sqlite3.Connection, sql: str, rows, batch: int) -> None:
-    chunk: list = []
-    for row in rows:
-        chunk.append(row)
-        if len(chunk) >= batch:
-            conn.executemany(sql, chunk)
-            chunk.clear()
-    if chunk:
-        conn.executemany(sql, chunk)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import secrets
+from typing import Mapping, Optional, Sequence
 
 import pytest
 
 from tcr.client import UserCredential
-from tcr.iomt import Iomt, IomtError, Leaf
+from tcr.iomt import Geometry, Iomt, IomtError, Leaf, leaf_digest, left_child, right_child
+from tcr.merkle import Side, ZERO_DIGEST, parent
 from tcr.module import ModuleState, TrustedModule
 from tcr.service import Service
 from tcr.storage import Storage
@@ -17,7 +19,7 @@ def remove_placeholder(tree: Iomt, idx: int) -> bytes:
     if found is None:
         raise IomtError(f"index {idx} not present")
     slot, leaf = found
-    if not leaf.is_placeholder:
+    if leaf.val != ZERO_DIGEST:
         raise IomtError(f"index {idx} is not a placeholder")
     if leaf.idx == leaf.next_idx:
         tree.set_leaf(slot, None)
@@ -28,6 +30,26 @@ def remove_placeholder(tree: Iomt, idx: int) -> bytes:
             tree.set_leaf(slot, None)
             return tree.root
     raise IomtError(f"no predecessor links to {idx}: circular linkage broken")
+
+
+def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: int) -> bytes:
+    """Root by full bottom-up recomputation, with no incremental shortcuts.
+
+    Test oracle: independent of the path-update code in :class:`Iomt`.
+    """
+    geo = Geometry(height)
+    if isinstance(leaves, Mapping):
+        slots = dict(leaves)
+    else:
+        if len(leaves) > geo.leaf_count:
+            raise IomtError("more leaves than slots")
+        slots = {i: leaf for i, leaf in enumerate(leaves) if leaf is not None}
+    nodes = [ZERO_DIGEST] * geo.node_count
+    for slot, leaf in slots.items():
+        nodes[geo.leaf_node(slot)] = leaf_digest(leaf)
+    for pos in range(geo.leaf_count - 2, -1, -1):
+        nodes[pos] = parent(nodes[left_child(pos)], nodes[right_child(pos)], Side.LEFT)
+    return nodes[0]
 
 
 def acl_hints(service: Service, idx: int) -> dict:

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from conftest import acl_hints, remove_placeholder
+from conftest import acl_hints, oracle_root, remove_placeholder
 from tcr.bench import BenchConfig, run_bench
 from tcr.client import (
     RepositoryClient,
@@ -26,7 +26,7 @@ from tcr.client import (
     content_digest_of,
     predicted_acl_root,
 )
-from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest, oracle_root
+from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256
 from tcr.module import Certificate, ModuleState, RequestKind, RvPair, TrustedModule
 from tcr.server import RepositoryServer
@@ -79,7 +79,7 @@ def test_criterion_1_oracle_equivalence():
             for _ in range(rng.randrange(1, 33)):
                 leaves = dict(tree.leaves())
                 present = {leaf.idx for leaf in leaves.values()}
-                placeholders = [l.idx for l in leaves.values() if l.is_placeholder]
+                placeholders = [l.idx for l in leaves.values() if l.val == ZERO_DIGEST]
                 moves = ["set"]
                 if len(leaves) < tree.geometry.leaf_count:
                     moves.append("insert")
@@ -109,7 +109,7 @@ def test_criterion_2_non_existence_completeness():
     module = TrustedModule(ModuleState.fresh({1: secrets.token_bytes(32)}))
 
     def verification_proof(tree, slot):
-        leaf = tree.leaf(slot)
+        leaf = tree.store.get_leaf(slot)
         path = tree.complement_path(slot)
         digest = leaf_digest(leaf)
         return module.certify_node_update(digest, digest, [p[0] for p in path], [p[1] for p in path])
@@ -127,7 +127,9 @@ def test_criterion_2_non_existence_completeness():
             if candidate in present:
                 for slot in slots:
                     proof = module.certify_record(
-                        verification_proof(tree, slot), tree.leaf(slot), absent_idx=candidate
+                        verification_proof(tree, slot),
+                        tree.store.get_leaf(slot),
+                        absent_idx=candidate,
                     )
                     assert not isinstance(proof, RvPair), (candidate, slot)
             else:

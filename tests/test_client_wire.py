@@ -3,9 +3,11 @@ from __future__ import annotations
 import io
 import secrets
 import socket
+import socketserver
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -23,12 +25,20 @@ from tcr.client import (
     wrap_secret,
     xor_keystream,
 )
-from tcr.merkle import hmac_sha256, sha256, u64
+from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256, u64
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule, VerifyResponse
 from tcr.server import RepositoryServer
 from tcr.service import Service
 from tcr.storage import Storage
-from tcr.wire import WireError, read_message, response_from_json, response_to_json
+from tcr.wire import (
+    STATUS_DENIED,
+    STATUS_ERROR,
+    STATUS_OK,
+    WireError,
+    read_message,
+    response_from_json,
+    response_to_json,
+)
 
 IMAGE, BUILD, COMPOSE = b"image" * 500, b"FROM scratch\n", b"services: {}\n"
 
@@ -422,6 +432,121 @@ class TestConnectionModel:
         assert not stopping.is_alive() and not serving.is_alive()
         assert returned == [None]  # shutdown() returned rather than raised
         server.server_close()
+
+
+STUB_KEY = bytes(range(32))
+
+
+@pytest.fixture
+def stub():
+    """A loopback stand-in for a faulty service: ``replies[op](payload)`` gives
+    the ``(status, payload)`` each request is answered with."""
+    replies = {}
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            message = read_message(self.rfile)
+            status, payload = replies[message["op"]](message["payload"])
+            wire.write_message(
+                self.wfile,
+                {"request_id": message["request_id"], "status": status, "payload": payload},
+            )
+
+    server = socketserver.TCPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[1], replies
+    server.shutdown()
+    server.server_close()
+
+
+def answer(status, payload):
+    return lambda request: (status, payload)
+
+
+def fetch_answer(**fields):
+    """A FETCH reply whose module answer verifies under ``STUB_KEY``, plus ``fields``."""
+
+    def reply(request):
+        response = VerifyResponse(
+            idx=request["idx"], nonce=bytes.fromhex(request["nonce"]), tag=b"", counter=2,
+            max_version=1, requested_version=1, acl_root=ZERO_DIGEST, content_digest=ZERO_DIGEST,
+        )
+        tagged = replace(response, tag=hmac_sha256(response.tag_body(), STUB_KEY))
+        return STATUS_OK, {"response": response_to_json(tagged), **fields}
+
+    return reply
+
+
+COUNTER_HINT = answer(STATUS_ERROR, {"hints": {"counter": 1}})
+
+MALFORMED_REPLIES = [
+    pytest.param("info", {"INFO": answer(STATUS_OK, {})}, id="info-without-response"),
+    pytest.param("info", {"INFO": answer(STATUS_OK, ["a", "list"])}, id="info-payload-not-object"),
+    pytest.param(
+        "info", {"INFO": answer(STATUS_OK, {"response": {"kind": "full"}})}, id="info-cut-response"
+    ),
+    pytest.param(
+        "info",
+        {"INFO": answer(STATUS_DENIED, {"response": {"kind": "denial", "idx": 5, "nonce": "00",
+                                                     "tag": "00"}})},
+        id="info-short-nonce",
+    ),
+    pytest.param("fetch", {"FETCH": answer(STATUS_OK, {})}, id="fetch-without-response"),
+    pytest.param(
+        "fetch",
+        {"FETCH": fetch_answer(image="zz", build="", compose="", secret_commitment="00" * 32)},
+        id="fetch-bad-image-hex",
+    ),
+    pytest.param(
+        "fetch", {"FETCH": fetch_answer(image="", build="", compose="")},
+        id="fetch-without-commitment",
+    ),
+    pytest.param("modify", {"INFO": answer(STATUS_OK, {})}, id="modify-info-without-response"),
+    pytest.param(
+        "modify", {"INFO": answer(STATUS_ERROR, {"hints": {"counter": "x"}})},
+        id="modify-bad-counter-hint",
+    ),
+    pytest.param(
+        "modify", {"INFO": COUNTER_HINT, "MODIFY": answer(STATUS_OK, {"ack": "zz"})},
+        id="modify-bad-ack-hex",
+    ),
+    pytest.param("acl_set", {"INFO": answer(STATUS_OK, {})}, id="acl-set-info-without-response"),
+    pytest.param("acl_set", {"INFO": COUNTER_HINT}, id="acl-set-hints-without-acl"),
+    pytest.param(
+        "acl_set",
+        {"INFO": answer(STATUS_ERROR, {"hints": {"counter": 1, "acl_height": 8, "acl": [[0, 1]]}})},
+        id="acl-set-short-acl-row",
+    ),
+]
+
+COMMANDS = {
+    "info": lambda client: client.info(5),
+    "fetch": lambda client: client.fetch(5),
+    "modify": lambda client: client.modify(5, IMAGE, BUILD, COMPOSE),
+    "acl_set": lambda client: client.acl_set(5, 2, 1),
+}
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize("command, replies", MALFORMED_REPLIES)
+    def test_is_a_protocol_failure(self, stub, command, replies):
+        port, table = stub
+        table.update(replies)
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+        with pytest.raises(ProtocolFailure, match="malformed|not an object"):
+            COMMANDS[command](client)
+
+    def test_cli_exits_with_protocol_error(self, stub, tmp_path, capsys):
+        from tcr.cli import EXIT_PROTOCOL, main
+
+        port, table = stub
+        table["INFO"] = answer(STATUS_OK, {})
+        key_file = tmp_path / "stub.key"
+        key_file.write_text(STUB_KEY.hex())
+        argv = ["--server", f"127.0.0.1:{port}", "--user", "1", "--key-file", str(key_file)]
+        assert main(argv + ["info", "--index", "5"]) == EXIT_PROTOCOL == 4
+        assert "malformed INFO reply" in capsys.readouterr().err
 
 
 class TestCli:

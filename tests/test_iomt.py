@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import remove_placeholder
+from conftest import oracle_root, remove_placeholder
 from tcr.iomt import (
     Geometry,
     IndexPresentError,
@@ -20,7 +20,6 @@ from tcr.iomt import (
     counter_value,
     encloses,
     leaf_digest,
-    oracle_root,
 )
 from tcr.merkle import Side, ZERO_DIGEST, compute_root
 
@@ -173,7 +172,7 @@ class TestComplementPath:
 class TestSetLeaf:
     def test_round_trip(self):
         tree = four_leaf_tree()
-        assert tree.leaf(2) == Leaf(4, 7, W[4])
+        assert tree.store.get_leaf(2) == Leaf(4, 7, W[4])
 
     def test_slot_order_irrelevant_for_fixed_assignment(self):
         assignment = dict(enumerate(FOUR_LEAVES))

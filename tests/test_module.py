@@ -6,7 +6,8 @@ import secrets
 
 import pytest
 
-from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest, oracle_root
+from conftest import oracle_root
+from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256, u64
 from tcr.module import (
     CertKind,
@@ -30,7 +31,7 @@ def fresh_module() -> TrustedModule:
 
 
 def verification_proof(module: TrustedModule, tree: Iomt, slot: int) -> Certificate:
-    leaf = tree.leaf(slot)
+    leaf = tree.store.get_leaf(slot)
     path = tree.complement_path(slot)
     digest = leaf_digest(leaf)
     return module.certify_node_update(digest, digest, [p[0] for p in path], [p[1] for p in path])
@@ -39,7 +40,7 @@ def verification_proof(module: TrustedModule, tree: Iomt, slot: int) -> Certific
 def update_proof(module: TrustedModule, tree: Iomt, slot: int, new_leaf) -> Certificate:
     path = tree.complement_path(slot)
     return module.certify_node_update(
-        leaf_digest(tree.leaf(slot)),
+        leaf_digest(tree.store.get_leaf(slot)),
         leaf_digest(new_leaf),
         [p[0] for p in path],
         [p[1] for p in path],
@@ -137,7 +138,9 @@ class TestRecordVerify:
              Leaf(4, 7, counter_digest(3)), Leaf(7, 1, counter_digest(4))]
         ):
             tree.set_leaf(slot, leaf)
-        proof = module.certify_record(verification_proof(module, tree, 2), tree.leaf(2), absent_idx=5)
+        proof = module.certify_record(
+            verification_proof(module, tree, 2), tree.store.get_leaf(2), absent_idx=5
+        )
         assert isinstance(proof, RvPair)
         assert proof.absent.values == (5, ZERO_DIGEST, tree.root)
         assert module.certificate_valid(proof)
@@ -332,7 +335,7 @@ def create_container(module: TrustedModule, tree: Iomt, user: int, idx: int, acl
     """Full creation flow against an in-memory container tree."""
     plan, eq = build_equivalence(module, tree, idx)
     assert module.toggle_placeholder(eq) is not None
-    placeholder = tree.leaf(plan.placeholder_slot)
+    placeholder = tree.store.get_leaf(plan.placeholder_slot)
     created = Leaf(idx, placeholder.next_idx, counter_digest(1))
     nu = update_proof(module, tree, plan.placeholder_slot, created)
     ru = module.certify_record_update(nu, placeholder, counter_digest(1))

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import remove_placeholder
+import tcr.iomt
+import tcr.storage
+from conftest import oracle_root, remove_placeholder
 from tcr.iomt import (
     Geometry,
     Iomt,
@@ -17,9 +19,8 @@ from tcr.iomt import (
     counter_digest,
     encloses,
     leaf_digest,
-    oracle_root,
 )
-from tcr.merkle import Side, ZERO_DIGEST, sha256
+from tcr.merkle import Side, ZERO_DIGEST, parent, sha256
 from tcr.module import ModuleState, TrustedModule
 from tcr.storage import (
     SCHEMA_VERSION,
@@ -336,17 +337,28 @@ class TestAclIsolation:
 
 class TestBulkPrepopulate:
     def test_counts_and_root(self, tmp_path, keys):
+        self.check_store(tmp_path, keys, (1 << 10) - 500)
+
+    @pytest.mark.parametrize("count", [1, 1 << 10])
+    def test_counts_and_root_at_the_limits(self, tmp_path, keys, count):
+        self.check_store(tmp_path, keys, count)
+
+    @staticmethod
+    def check_store(tmp_path, keys, count):
         storage = Storage(tmp_path / "p.db", tmp_path / "blobs")
         state = ModuleState.fresh(keys)
-        count = (1 << 10) - 500
         root = bulk_prepopulate(storage, 10, count, 1, state)
         tree = Iomt(10, storage.tree())
         leaves = dict(tree.leaves())
-        assert len(leaves) == count == 524
+        assert len(leaves) == count
         assert root == oracle_root(leaves, 10) == state.root == tree.root
-        # The node table holds the container tree's non-zero nodes and nothing else.
+        # The node table holds the container tree's non-zero nodes and nothing
+        # else: exactly what writing the leaves one slot at a time leaves behind.
+        written = Iomt(10)
+        for slot, leaf in leaves.items():
+            written.set_leaf(slot, leaf)
         stored = dict(storage._conn.execute("SELECT pos, digest FROM nodes").fetchall())
-        assert stored == Iomt.from_leaves(10, leaves.items()).store._nodes
+        assert stored == written.store._nodes
         # One owner-only ACL leaf row per container, under the record's ACL root.
         owner_acl = [(0, Leaf(1, 1, counter_digest(3)))]
         assert storage._conn.execute("SELECT COUNT(*) FROM acl_leaves").fetchone()[0] == count
@@ -359,6 +371,29 @@ class TestBulkPrepopulate:
         module = TrustedModule(state)
         assert module.certificate_valid(record.as_certificate())
         assert module.certificate_valid(storage.version_get(1, 1).as_certificate())
+        storage.close()
+
+    def test_cost_follows_the_population(self, tmp_path, keys, monkeypatch):
+        # 1,000 containers in a 2^22-slot tree: empty subtrees cost nothing,
+        # so at most one parent digest per container per level is computed.
+        height, count = 22, 1000
+        expected = Iomt(height)
+        for slot in range(count):
+            expected.set_leaf(slot, Leaf(slot + 1, slot + 2 if slot + 1 < count else 1,
+                                         counter_digest(2)))
+        computed = 0
+
+        def counted(*args):
+            nonlocal computed
+            computed += 1
+            return parent(*args)
+
+        for module in (tcr.iomt, tcr.storage):  # wherever the tree is built
+            if hasattr(module, "parent"):
+                monkeypatch.setattr(module, "parent", counted)
+        storage = Storage(tmp_path / "sparse.db", tmp_path / "blobs")
+        assert bulk_prepopulate(storage, height, count, 1, ModuleState.fresh(keys)) == expected.root
+        assert 0 < computed <= count * height
         storage.close()
 
     def test_zero_count(self, tmp_path, keys):
