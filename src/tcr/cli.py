@@ -71,6 +71,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not host or not port.isdigit():
         print(f"bad --server value {args.server!r}", file=sys.stderr)
         return EXIT_PROTOCOL
+    # Indices are u64 in every signed or queried field; refuse others before signing.
+    for name in ("user", "index", "target_user", "version"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 <= value < 1 << 64:
+            print(f"--{name.replace('_', '-')} {value} is not a u64", file=sys.stderr)
+            return EXIT_PROTOCOL
     credential = UserCredential.load(args.user, args.key_file)
     client = RepositoryClient(host, int(port), credential)
 

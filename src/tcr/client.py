@@ -8,17 +8,16 @@ says is believed on its own.
 
 from __future__ import annotations
 
-import hmac
-import json
+import hashlib
 import secrets
 import socket
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import IO, Iterator, Optional
 
-from .iomt import Iomt, Leaf, counter_digest, leaf_digest
+from .iomt import Iomt, Leaf, TreeFullError, counter_digest, leaf_digest
 from .merkle import (
     DIGEST_SIZE,
     ZERO_DIGEST,
@@ -107,20 +106,38 @@ def content_digest_of(
     return sha256(sha256(image) + sha256(build) + sha256(compose) + commitment)
 
 
+# RFC 2104's inner and outer key pads, applied to every key byte by ``translate``.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_SHA256_BLOCK = 64
+
+
 def xor_keystream(secret: bytes, data: bytes) -> bytes:
     """Keyed keystream cipher; applying it twice is the identity.
 
-    Block ``j`` is padded with HMAC(j, secret).  Integrity comes from the
-    content digest, not from the cipher.
+    Block ``j`` (32 bytes) is XORed with the pad HMAC-SHA256(secret, u64(j)),
+    the last pad cut to the data's length.  Integrity comes from the content
+    digest, not from the cipher.
+
+    The HMAC is RFC 2104 written out: ``H((K ^ opad) || H((K ^ ipad) || m))``
+    with ``K`` the secret zero-padded to SHA-256's 64-byte block.  The two
+    keyed prefixes are hashed once per call and each block copies those two
+    states, so a block costs two state copies and two digests instead of a
+    fresh ``hmac.HMAC`` object; the pads, and so every ciphertext, are the
+    same bytes as ``hmac_sha256(u64(j), secret)``.
     """
     if len(secret) != DIGEST_SIZE:
         raise ValueError("keystream secret must be 32 bytes")
-    keyed = hmac.new(secret, digestmod="sha256")
+    key = secret + bytes(_SHA256_BLOCK - DIGEST_SIZE)
+    inner = hashlib.sha256(key.translate(_IPAD))
+    outer = hashlib.sha256(key.translate(_OPAD))
     pads = bytearray()
     for block in range((len(data) + DIGEST_SIZE - 1) // DIGEST_SIZE):
-        mac = keyed.copy()
+        mac = inner.copy()
         mac.update(block.to_bytes(8, "big"))  # the u64 encoding of j
-        pads += mac.digest()
+        pad = outer.copy()
+        pad.update(mac.digest())
+        pads += pad.digest()
     stream = int.from_bytes(pads[: len(data)], "big")
     return (int.from_bytes(data, "big") ^ stream).to_bytes(len(data), "big")
 
@@ -209,11 +226,31 @@ class FetchOutcome:
     encrypted: bool
 
 
+class _RecordingFile:
+    """File proxy that appends every chunk written and every line read to a list."""
+
+    def __init__(self, fp: IO[bytes], transcript: list[bytes]) -> None:
+        self._fp, self._transcript = fp, transcript
+
+    def write(self, data: bytes) -> int:
+        self._transcript.append(data)
+        return self._fp.write(data)
+
+    def flush(self) -> None:
+        self._fp.flush()
+
+    def readline(self, *args) -> bytes:
+        line = self._fp.readline(*args)
+        self._transcript.append(line)
+        return line
+
+
 class RepositoryClient:
     """One-shot wire client; a fresh connection per command.
 
-    ``transcript`` collects every raw line sent or received, which lets
-    tests scan the actual wire bytes for anything that must never appear.
+    ``transcript`` collects the bytes of every line sent or received, newline
+    included, as they crossed the socket, which lets tests scan the actual
+    wire bytes for anything that must never appear.
     """
 
     def __init__(
@@ -240,15 +277,13 @@ class RepositoryClient:
             with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
                 fp = sock.makefile("rwb")
                 if self.transcript is not None:
-                    self.transcript.append(json.dumps(message).encode())
+                    fp = _RecordingFile(fp, self.transcript)
                 write_message(fp, message)
                 reply = read_message(fp)
         except (OSError, WireError) as exc:
             raise ProtocolFailure(f"transport failure: {exc}") from exc
         if reply is None:
             raise ProtocolFailure("connection closed before a reply arrived")
-        if self.transcript is not None:
-            self.transcript.append(json.dumps(reply).encode())
         if reply.get("request_id") != self._next_id:
             raise ProtocolFailure("reply does not match the request")
         body = reply.get("payload") or {}
@@ -345,7 +380,12 @@ class RepositoryClient:
         if hints is None:
             raise RequestRejected("no ACL view available; cannot form the request")
         with _decoding("INFO"):
-            new_root = predicted_acl_root(hints, target_user, level)
+            try:
+                new_root = predicted_acl_root(hints, target_user, level)
+            except TreeFullError as exc:
+                raise ProtocolFailure(
+                    f"cannot grant user {target_user}: the ACL of container {idx} is full"
+                ) from exc
         envelope = self.credential.sign_request(RequestKind.ACL, idx, counter, new_root)
         return self._mutate("ACL_SET", envelope, {"target_user": target_user, "level": level})
 

@@ -33,6 +33,7 @@ from .wire import (
     envelope_from_json,
     read_message,
     response_to_json,
+    u64_field,
     write_message,
 )
 
@@ -117,7 +118,7 @@ class RepositoryServer(socketserver.TCPServer):
             return STATUS_ERROR, body
         except StorageError as exc:
             return STATUS_ERROR, {"message": f"storage failure: {exc}"}
-        except (WireError, IomtError, KeyError, ValueError) as exc:
+        except (WireError, IomtError, KeyError, ValueError, TypeError) as exc:
             return STATUS_ERROR, {"message": f"malformed request: {exc}"}
 
     def _dispatch(self, op: str, payload: dict, peer: str) -> tuple[str, dict]:
@@ -157,8 +158,8 @@ class RepositoryServer(socketserver.TCPServer):
         if op == "ACL_SET":
             result = service.handle_acl_set(
                 envelope_from_json(payload),
-                int(payload["target_user"]),
-                int(payload["level"]),
+                u64_field(payload, "target_user"),
+                u64_field(payload, "level"),
             )
             if result is None:
                 return STATUS_REJECTED, {}
@@ -166,10 +167,10 @@ class RepositoryServer(socketserver.TCPServer):
 
         if op == "INFO":
             info = service.handle_info(
-                int(payload["idx"]),
-                int(payload["requested_version"]),
+                u64_field(payload, "idx"),
+                u64_field(payload, "requested_version"),
                 bytes.fromhex(payload["nonce"]),
-                int(payload["user"]),
+                u64_field(payload, "user"),
             )
             body = {"response": response_to_json(info.response)}
             if info.hints is not None:
@@ -179,9 +180,9 @@ class RepositoryServer(socketserver.TCPServer):
 
         if op == "FETCH":
             result = service.handle_fetch(
-                int(payload["idx"]),
-                int(payload["version"]),
-                int(payload["user"]),
+                u64_field(payload, "idx"),
+                u64_field(payload, "version"),
+                u64_field(payload, "user"),
                 nonce=bytes.fromhex(payload["nonce"]),
             )
             # A denial is answered exactly as INFO answers it.
@@ -204,7 +205,7 @@ class RepositoryServer(socketserver.TCPServer):
             if self.module_state is None:
                 return STATUS_ERROR, {"message": "server holds no provisionable module state"}
             root = service.prepopulate(
-                int(payload["count"]), int(payload["owner"]), self.module_state
+                u64_field(payload, "count"), u64_field(payload, "owner"), self.module_state
             )
             if self.state_path is not None:
                 save_state(self.module_state, self.state_path)

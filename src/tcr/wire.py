@@ -26,6 +26,21 @@ class WireError(Exception):
     pass
 
 
+def u64_field(obj: dict, name: str) -> int:
+    """``obj[name]`` read with ``int()``; a value outside [0, 2^64) is a :class:`WireError`.
+
+    Every index, counter and version is an unsigned 64-bit integer in the
+    canonical encoding, so anything else is refused where it enters.
+    """
+    try:
+        value = int(obj[name])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise WireError(f"bad field {name!r}: {exc!r}") from exc
+    if not 0 <= value < 1 << 64:
+        raise WireError(f"field {name!r} is not a u64: {value}")
+    return value
+
+
 def write_message(fp: IO[bytes], obj: dict) -> None:
     fp.write(json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n")
     fp.flush()
@@ -61,10 +76,10 @@ def envelope_from_json(obj: dict) -> RequestEnvelope:
     try:
         return RequestEnvelope(
             kind=int(obj["kind"]),
-            idx=int(obj["idx"]),
-            counter=int(obj["counter"]),
+            idx=u64_field(obj, "idx"),
+            counter=u64_field(obj, "counter"),
             value=bytes.fromhex(obj["value"]),
-            user_idx=int(obj["user"]),
+            user_idx=u64_field(obj, "user"),
             sig=bytes.fromhex(obj["sig"]),
         )
     except (KeyError, ValueError, TypeError) as exc:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 import secrets
 import socket
 import socketserver
@@ -25,6 +26,7 @@ from tcr.client import (
     wrap_secret,
     xor_keystream,
 )
+from tcr.iomt import Iomt, counter_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256, u64
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule, VerifyResponse
 from tcr.server import RepositoryServer
@@ -301,6 +303,32 @@ class TestWireFlows:
         status, body = alice._request("NO_SUCH_OP", {})
         assert status == "error" and "unknown" in body["message"]
 
+    @pytest.mark.parametrize("op, value", [
+        ("INFO", -1), ("INFO", 1 << 64), ("FETCH", -1), ("FETCH", 1 << 64),
+    ])
+    def test_out_of_range_index_answered_and_connection_kept(self, env, op, value):
+        server, keys = env
+        base = {"requested_version": 0, "version": 0, "nonce": "00" * 32, "user": 2}
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            fp = sock.makefile("rwb")
+            wire.write_message(fp, {"op": op, "request_id": 1, "payload": {**base, "idx": value}})
+            reply = read_message(fp)
+            assert reply["status"] == STATUS_ERROR
+            assert reply["payload"]["message"].startswith("malformed request")
+            wire.write_message(fp, {"op": op, "request_id": 2, "payload": {**base, "idx": 3}})
+            reply = read_message(fp)
+        assert reply["request_id"] == 2 and reply["status"] == STATUS_DENIED
+
+    def test_mistyped_fields_are_malformed_requests(self, env):
+        server, _ = env
+        for op, payload in (
+            ("INFO", {"idx": 1, "requested_version": 0, "nonce": 5, "user": 1}),
+            ("MODIFY", {"image": 5}),
+            ("MODIFY", ["a", "list"]),
+        ):
+            status, body = server.dispatch(op, payload, "127.0.0.1")
+            assert status == STATUS_ERROR and body["message"].startswith("malformed request")
+
 
 class TestMessageBound:
     def test_read_message_stops_at_the_bound(self, monkeypatch):
@@ -440,22 +468,27 @@ STUB_KEY = bytes(range(32))
 @pytest.fixture
 def stub():
     """A loopback stand-in for a faulty service: ``replies[op](payload)`` gives
-    the ``(status, payload)`` each request is answered with."""
-    replies = {}
+    the ``(status, payload)`` each request is answered with, and ``lines``
+    collects every line received and sent, newline included."""
+    replies, lines = {}, []
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
-            message = read_message(self.rfile)
+            line = self.rfile.readline()
+            lines.append(line)
+            message = json.loads(line)
             status, payload = replies[message["op"]](message["payload"])
+            out = io.BytesIO()
             wire.write_message(
-                self.wfile,
-                {"request_id": message["request_id"], "status": status, "payload": payload},
+                out, {"request_id": message["request_id"], "status": status, "payload": payload}
             )
+            lines.append(out.getvalue())
+            self.wfile.write(out.getvalue())
 
     server = socketserver.TCPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield server.server_address[1], replies
+    yield server.server_address[1], replies, lines
     server.shutdown()
     server.server_close()
 
@@ -531,7 +564,7 @@ COMMANDS = {
 class TestMalformedReplies:
     @pytest.mark.parametrize("command, replies", MALFORMED_REPLIES)
     def test_is_a_protocol_failure(self, stub, command, replies):
-        port, table = stub
+        port, table, _ = stub
         table.update(replies)
         client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
         with pytest.raises(ProtocolFailure, match="malformed|not an object"):
@@ -540,13 +573,37 @@ class TestMalformedReplies:
     def test_cli_exits_with_protocol_error(self, stub, tmp_path, capsys):
         from tcr.cli import EXIT_PROTOCOL, main
 
-        port, table = stub
+        port, table, _ = stub
         table["INFO"] = answer(STATUS_OK, {})
         key_file = tmp_path / "stub.key"
         key_file.write_text(STUB_KEY.hex())
         argv = ["--server", f"127.0.0.1:{port}", "--user", "1", "--key-file", str(key_file)]
         assert main(argv + ["info", "--index", "5"]) == EXIT_PROTOCOL == 4
         assert "malformed INFO reply" in capsys.readouterr().err
+
+    def test_granting_into_a_full_acl_is_refused(self, stub):
+        port, table, lines = stub
+        acl = Iomt(8)
+        for user in range(1, 257):
+            acl.upsert(user, counter_digest(1))
+        rows = [[slot, leaf.idx, leaf.next_idx, leaf.val.hex()] for slot, leaf in acl.leaves()]
+        table["INFO"] = answer(STATUS_ERROR, {"hints": {"counter": 1, "acl_height": 8, "acl": rows}})
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+        with pytest.raises(ProtocolFailure, match="ACL of container 5 is full"):
+            client.acl_set(5, 1000, 1)
+        assert [json.loads(line).get("op") for line in lines[::2]] == ["INFO"]  # no ACL_SET sent
+
+    def test_transcript_holds_the_bytes_on_the_wire(self, stub):
+        port, table, lines = stub
+        table["INFO"] = COUNTER_HINT
+        table["MODIFY"] = answer(STATUS_OK, {"ack": "00" * 32})
+        transcript: list[bytes] = []
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY),
+                                  transcript=transcript)
+        with pytest.raises(RequestRejected, match="does not verify"):
+            client.modify(5, IMAGE, BUILD, COMPOSE, encrypt=True)
+        assert len(lines) == 4  # INFO and MODIFY, each with its reply
+        assert transcript == lines
 
 
 class TestCli:
@@ -604,3 +661,22 @@ class TestCli:
         # Unreachable server: protocol error.
         dead = ["--server", "127.0.0.1:1", "--user", "1", "--key-file", str(key_file)]
         assert main(dead + ["info", "--index", "21"]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["--user", "1", "create", "--index", "-1"],
+        ["--user", "1", "create", "--index", str(1 << 64)],
+        ["--user", "1", "acl-set", "--index", "5", "--target-user", "-1", "--level", "1"],
+        ["--user", "-1", "info", "--index", "5"],
+    ])
+    def test_out_of_range_indices_refused_before_connecting(self, argv, tmp_path, capsys,
+                                                           monkeypatch):
+        from tcr.cli import EXIT_PROTOCOL, main
+
+        def no_connection(*args, **kwargs):
+            raise AssertionError("connected")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        key_file = tmp_path / "user.key"
+        key_file.write_text(STUB_KEY.hex())
+        assert main(["--server", "127.0.0.1:1", "--key-file", str(key_file)] + argv) == EXIT_PROTOCOL
+        assert "is not a u64" in capsys.readouterr().err
