@@ -12,6 +12,7 @@ single field.  Rejections return ``None`` and leave the state bit-identical.
 
 from __future__ import annotations
 
+import os
 import secrets
 import threading
 from dataclasses import dataclass, replace
@@ -87,10 +88,6 @@ class RvPair:
     existing: Certificate
     absent: Certificate
 
-    @property
-    def mac(self) -> bytes:
-        return self.existing.mac
-
 
 Proof = Union[Certificate, RvPair]
 
@@ -158,16 +155,8 @@ class VerifyResponse:
             return encode_fields(("u8", "u64", "d32"), (_TAG_DENIAL, self.idx, self.nonce))
         return encode_fields(
             ("u8", "u64", "u64", "u64", "u64", "d32", "d32", "d32"),
-            (
-                _TAG_FULL,
-                self.idx,
-                self.counter,
-                self.max_version,
-                self.requested_version,
-                self.acl_root,
-                self.content_digest,
-                self.nonce,
-            ),
+            (_TAG_FULL, self.idx, self.counter, self.max_version, self.requested_version,
+             self.acl_root, self.content_digest, self.nonce),
         )
 
 
@@ -200,6 +189,7 @@ class ModuleState:
 
 
 def save_state(state: ModuleState, path: Path | str) -> None:
+    """Replace the state file atomically: a torn file would load as an erased module."""
     body = bytearray()
     body += _STATE_MAGIC
     body.append(_STATE_VERSION)
@@ -209,7 +199,20 @@ def save_state(state: ModuleState, path: Path | str) -> None:
     for idx in sorted(state.user_keys):
         body += u64(idx) + state.user_keys[idx]
     body += hmac_sha256(bytes(body), state.secret)
-    Path(path).write_bytes(bytes(body))
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with open(partial, "wb") as fp:
+            fp.write(body)
+            os.fsync(fp.fileno())
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)  # makes the rename itself durable
+    finally:
+        os.close(directory)
 
 
 def load_state(path: Path | str) -> ModuleState:
@@ -262,10 +265,6 @@ class TrustedModule:
     def root(self) -> bytes:
         """Current repository root; public, but only mutable in here."""
         return self._state.root
-
-    def save(self, path: Path | str) -> None:
-        with self._lock:
-            save_state(self._state, path)
 
     # -- certificate plumbing -------------------------------------------------
 

@@ -6,18 +6,21 @@ write returned, and asks the module to accept the request.  Any refusal
 raises, so the transaction rolls back and the store never holds state it
 cannot re-prove.
 
-A container's ACL tree is rebuilt in memory from its leaf rows, at most
-once per request; its proofs, the hints and an ACL edit all use that copy,
-and an accepted edit writes the leaves back.
-
-Certificates are cached per root epoch; an entry minted under an older root
-is never served again, it is simply rebuilt.
+Evidence is keyed by the root it proves.  A container proof is cached under
+the module root it was minted under, so every root move retires it.  A
+container's ACL tree is rebuilt in memory from its leaf rows and cached as a
+read-only view under the ACL root its sealed record names; ACL proofs are
+cached under the ACL root they prove, which container-tree writes leave
+alone, so containers sharing an ACL share its view and proofs.  An ACL edit
+rebuilds its own tree from the rows and writes the leaves back; its new root
+is simply a new key.  The cache holds at most ``CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -35,6 +38,9 @@ from .module import (
 from .storage import BlobSet, ContainerRecord, Storage, VersionRecord, bulk_prepopulate
 
 DEFAULT_ACL_HEIGHT = 8
+# Room for every ACL root in use and its callers' proofs; proofs for absent
+# indices and retired container roots age out instead of piling up.
+CACHE_ENTRIES = 1024
 
 
 class ProtocolError(Exception):
@@ -81,26 +87,27 @@ def _step(clock: Optional[StepClock], label: str):
 
 
 class CertCache:
-    """Epoch-tagged certificate cache.
+    """Bounded cache of evidence, each entry tagged with the root it proves.
 
-    Entries are only served while the module root still equals the root they
-    were minted under; the whole cache is dropped when the epoch moves.
+    An entry is served only to a lookup naming that same root as ``epoch``.
+    Past ``CACHE_ENTRIES`` the least recently used entry is dropped, so
+    entries for retired roots age out and no stream of distinct queries can
+    grow it further.
     """
 
     def __init__(self) -> None:
-        self._epoch: bytes = ZERO_DIGEST
-        self._entries: dict[tuple, Proof] = {}
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
 
-    def get(self, key: tuple, epoch: bytes) -> Optional[Proof]:
-        if epoch != self._epoch:
-            return None
-        return self._entries.get(key)
+    def get(self, key: tuple, epoch: bytes) -> Optional[object]:
+        entry = self._entries.get((epoch, key))
+        if entry is not None:
+            self._entries.move_to_end((epoch, key))
+        return entry
 
-    def put(self, key: tuple, epoch: bytes, proof: Proof) -> None:
-        if epoch != self._epoch:
-            self._entries.clear()
-            self._epoch = epoch
-        self._entries[key] = proof
+    def put(self, key: tuple, epoch: bytes, entry: object) -> None:
+        self._entries[(epoch, key)] = entry
+        if len(self._entries) > CACHE_ENTRIES:
+            self._entries.popitem(last=False)
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,7 @@ class _Answer:
     version_row: Optional[VersionRecord]
     container_proof: Proof
     acl_proof: Optional[Proof]
-    acl: Optional[Iomt]  # the container's ACL tree, loaded when the record exists
+    acl: Optional[Iomt]  # the container's ACL view, loaded when the record exists
 
 
 class Service:
@@ -188,6 +195,19 @@ class Service:
         """The container's ACL tree, rebuilt in memory from one read of its leaves."""
         return Iomt.from_leaves(self.acl_height, self.storage.acl_leaves(container_idx))
 
+    def _acl_view(self, record: ContainerRecord) -> Iomt:
+        """The ACL tree ``record`` names, shared by every container on its root.
+
+        A view is read-only.  Rows that rebuild to another root are served
+        uncached, so the module refuses their proofs as it does any bad proof.
+        """
+        view = self._cache.get(("acl_view",), record.acl_root)
+        if view is None:
+            view = self.acl_tree(record.idx)
+            if view.root == record.acl_root:
+                self._cache.put(("acl_view",), record.acl_root, view)
+        return view
+
     def prepopulate(self, count: int, owner_idx: int, state) -> bytes:
         with self._lock:
             return bulk_prepopulate(self.storage, self.height, count, owner_idx, state)
@@ -213,9 +233,13 @@ class Service:
         node_proof = self._node_update(tree.set_leaf(slot, bumped, path), leaf, bumped)
         return self.module.certify_record_update(node_proof, leaf, new_val)
 
-    def _record_proof(self, tree: Iomt, idx: int, cache_key: tuple) -> Optional[Proof]:
-        """RV for a present index, or an enclosure pair proving its absence."""
-        epoch = self.module.root
+    def _record_proof(
+        self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes
+    ) -> Optional[Proof]:
+        """RV for a present index, or an enclosure pair proving its absence.
+
+        ``epoch`` is the tree's root, the root the proof is cached under.
+        """
         hit = self._cache.get(cache_key, epoch)
         if hit is not None:
             return hit
@@ -231,15 +255,19 @@ class Service:
         return proof
 
     def _container_proof(self, idx: int) -> Optional[Proof]:
-        return self._record_proof(self.container_tree(), idx, ("container", idx))
+        return self._record_proof(self.container_tree(), idx, ("container", idx), self.module.root)
 
     def _acl_proof(
         self, container_idx: int, user_idx: int, acl: Optional[Iomt] = None
     ) -> Optional[Proof]:
-        """RV or enclosure pair for ``user_idx`` in the ACL, loaded unless given."""
+        """RV or enclosure pair for ``user_idx`` in the ACL, loaded unless given.
+
+        Cached under the root of the tree it was minted from, which is the
+        root it proves even when that tree was rebuilt from damaged rows.
+        """
         if acl is None:
             acl = self.acl_tree(container_idx)
-        return self._record_proof(acl, user_idx, ("acl", container_idx, user_idx))
+        return self._record_proof(acl, user_idx, ("acl", user_idx), acl.root)
 
     @staticmethod
     def _access_level(acl: Iomt, user_idx: int) -> int:
@@ -381,7 +409,7 @@ class Service:
 
             with _step(clock, "certificates"):
                 ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
-                acl_proof = self._acl_proof(req.idx, req.user_idx)
+                acl_proof = self._acl_proof(req.idx, req.user_idx, self._acl_view(record))
                 if ru is None or acl_proof is None:
                     raise _Rejected()
 
@@ -451,7 +479,7 @@ class Service:
                 slot, leaf = found
 
             with _step(clock, "certificates"):
-                acl = self.acl_tree(req.idx)
+                acl = self.acl_tree(req.idx)  # edited below, so never a cached view
                 acl_proof = self._acl_proof(req.idx, req.user_idx, acl)
                 ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 if ru is None or acl_proof is None:
@@ -569,7 +597,7 @@ class Service:
             container_proof = self._container_proof(idx)
             acl = acl_proof = None
             if record is not None:
-                acl = self.acl_tree(idx)
+                acl = self._acl_view(record)
                 acl_proof = self._acl_proof(idx, user_idx, acl)
             if container_proof is None or (record is not None and acl_proof is None):
                 raise ProtocolError("cannot assemble consistent proofs")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import os
 import random
 import secrets
 
@@ -78,6 +79,25 @@ class TestModuleState:
         save_state(state, tmp_path / "module.bin")
         loaded = load_state(tmp_path / "module.bin")
         assert loaded == state
+
+    def test_interrupted_save_keeps_the_old_state(self, tmp_path, monkeypatch):
+        state = ModuleState.fresh(KEYS)
+        path = tmp_path / "module.bin"
+        save_state(state, path)
+        moved = ModuleState(sha256(b"moved root"), state.secret, dict(state.user_keys))
+
+        def torn(src, dst):
+            raise OSError("power lost before the rename")
+
+        monkeypatch.setattr(os, "replace", torn)
+        with pytest.raises(OSError):
+            save_state(moved, path)
+        assert load_state(path) == state
+        assert [p.name for p in tmp_path.iterdir()] == ["module.bin"]
+        monkeypatch.undo()
+        save_state(moved, path)
+        assert load_state(path) == moved
+        assert [p.name for p in tmp_path.iterdir()] == ["module.bin"]
 
     def test_tampered_state_refused(self, tmp_path):
         state = ModuleState.fresh(KEYS)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import secrets
 
 import pytest
@@ -15,10 +16,10 @@ from tcr.client import (
     wrap_secret,
     xor_keystream,
 )
-from tcr.iomt import Iomt, TreeFullError
+from tcr.iomt import Iomt, Leaf, TreeFullError, counter_digest
 from tcr.merkle import ZERO_DIGEST, sha256
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule
-from tcr.service import ProtocolError, Service, StepClock
+from tcr.service import CACHE_ENTRIES, ProtocolError, Service, StepClock
 from tcr.storage import BlobSet, Storage, bulk_prepopulate
 
 BLOBS = BlobSet(b"layer-bytes" * 200, b"FROM base\n", b"services: {app: {}}\n")
@@ -310,26 +311,46 @@ class TestFetch:
         )
         assert recomputed == info.response.content_digest == fetched.verify.response.content_digest
 
-    def test_combined_fetch_reuses_proofs(self, service, credentials, monkeypatch):
-        cred = credentials[1]
-        service.handle_create(signed_create(cred, 7))
-        service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
-        path_reads = []
+    @pytest.fixture
+    def path_reads(self, monkeypatch):
+        """Slots of every complement path read from now on."""
+        reads = []
         complement_path = Iomt.complement_path
 
         def counted(tree, slot):
-            path_reads.append(slot)
+            reads.append(slot)
             return complement_path(tree, slot)
 
         monkeypatch.setattr(Iomt, "complement_path", counted)
+        return reads
+
+    def test_combined_fetch_reuses_proofs(self, service, credentials, path_reads):
+        cred = credentials[1]
+        service.handle_create(signed_create(cred, 7))
+        service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
+        path_reads.clear()
         nonce = secrets.token_bytes(32)
         clock = StepClock()
         fetched = service.handle_fetch(7, 0, 1, nonce=nonce, clock=clock)
         assert check_info_response(cred, fetched.verify.response, nonce, 7) == Verdict.VERIFIED
         assert fetched.blobs == BLOBS
+        # One container path serves the answer and the content; the modify
+        # left the owner's ACL proof cached under the ACL root.
+        assert len(path_reads) == 1
+        assert {"record_lookup", "certificates", "module_verify"} <= set(clock.steps)
+
+    def test_cold_combined_fetch_reads_each_path_once(self, service, credentials, path_reads):
+        cred = credentials[1]
+        service.handle_create(signed_create(cred, 7))
+        service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
+        cold = Service(service.storage, service.module, height=6)  # nothing cached
+        path_reads.clear()
+        nonce = secrets.token_bytes(32)
+        fetched = cold.handle_fetch(7, 0, 1, nonce=nonce)
+        assert check_info_response(cred, fetched.verify.response, nonce, 7) == Verdict.VERIFIED
+        assert fetched.blobs == BLOBS
         # One container path and one ACL path serve the answer and the content.
         assert len(path_reads) == 2
-        assert {"record_lookup", "certificates", "module_verify"} <= set(clock.steps)
 
     def test_tampered_blob_detected_by_client(self, service, credentials):
         cred = credentials[1]
@@ -366,31 +387,41 @@ class TestFetch:
 
 class TestStatementCounts:
     def test_verified_queries_at_h16(self, tmp_path, user_keys, credentials):
-        # Worst case: no cached certificate, so the container path is read;
-        # each query asks for another container than the one before.  The
-        # ACL tree costs one read of its leaf rows.
+        # No cached container proof, so the container path is read: each
+        # query asks for another container than the one before.  Cold, on a
+        # fresh service, the ACL tree costs one read of its leaf rows.  Warm,
+        # on another container under the same ACL root (every prepopulated
+        # container has the owner-only ACL), the view and the caller's ACL
+        # proof are cached and the ACL costs nothing.
         storage = Storage(tmp_path / "h16.db", tmp_path / "blobs")
         state = ModuleState.fresh(user_keys)
         bulk_prepopulate(storage, 16, 8, 1, state)
-        service = Service(storage, TrustedModule(state), height=16)
+        module = TrustedModule(state)
         statements: list[str] = []
         storage._conn.set_trace_callback(statements.append)
         nonce = secrets.token_bytes(32)
 
-        info = service.handle_info(5, 0, nonce, 1)
-        assert check_info_response(credentials[1], info.response, nonce, 5) == Verdict.VERIFIED
-        assert len(statements) == 5, statements
+        def info(service, idx, user):
+            return service.handle_info(idx, 0, nonce, user).response
 
-        statements.clear()
-        fetched = service.handle_fetch(6, 0, 1, nonce=nonce)
-        assert check_info_response(credentials[1], fetched.verify.response, nonce, 6) == Verdict.VERIFIED
-        assert fetched.blobs is not None
-        assert len(statements) == 6, statements
+        def fetch(service, idx, user):
+            fetched = service.handle_fetch(idx, 0, user, nonce=nonce)
+            assert fetched.blobs is not None
+            return fetched.verify.response
 
-        statements.clear()
-        denied = service.handle_info(7, 0, nonce, 2)  # user 2 holds no access
-        assert check_info_response(credentials[2], denied.response, nonce, 7) == Verdict.DENIED
-        assert len(statements) == 5, statements
+        # user 2 holds no access, so its query is a denial
+        cases = [
+            (info, 1, Verdict.VERIFIED, (5, 5), (1, 4)),
+            (fetch, 1, Verdict.VERIFIED, (6, 6), (2, 5)),
+            (info, 2, Verdict.DENIED, (7, 5), (3, 4)),
+        ]
+        for query, user, verdict, cold, warm in cases:
+            service = Service(storage, module, height=16)
+            for idx, count in (cold, warm):
+                statements.clear()
+                response = query(service, idx, user)
+                assert check_info_response(credentials[user], response, nonce, idx) == verdict
+                assert len(statements) == count, (idx, statements)
         storage.close()
 
     def test_writes_at_h16(self, tmp_path, user_keys, credentials):
@@ -472,6 +503,126 @@ class TestEpochSafety:
         )
         assert response is None
         assert service.module.root == service.container_tree().root
+
+
+def grant(service, cred, idx, target, level):
+    """Have ``cred`` set ``target``'s level on container ``idx``; the new ACL root."""
+    root = predicted_acl_root(acl_hints(service, idx), target, level)
+    counter = service.storage.record_get(idx).counter
+    assert service.handle_acl_set(cred.sign_request(RequestKind.ACL, idx, counter, root), target, level)
+    return root
+
+
+def info_verdict(service, credentials, idx, user):
+    """The client's verdict on ``user``'s INFO about ``idx``, and the hints it carried."""
+    nonce = secrets.token_bytes(32)
+    info = service.handle_info(idx, 0, nonce, user)
+    return check_info_response(credentials[user], info.response, nonce, idx), info.hints
+
+
+class TestAclCache:
+    """ACL views and proofs are cached by the ACL root they prove."""
+
+    def test_cache_stays_bounded_under_absent_queries(self, service, credentials):
+        service.handle_create(signed_create(credentials[1], 7))
+        service.handle_modify(signed_modify(credentials[1], 7, 1), BLOBS)
+        for idx in range(1000, 1000 + CACHE_ENTRIES + 100):
+            assert info_verdict(service, credentials, idx, 2) == (Verdict.DENIED, None)
+            assert len(service._cache._entries) <= CACHE_ENTRIES
+        assert len(service._cache._entries) == CACHE_ENTRIES
+        assert info_verdict(service, credentials, 7, 1)[0] == Verdict.VERIFIED
+
+    def test_borrowed_acl_root_never_verifies(self, service, credentials):
+        owner = credentials[1]
+        for idx in (7, 8):
+            service.handle_create(signed_create(owner, idx))
+            service.handle_modify(signed_modify(owner, idx, 1), BLOBS)
+        borrowed = grant(service, owner, 7, 2, 1)
+        assert info_verdict(service, credentials, 7, 2)[0] == Verdict.VERIFIED
+        assert service._cache.get(("acl_view",), borrowed) is not None
+        record = service.storage.record_get(8)
+        service.storage.record_put(dataclasses.replace(record, acl_root=borrowed))  # seal kept
+        for user in (1, 2):
+            with pytest.raises(ProtocolError):
+                service.handle_info(8, 0, secrets.token_bytes(32), user)
+            with pytest.raises(ProtocolError):
+                service.handle_fetch(8, 0, user, nonce=secrets.token_bytes(32))
+
+    def test_rows_that_rebuild_to_another_root_are_never_cached(self, service, credentials):
+        owner = credentials[1]
+        service.handle_create(signed_create(owner, 9))
+        service.handle_modify(signed_modify(owner, 9, 1), BLOBS)
+        sealed_root = grant(service, owner, 9, 3, 1)  # a root no query has cached yet
+        assert service._cache.get(("acl_view",), sealed_root) is None
+        rows = service.storage.acl_leaves(9)
+        slot, leaf = next((s, l) for s, l in rows if l.idx == 3)
+        service.storage.acl_put(9, [(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(2)))])
+        damaged_root = service.acl_tree(9).root
+        assert damaged_root != sealed_root
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                service.handle_info(9, 0, secrets.token_bytes(32), 1)
+        views = [e for e in service._cache._entries.values() if isinstance(e, Iomt)]
+        assert all(view.root not in (damaged_root, sealed_root) for view in views)
+        service.storage.acl_put(9, rows)  # the proper rows back, no restart
+        assert info_verdict(service, credentials, 9, 1)[0] == Verdict.VERIFIED
+        assert info_verdict(service, credentials, 9, 3)[0] == Verdict.VERIFIED
+
+    def test_grant_on_a_shared_root_leaves_the_other_container_alone(self, service, credentials):
+        owner = credentials[1]
+        for idx in (7, 8):
+            service.handle_create(signed_create(owner, idx))
+            service.handle_modify(signed_modify(owner, idx, 1), BLOBS)
+        shared = service.storage.record_get(7).acl_root
+        assert service.storage.record_get(8).acl_root == shared
+        _, hints_before = info_verdict(service, credentials, 8, 1)
+        proof_before = service._cache.get(("acl", 1), shared)
+        assert proof_before is not None
+
+        granted = grant(service, owner, 7, 2, 1)
+        assert granted != shared
+        assert info_verdict(service, credentials, 8, 1) == (Verdict.VERIFIED, hints_before)
+        assert service._cache.get(("acl", 1), shared) is proof_before
+        assert info_verdict(service, credentials, 8, 2) == (Verdict.DENIED, None)
+        assert hints_before == acl_hints(service, 8)
+
+        status, hints = info_verdict(service, credentials, 7, 2)
+        assert status == Verdict.VERIFIED and hints == acl_hints(service, 7)
+        assert {leaf[1] for leaf in hints["acl"]} == {1, 2}
+        assert info_verdict(service, credentials, 7, 1)[1] == hints
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("create"), st.integers(1, 4)),
+            st.tuples(st.just("grant"), st.integers(1, 4), st.integers(2, 4), st.integers(0, 3)),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_served_hints_match_the_stored_rows(ops):
+    """Whatever creates and grants ran, every served ACL hint is the rows' ACL."""
+    storage = Storage(":memory:")
+    module = TrustedModule(ModuleState.fresh({1: OWNER.key}))
+    service = Service(storage, module, height=3)
+    created = set()
+    try:
+        for op, idx, *change in ops:
+            if op == "create" and idx not in created:
+                assert service.handle_create(signed_create(OWNER, idx)) is not None
+                created.add(idx)
+            elif op == "grant" and idx in created:
+                grant(service, OWNER, idx, *change)
+            for queried in sorted(created):
+                # No version yet: the owner's INFO is a protocol error with hints.
+                with pytest.raises(ProtocolError) as refused:
+                    service.handle_info(queried, 0, secrets.token_bytes(32), 1)
+                assert refused.value.hints == acl_hints(service, queried)
+    finally:
+        storage.close()
 
 
 class TestMonotonicCounter:
