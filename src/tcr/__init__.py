@@ -14,6 +14,7 @@ from .client import (
     content_digest_of,
     unwrap_secret,
     wrap_secret,
+    xor_blobs,
     xor_keystream,
 )
 from .iomt import Geometry, Iomt, Leaf, counter_digest, counter_value, encloses
@@ -73,5 +74,6 @@ __all__ = [
     "sha256",
     "unwrap_secret",
     "wrap_secret",
+    "xor_blobs",
     "xor_keystream",
 ]

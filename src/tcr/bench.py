@@ -30,9 +30,9 @@ from .client import (
     check_info_response,
     content_digest_of,
     wrap_secret,
-    xor_keystream,
+    xor_blobs,
 )
-from .merkle import DIGEST_SIZE
+from .merkle import DIGEST_SIZE, ZERO_DIGEST
 from .module import ModuleState, RequestKind, TrustedModule
 from .service import Service, StepClock
 from .storage import MOCK_BUILD, MOCK_COMPOSE, BlobSet, Storage, bulk_prepopulate
@@ -226,17 +226,13 @@ def _time_modify(service: Service, credential: UserCredential, targets: list[int
         if encrypt:
             secret = secrets.token_bytes(DIGEST_SIZE)
             wrapped, commitment = wrap_secret(credential, secret, idx, counter)
-            content = BlobSet(
-                xor_keystream(secret, blobs.image),
-                xor_keystream(secret, blobs.build),
-                xor_keystream(secret, blobs.compose),
-            )
+            content = xor_blobs(secret, blobs)
         else:
             wrapped = commitment = None
             content = blobs
         digest = content_digest_of(
             content.image, content.build, content.compose,
-            commitment if commitment is not None else b"\x00" * DIGEST_SIZE,
+            commitment if commitment is not None else ZERO_DIGEST,
         )
         envelope = credential.sign_request(RequestKind.CONTAINER, idx, counter, digest)
         clock = StepClock()

@@ -27,7 +27,7 @@ from .merkle import (
     sha256,
 )
 from .module import RequestEnvelope, RequestKind, VerifyResponse, secret_commitment
-from .storage import BlobSet
+from .storage import CIPHER_ID, BlobSet, content_digest
 from .wire import (
     STATUS_DENIED,
     STATUS_OK,
@@ -103,43 +103,34 @@ def content_digest_of(
     image: bytes, build: bytes, compose: bytes, commitment: bytes = ZERO_DIGEST
 ) -> bytes:
     """Per-version commitment over the stored blob bytes and the secret commitment."""
-    return sha256(sha256(image) + sha256(build) + sha256(compose) + commitment)
-
-
-# RFC 2104's inner and outer key pads, applied to every key byte by ``translate``.
-_IPAD = bytes(b ^ 0x36 for b in range(256))
-_OPAD = bytes(b ^ 0x5C for b in range(256))
-_SHA256_BLOCK = 64
+    return content_digest(BlobSet(image, build, compose).hashes(), commitment)
 
 
 def xor_keystream(secret: bytes, data: bytes) -> bytes:
     """Keyed keystream cipher; applying it twice is the identity.
 
-    Block ``j`` (32 bytes) is XORed with the pad HMAC-SHA256(secret, u64(j)),
-    the last pad cut to the data's length.  Integrity comes from the content
-    digest, not from the cipher.
-
-    The HMAC is RFC 2104 written out: ``H((K ^ opad) || H((K ^ ipad) || m))``
-    with ``K`` the secret zero-padded to SHA-256's 64-byte block.  The two
-    keyed prefixes are hashed once per call and each block copies those two
-    states, so a block costs two state copies and two digests instead of a
-    fresh ``hmac.HMAC`` object; the pads, and so every ciphertext, are the
-    same bytes as ``hmac_sha256(u64(j), secret)``.
+    The data is XORed with the first ``len(data)`` bytes of the SHAKE-256
+    output (FIPS 202) of ``CIPHER_ID || secret``.  A pad byte must never be
+    used twice, so a secret encrypts one byte string only; :func:`xor_blobs`
+    makes a version's three blobs one such string.  Integrity comes from the
+    content digest, not from the cipher.
     """
     if len(secret) != DIGEST_SIZE:
         raise ValueError("keystream secret must be 32 bytes")
-    key = secret + bytes(_SHA256_BLOCK - DIGEST_SIZE)
-    inner = hashlib.sha256(key.translate(_IPAD))
-    outer = hashlib.sha256(key.translate(_OPAD))
-    pads = bytearray()
-    for block in range((len(data) + DIGEST_SIZE - 1) // DIGEST_SIZE):
-        mac = inner.copy()
-        mac.update(block.to_bytes(8, "big"))  # the u64 encoding of j
-        pad = outer.copy()
-        pad.update(mac.digest())
-        pads += pad.digest()
-    stream = int.from_bytes(pads[: len(data)], "big")
+    pad = hashlib.shake_256(CIPHER_ID + secret).digest(len(data))
+    stream = int.from_bytes(pad, "big")
     return (int.from_bytes(data, "big") ^ stream).to_bytes(len(data), "big")
+
+
+def xor_blobs(secret: bytes, blobs: BlobSet) -> BlobSet:
+    """Encrypt or decrypt one version's blobs under one keystream.
+
+    The keystream runs once over ``image || build || compose``, so the blobs
+    share no pad bytes and the image sits at offset 0.
+    """
+    out = xor_keystream(secret, blobs.image + blobs.build + blobs.compose)
+    first, second = len(blobs.image), len(blobs.image) + len(blobs.build)
+    return BlobSet(out[:first], out[first:second], out[second:])
 
 
 def wrap_secret(cred: UserCredential, secret: bytes, idx: int, counter: int) -> tuple[bytes, bytes]:
@@ -360,19 +351,20 @@ class RepositoryClient:
         self, idx: int, image: bytes, build: bytes, compose: bytes, encrypt: bool = False
     ) -> dict:
         counter, _ = self._counter_and_hints(idx)
+        blobs = BlobSet(image, build, compose)
         extra: dict = {}
         if encrypt:
             secret = secrets.token_bytes(DIGEST_SIZE)
             wrapped, commitment = wrap_secret(self.credential, secret, idx, counter)
-            image = xor_keystream(secret, image)
-            build = xor_keystream(secret, build)
-            compose = xor_keystream(secret, compose)
+            blobs = xor_blobs(secret, blobs)
             extra = {"wrapped_secret": wrapped.hex(), "secret_commitment": commitment.hex()}
         else:
             commitment = ZERO_DIGEST
-        digest = content_digest_of(image, build, compose, commitment)
+        digest = content_digest(blobs.hashes(), commitment)
         envelope = self.credential.sign_request(RequestKind.CONTAINER, idx, counter, digest)
-        extra.update({"image": image.hex(), "build": build.hex(), "compose": compose.hex()})
+        extra.update(
+            {"image": blobs.image.hex(), "build": blobs.build.hex(), "compose": blobs.compose.hex()}
+        )
         return self._mutate("MODIFY", envelope, extra)
 
     def acl_set(self, idx: int, target_user: int, level: int) -> dict:
@@ -412,7 +404,7 @@ class RepositoryClient:
         fetched_version = response.requested_version
         encrypted = commitment != ZERO_DIGEST
         attested = response.content_digest
-        if content_digest_of(blobs.image, blobs.build, blobs.compose, commitment) != attested:
+        if content_digest(blobs.hashes(), commitment) != attested:
             return FetchOutcome(Verdict.INVALID, None, None, encrypted)
 
         if not encrypted:
@@ -423,12 +415,7 @@ class RepositoryClient:
         secret = unwrap_secret(self.credential, delivered, commitment, idx)
         if secret is None:
             return FetchOutcome(Verdict.INVALID, None, None, True)
-        plain = BlobSet(
-            xor_keystream(secret, blobs.image),
-            xor_keystream(secret, blobs.build),
-            xor_keystream(secret, blobs.compose),
-        )
-        return FetchOutcome(Verdict.VERIFIED, fetched_version, plain, True)
+        return FetchOutcome(Verdict.VERIFIED, fetched_version, xor_blobs(secret, blobs), True)
 
     def bench_prepopulate(self, count: int, owner: int) -> dict:
         status, body = self._request("BENCH_PREPOPULATE", {"count": count, "owner": owner})

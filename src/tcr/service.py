@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value, leaf_digest
-from .merkle import ZERO_DIGEST, sha256
+from .merkle import ZERO_DIGEST
 from .module import (
     Certificate,
     Proof,
@@ -35,7 +35,14 @@ from .module import (
     TrustedModule,
     VerifyResponse,
 )
-from .storage import BlobSet, ContainerRecord, Storage, VersionRecord, bulk_prepopulate
+from .storage import (
+    BlobSet,
+    ContainerRecord,
+    Storage,
+    VersionRecord,
+    bulk_prepopulate,
+    content_digest,
+)
 
 DEFAULT_ACL_HEIGHT = 8
 # Room for every ACL root in use and its callers' proofs; proofs for absent
@@ -402,9 +409,8 @@ class Service:
 
             with _step(clock, "content_digest"):
                 commitment = secret_commitment if secret_commitment is not None else ZERO_DIGEST
-                image_hash, build_hash, compose_hash = blobs.hashes()
-                content_digest = sha256(image_hash + build_hash + compose_hash + commitment)
-                if content_digest != req.value:
+                digest = content_digest(blobs.hashes(), commitment)
+                if digest != req.value:
                     raise ProtocolError("request signature does not cover the supplied content")
 
             with _step(clock, "certificates"):
@@ -440,7 +446,7 @@ class Service:
                         version=version_count,
                         secret_commitment=commitment,
                         wrapped_secret=sealed if sealed is not None else ZERO_DIGEST,
-                        content_digest=content_digest,
+                        content_digest=digest,
                         seal=result.version_cert.mac,
                     )
                 )

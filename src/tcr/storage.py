@@ -29,6 +29,11 @@ from .module import CertKind, Certificate, ModuleState
 
 SCHEMA_VERSION = 1
 
+# Names the cipher an encrypted version's blobs were written under.  The
+# client keys its keystream with it and every encrypted version's content
+# digest covers it, so bytes sealed under another cipher never verify.
+CIPHER_ID = b"tcr/shake256-xor/v1"
+
 
 class StorageError(Exception):
     pass
@@ -77,6 +82,16 @@ class BlobSet:
 
     def hashes(self) -> tuple[bytes, bytes, bytes]:
         return sha256(self.image), sha256(self.build), sha256(self.compose)
+
+
+def content_digest(hashes: Sequence[bytes], commitment: bytes) -> bytes:
+    """Per-version commitment over the blob hashes and the secret commitment.
+
+    An encrypted version (a non-zero commitment) also covers :data:`CIPHER_ID`;
+    a plain version's digest does not depend on the cipher.
+    """
+    tag = CIPHER_ID if commitment != ZERO_DIGEST else b""
+    return sha256(b"".join(hashes) + commitment + tag)
 
 
 def _key(idx: int) -> bytes:
@@ -485,8 +500,8 @@ def bulk_prepopulate(
         raise StorageError("owner has no key in the module state")
 
     blobs = blobs if blobs is not None else BlobSet(MOCK_IMAGE, MOCK_BUILD, MOCK_COMPOSE)
-    image_hash, build_hash, compose_hash = blobs.hashes()
-    content_digest = sha256(image_hash + build_hash + compose_hash + ZERO_DIGEST)
+    hashes = blobs.hashes()
+    digest = content_digest(hashes, ZERO_DIGEST)
     owner = Leaf(owner_idx, owner_idx, counter_digest(3))
     acl_root = leaf_digest(owner)  # one-leaf tree
     counter, version = 2, 1
@@ -537,14 +552,14 @@ def bulk_prepopulate(
         conn.executemany(
             "INSERT INTO versions VALUES(?,?,?,?,?,?)",
             (
-                (_key(idx), version, ZERO_DIGEST, ZERO_DIGEST, content_digest,
-                 state.seal(CertKind.VR, (idx, version, content_digest)))
+                (_key(idx), version, ZERO_DIGEST, ZERO_DIGEST, digest,
+                 state.seal(CertKind.VR, (idx, version, digest)))
                 for idx in indices
             ),
         )
         conn.executemany(
             "INSERT INTO blob_sets VALUES(?,?,?,?,?)",
-            ((_key(idx), version, image_hash, build_hash, compose_hash) for idx in indices),
+            ((_key(idx), version, *hashes) for idx in indices),
         )
         conn.execute("COMMIT")
     except BaseException:

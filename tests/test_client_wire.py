@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import secrets
@@ -24,14 +25,22 @@ from tcr.client import (
     content_digest_of,
     unwrap_secret,
     wrap_secret,
+    xor_blobs,
     xor_keystream,
 )
 from tcr.iomt import Iomt, counter_digest
-from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256, u64
-from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule, VerifyResponse
+from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256
+from tcr.module import (
+    ModuleState,
+    RequestEnvelope,
+    RequestKind,
+    TrustedModule,
+    VerifyResponse,
+    secret_commitment,
+)
 from tcr.server import RepositoryServer
 from tcr.service import Service
-from tcr.storage import Storage
+from tcr.storage import CIPHER_ID, BlobSet, Storage
 from tcr.wire import (
     STATUS_DENIED,
     STATUS_ERROR,
@@ -66,14 +75,9 @@ def client_for(server, keys, user, transcript=None) -> RepositoryClient:
 
 
 def per_block_keystream(secret: bytes, data: bytes) -> bytes:
-    """The keystream as first written, one HMAC and one byte loop per block."""
-    out = bytearray(len(data))
-    for block in range((len(data) + 31) // 32):
-        pad = hmac_sha256(u64(block), secret)
-        base = block * 32
-        chunk = data[base : base + 32]
-        out[base : base + len(chunk)] = bytes(a ^ b for a, b in zip(chunk, pad))
-    return bytes(out)
+    """The keystream written from FIPS 202: one SHAKE-256 pad, XORed byte by byte."""
+    pad = hashlib.shake_256(CIPHER_ID + secret).digest(len(data))
+    return bytes(a ^ b for a, b in zip(data, pad))
 
 
 class TestCrypto:
@@ -198,9 +202,24 @@ class TestWireFlows:
         alice.modify(11, IMAGE, BUILD, COMPOSE, encrypt=True)
         outcome = alice.fetch(11)
         assert outcome.verdict == Verdict.VERIFIED and outcome.encrypted
-        assert outcome.blobs.image == IMAGE
+        assert outcome.blobs == BlobSet(IMAGE, BUILD, COMPOSE)
         wire = b"\n".join(transcript)
         assert IMAGE.hex().encode() not in wire  # plaintext never crosses the wire
+
+    def test_blobs_of_a_version_share_no_pad_bytes(self, env):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(11)
+        alice.modify(11, IMAGE, BUILD, COMPOSE, encrypt=True)
+        stored = server.service.storage.blob_get(11, 1)
+        plain, cipher = (IMAGE, BUILD, COMPOSE), (stored.image, stored.build, stored.compose)
+
+        def xor(x: bytes, y: bytes) -> bytes:
+            return bytes(p ^ q for p, q in zip(x, y))
+
+        for a, b in [(0, 1), (0, 2), (1, 2)]:
+            # Equal pads would make the ciphertexts' XOR the plaintexts' XOR.
+            assert xor(cipher[a], cipher[b]) != xor(plain[a], plain[b])
 
     def test_fetch_denials_do_not_tell_absent_from_unreadable(self, env):
         server, keys = env
@@ -497,13 +516,14 @@ def answer(status, payload):
     return lambda request: (status, payload)
 
 
-def fetch_answer(**fields):
-    """A FETCH reply whose module answer verifies under ``STUB_KEY``, plus ``fields``."""
+def fetch_answer(digest: bytes = ZERO_DIGEST, **fields):
+    """A FETCH reply whose module answer attests ``digest`` and verifies under
+    ``STUB_KEY``, plus ``fields``."""
 
     def reply(request):
         response = VerifyResponse(
             idx=request["idx"], nonce=bytes.fromhex(request["nonce"]), tag=b"", counter=2,
-            max_version=1, requested_version=1, acl_root=ZERO_DIGEST, content_digest=ZERO_DIGEST,
+            max_version=1, requested_version=1, acl_root=ZERO_DIGEST, content_digest=digest,
         )
         tagged = replace(response, tag=hmac_sha256(response.tag_body(), STUB_KEY))
         return STATUS_OK, {"response": response_to_json(tagged), **fields}
@@ -604,6 +624,37 @@ class TestMalformedReplies:
             client.modify(5, IMAGE, BUILD, COMPOSE, encrypt=True)
         assert len(lines) == 4  # INFO and MODIFY, each with its reply
         assert transcript == lines
+
+
+def encrypted_fetch_answer(tagged: bool):
+    """A FETCH reply for an encrypted version of container 5 whose secret opens
+    for ``STUB_KEY``; its attested digest covers the cipher tag only if ``tagged``."""
+    secret = secrets.token_bytes(32)
+    commitment = secret_commitment(5, secret)
+    cipher = xor_blobs(secret, BlobSet(IMAGE, BUILD, COMPOSE))
+    hashes = cipher.hashes()
+    digest = sha256(b"".join(hashes) + commitment + (CIPHER_ID if tagged else b""))
+    delivered = bytes(a ^ b for a, b in zip(secret, sha256(commitment + STUB_KEY)))
+    return fetch_answer(
+        digest, image=cipher.image.hex(), build=cipher.build.hex(),
+        compose=cipher.compose.hex(), secret_commitment=commitment.hex(),
+        sealed_for_user=delivered.hex(),
+    )
+
+
+class TestCipherTag:
+    def test_tagged_version_verifies(self, stub):
+        port, table, _ = stub
+        table["FETCH"] = encrypted_fetch_answer(tagged=True)
+        outcome = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY)).fetch(5)
+        assert outcome.verdict == Verdict.VERIFIED and outcome.encrypted
+        assert outcome.blobs == BlobSet(IMAGE, BUILD, COMPOSE)
+
+    def test_version_attested_without_the_cipher_tag_is_invalid(self, stub):
+        port, table, _ = stub
+        table["FETCH"] = encrypted_fetch_answer(tagged=False)
+        outcome = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY)).fetch(5)
+        assert outcome.verdict == Verdict.INVALID and outcome.blobs is None
 
 
 class TestCli:

@@ -14,6 +14,7 @@ from tcr.client import (
     content_digest_of,
     predicted_acl_root,
     wrap_secret,
+    xor_blobs,
     xor_keystream,
 )
 from tcr.iomt import Iomt, Leaf, TreeFullError, counter_digest
@@ -130,17 +131,28 @@ class TestModify:
         service.handle_create(signed_create(cred, 7))
         secret = secrets.token_bytes(32)
         wrapped, commitment = wrap_secret(cred, secret, 7, 1)
-        cipher = BlobSet(
-            xor_keystream(secret, BLOBS.image),
-            xor_keystream(secret, BLOBS.build),
-            xor_keystream(secret, BLOBS.compose),
-        )
+        cipher = xor_blobs(secret, BLOBS)
         env = signed_modify(cred, 7, 1, cipher, commitment)
         result = service.handle_modify(env, cipher, wrapped_secret=wrapped, secret_commitment=commitment)
         assert result is not None
         row = service.storage.version_get(7, 1)
         assert row.wrapped_secret not in (ZERO_DIGEST, secret, wrapped)
         assert service.storage.blob_get(7, 1).image != BLOBS.image
+
+    def test_encrypted_modify_signed_without_the_cipher_tag_is_refused(self, service, credentials):
+        cred = credentials[1]
+        service.handle_create(signed_create(cred, 7))
+        before = dump_store(service.storage)
+        root = service.module.root
+        secret = secrets.token_bytes(32)
+        wrapped, commitment = wrap_secret(cred, secret, 7, 1)
+        cipher = xor_blobs(secret, BLOBS)
+        untagged = sha256(b"".join(cipher.hashes()) + commitment)  # the digest before CIPHER_ID
+        env = cred.sign_request(RequestKind.CONTAINER, 7, 1, untagged)
+        with pytest.raises(ProtocolError, match="does not cover the supplied content"):
+            service.handle_modify(env, cipher, wrapped_secret=wrapped, secret_commitment=commitment)
+        assert dump_store(service.storage) == before
+        assert service.module.root == root
 
 
 class TestAclSet:
