@@ -71,7 +71,6 @@ class BenchConfig:
     ops: int = 500
     repeats: int = 25
     payload_size: int = 12 * 1024
-    out_path: Optional[Path] = None
     keep_db: bool = False
     workdir: Optional[Path] = None
     seed: int = 7
@@ -309,7 +308,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         ops=args.ops,
         repeats=args.repeats,
         payload_size=args.payload,
-        out_path=args.out,
         keep_db=args.keep_db,
         workdir=args.workdir,
         seed=args.seed,

@@ -1,7 +1,7 @@
 """Command-line client.
 
 Exit codes: 0 verified, 2 authenticated denial, 3 invalid proof or detected
-misbehavior, 4 protocol error.
+misbehavior, 4 protocol error or an unreadable local input.
 """
 
 from __future__ import annotations
@@ -77,7 +77,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         if value is not None and not 0 <= value < 1 << 64:
             print(f"--{name.replace('_', '-')} {value} is not a u64", file=sys.stderr)
             return EXIT_PROTOCOL
-    credential = UserCredential.load(args.user, args.key_file)
+    # Local inputs are read before connecting; an unreadable one is one line, not a traceback.
+    try:
+        credential = UserCredential.load(args.user, args.key_file)
+    except (OSError, ValueError) as exc:
+        print(f"cannot use --key-file {args.key_file}: {exc}", file=sys.stderr)
+        return EXIT_PROTOCOL
+    if args.command == "modify":
+        try:
+            blobs = [path.read_bytes() for path in (args.image, args.build, args.compose)]
+        except OSError as exc:
+            print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return EXIT_PROTOCOL
     client = RepositoryClient(host, int(port), credential)
 
     try:
@@ -87,13 +98,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_VERIFIED
 
         if args.command == "modify":
-            result = client.modify(
-                args.index,
-                args.image.read_bytes(),
-                args.build.read_bytes(),
-                args.compose.read_bytes(),
-                encrypt=args.encrypt,
-            )
+            result = client.modify(args.index, *blobs, encrypt=args.encrypt)
             print(f"stored version {result['version']} of container {args.index}")
             return EXIT_VERIFIED
 

@@ -213,6 +213,10 @@ class Iomt:
     - ``find_encloser(idx)``: the ``(slot, leaf)`` enclosing an absent
       ``idx``, or ``None``;
     - ``first_free_slot()``: the lowest empty slot, with no upper bound.
+
+    The sqlite store never removes a leaf, so its ``first_free_slot()`` is
+    one past the highest occupied slot.  Only :class:`MemoryTreeStore`
+    accepts ``set_leaf(slot, None)`` and refills the hole it leaves.
     """
 
     def __init__(self, height: int, store=None) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .iomt import IomtError
-from .module import ModuleState, TrustedModule, load_state, save_state
+from .module import ModuleState, StateIntegrityError, TrustedModule, load_state, save_state
 from .service import ProtocolError, Service
 from .storage import BlobSet, Storage, StorageError
 from .wire import (
@@ -249,17 +249,21 @@ def _parse_address(text: str) -> tuple[str, int]:
 
 
 def _load_or_init_state(state_path: Path, users_path: Optional[Path]) -> ModuleState:
+    """The saved module state, or a fresh one (not yet saved) from the users map."""
     if state_path.exists():
-        return load_state(state_path)
+        try:
+            return load_state(state_path)
+        except (OSError, StateIntegrityError) as exc:
+            raise SystemExit(f"cannot load module state {state_path}: {exc}") from exc
     if users_path is None:
         raise SystemExit(
             "no module state found; pass --users <json file of {index: hex key}> to provision one"
         )
-    raw = json.loads(users_path.read_text())
-    keys = {int(idx): bytes.fromhex(key) for idx, key in raw.items()}
-    state = ModuleState.fresh(keys)
-    save_state(state, state_path)
-    return state
+    try:
+        raw = json.loads(users_path.read_text())
+        return ModuleState.fresh({int(idx): bytes.fromhex(key) for idx, key in dict(raw).items()})
+    except (OSError, ValueError, TypeError) as exc:
+        raise SystemExit(f"cannot read users file {users_path}: {exc}") from exc
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -274,13 +278,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="JSON user-key map for first-run provisioning")
     args = parser.parse_args(argv)
 
+    state_path = Path(args.module_state)
+    state = _load_or_init_state(state_path, args.users)
     try:
         storage = Storage(args.db, args.data_dir)
     except StorageError as exc:
         raise SystemExit(f"cannot open {args.db}: {exc}") from exc
-    state = _load_or_init_state(Path(args.module_state), args.users)
+    if not state_path.exists():
+        save_state(state, state_path)  # provisioned only once the store opens
     service = Service(storage, TrustedModule(state), args.height, acl_height=args.acl_height)
-    server = RepositoryServer(args.listen, service, state=state, state_path=Path(args.module_state))
+    server = RepositoryServer(args.listen, service, state=state, state_path=state_path)
     host, port = server.server_address[:2]
     print(f"listening on {host}:{port}", file=sys.stderr)
     try:

@@ -1,11 +1,14 @@
 """SQLite-backed persistence for trees, records, and content blobs.
 
-The node, leaf and free-slot tables hold the container tree only.  They are
-sparse: zero-valued nodes are deleted rows, and a missing row reads back as
-the zero digest.  Each container's ACL tree (at most 2^8 leaves) is kept as
-its leaf rows alone, in ``acl_leaves``; the service rebuilds the tree in
-memory from one query.  Indices are stored as 8-byte big-endian blobs so
-the full u64 domain sorts correctly, which the encloser lookup relies on.
+The node and leaf tables hold the container tree only.  They are sparse: a
+missing node row reads back as the zero digest, and every node a write
+touches lies above a stored leaf, so none written is zero.  The tree is
+append-only: a leaf row is inserted or overwritten, never deleted, so the
+occupied slots are always ``0..n-1``.  Each container's ACL tree (at most
+2^8 leaves) is kept as its leaf rows alone, in ``acl_leaves``; the service
+rebuilds the tree in memory from one query.  Indices are stored as 8-byte
+big-endian blobs so the full u64 domain sorts correctly, which the encloser
+lookup relies on.
 
 The layout's version is stamped in ``PRAGMA user_version``; a store written
 under another version is refused, not migrated.
@@ -27,7 +30,7 @@ from .iomt import Geometry, Leaf, counter_digest, encloses, leaf_digest, node_le
 from .merkle import ZERO_DIGEST, sha256
 from .module import CertKind, Certificate, ModuleState
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Names the cipher an encrypted version's blobs were written under.  The
 # client keys its keystream with it and every encrypted version's content
@@ -114,7 +117,6 @@ CREATE TABLE leaves(
     val BLOB NOT NULL
 );
 CREATE INDEX leaves_by_idx ON leaves(idx);
-CREATE TABLE free_slots(slot INTEGER PRIMARY KEY);
 CREATE TABLE acl_leaves(
     container BLOB NOT NULL,
     slot INTEGER NOT NULL,
@@ -338,17 +340,19 @@ class Storage:
             raise StorageError(f"content blob unreadable ({exc.strerror})") from exc
 
     def is_empty(self) -> bool:
-        for table in (
-            "nodes", "leaves", "free_slots", "acl_leaves", "containers", "versions", "blob_sets"
-        ):
+        for table in ("nodes", "leaves", "acl_leaves", "containers", "versions", "blob_sets"):
             if self._conn.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone():
                 return False
         return True
 
 
 class SqliteTreeStore:
-    """Node/leaf store of the container tree: every statement on the node,
-    leaf and free-slot tables, for the :class:`~tcr.iomt.Iomt` store protocol."""
+    """Node/leaf store of the container tree: every statement on the node and
+    leaf tables, for the :class:`~tcr.iomt.Iomt` store protocol.
+
+    Append-only: leaves are inserted or overwritten, never removed, so the
+    lowest empty slot is always one past the highest occupied one.
+    """
 
     def __init__(self, conn: sqlite3.Connection) -> None:
         self._conn = conn
@@ -366,18 +370,12 @@ class SqliteTreeStore:
         return [found.get(pos, ZERO_DIGEST) for pos in positions]
 
     def set_nodes(self, nodes: Sequence[tuple[int, bytes]]) -> None:
-        """One upsert for the non-zero digests; zero digests delete their rows."""
-        kept = [(pos, d) for pos, d in nodes if d != ZERO_DIGEST]
-        zeroed = [pos for pos, d in nodes if d == ZERO_DIGEST]
-        if kept:
+        """One upsert for all ``nodes``."""
+        if nodes:
             self._conn.execute(
-                f"INSERT INTO nodes(pos, digest) VALUES {','.join(['(?,?)'] * len(kept))} "
+                f"INSERT INTO nodes(pos, digest) VALUES {','.join(['(?,?)'] * len(nodes))} "
                 "ON CONFLICT(pos) DO UPDATE SET digest=excluded.digest",
-                [field for row in kept for field in row],
-            )
-        if zeroed:
-            self._conn.execute(
-                f"DELETE FROM nodes WHERE pos IN ({','.join('?' * len(zeroed))})", zeroed
+                [field for row in nodes for field in row],
             )
 
     def get_leaf(self, slot: int) -> Optional[Leaf]:
@@ -386,37 +384,12 @@ class SqliteTreeStore:
         ).fetchone()
         return _leaf(*row) if row is not None else None
 
-    def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> None:
-        # free_slots holds exactly the empty slots below the occupied
-        # high-water mark, so lowest-free allocation stays O(log n) however
-        # large the tree grows.
-        if leaf is None:
-            deleted = self._conn.execute("DELETE FROM leaves WHERE slot=?", (slot,))
-            if deleted.rowcount:
-                self._conn.execute("INSERT OR IGNORE INTO free_slots VALUES(?)", (slot,))
-                # Freeing the top slot lowers the mark: drop the holes above it.
-                self._conn.execute(
-                    "DELETE FROM free_slots WHERE slot > "
-                    "(SELECT COALESCE(MAX(slot), -1) FROM leaves)"
-                )
-            return
-        fields = (_key(leaf.idx), _key(leaf.next_idx), leaf.val)
-        if self._conn.execute(
-            "UPDATE leaves SET idx=?, next_idx=?, val=? WHERE slot=?", (*fields, slot)
-        ).rowcount:
-            return
-        (high_water,) = self._conn.execute(
-            "SELECT COALESCE(MAX(slot), -1) FROM leaves"
-        ).fetchone()
-        if slot < high_water:
-            self._conn.execute("DELETE FROM free_slots WHERE slot=?", (slot,))
-        elif slot > high_water + 1:
-            self._conn.executemany(
-                "INSERT OR IGNORE INTO free_slots(slot) VALUES(?)",
-                ((hole,) for hole in range(high_water + 1, slot)),
-            )
+    def set_leaf(self, slot: int, leaf: Leaf) -> None:
         self._conn.execute(
-            "INSERT INTO leaves(slot, idx, next_idx, val) VALUES(?,?,?,?)", (slot, *fields)
+            "INSERT INTO leaves(slot, idx, next_idx, val) VALUES(?,?,?,?) "
+            "ON CONFLICT(slot) DO UPDATE SET "
+            "idx=excluded.idx, next_idx=excluded.next_idx, val=excluded.val",
+            (slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val),
         )
 
     def leaf_items(self) -> Iterator[tuple[int, Leaf]]:
@@ -457,11 +430,8 @@ class SqliteTreeStore:
         return row[0], leaf
 
     def first_free_slot(self) -> int:
-        # The lowest hole below the high-water mark, else the slot above it.
-        return self._conn.execute(
-            "SELECT COALESCE((SELECT MIN(slot) FROM free_slots), "
-            "(SELECT MAX(slot) + 1 FROM leaves), 0)"
-        ).fetchone()[0]
+        # One descent of the slot B-tree; COUNT(*) would scan every row.
+        return self._conn.execute("SELECT COALESCE(MAX(slot) + 1, 0) FROM leaves").fetchone()[0]
 
 
 MOCK_IMAGE = bytes((i * 31 + 7) % 256 for i in range(12 * 1024))

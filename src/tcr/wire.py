@@ -11,8 +11,6 @@ from typing import IO, Optional
 
 from .module import Certificate, RequestEnvelope, VerifyResponse
 
-OPS = ("CREATE", "MODIFY", "ACL_SET", "INFO", "FETCH", "BENCH_PREPOPULATE")
-
 STATUS_OK = "ok"
 STATUS_DENIED = "denied"
 STATUS_REJECTED = "rejected"

@@ -32,6 +32,18 @@ def remove_placeholder(tree: Iomt, idx: int) -> bytes:
     raise IomtError(f"no predecessor links to {idx}: circular linkage broken")
 
 
+# The version-1 container-tree layout, which also kept a free-slot table.
+V1_TREE_LAYOUT = """
+CREATE TABLE nodes(pos INTEGER PRIMARY KEY, digest BLOB NOT NULL);
+CREATE TABLE leaves(slot INTEGER PRIMARY KEY, idx BLOB NOT NULL, next_idx BLOB NOT NULL,
+    val BLOB NOT NULL);
+CREATE TABLE free_slots(slot INTEGER PRIMARY KEY);
+INSERT INTO leaves VALUES(1, zeroblob(8), zeroblob(8), zeroblob(32));
+INSERT INTO free_slots VALUES(0);
+PRAGMA user_version=1;
+"""
+
+
 def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: int) -> bytes:
     """Root by full bottom-up recomputation, with no incremental shortcuts.
 

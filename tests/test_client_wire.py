@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import secrets
 import socket
 import socketserver
@@ -676,6 +677,62 @@ class TestCli:
                          str(tmp_path / "blobs"), "--users", str(users)])
         assert not (tmp_path / "module.bin").exists()  # nothing provisioned
 
+    @staticmethod
+    def never_serve(monkeypatch):
+        def serve_forever(self, *args, **kwargs):
+            raise AssertionError("the server started serving")
+
+        monkeypatch.setattr(RepositoryServer, "serve_forever", serve_forever)
+
+    def test_server_refuses_a_version_1_store(self, tmp_path, monkeypatch):
+        import sqlite3
+
+        from conftest import V1_TREE_LAYOUT
+        from tcr.server import main as server_main
+
+        self.never_serve(monkeypatch)
+        db = tmp_path / "v1.db"
+        conn = sqlite3.connect(db)
+        conn.executescript(V1_TREE_LAYOUT)
+        conn.close()
+        before = db.read_bytes()
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps({"1": "00" * 32}))
+        with pytest.raises(SystemExit, match="schema version 1.*needs 2.*provision a fresh store"):
+            server_main(["--listen", "127.0.0.1:0", "--db", str(db), "--module-state",
+                         str(tmp_path / "module.bin"), "--height", "4", "--data-dir",
+                         str(tmp_path / "blobs"), "--users", str(users)])
+        assert db.read_bytes() == before
+        assert not (tmp_path / "module.bin").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated-state", "flipped-state-byte", "non-hex-users-key"])
+    def test_server_stops_on_a_damaged_state_or_users_file(self, damage, tmp_path, monkeypatch):
+        from tcr.module import save_state
+        from tcr.server import main as server_main
+
+        self.never_serve(monkeypatch)
+        state_file, users = tmp_path / "module.bin", tmp_path / "users.json"
+        argv = ["--listen", "127.0.0.1:0", "--db", str(tmp_path / "repo.db"), "--module-state",
+                str(state_file), "--height", "4", "--data-dir", str(tmp_path / "blobs")]
+        if damage == "non-hex-users-key":
+            users.write_text(json.dumps({"1": "zz" * 32}))
+            with pytest.raises(SystemExit, match=f"users file {re.escape(str(users))}: non-hexadecimal"):
+                server_main(argv + ["--users", str(users)])
+            assert not state_file.exists() and not (tmp_path / "repo.db").exists()
+            return
+        save_state(ModuleState.fresh({1: STUB_KEY}), state_file)
+        data = bytearray(state_file.read_bytes())
+        if damage == "truncated-state":
+            del data[-1]
+            reason = "truncated module state"
+        else:
+            data[10] ^= 1
+            reason = "self-MAC mismatch"
+        state_file.write_bytes(bytes(data))
+        with pytest.raises(SystemExit, match=f"module state {re.escape(str(state_file))}: .*{reason}"):
+            server_main(argv)
+        assert state_file.read_bytes() == bytes(data)
+
     def test_exit_codes(self, env, tmp_path):
         from tcr.cli import main
 
@@ -731,3 +788,30 @@ class TestCli:
         key_file.write_text(STUB_KEY.hex())
         assert main(["--server", "127.0.0.1:1", "--key-file", str(key_file)] + argv) == EXIT_PROTOCOL
         assert "is not a u64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key_text, argv, reason", [
+        (None, ["info", "--index", "5"], "No such file"),
+        ("not hex", ["info", "--index", "5"], "non-hexadecimal"),
+        ("00" * 31, ["info", "--index", "5"], "must be 32 bytes"),
+        (STUB_KEY.hex(), ["modify", "--index", "5", "--image", "missing", "--build", "b",
+                          "--compose", "c"], "cannot read .*missing: No such file"),
+    ], ids=["missing-key-file", "non-hex-key", "short-key", "missing-image"])
+    def test_unreadable_local_inputs_refused_before_connecting(
+        self, key_text, argv, reason, tmp_path, capsys, monkeypatch
+    ):
+        from tcr.cli import EXIT_PROTOCOL, main
+
+        def no_connection(*args, **kwargs):
+            raise AssertionError("connected")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "b").write_bytes(BUILD)
+        (tmp_path / "c").write_bytes(COMPOSE)
+        key_file = tmp_path / "user.key"
+        if key_text is not None:
+            key_file.write_text(key_text)
+        code = main(["--server", "127.0.0.1:1", "--user", "1", "--key-file", str(key_file)] + argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_PROTOCOL
+        assert re.search(reason, err) and len(err.strip().splitlines()) == 1, err

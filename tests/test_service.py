@@ -452,7 +452,7 @@ class TestStatementCounts:
             assert handle(*args) is not None
             return len(statements)
 
-        assert counted(service.handle_create, signed_create(cred, 100)) == 15, statements
+        assert counted(service.handle_create, signed_create(cred, 100)) == 13, statements
         assert counted(service.handle_modify, signed_modify(cred, 5, 2), BLOBS) == 11, statements
         for counter, level in ((3, 1), (4, 2)):  # new grant, then re-grant
             root = predicted_acl_root(acl_hints(service, 5), 2, level)
@@ -656,11 +656,14 @@ class TestMonotonicCounter:
 class TestForeignRootChange:
     @staticmethod
     def foreign_equivalence(service, new_idx):
-        """An EQ certificate for a placeholder the store will never hold."""
-        from tcr.iomt import leaf_digest
+        """An EQ certificate for a placeholder the store will never hold.
+
+        The shadow tree is an in-memory copy, so the store is never touched.
+        """
+        from tcr.iomt import Iomt, leaf_digest
 
         module = service.module
-        shadow = service.container_tree()
+        shadow = Iomt.from_leaves(service.height, service.container_tree().leaves())
         plan = shadow.placeholder_plan(new_idx)
         enc_path = shadow.complement_path(plan.encloser_slot)
         nu1 = module.certify_node_update(
@@ -673,10 +676,7 @@ class TestForeignRootChange:
             ZERO_DIGEST, leaf_digest(plan.placeholder_leaf),
             [p[0] for p in ph_path], [p[1] for p in ph_path],
         )
-        equivalence = module.certify_root_equivalence(nu1, nu2, plan.encloser_leaf, new_idx)
-        shadow.set_leaf(plan.encloser_slot, plan.encloser_leaf)
-        shadow.set_leaf(plan.placeholder_slot, None)
-        return equivalence
+        return module.certify_root_equivalence(nu1, nu2, plan.encloser_leaf, new_idx)
 
     def test_foreign_toggle_refuses_create_until_undone(self, service, credentials):
         # A module-level actor toggles a placeholder in just before the
@@ -702,6 +702,36 @@ class TestForeignRootChange:
         assert module.root == service.container_tree().root
         assert service.handle_create(signed_create(cred, 8)) is not None
         assert module.root == service.container_tree().root
+
+
+class TestAppendOnlyTree:
+    def test_occupied_slots_stay_dense(self, tmp_path, user_keys, credentials):
+        storage = Storage(tmp_path / "dense.db", tmp_path / "blobs")
+        state = ModuleState.fresh(user_keys)
+        bulk_prepopulate(storage, 6, 5, 1, state)
+        service = Service(storage, TrustedModule(state), height=6)
+        cred = credentials[1]
+        forged = UserCredential(1, secrets.token_bytes(32))
+
+        def slot_span():
+            return storage._conn.execute(
+                "SELECT MIN(slot), MAX(slot), COUNT(*) FROM leaves"
+            ).fetchone()
+
+        assert slot_span() == (0, 4, 5)
+        assert service.handle_create(signed_create(cred, 100)) is not None
+        assert slot_span() == (0, 5, 6)
+        assert service.handle_create(signed_create(cred, 50)) is not None
+        assert slot_span() == (0, 6, 7)
+        # refused by the module after the placeholder was planned and written
+        assert service.handle_create(signed_create(forged, 70)) is None
+        assert slot_span() == (0, 6, 7)
+        assert service.handle_create(signed_create(cred, 3)) is None  # index exists
+        assert slot_span() == (0, 6, 7)
+        assert service.handle_create(signed_create(cred, 70)) is not None
+        assert slot_span() == (0, 7, 8)
+        assert service.module.root == service.container_tree().root
+        storage.close()
 
 
 class TestConsistencyAcrossRestart:

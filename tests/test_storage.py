@@ -9,7 +9,7 @@ import pytest
 
 import tcr.iomt
 import tcr.storage
-from conftest import oracle_root, remove_placeholder
+from conftest import V1_TREE_LAYOUT, oracle_root, remove_placeholder
 from tcr.iomt import (
     Geometry,
     Iomt,
@@ -41,18 +41,16 @@ def keys():
 
 
 def node_rows(storage) -> int:
-    """Rows the node table holds; zero digests are never stored."""
+    """Rows the node table holds."""
     return storage._conn.execute("SELECT COUNT(*) FROM nodes").fetchone()[0]
 
 
 class TestNodeTable:
-    def test_zero_put_deletes_row(self, storage):
+    def test_zero_put_reads_back_as_zero(self, storage):
         store = storage.tree()
         store.set_nodes([(5, sha256(b"x")), (6, sha256(b"z"))])
-        assert node_rows(storage) == 2
         store.set_nodes([(5, ZERO_DIGEST), (6, sha256(b"w"))])
         assert store.get_nodes([5, 6]) == [ZERO_DIGEST, sha256(b"w")]
-        assert node_rows(storage) == 1
 
     def test_round_trip(self, storage):
         digest = sha256(b"y")
@@ -112,20 +110,26 @@ class TestBatchedPathReads:
 
 
 class TestLeafTable:
-    def test_round_trip_and_delete(self, storage):
+    def test_round_trip(self, storage):
         store = storage.tree()
         leaf = Leaf(9, 12, counter_digest(3))
         store.set_leaf(4, leaf)
         assert store.get_leaf(4) == leaf
+        assert store.get_leaf(3) is None
+
+    def test_memory_store_removes_a_leaf(self):
+        # Only the in-memory store deletes; the sqlite tree is append-only.
+        store = MemoryTreeStore()
+        store.set_leaf(4, Leaf(9, 12, counter_digest(3)))
         store.set_leaf(4, None)
-        assert store.get_leaf(4) is None
+        assert store.get_leaf(4) is None and not store.has_leaves()
 
     def test_overwrite_is_one_statement(self, storage):
         store = storage.tree()
         statements: list[str] = []
         storage._conn.set_trace_callback(statements.append)
         store.set_leaf(0, Leaf(9, 9, counter_digest(1)))
-        assert len(statements) == 3, statements  # a new slot
+        assert len(statements) == 1, statements  # a new slot
         statements.clear()
         store.set_leaf(0, Leaf(9, 9, counter_digest(2)))
         assert len(statements) == 1, statements  # an overwrite
@@ -139,7 +143,8 @@ class TestLeafTable:
             indices = rng.sample(range(1, 250), 12)
             for idx in indices:
                 tree.upsert(idx, ZERO_DIGEST)
-            remove_placeholder(tree, indices[5])  # frees a slot in the middle
+            if isinstance(store, MemoryTreeStore):
+                remove_placeholder(tree, indices[5])  # frees a slot in the middle
             leaves = list(tree.leaves())
             for candidate in range(0, 256):
                 scan = [(s, l) for s, l in leaves if encloses(l.idx, l.next_idx, candidate)]
@@ -149,33 +154,36 @@ class TestLeafTable:
                 assert store.find_leaf(candidate) == (held[0] if held else None), candidate
 
     def test_first_free_slot_finds_gaps(self, storage):
-        for store in (MemoryTreeStore(), storage.tree()):
+        # The sqlite store is append-only: its free slot is one past the
+        # highest occupied one.  Only the memory store refills a gap.
+        for store, gap_refilled in ((MemoryTreeStore(), True), (storage.tree(), False)):
             tree = Iomt(2, store)
             assert store.first_free_slot() == 0
             store.set_leaf(0, Leaf(1, 1, ZERO_DIGEST))
             store.set_leaf(1, Leaf(2, 2, ZERO_DIGEST))
             store.set_leaf(3, Leaf(3, 3, ZERO_DIGEST))
-            assert store.first_free_slot() == 2
-            store.set_leaf(1, None)  # a deleted slot is free again
-            assert store.first_free_slot() == 1
-            store.set_leaf(1, Leaf(2, 2, ZERO_DIGEST))
+            assert store.first_free_slot() == (2 if gap_refilled else 4)
+            if gap_refilled:
+                store.set_leaf(1, None)  # a deleted slot is free again
+                assert store.first_free_slot() == 1
+                store.set_leaf(1, Leaf(2, 2, ZERO_DIGEST))
             store.set_leaf(2, Leaf(4, 4, ZERO_DIGEST))
             # Full: the store has no bound, the tree maps it to "full".
             assert store.first_free_slot() == 4
             with pytest.raises(TreeFullError):
                 tree.placeholder_plan(9)
 
-    def test_freed_top_slot_is_refilled_before_higher_ones(self, storage):
-        for store in (MemoryTreeStore(), storage.tree()):
-            for slot in (0, 1, 2, 4):
-                store.set_leaf(slot, Leaf(slot + 1, slot + 1, ZERO_DIGEST))
-            store.set_leaf(4, None)  # the hole at 3 is now above the high-water mark
-            store.set_leaf(2, None)
-            assert store.first_free_slot() == 2
-            store.set_leaf(2, Leaf(3, 3, ZERO_DIGEST))
-            assert store.first_free_slot() == 3
-            store.set_leaf(3, Leaf(4, 4, ZERO_DIGEST))
-            assert store.first_free_slot() == 4
+    def test_freed_top_slot_is_refilled_before_higher_ones(self):
+        store = MemoryTreeStore()  # the sqlite store never frees a slot
+        for slot in (0, 1, 2, 4):
+            store.set_leaf(slot, Leaf(slot + 1, slot + 1, ZERO_DIGEST))
+        store.set_leaf(4, None)  # the hole at 3 is now above the high-water mark
+        store.set_leaf(2, None)
+        assert store.first_free_slot() == 2
+        store.set_leaf(2, Leaf(3, 3, ZERO_DIGEST))
+        assert store.first_free_slot() == 3
+        store.set_leaf(3, Leaf(4, 4, ZERO_DIGEST))
+        assert store.first_free_slot() == 4
 
 
 class TestSparseDenseEquivalence:
@@ -448,7 +456,7 @@ class TestSchemaVersion:
     def test_fresh_store_is_stamped(self, tmp_path):
         Storage(tmp_path / "s.db").close()
         conn = sqlite3.connect(tmp_path / "s.db")
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 1
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 2
         conn.close()
         Storage(tmp_path / "s.db").close()  # the stamped store reopens
 
@@ -468,6 +476,18 @@ class TestSchemaVersion:
         assert conn.execute("PRAGMA user_version").fetchone()[0] == 0
         assert conn.execute("SELECT tree FROM nodes").fetchall() == [("container",)]
         conn.close()
+
+    def test_version_1_store_is_refused(self, tmp_path):
+        path = tmp_path / "v1.db"
+        conn = sqlite3.connect(path)
+        conn.executescript(V1_TREE_LAYOUT)
+        conn.close()
+        before = path.read_bytes()
+        with pytest.raises(
+            StorageError, match="schema version 1, this build needs 2: provision a fresh store"
+        ):
+            Storage(path)
+        assert path.read_bytes() == before
 
     def test_other_version_is_refused_even_when_empty(self, tmp_path):
         path = tmp_path / "next.db"
