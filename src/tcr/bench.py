@@ -44,12 +44,11 @@ STEP_ORDER = {
                "root_update", "persist_records", "total"),
     "modify": ("record_lookup", "content_digest", "certificates", "root_update",
                "persist_records", "total"),
-    "modify_encrypted": ("record_lookup", "content_digest", "certificates", "secret_store",
-                         "root_update", "persist_records", "total"),
+    "modify_encrypted": ("record_lookup", "content_digest", "certificates", "root_update",
+                         "persist_records", "total"),
     "info": ("record_lookup", "certificates", "module_verify", "total"),
     "fetch": ("record_lookup", "certificates", "module_verify", "total"),
-    "fetch_encrypted": ("record_lookup", "certificates", "module_verify", "secret_release",
-                        "total"),
+    "fetch_encrypted": ("record_lookup", "certificates", "module_verify", "total"),
 }
 
 CSV_HEADER = ("h", "operation", "step", "median_us", "stderr_us")

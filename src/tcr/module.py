@@ -126,6 +126,7 @@ class UpdateResult:
     record_cert: Certificate
     version_cert: Optional[Certificate]
     ack: bytes
+    sealed_secret: Optional[bytes] = None  # an accepted content update's secret, sealed
 
 
 @dataclass(frozen=True)
@@ -145,6 +146,7 @@ class VerifyResponse:
     requested_version: Optional[int] = None
     acl_root: Optional[bytes] = None
     content_digest: Optional[bytes] = None
+    sealed_for_user: Optional[bytes] = None  # the version's secret for the caller; untagged
 
     @property
     def denied(self) -> bool:
@@ -248,6 +250,16 @@ def secret_commitment(idx: int, secret: bytes) -> bytes:
 
 def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
+
+
+def _repad(padded: bytes, commitment: bytes, pad: bytes, idx: int, key: bytes) -> Optional[bytes]:
+    """The secret under ``pad``, re-padded under ``key``, if it opens ``commitment``."""
+    if len(padded) != DIGEST_SIZE or len(commitment) != DIGEST_SIZE:
+        return None
+    secret = _xor(padded, pad)
+    if not macs_equal(commitment, secret_commitment(idx, secret)):
+        return None
+    return _xor(secret, sha256(commitment + key))
 
 
 class TrustedModule:
@@ -479,6 +491,7 @@ class TrustedModule:
         record_update: Certificate,
         acl_proof: Optional[Proof] = None,
         record: Optional[Certificate] = None,
+        secret: Optional[tuple[bytes, bytes]] = None,
     ) -> Optional[UpdateResult]:
         """Apply a signed user request: creation, content update, or ACL update.
 
@@ -486,11 +499,13 @@ class TrustedModule:
         proves a placeholder turning into counter 1.  Updates additionally
         need the sealed container record and an RV showing the caller's
         access level in that record's ACL tree (2+ to modify content,
-        3 to modify the ACL).
+        3 to modify the ACL).  A content update's ``secret`` (the container
+        secret padded under the caller's key for ``(idx, counter)``, and its
+        commitment) is sealed only on acceptance; a bad one refuses the request.
         """
         with self._lock:
             key = self._state.user_keys.get(request.user_idx)
-            if key is None:
+            if key is None or (secret is not None and request.kind != RequestKind.CONTAINER):
                 return None
             if not macs_equal(request.sig, hmac_sha256(request.signed_body(), key)):
                 return None
@@ -520,10 +535,16 @@ class TrustedModule:
             c_ver, acl_root, access = checked
 
             if request.kind == RequestKind.CONTAINER and access >= 2:
+                sealed = None
+                if secret is not None:
+                    pad = hmac_sha256(encode_fields(("u64", "u64"), (request.idx, ctr)), key)
+                    sealed = _repad(*secret, pad, request.idx, self._state.secret)
+                    if sealed is None:
+                        return None
                 record_cert = self._issue(CertKind.CR, (request.idx, ctr + 1, c_ver + 1, acl_root))
                 version_cert = self._issue(CertKind.VR, (request.idx, c_ver + 1, request.value))
                 self._state.root = new_root
-                return UpdateResult(record_cert, version_cert, ack)
+                return UpdateResult(record_cert, version_cert, ack, sealed)
 
             if request.kind == RequestKind.ACL and access >= 3:
                 # ACL updates bump the counter but leave the version count alone.
@@ -542,6 +563,7 @@ class TrustedModule:
         record: Optional[Certificate] = None,
         acl_proof: Optional[Proof] = None,
         version_cert: Optional[Certificate] = None,
+        secret: Optional[tuple[bytes, bytes]] = None,
     ) -> Optional[VerifyResponse]:
         """Answer an information query with a MACed response or denial.
 
@@ -549,6 +571,8 @@ class TrustedModule:
         zero access are built identically, so the caller cannot tell the two
         apart.  ``None`` means the supplied evidence itself was bad, which
         distinguishes service misbehavior from an authenticated denial.
+        A full response carries ``secret`` (a sealed secret and its
+        commitment) re-padded for the caller if the commitment opens.
         """
         with self._lock:
             key = self._state.user_keys.get(user_idx)
@@ -582,6 +606,9 @@ class TrustedModule:
             v_idx, version, content_digest = version_cert.values
             if v_idx != idx or version != requested_version:
                 return None
+            sealed_for_user = None
+            if secret is not None:
+                sealed_for_user = _repad(*secret, sha256(secret[1] + self._state.secret), idx, key)
             response = VerifyResponse(
                 idx=idx,
                 nonce=nonce,
@@ -591,6 +618,7 @@ class TrustedModule:
                 requested_version=requested_version,
                 acl_root=acl_root,
                 content_digest=content_digest,
+                sealed_for_user=sealed_for_user,
             )
             return self._tagged(response, key)
 
@@ -600,54 +628,3 @@ class TrustedModule:
     @staticmethod
     def _tagged(response: VerifyResponse, key: bytes) -> VerifyResponse:
         return replace(response, tag=hmac_sha256(response.tag_body(), key))
-
-    def store_secret(
-        self, idx: int, counter: int, user_idx: int, wrapped: bytes, commitment: bytes
-    ) -> Optional[bytes]:
-        """Re-seal a user's container secret under the module secret.
-
-        The user sends the secret XOR-padded under their shared key; the
-        commitment lets the module check integrity before re-sealing.
-        """
-        with self._lock:
-            key = self._state.user_keys.get(user_idx)
-            if key is None or len(wrapped) != DIGEST_SIZE or len(commitment) != DIGEST_SIZE:
-                return None
-            pad = hmac_sha256(encode_fields(("u64", "u64"), (idx, counter)), key)
-            secret = _xor(wrapped, pad)
-            if not macs_equal(commitment, secret_commitment(idx, secret)):
-                return None
-            return _xor(secret, sha256(commitment + self._state.secret))
-
-    def release_secret(
-        self,
-        user_idx: int,
-        idx: int,
-        counter: int,
-        version_count: int,
-        container_proof: Proof,
-        acl_proof: Proof,
-        record: Certificate,
-        sealed: bytes,
-        commitment: bytes,
-    ) -> Optional[bytes]:
-        """Unseal a stored container secret and re-pad it for an authorized user."""
-        with self._lock:
-            key = self._state.user_keys.get(user_idx)
-            if key is None or len(sealed) != DIGEST_SIZE or len(commitment) != DIGEST_SIZE:
-                return None
-            rv1 = self._select_rv(container_proof, idx)
-            if rv1 is None:
-                return None
-            _, val, root = rv1
-            if root != self._state.root:
-                return None
-            if counter_value(val) != counter:
-                return None
-            checked = self._access(record, acl_proof, idx, counter, user_idx)
-            if checked is None or checked[0] != version_count or checked[2] < 1:
-                return None  # inconsistent certificates or improper privileges
-            secret = _xor(sealed, sha256(commitment + self._state.secret))
-            if not macs_equal(commitment, secret_commitment(idx, secret)):
-                return None
-            return _xor(secret, sha256(commitment + key))

@@ -195,8 +195,10 @@ class RepositoryServer(socketserver.TCPServer):
                 compose=result.blobs.compose.hex(),
                 secret_commitment=result.secret_commitment.hex(),
             )
-            if result.sealed_for_user is not None:
-                body["sealed_for_user"] = result.sealed_for_user.hex()
+            # Absent if the secret did not open its commitment: content, but no usable secret.
+            sealed_for_user = result.verify.response.sealed_for_user
+            if sealed_for_user is not None:
+                body["sealed_for_user"] = sealed_for_user.hex()
             return STATUS_OK, body
 
         if op == "BENCH_PREPOPULATE":
@@ -285,7 +287,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except StorageError as exc:
         raise SystemExit(f"cannot open {args.db}: {exc}") from exc
     if not state_path.exists():
-        save_state(state, state_path)  # provisioned only once the store opens
+        try:
+            save_state(state, state_path)  # provisioned only once the store opens
+        except OSError as exc:
+            storage.close()
+            raise SystemExit(f"cannot save module state {state_path}: {exc}") from exc
     service = Service(storage, TrustedModule(state), args.height, acl_height=args.acl_height)
     server = RepositoryServer(args.listen, service, state=state, state_path=state_path)
     host, port = server.server_address[:2]

@@ -150,18 +150,15 @@ class FetchResult:
     verify: InfoResult
     blobs: Optional[BlobSet] = None
     secret_commitment: Optional[bytes] = None
-    sealed_for_user: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
 class _Answer:
-    """The module's answer to a query and the evidence it was given."""
+    """The module's answer to a query and the rows it was given."""
 
     response: VerifyResponse
     record: Optional[ContainerRecord]
     version_row: Optional[VersionRecord]
-    container_proof: Proof
-    acl_proof: Optional[Proof]
     acl: Optional[Iomt]  # the container's ACL view, loaded when the record exists
 
 
@@ -309,15 +306,8 @@ class Service:
         module = self.module
         with self.storage.transaction(commit_timer=_step(clock, "persist_records")):
             with _step(clock, "record_lookup"):
-                existing = tree.find_leaf(req.idx)
-            if existing is not None:
-                # Drive the module anyway: a record update claiming the leaf
-                # was a placeholder cannot map to the live root.
-                slot, leaf = existing
-                ru = self._bump_counter(tree, slot, Leaf(req.idx, leaf.next_idx, ZERO_DIGEST), 1)
-                if ru is not None:
-                    module.apply_request(req, ru)
-                raise _Rejected()
+                if tree.find_leaf(req.idx) is not None:
+                    raise _Rejected()  # before any write or module call
 
             with _step(clock, "persist_records"):
                 # Checked before the module moves the root: a refusal after
@@ -419,18 +409,10 @@ class Service:
                 if ru is None or acl_proof is None:
                     raise _Rejected()
 
-            sealed = None
-            if wrapped_secret is not None:
-                with _step(clock, "secret_store"):
-                    sealed = module.store_secret(
-                        req.idx, req.counter, req.user_idx, wrapped_secret, commitment
-                    )
-                    if sealed is None:
-                        raise _Rejected()
-
             with _step(clock, "root_update"):
                 result = module.apply_request(
-                    req, ru, acl_proof=acl_proof, record=record.as_certificate()
+                    req, ru, acl_proof=acl_proof, record=record.as_certificate(),
+                    secret=None if wrapped_secret is None else (wrapped_secret, commitment),
                 )
                 if result is None:
                     raise _Rejected()
@@ -445,7 +427,7 @@ class Service:
                         idx=req.idx,
                         version=version_count,
                         secret_commitment=commitment,
-                        wrapped_secret=sealed if sealed is not None else ZERO_DIGEST,
+                        wrapped_secret=result.sealed_secret or ZERO_DIGEST,
                         content_digest=digest,
                         seal=result.version_cert.mac,
                     )
@@ -552,44 +534,27 @@ class Service:
             return self._fetch_once(idx, version, user_idx, nonce, clock)
 
     def _fetch_once(self, idx, version, user_idx, nonce, clock) -> FetchResult:
-        answer = self._verified_answer(idx, version, nonce, user_idx, clock)
+        answer = self._verified_answer(idx, version, nonce, user_idx, clock, release=True)
         verify = InfoResult(response=answer.response)
         if answer.response.denied:
             return FetchResult(verify=verify)
-        # A full response attests the record and the version row.
-        record, version_row = answer.record, answer.version_row
+        # A full response attests the version row.
+        version_row = answer.version_row
         with _step(clock, "record_lookup"):
             blobs = self.storage.blob_get(idx, version_row.version)
             if blobs is None:
                 raise ProtocolError("no content stored for that version")
-
-        sealed_for_user = None
-        if version_row.wrapped_secret != ZERO_DIGEST:
-            with _step(clock, "secret_release"):
-                sealed_for_user = self.module.release_secret(
-                    user_idx,
-                    idx,
-                    record.counter,
-                    record.version_count,
-                    answer.container_proof,
-                    answer.acl_proof,
-                    record.as_certificate(),
-                    version_row.wrapped_secret,
-                    version_row.secret_commitment,
-                )
-                # None: the caller gets content but no usable secret.
-
         return FetchResult(
-            verify=verify,
-            blobs=blobs,
-            secret_commitment=version_row.secret_commitment,
-            sealed_for_user=sealed_for_user,
+            verify=verify, blobs=blobs, secret_commitment=version_row.secret_commitment
         )
 
-    def _verified_answer(self, idx, requested_version, nonce, user_idx, clock) -> _Answer:
+    def _verified_answer(
+        self, idx, requested_version, nonce, user_idx, clock, release=False
+    ) -> _Answer:
         """Look up the rows, certify the proofs and ask the module for its answer.
 
-        A version of 0 is resolved here to the latest stored version.
+        A version of 0 is resolved here to the latest stored version.  With
+        ``release``, the version's sealed secret goes to the module as well.
         """
         with _step(clock, "record_lookup"):
             record = self.storage.record_get(idx)
@@ -609,6 +574,9 @@ class Service:
                 raise ProtocolError("cannot assemble consistent proofs")
 
         with _step(clock, "module_verify"):
+            secret = None
+            if release and version_row is not None and version_row.wrapped_secret != ZERO_DIGEST:
+                secret = (version_row.wrapped_secret, version_row.secret_commitment)
             response = self.module.verify_container(
                 user_idx,
                 nonce,
@@ -617,6 +585,7 @@ class Service:
                 record=record.as_certificate() if record is not None else None,
                 acl_proof=acl_proof,
                 version_cert=version_row.as_certificate() if version_row is not None else None,
+                secret=secret,
             )
         if response is None:
             # Typically an unattestable version number.  Reveal hints only to
@@ -626,4 +595,4 @@ class Service:
                     "no proof exists for the requested version", hints=self._hints(record, acl)
                 )
             raise ProtocolError("no proof exists for the requested version")
-        return _Answer(response, record, version_row, container_proof, acl_proof, acl)
+        return _Answer(response, record, version_row, acl)

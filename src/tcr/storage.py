@@ -166,8 +166,14 @@ class Storage:
     def __init__(self, db_path: str | Path, data_dir: Optional[str | Path] = None) -> None:
         self.db_path = str(db_path)
         self.data_dir = Path(data_dir) if data_dir is not None else None
-        self._conn = sqlite3.connect(self.db_path, isolation_level=None, check_same_thread=False)
-        (version,) = self._conn.execute("PRAGMA user_version").fetchone()
+        self._conn = None
+        try:
+            self._conn = sqlite3.connect(self.db_path, isolation_level=None, check_same_thread=False)
+            (version,) = self._conn.execute("PRAGMA user_version").fetchone()
+        except sqlite3.Error as exc:  # a missing directory, or a file that is not sqlite
+            if self._conn is not None:
+                self._conn.close()
+            raise StorageError(str(exc)) from exc
         fresh = self._conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchone() is None
         if version != SCHEMA_VERSION and not fresh:
             self._conn.close()

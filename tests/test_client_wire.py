@@ -659,12 +659,13 @@ class TestCipherTag:
 
 
 class TestCli:
-    def test_server_refuses_a_store_of_another_layout(self, tmp_path):
+    def test_server_refuses_a_store_of_another_layout(self, tmp_path, monkeypatch):
         import json
         import sqlite3
 
         from tcr.server import main as server_main
 
+        self.never_serve(monkeypatch)
         db = tmp_path / "old.db"
         conn = sqlite3.connect(db)
         conn.execute("CREATE TABLE nodes(tree TEXT, pos INTEGER, digest BLOB)")
@@ -705,20 +706,39 @@ class TestCli:
         assert db.read_bytes() == before
         assert not (tmp_path / "module.bin").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated-state", "flipped-state-byte", "non-hex-users-key"])
+    @pytest.mark.parametrize("damage", ["truncated-state", "flipped-state-byte", "non-hex-users-key",
+                                        "db-in-missing-dir", "db-not-sqlite", "state-in-missing-dir"])
     def test_server_stops_on_a_damaged_state_or_users_file(self, damage, tmp_path, monkeypatch):
         from tcr.module import save_state
         from tcr.server import main as server_main
 
         self.never_serve(monkeypatch)
+        missing = tmp_path / "missing"
         state_file, users = tmp_path / "module.bin", tmp_path / "users.json"
-        argv = ["--listen", "127.0.0.1:0", "--db", str(tmp_path / "repo.db"), "--module-state",
+        db = missing / "repo.db" if damage == "db-in-missing-dir" else tmp_path / "repo.db"
+        if damage == "state-in-missing-dir":
+            state_file = missing / "module.bin"
+        argv = ["--listen", "127.0.0.1:0", "--db", str(db), "--module-state",
                 str(state_file), "--height", "4", "--data-dir", str(tmp_path / "blobs")]
         if damage == "non-hex-users-key":
             users.write_text(json.dumps({"1": "zz" * 32}))
             with pytest.raises(SystemExit, match=f"users file {re.escape(str(users))}: non-hexadecimal"):
                 server_main(argv + ["--users", str(users)])
             assert not state_file.exists() and not (tmp_path / "repo.db").exists()
+            return
+        if damage.startswith("db-") or damage == "state-in-missing-dir":
+            # Provisioning from a users file, on paths that cannot be opened or written.
+            users.write_text(json.dumps({"1": STUB_KEY.hex()}))
+            if damage == "db-not-sqlite":
+                db.write_bytes(b"not a database" * 100)
+            expected = {
+                "db-in-missing-dir": f"cannot open {re.escape(str(db))}: unable to open",
+                "db-not-sqlite": f"cannot open {re.escape(str(db))}: file is not a database",
+                "state-in-missing-dir": f"cannot save module state {re.escape(str(state_file))}: ",
+            }[damage]
+            with pytest.raises(SystemExit, match=expected):
+                server_main(argv + ["--users", str(users)])
+            assert not missing.exists() and not state_file.exists()
             return
         save_state(ModuleState.fresh({1: STUB_KEY}), state_file)
         data = bytearray(state_file.read_bytes())

@@ -421,10 +421,10 @@ def full_setup(module, height: int = 3):
 class ContainerFixture:
     """An in-memory repository the tests can drive like the service would."""
 
-    def __init__(self, module: TrustedModule, owner: int = 1, idx: int = 10):
+    def __init__(self, module: TrustedModule, owner: int = 1, idx: int = 10, tree=None):
         self.module = module
         self.idx = idx
-        self.tree = Iomt(3)
+        self.tree = tree if tree is not None else Iomt(3)  # shared by containers in one repo
         self.acl = Iomt(3)
         self.acl.set_leaf(0, Leaf(owner, owner, counter_digest(3)))
         _, result = create_container(module, self.tree, owner, idx, self.acl.root)
@@ -456,7 +456,7 @@ class ContainerFixture:
             verification_proof(self.module, self.acl, slot), leaf, absent_idx=user
         )
 
-    def modify(self, user: int, content_digest: bytes):
+    def modify(self, user: int, content_digest: bytes, secret=None):
         slot, leaf = self.tree.find_leaf(self.idx)
         new_leaf = Leaf(self.idx, leaf.next_idx, counter_digest(self.counter + 1))
         ru = self.module.certify_record_update(
@@ -464,7 +464,7 @@ class ContainerFixture:
         )
         req = sign(user, RequestKind.CONTAINER, self.idx, self.counter, content_digest)
         result = self.module.apply_request(
-            req, ru, acl_proof=self.acl_proof(user), record=self.record
+            req, ru, acl_proof=self.acl_proof(user), record=self.record, secret=secret
         )
         if result is not None:
             self.tree.set_leaf(slot, new_leaf)
@@ -489,7 +489,7 @@ class ContainerFixture:
             self.record = result.record_cert
         return result
 
-    def verify(self, user: int, nonce: bytes, requested_version: int):
+    def verify(self, user: int, nonce: bytes, requested_version: int, secret=None):
         version_cert = self.version_certs.get(requested_version)
         return self.module.verify_container(
             user,
@@ -499,6 +499,7 @@ class ContainerFixture:
             record=self.record,
             acl_proof=self.acl_proof(user),
             version_cert=version_cert,
+            secret=secret,
         )
 
 
@@ -628,72 +629,125 @@ class TestVerifyContainer:
         assert response is None
 
 
+def xor(a: bytes, b: bytes) -> bytes:
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
+def wrap(user: int, idx: int, counter: int, secret: bytes) -> tuple[bytes, bytes]:
+    """A secret padded for the module as a client pads it, and its commitment."""
+    pad = hmac_sha256(u64(idx) + u64(counter), KEYS[user])
+    return xor(secret, pad), secret_commitment(idx, secret)
+
+
 class TestSecrets:
     def test_store_and_release_round_trip(self):
         module = fresh_module()
         repo = ContainerFixture(module)
-        repo.modify(1, sha256(b"v1"))
         secret = secrets.token_bytes(32)
-        idx, counter = 10, 1
-        pad = hmac_sha256(u64(idx) + u64(counter), KEYS[1])
-        wrapped = bytes(a ^ b for a, b in zip(secret, pad))
-        commitment = secret_commitment(idx, secret)
-        sealed = module.store_secret(idx, counter, 1, wrapped, commitment)
-        assert sealed is not None and sealed != secret
+        wrapped, commitment = wrap(1, repo.idx, repo.counter, secret)
+        result = repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment))
+        assert result is not None
+        sealed = result.sealed_secret
+        assert sealed is not None and sealed != secret and sealed != wrapped
 
-        delivered = module.release_secret(
-            1, idx, repo.counter, repo.record.values[2],
-            repo.container_proof(), repo.acl_proof(1), repo.record, sealed, commitment,
-        )
-        assert delivered is not None
-        out_pad = sha256(commitment + KEYS[1])
-        assert bytes(a ^ b for a, b in zip(delivered, out_pad)) == secret
+        nonce = secrets.token_bytes(32)
+        response = repo.verify(1, nonce, 1, secret=(sealed, commitment))
+        assert response is not None and not response.denied
+        assert xor(response.sealed_for_user, sha256(commitment + KEYS[1])) == secret
+        # The released secret rides outside the tag: the answer is tagged as without it.
+        plain = repo.verify(1, nonce, 1)
+        assert plain.sealed_for_user is None and plain.tag == response.tag
+        assert response.tag == hmac_sha256(response.tag_body(), KEYS[1])
 
     def test_bit_flip_in_wrapped_secret_refused(self):
         module = fresh_module()
+        repo = ContainerFixture(module)
         secret = secrets.token_bytes(32)
-        pad = hmac_sha256(u64(5) + u64(1), KEYS[1])
-        wrapped = bytearray(a ^ b for a, b in zip(secret, pad))
-        wrapped[0] ^= 0x80
-        assert module.store_secret(5, 1, 1, bytes(wrapped), secret_commitment(5, secret)) is None
+        wrapped, commitment = wrap(1, repo.idx, repo.counter, secret)
+        flipped = bytearray(wrapped)
+        flipped[0] ^= 0x80
+        snapshot = copy.deepcopy(module._state)
+        assert repo.modify(1, sha256(b"v1"), secret=(bytes(flipped), commitment)) is None
+        assert module._state == snapshot  # the whole request is refused
+
+    def test_short_secret_refused(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        short = secrets.token_bytes(16)  # its commitment opens, but it is no 32-byte secret
+        wrapped, commitment = wrap(1, repo.idx, repo.counter, short)
+        assert repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment)) is None
 
     def test_commitment_binds_index(self):
         module = fresh_module()
+        first = ContainerFixture(module, idx=5)
+        second = ContainerFixture(module, idx=6, tree=first.tree)
         secret = secrets.token_bytes(32)
         sealed = {}
-        for idx in (5, 6):
-            pad = hmac_sha256(u64(idx) + u64(1), KEYS[1])
-            wrapped = bytes(a ^ b for a, b in zip(secret, pad))
-            sealed[idx] = module.store_secret(idx, 1, 1, wrapped, secret_commitment(idx, secret))
+        for repo, other in ((first, second), (second, first)):
+            wrapped, commitment = wrap(1, repo.idx, repo.counter, secret)
+            misbound = secret_commitment(other.idx, secret)
+            assert repo.modify(1, sha256(b"v1"), secret=(wrapped, misbound)) is None
+            result = repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment))
+            assert result is not None
+            sealed[repo.idx] = result.sealed_secret
         assert sealed[5] is not None and sealed[6] is not None
         assert sealed[5] != sealed[6]
+        # A seal made for container 5 does not open as container 6's.
+        foreign = (sealed[5], secret_commitment(5, secret))
+        response = second.verify(1, secrets.token_bytes(32), 1, secret=foreign)
+        assert response is not None and not response.denied
+        assert response.sealed_for_user is None
 
     def test_release_needs_read_access(self):
         module = fresh_module()
         repo = ContainerFixture(module)
-        repo.modify(1, sha256(b"v1"))
         secret = secrets.token_bytes(32)
-        commitment = secret_commitment(10, secret)
-        sealed = bytes(a ^ b for a, b in zip(secret, sha256(commitment + module._state.secret)))
-        result = module.release_secret(
-            2, 10, repo.counter, repo.record.values[2],
-            repo.container_proof(), repo.acl_proof(2), repo.record, sealed, commitment,
-        )
-        assert result is None
+        wrapped, commitment = wrap(1, repo.idx, repo.counter, secret)
+        sealed = repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment)).sealed_secret
+        denied = repo.verify(2, secrets.token_bytes(32), 1, secret=(sealed, commitment))
+        assert denied is not None and denied.denied
+        assert denied.sealed_for_user is None
+        assert repo.set_access(1, 2, 1) is not None  # read access
+        response = repo.verify(2, secrets.token_bytes(32), 1, secret=(sealed, commitment))
+        assert response is not None and not response.denied
+        assert xor(response.sealed_for_user, sha256(commitment + KEYS[2])) == secret
 
     def test_tampered_sealed_secret_refused(self):
         module = fresh_module()
         repo = ContainerFixture(module)
-        repo.modify(1, sha256(b"v1"))
         secret = secrets.token_bytes(32)
-        commitment = secret_commitment(10, secret)
-        sealed = bytearray(a ^ b for a, b in zip(secret, sha256(commitment + module._state.secret)))
+        wrapped, commitment = wrap(1, repo.idx, repo.counter, secret)
+        sealed = bytearray(repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment)).sealed_secret)
         sealed[3] ^= 0x40
-        result = module.release_secret(
-            1, 10, repo.counter, repo.record.values[2],
-            repo.container_proof(), repo.acl_proof(1), repo.record, bytes(sealed), commitment,
+        response = repo.verify(1, secrets.token_bytes(32), 1, secret=(bytes(sealed), commitment))
+        # Content is still attested, but no usable secret is released.
+        assert response is not None and not response.denied
+        assert response.sealed_for_user is None
+
+    def test_reader_encrypted_modify_gets_no_seal(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        assert repo.set_access(1, 2, 1) is not None
+        snapshot = copy.deepcopy(module._state)
+        secret = secrets.token_bytes(32)
+        wrapped, commitment = wrap(2, repo.idx, repo.counter, secret)
+        assert repo.modify(2, sha256(b"v1"), secret=(wrapped, commitment)) is None
+        assert module._state == snapshot
+
+    def test_secret_with_an_acl_request_refused(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        slot, leaf = repo.tree.find_leaf(repo.idx)
+        new_leaf = Leaf(repo.idx, leaf.next_idx, counter_digest(repo.counter + 1))
+        ru = module.certify_record_update(
+            update_proof(module, repo.tree, slot, new_leaf), leaf, new_leaf.val
         )
-        assert result is None
+        req = sign(1, RequestKind.ACL, repo.idx, repo.counter, repo.acl_root)
+        secret = wrap(1, repo.idx, repo.counter, secrets.token_bytes(32))
+        root = module.root
+        assert module.apply_request(req, ru, repo.acl_proof(1), repo.record, secret=secret) is None
+        assert module.root == root
+        assert module.apply_request(req, ru, repo.acl_proof(1), repo.record) is not None
 
 
 class TestStateConfinement:
@@ -709,9 +763,27 @@ class TestStateConfinement:
         ru = Certificate(CertKind.RU, (10, counter_digest(2), module.root, counter_digest(3), sha256(b"r")), bytes(32))
         assert module.apply_request(env, ru) is None
         assert module.verify_container(1, secrets.token_bytes(32), 1, bad_cert) is None
-        assert module.store_secret(10, 1, 1, bytes(32), bytes(32)) is None
+        # Sound evidence and signature, but a secret that opens no commitment.
+        assert repo.modify(1, sha256(b"v2"), secret=(bytes(32), bytes(32))) is None
 
         assert module._state == snapshot
+
+
+class TestSurface:
+    def test_public_names_of_the_trusted_module(self):
+        # The trusted computing base's surface: grow it only on purpose.
+        public = {name for name in dir(TrustedModule) if not name.startswith("_")}
+        assert public == {
+            "root",
+            "certificate_valid",
+            "certify_node_update",
+            "certify_record",
+            "certify_record_update",
+            "certify_root_equivalence",
+            "toggle_placeholder",
+            "apply_request",
+            "verify_container",
+        }
 
 
 class TestCertificateFuzzing:

@@ -44,6 +44,17 @@ def dump_store(storage) -> list:
     return out
 
 
+class ModuleSpy:
+    """Stands in for the service's module and records each name looked up on it."""
+
+    def __init__(self, module: TrustedModule) -> None:
+        self.module, self.calls = module, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.module, name)
+
+
 class TestCreate:
     def test_create_and_ack(self, service, credentials):
         cred = credentials[1]
@@ -54,13 +65,35 @@ class TestCreate:
         assert result.record_cert.values == (7, 1, 0, cred.initial_acl_root())
         assert service.module.root == service.container_tree().root
 
-    def test_duplicate_create_rejected(self, service, credentials):
+    def test_duplicate_create_rejected(self, service, credentials, monkeypatch):
         cred = credentials[1]
         assert service.handle_create(signed_create(cred, 7)) is not None
         root = service.module.root
         before = dump_store(service.storage)
+        spy = ModuleSpy(service.module)
+        monkeypatch.setattr(service, "module", spy)
         assert service.handle_create(signed_create(cred, 7)) is None
-        assert service.module.root == root
+        assert spy.calls == []  # refused before any module call
+        assert spy.module.root == root
+        assert dump_store(service.storage) == before
+
+    def test_create_over_a_placeholder_at_rest_keeps_the_sealed_root(self, service, credentials):
+        # A placeholder for 9 lies in the store, and the sealed root includes it.
+        cred = credentials[1]
+        assert service.handle_create(signed_create(cred, 7)) is not None
+        module, tree = service.module, service.container_tree()
+        plan = tree.placeholder_plan(9)
+        enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
+        nu1 = service._node_update(enc_path, plan.encloser_leaf, plan.updated_encloser)
+        placeholder_path = tree.complement_path(plan.placeholder_slot)
+        nu2 = service._node_update(placeholder_path, None, plan.placeholder_leaf)
+        tree.set_leaf(plan.placeholder_slot, plan.placeholder_leaf, placeholder_path)
+        eq = module.certify_root_equivalence(nu1, nu2, plan.encloser_leaf, 9)
+        assert module.toggle_placeholder(eq) is not None
+        assert module.root == service.container_tree().root
+        before = dump_store(service.storage)
+        assert service.handle_create(signed_create(cred, 9)) is None
+        assert module.root == service.container_tree().root
         assert dump_store(service.storage) == before
 
     def test_forged_signature_fails_closed(self, service, credentials):
@@ -393,7 +426,7 @@ class TestFetch:
         nonce = secrets.token_bytes(32)
         fetched = service.handle_fetch(7, 1, 3, nonce=nonce)  # user 3 has no access
         assert check_info_response(credentials[3], fetched.verify.response, nonce, 7) == Verdict.DENIED
-        assert fetched.sealed_for_user is None
+        assert fetched.verify.response.sealed_for_user is None
         assert fetched.blobs is None  # not even the ciphertext
 
 
@@ -476,7 +509,7 @@ class TestRejectedMutationsRollBack:
             root = predicted_acl_root(acl_hints(service, 7), 3, 1)
             result = service.handle_acl_set(reader.sign_request(RequestKind.ACL, 7, 2, root), 3, 1)
         else:
-            # The commitment names another secret, so store_secret refuses.
+            # The commitment names another secret, so apply_request refuses.
             wrapped, _ = wrap_secret(owner, secrets.token_bytes(32), 7, 2)
             _, commitment = wrap_secret(owner, secrets.token_bytes(32), 7, 2)
             env = signed_modify(owner, 7, 2, BLOBS, commitment)
