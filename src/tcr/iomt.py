@@ -107,10 +107,6 @@ class Geometry:
     def leaf_count(self) -> int:
         return 1 << self.height
 
-    @property
-    def node_count(self) -> int:
-        return 2 * self.leaf_count - 1
-
     def leaf_node(self, slot: int) -> int:
         """Node position of a leaf slot."""
         if not 0 <= slot < self.leaf_count:
@@ -172,9 +168,6 @@ class MemoryTreeStore:
             else:
                 self._nodes[pos] = digest
 
-    def get_leaf(self, slot: int) -> Optional[Leaf]:
-        return self._leaves.get(slot)
-
     def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> None:
         if leaf is None:
             self._leaves.pop(slot, None)
@@ -207,8 +200,8 @@ class Iomt:
 
     - ``get_nodes(positions)`` and ``set_nodes([(pos, digest), ...])``: node
       digests in one batch each way, the zero digest where none is stored;
-    - ``get_leaf(slot)``, ``set_leaf(slot, leaf)``, ``leaf_items()`` in slot
-      order, and ``has_leaves()``: leaf records, ``None`` for an empty slot;
+    - ``set_leaf(slot, leaf)``, ``leaf_items()`` in slot order, and
+      ``has_leaves()``: leaf records;
     - ``find_leaf(idx)``: the ``(slot, leaf)`` holding ``idx``, or ``None``;
     - ``find_encloser(idx)``: the ``(slot, leaf)`` enclosing an absent
       ``idx``, or ``None``;

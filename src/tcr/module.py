@@ -5,9 +5,10 @@ module secret and user keys.  Everything it emits is either a certificate
 (a self-memorandum MACed under the module secret, meaningless to anyone
 else) or a user-facing value MACed under that user's shared key.
 
-Certificates are *hypotheticals*: generating one never changes state, and a
-procedure that consumes certificates re-verifies each MAC before trusting a
-single field.  Rejections return ``None`` and leave the state bit-identical.
+Certificates are *hypotheticals*: generating one never changes state, and
+every root one names is folded in here from a leaf and its complement path.
+A procedure that consumes certificates re-verifies each MAC before trusting
+a single field.  Rejections return ``None`` and leave the state bit-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .merkle import (
 
 
 class CertKind(IntEnum):
-    NU = 1  # node update: X under root Y becomes X' under root Y'
+    # The numbers are under every sealed record's MAC: never renumber them.
     RV = 2  # record verify: leaf (idx, val) exists under root Y
     RU = 3  # record update: leaf value val -> val' moves root Y -> Y'
     EQ = 4  # root equivalence: Y'' is Y plus one placeholder
@@ -45,7 +46,6 @@ class CertKind(IntEnum):
 
 
 CERT_SCHEMAS: dict[int, tuple[str, ...]] = {
-    CertKind.NU: ("d32", "d32", "d32", "d32"),
     CertKind.RV: ("u64", "d32", "d32"),
     CertKind.RU: ("u64", "d32", "d32", "d32", "d32"),
     CertKind.EQ: ("d32", "d32"),
@@ -90,6 +90,14 @@ class RvPair:
 
 
 Proof = Union[Certificate, RvPair]
+
+# Sibling digests from a leaf up to the root, each with the side it occupies.
+ComplementPath = Sequence[tuple[bytes, Side]]
+
+
+def _fold(leaf: Optional[Leaf], path: ComplementPath) -> bytes:
+    """The root ``leaf`` (``None`` for an empty slot) folds to along ``path``."""
+    return compute_root(leaf_digest(leaf), [d for d, _ in path], [s for _, s in path])
 
 
 class RequestKind(IntEnum):
@@ -355,46 +363,22 @@ class TrustedModule:
 
     # -- certificate generators -----------------------------------------------
 
-    def certify_node_update(
-        self,
-        node: bytes,
-        new_node: bytes,
-        siblings: Sequence[bytes],
-        sides: Sequence[Side],
-    ) -> Certificate:
-        """NU: map a node and its replacement through one sibling path.
-
-        Any path yields a self-consistent certificate; whether the roots it
-        names mean anything is decided by whoever consumes it.
-        """
-        with self._lock:
-            root = compute_root(node, siblings, sides)
-            new_root = root if node == new_node else compute_root(new_node, siblings, sides)
-            return self._issue(CertKind.NU, (node, root, new_node, new_root))
-
     def certify_record(
-        self, node_proof: Certificate, leaf: Optional[Leaf], absent_idx: Optional[int] = None
+        self, leaf: Optional[Leaf], path: ComplementPath, absent_idx: Optional[int] = None
     ) -> Optional[Proof]:
-        """RV: bind a leaf's (idx, val) to the root its node proof names.
+        """RV: bind a leaf's (idx, val) to the root its complement path folds to.
 
         With ``absent_idx`` enclosed by the leaf, also emit the paired
         certificate proving ``absent_idx`` has no leaf under the same root.
         ``leaf=None`` asserts absence in an *empty* tree: only a zero root
-        can be free of every index at once, so the node proof must map a
-        zero leaf to a zero root.
+        can be free of every index at once, so the path must fold to zero.
         """
         with self._lock:
-            if not self._cert_ok(node_proof, CertKind.NU):
-                return None
-            node, root, new_node, new_root = node_proof.values
-            if node != new_node or root != new_root:
-                return None  # verification demands a no-op node proof
+            root = _fold(leaf, path)
             if leaf is None:
-                if absent_idx is None or node != ZERO_DIGEST or root != ZERO_DIGEST:
+                if absent_idx is None or root != ZERO_DIGEST:
                     return None
                 return self._issue(CertKind.RV, (absent_idx, ZERO_DIGEST, root))
-            if node != leaf_digest(leaf):
-                return None
             existing = (leaf.idx, leaf.val, root)
             if absent_idx is None or not encloses(leaf.idx, leaf.next_idx, absent_idx):
                 return self._issue(CertKind.RV, existing)
@@ -407,83 +391,42 @@ class TrustedModule:
             )
 
     def certify_record_update(
-        self, node_proof: Certificate, leaf: Leaf, new_val: bytes
-    ) -> Optional[Certificate]:
+        self, leaf: Leaf, new_val: bytes, path: ComplementPath
+    ) -> Certificate:
         """RU: certify the root movement caused by one leaf value change."""
         with self._lock:
-            if not self._cert_ok(node_proof, CertKind.NU):
-                return None
-            node, root, new_node, new_root = node_proof.values
-            if node != leaf_digest(leaf):
-                return None
-            if new_node != leaf_digest(Leaf(leaf.idx, leaf.next_idx, new_val)):
-                return None
+            root, new_root = _fold(leaf, path), _fold(Leaf(leaf.idx, leaf.next_idx, new_val), path)
             return self._issue(CertKind.RU, (leaf.idx, leaf.val, root, new_val, new_root))
 
     def certify_root_equivalence(
-        self,
-        encloser_proof: Optional[Certificate],
-        placeholder_proof: Certificate,
-        encloser: Optional[Leaf],
-        new_idx: int,
+        self, encloser: Optional[Leaf], encloser_path: Optional[ComplementPath], new_idx: int,
+        placeholder_path: ComplementPath,
     ) -> Optional[Certificate]:
-        """EQ: certify that two roots differ by exactly one placeholder.
+        """EQ: certify that two roots differ by exactly one placeholder for ``new_idx``.
 
-        The two node proofs must chain: the encloser edit's new root is the
-        tree the placeholder is then inserted into.  With no encloser the
-        placeholder must be a self-linked first leaf entering an empty tree
-        (both the old node and the old root zero), so the certificate can
-        only ever bootstrap a genuinely empty repository.
+        The two paths must chain: relinking the encloser to ``new_idx`` yields
+        the tree in which the placeholder's slot is still empty.  With no
+        encloser the placeholder is a self-linked first leaf, and its slot's
+        path must fold to the zero root, so the certificate can only ever
+        bootstrap a genuinely empty repository.
         """
         with self._lock:
-            if not self._cert_ok(placeholder_proof, CertKind.NU):
-                return None
-            p_node, p_root, p_new_node, p_new_root = placeholder_proof.values
-            if encloser_proof is None:
-                if encloser is not None:
+            empty_root = _fold(None, placeholder_path)
+            if encloser is None:
+                if empty_root != ZERO_DIGEST:
                     return None
-                if p_node != ZERO_DIGEST or p_root != ZERO_DIGEST:
-                    return None
-                if p_new_node != leaf_digest(Leaf(new_idx, new_idx, ZERO_DIGEST)):
-                    return None
-                return self._issue(CertKind.EQ, (p_root, p_new_root))
-            if encloser is None or not self._cert_ok(encloser_proof, CertKind.NU):
-                return None
+                placeholder = Leaf(new_idx, new_idx, ZERO_DIGEST)
+                return self._issue(CertKind.EQ, (empty_root, _fold(placeholder, placeholder_path)))
             if not encloses(encloser.idx, encloser.next_idx, new_idx):
                 return None
-            e_node, e_root, e_new_node, e_new_root = encloser_proof.values
-            if e_node != leaf_digest(encloser):
-                return None
-            if e_new_node != leaf_digest(Leaf(encloser.idx, new_idx, encloser.val)):
-                return None
-            if p_node != ZERO_DIGEST:
-                return None
-            if p_new_node != leaf_digest(Leaf(new_idx, encloser.next_idx, ZERO_DIGEST)):
-                return None
-            if e_new_root != p_root:
-                return None  # proofs do not form a chain
-            return self._issue(CertKind.EQ, (e_root, p_new_root))
+            if _fold(Leaf(encloser.idx, new_idx, encloser.val), encloser_path) != empty_root:
+                return None  # paths do not form a chain
+            placeholder = Leaf(new_idx, encloser.next_idx, ZERO_DIGEST)
+            return self._issue(
+                CertKind.EQ, (_fold(encloser, encloser_path), _fold(placeholder, placeholder_path))
+            )
 
     # -- procedures -------------------------------------------------------------
-
-    def toggle_placeholder(self, equivalence: Certificate) -> Optional[bytes]:
-        """Move the sealed root across an EQ certificate, in either direction.
-
-        Deliberately unauthenticated: placeholders carry no record content.
-        Returns the new root, or ``None`` (state unchanged) if the current
-        root matches neither side.
-        """
-        with self._lock:
-            if not self._cert_ok(equivalence, CertKind.EQ):
-                return None
-            root, other = equivalence.values
-            if self._state.root == root:
-                self._state.root = other
-                return other
-            if self._state.root == other:
-                self._state.root = root
-                return root
-            return None
 
     def apply_request(
         self,
@@ -492,11 +435,14 @@ class TrustedModule:
         acl_proof: Optional[Proof] = None,
         record: Optional[Certificate] = None,
         secret: Optional[tuple[bytes, bytes]] = None,
+        equivalence: Optional[Certificate] = None,
     ) -> Optional[UpdateResult]:
         """Apply a signed user request: creation, content update, or ACL update.
 
-        Creation is an ACL-typed request with counter 0 whose record update
-        proves a placeholder turning into counter 1.  Updates additionally
+        Creation is an ACL-typed request with counter 0.  Its ``equivalence``
+        inserts a placeholder into the current root, and its record update
+        turns that placeholder into counter 1; the root moves once, to the
+        record update's new root, and only on acceptance.  Updates instead
         need the sealed container record and an RV showing the caller's
         access level in that record's ACL tree (2+ to modify content,
         3 to modify the ACL).  A content update's ``secret`` (the container
@@ -507,6 +453,9 @@ class TrustedModule:
             key = self._state.user_keys.get(request.user_idx)
             if key is None or (secret is not None and request.kind != RequestKind.CONTAINER):
                 return None
+            creating = request.kind == RequestKind.ACL and request.counter == 0
+            if creating != (equivalence is not None):
+                return None  # an equivalence comes with a creation, and only with one
             if not macs_equal(request.sig, hmac_sha256(request.signed_body(), key)):
                 return None
             if not self._cert_ok(record_update, CertKind.RU):
@@ -516,13 +465,18 @@ class TrustedModule:
             new_ctr = counter_value(new_val)
             if ctr is None or new_ctr is None or new_ctr != ctr + 1:
                 return None  # record update does not reflect a counter increment
-            if root != self._state.root:
+            current = self._state.root
+            if creating:
+                if not self._cert_ok(equivalence, CertKind.EQ) or equivalence.values[0] != current:
+                    return None
+                current = equivalence.values[1]  # the current root plus the placeholder
+            if root != current:
                 return None  # current root does not match
             if ru_idx != request.idx:
                 return None
             ack = hmac_sha256(request.ack_body(), key)
 
-            if request.kind == RequestKind.ACL and request.counter == 0:
+            if creating:
                 if ctr != 0:
                     return None  # creation must start from a placeholder
                 record_cert = self._issue(CertKind.CR, (request.idx, 1, 0, request.value))

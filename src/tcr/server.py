@@ -14,6 +14,7 @@ import argparse
 import json
 import socket
 import socketserver
+import sqlite3
 import sys
 import threading
 from pathlib import Path
@@ -29,7 +30,6 @@ from .wire import (
     STATUS_OK,
     STATUS_REJECTED,
     WireError,
-    cert_to_json,
     envelope_from_json,
     read_message,
     response_to_json,
@@ -118,6 +118,10 @@ class RepositoryServer(socketserver.TCPServer):
             return STATUS_ERROR, body
         except StorageError as exc:
             return STATUS_ERROR, {"message": f"storage failure: {exc}"}
+        except (OSError, sqlite3.Error) as exc:
+            # Never str(exc): an OSError names the file it failed on.
+            reason = getattr(exc, "strerror", None) or type(exc).__name__
+            return STATUS_ERROR, {"message": f"storage failure: {reason}"}
         except (WireError, IomtError, KeyError, ValueError, TypeError) as exc:
             return STATUS_ERROR, {"message": f"malformed request: {exc}"}
 
@@ -127,10 +131,7 @@ class RepositoryServer(socketserver.TCPServer):
             result = service.handle_create(envelope_from_json(payload))
             if result is None:
                 return STATUS_REJECTED, {}
-            return STATUS_OK, {
-                "ack": result.ack.hex(),
-                "record": cert_to_json(result.record_cert),
-            }
+            return STATUS_OK, {"ack": result.ack.hex()}
 
         if op == "MODIFY":
             blobs = BlobSet(
@@ -148,12 +149,7 @@ class RepositoryServer(socketserver.TCPServer):
             )
             if result is None:
                 return STATUS_REJECTED, {}
-            return STATUS_OK, {
-                "ack": result.ack.hex(),
-                "version": result.version,
-                "record": cert_to_json(result.record_cert),
-                "version_record": cert_to_json(result.version_cert),
-            }
+            return STATUS_OK, {"ack": result.ack.hex(), "version": result.version}
 
         if op == "ACL_SET":
             result = service.handle_acl_set(
@@ -163,7 +159,7 @@ class RepositoryServer(socketserver.TCPServer):
             )
             if result is None:
                 return STATUS_REJECTED, {}
-            return STATUS_OK, {"ack": result.ack.hex(), "record": cert_to_json(result.record_cert)}
+            return STATUS_OK, {"ack": result.ack.hex()}
 
         if op == "INFO":
             info = service.handle_info(

@@ -25,7 +25,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value, leaf_digest
+from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value
 from .merkle import ZERO_DIGEST
 from .module import (
     Certificate,
@@ -127,7 +127,6 @@ class CreateResult:
 class ModifyResult:
     ack: bytes
     record_cert: Certificate
-    version_cert: Certificate
     version: int
 
 
@@ -218,24 +217,17 @@ class Service:
 
     # -- proof assembly ---------------------------------------------------------
 
-    def _node_update(self, path, leaf: Optional[Leaf], new_leaf: Optional[Leaf]) -> Certificate:
-        """NU for one slot's edit along its complement path; ``None`` is an empty slot."""
-        return self.module.certify_node_update(
-            leaf_digest(leaf), leaf_digest(new_leaf), [d for d, _ in path], [s for _, s in path]
-        )
-
     def _bump_counter(
         self, tree: Iomt, slot: int, leaf: Leaf, counter: int, path=None
-    ) -> Optional[Certificate]:
+    ) -> Certificate:
         """Write ``leaf`` with value ``counter``; the RU for that write, from its path.
 
         ``path`` is the slot's complement path if the caller has already read it.
         A caller refused after this must raise :class:`_Rejected` to roll the write back.
         """
         new_val = counter_digest(counter)
-        bumped = Leaf(leaf.idx, leaf.next_idx, new_val)
-        node_proof = self._node_update(tree.set_leaf(slot, bumped, path), leaf, bumped)
-        return self.module.certify_record_update(node_proof, leaf, new_val)
+        path = tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, new_val), path)
+        return self.module.certify_record_update(leaf, new_val, path)
 
     def _record_proof(
         self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes
@@ -252,8 +244,7 @@ class Service:
             found, absent_idx = tree.find_encloser(idx), idx
         # No encloser: the tree is empty, and absence is proved against the zero root.
         slot, leaf = found if found is not None else (0, None)
-        node_proof = self._node_update(tree.complement_path(slot), leaf, leaf)
-        proof = self.module.certify_record(node_proof, leaf, absent_idx=absent_idx)
+        proof = self.module.certify_record(leaf, tree.complement_path(slot), absent_idx=absent_idx)
         if proof is not None:
             self._cache.put(cache_key, epoch, proof)
         return proof
@@ -294,7 +285,8 @@ class Service:
     def handle_create(self, req: RequestEnvelope, clock: Optional[StepClock] = None):
         """Create a container: placeholder insertion, then counter 0 -> 1.
 
-        Returns ``None`` (store untouched) when the module rejects.
+        The module accepts both edits in one root move.  Returns ``None``
+        (store and sealed root untouched) when the module rejects.
         """
         if req.kind != RequestKind.ACL or req.counter != 0:
             raise ProtocolError("creation must be an ACL-typed request with counter 0")
@@ -323,28 +315,18 @@ class Service:
                     plan = tree.placeholder_plan(req.idx)
                 except TreeFullError as exc:
                     raise ProtocolError(str(exc)) from exc
-                encloser_proof = None
+                enc_path = None
                 if plan.encloser_slot is not None:
                     enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
-                    encloser_proof = self._node_update(
-                        enc_path, plan.encloser_leaf, plan.updated_encloser
-                    )
                 # The placeholder's slot is written once, below, with the
-                # created leaf; the module's root passes through the placeholder,
+                # created leaf; the equivalence's new root holds the placeholder,
                 # so the path read here is still the slot's path at that write.
                 placeholder_path = tree.complement_path(plan.placeholder_slot)
-                placeholder_proof = self._node_update(
-                    placeholder_path, None, plan.placeholder_leaf
-                )
                 equivalence = module.certify_root_equivalence(
-                    encloser_proof, placeholder_proof, plan.encloser_leaf, req.idx
+                    plan.encloser_leaf, enc_path, req.idx, placeholder_path
                 )
                 if equivalence is None:
                     raise ProtocolError("module refused the placeholder equivalence proof")
-
-            with _step(clock, "placeholder_insert"):
-                if module.toggle_placeholder(equivalence) is None:
-                    raise _Rejected()  # the sealed root is not the store's
 
             with _step(clock, "ru_certificate"):
                 ru = self._bump_counter(
@@ -352,11 +334,8 @@ class Service:
                 )
 
             with _step(clock, "root_update"):
-                result = module.apply_request(req, ru) if ru is not None else None
+                result = module.apply_request(req, ru, equivalence=equivalence)
                 if result is None:
-                    # Undo the toggle so the sealed root matches the rolled-back
-                    # store again; the equivalence certificate works both ways.
-                    module.toggle_placeholder(equivalence)
                     raise _Rejected()
 
             with _step(clock, "persist_records"):
@@ -406,7 +385,7 @@ class Service:
             with _step(clock, "certificates"):
                 ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 acl_proof = self._acl_proof(req.idx, req.user_idx, self._acl_view(record))
-                if ru is None or acl_proof is None:
+                if acl_proof is None:
                     raise _Rejected()
 
             with _step(clock, "root_update"):
@@ -433,12 +412,7 @@ class Service:
                     )
                 )
                 self.storage.blob_put(req.idx, version_count, blobs)
-        return ModifyResult(
-            ack=result.ack,
-            record_cert=result.record_cert,
-            version_cert=result.version_cert,
-            version=version_count,
-        )
+        return ModifyResult(ack=result.ack, record_cert=result.record_cert, version=version_count)
 
     def handle_acl_set(
         self,
@@ -470,7 +444,7 @@ class Service:
                 acl = self.acl_tree(req.idx)  # edited below, so never a cached view
                 acl_proof = self._acl_proof(req.idx, req.user_idx, acl)
                 ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
-                if ru is None or acl_proof is None:
+                if acl_proof is None:
                     raise _Rejected()
 
             with _step(clock, "root_update"):

@@ -384,12 +384,6 @@ class SqliteTreeStore:
                 [field for row in nodes for field in row],
             )
 
-    def get_leaf(self, slot: int) -> Optional[Leaf]:
-        row = self._conn.execute(
-            "SELECT idx, next_idx, val FROM leaves WHERE slot=?", (slot,)
-        ).fetchone()
-        return _leaf(*row) if row is not None else None
-
     def set_leaf(self, slot: int, leaf: Leaf) -> None:
         self._conn.execute(
             "INSERT INTO leaves(slot, idx, next_idx, val) VALUES(?,?,?,?) "

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import IO, Optional
 
-from .module import Certificate, RequestEnvelope, VerifyResponse
+from .module import RequestEnvelope, VerifyResponse
 
 STATUS_OK = "ok"
 STATUS_DENIED = "denied"
@@ -82,14 +82,6 @@ def envelope_from_json(obj: dict) -> RequestEnvelope:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise WireError(f"bad request envelope: {exc}") from exc
-
-
-def cert_to_json(cert: Certificate) -> dict:
-    return {
-        "kind": int(cert.kind),
-        "values": [v.hex() if isinstance(v, bytes) else v for v in cert.values],
-        "mac": cert.mac.hex(),
-    }
 
 
 def response_to_json(resp: VerifyResponse) -> dict:

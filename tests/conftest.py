@@ -56,7 +56,7 @@ def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: i
         if len(leaves) > geo.leaf_count:
             raise IomtError("more leaves than slots")
         slots = {i: leaf for i, leaf in enumerate(leaves) if leaf is not None}
-    nodes = [ZERO_DIGEST] * geo.node_count
+    nodes = [ZERO_DIGEST] * (2 * geo.leaf_count - 1)
     for slot, leaf in slots.items():
         nodes[geo.leaf_node(slot)] = leaf_digest(leaf)
     for pos in range(geo.leaf_count - 2, -1, -1):

@@ -26,7 +26,7 @@ from tcr.client import (
     content_digest_of,
     predicted_acl_root,
 )
-from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest
+from tcr.iomt import Iomt, Leaf, counter_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256
 from tcr.module import Certificate, ModuleState, RequestKind, RvPair, TrustedModule
 from tcr.server import RepositoryServer
@@ -108,12 +108,6 @@ def test_criterion_2_non_existence_completeness():
     rng = random.Random(42)
     module = TrustedModule(ModuleState.fresh({1: secrets.token_bytes(32)}))
 
-    def verification_proof(tree, slot):
-        leaf = tree.store.get_leaf(slot)
-        path = tree.complement_path(slot)
-        digest = leaf_digest(leaf)
-        return module.certify_node_update(digest, digest, [p[0] for p in path], [p[1] for p in path])
-
     for _ in range(100):
         tree = Iomt(3)
         indices = rng.sample(range(256), 8)
@@ -127,15 +121,13 @@ def test_criterion_2_non_existence_completeness():
             if candidate in present:
                 for slot in slots:
                     proof = module.certify_record(
-                        verification_proof(tree, slot),
-                        tree.store.get_leaf(slot),
-                        absent_idx=candidate,
+                        slots[slot], tree.complement_path(slot), absent_idx=candidate
                     )
                     assert not isinstance(proof, RvPair), (candidate, slot)
             else:
                 enc_slot, enc_leaf = tree.find_encloser(candidate)
                 proof = module.certify_record(
-                    verification_proof(tree, enc_slot), enc_leaf, absent_idx=candidate
+                    enc_leaf, tree.complement_path(enc_slot), absent_idx=candidate
                 )
                 assert isinstance(proof, RvPair)
                 assert proof.absent.values[0] == candidate

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import json
+import os
 import re
 import secrets
 import socket
 import socketserver
+import sqlite3
 import sys
 import threading
 import time
@@ -292,6 +295,37 @@ class TestWireFlows:
         alice.create(11)
         with pytest.raises(RequestRejected):
             alice.create(11)
+
+    def test_mutation_replies_carry_only_the_acknowledgement(self, env):
+        # Certificates are module-secret memoranda that no client can check.
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        assert sorted(alice.create(11)) == ["ack"]
+        assert sorted(alice.modify(11, IMAGE, BUILD, COMPOSE)) == ["ack", "version"]
+        assert sorted(alice.acl_set(11, 2, 1)) == ["ack"]
+
+    def test_storage_failure_is_answered_without_the_path(self, env, monkeypatch):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(11)
+        storage = server.service.storage
+
+        def disk_full(content: bytes) -> bytes:
+            path = storage._blob_path(sha256(content))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(storage, "_write_blob", disk_full)
+        with pytest.raises(ProtocolFailure) as failure:
+            alice.modify(11, IMAGE, BUILD, COMPOSE)
+        assert str(failure.value) == f"storage failure: {os.strerror(errno.ENOSPC)}"
+
+        def locked(*args, **kwargs):
+            raise sqlite3.OperationalError(f"unable to open database file {storage}")
+
+        monkeypatch.setattr(server.service, "handle_info", locked)
+        payload = {"idx": 11, "requested_version": 0, "nonce": "00" * 32, "user": 1}
+        status, body = server.dispatch("INFO", payload, "127.0.0.1")
+        assert (status, body) == (STATUS_ERROR, {"message": "storage failure: OperationalError"})
 
     def test_bench_prepopulate_loopback_allowed(self, env):
         server, keys = env

@@ -80,8 +80,9 @@ class TestEncloses:
 
 class TestGeometry:
     def test_node_count(self):
-        assert Geometry(3).node_count == 15
-        assert Geometry(0).node_count == 1
+        # The breadth-first array holds 2 * leaf_count - 1 nodes; the last is the last leaf.
+        assert Geometry(3).leaf_node(7) == 14
+        assert Geometry(0).leaf_node(0) == 0
 
     def test_children_and_parent(self):
         from tcr.iomt import left_child, parent_index, right_child
@@ -172,7 +173,7 @@ class TestComplementPath:
 class TestSetLeaf:
     def test_round_trip(self):
         tree = four_leaf_tree()
-        assert tree.store.get_leaf(2) == Leaf(4, 7, W[4])
+        assert dict(tree.leaves())[2] == Leaf(4, 7, W[4])
 
     def test_slot_order_irrelevant_for_fixed_assignment(self):
         assignment = dict(enumerate(FOUR_LEAVES))
@@ -270,7 +271,7 @@ def test_from_leaves_matches_incremental_writes(case):
     incremental = Iomt(height)
     for slot, leaf in leaves.items():
         incremental.set_leaf(slot, leaf)
-    positions = range(incremental.geometry.node_count)
+    positions = range(2 * incremental.geometry.leaf_count - 1)
     assert built.store.get_nodes(positions) == incremental.store.get_nodes(positions)
     assert list(built.leaves()) == list(incremental.leaves())
 

@@ -31,23 +31,6 @@ def fresh_module() -> TrustedModule:
     return TrustedModule(ModuleState.fresh(dict(KEYS)))
 
 
-def verification_proof(module: TrustedModule, tree: Iomt, slot: int) -> Certificate:
-    leaf = tree.store.get_leaf(slot)
-    path = tree.complement_path(slot)
-    digest = leaf_digest(leaf)
-    return module.certify_node_update(digest, digest, [p[0] for p in path], [p[1] for p in path])
-
-
-def update_proof(module: TrustedModule, tree: Iomt, slot: int, new_leaf) -> Certificate:
-    path = tree.complement_path(slot)
-    return module.certify_node_update(
-        leaf_digest(tree.store.get_leaf(slot)),
-        leaf_digest(new_leaf),
-        [p[0] for p in path],
-        [p[1] for p in path],
-    )
-
-
 def sign(user: int, kind: RequestKind, idx: int, counter: int, value: bytes) -> RequestEnvelope:
     env = RequestEnvelope(kind, idx, counter, value, user, b"")
     return RequestEnvelope(kind, idx, counter, value, user, hmac_sha256(env.signed_body(), KEYS[user]))
@@ -127,28 +110,6 @@ class TestModuleState:
         assert len(raw) == 189
 
 
-class TestNodeUpdate:
-    def test_no_op_has_equal_roots(self):
-        module = fresh_module()
-        tree = random_tree(random.Random(0))
-        cert = verification_proof(module, tree, 0)
-        node, root, new_node, new_root = cert.values
-        assert node == new_node and root == new_root == tree.root
-        assert module.certificate_valid(cert)
-
-    def test_edit_matches_oracle(self):
-        rng = random.Random(1)
-        module = fresh_module()
-        tree = random_tree(rng, height=3, fill=8)
-        slot, leaf = next(iter(tree.leaves()))
-        new_leaf = Leaf(leaf.idx, leaf.next_idx, counter_digest(42))
-        cert = update_proof(module, tree, slot, new_leaf)
-        edited = dict(tree.leaves())
-        edited[slot] = new_leaf
-        assert cert.values[1] == tree.root
-        assert cert.values[3] == oracle_root(edited, 3)
-
-
 class TestRecordVerify:
     def test_pair_proves_absence(self):
         module = fresh_module()
@@ -158,9 +119,8 @@ class TestRecordVerify:
              Leaf(4, 7, counter_digest(3)), Leaf(7, 1, counter_digest(4))]
         ):
             tree.set_leaf(slot, leaf)
-        proof = module.certify_record(
-            verification_proof(module, tree, 2), tree.store.get_leaf(2), absent_idx=5
-        )
+        leaf = Leaf(4, 7, counter_digest(3))
+        proof = module.certify_record(leaf, tree.complement_path(2), absent_idx=5)
         assert isinstance(proof, RvPair)
         assert proof.absent.values == (5, ZERO_DIGEST, tree.root)
         assert module.certificate_valid(proof)
@@ -168,19 +128,21 @@ class TestRecordVerify:
         assert not module.certificate_valid(proof.existing)
 
     def test_tampered_leaf_refused(self):
+        # The RV for a leaf the store does not hold names a root the module refuses.
         module = fresh_module()
-        tree = random_tree(random.Random(2))
-        slot, leaf = next(iter(tree.leaves()))
-        nu = verification_proof(module, tree, slot)
+        repo = ContainerFixture(module)
+        repo.modify(1, sha256(b"v1"))
+        slot, leaf = repo.tree.find_leaf(repo.idx)
         tampered = Leaf(leaf.idx, leaf.next_idx, counter_digest(99))
-        assert module.certify_record(nu, tampered) is None
-
-    def test_mutating_node_proof_refused(self):
-        module = fresh_module()
-        tree = random_tree(random.Random(3))
-        slot, leaf = next(iter(tree.leaves()))
-        nu = update_proof(module, tree, slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(50)))
-        assert module.certify_record(nu, leaf) is None
+        proof = module.certify_record(tampered, repo.tree.complement_path(slot))
+        snapshot = copy.deepcopy(module._state)
+        response = module.verify_container(
+            1, secrets.token_bytes(32), 1, proof,
+            record=repo.record, acl_proof=repo.acl_proof(1), version_cert=repo.version_certs[1],
+        )
+        assert response is None
+        assert module._state == snapshot
+        assert repo.verify(1, secrets.token_bytes(32), 1) is not None  # the true leaf verifies
 
     def test_non_enclosed_extra_index_yields_single(self):
         module = fresh_module()
@@ -188,7 +150,7 @@ class TestRecordVerify:
         tree.upsert(3, ZERO_DIGEST)
         tree.upsert(9, ZERO_DIGEST)
         slot, leaf = tree.find_leaf(3)
-        proof = module.certify_record(verification_proof(module, tree, slot), leaf, absent_idx=9)
+        proof = module.certify_record(leaf, tree.complement_path(slot), absent_idx=9)
         assert isinstance(proof, Certificate)
 
     def test_every_absent_index_of_random_trees(self):
@@ -203,9 +165,8 @@ class TestRecordVerify:
                 found = tree.find_encloser(candidate)
                 assert found is not None
                 slot, leaf = found
-                proof = module.certify_record(
-                    verification_proof(module, tree, slot), leaf, absent_idx=candidate
-                )
+                path = tree.complement_path(slot)
+                proof = module.certify_record(leaf, path, absent_idx=candidate)
                 assert isinstance(proof, RvPair)
                 assert proof.absent.values[0] == candidate
 
@@ -215,9 +176,8 @@ class TestRecordUpdate:
         module = fresh_module()
         tree = random_tree(random.Random(5))
         slot, leaf = next(iter(tree.leaves()))
-        cert = module.certify_record_update(update_proof(module, tree, slot, leaf), leaf, leaf.val)
-        assert cert is not None
-        assert cert.values[2] == cert.values[4]
+        cert = module.certify_record_update(leaf, leaf.val, tree.complement_path(slot))
+        assert cert.values[2] == cert.values[4] == tree.root == oracle_root(dict(tree.leaves()), 3)
 
     def test_counter_increment_matches_oracle(self):
         module = fresh_module()
@@ -226,39 +186,44 @@ class TestRecordUpdate:
         for slot, leaf in enumerate(leaves):
             tree.set_leaf(slot, leaf)
         new_leaf = Leaf(3, 4, counter_digest(2))
-        ru = module.certify_record_update(update_proof(module, tree, 0, new_leaf), leaves[0], counter_digest(2))
-        assert ru is not None
+        ru = module.certify_record_update(leaves[0], counter_digest(2), tree.complement_path(0))
         expected = oracle_root({0: new_leaf, 1: leaves[1]}, 2)
         assert ru.values == (3, counter_digest(1), tree.root, counter_digest(2), expected)
 
     def test_mismatched_leaf_refused(self):
+        # The RU for a leaf the store does not hold starts from a root the module refuses.
         module = fresh_module()
-        tree = random_tree(random.Random(6))
-        slot, leaf = next(iter(tree.leaves()))
-        nu = update_proof(module, tree, slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(7)))
+        repo = ContainerFixture(module)
+        slot, leaf = repo.tree.find_leaf(repo.idx)
         wrong = Leaf(leaf.idx, leaf.next_idx + 1, leaf.val)
-        assert module.certify_record_update(nu, wrong, counter_digest(7)) is None
+        new_val = counter_digest(repo.counter + 1)
+        ru = module.certify_record_update(wrong, new_val, repo.tree.complement_path(slot))
+        req = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v1"))
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, ru, repo.acl_proof(1), repo.record) is None
+        assert module._state == snapshot
+        assert repo.modify(1, sha256(b"v1")) is not None  # the true leaf is accepted
 
 
 def build_equivalence(module: TrustedModule, tree: Iomt, new_idx: int):
-    """Drive the two node proofs exactly the way the service does."""
+    """Write the placeholder for ``new_idx`` the way the service does; the EQ for it."""
     plan = tree.placeholder_plan(new_idx)
-    if plan.encloser_slot is None:
-        path = tree.complement_path(plan.placeholder_slot)
-        nu2 = module.certify_node_update(
-            ZERO_DIGEST, leaf_digest(plan.placeholder_leaf), [p[0] for p in path], [p[1] for p in path]
-        )
-        eq = module.certify_root_equivalence(None, nu2, None, new_idx)
-    else:
-        nu1 = update_proof(module, tree, plan.encloser_slot, plan.updated_encloser)
-        tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
-        path = tree.complement_path(plan.placeholder_slot)
-        nu2 = module.certify_node_update(
-            ZERO_DIGEST, leaf_digest(plan.placeholder_leaf), [p[0] for p in path], [p[1] for p in path]
-        )
-        eq = module.certify_root_equivalence(nu1, nu2, plan.encloser_leaf, new_idx)
-    tree.set_leaf(plan.placeholder_slot, plan.placeholder_leaf)
+    enc_path = None
+    if plan.encloser_slot is not None:
+        enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
+    path = tree.complement_path(plan.placeholder_slot)
+    eq = module.certify_root_equivalence(plan.encloser_leaf, enc_path, new_idx, path)
+    tree.set_leaf(plan.placeholder_slot, plan.placeholder_leaf, path)
     return plan, eq
+
+
+def creation(module: TrustedModule, tree: Iomt, user: int, idx: int, acl_root: bytes):
+    """The signed request, EQ and RU of a creation, with its placeholder written to ``tree``."""
+    plan, eq = build_equivalence(module, tree, idx)
+    ru = module.certify_record_update(
+        plan.placeholder_leaf, counter_digest(1), tree.complement_path(plan.placeholder_slot)
+    )
+    return plan, sign(user, RequestKind.ACL, idx, 0, acl_root), eq, ru
 
 
 class TestRootEquivalence:
@@ -282,13 +247,10 @@ class TestRootEquivalence:
         tree = Iomt(3)
         tree.upsert(3, ZERO_DIGEST)
         plan = tree.placeholder_plan(6)
-        nu1 = update_proof(module, tree, plan.encloser_slot, plan.updated_encloser)
-        tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
+        enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
         path = tree.complement_path(plan.placeholder_slot)
-        nu2 = module.certify_node_update(
-            ZERO_DIGEST, leaf_digest(plan.placeholder_leaf), [p[0] for p in path], [p[1] for p in path]
-        )
-        assert module.certify_root_equivalence(nu2, nu1, plan.encloser_leaf, 6) is None
+        assert module.certify_root_equivalence(plan.encloser_leaf, path, 6, enc_path) is None
+        assert module.certify_root_equivalence(plan.encloser_leaf, enc_path, 6, path) is not None
 
     def test_non_encloser_refused(self):
         module = fresh_module()
@@ -297,71 +259,29 @@ class TestRootEquivalence:
             tree.set_leaf(slot, leaf)
         encloser = Leaf(1, 3, counter_digest(1))
         edited = Leaf(1, 6, counter_digest(1))
-        nu1 = update_proof(module, tree, 0, edited)
+        enc_path = tree.complement_path(0)
         tree2 = Iomt(3)
         tree2.set_leaf(0, edited)
         tree2.set_leaf(1, Leaf(3, 1, counter_digest(1)))
         path = tree2.complement_path(2)
-        nu2 = module.certify_node_update(
-            ZERO_DIGEST, leaf_digest(Leaf(6, 3, ZERO_DIGEST)), [p[0] for p in path], [p[1] for p in path]
-        )
-        assert module.certify_root_equivalence(nu1, nu2, encloser, 6) is None
+        assert module.certify_root_equivalence(encloser, enc_path, 6, path) is None
 
     def test_bootstrap_requires_empty_root(self):
         module = fresh_module()
         tree = Iomt(3)
         tree.upsert(3, ZERO_DIGEST)
         # A self-linked "first" leaf proved against a non-empty tree must fail.
-        path = tree.complement_path(1)
-        nu2 = module.certify_node_update(
-            ZERO_DIGEST, leaf_digest(Leaf(9, 9, ZERO_DIGEST)), [p[0] for p in path], [p[1] for p in path]
-        )
-        assert module.certify_root_equivalence(None, nu2, None, 9) is None
-
-
-class TestTogglePlaceholder:
-    def test_involution(self):
-        module = fresh_module()
-        tree = Iomt(3)
-        _, eq = build_equivalence(module, tree, 9)
-        start = module.root
-        assert module.toggle_placeholder(eq) == eq.values[1]
-        assert module.toggle_placeholder(eq) == start
-        assert module.root == start
-
-    def test_advance_and_stale(self):
-        module = fresh_module()
-        tree = Iomt(3)
-        _, eq1 = build_equivalence(module, tree, 9)
-        assert module.toggle_placeholder(eq1) == module.root == tree.root
-        _, eq2 = build_equivalence(module, tree, 12)
-        assert module.toggle_placeholder(eq2) is not None
-        # eq1 now references two roots from an old epoch.
-        before = module.root
-        assert module.toggle_placeholder(eq1) is None
-        assert module.root == before
-
-    def test_bad_mac_refused(self):
-        module = fresh_module()
-        tree = Iomt(3)
-        _, eq = build_equivalence(module, tree, 9)
-        forged = Certificate(eq.kind, eq.values, bytes(32))
-        before = module.root
-        assert module.toggle_placeholder(forged) is None
-        assert module.root == before
+        assert module.certify_root_equivalence(None, None, 9, tree.complement_path(1)) is None
+        empty_path = Iomt(3).complement_path(0)
+        assert module.certify_root_equivalence(None, None, 9, empty_path) is not None
 
 
 def create_container(module: TrustedModule, tree: Iomt, user: int, idx: int, acl_root: bytes):
     """Full creation flow against an in-memory container tree."""
-    plan, eq = build_equivalence(module, tree, idx)
-    assert module.toggle_placeholder(eq) is not None
-    placeholder = tree.store.get_leaf(plan.placeholder_slot)
-    created = Leaf(idx, placeholder.next_idx, counter_digest(1))
-    nu = update_proof(module, tree, plan.placeholder_slot, created)
-    ru = module.certify_record_update(nu, placeholder, counter_digest(1))
-    req = sign(user, RequestKind.ACL, idx, 0, acl_root)
-    result = module.apply_request(req, ru)
+    plan, req, eq, ru = creation(module, tree, user, idx, acl_root)
+    result = module.apply_request(req, ru, equivalence=eq)
     if result is not None:
+        created = Leaf(idx, plan.placeholder_leaf.next_idx, counter_digest(1))
         tree.set_leaf(plan.placeholder_slot, created)
     return plan.placeholder_slot, result
 
@@ -381,41 +301,60 @@ class TestApplyRequest:
 
     def test_forged_signature_refused(self):
         module = fresh_module()
-        tree = Iomt(3)
-        _, eq = build_equivalence(module, tree, 10)
-        module.toggle_placeholder(eq)
-        slot, leaf = tree.find_leaf(10)
-        created = Leaf(10, leaf.next_idx, counter_digest(1))
-        ru = module.certify_record_update(update_proof(module, tree, slot, created), leaf, counter_digest(1))
-        req = sign(1, RequestKind.ACL, 10, 0, ZERO_DIGEST)
+        _, req, eq, ru = creation(module, Iomt(3), 1, 10, ZERO_DIGEST)
         forged = RequestEnvelope(req.kind, req.idx, req.counter, req.value, req.user_idx, bytes(32))
-        before = module.root
-        assert module.apply_request(forged, ru) is None
-        assert module.root == before
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(forged, ru, equivalence=eq) is None
+        assert module._state == snapshot
 
     def test_unknown_user_refused(self):
         module = fresh_module()
-        tree = Iomt(3)
-        _, eq = build_equivalence(module, tree, 10)
-        module.toggle_placeholder(eq)
-        slot, leaf = tree.find_leaf(10)
-        ru = module.certify_record_update(
-            update_proof(module, tree, slot, Leaf(10, leaf.next_idx, counter_digest(1))),
-            leaf,
-            counter_digest(1),
-        )
+        _, _, eq, ru = creation(module, Iomt(3), 1, 10, ZERO_DIGEST)
         env = RequestEnvelope(RequestKind.ACL, 10, 0, ZERO_DIGEST, 99, bytes(32))
-        assert module.apply_request(env, ru) is None
+        assert module.apply_request(env, ru, equivalence=eq) is None
+
+    def test_equivalence_comes_with_a_creation_only(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        shadow = Iomt.from_leaves(3, repo.tree.leaves())
+        _, req, eq, ru = creation(module, shadow, 1, 12, ZERO_DIGEST)
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, ru) is None  # a creation needs its equivalence
+        _, _, bump = repo.bump()
+        modify = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v1"))
+        assert module.apply_request(
+            modify, bump, acl_proof=repo.acl_proof(1), record=repo.record, equivalence=eq
+        ) is None
+        assert module._state == snapshot
+        assert module.apply_request(req, ru, equivalence=eq) is not None
 
 
-def full_setup(module, height: int = 3):
-    """One container (idx 10) owned by user 1, updated once by user 1."""
-    tree = Iomt(height)
-    acl = Iomt(3)
-    acl.set_leaf(0, Leaf(1, 1, counter_digest(3)))
-    create_container(module, tree, 1, 10, acl.root)
-    record = Certificate(CertKind.CR, (10, 1, 0, acl.root), b"")
-    return tree, acl
+class TestTogglePlaceholder:
+    """A creation's EQ toggles its placeholder into the root, inside ``apply_request`` only."""
+
+    def test_advance_and_stale(self):
+        module = fresh_module()
+        tree = Iomt(3)
+        assert create_container(module, tree, 1, 9, ZERO_DIGEST)[1] is not None
+        shadow = Iomt.from_leaves(3, tree.leaves())
+        _, req, eq, ru = creation(module, shadow, 1, 12, ZERO_DIGEST)
+        # Control: a second module at the same root accepts the very same evidence.
+        twin = TrustedModule(copy.deepcopy(module._state))
+        assert twin.apply_request(req, ru, equivalence=eq) is not None
+        assert create_container(module, tree, 1, 15, ZERO_DIGEST)[1] is not None
+        # eq now starts from a root of an old epoch.
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, ru, equivalence=eq) is None
+        assert module._state == snapshot
+
+    def test_bad_mac_refused(self):
+        module = fresh_module()
+        _, req, eq, ru = creation(module, Iomt(3), 1, 9, ZERO_DIGEST)
+        forged = Certificate(eq.kind, eq.values, bytes(32))
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, ru, equivalence=forged) is None
+        assert module._state == snapshot
+        assert module.apply_request(req, ru, equivalence=eq) is not None
 
 
 class ContainerFixture:
@@ -442,26 +381,25 @@ class ContainerFixture:
 
     def container_proof(self):
         slot, leaf = self.tree.find_leaf(self.idx)
-        return self.module.certify_record(
-            verification_proof(self.module, self.tree, slot), leaf
-        )
+        return self.module.certify_record(leaf, self.tree.complement_path(slot))
 
     def acl_proof(self, user: int):
         found = self.acl.find_leaf(user)
         if found is not None:
             slot, leaf = found
-            return self.module.certify_record(verification_proof(self.module, self.acl, slot), leaf)
+            return self.module.certify_record(leaf, self.acl.complement_path(slot))
         slot, leaf = self.acl.find_encloser(user)
-        return self.module.certify_record(
-            verification_proof(self.module, self.acl, slot), leaf, absent_idx=user
-        )
+        return self.module.certify_record(leaf, self.acl.complement_path(slot), absent_idx=user)
 
-    def modify(self, user: int, content_digest: bytes, secret=None):
+    def bump(self):
+        """The container's slot, its counter-bumped leaf, and the RU for that edit."""
         slot, leaf = self.tree.find_leaf(self.idx)
         new_leaf = Leaf(self.idx, leaf.next_idx, counter_digest(self.counter + 1))
-        ru = self.module.certify_record_update(
-            update_proof(self.module, self.tree, slot, new_leaf), leaf, new_leaf.val
-        )
+        ru = self.module.certify_record_update(leaf, new_leaf.val, self.tree.complement_path(slot))
+        return slot, new_leaf, ru
+
+    def modify(self, user: int, content_digest: bytes, secret=None):
+        slot, new_leaf, ru = self.bump()
         req = sign(user, RequestKind.CONTAINER, self.idx, self.counter, content_digest)
         result = self.module.apply_request(
             req, ru, acl_proof=self.acl_proof(user), record=self.record, secret=secret
@@ -475,11 +413,7 @@ class ContainerFixture:
     def set_access(self, requester: int, target: int, level: int):
         requester_proof = self.acl_proof(requester)  # over the pre-edit ACL root
         self.acl.upsert(target, counter_digest(level))
-        slot, leaf = self.tree.find_leaf(self.idx)
-        new_leaf = Leaf(self.idx, leaf.next_idx, counter_digest(self.counter + 1))
-        ru = self.module.certify_record_update(
-            update_proof(self.module, self.tree, slot, new_leaf), leaf, new_leaf.val
-        )
+        slot, new_leaf, ru = self.bump()
         req = sign(requester, RequestKind.ACL, self.idx, self.counter, self.acl.root)
         result = self.module.apply_request(
             req, ru, acl_proof=requester_proof, record=self.record
@@ -531,12 +465,9 @@ class TestUpdateFlows:
         slot, leaf = repo.tree.find_leaf(10)
         old_val = counter_digest(1)
         stale_leaf = Leaf(10, leaf.next_idx, old_val)
-        path = repo.tree.complement_path(slot)
-        nu = module.certify_node_update(
-            leaf_digest(stale_leaf), leaf_digest(Leaf(10, leaf.next_idx, counter_digest(2))),
-            [p[0] for p in path], [p[1] for p in path],
+        ru = module.certify_record_update(
+            stale_leaf, counter_digest(2), repo.tree.complement_path(slot)
         )
-        ru = module.certify_record_update(nu, stale_leaf, counter_digest(2))
         req = sign(1, RequestKind.CONTAINER, 10, 1, sha256(b"v1"))
         before = module.root
         assert module.apply_request(req, ru, acl_proof=repo.acl_proof(1), record=repo.record) is None
@@ -564,7 +495,7 @@ class TestVerifyContainer:
         repo = ContainerFixture(module)
         tree = repo.tree
         slot, leaf = tree.find_encloser(55)
-        pair = module.certify_record(verification_proof(module, tree, slot), leaf, absent_idx=55)
+        pair = module.certify_record(leaf, tree.complement_path(slot), absent_idx=55)
         nonce = secrets.token_bytes(32)
         response = module.verify_container(2, nonce, 0, pair)
         assert response is not None and response.denied
@@ -579,7 +510,7 @@ class TestVerifyContainer:
         denied = repo.verify(2, nonce, 1)  # user 2 has no ACL leaf
         assert denied is not None and denied.denied
         slot, leaf = repo.tree.find_encloser(55)
-        pair = module.certify_record(verification_proof(module, repo.tree, slot), leaf, absent_idx=55)
+        pair = module.certify_record(leaf, repo.tree.complement_path(slot), absent_idx=55)
         absent = module.verify_container(2, nonce, 1, pair)
         assert absent is not None and absent.denied
         assert {f for f in denied.__dataclass_fields__} == {f for f in absent.__dataclass_fields__}
@@ -737,11 +668,7 @@ class TestSecrets:
     def test_secret_with_an_acl_request_refused(self):
         module = fresh_module()
         repo = ContainerFixture(module)
-        slot, leaf = repo.tree.find_leaf(repo.idx)
-        new_leaf = Leaf(repo.idx, leaf.next_idx, counter_digest(repo.counter + 1))
-        ru = module.certify_record_update(
-            update_proof(module, repo.tree, slot, new_leaf), leaf, new_leaf.val
-        )
+        _, _, ru = repo.bump()
         req = sign(1, RequestKind.ACL, repo.idx, repo.counter, repo.acl_root)
         secret = wrap(1, repo.idx, repo.counter, secrets.token_bytes(32))
         root = module.root
@@ -758,10 +685,11 @@ class TestStateConfinement:
         snapshot = copy.deepcopy(module._state)
 
         bad_cert = Certificate(CertKind.EQ, (sha256(b"a"), sha256(b"b")), bytes(32))
-        assert module.toggle_placeholder(bad_cert) is None
         env = RequestEnvelope(RequestKind.CONTAINER, 10, 2, sha256(b"x"), 1, bytes(32))
         ru = Certificate(CertKind.RU, (10, counter_digest(2), module.root, counter_digest(3), sha256(b"r")), bytes(32))
         assert module.apply_request(env, ru) is None
+        create = sign(1, RequestKind.ACL, 11, 0, repo.acl_root)
+        assert module.apply_request(create, ru, equivalence=bad_cert) is None
         assert module.verify_container(1, secrets.token_bytes(32), 1, bad_cert) is None
         # Sound evidence and signature, but a secret that opens no commitment.
         assert repo.modify(1, sha256(b"v2"), secret=(bytes(32), bytes(32))) is None
@@ -776,13 +704,18 @@ class TestSurface:
         assert public == {
             "root",
             "certificate_valid",
-            "certify_node_update",
             "certify_record",
             "certify_record_update",
             "certify_root_equivalence",
-            "toggle_placeholder",
             "apply_request",
             "verify_container",
+        }
+
+    def test_certificate_kind_numbers_are_pinned(self):
+        # The kind byte is under the MAC of every sealed record at rest, so a
+        # renumbering would silently invalidate every existing store.
+        assert {kind.name: int(kind) for kind in CertKind} == {
+            "RV": 2, "RU": 3, "EQ": 4, "CR": 5, "VR": 6,
         }
 
 

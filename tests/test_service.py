@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import secrets
 
 import pytest
@@ -44,6 +46,26 @@ def dump_store(storage) -> list:
     return out
 
 
+def foreign_creation(service, cred, idx):
+    """Creation of ``idx`` through the module alone, on an in-memory copy of the store's tree.
+
+    Returns the call that makes the module accept it, which moves the sealed
+    root while the store never holds the container, and the copy with the
+    container in it.
+    """
+    module = service.module
+    shadow = Iomt.from_leaves(service.height, service.container_tree().leaves())
+    plan = shadow.placeholder_plan(idx)
+    enc_path = shadow.set_leaf(plan.encloser_slot, plan.updated_encloser)
+    path = shadow.complement_path(plan.placeholder_slot)
+    eq = module.certify_root_equivalence(plan.encloser_leaf, enc_path, idx, path)
+    ru = module.certify_record_update(plan.placeholder_leaf, counter_digest(1), path)
+    created = Leaf(idx, plan.placeholder_leaf.next_idx, counter_digest(1))
+    shadow.set_leaf(plan.placeholder_slot, created, path)
+    accept = functools.partial(module.apply_request, signed_create(cred, idx), ru, equivalence=eq)
+    return accept, shadow
+
+
 class ModuleSpy:
     """Stands in for the service's module and records each name looked up on it."""
 
@@ -77,23 +99,41 @@ class TestCreate:
         assert spy.module.root == root
         assert dump_store(service.storage) == before
 
-    def test_create_over_a_placeholder_at_rest_keeps_the_sealed_root(self, service, credentials):
-        # A placeholder for 9 lies in the store, and the sealed root includes it.
+    def test_root_moved_after_the_equivalence_refuses_create(
+        self, service, credentials, monkeypatch
+    ):
+        # Between the service's EQ and its apply_request, the module alone
+        # accepts a creation of the same index 9 from elsewhere.
         cred = credentials[1]
         assert service.handle_create(signed_create(cred, 7)) is not None
-        module, tree = service.module, service.container_tree()
-        plan = tree.placeholder_plan(9)
-        enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
-        nu1 = service._node_update(enc_path, plan.encloser_leaf, plan.updated_encloser)
-        placeholder_path = tree.complement_path(plan.placeholder_slot)
-        nu2 = service._node_update(placeholder_path, None, plan.placeholder_leaf)
-        tree.set_leaf(plan.placeholder_slot, plan.placeholder_leaf, placeholder_path)
-        eq = module.certify_root_equivalence(nu1, nu2, plan.encloser_leaf, 9)
-        assert module.toggle_placeholder(eq) is not None
-        assert module.root == service.container_tree().root
+        module = service.module
+        accept_foreign, _ = foreign_creation(service, cred, 9)
+        certify = module.certify_root_equivalence
+        moved = []
+
+        def certify_then_move(*args):
+            eq = certify(*args)
+            assert accept_foreign() is not None
+            moved.append(copy.deepcopy(module._state))
+            return eq
+
+        monkeypatch.setattr(module, "certify_root_equivalence", certify_then_move)
         before = dump_store(service.storage)
         assert service.handle_create(signed_create(cred, 9)) is None
-        assert module.root == service.container_tree().root
+        assert len(moved) == 1 and module._state == moved[0]  # not moved again
+        assert dump_store(service.storage) == before
+
+    def test_refused_create_makes_three_module_calls(self, service, credentials, monkeypatch):
+        cred = credentials[1]
+        assert service.handle_create(signed_create(cred, 7)) is not None
+        forged = UserCredential(1, secrets.token_bytes(32))
+        snapshot = copy.deepcopy(service.module._state)
+        before = dump_store(service.storage)
+        spy = ModuleSpy(service.module)
+        monkeypatch.setattr(service, "module", spy)
+        assert service.handle_create(signed_create(forged, 8)) is None
+        assert spy.calls == ["certify_root_equivalence", "certify_record_update", "apply_request"]
+        assert spy.module._state == snapshot
         assert dump_store(service.storage) == before
 
     def test_forged_signature_fails_closed(self, service, credentials):
@@ -687,51 +727,35 @@ class TestMonotonicCounter:
 
 
 class TestForeignRootChange:
-    @staticmethod
-    def foreign_equivalence(service, new_idx):
-        """An EQ certificate for a placeholder the store will never hold.
-
-        The shadow tree is an in-memory copy, so the store is never touched.
-        """
-        from tcr.iomt import Iomt, leaf_digest
-
-        module = service.module
-        shadow = Iomt.from_leaves(service.height, service.container_tree().leaves())
-        plan = shadow.placeholder_plan(new_idx)
-        enc_path = shadow.complement_path(plan.encloser_slot)
-        nu1 = module.certify_node_update(
-            leaf_digest(plan.encloser_leaf), leaf_digest(plan.updated_encloser),
-            [p[0] for p in enc_path], [p[1] for p in enc_path],
-        )
-        shadow.set_leaf(plan.encloser_slot, plan.updated_encloser)
-        ph_path = shadow.complement_path(plan.placeholder_slot)
-        nu2 = module.certify_node_update(
-            ZERO_DIGEST, leaf_digest(plan.placeholder_leaf),
-            [p[0] for p in ph_path], [p[1] for p in ph_path],
-        )
-        return module.certify_root_equivalence(nu1, nu2, plan.encloser_leaf, new_idx)
-
-    def test_foreign_toggle_refuses_create_until_undone(self, service, credentials):
-        # A module-level actor toggles a placeholder in just before the
-        # service's own toggle: the create is refused and writes nothing.
+    def test_foreign_create_refuses_ours_until_the_store_has_it(
+        self, service, credentials, monkeypatch
+    ):
+        # A module-level actor creates 99 between the service's RU and its
+        # apply_request: the create is refused and writes nothing.
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))
         module = service.module
-        foreign = self.foreign_equivalence(service, 99)
-        real_toggle = module.toggle_placeholder
+        accept_foreign, shadow = foreign_creation(service, cred, 99)
+        certify = module.certify_record_update
+        moved = []
 
-        def interfering_toggle(eq):
-            assert real_toggle(foreign) is not None  # root moves away
-            return real_toggle(eq)  # stale: refused
+        def certify_then_move(*args):
+            ru = certify(*args)
+            assert accept_foreign() is not None
+            moved.append(copy.deepcopy(module._state))
+            return ru
 
         before = dump_store(service.storage)
-        module.toggle_placeholder = interfering_toggle
-        try:
-            assert service.handle_create(signed_create(cred, 8)) is None
-        finally:
-            module.toggle_placeholder = real_toggle
+        monkeypatch.setattr(module, "certify_record_update", certify_then_move)
+        assert service.handle_create(signed_create(cred, 8)) is None
+        monkeypatch.undo()
+        assert len(moved) == 1 and module._state == moved[0]
         assert dump_store(service.storage) == before
-        assert real_toggle(foreign) is not None  # involution: the foreign toggle undone
+        # Once the store holds the foreign container too, creates go through again.
+        tree = service.container_tree()
+        with service.storage.transaction():
+            for slot, leaf in shadow.leaves():
+                tree.set_leaf(slot, leaf)
         assert module.root == service.container_tree().root
         assert service.handle_create(signed_create(cred, 8)) is not None
         assert module.root == service.container_tree().root

@@ -114,15 +114,15 @@ class TestLeafTable:
         store = storage.tree()
         leaf = Leaf(9, 12, counter_digest(3))
         store.set_leaf(4, leaf)
-        assert store.get_leaf(4) == leaf
-        assert store.get_leaf(3) is None
+        assert list(store.leaf_items()) == [(4, leaf)]
+        assert store.find_leaf(9) == (4, leaf)
 
     def test_memory_store_removes_a_leaf(self):
         # Only the in-memory store deletes; the sqlite tree is append-only.
         store = MemoryTreeStore()
         store.set_leaf(4, Leaf(9, 12, counter_digest(3)))
         store.set_leaf(4, None)
-        assert store.get_leaf(4) is None and not store.has_leaves()
+        assert list(store.leaf_items()) == [] and not store.has_leaves()
 
     def test_overwrite_is_one_statement(self, storage):
         store = storage.tree()
@@ -134,7 +134,7 @@ class TestLeafTable:
         store.set_leaf(0, Leaf(9, 9, counter_digest(2)))
         assert len(statements) == 1, statements  # an overwrite
         storage._conn.set_trace_callback(None)
-        assert store.get_leaf(0) == Leaf(9, 9, counter_digest(2))
+        assert list(store.leaf_items()) == [(0, Leaf(9, 9, counter_digest(2)))]
 
     def test_find_encloser_matches_scan(self, storage):
         rng = random.Random(3)
@@ -199,11 +199,11 @@ class TestSparseDenseEquivalence:
                 tree.set_leaf(slot, leaf)
             # Dense reconstruction from sparse rows matches a full recompute.
             geo = Geometry(height)
-            dense = tree.store.get_nodes(list(range(geo.node_count)))
+            dense = tree.store.get_nodes(list(range(2 * geo.leaf_count - 1)))
             from tcr.iomt import left_child, right_child
             from tcr.merkle import Side, parent
 
-            expected = [ZERO_DIGEST] * geo.node_count
+            expected = [ZERO_DIGEST] * (2 * geo.leaf_count - 1)
             for slot, leaf in leaves.items():
                 expected[geo.leaf_node(slot)] = leaf_digest(leaf)
             for pos in range(geo.leaf_count - 2, -1, -1):
