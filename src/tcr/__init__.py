@@ -11,7 +11,6 @@ from .client import (
     UserCredential,
     Verdict,
     check_info_response,
-    content_digest_of,
     unwrap_secret,
     wrap_secret,
     xor_blobs,
@@ -63,7 +62,6 @@ __all__ = [
     "bulk_prepopulate",
     "check_info_response",
     "compute_root",
-    "content_digest_of",
     "counter_digest",
     "counter_value",
     "encloses",

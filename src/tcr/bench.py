@@ -28,14 +28,13 @@ from .client import (
     UserCredential,
     Verdict,
     check_info_response,
-    content_digest_of,
     wrap_secret,
     xor_blobs,
 )
 from .merkle import DIGEST_SIZE, ZERO_DIGEST
 from .module import ModuleState, RequestKind, TrustedModule
 from .service import Service, StepClock
-from .storage import MOCK_BUILD, MOCK_COMPOSE, BlobSet, Storage, bulk_prepopulate
+from .storage import MOCK_BUILD, MOCK_COMPOSE, BlobSet, Storage, bulk_prepopulate, content_digest
 
 OPERATIONS = ("create", "modify", "modify_encrypted", "info", "fetch", "fetch_encrypted")
 
@@ -228,9 +227,8 @@ def _time_modify(service: Service, credential: UserCredential, targets: list[int
         else:
             wrapped = commitment = None
             content = blobs
-        digest = content_digest_of(
-            content.image, content.build, content.compose,
-            commitment if commitment is not None else ZERO_DIGEST,
+        digest = content_digest(
+            content.hashes(), commitment if commitment is not None else ZERO_DIGEST
         )
         envelope = credential.sign_request(RequestKind.CONTAINER, idx, counter, digest)
         clock = StepClock()

@@ -27,7 +27,7 @@ from .merkle import (
     sha256,
 )
 from .module import RequestEnvelope, RequestKind, VerifyResponse, secret_commitment
-from .storage import CIPHER_ID, BlobSet, content_digest
+from .storage import CIPHER_ID, BlobSet, content_digest, initial_acl_leaf
 from .wire import (
     STATUS_DENIED,
     STATUS_OK,
@@ -93,17 +93,10 @@ class UserCredential:
         A single leaf with empty siblings carries its digest all the way to
         the root, so this does not depend on slot placement or tree height.
         """
-        return leaf_digest(Leaf(self.user_idx, self.user_idx, counter_digest(3)))
+        return leaf_digest(initial_acl_leaf(self.user_idx))
 
     def check_response(self, response: VerifyResponse) -> bool:
         return macs_equal(response.tag, hmac_sha256(response.tag_body(), self.key))
-
-
-def content_digest_of(
-    image: bytes, build: bytes, compose: bytes, commitment: bytes = ZERO_DIGEST
-) -> bytes:
-    """Per-version commitment over the stored blob bytes and the secret commitment."""
-    return content_digest(BlobSet(image, build, compose).hashes(), commitment)
 
 
 def xor_keystream(secret: bytes, data: bytes) -> bytes:

@@ -149,7 +149,7 @@ class RepositoryServer(socketserver.TCPServer):
             )
             if result is None:
                 return STATUS_REJECTED, {}
-            return STATUS_OK, {"ack": result.ack.hex(), "version": result.version}
+            return STATUS_OK, {"ack": result.ack.hex(), "version": result.version_cert.values[1]}
 
         if op == "ACL_SET":
             result = service.handle_acl_set(

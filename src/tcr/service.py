@@ -1,10 +1,14 @@
 """The untrusted service: assembles certificates, drives the module, persists.
 
-Every mutation pipeline runs in one sqlite transaction: it writes each tree
-edit, has the module certify the edit from the complement path that the
-write returned, and asks the module to accept the request.  Any refusal
-raises, so the transaction rolls back and the store never holds state it
-cannot re-prove.
+Every mutation pipeline runs under the service lock in one sqlite
+transaction: it writes each tree edit and has the module certify the edit
+from the complement path that the write returned.  ``Service._apply`` then
+asks the module to accept the request and stores the container record the
+module seals; it is the only place the sealed root moves.  A handler returns
+the module's ``UpdateResult`` as it is.  Any refusal raises, so the
+transaction rolls back and the store never holds state it cannot re-prove.
+Content blobs are written only after acceptance: the service cannot check a
+signature, so writing earlier would store bytes for any peer.
 
 Evidence is keyed by the root it proves.  A container proof is cached under
 the module root it was minted under, so every root move retires it.  A
@@ -21,11 +25,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value
+from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value, leaf_digest
 from .merkle import ZERO_DIGEST
 from .module import (
     Certificate,
@@ -33,6 +37,7 @@ from .module import (
     RequestEnvelope,
     RequestKind,
     TrustedModule,
+    UpdateResult,
     VerifyResponse,
 )
 from .storage import (
@@ -42,6 +47,7 @@ from .storage import (
     VersionRecord,
     bulk_prepopulate,
     content_digest,
+    initial_acl_leaf,
 )
 
 DEFAULT_ACL_HEIGHT = 8
@@ -89,10 +95,6 @@ class StepClock:
             self.steps[label] = self.steps.get(label, 0) + self.now() - start
 
 
-def _step(clock: Optional[StepClock], label: str):
-    return clock.step(label) if clock is not None else nullcontext()
-
-
 class CertCache:
     """Bounded cache of evidence, each entry tagged with the root it proves.
 
@@ -115,25 +117,6 @@ class CertCache:
         self._entries[(epoch, key)] = entry
         if len(self._entries) > CACHE_ENTRIES:
             self._entries.popitem(last=False)
-
-
-@dataclass(frozen=True)
-class CreateResult:
-    ack: bytes
-    record_cert: Certificate
-
-
-@dataclass(frozen=True)
-class ModifyResult:
-    ack: bytes
-    record_cert: Certificate
-    version: int
-
-
-@dataclass(frozen=True)
-class AclResult:
-    ack: bytes
-    record_cert: Certificate
 
 
 @dataclass(frozen=True)
@@ -182,14 +165,6 @@ class Service:
         self.acl_height = acl_height
         self._cache = CertCache()
         self._lock = threading.RLock()
-
-    @staticmethod
-    def _unless_rejected(pipeline, *args):
-        """Run a mutation pipeline; ``None`` once a refusal has rolled it back."""
-        try:
-            return pipeline(*args)
-        except _Rejected:
-            return None
 
     def container_tree(self) -> Iomt:
         return Iomt(self.height, self.storage.tree())
@@ -275,14 +250,56 @@ class Service:
     def _hints(self, record: ContainerRecord, acl: Iomt) -> dict:
         return {
             "counter": record.counter,
-            "max_version": record.version_count,
             "acl_height": self.acl_height,
             "acl": [[slot, leaf.idx, leaf.next_idx, leaf.val.hex()] for slot, leaf in acl.leaves()],
         }
 
     # -- mutation pipelines -------------------------------------------------------
 
-    def handle_create(self, req: RequestEnvelope, clock: Optional[StepClock] = None):
+    @contextmanager
+    def _mutation(self, clock: StepClock) -> Iterator[Iomt]:
+        """Serialize a mutation and group its writes in one transaction.
+
+        Yields the container tree.  A :class:`_Rejected` raised inside rolls
+        every write back and ends the block; the handler then returns ``None``.
+        """
+        with self._lock:
+            try:
+                with self.storage.transaction(commit_timer=clock.step("persist_records")):
+                    yield self.container_tree()
+            except _Rejected:
+                pass
+
+    def _apply(
+        self, req: RequestEnvelope, ru: Certificate, clock: StepClock, **evidence
+    ) -> UpdateResult:
+        """Have the module accept ``req`` and store the container record it seals.
+
+        The only place the sealed root moves; a refusal raises :class:`_Rejected`.
+        """
+        with clock.step("root_update"):
+            result = self.module.apply_request(req, ru, **evidence)
+            if result is None:
+                raise _Rejected()
+        with clock.step("persist_records"):
+            cert = result.record_cert
+            self.storage.record_put(ContainerRecord(*cert.values, seal=cert.mac))
+        return result
+
+    def _existing(
+        self, tree: Iomt, idx: int, clock: StepClock
+    ) -> tuple[ContainerRecord, int, Leaf]:
+        """The container's sealed record, slot and leaf; refused unless it exists."""
+        with clock.step("record_lookup"):
+            record = self.storage.record_get(idx)
+            found = tree.find_leaf(idx)
+            if record is None or found is None:
+                raise _Rejected()
+            return (record, *found)
+
+    def handle_create(
+        self, req: RequestEnvelope, clock: Optional[StepClock] = None
+    ) -> Optional[UpdateResult]:
         """Create a container: placeholder insertion, then counter 0 -> 1.
 
         The module accepts both edits in one root move.  Returns ``None``
@@ -290,27 +307,16 @@ class Service:
         """
         if req.kind != RequestKind.ACL or req.counter != 0:
             raise ProtocolError("creation must be an ACL-typed request with counter 0")
-        with self._lock:
-            return self._unless_rejected(self._create_once, req, clock)
-
-    def _create_once(self, req: RequestEnvelope, clock: Optional[StepClock]):
-        tree = self.container_tree()
-        module = self.module
-        with self.storage.transaction(commit_timer=_step(clock, "persist_records")):
-            with _step(clock, "record_lookup"):
+        owner = initial_acl_leaf(req.user_idx)
+        if leaf_digest(owner) != req.value:  # a one-leaf tree's root is its leaf's digest
+            raise ProtocolError("creation request names an unexpected ACL root")
+        clock = clock or StepClock()
+        with self._mutation(clock) as tree:
+            with clock.step("record_lookup"):
                 if tree.find_leaf(req.idx) is not None:
                     raise _Rejected()  # before any write or module call
 
-            with _step(clock, "persist_records"):
-                # Checked before the module moves the root: a refusal after
-                # that would leave the sealed root ahead of the store.
-                acl = Iomt.from_leaves(
-                    self.acl_height, [(0, Leaf(req.user_idx, req.user_idx, counter_digest(3)))]
-                )
-                if acl.root != req.value:
-                    raise ProtocolError("creation request names an unexpected ACL root")
-
-            with _step(clock, "eq_certificate"):
+            with clock.step("eq_certificate"):
                 try:
                     plan = tree.placeholder_plan(req.idx)
                 except TreeFullError as exc:
@@ -322,29 +328,22 @@ class Service:
                 # created leaf; the equivalence's new root holds the placeholder,
                 # so the path read here is still the slot's path at that write.
                 placeholder_path = tree.complement_path(plan.placeholder_slot)
-                equivalence = module.certify_root_equivalence(
+                equivalence = self.module.certify_root_equivalence(
                     plan.encloser_leaf, enc_path, req.idx, placeholder_path
                 )
                 if equivalence is None:
                     raise ProtocolError("module refused the placeholder equivalence proof")
 
-            with _step(clock, "ru_certificate"):
+            with clock.step("ru_certificate"):
                 ru = self._bump_counter(
                     tree, plan.placeholder_slot, plan.placeholder_leaf, 1, placeholder_path
                 )
 
-            with _step(clock, "root_update"):
-                result = module.apply_request(req, ru, equivalence=equivalence)
-                if result is None:
-                    raise _Rejected()
-
-            with _step(clock, "persist_records"):
-                _, counter, version_count, acl_root = result.record_cert.values
-                self.storage.acl_put(req.idx, acl.leaves())
-                self.storage.record_put(
-                    ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
-                )
-        return CreateResult(ack=result.ack, record_cert=result.record_cert)
+            result = self._apply(req, ru, clock, equivalence=equivalence)
+            with clock.step("persist_records"):
+                self.storage.acl_put(req.idx, [(0, owner)])
+            return result
+        return None
 
     def handle_modify(
         self,
@@ -353,66 +352,49 @@ class Service:
         wrapped_secret: Optional[bytes] = None,
         secret_commitment: Optional[bytes] = None,
         clock: Optional[StepClock] = None,
-    ):
-        """Store a new version: counter bump, version record, content blobs."""
+    ) -> Optional[UpdateResult]:
+        """Store a new version: counter bump, version record, content blobs.
+
+        The blob files are written only once the module has accepted.
+        """
         if req.kind != RequestKind.CONTAINER:
             raise ProtocolError("content updates must be container-typed requests")
-        encrypted = wrapped_secret is not None
-        if encrypted != (secret_commitment is not None):
+        if (wrapped_secret is None) != (secret_commitment is None):
             raise ProtocolError("wrapped secret and commitment must come together")
-        with self._lock:
-            return self._unless_rejected(
-                self._modify_once, req, blobs, wrapped_secret, secret_commitment, clock
-            )
+        clock = clock or StepClock()
+        with self._mutation(clock) as tree:
+            record, slot, leaf = self._existing(tree, req.idx, clock)
 
-    def _modify_once(self, req, blobs, wrapped_secret, secret_commitment, clock):
-        tree = self.container_tree()
-        module = self.module
-        with self.storage.transaction(commit_timer=_step(clock, "persist_records")):
-            with _step(clock, "record_lookup"):
-                record = self.storage.record_get(req.idx)
-                found = tree.find_leaf(req.idx)
-                if record is None or found is None:
-                    return None
-                slot, leaf = found
-
-            with _step(clock, "content_digest"):
+            with clock.step("content_digest"):
                 commitment = secret_commitment if secret_commitment is not None else ZERO_DIGEST
                 digest = content_digest(blobs.hashes(), commitment)
                 if digest != req.value:
                     raise ProtocolError("request signature does not cover the supplied content")
 
-            with _step(clock, "certificates"):
+            with clock.step("certificates"):
                 ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 acl_proof = self._acl_proof(req.idx, req.user_idx, self._acl_view(record))
                 if acl_proof is None:
                     raise _Rejected()
 
-            with _step(clock, "root_update"):
-                result = module.apply_request(
-                    req, ru, acl_proof=acl_proof, record=record.as_certificate(),
-                    secret=None if wrapped_secret is None else (wrapped_secret, commitment),
-                )
-                if result is None:
-                    raise _Rejected()
-
-            with _step(clock, "persist_records"):
-                _, counter, version_count, acl_root = result.record_cert.values
-                self.storage.record_put(
-                    ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
-                )
+            result = self._apply(
+                req, ru, clock, acl_proof=acl_proof, record=record.as_certificate(),
+                secret=None if wrapped_secret is None else (wrapped_secret, commitment),
+            )
+            with clock.step("persist_records"):
                 self.storage.version_put(
                     VersionRecord(
                         idx=req.idx,
-                        version=version_count,
+                        version=result.version_cert.values[1],
                         secret_commitment=commitment,
                         wrapped_secret=result.sealed_secret or ZERO_DIGEST,
                         content_digest=digest,
                         seal=result.version_cert.mac,
+                        hashes=self.storage.blob_put(blobs),
                     )
                 )
-                self.storage.blob_put(req.idx, version_count, blobs)
-        return ModifyResult(ack=result.ack, record_cert=result.record_cert, version=version_count)
+            return result
+        return None
 
     def handle_acl_set(
         self,
@@ -420,53 +402,38 @@ class Service:
         target_user: int,
         level: int,
         clock: Optional[StepClock] = None,
-    ):
+    ) -> Optional[UpdateResult]:
         """Change ``target_user``'s access level; requester must hold level 3."""
         if req.kind != RequestKind.ACL:
             raise ProtocolError("ACL changes must be ACL-typed requests")
         if level not in (0, 1, 2, 3):
             raise ProtocolError(f"access level {level} out of range")
-        with self._lock:
-            return self._unless_rejected(self._acl_set_once, req, target_user, level, clock)
+        clock = clock or StepClock()
+        with self._mutation(clock) as tree:
+            record, slot, leaf = self._existing(tree, req.idx, clock)
 
-    def _acl_set_once(self, req, target_user, level, clock):
-        tree = self.container_tree()
-        module = self.module
-        with self.storage.transaction(commit_timer=_step(clock, "persist_records")):
-            with _step(clock, "record_lookup"):
-                record = self.storage.record_get(req.idx)
-                found = tree.find_leaf(req.idx)
-                if record is None or found is None:
-                    return None
-                slot, leaf = found
-
-            with _step(clock, "certificates"):
+            with clock.step("certificates"):
                 acl = self.acl_tree(req.idx)  # edited below, so never a cached view
                 acl_proof = self._acl_proof(req.idx, req.user_idx, acl)
                 ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 if acl_proof is None:
                     raise _Rejected()
 
-            with _step(clock, "root_update"):
+            with clock.step("root_update"):
                 try:
                     new_acl_root = acl.upsert(target_user, counter_digest(level))
                 except TreeFullError as exc:
                     raise ProtocolError(str(exc)) from exc
                 if new_acl_root != req.value:
                     raise ProtocolError("request signature names a different ACL root: stale view")
-                result = module.apply_request(
-                    req, ru, acl_proof=acl_proof, record=record.as_certificate()
-                )
-                if result is None:
-                    raise _Rejected()
 
-            with _step(clock, "persist_records"):
-                _, counter, version_count, acl_root = result.record_cert.values
+            result = self._apply(
+                req, ru, clock, acl_proof=acl_proof, record=record.as_certificate()
+            )
+            with clock.step("persist_records"):
                 self.storage.acl_put(req.idx, acl.leaves())
-                self.storage.record_put(
-                    ContainerRecord(req.idx, counter, version_count, acl_root, result.record_cert.mac)
-                )
-        return AclResult(ack=result.ack, record_cert=result.record_cert)
+            return result
+        return None
 
     # -- query pipelines ----------------------------------------------------------
 
@@ -484,6 +451,7 @@ class Service:
         and alongside protocol errors when the requester holds read access;
         they are never attached to denials, which must stay uninformative.
         """
+        clock = clock or StepClock()
         with self._lock:
             answer = self._verified_answer(idx, requested_version, nonce, user_idx, clock)
             denied = answer.response.denied
@@ -504,23 +472,19 @@ class Service:
         when the module's answer is a full response; a denial carries nothing
         else, so it looks the same for absent containers and unreadable ones.
         """
+        clock = clock or StepClock()
         with self._lock:
-            return self._fetch_once(idx, version, user_idx, nonce, clock)
-
-    def _fetch_once(self, idx, version, user_idx, nonce, clock) -> FetchResult:
-        answer = self._verified_answer(idx, version, nonce, user_idx, clock, release=True)
-        verify = InfoResult(response=answer.response)
-        if answer.response.denied:
-            return FetchResult(verify=verify)
-        # A full response attests the version row.
-        version_row = answer.version_row
-        with _step(clock, "record_lookup"):
-            blobs = self.storage.blob_get(idx, version_row.version)
-            if blobs is None:
-                raise ProtocolError("no content stored for that version")
-        return FetchResult(
-            verify=verify, blobs=blobs, secret_commitment=version_row.secret_commitment
-        )
+            answer = self._verified_answer(idx, version, nonce, user_idx, clock, release=True)
+            verify = InfoResult(response=answer.response)
+            if answer.response.denied:
+                return FetchResult(verify=verify)
+            # A full response attests the version row, which names the content.
+            version_row = answer.version_row
+            with clock.step("record_lookup"):
+                blobs = self.storage.blob_get(version_row.hashes)
+            return FetchResult(
+                verify=verify, blobs=blobs, secret_commitment=version_row.secret_commitment
+            )
 
     def _verified_answer(
         self, idx, requested_version, nonce, user_idx, clock, release=False
@@ -530,7 +494,7 @@ class Service:
         A version of 0 is resolved here to the latest stored version.  With
         ``release``, the version's sealed secret goes to the module as well.
         """
-        with _step(clock, "record_lookup"):
+        with clock.step("record_lookup"):
             record = self.storage.record_get(idx)
             resolved, version_row = requested_version, None
             if record is not None:
@@ -538,7 +502,7 @@ class Service:
                 if 1 <= resolved <= record.version_count:
                     version_row = self.storage.version_get(idx, resolved)
 
-        with _step(clock, "certificates"):
+        with clock.step("certificates"):
             container_proof = self._container_proof(idx)
             acl = acl_proof = None
             if record is not None:
@@ -547,7 +511,7 @@ class Service:
             if container_proof is None or (record is not None and acl_proof is None):
                 raise ProtocolError("cannot assemble consistent proofs")
 
-        with _step(clock, "module_verify"):
+        with clock.step("module_verify"):
             secret = None
             if release and version_row is not None and version_row.wrapped_secret != ZERO_DIGEST:
                 secret = (version_row.wrapped_secret, version_row.secret_commitment)

@@ -14,7 +14,8 @@ The layout's version is stamped in ``PRAGMA user_version``; a store written
 under another version is refused, not migrated.
 
 Blobs are content-addressed files under a data directory; identical content
-is stored once regardless of how many versions reference it.
+is stored once regardless of how many versions reference it.  A version's
+row holds the addresses of its three blobs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .iomt import Geometry, Leaf, counter_digest, encloses, leaf_digest, node_le
 from .merkle import ZERO_DIGEST, sha256
 from .module import CertKind, Certificate, ModuleState
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Names the cipher an encrypted version's blobs were written under.  The
 # client keys its keystream with it and every encrypted version's content
@@ -72,6 +73,7 @@ class VersionRecord:
     wrapped_secret: bytes  # zero for unencrypted versions
     content_digest: bytes
     seal: bytes
+    hashes: tuple[bytes, bytes, bytes]  # addresses of the image, build and compose blobs
 
     def as_certificate(self) -> Certificate:
         return Certificate(CertKind.VR, (self.idx, self.version, self.content_digest), self.seal)
@@ -95,6 +97,11 @@ def content_digest(hashes: Sequence[bytes], commitment: bytes) -> bytes:
     """
     tag = CIPHER_ID if commitment != ZERO_DIGEST else b""
     return sha256(b"".join(hashes) + commitment + tag)
+
+
+def initial_acl_leaf(user_idx: int) -> Leaf:
+    """The one leaf of a new container's ACL: its creator, at owner level 3."""
+    return Leaf(user_idx, user_idx, counter_digest(3))
 
 
 def _key(idx: int) -> bytes:
@@ -139,11 +146,6 @@ CREATE TABLE versions(
     wrapped_secret BLOB NOT NULL,
     content_digest BLOB NOT NULL,
     seal BLOB NOT NULL,
-    PRIMARY KEY(idx, version)
-) WITHOUT ROWID;
-CREATE TABLE blob_sets(
-    idx BLOB NOT NULL,
-    version INTEGER NOT NULL,
     image_hash BLOB NOT NULL,
     build_hash BLOB NOT NULL,
     compose_hash BLOB NOT NULL,
@@ -163,9 +165,9 @@ class Storage:
     :data:`SCHEMA_VERSION`, or opening it raises :class:`StorageError`.
     """
 
-    def __init__(self, db_path: str | Path, data_dir: Optional[str | Path] = None) -> None:
+    def __init__(self, db_path: str | Path, data_dir: str | Path) -> None:
         self.db_path = str(db_path)
-        self.data_dir = Path(data_dir) if data_dir is not None else None
+        self.data_dir = Path(data_dir)
         self._conn = None
         try:
             self._conn = sqlite3.connect(self.db_path, isolation_level=None, check_same_thread=False)
@@ -267,8 +269,7 @@ class Storage:
         # A failed statement leaves the enclosing transaction open.
         try:
             self._conn.execute(
-                "INSERT INTO versions(idx, version, secret_commitment, wrapped_secret, "
-                "content_digest, seal) VALUES(?,?,?,?,?,?)",
+                "INSERT INTO versions VALUES(?,?,?,?,?,?,?,?,?)",
                 (
                     _key(record.idx),
                     record.version,
@@ -276,6 +277,7 @@ class Storage:
                     record.wrapped_secret,
                     record.content_digest,
                     record.seal,
+                    *record.hashes,
                 ),
             )
         except sqlite3.IntegrityError as exc:
@@ -285,19 +287,17 @@ class Storage:
 
     def version_get(self, idx: int, version: int) -> Optional[VersionRecord]:
         row = self._conn.execute(
-            "SELECT secret_commitment, wrapped_secret, content_digest, seal "
-            "FROM versions WHERE idx=? AND version=?",
+            "SELECT secret_commitment, wrapped_secret, content_digest, seal, "
+            "image_hash, build_hash, compose_hash FROM versions WHERE idx=? AND version=?",
             (_key(idx), version),
         ).fetchone()
         if row is None:
             return None
-        return VersionRecord(idx, version, row[0], row[1], row[2], row[3])
+        return VersionRecord(idx, version, *row[:4], hashes=row[4:])
 
     # -- content blobs ------------------------------------------------------------
 
     def _blob_path(self, digest: bytes) -> Path:
-        if self.data_dir is None:
-            raise StorageError("no data directory configured for blobs")
         return self.data_dir / digest.hex() / "payload"
 
     def _write_blob(self, content: bytes) -> bytes:
@@ -316,37 +316,24 @@ class Storage:
                 partial.unlink(missing_ok=True)
         return digest
 
-    def blob_put(self, idx: int, version: int, blobs: BlobSet) -> tuple[bytes, bytes, bytes]:
-        hashes = (
+    def blob_put(self, blobs: BlobSet) -> tuple[bytes, bytes, bytes]:
+        """Write the three blob files; their addresses, for the version row."""
+        return (
             self._write_blob(blobs.image),
             self._write_blob(blobs.build),
             self._write_blob(blobs.compose),
         )
-        self._conn.execute(
-            "INSERT INTO blob_sets(idx, version, image_hash, build_hash, compose_hash) "
-            "VALUES(?,?,?,?,?) ON CONFLICT(idx, version) DO UPDATE SET "
-            "image_hash=excluded.image_hash, build_hash=excluded.build_hash, "
-            "compose_hash=excluded.compose_hash",
-            (_key(idx), version, *hashes),
-        )
-        return hashes
 
-    def blob_get(self, idx: int, version: int) -> Optional[BlobSet]:
-        row = self._conn.execute(
-            "SELECT image_hash, build_hash, compose_hash FROM blob_sets "
-            "WHERE idx=? AND version=?",
-            (_key(idx), version),
-        ).fetchone()
-        if row is None:
-            return None
+    def blob_get(self, hashes: Sequence[bytes]) -> BlobSet:
+        """The blobs at the addresses a version row names."""
         try:
-            return BlobSet(*(self._blob_path(h).read_bytes() for h in row))
+            return BlobSet(*(self._blob_path(h).read_bytes() for h in hashes))
         except OSError as exc:
             # The message reaches clients: name the failure, not the path.
             raise StorageError(f"content blob unreadable ({exc.strerror})") from exc
 
     def is_empty(self) -> bool:
-        for table in ("nodes", "leaves", "acl_leaves", "containers", "versions", "blob_sets"):
+        for table in ("nodes", "leaves", "acl_leaves", "containers", "versions"):
             if self._conn.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone():
                 return False
         return True
@@ -470,9 +457,9 @@ def bulk_prepopulate(
         raise StorageError("owner has no key in the module state")
 
     blobs = blobs if blobs is not None else BlobSet(MOCK_IMAGE, MOCK_BUILD, MOCK_COMPOSE)
-    hashes = blobs.hashes()
+    hashes = storage.blob_put(blobs)
     digest = content_digest(hashes, ZERO_DIGEST)
-    owner = Leaf(owner_idx, owner_idx, counter_digest(3))
+    owner = initial_acl_leaf(owner_idx)
     acl_root = leaf_digest(owner)  # one-leaf tree
     counter, version = 2, 1
     ctr_val = counter_digest(counter)
@@ -486,9 +473,6 @@ def bulk_prepopulate(
     # position, which keeps the B-tree as compact as a sequential build.
     levels = list(node_levels(height, container_leaves()))
     root = levels[-1].get(0, ZERO_DIGEST)
-
-    for content in (blobs.image, blobs.build, blobs.compose):
-        storage._write_blob(content)
 
     owner_key = _key(owner_idx)
     conn = storage._conn
@@ -520,16 +504,12 @@ def bulk_prepopulate(
             ),
         )
         conn.executemany(
-            "INSERT INTO versions VALUES(?,?,?,?,?,?)",
+            "INSERT INTO versions VALUES(?,?,?,?,?,?,?,?,?)",
             (
                 (_key(idx), version, ZERO_DIGEST, ZERO_DIGEST, digest,
-                 state.seal(CertKind.VR, (idx, version, digest)))
+                 state.seal(CertKind.VR, (idx, version, digest)), *hashes)
                 for idx in indices
             ),
-        )
-        conn.executemany(
-            "INSERT INTO blob_sets VALUES(?,?,?,?,?)",
-            ((_key(idx), version, *hashes) for idx in indices),
         )
         conn.execute("COMMIT")
     except BaseException:

@@ -43,6 +43,20 @@ INSERT INTO free_slots VALUES(0);
 PRAGMA user_version=1;
 """
 
+# The version-2 layout of the version tables: a version's blob addresses sat
+# in a table of their own.
+V2_LAYOUT = """
+CREATE TABLE versions(idx BLOB NOT NULL, version INTEGER NOT NULL,
+    secret_commitment BLOB NOT NULL, wrapped_secret BLOB NOT NULL,
+    content_digest BLOB NOT NULL, seal BLOB NOT NULL,
+    PRIMARY KEY(idx, version)) WITHOUT ROWID;
+CREATE TABLE blob_sets(idx BLOB NOT NULL, version INTEGER NOT NULL, image_hash BLOB NOT NULL,
+    build_hash BLOB NOT NULL, compose_hash BLOB NOT NULL,
+    PRIMARY KEY(idx, version)) WITHOUT ROWID;
+INSERT INTO blob_sets VALUES(zeroblob(8), 1, zeroblob(32), zeroblob(32), zeroblob(32));
+PRAGMA user_version=2;
+"""
+
 
 def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: int) -> bytes:
     """Root by full bottom-up recomputation, with no incremental shortcuts.

@@ -23,7 +23,6 @@ from tcr.client import (
     UserCredential,
     Verdict,
     check_info_response,
-    content_digest_of,
     predicted_acl_root,
 )
 from tcr.iomt import Iomt, Leaf, counter_digest
@@ -31,7 +30,7 @@ from tcr.merkle import ZERO_DIGEST, hmac_sha256
 from tcr.module import Certificate, ModuleState, RequestKind, RvPair, TrustedModule
 from tcr.server import RepositoryServer
 from tcr.service import ProtocolError, Service
-from tcr.storage import BlobSet, ContainerRecord, Storage
+from tcr.storage import BlobSet, ContainerRecord, Storage, content_digest
 from tcr.wire import response_to_json
 
 BLOBS = BlobSet(b"image-bytes" * 30, b"FROM base\n", b"services: {}\n")
@@ -52,7 +51,7 @@ def _create(service, cred, idx):
 
 
 def _modify(service, cred, idx, counter, blobs=BLOBS, commitment=ZERO_DIGEST, **kwargs):
-    digest = content_digest_of(blobs.image, blobs.build, blobs.compose, commitment)
+    digest = content_digest(blobs.hashes(), commitment)
     env = cred.sign_request(RequestKind.CONTAINER, idx, counter, digest)
     return env, service.handle_modify(env, blobs, **kwargs)
 
@@ -217,13 +216,13 @@ def test_criterion_3_tamper_detection(tmp_path):
         rejected += response is None
 
     # Stored blobs: a flipped content bit breaks the attested digest.
-    blobs = storage.blob_get(10, 1)
+    blobs = storage.blob_get(version.hashes)
     attested = version.content_digest
     for _ in range(1600):
         which = rng.randrange(3)
         parts = [blobs.image, blobs.build, blobs.compose]
         parts[which] = _mutate_bytes(rng, parts[which])
-        recomputed = content_digest_of(parts[0], parts[1], parts[2], version.secret_commitment)
+        recomputed = content_digest(BlobSet(*parts).hashes(), version.secret_commitment)
         checked += 1
         rejected += recomputed != attested
 
@@ -354,7 +353,7 @@ def test_criterion_6_secret_confidentiality(tmp_path):
             xor_keystream(secret, plain.build),
             xor_keystream(secret, plain.compose),
         )
-        digest = content_digest_of(cipher.image, cipher.build, cipher.compose, commitment)
+        digest = content_digest(cipher.hashes(), commitment)
         envelope = cred.sign_request(RequestKind.CONTAINER, 10, counter, digest)
         payload = envelope_to_json(envelope)
         payload.update(

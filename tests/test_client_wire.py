@@ -26,7 +26,6 @@ from tcr.client import (
     UserCredential,
     Verdict,
     check_info_response,
-    content_digest_of,
     unwrap_secret,
     wrap_secret,
     xor_blobs,
@@ -44,7 +43,7 @@ from tcr.module import (
 )
 from tcr.server import RepositoryServer
 from tcr.service import Service
-from tcr.storage import CIPHER_ID, BlobSet, Storage
+from tcr.storage import CIPHER_ID, BlobSet, Storage, content_digest
 from tcr.wire import (
     STATUS_DENIED,
     STATUS_ERROR,
@@ -103,10 +102,13 @@ class TestCrypto:
         )
 
     def test_content_digest_sensitivity(self):
-        base = content_digest_of(IMAGE, BUILD, COMPOSE)
-        assert base == content_digest_of(IMAGE, BUILD, COMPOSE)
-        assert base != content_digest_of(IMAGE + b"x", BUILD, COMPOSE)
-        assert base != content_digest_of(IMAGE, BUILD, COMPOSE, sha256(b"mu"))
+        def digest(image, commitment=ZERO_DIGEST):
+            return content_digest(BlobSet(image, BUILD, COMPOSE).hashes(), commitment)
+
+        base = digest(IMAGE)
+        assert base == digest(IMAGE)
+        assert base != digest(IMAGE + b"x")
+        assert base != digest(IMAGE, sha256(b"mu"))
 
     def test_wrap_unwrap_degenerate_secret(self):
         cred = UserCredential(1, bytes(range(32)))
@@ -215,7 +217,8 @@ class TestWireFlows:
         alice = client_for(server, keys, 1)
         alice.create(11)
         alice.modify(11, IMAGE, BUILD, COMPOSE, encrypt=True)
-        stored = server.service.storage.blob_get(11, 1)
+        storage = server.service.storage
+        stored = storage.blob_get(storage.version_get(11, 1).hashes)
         plain, cipher = (IMAGE, BUILD, COMPOSE), (stored.image, stored.build, stored.compose)
 
         def xor(x: bytes, y: bytes) -> bytes:
@@ -720,20 +723,28 @@ class TestCli:
         monkeypatch.setattr(RepositoryServer, "serve_forever", serve_forever)
 
     def test_server_refuses_a_version_1_store(self, tmp_path, monkeypatch):
-        import sqlite3
-
         from conftest import V1_TREE_LAYOUT
+
+        self.check_refused(tmp_path, monkeypatch, 1, V1_TREE_LAYOUT)
+
+    def test_server_refuses_a_version_2_store(self, tmp_path, monkeypatch):
+        from conftest import V2_LAYOUT
+
+        self.check_refused(tmp_path, monkeypatch, 2, V2_LAYOUT)
+
+    def check_refused(self, tmp_path, monkeypatch, version, layout):
         from tcr.server import main as server_main
 
         self.never_serve(monkeypatch)
-        db = tmp_path / "v1.db"
+        db = tmp_path / f"v{version}.db"
         conn = sqlite3.connect(db)
-        conn.executescript(V1_TREE_LAYOUT)
+        conn.executescript(layout)
         conn.close()
         before = db.read_bytes()
         users = tmp_path / "users.json"
         users.write_text(json.dumps({"1": "00" * 32}))
-        with pytest.raises(SystemExit, match="schema version 1.*needs 2.*provision a fresh store"):
+        match = f"schema version {version}.*needs 3.*provision a fresh store"
+        with pytest.raises(SystemExit, match=match):
             server_main(["--listen", "127.0.0.1:0", "--db", str(db), "--module-state",
                          str(tmp_path / "module.bin"), "--height", "4", "--data-dir",
                          str(tmp_path / "blobs"), "--users", str(users)])

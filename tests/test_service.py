@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import acl_hints
+from tcr.bench import STEP_ORDER
 from tcr.client import (
     UserCredential,
     Verdict,
     check_info_response,
-    content_digest_of,
     predicted_acl_root,
     wrap_secret,
     xor_blobs,
@@ -23,7 +23,7 @@ from tcr.iomt import Iomt, Leaf, TreeFullError, counter_digest
 from tcr.merkle import ZERO_DIGEST, sha256
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule
 from tcr.service import CACHE_ENTRIES, ProtocolError, Service, StepClock
-from tcr.storage import BlobSet, Storage, bulk_prepopulate
+from tcr.storage import BlobSet, Storage, bulk_prepopulate, content_digest
 
 BLOBS = BlobSet(b"layer-bytes" * 200, b"FROM base\n", b"services: {app: {}}\n")
 
@@ -34,12 +34,12 @@ def signed_create(cred: UserCredential, idx: int) -> RequestEnvelope:
 
 def signed_modify(cred: UserCredential, idx: int, counter: int, blobs: BlobSet = BLOBS,
                   commitment: bytes = ZERO_DIGEST) -> RequestEnvelope:
-    digest = content_digest_of(blobs.image, blobs.build, blobs.compose, commitment)
+    digest = content_digest(blobs.hashes(), commitment)
     return cred.sign_request(RequestKind.CONTAINER, idx, counter, digest)
 
 
 def dump_store(storage) -> list:
-    tables = ("nodes", "leaves", "acl_leaves", "containers", "versions", "blob_sets")
+    tables = ("nodes", "leaves", "acl_leaves", "containers", "versions")
     out = []
     for table in tables:
         out.append(storage._conn.execute(f"SELECT * FROM {table} ORDER BY 1, 2").fetchall())
@@ -172,11 +172,11 @@ class TestModify:
         service.handle_create(signed_create(cred, 7))
         env = signed_modify(cred, 7, 1)
         result = service.handle_modify(env, BLOBS)
-        assert result is not None and result.version == 1
+        assert result is not None and result.version_cert.values[1] == 1
         assert cred.verify_ack(env, result.ack)
         row = service.storage.version_get(7, 1)
         assert row.content_digest == env.value
-        assert service.storage.blob_get(7, 1) == BLOBS
+        assert service.storage.blob_get(row.hashes) == BLOBS
 
     def test_unknown_container_rejected(self, service, credentials):
         assert service.handle_modify(signed_modify(credentials[1], 9, 1), BLOBS) is None
@@ -210,7 +210,7 @@ class TestModify:
         assert result is not None
         row = service.storage.version_get(7, 1)
         assert row.wrapped_secret not in (ZERO_DIGEST, secret, wrapped)
-        assert service.storage.blob_get(7, 1).image != BLOBS.image
+        assert service.storage.blob_get(row.hashes).image != BLOBS.image
 
     def test_encrypted_modify_signed_without_the_cipher_tag_is_refused(self, service, credentials):
         cred = credentials[1]
@@ -235,9 +235,32 @@ class TestAclSet:
         return service.handle_acl_set(env, target, level, clock=clock)
 
     def test_step_clock_times_each_step(self, service, credentials):
-        service.handle_create(signed_create(credentials[1], 7))
+        # Each handler records, in order, the steps the benchmark reports for its op.
+        cred = credentials[1]
+
+        def steps(handle, *args, **kwargs):
+            clock = StepClock()
+            assert handle(*args, clock=clock, **kwargs) is not None
+            return tuple(clock.steps)
+
+        def expected(op):
+            return tuple(label for label in STEP_ORDER[op] if label != "total")
+
+        assert steps(service.handle_create, signed_create(cred, 7)) == expected("create")
+        assert steps(service.handle_modify, signed_modify(cred, 7, 1), BLOBS) == expected("modify")
+        secret = secrets.token_bytes(32)
+        wrapped, commitment = wrap_secret(cred, secret, 7, 2)
+        cipher = xor_blobs(secret, BLOBS)
+        assert steps(
+            service.handle_modify, signed_modify(cred, 7, 2, cipher, commitment), cipher,
+            wrapped_secret=wrapped, secret_commitment=commitment,
+        ) == expected("modify_encrypted")
+        assert steps(service.handle_info, 7, 1, secrets.token_bytes(32), 1) == expected("info")
+        for version, op in ((1, "fetch"), (2, "fetch_encrypted")):
+            nonce = secrets.token_bytes(32)
+            assert steps(service.handle_fetch, 7, version, 1, nonce=nonce) == expected(op)
         clock = StepClock()
-        assert self.grant(service, credentials, 1, 2, 1, 1, clock=clock) is not None
+        assert self.grant(service, credentials, 1, 2, 1, 3, clock=clock) is not None
         assert set(clock.steps) == {"record_lookup", "certificates", "root_update", "persist_records"}
 
     def test_owner_grants_and_user_queries(self, service, credentials):
@@ -275,9 +298,9 @@ OWNER = UserCredential(1, bytes(range(32)))
 @settings(max_examples=40, deadline=None)
 @example(grants=[(2, 1), (3, 2), (2, 3), (4, 0), (5, 1)])  # fills the tree, then one more
 @given(st.lists(st.tuples(st.integers(2, 9), st.integers(0, 3)), min_size=1, max_size=8))
-def test_predicted_acl_root_is_the_stored_root(grants):
+def test_predicted_acl_root_is_the_stored_root(tmp_path_factory, grants):
     """Re-grants and new grants alike: the client predicts what the service stores."""
-    storage = Storage(":memory:")
+    storage = Storage(":memory:", tmp_path_factory.mktemp("blobs"))
     module = TrustedModule(ModuleState.fresh({1: OWNER.key}))
     service = Service(storage, module, height=3, acl_height=2)  # four ACL slots
     try:
@@ -391,9 +414,7 @@ class TestFetch:
         nonce = secrets.token_bytes(32)
         info = service.handle_info(7, 1, nonce, 1)
         assert check_info_response(credentials[1], info.response, nonce, 7) == Verdict.VERIFIED
-        recomputed = content_digest_of(
-            fetched.blobs.image, fetched.blobs.build, fetched.blobs.compose, fetched.secret_commitment
-        )
+        recomputed = content_digest(fetched.blobs.hashes(), fetched.secret_commitment)
         assert recomputed == info.response.content_digest == fetched.verify.response.content_digest
 
     @pytest.fixture
@@ -444,8 +465,9 @@ class TestFetch:
         fetched = service.handle_fetch(7, 1, 1, nonce=secrets.token_bytes(32))
         tampered = bytearray(fetched.blobs.image)
         tampered[0] ^= 0x01
-        recomputed = content_digest_of(
-            bytes(tampered), fetched.blobs.build, fetched.blobs.compose, fetched.secret_commitment
+        recomputed = content_digest(
+            dataclasses.replace(fetched.blobs, image=bytes(tampered)).hashes(),
+            fetched.secret_commitment,
         )
         assert recomputed != fetched.verify.response.content_digest
 
@@ -497,7 +519,7 @@ class TestStatementCounts:
         # user 2 holds no access, so its query is a denial
         cases = [
             (info, 1, Verdict.VERIFIED, (5, 5), (1, 4)),
-            (fetch, 1, Verdict.VERIFIED, (6, 6), (2, 5)),
+            (fetch, 1, Verdict.VERIFIED, (6, 5), (2, 4)),
             (info, 2, Verdict.DENIED, (7, 5), (3, 4)),
         ]
         for query, user, verdict, cold, warm in cases:
@@ -526,7 +548,7 @@ class TestStatementCounts:
             return len(statements)
 
         assert counted(service.handle_create, signed_create(cred, 100)) == 13, statements
-        assert counted(service.handle_modify, signed_modify(cred, 5, 2), BLOBS) == 11, statements
+        assert counted(service.handle_modify, signed_modify(cred, 5, 2), BLOBS) == 10, statements
         for counter, level in ((3, 1), (4, 2)):  # new grant, then re-grant
             root = predicted_acl_root(acl_hints(service, 5), 2, level)
             env = cred.sign_request(RequestKind.ACL, 5, counter, root)
@@ -688,9 +710,9 @@ class TestAclCache:
         max_size=12,
     )
 )
-def test_served_hints_match_the_stored_rows(ops):
+def test_served_hints_match_the_stored_rows(tmp_path_factory, ops):
     """Whatever creates and grants ran, every served ACL hint is the rows' ACL."""
-    storage = Storage(":memory:")
+    storage = Storage(":memory:", tmp_path_factory.mktemp("blobs"))
     module = TrustedModule(ModuleState.fresh({1: OWNER.key}))
     service = Service(storage, module, height=3)
     created = set()

@@ -9,7 +9,7 @@ import pytest
 
 import tcr.iomt
 import tcr.storage
-from conftest import V1_TREE_LAYOUT, oracle_root, remove_placeholder
+from conftest import V1_TREE_LAYOUT, V2_LAYOUT, oracle_root, remove_placeholder
 from tcr.iomt import (
     Geometry,
     Iomt,
@@ -77,13 +77,13 @@ def per_node_path(tree: Iomt, slot: int) -> list:
 
 class TestBatchedPathReads:
     @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-    def test_path_matches_per_node_reference(self, backend):
+    def test_path_matches_per_node_reference(self, backend, tmp_path):
         rng = random.Random(5)
         zero_siblings = 0
         for _ in range(6):
             height = rng.randrange(1, 8)
             # One store per tree: the sqlite tables hold a single tree.
-            trial_storage = Storage(":memory:")
+            trial_storage = Storage(":memory:", tmp_path)
             tree = Iomt(height, None if backend == "memory" else trial_storage.tree())
             last = (1 << height) - 1
             # Sparse: most siblings along any path are zero.
@@ -187,10 +187,10 @@ class TestLeafTable:
 
 
 class TestSparseDenseEquivalence:
-    def test_small_trees(self):
+    def test_small_trees(self, tmp_path):
         rng = random.Random(11)
         for height in range(5):
-            storage = Storage(":memory:")  # one store per tree
+            storage = Storage(":memory:", tmp_path)  # one store per tree
             tree = Iomt(height, storage.tree())
             leaves: dict[int, Leaf] = {}
             for slot in rng.sample(range(1 << height), max(1, (1 << height) // 2)):
@@ -222,7 +222,8 @@ class TestRecords:
         assert storage.record_get(12345) is None
 
     def test_version_immutable(self, storage):
-        record = VersionRecord(7, 1, ZERO_DIGEST, ZERO_DIGEST, sha256(b"l"), sha256(b"s"))
+        hashes = BlobSet(b"i", b"b", b"c").hashes()
+        record = VersionRecord(7, 1, ZERO_DIGEST, ZERO_DIGEST, sha256(b"l"), sha256(b"s"), hashes)
         storage.version_put(record)
         assert storage.version_get(7, 1) == record
         with pytest.raises(VersionExistsError):
@@ -238,16 +239,16 @@ class TestRecords:
 class TestBlobs:
     def test_round_trip_content_addressed(self, storage, tmp_path):
         blobs = BlobSet(b"image" * 100, b"build", b"compose")
-        hashes = storage.blob_put(3, 1, blobs)
-        assert storage.blob_get(3, 1) == blobs
+        hashes = storage.blob_put(blobs)
+        assert storage.blob_get(hashes) == blobs
         assert hashes == blobs.hashes()
         path = storage._blob_path(hashes[0])
         assert path.exists() and path.parent.name == hashes[0].hex()
 
     def test_identical_content_shares_files(self, storage):
         blobs = BlobSet(b"same", b"same-build", b"same-compose")
-        storage.blob_put(1, 1, blobs)
-        storage.blob_put(2, 1, blobs)
+        storage.blob_put(blobs)
+        storage.blob_put(blobs)
         files = list(storage.data_dir.rglob("payload"))
         assert len(files) == 3
 
@@ -261,20 +262,19 @@ class TestBlobs:
 
         monkeypatch.setattr(Path, "write_bytes", torn)
         with pytest.raises(OSError):
-            storage.blob_put(5, 1, blobs)
+            storage.blob_put(blobs)
         monkeypatch.undo()
-        storage.blob_put(5, 1, blobs)
-        assert storage.blob_get(5, 1) == blobs
+        assert storage.blob_get(storage.blob_put(blobs)) == blobs
         files = [p.name for p in storage.data_dir.rglob("*") if p.is_file()]
         assert files == ["payload"] * 3  # no partial file left behind
 
     def test_damaged_blob_is_rewritten_by_the_next_put(self, storage):
         blobs = BlobSet(b"image" * 100, b"build", b"compose")
-        storage.blob_put(5, 1, blobs)
+        hashes = storage.blob_put(blobs)
         storage._blob_path(sha256(blobs.image)).write_bytes(b"rotten")
-        assert storage.blob_get(5, 1).image == b"rotten"  # reads do not hash
-        storage.blob_put(6, 1, blobs)
-        assert storage.blob_get(5, 1) == storage.blob_get(6, 1) == blobs
+        assert storage.blob_get(hashes).image == b"rotten"  # reads do not hash
+        assert storage.blob_put(blobs) == hashes
+        assert storage.blob_get(hashes) == blobs
 
 
 class TestDurability:
@@ -285,7 +285,10 @@ class TestDurability:
         record = ContainerRecord(5, 1, 0, sha256(b"a"), sha256(b"s"))
         storage.record_put(record)
         blobs = BlobSet(b"i", b"b", b"c")
-        storage.blob_put(5, 1, blobs)
+        version = VersionRecord(
+            5, 1, ZERO_DIGEST, ZERO_DIGEST, sha256(b"d"), sha256(b"s"), storage.blob_put(blobs)
+        )
+        storage.version_put(version)
         root = tree.root
         storage.close()
 
@@ -294,7 +297,8 @@ class TestDurability:
         assert tree2.root == root
         assert tree2.find_leaf(5) is not None
         assert reopened.record_get(5) == record
-        assert reopened.blob_get(5, 1) == blobs
+        assert reopened.version_get(5, 1) == version
+        assert reopened.blob_get(version.hashes) == blobs
         reopened.close()
 
     def test_transaction_rollback(self, storage):
@@ -454,11 +458,11 @@ CREATE TABLE free_slots(tree TEXT NOT NULL, slot INTEGER NOT NULL,
 
 class TestSchemaVersion:
     def test_fresh_store_is_stamped(self, tmp_path):
-        Storage(tmp_path / "s.db").close()
+        Storage(tmp_path / "s.db", tmp_path / "blobs").close()
         conn = sqlite3.connect(tmp_path / "s.db")
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 2
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 3
         conn.close()
-        Storage(tmp_path / "s.db").close()  # the stamped store reopens
+        Storage(tmp_path / "s.db", tmp_path / "blobs").close()  # the stamped store reopens
 
     def test_old_store_is_refused(self, tmp_path):
         path = tmp_path / "old.db"
@@ -468,7 +472,7 @@ class TestSchemaVersion:
         conn.commit()
         conn.close()
         with pytest.raises(StorageError) as err:
-            Storage(path)
+            Storage(path, tmp_path / "blobs")
         message = str(err.value)
         assert "version 0" in message and f"needs {SCHEMA_VERSION}" in message
         assert "fresh store" in message
@@ -478,15 +482,23 @@ class TestSchemaVersion:
         conn.close()
 
     def test_version_1_store_is_refused(self, tmp_path):
-        path = tmp_path / "v1.db"
+        self.check_refused(tmp_path, 1, V1_TREE_LAYOUT)
+
+    def test_version_2_store_is_refused(self, tmp_path):
+        self.check_refused(tmp_path, 2, V2_LAYOUT)
+
+    @staticmethod
+    def check_refused(tmp_path, version, layout):
+        path = tmp_path / f"v{version}.db"
         conn = sqlite3.connect(path)
-        conn.executescript(V1_TREE_LAYOUT)
+        conn.executescript(layout)
         conn.close()
         before = path.read_bytes()
         with pytest.raises(
-            StorageError, match="schema version 1, this build needs 2: provision a fresh store"
+            StorageError,
+            match=f"schema version {version}, this build needs 3: provision a fresh store",
         ):
-            Storage(path)
+            Storage(path, tmp_path / "blobs")
         assert path.read_bytes() == before
 
     def test_other_version_is_refused_even_when_empty(self, tmp_path):
@@ -498,4 +510,4 @@ class TestSchemaVersion:
         )
         conn.close()
         with pytest.raises(StorageError, match=f"version {SCHEMA_VERSION + 1}"):
-            Storage(path)
+            Storage(path, tmp_path / "blobs")
