@@ -24,7 +24,6 @@ from .module import (
     ModuleState,
     RequestEnvelope,
     RequestKind,
-    RvPair,
     TrustedModule,
     VerifyResponse,
     load_state,
@@ -48,7 +47,6 @@ __all__ = [
     "RepositoryClient",
     "RequestEnvelope",
     "RequestKind",
-    "RvPair",
     "Service",
     "Side",
     "StepClock",

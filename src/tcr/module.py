@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .iomt import Leaf, counter_value, encloses, leaf_digest
 from .merkle import (
@@ -38,7 +38,7 @@ from .merkle import (
 
 class CertKind(IntEnum):
     # The numbers are under every sealed record's MAC: never renumber them.
-    RV = 2  # record verify: leaf (idx, val) exists under root Y
+    RV = 2  # record verify: index idx holds val under root Y (zero val: absent or placeholder)
     RU = 3  # record update: leaf value val -> val' moves root Y -> Y'
     EQ = 4  # root equivalence: Y'' is Y plus one placeholder
     CR = 5  # container record seal
@@ -73,23 +73,6 @@ class Certificate:
     kind: int
     values: tuple[FieldValue, ...]
     mac: bytes
-
-    def body(self) -> bytes:
-        return _cert_body(self.kind, self.values)
-
-
-@dataclass(frozen=True)
-class RvPair:
-    """Existence proof plus the enclosure-derived absence proof it implies.
-
-    One MAC covers both halves; neither half verifies alone.
-    """
-
-    existing: Certificate
-    absent: Certificate
-
-
-Proof = Union[Certificate, RvPair]
 
 # Sibling digests from a leaf up to the root, each with the side it occupies.
 ComplementPath = Sequence[tuple[bytes, Side]]
@@ -303,44 +286,14 @@ class TrustedModule:
             return False
         return macs_equal(cert.mac, expected)
 
-    def _pair_ok(self, pair: RvPair) -> bool:
-        if not isinstance(pair, RvPair):
-            return False
-        for half in (pair.existing, pair.absent):
-            if not isinstance(half, Certificate) or half.kind != CertKind.RV:
-                return False
-        try:
-            joint = pair.existing.body() + pair.absent.body()
-        except (ValueError, TypeError):
-            return False
-        expected = hmac_sha256(joint, self._state.secret)
-        return macs_equal(pair.existing.mac, expected) and macs_equal(pair.absent.mac, expected)
-
-    def certificate_valid(self, proof: Proof) -> bool:
-        """Whether a certificate (or enclosure pair) verifies under the module secret."""
+    def certificate_valid(self, cert: Certificate) -> bool:
+        """Whether a certificate verifies under the module secret."""
         with self._lock:
-            if isinstance(proof, RvPair):
-                return self._pair_ok(proof)
-            return self._cert_ok(proof)
-
-    def _select_rv(self, proof: Proof, idx: int) -> Optional[tuple[int, bytes, bytes]]:
-        """Verify an RV proof and return the (idx, val, root) triple about ``idx``."""
-        if isinstance(proof, RvPair):
-            if not self._pair_ok(proof):
-                return None
-            for half in (proof.existing, proof.absent):
-                if half.values[0] == idx:
-                    return half.values  # type: ignore[return-value]
-            return None
-        if not self._cert_ok(proof, CertKind.RV):
-            return None
-        if proof.values[0] != idx:
-            return None
-        return proof.values  # type: ignore[return-value]
+            return self._cert_ok(cert)
 
     def _access(
-        self, record: Optional[Certificate], acl_proof: Optional[Proof], idx: int, counter: int,
-        user_idx: int,
+        self, record: Optional[Certificate], acl_proof: Optional[Certificate], idx: int,
+        counter: int, user_idx: int,
     ) -> Optional[tuple[int, bytes, int]]:
         """Check a sealed container record against ``(idx, counter)`` and the
         caller's ACL proof against its ACL root.
@@ -353,10 +306,12 @@ class TrustedModule:
         c_idx, c_ctr, c_ver, acl_root = record.values
         if c_idx != idx or c_ctr != counter:
             return None  # inconsistent certificates
-        rv = self._select_rv(acl_proof, user_idx)
-        if rv is None or rv[2] != acl_root:
+        if not self._cert_ok(acl_proof, CertKind.RV):
             return None
-        level = counter_value(rv[1])
+        a_idx, val, a_root = acl_proof.values
+        if a_idx != user_idx or a_root != acl_root:
+            return None
+        level = counter_value(val)
         if level is None:
             return None
         return c_ver, acl_root, level
@@ -365,30 +320,25 @@ class TrustedModule:
 
     def certify_record(
         self, leaf: Optional[Leaf], path: ComplementPath, absent_idx: Optional[int] = None
-    ) -> Optional[Proof]:
+    ) -> Optional[Certificate]:
         """RV: bind a leaf's (idx, val) to the root its complement path folds to.
 
-        With ``absent_idx`` enclosed by the leaf, also emit the paired
-        certificate proving ``absent_idx`` has no leaf under the same root.
+        With ``absent_idx`` enclosed by the leaf, the RV is instead
+        ``(absent_idx, ZERO_DIGEST, root)``: an absent index reads as value
+        zero, exactly as a placeholder or a level-0 grant does.
         ``leaf=None`` asserts absence in an *empty* tree: only a zero root
         can be free of every index at once, so the path must fold to zero.
         """
         with self._lock:
             root = _fold(leaf, path)
-            if leaf is None:
-                if absent_idx is None or root != ZERO_DIGEST:
-                    return None
+            if absent_idx is not None and (
+                root == ZERO_DIGEST if leaf is None
+                else encloses(leaf.idx, leaf.next_idx, absent_idx)
+            ):
                 return self._issue(CertKind.RV, (absent_idx, ZERO_DIGEST, root))
-            existing = (leaf.idx, leaf.val, root)
-            if absent_idx is None or not encloses(leaf.idx, leaf.next_idx, absent_idx):
-                return self._issue(CertKind.RV, existing)
-            absent = (absent_idx, ZERO_DIGEST, root)
-            joint = _cert_body(CertKind.RV, existing) + _cert_body(CertKind.RV, absent)
-            mac = hmac_sha256(joint, self._state.secret)
-            return RvPair(
-                Certificate(CertKind.RV, existing, mac),
-                Certificate(CertKind.RV, absent, mac),
-            )
+            if leaf is None:
+                return None
+            return self._issue(CertKind.RV, (leaf.idx, leaf.val, root))
 
     def certify_record_update(
         self, leaf: Leaf, new_val: bytes, path: ComplementPath
@@ -432,7 +382,7 @@ class TrustedModule:
         self,
         request: RequestEnvelope,
         record_update: Certificate,
-        acl_proof: Optional[Proof] = None,
+        acl_proof: Optional[Certificate] = None,
         record: Optional[Certificate] = None,
         secret: Optional[tuple[bytes, bytes]] = None,
         equivalence: Optional[Certificate] = None,
@@ -441,13 +391,14 @@ class TrustedModule:
 
         Creation is an ACL-typed request with counter 0.  Its ``equivalence``
         inserts a placeholder into the current root, and its record update
-        turns that placeholder into counter 1; the root moves once, to the
-        record update's new root, and only on acceptance.  Updates instead
-        need the sealed container record and an RV showing the caller's
-        access level in that record's ACL tree (2+ to modify content,
-        3 to modify the ACL).  A content update's ``secret`` (the container
-        secret padded under the caller's key for ``(idx, counter)``, and its
-        commitment) is sealed only on acceptance; a bad one refuses the request.
+        turns that placeholder into counter 1.  Updates instead need the
+        sealed container record and an RV showing the caller's access level
+        in that record's ACL tree (2+ to modify content, 3 to modify the ACL).
+        A content update's ``secret`` (the container secret padded under the
+        caller's key for ``(idx, counter)``, and its commitment) is sealed only
+        on acceptance; a bad one refuses the request.  Every acceptance ends in
+        one tail: it seals the record ``(idx, ctr + 1, versions, acl_root)`` and
+        moves the root once, to the record update's new root.
         """
         with self._lock:
             key = self._state.user_keys.get(request.user_idx)
@@ -470,52 +421,45 @@ class TrustedModule:
                 if not self._cert_ok(equivalence, CertKind.EQ) or equivalence.values[0] != current:
                     return None
                 current = equivalence.values[1]  # the current root plus the placeholder
-            if root != current:
-                return None  # current root does not match
-            if ru_idx != request.idx:
-                return None
-            ack = hmac_sha256(request.ack_body(), key)
+            if root != current or ru_idx != request.idx:
+                return None  # the record update is not about this request's leaf now
 
+            version_cert = sealed = None
             if creating:
                 if ctr != 0:
                     return None  # creation must start from a placeholder
-                record_cert = self._issue(CertKind.CR, (request.idx, 1, 0, request.value))
-                self._state.root = new_root
-                return UpdateResult(record_cert, None, ack)
+                versions, acl_root = 0, request.value
+            else:
+                checked = self._access(record, acl_proof, request.idx, ctr, request.user_idx)
+                if checked is None or request.counter != ctr:
+                    return None
+                versions, acl_root, access = checked
+                if request.kind == RequestKind.CONTAINER and access >= 2:
+                    if secret is not None:
+                        pad = hmac_sha256(encode_fields(("u64", "u64"), (request.idx, ctr)), key)
+                        sealed = _repad(*secret, pad, request.idx, self._state.secret)
+                        if sealed is None:
+                            return None
+                    versions += 1
+                    version_cert = self._issue(CertKind.VR, (request.idx, versions, request.value))
+                elif request.kind == RequestKind.ACL and access >= 3:
+                    acl_root = request.value  # the version count stays
+                else:
+                    return None  # insufficient permissions
 
-            checked = self._access(record, acl_proof, request.idx, ctr, request.user_idx)
-            if checked is None or request.counter != ctr:
-                return None
-            c_ver, acl_root, access = checked
-
-            if request.kind == RequestKind.CONTAINER and access >= 2:
-                sealed = None
-                if secret is not None:
-                    pad = hmac_sha256(encode_fields(("u64", "u64"), (request.idx, ctr)), key)
-                    sealed = _repad(*secret, pad, request.idx, self._state.secret)
-                    if sealed is None:
-                        return None
-                record_cert = self._issue(CertKind.CR, (request.idx, ctr + 1, c_ver + 1, acl_root))
-                version_cert = self._issue(CertKind.VR, (request.idx, c_ver + 1, request.value))
-                self._state.root = new_root
-                return UpdateResult(record_cert, version_cert, ack, sealed)
-
-            if request.kind == RequestKind.ACL and access >= 3:
-                # ACL updates bump the counter but leave the version count alone.
-                record_cert = self._issue(CertKind.CR, (request.idx, ctr + 1, c_ver, request.value))
-                self._state.root = new_root
-                return UpdateResult(record_cert, None, ack)
-
-            return None  # insufficient permissions
+            record_cert = self._issue(CertKind.CR, (request.idx, ctr + 1, versions, acl_root))
+            ack = hmac_sha256(request.ack_body(), key)
+            self._state.root = new_root
+            return UpdateResult(record_cert, version_cert, ack, sealed)
 
     def verify_container(
         self,
         user_idx: int,
         nonce: bytes,
         requested_version: int,
-        container_proof: Proof,
+        container_proof: Certificate,
         record: Optional[Certificate] = None,
-        acl_proof: Optional[Proof] = None,
+        acl_proof: Optional[Certificate] = None,
         version_cert: Optional[Certificate] = None,
         secret: Optional[tuple[bytes, bytes]] = None,
     ) -> Optional[VerifyResponse]:
@@ -532,14 +476,9 @@ class TrustedModule:
             key = self._state.user_keys.get(user_idx)
             if key is None or len(nonce) != DIGEST_SIZE:
                 return None
-            if isinstance(container_proof, RvPair):
-                if not self._pair_ok(container_proof):
-                    return None
-                idx, val, root = container_proof.absent.values
-            else:
-                if not self._cert_ok(container_proof, CertKind.RV):
-                    return None
-                idx, val, root = container_proof.values
+            if not self._cert_ok(container_proof, CertKind.RV):
+                return None
+            idx, val, root = container_proof.values
             if root != self._state.root:
                 return None
             ctr = counter_value(val)

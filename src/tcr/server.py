@@ -30,6 +30,7 @@ from .wire import (
     STATUS_OK,
     STATUS_REJECTED,
     WireError,
+    d32_field,
     envelope_from_json,
     read_message,
     response_to_json,
@@ -165,7 +166,7 @@ class RepositoryServer(socketserver.TCPServer):
             info = service.handle_info(
                 u64_field(payload, "idx"),
                 u64_field(payload, "requested_version"),
-                bytes.fromhex(payload["nonce"]),
+                d32_field(payload, "nonce"),
                 u64_field(payload, "user"),
             )
             body = {"response": response_to_json(info.response)}
@@ -179,7 +180,7 @@ class RepositoryServer(socketserver.TCPServer):
                 u64_field(payload, "idx"),
                 u64_field(payload, "version"),
                 u64_field(payload, "user"),
-                nonce=bytes.fromhex(payload["nonce"]),
+                nonce=d32_field(payload, "nonce"),
             )
             # A denial is answered exactly as INFO answers it.
             body = {"response": response_to_json(result.verify.response)}

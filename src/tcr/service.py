@@ -33,7 +33,6 @@ from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value, leaf
 from .merkle import ZERO_DIGEST
 from .module import (
     Certificate,
-    Proof,
     RequestEnvelope,
     RequestKind,
     TrustedModule,
@@ -86,13 +85,23 @@ class StepClock:
     def __init__(self) -> None:
         self.steps: dict[str, int] = {}
 
-    @contextmanager
-    def step(self, label: str) -> Iterator[None]:
-        start = self.now()
-        try:
-            yield
-        finally:
-            self.steps[label] = self.steps.get(label, 0) + self.now() - start
+    def step(self, label: str) -> "_Step":
+        return _Step(self.steps, label)
+
+
+class _Step:
+    """One timed step of a :class:`StepClock`: adds its time to ``steps[label]`` on exit."""
+
+    __slots__ = ("steps", "label", "start")
+
+    def __init__(self, steps: dict[str, int], label: str) -> None:
+        self.steps, self.label = steps, label
+
+    def __enter__(self) -> None:
+        self.start = StepClock.now()
+
+    def __exit__(self, *exc_info) -> None:
+        self.steps[self.label] = self.steps.get(self.label, 0) + StepClock.now() - self.start
 
 
 class CertCache:
@@ -206,8 +215,8 @@ class Service:
 
     def _record_proof(
         self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes
-    ) -> Optional[Proof]:
-        """RV for a present index, or an enclosure pair proving its absence.
+    ) -> Optional[Certificate]:
+        """RV for a present index, or the RV of value zero that proves its absence.
 
         ``epoch`` is the tree's root, the root the proof is cached under.
         """
@@ -224,19 +233,15 @@ class Service:
             self._cache.put(cache_key, epoch, proof)
         return proof
 
-    def _container_proof(self, idx: int) -> Optional[Proof]:
+    def _container_proof(self, idx: int) -> Optional[Certificate]:
         return self._record_proof(self.container_tree(), idx, ("container", idx), self.module.root)
 
-    def _acl_proof(
-        self, container_idx: int, user_idx: int, acl: Optional[Iomt] = None
-    ) -> Optional[Proof]:
-        """RV or enclosure pair for ``user_idx`` in the ACL, loaded unless given.
+    def _acl_proof(self, acl: Iomt, user_idx: int) -> Optional[Certificate]:
+        """RV of ``user_idx``'s level in ``acl``, or of value zero if it has no leaf.
 
         Cached under the root of the tree it was minted from, which is the
         root it proves even when that tree was rebuilt from damaged rows.
         """
-        if acl is None:
-            acl = self.acl_tree(container_idx)
         return self._record_proof(acl, user_idx, ("acl", user_idx), acl.root)
 
     @staticmethod
@@ -373,7 +378,7 @@ class Service:
 
             with clock.step("certificates"):
                 ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
-                acl_proof = self._acl_proof(req.idx, req.user_idx, self._acl_view(record))
+                acl_proof = self._acl_proof(self._acl_view(record), req.user_idx)
                 if acl_proof is None:
                     raise _Rejected()
 
@@ -414,7 +419,7 @@ class Service:
 
             with clock.step("certificates"):
                 acl = self.acl_tree(req.idx)  # edited below, so never a cached view
-                acl_proof = self._acl_proof(req.idx, req.user_idx, acl)
+                acl_proof = self._acl_proof(acl, req.user_idx)
                 ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 if acl_proof is None:
                     raise _Rejected()
@@ -507,7 +512,7 @@ class Service:
             acl = acl_proof = None
             if record is not None:
                 acl = self._acl_view(record)
-                acl_proof = self._acl_proof(idx, user_idx, acl)
+                acl_proof = self._acl_proof(acl, user_idx)
             if container_proof is None or (record is not None and acl_proof is None):
                 raise ProtocolError("cannot assemble consistent proofs")
 

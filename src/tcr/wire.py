@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from typing import IO, Optional
 
+from .merkle import DIGEST_SIZE
 from .module import RequestEnvelope, VerifyResponse
 
 STATUS_OK = "ok"
@@ -36,6 +37,17 @@ def u64_field(obj: dict, name: str) -> int:
         raise WireError(f"bad field {name!r}: {exc!r}") from exc
     if not 0 <= value < 1 << 64:
         raise WireError(f"field {name!r} is not a u64: {value}")
+    return value
+
+
+def d32_field(obj: dict, name: str) -> bytes:
+    """``obj[name]`` read from hex; anything but 32 bytes is a :class:`WireError`."""
+    try:
+        value = bytes.fromhex(obj[name])
+    except (KeyError, ValueError, TypeError) as exc:
+        raise WireError(f"bad field {name!r}: {exc!r}") from exc
+    if len(value) != DIGEST_SIZE:
+        raise WireError(f"field {name!r} is not {DIGEST_SIZE} bytes: {len(value)}")
     return value
 
 

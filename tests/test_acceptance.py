@@ -27,7 +27,7 @@ from tcr.client import (
 )
 from tcr.iomt import Iomt, Leaf, counter_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256
-from tcr.module import Certificate, ModuleState, RequestKind, RvPair, TrustedModule
+from tcr.module import Certificate, CertKind, ModuleState, RequestKind, TrustedModule
 from tcr.server import RepositoryServer
 from tcr.service import ProtocolError, Service
 from tcr.storage import BlobSet, ContainerRecord, Storage, content_digest
@@ -103,7 +103,7 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_non_existence_completeness():
-    """Every absent index yields a verifying enclosure pair; present never do."""
+    """Every absent index yields a verifying RV of value zero; present never do."""
     rng = random.Random(42)
     module = TrustedModule(ModuleState.fresh({1: secrets.token_bytes(32)}))
 
@@ -118,19 +118,19 @@ def test_criterion_2_non_existence_completeness():
         slots = dict(tree.leaves())
         for candidate in range(256):
             if candidate in present:
-                for slot in slots:
+                for slot, leaf in slots.items():
                     proof = module.certify_record(
-                        slots[slot], tree.complement_path(slot), absent_idx=candidate
+                        leaf, tree.complement_path(slot), absent_idx=candidate
                     )
-                    assert not isinstance(proof, RvPair), (candidate, slot)
+                    # Only the leaf's own RV: never one naming the present index as absent.
+                    assert proof.values == (leaf.idx, leaf.val, tree.root), (candidate, slot)
             else:
                 enc_slot, enc_leaf = tree.find_encloser(candidate)
                 proof = module.certify_record(
                     enc_leaf, tree.complement_path(enc_slot), absent_idx=candidate
                 )
-                assert isinstance(proof, RvPair)
-                assert proof.absent.values[0] == candidate
-                assert proof.absent.values[1] == ZERO_DIGEST
+                assert proof.kind == CertKind.RV
+                assert proof.values == (candidate, ZERO_DIGEST, tree.root)
                 assert module.certificate_valid(proof)
     print("\nACCEPTANCE 2 (non-existence completeness, 100 trees x 256 indices): PASS")
 
@@ -176,8 +176,8 @@ def test_criterion_3_tamper_detection(tmp_path):
         record.as_certificate(),
         version.as_certificate(),
         service._container_proof(10),
-        service._acl_proof(10, 1),
-        service._acl_proof(10, 99),  # enclosure pair
+        service._acl_proof(service.acl_tree(10), 1),
+        service._acl_proof(service.acl_tree(10), 99),  # absence: an RV of value zero
     ]
     checked = 0
     rejected = 0
@@ -185,13 +185,7 @@ def test_criterion_3_tamper_detection(tmp_path):
     # Stored certificates: any bit flip must fail MAC verification.
     for _ in range(6000):
         cert = rng.choice(certificates)
-        if isinstance(cert, RvPair):
-            if rng.random() < 0.5:
-                mutated = RvPair(_mutate_certificate(rng, cert.existing), cert.absent)
-            else:
-                mutated = RvPair(cert.existing, _mutate_certificate(rng, cert.absent))
-        else:
-            mutated = _mutate_certificate(rng, cert)
+        mutated = _mutate_certificate(rng, cert)
         checked += 1
         rejected += not module.certificate_valid(mutated)
 
@@ -209,7 +203,7 @@ def test_criterion_3_tamper_detection(tmp_path):
             1,
             service._container_proof(10),
             record=tampered.as_certificate(),
-            acl_proof=service._acl_proof(10, 1),
+            acl_proof=service._acl_proof(service.acl_tree(10), 1),
             version_cert=version.as_certificate(),
         )
         checked += 1

@@ -376,6 +376,27 @@ class TestWireFlows:
             reply = read_message(fp)
         assert reply["request_id"] == 2 and reply["status"] == STATUS_DENIED
 
+    @pytest.mark.parametrize("op", ["INFO", "FETCH"])
+    @pytest.mark.parametrize("nonce", [16, 0])
+    def test_nonce_of_another_length_is_malformed_and_connection_kept(self, env, op, nonce):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(3)
+        alice.modify(3, IMAGE, BUILD, COMPOSE)
+        base = {"idx": 3, "requested_version": 1, "version": 1, "user": 1}
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            fp = sock.makefile("rwb")
+            payload = {**base, "nonce": "00" * nonce}
+            wire.write_message(fp, {"op": op, "request_id": 1, "payload": payload})
+            reply = read_message(fp)
+            assert reply["status"] == STATUS_ERROR
+            assert reply["payload"]["message"].startswith("malformed request")
+            assert "hints" not in reply["payload"]  # the owner asked, yet none leak
+            payload = {**base, "nonce": "00" * 32}
+            wire.write_message(fp, {"op": op, "request_id": 2, "payload": payload})
+            reply = read_message(fp)
+        assert reply["request_id"] == 2 and reply["status"] == STATUS_OK
+
     def test_mistyped_fields_are_malformed_requests(self, env):
         server, _ = env
         for op, payload in (

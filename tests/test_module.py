@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import ast
 import copy
+import inspect
 import os
 import random
 import secrets
 
 import pytest
 
+import tcr.module
 from conftest import oracle_root
 from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256, u64
@@ -16,7 +19,6 @@ from tcr.module import (
     ModuleState,
     RequestEnvelope,
     RequestKind,
-    RvPair,
     StateIntegrityError,
     TrustedModule,
     load_state,
@@ -121,11 +123,12 @@ class TestRecordVerify:
             tree.set_leaf(slot, leaf)
         leaf = Leaf(4, 7, counter_digest(3))
         proof = module.certify_record(leaf, tree.complement_path(2), absent_idx=5)
-        assert isinstance(proof, RvPair)
-        assert proof.absent.values == (5, ZERO_DIGEST, tree.root)
+        assert isinstance(proof, Certificate) and proof.kind == CertKind.RV
+        assert proof.values == (5, ZERO_DIGEST, tree.root)
         assert module.certificate_valid(proof)
-        # Halves do not verify as standalone certificates.
-        assert not module.certificate_valid(proof.existing)
+        # Without an absent index, the same leaf proves only itself.
+        own = module.certify_record(leaf, tree.complement_path(2))
+        assert own.values == (4, counter_digest(3), tree.root)
 
     def test_tampered_leaf_refused(self):
         # The RV for a leaf the store does not hold names a root the module refuses.
@@ -167,8 +170,9 @@ class TestRecordVerify:
                 slot, leaf = found
                 path = tree.complement_path(slot)
                 proof = module.certify_record(leaf, path, absent_idx=candidate)
-                assert isinstance(proof, RvPair)
-                assert proof.absent.values[0] == candidate
+                assert isinstance(proof, Certificate)
+                assert proof.values == (candidate, ZERO_DIGEST, tree.root)
+                assert module.certificate_valid(proof)
 
 
 class TestRecordUpdate:
@@ -697,7 +701,92 @@ class TestStateConfinement:
         assert module._state == snapshot
 
 
+class TestAbsenceForm:
+    """An absence RV has the shape of a placeholder's RV; only its root says which tree."""
+
+    def test_acl_absence_refused_as_container_proof(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        repo.modify(1, sha256(b"v1"))
+        acl_absence = repo.acl_proof(2)  # user 2 has no ACL leaf
+        assert acl_absence.values == (2, ZERO_DIGEST, repo.acl_root)
+        nonce = secrets.token_bytes(32)
+        snapshot = copy.deepcopy(module._state)
+        assert module.verify_container(2, nonce, 1, acl_absence) is None
+        assert module._state == snapshot
+        # Control: the container tree's own absence RV for index 2 is a denial.
+        slot, leaf = repo.tree.find_encloser(2)
+        absent = module.certify_record(leaf, repo.tree.complement_path(slot), absent_idx=2)
+        assert module.verify_container(2, nonce, 1, absent).denied
+
+    def test_container_absence_refused_as_acl_proof(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        repo.modify(1, sha256(b"v1"))
+        slot, leaf = repo.tree.find_encloser(1)  # no container has index 1
+        absence = module.certify_record(leaf, repo.tree.complement_path(slot), absent_idx=1)
+        assert absence.values == (1, ZERO_DIGEST, module.root)
+        snapshot = copy.deepcopy(module._state)
+        response = module.verify_container(
+            1, secrets.token_bytes(32), 1, repo.container_proof(),
+            record=repo.record, acl_proof=absence, version_cert=repo.version_certs[1],
+        )
+        assert response is None  # not even a denial: the RV proves another root
+        assert module._state == snapshot
+        _, _, ru = repo.bump()
+        req = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v2"))
+        assert module.apply_request(req, ru, acl_proof=absence, record=repo.record) is None
+        assert module._state == snapshot
+        # Control: the same request with the ACL tree's own RV is accepted.
+        accepted = module.apply_request(req, ru, acl_proof=repo.acl_proof(1), record=repo.record)
+        assert accepted is not None
+
+    def test_enclosed_and_empty_tree_absence_share_one_form(self):
+        module = fresh_module()
+        empty = Iomt(3)
+        from_empty = module.certify_record(None, empty.complement_path(0), absent_idx=5)
+        tree = Iomt(3)
+        tree.upsert(3, counter_digest(1))
+        tree.upsert(9, counter_digest(2))
+        slot, leaf = tree.find_encloser(5)
+        from_leaf = module.certify_record(leaf, tree.complement_path(slot), absent_idx=5)
+        for proof, root in ((from_empty, ZERO_DIGEST), (from_leaf, tree.root)):
+            assert type(proof) is Certificate and proof.kind == CertKind.RV
+            assert proof.values == (5, ZERO_DIGEST, root)
+            assert module.certificate_valid(proof)
+        assert [type(v) for v in from_empty.values] == [type(v) for v in from_leaf.values]
+        assert len(from_empty.mac) == len(from_leaf.mac)
+
+
 class TestSurface:
+    def test_names_defined_by_the_module(self):
+        # Imports aside, every public name tcr.module defines; an absence
+        # proof is an RV certificate, so no second proof type belongs here.
+        defined = set()
+        for node in ast.parse(inspect.getsource(tcr.module)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+        assert {name for name in defined if not name.startswith("_")} == {
+            "CERT_SCHEMAS",
+            "CertKind",
+            "Certificate",
+            "ComplementPath",
+            "ModuleState",
+            "RequestEnvelope",
+            "RequestKind",
+            "StateIntegrityError",
+            "TrustedModule",
+            "UpdateResult",
+            "VerifyResponse",
+            "load_state",
+            "save_state",
+            "secret_commitment",
+        }
+
     def test_public_names_of_the_trusted_module(self):
         # The trusted computing base's surface: grow it only on purpose.
         public = {name for name in dir(TrustedModule) if not name.startswith("_")}
@@ -734,10 +823,6 @@ class TestCertificateFuzzing:
 
 def mutate_certificate(rng: random.Random, cert):
     """Flip one bit somewhere in (kind, values, mac)."""
-    if isinstance(cert, RvPair):
-        if rng.random() < 0.5:
-            return RvPair(mutate_certificate(rng, cert.existing), cert.absent)
-        return RvPair(cert.existing, mutate_certificate(rng, cert.absent))
     field = rng.randrange(3)
     if field == 0:
         return Certificate(cert.kind ^ (1 << rng.randrange(3)), cert.values, cert.mac)

@@ -605,7 +605,7 @@ class TestEpochSafety:
         response = service.module.verify_container(
             1, secrets.token_bytes(32), 1, stale_proof,
             record=record.as_certificate(),
-            acl_proof=service._acl_proof(7, 1),
+            acl_proof=service._acl_proof(service.acl_tree(7), 1),
             version_cert=service.storage.version_get(7, 1).as_certificate(),
         )
         assert response is None
