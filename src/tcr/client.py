@@ -33,6 +33,8 @@ from .wire import (
     STATUS_OK,
     STATUS_REJECTED,
     WireError,
+    blobs_from_json,
+    blobs_to_json,
     envelope_to_json,
     read_message,
     response_from_json,
@@ -355,9 +357,7 @@ class RepositoryClient:
             commitment = ZERO_DIGEST
         digest = content_digest(blobs.hashes(), commitment)
         envelope = self.credential.sign_request(RequestKind.CONTAINER, idx, counter, digest)
-        extra.update(
-            {"image": blobs.image.hex(), "build": blobs.build.hex(), "compose": blobs.compose.hex()}
-        )
+        extra.update(blobs_to_json(blobs))
         return self._mutate("MODIFY", envelope, extra)
 
     def acl_set(self, idx: int, target_user: int, level: int) -> dict:
@@ -386,11 +386,7 @@ class RepositoryClient:
             )
             if verdict != Verdict.VERIFIED:
                 return FetchOutcome(verdict, None, None, False)
-            blobs = BlobSet(
-                bytes.fromhex(body["image"]),
-                bytes.fromhex(body["build"]),
-                bytes.fromhex(body["compose"]),
-            )
+            blobs = blobs_from_json(body)
             commitment = bytes.fromhex(body["secret_commitment"])
             delivered = bytes.fromhex(body.get("sealed_for_user") or "")
 

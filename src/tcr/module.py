@@ -5,8 +5,9 @@ module secret and user keys.  Everything it emits is either a certificate
 (a self-memorandum MACed under the module secret, meaningless to anyone
 else) or a user-facing value MACed under that user's shared key.
 
-Certificates are *hypotheticals*: generating one never changes state, and
-every root one names is folded in here from a leaf and its complement path.
+Every root the module names or moves to is folded in here from a leaf and
+its complement path: ``certify_record`` folds the root an RV proves, and
+``apply_request`` folds the edited leaf's path before and after the edit.
 A procedure that consumes certificates re-verifies each MAC before trusting
 a single field.  Rejections return ``None`` and leave the state bit-identical.
 """
@@ -21,7 +22,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .iomt import Leaf, counter_value, encloses, leaf_digest
+from .iomt import Leaf, counter_digest, counter_value, encloses, leaf_digest
 from .merkle import (
     DIGEST_SIZE,
     FieldValue,
@@ -39,16 +40,12 @@ from .merkle import (
 class CertKind(IntEnum):
     # The numbers are under every sealed record's MAC: never renumber them.
     RV = 2  # record verify: index idx holds val under root Y (zero val: absent or placeholder)
-    RU = 3  # record update: leaf value val -> val' moves root Y -> Y'
-    EQ = 4  # root equivalence: Y'' is Y plus one placeholder
     CR = 5  # container record seal
     VR = 6  # version record seal
 
 
 CERT_SCHEMAS: dict[int, tuple[str, ...]] = {
     CertKind.RV: ("u64", "d32", "d32"),
-    CertKind.RU: ("u64", "d32", "d32", "d32", "d32"),
-    CertKind.EQ: ("d32", "d32"),
     CertKind.CR: ("u64", "u64", "u64", "d32"),
     CertKind.VR: ("u64", "u64", "d32"),
 }
@@ -316,7 +313,7 @@ class TrustedModule:
             return None
         return c_ver, acl_root, level
 
-    # -- certificate generators -----------------------------------------------
+    # -- record proofs ----------------------------------------------------------
 
     def certify_record(
         self, leaf: Optional[Leaf], path: ComplementPath, absent_idx: Optional[int] = None
@@ -340,96 +337,64 @@ class TrustedModule:
                 return None
             return self._issue(CertKind.RV, (leaf.idx, leaf.val, root))
 
-    def certify_record_update(
-        self, leaf: Leaf, new_val: bytes, path: ComplementPath
-    ) -> Certificate:
-        """RU: certify the root movement caused by one leaf value change."""
-        with self._lock:
-            root, new_root = _fold(leaf, path), _fold(Leaf(leaf.idx, leaf.next_idx, new_val), path)
-            return self._issue(CertKind.RU, (leaf.idx, leaf.val, root, new_val, new_root))
-
-    def certify_root_equivalence(
-        self, encloser: Optional[Leaf], encloser_path: Optional[ComplementPath], new_idx: int,
-        placeholder_path: ComplementPath,
-    ) -> Optional[Certificate]:
-        """EQ: certify that two roots differ by exactly one placeholder for ``new_idx``.
-
-        The two paths must chain: relinking the encloser to ``new_idx`` yields
-        the tree in which the placeholder's slot is still empty.  With no
-        encloser the placeholder is a self-linked first leaf, and its slot's
-        path must fold to the zero root, so the certificate can only ever
-        bootstrap a genuinely empty repository.
-        """
-        with self._lock:
-            empty_root = _fold(None, placeholder_path)
-            if encloser is None:
-                if empty_root != ZERO_DIGEST:
-                    return None
-                placeholder = Leaf(new_idx, new_idx, ZERO_DIGEST)
-                return self._issue(CertKind.EQ, (empty_root, _fold(placeholder, placeholder_path)))
-            if not encloses(encloser.idx, encloser.next_idx, new_idx):
-                return None
-            if _fold(Leaf(encloser.idx, new_idx, encloser.val), encloser_path) != empty_root:
-                return None  # paths do not form a chain
-            placeholder = Leaf(new_idx, encloser.next_idx, ZERO_DIGEST)
-            return self._issue(
-                CertKind.EQ, (_fold(encloser, encloser_path), _fold(placeholder, placeholder_path))
-            )
-
     # -- procedures -------------------------------------------------------------
 
     def apply_request(
         self,
         request: RequestEnvelope,
-        record_update: Certificate,
+        leaf: Optional[Leaf],
+        path: Optional[ComplementPath],
         acl_proof: Optional[Certificate] = None,
         record: Optional[Certificate] = None,
         secret: Optional[tuple[bytes, bytes]] = None,
-        equivalence: Optional[Certificate] = None,
+        slot_path: Optional[ComplementPath] = None,
     ) -> Optional[UpdateResult]:
         """Apply a signed user request: creation, content update, or ACL update.
 
-        Creation is an ACL-typed request with counter 0.  Its ``equivalence``
-        inserts a placeholder into the current root, and its record update
-        turns that placeholder into counter 1.  Updates instead need the
-        sealed container record and an RV showing the caller's access level
-        in that record's ACL tree (2+ to modify content, 3 to modify the ACL).
-        A content update's ``secret`` (the container secret padded under the
-        caller's key for ``(idx, counter)``, and its commitment) is sealed only
-        on acceptance; a bad one refuses the request.  Every acceptance ends in
-        one tail: it seals the record ``(idx, ctr + 1, versions, acl_root)`` and
-        moves the root once, to the record update's new root.
+        Updates pass the container's ``leaf`` and its complement ``path``,
+        the sealed container record, and an RV showing the caller's access
+        level in that record's ACL tree (2+ to modify content, 3 to modify the
+        ACL).  A content update's ``secret`` (the container secret padded
+        under the caller's key for ``(idx, counter)``, and its commitment) is
+        sealed only on acceptance; a bad one refuses the request.
+        Creation is an ACL-typed request with counter 0.  It passes the leaf
+        enclosing the new index and its path (both ``None`` in an empty
+        tree), and ``slot_path``, the new slot's path once the encloser is
+        relinked; the relinked encloser must fold to the root of that empty
+        slot, so the two roots differ by one placeholder.  Every acceptance
+        ends in one tail: it seals the record ``(idx, ctr + 1, versions,
+        acl_root)`` and moves the root once, to the fold of the leaf with its
+        counter incremented.
         """
         with self._lock:
             key = self._state.user_keys.get(request.user_idx)
             if key is None or (secret is not None and request.kind != RequestKind.CONTAINER):
                 return None
             creating = request.kind == RequestKind.ACL and request.counter == 0
-            if creating != (equivalence is not None):
-                return None  # an equivalence comes with a creation, and only with one
+            if creating != (slot_path is not None):
+                return None  # a slot path comes with a creation, and only with one
             if not macs_equal(request.sig, hmac_sha256(request.signed_body(), key)):
                 return None
-            if not self._cert_ok(record_update, CertKind.RU):
-                return None
-            ru_idx, val, root, new_val, new_root = record_update.values
-            ctr = counter_value(val)
-            new_ctr = counter_value(new_val)
-            if ctr is None or new_ctr is None or new_ctr != ctr + 1:
-                return None  # record update does not reflect a counter increment
-            current = self._state.root
-            if creating:
-                if not self._cert_ok(equivalence, CertKind.EQ) or equivalence.values[0] != current:
-                    return None
-                current = equivalence.values[1]  # the current root plus the placeholder
-            if root != current or ru_idx != request.idx:
-                return None  # the record update is not about this request's leaf now
 
-            version_cert = sealed = None
+            root, version_cert, sealed = self._state.root, None, None
             if creating:
-                if ctr != 0:
-                    return None  # creation must start from a placeholder
-                versions, acl_root = 0, request.value
+                if leaf is None:  # only an empty repository has no encloser
+                    chained = root == ZERO_DIGEST == _fold(None, slot_path)
+                    next_idx = request.idx
+                else:
+                    chained = (
+                        encloses(leaf.idx, leaf.next_idx, request.idx) and _fold(leaf, path) == root
+                        and _fold(Leaf(leaf.idx, request.idx, leaf.val), path) == _fold(None, slot_path)
+                    )
+                    next_idx = leaf.next_idx
+                if not chained:
+                    return None
+                ctr, path, versions, acl_root = 0, slot_path, 0, request.value
             else:
+                if leaf is None or leaf.idx != request.idx or _fold(leaf, path) != root:
+                    return None  # not this request's leaf under the sealed root
+                ctr, next_idx = counter_value(leaf.val), leaf.next_idx
+                # A value that is no counter matches no sealed record.
                 checked = self._access(record, acl_proof, request.idx, ctr, request.user_idx)
                 if checked is None or request.counter != ctr:
                     return None
@@ -449,7 +414,7 @@ class TrustedModule:
 
             record_cert = self._issue(CertKind.CR, (request.idx, ctr + 1, versions, acl_root))
             ack = hmac_sha256(request.ack_body(), key)
-            self._state.root = new_root
+            self._state.root = _fold(Leaf(request.idx, next_idx, counter_digest(ctr + 1)), path)
             return UpdateResult(record_cert, version_cert, ack, sealed)
 
     def verify_container(

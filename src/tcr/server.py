@@ -23,13 +23,15 @@ from typing import Optional
 from .iomt import IomtError
 from .module import ModuleState, StateIntegrityError, TrustedModule, load_state, save_state
 from .service import ProtocolError, Service
-from .storage import BlobSet, Storage, StorageError
+from .storage import Storage, StorageError
 from .wire import (
     STATUS_DENIED,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_REJECTED,
     WireError,
+    blobs_from_json,
+    blobs_to_json,
     d32_field,
     envelope_from_json,
     read_message,
@@ -135,11 +137,7 @@ class RepositoryServer(socketserver.TCPServer):
             return STATUS_OK, {"ack": result.ack.hex()}
 
         if op == "MODIFY":
-            blobs = BlobSet(
-                bytes.fromhex(payload["image"]),
-                bytes.fromhex(payload["build"]),
-                bytes.fromhex(payload["compose"]),
-            )
+            blobs = blobs_from_json(payload)
             wrapped = payload.get("wrapped_secret")
             commitment = payload.get("secret_commitment")
             result = service.handle_modify(
@@ -186,12 +184,8 @@ class RepositoryServer(socketserver.TCPServer):
             body = {"response": response_to_json(result.verify.response)}
             if result.verify.response.denied:
                 return STATUS_DENIED, body
-            body.update(
-                image=result.blobs.image.hex(),
-                build=result.blobs.build.hex(),
-                compose=result.blobs.compose.hex(),
-                secret_commitment=result.secret_commitment.hex(),
-            )
+            body.update(blobs_to_json(result.blobs))
+            body["secret_commitment"] = result.secret_commitment.hex()
             # Absent if the secret did not open its commitment: content, but no usable secret.
             sealed_for_user = result.verify.response.sealed_for_user
             if sealed_for_user is not None:

@@ -1,14 +1,17 @@
 """The untrusted service: assembles certificates, drives the module, persists.
 
 Every mutation pipeline runs under the service lock in one sqlite
-transaction: it writes each tree edit and has the module certify the edit
-from the complement path that the write returned.  ``Service._apply`` then
-asks the module to accept the request and stores the container record the
+transaction: it writes each tree edit and keeps the complement path that the
+write returned.  ``Service._apply`` then hands the edited leaf and its path
+to the module, which folds them itself, and stores the container record the
 module seals; it is the only place the sealed root moves.  A handler returns
 the module's ``UpdateResult`` as it is.  Any refusal raises, so the
 transaction rolls back and the store never holds state it cannot re-prove.
-Content blobs are written only after acceptance: the service cannot check a
-signature, so writing earlier would store bytes for any peer.
+A modify writes its content blobs before the module is asked, once they match
+the request's content digest, so a failed blob write refuses the request
+instead of following an acceptance the transaction can no longer undo.  The
+service cannot check a signature, so a refused MODIFY may leave blob files
+behind; they are content-addressed, so such an orphan changes no version.
 
 Evidence is keyed by the root it proves.  A container proof is cached under
 the module root it was minted under, so every root move retires it.  A
@@ -201,17 +204,14 @@ class Service:
 
     # -- proof assembly ---------------------------------------------------------
 
-    def _bump_counter(
-        self, tree: Iomt, slot: int, leaf: Leaf, counter: int, path=None
-    ) -> Certificate:
-        """Write ``leaf`` with value ``counter``; the RU for that write, from its path.
+    @staticmethod
+    def _bump_counter(tree: Iomt, slot: int, leaf: Leaf, counter: int, path=None) -> list:
+        """Write ``leaf`` with value ``counter``; the slot's complement path.
 
-        ``path`` is the slot's complement path if the caller has already read it.
-        A caller refused after this must raise :class:`_Rejected` to roll the write back.
+        ``path`` is that path if the caller has already read it.  A caller
+        refused after this must raise :class:`_Rejected` to roll the write back.
         """
-        new_val = counter_digest(counter)
-        path = tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, new_val), path)
-        return self.module.certify_record_update(leaf, new_val, path)
+        return tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)), path)
 
     def _record_proof(
         self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes
@@ -276,14 +276,16 @@ class Service:
                 pass
 
     def _apply(
-        self, req: RequestEnvelope, ru: Certificate, clock: StepClock, **evidence
+        self, req: RequestEnvelope, leaf: Optional[Leaf], path, clock: StepClock, **evidence
     ) -> UpdateResult:
         """Have the module accept ``req`` and store the container record it seals.
 
-        The only place the sealed root moves; a refusal raises :class:`_Rejected`.
+        ``leaf`` and ``path`` are the leaf as it was before this request and its
+        complement path.  The only place the sealed root moves; a refusal
+        raises :class:`_Rejected`.
         """
         with clock.step("root_update"):
-            result = self.module.apply_request(req, ru, **evidence)
+            result = self.module.apply_request(req, leaf, path, **evidence)
             if result is None:
                 raise _Rejected()
         with clock.step("persist_records"):
@@ -321,6 +323,8 @@ class Service:
                 if tree.find_leaf(req.idx) is not None:
                     raise _Rejected()  # before any write or module call
 
+            # These two steps make no certificate; the labels are the names
+            # the benchmark's per-step report reads.
             with clock.step("eq_certificate"):
                 try:
                     plan = tree.placeholder_plan(req.idx)
@@ -329,22 +333,14 @@ class Service:
                 enc_path = None
                 if plan.encloser_slot is not None:
                     enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
-                # The placeholder's slot is written once, below, with the
-                # created leaf; the equivalence's new root holds the placeholder,
-                # so the path read here is still the slot's path at that write.
-                placeholder_path = tree.complement_path(plan.placeholder_slot)
-                equivalence = self.module.certify_root_equivalence(
-                    plan.encloser_leaf, enc_path, req.idx, placeholder_path
-                )
-                if equivalence is None:
-                    raise ProtocolError("module refused the placeholder equivalence proof")
+                # The new slot is written once, below, with the created leaf;
+                # the path read here is still the slot's path at that write.
+                slot_path = tree.complement_path(plan.placeholder_slot)
 
             with clock.step("ru_certificate"):
-                ru = self._bump_counter(
-                    tree, plan.placeholder_slot, plan.placeholder_leaf, 1, placeholder_path
-                )
+                self._bump_counter(tree, plan.placeholder_slot, plan.placeholder_leaf, 1, slot_path)
 
-            result = self._apply(req, ru, clock, equivalence=equivalence)
+            result = self._apply(req, plan.encloser_leaf, enc_path, clock, slot_path=slot_path)
             with clock.step("persist_records"):
                 self.storage.acl_put(req.idx, [(0, owner)])
             return result
@@ -358,9 +354,10 @@ class Service:
         secret_commitment: Optional[bytes] = None,
         clock: Optional[StepClock] = None,
     ) -> Optional[UpdateResult]:
-        """Store a new version: counter bump, version record, content blobs.
+        """Store a new version: content blobs, counter bump, version record.
 
-        The blob files are written only once the module has accepted.
+        The blob files are written before the module is asked, so a full disk
+        refuses the request instead of splitting the sealed root from the store.
         """
         if req.kind != RequestKind.CONTAINER:
             raise ProtocolError("content updates must be container-typed requests")
@@ -375,15 +372,16 @@ class Service:
                 digest = content_digest(blobs.hashes(), commitment)
                 if digest != req.value:
                     raise ProtocolError("request signature does not cover the supplied content")
+                hashes = self.storage.blob_put(blobs)
 
             with clock.step("certificates"):
-                ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
+                path = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 acl_proof = self._acl_proof(self._acl_view(record), req.user_idx)
                 if acl_proof is None:
                     raise _Rejected()
 
             result = self._apply(
-                req, ru, clock, acl_proof=acl_proof, record=record.as_certificate(),
+                req, leaf, path, clock, acl_proof=acl_proof, record=record.as_certificate(),
                 secret=None if wrapped_secret is None else (wrapped_secret, commitment),
             )
             with clock.step("persist_records"):
@@ -395,7 +393,7 @@ class Service:
                         wrapped_secret=result.sealed_secret or ZERO_DIGEST,
                         content_digest=digest,
                         seal=result.version_cert.mac,
-                        hashes=self.storage.blob_put(blobs),
+                        hashes=hashes,
                     )
                 )
             return result
@@ -420,7 +418,7 @@ class Service:
             with clock.step("certificates"):
                 acl = self.acl_tree(req.idx)  # edited below, so never a cached view
                 acl_proof = self._acl_proof(acl, req.user_idx)
-                ru = self._bump_counter(tree, slot, leaf, record.counter + 1)
+                path = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 if acl_proof is None:
                     raise _Rejected()
 
@@ -433,7 +431,7 @@ class Service:
                     raise ProtocolError("request signature names a different ACL root: stale view")
 
             result = self._apply(
-                req, ru, clock, acl_proof=acl_proof, record=record.as_certificate()
+                req, leaf, path, clock, acl_proof=acl_proof, record=record.as_certificate()
             )
             with clock.step("persist_records"):
                 self.storage.acl_put(req.idx, acl.leaves())

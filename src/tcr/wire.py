@@ -11,6 +11,7 @@ from typing import IO, Optional
 
 from .merkle import DIGEST_SIZE
 from .module import RequestEnvelope, VerifyResponse
+from .storage import BlobSet
 
 STATUS_OK = "ok"
 STATUS_DENIED = "denied"
@@ -94,6 +95,18 @@ def envelope_from_json(obj: dict) -> RequestEnvelope:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise WireError(f"bad request envelope: {exc}") from exc
+
+
+def blobs_to_json(blobs: BlobSet) -> dict:
+    """A version's three blobs as the fields of a MODIFY request or FETCH reply."""
+    return {"image": blobs.image.hex(), "build": blobs.build.hex(), "compose": blobs.compose.hex()}
+
+
+def blobs_from_json(obj: dict) -> BlobSet:
+    try:
+        return BlobSet(*(bytes.fromhex(obj[name]) for name in ("image", "build", "compose")))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise WireError(f"bad blobs: {exc}") from exc
 
 
 def response_to_json(resp: VerifyResponse) -> dict:

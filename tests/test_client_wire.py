@@ -330,6 +330,25 @@ class TestWireFlows:
         status, body = server.dispatch("INFO", payload, "127.0.0.1")
         assert (status, body) == (STATUS_ERROR, {"message": "storage failure: OperationalError"})
 
+    def test_disk_full_modify_leaves_the_root_and_a_retry_is_accepted(self, env, monkeypatch):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(11)
+        service = server.service
+        root = service.module.root
+
+        def disk_full(content: bytes) -> bytes:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(service.storage, "_write_blob", disk_full)
+        with pytest.raises(ProtocolFailure):
+            alice.modify(11, IMAGE, BUILD, COMPOSE)
+        assert service.module.root == root == service.container_tree().root
+        monkeypatch.undo()
+        assert alice.modify(11, IMAGE, BUILD, COMPOSE)["version"] == 1
+        assert service.module.root == service.container_tree().root
+        assert alice.fetch(11).verdict == Verdict.VERIFIED
+
     def test_bench_prepopulate_loopback_allowed(self, env):
         server, keys = env
         alice = client_for(server, keys, 1)

@@ -175,119 +175,177 @@ class TestRecordVerify:
                 assert module.certificate_valid(proof)
 
 
+def module_at(root: bytes) -> TrustedModule:
+    """A fresh module whose sealed root is ``root``, as if it had built that tree."""
+    state = ModuleState.fresh(dict(KEYS))
+    state.root = root
+    return TrustedModule(state)
+
+
 class TestRecordUpdate:
+    """An update hands ``apply_request`` the container's leaf and path; the module bumps it."""
+
     def test_no_op_update(self):
-        module = fresh_module()
-        tree = random_tree(random.Random(5))
-        slot, leaf = next(iter(tree.leaves()))
-        cert = module.certify_record_update(leaf, leaf.val, tree.complement_path(slot))
-        assert cert.values[2] == cert.values[4] == tree.root == oracle_root(dict(tree.leaves()), 3)
-
-    def test_counter_increment_matches_oracle(self):
-        module = fresh_module()
-        tree = Iomt(2)
-        leaves = [Leaf(3, 4, counter_digest(1)), Leaf(4, 3, counter_digest(1))]
-        for slot, leaf in enumerate(leaves):
-            tree.set_leaf(slot, leaf)
-        new_leaf = Leaf(3, 4, counter_digest(2))
-        ru = module.certify_record_update(leaves[0], counter_digest(2), tree.complement_path(0))
-        expected = oracle_root({0: new_leaf, 1: leaves[1]}, 2)
-        assert ru.values == (3, counter_digest(1), tree.root, counter_digest(2), expected)
-
-    def test_mismatched_leaf_refused(self):
-        # The RU for a leaf the store does not hold starts from a root the module refuses.
+        # A leaf that already holds the new counter (the store's leaf after
+        # the write) is no update from the sealed root: only the leaf before it is.
         module = fresh_module()
         repo = ContainerFixture(module)
-        slot, leaf = repo.tree.find_leaf(repo.idx)
-        wrong = Leaf(leaf.idx, leaf.next_idx + 1, leaf.val)
-        new_val = counter_digest(repo.counter + 1)
-        ru = module.certify_record_update(wrong, new_val, repo.tree.complement_path(slot))
+        slot, leaf, path, bumped = repo.bump()
         req = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v1"))
         snapshot = copy.deepcopy(module._state)
-        assert module.apply_request(req, ru, repo.acl_proof(1), repo.record) is None
+        assert module.apply_request(req, bumped, path, repo.acl_proof(1), repo.record) is None
+        assert module._state == snapshot
+        assert module.apply_request(req, leaf, path, repo.acl_proof(1), repo.record) is not None
+        repo.tree.set_leaf(slot, bumped)
+        assert module.root == repo.tree.root == oracle_root(dict(repo.tree.leaves()), 3)
+
+    def test_counter_increment_matches_oracle(self):
+        rng = random.Random(5)
+        module = fresh_module()
+        tree = Iomt(3)
+        repos = [ContainerFixture(module, idx=idx, tree=tree) for idx in rng.sample(range(2, 200), 6)]
+        assert module.root == oracle_root(dict(tree.leaves()), 3)
+        for _ in range(12):
+            repo = rng.choice(repos)
+            counter = repo.counter
+            assert repo.modify(1, sha256(bytes([counter]))) is not None
+            slot, leaf = tree.find_leaf(repo.idx)
+            assert leaf.val == counter_digest(counter + 1)
+            assert module.root == tree.root == oracle_root(dict(tree.leaves()), 3)
+
+    def test_mismatched_leaf_refused(self):
+        # A leaf the store does not hold folds to a root the module refuses.
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        _, leaf, path, _ = repo.bump()
+        wrong = Leaf(leaf.idx, leaf.next_idx + 1, leaf.val)
+        req = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v1"))
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, wrong, path, repo.acl_proof(1), repo.record) is None
         assert module._state == snapshot
         assert repo.modify(1, sha256(b"v1")) is not None  # the true leaf is accepted
 
+    def test_wrong_index_refused(self):
+        # Another container's leaf under the sealed root is not this request's leaf.
+        module = fresh_module()
+        first = ContainerFixture(module, idx=5)
+        second = ContainerFixture(module, idx=6, tree=first.tree)
+        assert first.counter == second.counter and first.acl_root == second.acl_root
+        _, other, other_path, _ = second.bump()
+        req = sign(1, RequestKind.CONTAINER, first.idx, first.counter, sha256(b"v1"))
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, other, other_path, first.acl_proof(1), first.record) is None
+        assert module._state == snapshot
+        assert first.modify(1, sha256(b"v1")) is not None
 
-def build_equivalence(module: TrustedModule, tree: Iomt, new_idx: int):
-    """Write the placeholder for ``new_idx`` the way the service does; the EQ for it."""
-    plan = tree.placeholder_plan(new_idx)
+    def test_stale_path_refused(self):
+        # Evidence read before another container moved the root folds to the old root.
+        module = fresh_module()
+        first = ContainerFixture(module, idx=5)
+        second = ContainerFixture(module, idx=6, tree=first.tree)
+        _, leaf, stale_path, _ = first.bump()
+        assert second.modify(1, sha256(b"other")) is not None
+        req = sign(1, RequestKind.CONTAINER, first.idx, first.counter, sha256(b"v1"))
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, leaf, stale_path, first.acl_proof(1), first.record) is None
+        assert module._state == snapshot
+        assert first.modify(1, sha256(b"v1")) is not None
+
+
+def creation(tree: Iomt, user: int, idx: int, acl_root: bytes):
+    """A signed creation and the evidence ``apply_request`` takes for it.
+
+    Relinks the encloser in ``tree`` the way the service does.  The evidence
+    is the encloser before the relink, its path, and the new slot's path.
+    """
+    plan = tree.placeholder_plan(idx)
     enc_path = None
     if plan.encloser_slot is not None:
         enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
-    path = tree.complement_path(plan.placeholder_slot)
-    eq = module.certify_root_equivalence(plan.encloser_leaf, enc_path, new_idx, path)
-    tree.set_leaf(plan.placeholder_slot, plan.placeholder_leaf, path)
-    return plan, eq
+    evidence = {
+        "leaf": plan.encloser_leaf,
+        "path": enc_path,
+        "slot_path": tree.complement_path(plan.placeholder_slot),
+    }
+    return plan, sign(user, RequestKind.ACL, idx, 0, acl_root), evidence
 
 
-def creation(module: TrustedModule, tree: Iomt, user: int, idx: int, acl_root: bytes):
-    """The signed request, EQ and RU of a creation, with its placeholder written to ``tree``."""
-    plan, eq = build_equivalence(module, tree, idx)
-    ru = module.certify_record_update(
-        plan.placeholder_leaf, counter_digest(1), tree.complement_path(plan.placeholder_slot)
-    )
-    return plan, sign(user, RequestKind.ACL, idx, 0, acl_root), eq, ru
+def create_container(module: TrustedModule, tree: Iomt, user: int, idx: int, acl_root: bytes):
+    """Full creation flow against an in-memory container tree."""
+    plan, req, evidence = creation(tree, user, idx, acl_root)
+    result = module.apply_request(req, **evidence)
+    if result is not None:
+        created = Leaf(idx, plan.placeholder_leaf.next_idx, counter_digest(1))
+        tree.set_leaf(plan.placeholder_slot, created)
+    return plan.placeholder_slot, result
 
 
 class TestRootEquivalence:
+    """A creation's relinked encloser must fold to the root of its still-empty slot."""
+
     def test_roots_oracle_verified(self):
-        module = fresh_module()
         tree = Iomt(3)
         for slot, leaf in enumerate(
             [Leaf(3, 4, counter_digest(1)), Leaf(1, 3, counter_digest(2)),
              Leaf(4, 7, counter_digest(3)), Leaf(7, 1, counter_digest(4))]
         ):
             tree.set_leaf(slot, leaf)
-        before = dict(tree.leaves())
-        root_before = oracle_root(before, 3)
-        _, eq = build_equivalence(module, tree, 5)
-        assert eq is not None
-        assert eq.values[0] == root_before
-        assert eq.values[1] == oracle_root(dict(tree.leaves()), 3)
+        module = module_at(oracle_root(dict(tree.leaves()), 3))
+        slot, result = create_container(module, tree, 1, 5, ZERO_DIGEST)
+        assert result is not None
+        leaves = dict(tree.leaves())
+        assert leaves[2] == Leaf(4, 5, counter_digest(3))  # the relinked encloser
+        assert leaves[slot] == Leaf(5, 7, counter_digest(1))
+        assert module.root == oracle_root(leaves, 3)
 
     def test_swapped_proofs_refused(self):
-        module = fresh_module()
         tree = Iomt(3)
         tree.upsert(3, ZERO_DIGEST)
-        plan = tree.placeholder_plan(6)
-        enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
-        path = tree.complement_path(plan.placeholder_slot)
-        assert module.certify_root_equivalence(plan.encloser_leaf, path, 6, enc_path) is None
-        assert module.certify_root_equivalence(plan.encloser_leaf, enc_path, 6, path) is not None
+        module = module_at(tree.root)
+        _, req, evidence = creation(tree, 1, 6, ZERO_DIGEST)
+        swapped = dict(evidence, path=evidence["slot_path"], slot_path=evidence["path"])
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, **swapped) is None
+        assert module._state == snapshot
+        assert module.apply_request(req, **evidence) is not None
 
     def test_non_encloser_refused(self):
-        module = fresh_module()
         tree = Iomt(3)
         for slot, leaf in enumerate([Leaf(1, 3, counter_digest(1)), Leaf(3, 1, counter_digest(1))]):
             tree.set_leaf(slot, leaf)
-        encloser = Leaf(1, 3, counter_digest(1))
-        edited = Leaf(1, 6, counter_digest(1))
-        enc_path = tree.complement_path(0)
-        tree2 = Iomt(3)
-        tree2.set_leaf(0, edited)
-        tree2.set_leaf(1, Leaf(3, 1, counter_digest(1)))
-        path = tree2.complement_path(2)
-        assert module.certify_root_equivalence(encloser, enc_path, 6, path) is None
+        module = module_at(tree.root)
+        req = sign(1, RequestKind.ACL, 6, 0, ZERO_DIGEST)
+        # (1, 3) does not enclose 6, though its relink chains to slot 2's path.
+        encloser, enc_path = Leaf(1, 3, counter_digest(1)), tree.complement_path(0)
+        relinked = Iomt.from_leaves(
+            3, [(0, Leaf(1, 6, counter_digest(1))), (1, Leaf(3, 1, counter_digest(1)))]
+        )
+        slot_path = relinked.complement_path(2)
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, encloser, enc_path, slot_path=slot_path) is None
+        assert module._state == snapshot
+        # Control: the leaf that does enclose 6 is accepted.
+        _, _, evidence = creation(tree, 1, 6, ZERO_DIGEST)
+        assert evidence["leaf"] == Leaf(3, 1, counter_digest(1))
+        assert module.apply_request(req, **evidence) is not None
 
     def test_bootstrap_requires_empty_root(self):
-        module = fresh_module()
         tree = Iomt(3)
         tree.upsert(3, ZERO_DIGEST)
-        # A self-linked "first" leaf proved against a non-empty tree must fail.
-        assert module.certify_root_equivalence(None, None, 9, tree.complement_path(1)) is None
+        req = sign(1, RequestKind.ACL, 9, 0, ZERO_DIGEST)
         empty_path = Iomt(3).complement_path(0)
-        assert module.certify_root_equivalence(None, None, 9, empty_path) is not None
-
-
-def create_container(module: TrustedModule, tree: Iomt, user: int, idx: int, acl_root: bytes):
-    """Full creation flow against an in-memory container tree."""
-    plan, req, eq, ru = creation(module, tree, user, idx, acl_root)
-    result = module.apply_request(req, ru, equivalence=eq)
-    if result is not None:
-        created = Leaf(idx, plan.placeholder_leaf.next_idx, counter_digest(1))
-        tree.set_leaf(plan.placeholder_slot, created)
-    return plan.placeholder_slot, result
+        # A self-linked "first" leaf under a non-empty root, or along the path
+        # of a non-empty tree, must fail.
+        module = module_at(tree.root)
+        snapshot = copy.deepcopy(module._state)
+        for slot_path in (tree.complement_path(1), empty_path):
+            assert module.apply_request(req, None, None, slot_path=slot_path) is None
+        assert module._state == snapshot
+        module = fresh_module()
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(req, None, None, slot_path=tree.complement_path(1)) is None
+        assert module._state == snapshot
+        assert module.apply_request(req, None, None, slot_path=empty_path) is not None
 
 
 class TestApplyRequest:
@@ -305,60 +363,65 @@ class TestApplyRequest:
 
     def test_forged_signature_refused(self):
         module = fresh_module()
-        _, req, eq, ru = creation(module, Iomt(3), 1, 10, ZERO_DIGEST)
+        _, req, evidence = creation(Iomt(3), 1, 10, ZERO_DIGEST)
         forged = RequestEnvelope(req.kind, req.idx, req.counter, req.value, req.user_idx, bytes(32))
         snapshot = copy.deepcopy(module._state)
-        assert module.apply_request(forged, ru, equivalence=eq) is None
+        assert module.apply_request(forged, **evidence) is None
         assert module._state == snapshot
 
     def test_unknown_user_refused(self):
         module = fresh_module()
-        _, _, eq, ru = creation(module, Iomt(3), 1, 10, ZERO_DIGEST)
+        _, _, evidence = creation(Iomt(3), 1, 10, ZERO_DIGEST)
         env = RequestEnvelope(RequestKind.ACL, 10, 0, ZERO_DIGEST, 99, bytes(32))
-        assert module.apply_request(env, ru, equivalence=eq) is None
+        assert module.apply_request(env, **evidence) is None
 
     def test_equivalence_comes_with_a_creation_only(self):
+        # The slot path is the creation's equivalence evidence.
         module = fresh_module()
         repo = ContainerFixture(module)
         shadow = Iomt.from_leaves(3, repo.tree.leaves())
-        _, req, eq, ru = creation(module, shadow, 1, 12, ZERO_DIGEST)
+        _, req, evidence = creation(shadow, 1, 12, ZERO_DIGEST)
         snapshot = copy.deepcopy(module._state)
-        assert module.apply_request(req, ru) is None  # a creation needs its equivalence
-        _, _, bump = repo.bump()
+        assert module.apply_request(req, evidence["leaf"], evidence["path"]) is None
+        _, leaf, path, _ = repo.bump()
         modify = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v1"))
         assert module.apply_request(
-            modify, bump, acl_proof=repo.acl_proof(1), record=repo.record, equivalence=eq
+            modify, leaf, path, acl_proof=repo.acl_proof(1), record=repo.record,
+            slot_path=evidence["slot_path"],
         ) is None
         assert module._state == snapshot
-        assert module.apply_request(req, ru, equivalence=eq) is not None
+        assert module.apply_request(req, **evidence) is not None
 
 
 class TestTogglePlaceholder:
-    """A creation's EQ toggles its placeholder into the root, inside ``apply_request`` only."""
+    """A creation's placeholder enters the root inside ``apply_request`` only."""
 
     def test_advance_and_stale(self):
         module = fresh_module()
         tree = Iomt(3)
         assert create_container(module, tree, 1, 9, ZERO_DIGEST)[1] is not None
         shadow = Iomt.from_leaves(3, tree.leaves())
-        _, req, eq, ru = creation(module, shadow, 1, 12, ZERO_DIGEST)
+        _, req, evidence = creation(shadow, 1, 12, ZERO_DIGEST)
         # Control: a second module at the same root accepts the very same evidence.
         twin = TrustedModule(copy.deepcopy(module._state))
-        assert twin.apply_request(req, ru, equivalence=eq) is not None
+        assert twin.apply_request(req, **evidence) is not None
         assert create_container(module, tree, 1, 15, ZERO_DIGEST)[1] is not None
-        # eq now starts from a root of an old epoch.
+        # The evidence now folds to a root of an old epoch.
         snapshot = copy.deepcopy(module._state)
-        assert module.apply_request(req, ru, equivalence=eq) is None
+        assert module.apply_request(req, **evidence) is None
         assert module._state == snapshot
 
-    def test_bad_mac_refused(self):
+    def test_tampered_slot_path_refused(self):
         module = fresh_module()
-        _, req, eq, ru = creation(module, Iomt(3), 1, 9, ZERO_DIGEST)
-        forged = Certificate(eq.kind, eq.values, bytes(32))
+        tree = Iomt(3)
+        assert create_container(module, tree, 1, 9, ZERO_DIGEST)[1] is not None
+        _, req, evidence = creation(tree, 1, 12, ZERO_DIGEST)
+        (digest, side), *rest = evidence["slot_path"]
+        tampered = dict(evidence, slot_path=[(sha256(digest), side), *rest])
         snapshot = copy.deepcopy(module._state)
-        assert module.apply_request(req, ru, equivalence=forged) is None
+        assert module.apply_request(req, **tampered) is None
         assert module._state == snapshot
-        assert module.apply_request(req, ru, equivalence=eq) is not None
+        assert module.apply_request(req, **evidence) is not None
 
 
 class ContainerFixture:
@@ -396,17 +459,16 @@ class ContainerFixture:
         return self.module.certify_record(leaf, self.acl.complement_path(slot), absent_idx=user)
 
     def bump(self):
-        """The container's slot, its counter-bumped leaf, and the RU for that edit."""
+        """The container's slot, its leaf, that leaf's path, and the leaf counter-bumped."""
         slot, leaf = self.tree.find_leaf(self.idx)
         new_leaf = Leaf(self.idx, leaf.next_idx, counter_digest(self.counter + 1))
-        ru = self.module.certify_record_update(leaf, new_leaf.val, self.tree.complement_path(slot))
-        return slot, new_leaf, ru
+        return slot, leaf, self.tree.complement_path(slot), new_leaf
 
     def modify(self, user: int, content_digest: bytes, secret=None):
-        slot, new_leaf, ru = self.bump()
+        slot, leaf, path, new_leaf = self.bump()
         req = sign(user, RequestKind.CONTAINER, self.idx, self.counter, content_digest)
         result = self.module.apply_request(
-            req, ru, acl_proof=self.acl_proof(user), record=self.record, secret=secret
+            req, leaf, path, acl_proof=self.acl_proof(user), record=self.record, secret=secret
         )
         if result is not None:
             self.tree.set_leaf(slot, new_leaf)
@@ -417,10 +479,10 @@ class ContainerFixture:
     def set_access(self, requester: int, target: int, level: int):
         requester_proof = self.acl_proof(requester)  # over the pre-edit ACL root
         self.acl.upsert(target, counter_digest(level))
-        slot, new_leaf, ru = self.bump()
+        slot, leaf, path, new_leaf = self.bump()
         req = sign(requester, RequestKind.ACL, self.idx, self.counter, self.acl.root)
         result = self.module.apply_request(
-            req, ru, acl_proof=requester_proof, record=self.record
+            req, leaf, path, acl_proof=requester_proof, record=self.record
         )
         if result is not None:
             self.tree.set_leaf(slot, new_leaf)
@@ -464,18 +526,17 @@ class TestUpdateFlows:
         module = fresh_module()
         repo = ContainerFixture(module)
         assert repo.modify(1, sha256(b"v1")) is not None
-        # Re-sign against the old counter: the record update cannot map to
-        # the current root.
+        # Re-sign against the old counter: the old leaf does not fold to the
+        # current root.
         slot, leaf = repo.tree.find_leaf(10)
-        old_val = counter_digest(1)
-        stale_leaf = Leaf(10, leaf.next_idx, old_val)
-        ru = module.certify_record_update(
-            stale_leaf, counter_digest(2), repo.tree.complement_path(slot)
-        )
+        stale_leaf = Leaf(10, leaf.next_idx, counter_digest(1))
         req = sign(1, RequestKind.CONTAINER, 10, 1, sha256(b"v1"))
-        before = module.root
-        assert module.apply_request(req, ru, acl_proof=repo.acl_proof(1), record=repo.record) is None
-        assert module.root == before
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(
+            req, stale_leaf, repo.tree.complement_path(slot),
+            acl_proof=repo.acl_proof(1), record=repo.record,
+        ) is None
+        assert module._state == snapshot
 
     def test_acl_update_keeps_version_count(self):
         module = fresh_module()
@@ -672,13 +733,15 @@ class TestSecrets:
     def test_secret_with_an_acl_request_refused(self):
         module = fresh_module()
         repo = ContainerFixture(module)
-        _, _, ru = repo.bump()
+        _, leaf, path, _ = repo.bump()
         req = sign(1, RequestKind.ACL, repo.idx, repo.counter, repo.acl_root)
         secret = wrap(1, repo.idx, repo.counter, secrets.token_bytes(32))
-        root = module.root
-        assert module.apply_request(req, ru, repo.acl_proof(1), repo.record, secret=secret) is None
-        assert module.root == root
-        assert module.apply_request(req, ru, repo.acl_proof(1), repo.record) is not None
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(
+            req, leaf, path, repo.acl_proof(1), repo.record, secret=secret
+        ) is None
+        assert module._state == snapshot
+        assert module.apply_request(req, leaf, path, repo.acl_proof(1), repo.record) is not None
 
 
 class TestStateConfinement:
@@ -688,12 +751,14 @@ class TestStateConfinement:
         repo.modify(1, sha256(b"v1"))
         snapshot = copy.deepcopy(module._state)
 
-        bad_cert = Certificate(CertKind.EQ, (sha256(b"a"), sha256(b"b")), bytes(32))
+        bad_cert = Certificate(CertKind.RV, (10, counter_digest(2), module.root), bytes(32))
+        _, leaf, path, _ = repo.bump()
         env = RequestEnvelope(RequestKind.CONTAINER, 10, 2, sha256(b"x"), 1, bytes(32))
-        ru = Certificate(CertKind.RU, (10, counter_digest(2), module.root, counter_digest(3), sha256(b"r")), bytes(32))
-        assert module.apply_request(env, ru) is None
+        assert module.apply_request(env, leaf, path, repo.acl_proof(1), repo.record) is None
+        signed = sign(1, RequestKind.CONTAINER, 10, 2, sha256(b"x"))
+        assert module.apply_request(signed, leaf, path, bad_cert, repo.record) is None
         create = sign(1, RequestKind.ACL, 11, 0, repo.acl_root)
-        assert module.apply_request(create, ru, equivalence=bad_cert) is None
+        assert module.apply_request(create, leaf, path, slot_path=path) is None  # paths unchained
         assert module.verify_container(1, secrets.token_bytes(32), 1, bad_cert) is None
         # Sound evidence and signature, but a secret that opens no commitment.
         assert repo.modify(1, sha256(b"v2"), secret=(bytes(32), bytes(32))) is None
@@ -733,12 +798,14 @@ class TestAbsenceForm:
         )
         assert response is None  # not even a denial: the RV proves another root
         assert module._state == snapshot
-        _, _, ru = repo.bump()
+        _, leaf, path, _ = repo.bump()
         req = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v2"))
-        assert module.apply_request(req, ru, acl_proof=absence, record=repo.record) is None
+        assert module.apply_request(req, leaf, path, acl_proof=absence, record=repo.record) is None
         assert module._state == snapshot
         # Control: the same request with the ACL tree's own RV is accepted.
-        accepted = module.apply_request(req, ru, acl_proof=repo.acl_proof(1), record=repo.record)
+        accepted = module.apply_request(
+            req, leaf, path, acl_proof=repo.acl_proof(1), record=repo.record
+        )
         assert accepted is not None
 
     def test_enclosed_and_empty_tree_absence_share_one_form(self):
@@ -794,8 +861,6 @@ class TestSurface:
             "root",
             "certificate_valid",
             "certify_record",
-            "certify_record_update",
-            "certify_root_equivalence",
             "apply_request",
             "verify_container",
         }
@@ -804,7 +869,7 @@ class TestSurface:
         # The kind byte is under the MAC of every sealed record at rest, so a
         # renumbering would silently invalidate every existing store.
         assert {kind.name: int(kind) for kind in CertKind} == {
-            "RV": 2, "RU": 3, "EQ": 4, "CR": 5, "VR": 6,
+            "RV": 2, "CR": 5, "VR": 6,
         }
 
 

@@ -58,12 +58,26 @@ def foreign_creation(service, cred, idx):
     plan = shadow.placeholder_plan(idx)
     enc_path = shadow.set_leaf(plan.encloser_slot, plan.updated_encloser)
     path = shadow.complement_path(plan.placeholder_slot)
-    eq = module.certify_root_equivalence(plan.encloser_leaf, enc_path, idx, path)
-    ru = module.certify_record_update(plan.placeholder_leaf, counter_digest(1), path)
     created = Leaf(idx, plan.placeholder_leaf.next_idx, counter_digest(1))
     shadow.set_leaf(plan.placeholder_slot, created, path)
-    accept = functools.partial(module.apply_request, signed_create(cred, idx), ru, equivalence=eq)
+    accept = functools.partial(
+        module.apply_request, signed_create(cred, idx), plan.encloser_leaf, enc_path, slot_path=path
+    )
     return accept, shadow
+
+
+class MovingClock(StepClock):
+    """A :class:`StepClock` that runs ``action`` once, as step ``label`` begins."""
+
+    def __init__(self, label, action) -> None:
+        super().__init__()
+        self.label, self.action = label, action
+
+    def step(self, label):
+        if label == self.label and self.action is not None:
+            action, self.action = self.action, None
+            action()
+        return super().step(label)
 
 
 class ModuleSpy:
@@ -99,31 +113,27 @@ class TestCreate:
         assert spy.module.root == root
         assert dump_store(service.storage) == before
 
-    def test_root_moved_after_the_equivalence_refuses_create(
-        self, service, credentials, monkeypatch
-    ):
-        # Between the service's EQ and its apply_request, the module alone
-        # accepts a creation of the same index 9 from elsewhere.
+    def test_root_moved_after_the_equivalence_refuses_create(self, service, credentials):
+        # Once the service has read the equivalence evidence (its
+        # eq_certificate step), the module alone accepts a creation of the
+        # same index 9 from elsewhere.
         cred = credentials[1]
         assert service.handle_create(signed_create(cred, 7)) is not None
         module = service.module
         accept_foreign, _ = foreign_creation(service, cred, 9)
-        certify = module.certify_root_equivalence
         moved = []
 
-        def certify_then_move(*args):
-            eq = certify(*args)
+        def move():
             assert accept_foreign() is not None
             moved.append(copy.deepcopy(module._state))
-            return eq
 
-        monkeypatch.setattr(module, "certify_root_equivalence", certify_then_move)
         before = dump_store(service.storage)
-        assert service.handle_create(signed_create(cred, 9)) is None
+        clock = MovingClock("ru_certificate", move)
+        assert service.handle_create(signed_create(cred, 9), clock=clock) is None
         assert len(moved) == 1 and module._state == moved[0]  # not moved again
         assert dump_store(service.storage) == before
 
-    def test_refused_create_makes_three_module_calls(self, service, credentials, monkeypatch):
+    def test_refused_create_makes_one_module_call(self, service, credentials, monkeypatch):
         cred = credentials[1]
         assert service.handle_create(signed_create(cred, 7)) is not None
         forged = UserCredential(1, secrets.token_bytes(32))
@@ -132,7 +142,7 @@ class TestCreate:
         spy = ModuleSpy(service.module)
         monkeypatch.setattr(service, "module", spy)
         assert service.handle_create(signed_create(forged, 8)) is None
-        assert spy.calls == ["certify_root_equivalence", "certify_record_update", "apply_request"]
+        assert spy.calls == ["apply_request"]
         assert spy.module._state == snapshot
         assert dump_store(service.storage) == before
 
@@ -164,6 +174,35 @@ class TestCreate:
         leaves = {leaf.idx: leaf for _, leaf in service.container_tree().leaves()}
         assert leaves[3].next_idx == 7
         assert leaves[7].next_idx == 3
+
+
+class TestWriteModuleCalls:
+    """A write makes one module call, and one more only to mint a missed ACL proof."""
+
+    def test_create_modify_and_acl_set(self, service, credentials, monkeypatch):
+        cred = credentials[1]
+        spy = ModuleSpy(service.module)
+        monkeypatch.setattr(service, "module", spy)
+
+        def calls(handler, *args):
+            spy.calls.clear()
+            assert handler(*args) is not None
+            return spy.calls
+
+        assert calls(service.handle_create, signed_create(cred, 7)) == ["apply_request"]
+        cold = calls(service.handle_modify, signed_modify(cred, 7, 1), BLOBS)
+        assert cold == ["certify_record", "apply_request"]
+        assert calls(service.handle_modify, signed_modify(cred, 7, 2), BLOBS) == ["apply_request"]
+        # The grant proves user 1 under the ACL root the modifies proved it under.
+        grant = cred.sign_request(
+            RequestKind.ACL, 7, 3, predicted_acl_root(acl_hints(service, 7), 2, 1)
+        )
+        assert calls(service.handle_acl_set, grant, 2, 1) == ["apply_request"]
+        # The grant moved the ACL root, so the next proof is minted afresh.
+        regrant = cred.sign_request(
+            RequestKind.ACL, 7, 4, predicted_acl_root(acl_hints(service, 7), 2, 2)
+        )
+        assert calls(service.handle_acl_set, regrant, 2, 2) == ["certify_record", "apply_request"]
 
 
 class TestModify:
@@ -749,28 +788,23 @@ class TestMonotonicCounter:
 
 
 class TestForeignRootChange:
-    def test_foreign_create_refuses_ours_until_the_store_has_it(
-        self, service, credentials, monkeypatch
-    ):
-        # A module-level actor creates 99 between the service's RU and its
-        # apply_request: the create is refused and writes nothing.
+    def test_foreign_create_refuses_ours_until_the_store_has_it(self, service, credentials):
+        # A module-level actor creates 99 after the service has written the
+        # created leaf and before its apply_request (the root_update step):
+        # the create is refused and writes nothing.
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))
         module = service.module
         accept_foreign, shadow = foreign_creation(service, cred, 99)
-        certify = module.certify_record_update
         moved = []
 
-        def certify_then_move(*args):
-            ru = certify(*args)
+        def move():
             assert accept_foreign() is not None
             moved.append(copy.deepcopy(module._state))
-            return ru
 
         before = dump_store(service.storage)
-        monkeypatch.setattr(module, "certify_record_update", certify_then_move)
-        assert service.handle_create(signed_create(cred, 8)) is None
-        monkeypatch.undo()
+        clock = MovingClock("root_update", move)
+        assert service.handle_create(signed_create(cred, 8), clock=clock) is None
         assert len(moved) == 1 and module._state == moved[0]
         assert dump_store(service.storage) == before
         # Once the store holds the foreign container too, creates go through again.
