@@ -258,12 +258,12 @@ def _time_fetch(service: Service, credential: UserCredential, targets: list[int]
         targets,
         lambda idx, nonce, clock: service.handle_fetch(
             idx, 0, credential.user_idx, nonce=nonce, clock=clock
-        ).verify,
+        ),
     )
 
 
 def _time_query(targets: list[int], query: Callable) -> dict[str, float]:
-    """Time ``query(idx, nonce, clock)``, which returns an ``InfoResult``."""
+    """Time ``query(idx, nonce, clock)``, which returns an ``InfoResult`` or ``FetchResult``."""
     steps: dict[str, list[int]] = {}
     for idx in targets:
         nonce = secrets.token_bytes(DIGEST_SIZE)

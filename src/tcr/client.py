@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterator, Optional
+from typing import Iterator, Optional
 
 from .iomt import Iomt, Leaf, TreeFullError, counter_digest, leaf_digest
 from .merkle import (
@@ -38,6 +38,7 @@ from .wire import (
     envelope_to_json,
     read_message,
     response_from_json,
+    u64_field,
     write_message,
 )
 
@@ -62,7 +63,7 @@ def _decoding(op: str) -> Iterator[None]:
     :class:`ProtocolFailure`, not as whatever the decoding raised."""
     try:
         yield
-    except (KeyError, ValueError, TypeError, WireError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, WireError) as exc:
         raise ProtocolFailure(f"malformed {op} reply: {exc!r}") from exc
 
 
@@ -212,46 +213,16 @@ class FetchOutcome:
     encrypted: bool
 
 
-class _RecordingFile:
-    """File proxy that appends every chunk written and every line read to a list."""
-
-    def __init__(self, fp: IO[bytes], transcript: list[bytes]) -> None:
-        self._fp, self._transcript = fp, transcript
-
-    def write(self, data: bytes) -> int:
-        self._transcript.append(data)
-        return self._fp.write(data)
-
-    def flush(self) -> None:
-        self._fp.flush()
-
-    def readline(self, *args) -> bytes:
-        line = self._fp.readline(*args)
-        self._transcript.append(line)
-        return line
-
-
 class RepositoryClient:
-    """One-shot wire client; a fresh connection per command.
-
-    ``transcript`` collects the bytes of every line sent or received, newline
-    included, as they crossed the socket, which lets tests scan the actual
-    wire bytes for anything that must never appear.
-    """
+    """One-shot wire client; a fresh connection per command."""
 
     def __init__(
-        self,
-        host: str,
-        port: int,
-        credential: UserCredential,
-        timeout: float = 30.0,
-        transcript: Optional[list[bytes]] = None,
+        self, host: str, port: int, credential: UserCredential, timeout: float = 30.0
     ) -> None:
         self.host = host
         self.port = port
         self.credential = credential
         self.timeout = timeout
-        self.transcript = transcript
         self._next_id = 0
 
     # -- transport ----------------------------------------------------------------
@@ -262,12 +233,12 @@ class RepositoryClient:
         try:
             with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
                 fp = sock.makefile("rwb")
-                if self.transcript is not None:
-                    fp = _RecordingFile(fp, self.transcript)
                 write_message(fp, message)
                 reply = read_message(fp)
-        except (OSError, WireError) as exc:
+        except OSError as exc:
             raise ProtocolFailure(f"transport failure: {exc}") from exc
+        except WireError as exc:
+            raise ProtocolFailure(f"malformed {op} reply: {exc}") from exc
         if reply is None:
             raise ProtocolFailure("connection closed before a reply arrived")
         if reply.get("request_id") != self._next_id:
@@ -340,7 +311,7 @@ class RepositoryClient:
                 raise RequestRejected("container is not accessible")
             if hints is None or "counter" not in hints:
                 raise RequestRejected("no usable counter for the request")
-            return int(hints["counter"]), hints
+            return u64_field(hints, "counter"), hints
 
     def modify(
         self, idx: int, image: bytes, build: bytes, compose: bytes, encrypt: bool = False

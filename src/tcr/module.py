@@ -2,14 +2,15 @@
 
 This is the only code that may mutate the repository root or touch the
 module secret and user keys.  Everything it emits is either a certificate
-(a self-memorandum MACed under the module secret, meaningless to anyone
-else) or a user-facing value MACed under that user's shared key.
+(the seal of a container or version record the store keeps at rest) or a
+user-facing value MACed under that user's shared key.
 
 Every root the module names or moves to is folded in here from a leaf and
-its complement path: ``certify_record`` folds the root an RV proves, and
-``apply_request`` folds the edited leaf's path before and after the edit.
-A procedure that consumes certificates re-verifies each MAC before trusting
-a single field.  Rejections return ``None`` and leave the state bit-identical.
+its complement path: ``verify_container`` and ``apply_request`` fold each
+tree read they are given, and ``apply_request`` folds the edited leaf's path
+before and after the edit.  A procedure re-verifies each seal's MAC before
+trusting a single field.  Rejections return ``None`` and leave the state
+bit-identical.
 """
 
 from __future__ import annotations
@@ -39,13 +40,12 @@ from .merkle import (
 
 class CertKind(IntEnum):
     # The numbers are under every sealed record's MAC: never renumber them.
-    RV = 2  # record verify: index idx holds val under root Y (zero val: absent or placeholder)
+    # 1 to 4 named certificates since retired (2 was record verify): never reuse them.
     CR = 5  # container record seal
     VR = 6  # version record seal
 
 
 CERT_SCHEMAS: dict[int, tuple[str, ...]] = {
-    CertKind.RV: ("u64", "d32", "d32"),
     CertKind.CR: ("u64", "u64", "u64", "d32"),
     CertKind.VR: ("u64", "u64", "d32"),
 }
@@ -73,11 +73,33 @@ class Certificate:
 
 # Sibling digests from a leaf up to the root, each with the side it occupies.
 ComplementPath = Sequence[tuple[bytes, Side]]
+# A tree read: the leaf holding or enclosing an index (``None`` in an empty
+# tree) and that leaf's complement path.
+RecordProof = tuple[Optional[Leaf], ComplementPath]
 
 
 def _fold(leaf: Optional[Leaf], path: ComplementPath) -> bytes:
     """The root ``leaf`` (``None`` for an empty slot) folds to along ``path``."""
     return compute_root(leaf_digest(leaf), [d for d, _ in path], [s for _, s in path])
+
+
+def _read(proof: Optional[RecordProof], idx: int, root: bytes) -> Optional[int]:
+    """The counter ``idx`` holds in the tree of ``root``, as ``proof`` shows it.
+
+    The leaf holding ``idx`` reads as its own value.  A leaf enclosing
+    ``idx`` reads as zero, as a placeholder or a level-0 grant does; so does
+    an empty tree (``leaf=None``), but only under the zero root, the one root
+    free of every index.  ``None`` if the proof does not fold to ``root``,
+    speaks for another index, or holds no counter.
+    """
+    if proof is None or _fold(*proof) != root:
+        return None
+    leaf = proof[0]
+    if leaf is None:
+        return 0 if root == ZERO_DIGEST else None
+    if leaf.idx == idx:
+        return counter_value(leaf.val)
+    return 0 if encloses(leaf.idx, leaf.next_idx, idx) else None
 
 
 class RequestKind(IntEnum):
@@ -289,53 +311,22 @@ class TrustedModule:
             return self._cert_ok(cert)
 
     def _access(
-        self, record: Optional[Certificate], acl_proof: Optional[Certificate], idx: int,
+        self, record: Optional[Certificate], acl_proof: Optional[RecordProof], idx: int,
         counter: int, user_idx: int,
     ) -> Optional[tuple[int, bytes, int]]:
-        """Check a sealed container record against ``(idx, counter)`` and the
-        caller's ACL proof against its ACL root.
+        """Check a sealed container record against ``(idx, counter)`` and read
+        the caller's level from the ACL tree that record names.
 
-        Returns ``(version_count, acl_root, level)``, or ``None`` when any
-        certificate fails or the certificates disagree.
+        Returns ``(version_count, acl_root, level)``, or ``None`` when the seal
+        fails, the record disagrees, or the proof does not read under its root.
         """
         if not self._cert_ok(record, CertKind.CR):
             return None
         c_idx, c_ctr, c_ver, acl_root = record.values
         if c_idx != idx or c_ctr != counter:
-            return None  # inconsistent certificates
-        if not self._cert_ok(acl_proof, CertKind.RV):
-            return None
-        a_idx, val, a_root = acl_proof.values
-        if a_idx != user_idx or a_root != acl_root:
-            return None
-        level = counter_value(val)
-        if level is None:
-            return None
-        return c_ver, acl_root, level
-
-    # -- record proofs ----------------------------------------------------------
-
-    def certify_record(
-        self, leaf: Optional[Leaf], path: ComplementPath, absent_idx: Optional[int] = None
-    ) -> Optional[Certificate]:
-        """RV: bind a leaf's (idx, val) to the root its complement path folds to.
-
-        With ``absent_idx`` enclosed by the leaf, the RV is instead
-        ``(absent_idx, ZERO_DIGEST, root)``: an absent index reads as value
-        zero, exactly as a placeholder or a level-0 grant does.
-        ``leaf=None`` asserts absence in an *empty* tree: only a zero root
-        can be free of every index at once, so the path must fold to zero.
-        """
-        with self._lock:
-            root = _fold(leaf, path)
-            if absent_idx is not None and (
-                root == ZERO_DIGEST if leaf is None
-                else encloses(leaf.idx, leaf.next_idx, absent_idx)
-            ):
-                return self._issue(CertKind.RV, (absent_idx, ZERO_DIGEST, root))
-            if leaf is None:
-                return None
-            return self._issue(CertKind.RV, (leaf.idx, leaf.val, root))
+            return None  # inconsistent evidence
+        level = _read(acl_proof, user_idx, acl_root)
+        return None if level is None else (c_ver, acl_root, level)
 
     # -- procedures -------------------------------------------------------------
 
@@ -344,7 +335,7 @@ class TrustedModule:
         request: RequestEnvelope,
         leaf: Optional[Leaf],
         path: Optional[ComplementPath],
-        acl_proof: Optional[Certificate] = None,
+        acl_proof: Optional[RecordProof] = None,
         record: Optional[Certificate] = None,
         secret: Optional[tuple[bytes, bytes]] = None,
         slot_path: Optional[ComplementPath] = None,
@@ -352,11 +343,11 @@ class TrustedModule:
         """Apply a signed user request: creation, content update, or ACL update.
 
         Updates pass the container's ``leaf`` and its complement ``path``,
-        the sealed container record, and an RV showing the caller's access
-        level in that record's ACL tree (2+ to modify content, 3 to modify the
-        ACL).  A content update's ``secret`` (the container secret padded
-        under the caller's key for ``(idx, counter)``, and its commitment) is
-        sealed only on acceptance; a bad one refuses the request.
+        the sealed container record, and ``acl_proof``, which reads the
+        caller's level under that record's ACL root (2+ to modify content, 3
+        to modify the ACL).  A content update's ``secret`` (the container
+        secret padded under the caller's key for ``(idx, counter)``, and its
+        commitment) is sealed only on acceptance; a bad one refuses it.
         Creation is an ACL-typed request with counter 0.  It passes the leaf
         enclosing the new index and its path (both ``None`` in an empty
         tree), and ``slot_path``, the new slot's path once the encloser is
@@ -421,32 +412,30 @@ class TrustedModule:
         self,
         user_idx: int,
         nonce: bytes,
+        idx: int,
         requested_version: int,
-        container_proof: Certificate,
+        container_proof: RecordProof,
         record: Optional[Certificate] = None,
-        acl_proof: Optional[Certificate] = None,
+        acl_proof: Optional[RecordProof] = None,
         version_cert: Optional[Certificate] = None,
         secret: Optional[tuple[bytes, bytes]] = None,
     ) -> Optional[VerifyResponse]:
-        """Answer an information query with a MACed response or denial.
+        """Answer an information query about ``idx`` with a MACed response or denial.
 
-        The denial for an absent container and the denial for a caller with
-        zero access are built identically, so the caller cannot tell the two
-        apart.  ``None`` means the supplied evidence itself was bad, which
-        distinguishes service misbehavior from an authenticated denial.
-        A full response carries ``secret`` (a sealed secret and its
-        commitment) re-padded for the caller if the commitment opens.
+        ``container_proof`` reads ``idx``'s counter under the sealed root, and
+        ``acl_proof`` the caller's level under the record's ACL root.  The
+        denial for an absent container and the denial for a caller with zero
+        access are built identically, so the caller cannot tell the two apart.
+        ``None`` means the supplied evidence itself was bad, which
+        distinguishes service misbehavior from an authenticated denial.  A
+        full response carries ``secret`` (a sealed secret and its commitment)
+        re-padded for the caller if the commitment opens.
         """
         with self._lock:
             key = self._state.user_keys.get(user_idx)
             if key is None or len(nonce) != DIGEST_SIZE:
                 return None
-            if not self._cert_ok(container_proof, CertKind.RV):
-                return None
-            idx, val, root = container_proof.values
-            if root != self._state.root:
-                return None
-            ctr = counter_value(val)
+            ctr = _read(container_proof, idx, self._state.root)
             if ctr is None:
                 return None
             if ctr == 0:

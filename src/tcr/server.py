@@ -181,13 +181,13 @@ class RepositoryServer(socketserver.TCPServer):
                 nonce=d32_field(payload, "nonce"),
             )
             # A denial is answered exactly as INFO answers it.
-            body = {"response": response_to_json(result.verify.response)}
-            if result.verify.response.denied:
+            body = {"response": response_to_json(result.response)}
+            if result.response.denied:
                 return STATUS_DENIED, body
             body.update(blobs_to_json(result.blobs))
             body["secret_commitment"] = result.secret_commitment.hex()
             # Absent if the secret did not open its commitment: content, but no usable secret.
-            sealed_for_user = result.verify.response.sealed_for_user
+            sealed_for_user = result.response.sealed_for_user
             if sealed_for_user is not None:
                 body["sealed_for_user"] = sealed_for_user.hex()
             return STATUS_OK, body

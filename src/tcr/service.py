@@ -1,4 +1,4 @@
-"""The untrusted service: assembles certificates, drives the module, persists.
+"""The untrusted service: reads tree proofs, drives the module, persists.
 
 Every mutation pipeline runs under the service lock in one sqlite
 transaction: it writes each tree edit and keeps the complement path that the
@@ -13,8 +13,10 @@ instead of following an acceptance the transaction can no longer undo.  The
 service cannot check a signature, so a refused MODIFY may leave blob files
 behind; they are content-addressed, so such an orphan changes no version.
 
+A query or write hands the module raw tree reads: the leaf that holds or
+encloses an index and its complement path, which the module folds itself.
 Evidence is keyed by the root it proves.  A container proof is cached under
-the module root it was minted under, so every root move retires it.  A
+the module root it was read under, so every root move retires it.  A
 container's ACL tree is rebuilt in memory from its leaf rows and cached as a
 read-only view under the ACL root its sealed record names; ACL proofs are
 cached under the ACL root they prove, which container-tree writes leave
@@ -35,7 +37,7 @@ from typing import Iterator, Optional
 from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value, leaf_digest
 from .merkle import ZERO_DIGEST
 from .module import (
-    Certificate,
+    RecordProof,
     RequestEnvelope,
     RequestKind,
     TrustedModule,
@@ -80,7 +82,9 @@ class StepClock:
     Uses the monotonic wall clock: the benchmark drives the service as a
     single uncontended in-process caller, where wall time tracks service
     work, and process CPU clocks tick far too coarsely inside containers to
-    resolve microsecond steps.
+    resolve microsecond steps.  The labels are the names the benchmark's
+    per-step report reads, so ``certificates``, ``eq_certificate`` and
+    ``ru_certificate`` keep the names of the certificates they once made.
     """
 
     now = staticmethod(time.perf_counter_ns)
@@ -141,7 +145,7 @@ class InfoResult:
 class FetchResult:
     """A verified answer; the content fields are set only for a full response."""
 
-    verify: InfoResult
+    response: VerifyResponse
     blobs: Optional[BlobSet] = None
     secret_commitment: Optional[bytes] = None
 
@@ -213,33 +217,27 @@ class Service:
         """
         return tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)), path)
 
-    def _record_proof(
-        self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes
-    ) -> Optional[Certificate]:
-        """RV for a present index, or the RV of value zero that proves its absence.
+    def _record_proof(self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes) -> RecordProof:
+        """The leaf holding ``idx``, or else the leaf enclosing it, and its path.
 
         ``epoch`` is the tree's root, the root the proof is cached under.
         """
         hit = self._cache.get(cache_key, epoch)
         if hit is not None:
             return hit
-        found, absent_idx = tree.find_leaf(idx), None
-        if found is None:
-            found, absent_idx = tree.find_encloser(idx), idx
-        # No encloser: the tree is empty, and absence is proved against the zero root.
-        slot, leaf = found if found is not None else (0, None)
-        proof = self.module.certify_record(leaf, tree.complement_path(slot), absent_idx=absent_idx)
-        if proof is not None:
-            self._cache.put(cache_key, epoch, proof)
+        # No encloser: the tree is empty, and absence is read against the zero root.
+        slot, leaf = tree.find_leaf(idx) or tree.find_encloser(idx) or (0, None)
+        proof = (leaf, tree.complement_path(slot))
+        self._cache.put(cache_key, epoch, proof)
         return proof
 
-    def _container_proof(self, idx: int) -> Optional[Certificate]:
+    def _container_proof(self, idx: int) -> RecordProof:
         return self._record_proof(self.container_tree(), idx, ("container", idx), self.module.root)
 
-    def _acl_proof(self, acl: Iomt, user_idx: int) -> Optional[Certificate]:
-        """RV of ``user_idx``'s level in ``acl``, or of value zero if it has no leaf.
+    def _acl_proof(self, acl: Iomt, user_idx: int) -> RecordProof:
+        """``user_idx``'s leaf in ``acl``, or the leaf enclosing it, and its path.
 
-        Cached under the root of the tree it was minted from, which is the
+        Cached under the root of the tree it was read from, which is the
         root it proves even when that tree was rebuilt from damaged rows.
         """
         return self._record_proof(acl, user_idx, ("acl", user_idx), acl.root)
@@ -323,8 +321,6 @@ class Service:
                 if tree.find_leaf(req.idx) is not None:
                     raise _Rejected()  # before any write or module call
 
-            # These two steps make no certificate; the labels are the names
-            # the benchmark's per-step report reads.
             with clock.step("eq_certificate"):
                 try:
                     plan = tree.placeholder_plan(req.idx)
@@ -377,8 +373,6 @@ class Service:
             with clock.step("certificates"):
                 path = self._bump_counter(tree, slot, leaf, record.counter + 1)
                 acl_proof = self._acl_proof(self._acl_view(record), req.user_idx)
-                if acl_proof is None:
-                    raise _Rejected()
 
             result = self._apply(
                 req, leaf, path, clock, acl_proof=acl_proof, record=record.as_certificate(),
@@ -419,8 +413,6 @@ class Service:
                 acl = self.acl_tree(req.idx)  # edited below, so never a cached view
                 acl_proof = self._acl_proof(acl, req.user_idx)
                 path = self._bump_counter(tree, slot, leaf, record.counter + 1)
-                if acl_proof is None:
-                    raise _Rejected()
 
             with clock.step("root_update"):
                 try:
@@ -478,21 +470,18 @@ class Service:
         clock = clock or StepClock()
         with self._lock:
             answer = self._verified_answer(idx, version, nonce, user_idx, clock, release=True)
-            verify = InfoResult(response=answer.response)
             if answer.response.denied:
-                return FetchResult(verify=verify)
+                return FetchResult(answer.response)
             # A full response attests the version row, which names the content.
             version_row = answer.version_row
             with clock.step("record_lookup"):
                 blobs = self.storage.blob_get(version_row.hashes)
-            return FetchResult(
-                verify=verify, blobs=blobs, secret_commitment=version_row.secret_commitment
-            )
+            return FetchResult(answer.response, blobs, version_row.secret_commitment)
 
     def _verified_answer(
         self, idx, requested_version, nonce, user_idx, clock, release=False
     ) -> _Answer:
-        """Look up the rows, certify the proofs and ask the module for its answer.
+        """Look up the rows, read the proofs and ask the module for its answer.
 
         A version of 0 is resolved here to the latest stored version.  With
         ``release``, the version's sealed secret goes to the module as well.
@@ -511,8 +500,6 @@ class Service:
             if record is not None:
                 acl = self._acl_view(record)
                 acl_proof = self._acl_proof(acl, user_idx)
-            if container_proof is None or (record is not None and acl_proof is None):
-                raise ProtocolError("cannot assemble consistent proofs")
 
         with clock.step("module_verify"):
             secret = None
@@ -521,6 +508,7 @@ class Service:
             response = self.module.verify_container(
                 user_idx,
                 nonce,
+                idx,
                 resolved,
                 container_proof,
                 record=record.as_certificate() if record is not None else None,

@@ -27,17 +27,18 @@ class WireError(Exception):
 
 
 def u64_field(obj: dict, name: str) -> int:
-    """``obj[name]`` read with ``int()``; a value outside [0, 2^64) is a :class:`WireError`.
+    """``obj[name]``, which must be a JSON integer in [0, 2^64), else a :class:`WireError`.
 
     Every index, counter and version is an unsigned 64-bit integer in the
-    canonical encoding, so anything else is refused where it enters.
+    canonical encoding, so anything else is refused where it enters: a bool,
+    a float or a string is never read as a number.
     """
     try:
-        value = int(obj[name])
-    except (KeyError, ValueError, TypeError) as exc:
+        value = obj[name]
+    except (KeyError, TypeError) as exc:
         raise WireError(f"bad field {name!r}: {exc!r}") from exc
-    if not 0 <= value < 1 << 64:
-        raise WireError(f"field {name!r} is not a u64: {value}")
+    if type(value) is not int or not 0 <= value < 1 << 64:
+        raise WireError(f"field {name!r} is not a u64: {value!r:.40}")
     return value
 
 
@@ -65,7 +66,7 @@ def read_message(fp: IO[bytes]) -> Optional[dict]:
         raise WireError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or too deeply nested
         raise WireError(f"undecodable message: {exc}") from exc
     if not isinstance(obj, dict):
         raise WireError("message must be a JSON object")
@@ -86,7 +87,7 @@ def envelope_to_json(env: RequestEnvelope) -> dict:
 def envelope_from_json(obj: dict) -> RequestEnvelope:
     try:
         return RequestEnvelope(
-            kind=int(obj["kind"]),
+            kind=u64_field(obj, "kind"),
             idx=u64_field(obj, "idx"),
             counter=u64_field(obj, "counter"),
             value=bytes.fromhex(obj["value"]),
@@ -134,17 +135,17 @@ def response_from_json(obj: dict) -> VerifyResponse:
     try:
         if obj["kind"] == "denial":
             return VerifyResponse(
-                idx=int(obj["idx"]),
+                idx=u64_field(obj, "idx"),
                 nonce=bytes.fromhex(obj["nonce"]),
                 tag=bytes.fromhex(obj["tag"]),
             )
         return VerifyResponse(
-            idx=int(obj["idx"]),
+            idx=u64_field(obj, "idx"),
             nonce=bytes.fromhex(obj["nonce"]),
             tag=bytes.fromhex(obj["tag"]),
-            counter=int(obj["counter"]),
-            max_version=int(obj["max_version"]),
-            requested_version=int(obj["requested_version"]),
+            counter=u64_field(obj, "counter"),
+            max_version=u64_field(obj, "max_version"),
+            requested_version=u64_field(obj, "requested_version"),
             acl_root=bytes.fromhex(obj["acl_root"]),
             content_digest=bytes.fromhex(obj["content_digest"]),
         )

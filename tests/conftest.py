@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import random
 import secrets
 from typing import Mapping, Optional, Sequence
 
 import pytest
 
+import tcr.client
 from tcr.client import UserCredential
 from tcr.iomt import Geometry, Iomt, IomtError, Leaf, leaf_digest, left_child, right_child
 from tcr.merkle import Side, ZERO_DIGEST, parent
@@ -78,9 +81,77 @@ def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: i
     return nodes[0]
 
 
+def mutate_proof(rng: random.Random, proof):
+    """``proof``, a leaf and its complement path, with one bit flipped.
+
+    The bit is in one of the leaf's fields or in one sibling digest, or it is
+    the side of a non-zero sibling: ``parent`` ignores the side of a zero
+    sibling, so flipping that side would be no tamper.
+    """
+    leaf, path = proof
+    path = list(path)
+    spots = [("leaf", name) for name in ("idx", "next_idx", "val") if leaf is not None]
+    spots += [("digest", i) for i in range(len(path))]
+    spots += [("side", i) for i, (digest, _) in enumerate(path) if digest != ZERO_DIGEST]
+    kind, at = rng.choice(spots)
+    if kind == "leaf":
+        value = getattr(leaf, at)
+        if isinstance(value, int):
+            value ^= 1 << rng.randrange(64)
+        else:
+            value = _flip_bit(rng, value)
+        return dataclasses.replace(leaf, **{at: value}), path
+    digest, side = path[at]
+    path[at] = (_flip_bit(rng, digest), side) if kind == "digest" else (digest, Side(1 - side))
+    return leaf, path
+
+
+def _flip_bit(rng: random.Random, raw: bytes) -> bytes:
+    out = bytearray(raw)
+    out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+    return bytes(out)
+
+
 def acl_hints(service: Service, idx: int) -> dict:
     """The hints an INFO reply carries for container ``idx``, ACL leaves included."""
     return service._hints(service.storage.record_get(idx), service.acl_tree(idx))
+
+
+class _RecordingFile:
+    """File proxy that appends every chunk written and every line read to a list."""
+
+    def __init__(self, fp, transcript: list[bytes]) -> None:
+        self._fp, self._transcript = fp, transcript
+
+    def write(self, data: bytes) -> int:
+        self._transcript.append(data)
+        return self._fp.write(data)
+
+    def flush(self) -> None:
+        self._fp.flush()
+
+    def readline(self, *args) -> bytes:
+        line = self._fp.readline(*args)
+        self._transcript.append(line)
+        return line
+
+
+@pytest.fixture
+def wire_transcript(monkeypatch) -> list[bytes]:
+    """Every line the client sends or receives, newline included, as it crossed the socket.
+
+    Recorded around ``tcr.client``'s ``write_message`` and ``read_message``,
+    the hooks the benchmark's client tracing wraps as well; servers in the
+    same process read and write through their own, unrecorded, names.
+    """
+    transcript: list[bytes] = []
+    for name in ("write_message", "read_message"):
+
+        def recorded(fp, *args, _hook=getattr(tcr.client, name)):
+            return _hook(_RecordingFile(fp, transcript), *args)
+
+        monkeypatch.setattr(tcr.client, name, recorded)
+    return transcript
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from conftest import acl_hints, oracle_root, remove_placeholder
+from conftest import acl_hints, mutate_proof, oracle_root, remove_placeholder
 from tcr.bench import BenchConfig, run_bench
 from tcr.client import (
     RepositoryClient,
@@ -25,9 +25,9 @@ from tcr.client import (
     check_info_response,
     predicted_acl_root,
 )
-from tcr.iomt import Iomt, Leaf, counter_digest
+from tcr.iomt import Iomt, Leaf, counter_digest, counter_value
 from tcr.merkle import ZERO_DIGEST, hmac_sha256
-from tcr.module import Certificate, CertKind, ModuleState, RequestKind, TrustedModule
+from tcr.module import Certificate, ModuleState, RequestKind, TrustedModule, _read
 from tcr.server import RepositoryServer
 from tcr.service import ProtocolError, Service
 from tcr.storage import BlobSet, ContainerRecord, Storage, content_digest
@@ -103,9 +103,9 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_non_existence_completeness():
-    """Every absent index yields a verifying RV of value zero; present never do."""
+    """Every absent index reads as zero under the tree's root; a present one never does."""
     rng = random.Random(42)
-    module = TrustedModule(ModuleState.fresh({1: secrets.token_bytes(32)}))
+    key = secrets.token_bytes(32)
 
     for _ in range(100):
         tree = Iomt(3)
@@ -114,24 +114,25 @@ def test_criterion_2_non_existence_completeness():
             tree.upsert(idx, ZERO_DIGEST)
         for slot, leaf in list(tree.leaves()):
             tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(rng.randrange(1, 99))))
+        state = ModuleState.fresh({1: key})
+        state.root = tree.root
+        module = TrustedModule(state)
         present = set(indices)
         slots = dict(tree.leaves())
         for candidate in range(256):
             if candidate in present:
                 for slot, leaf in slots.items():
-                    proof = module.certify_record(
-                        leaf, tree.complement_path(slot), absent_idx=candidate
-                    )
-                    # Only the leaf's own RV: never one naming the present index as absent.
-                    assert proof.values == (leaf.idx, leaf.val, tree.root), (candidate, slot)
+                    value = _read((leaf, tree.complement_path(slot)), candidate, tree.root)
+                    # Only the leaf's own value: no leaf reads the present index as absent.
+                    own = counter_value(leaf.val) if leaf.idx == candidate else None
+                    assert value == own, (candidate, slot)
             else:
                 enc_slot, enc_leaf = tree.find_encloser(candidate)
-                proof = module.certify_record(
-                    enc_leaf, tree.complement_path(enc_slot), absent_idx=candidate
-                )
-                assert proof.kind == CertKind.RV
-                assert proof.values == (candidate, ZERO_DIGEST, tree.root)
-                assert module.certificate_valid(proof)
+                proof = (enc_leaf, tree.complement_path(enc_slot))
+                assert _read(proof, candidate, tree.root) == 0
+                nonce = secrets.token_bytes(32)
+                response = module.verify_container(1, nonce, candidate, 0, proof)
+                assert response.denied and response.idx == candidate
     print("\nACCEPTANCE 2 (non-existence completeness, 100 trees x 256 indices): PASS")
 
 
@@ -162,7 +163,7 @@ def _mutate_certificate(rng, cert: Certificate) -> Certificate:
 def test_criterion_3_tamper_detection(tmp_path):
     """Ten thousand single-bit mutations; every one is caught, none accepted."""
     rng = random.Random(3)
-    keys = {1: secrets.token_bytes(32), 2: secrets.token_bytes(32)}
+    keys = {1: secrets.token_bytes(32), 2: secrets.token_bytes(32), 3: secrets.token_bytes(32)}
     storage, service = _fresh_stack(tmp_path, keys)
     module = service.module
     cred = UserCredential(1, keys[1])
@@ -172,25 +173,39 @@ def test_criterion_3_tamper_detection(tmp_path):
 
     record = storage.record_get(10)
     version = storage.version_get(10, 1)
-    certificates = [
-        record.as_certificate(),
-        version.as_certificate(),
-        service._container_proof(10),
-        service._acl_proof(service.acl_tree(10), 1),
-        service._acl_proof(service.acl_tree(10), 99),  # absence: an RV of value zero
-    ]
+    certificates = [record.as_certificate(), version.as_certificate()]
+    container_proof = service._container_proof(10)
+    acl = service.acl_tree(10)
+    nonce = secrets.token_bytes(32)
+
+    def answer(user, container, acl_proof):
+        return module.verify_container(
+            user, nonce, 10, 1, container, record=record.as_certificate(),
+            acl_proof=acl_proof, version_cert=version.as_certificate(),
+        )
+
+    # Proofs for user 1 (level 3) and user 3, whose absence reads as level 0.
+    proofs = [(user, container_proof, service._acl_proof(acl, user)) for user in (1, 3)]
+    assert not answer(*proofs[0]).denied and answer(*proofs[1]).denied
     checked = 0
     rejected = 0
 
-    # Stored certificates: any bit flip must fail MAC verification.
+    # Stored certificates: any bit flip must fail MAC verification.  Proofs
+    # carry no MAC: any bit flip must fold to a root the module refuses.
     for _ in range(6000):
-        cert = rng.choice(certificates)
-        mutated = _mutate_certificate(rng, cert)
+        which = rng.randrange(3)
+        if which < 2:
+            rejected += not module.certificate_valid(_mutate_certificate(rng, certificates[which]))
+        else:
+            user, container, acl_proof = rng.choice(proofs)
+            if rng.randrange(2):
+                container = mutate_proof(rng, container)
+            else:
+                acl_proof = mutate_proof(rng, acl_proof)
+            rejected += answer(user, container, acl_proof) is None
         checked += 1
-        rejected += not module.certificate_valid(mutated)
 
     # Stored records: a tampered row cannot back a verifying response.
-    nonce = secrets.token_bytes(32)
     fields = ("counter", "version_count", "acl_root", "seal")
     for _ in range(2500):
         field = rng.choice(fields)
@@ -200,10 +215,11 @@ def test_criterion_3_tamper_detection(tmp_path):
         response = module.verify_container(
             1,
             nonce,
+            10,
             1,
-            service._container_proof(10),
+            container_proof,
             record=tampered.as_certificate(),
-            acl_proof=service._acl_proof(service.acl_tree(10), 1),
+            acl_proof=service._acl_proof(acl, 1),
             version_cert=version.as_certificate(),
         )
         checked += 1
@@ -263,7 +279,7 @@ def test_criterion_4_access_control(tmp_path):
         ) == Verdict.VERIFIED
 
         fetched = service.handle_fetch(10, 1, user, nonce=secrets.token_bytes(32))
-        can_fetch = not fetched.verify.response.denied
+        can_fetch = not fetched.response.denied
 
         outcomes[level] = (can_modify, can_admin, can_info, can_fetch)
 
@@ -319,7 +335,7 @@ def test_criterion_5_denial_and_version_availability(tmp_path):
     print("\nACCEPTANCE 5 (authenticated denial + version availability): PASS")
 
 
-def test_criterion_6_secret_confidentiality(tmp_path):
+def test_criterion_6_secret_confidentiality(tmp_path, wire_transcript):
     """A thousand secrets survive the full pipeline; none leak onto the wire."""
     from tcr.client import wrap_secret, xor_keystream
     from tcr.wire import envelope_to_json
@@ -328,11 +344,8 @@ def test_criterion_6_secret_confidentiality(tmp_path):
     storage, service = _fresh_stack(tmp_path, keys, height=6)
     server = RepositoryServer(("127.0.0.1", 0), service)
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    transcript: list[bytes] = []
     cred = UserCredential(1, keys[1])
-    client = RepositoryClient(
-        "127.0.0.1", server.server_address[1], cred, transcript=transcript
-    )
+    client = RepositoryClient("127.0.0.1", server.server_address[1], cred)
     client.create(10)
 
     plain = BlobSet(b"secret-image-payload", b"FROM base\n", b"services: {}\n")
@@ -365,7 +378,7 @@ def test_criterion_6_secret_confidentiality(tmp_path):
         assert outcome.verdict == Verdict.VERIFIED and outcome.encrypted
         assert outcome.blobs.image == plain.image
 
-    wire = b"\n".join(transcript)
+    wire = b"\n".join(wire_transcript)
     for secret in observed_secrets:
         assert secret.hex().encode() not in wire
         assert secret not in wire

@@ -72,9 +72,9 @@ def env(tmp_path, user_keys):
     storage.close()
 
 
-def client_for(server, keys, user, transcript=None) -> RepositoryClient:
+def client_for(server, keys, user) -> RepositoryClient:
     port = server.server_address[1]
-    return RepositoryClient("127.0.0.1", port, UserCredential(user, keys[user]), transcript=transcript)
+    return RepositoryClient("127.0.0.1", port, UserCredential(user, keys[user]))
 
 
 def per_block_keystream(secret: bytes, data: bytes) -> bytes:
@@ -167,7 +167,7 @@ class TestResponseChecks:
         alice.modify(7, IMAGE, BUILD, COMPOSE)
         alice.modify(7, IMAGE + b"2", BUILD, COMPOSE)
         nonce = secrets.token_bytes(32)
-        stale = server.service.handle_fetch(7, 1, 1, nonce=nonce).verify.response
+        stale = server.service.handle_fetch(7, 1, 1, nonce=nonce).response
         assert (stale.requested_version, stale.max_version) == (1, 2)
         # Asked for the latest (version 0), the service answers about version 1.
         assert check_info_response(alice.credential, stale, nonce, 7) == Verdict.INVALID
@@ -200,16 +200,15 @@ class TestWireFlows:
         assert outcome.blobs.build == BUILD
         assert outcome.blobs.compose == COMPOSE
 
-    def test_encrypted_round_trip_and_transcript_confidentiality(self, env):
+    def test_encrypted_round_trip_and_transcript_confidentiality(self, env, wire_transcript):
         server, keys = env
-        transcript: list[bytes] = []
-        alice = client_for(server, keys, 1, transcript=transcript)
+        alice = client_for(server, keys, 1)
         alice.create(11)
         alice.modify(11, IMAGE, BUILD, COMPOSE, encrypt=True)
         outcome = alice.fetch(11)
         assert outcome.verdict == Verdict.VERIFIED and outcome.encrypted
         assert outcome.blobs == BlobSet(IMAGE, BUILD, COMPOSE)
-        wire = b"\n".join(transcript)
+        wire = b"\n".join(wire_transcript)
         assert IMAGE.hex().encode() not in wire  # plaintext never crosses the wire
 
     def test_blobs_of_a_version_share_no_pad_bytes(self, env):
@@ -448,6 +447,34 @@ class TestMessageBound:
         assert client_for(server, keys, 2).info(3).verdict == Verdict.DENIED
 
 
+NONCE_HEX = "00" * 32
+MALFORMED_LINES = [
+    pytest.param(b'{"op":"INFO","payload":{"x":"\xff"}}\n', id="not-utf8"),
+    pytest.param(b"[" * 100_000 + b"\n", id="deeply-nested"),
+    pytest.param(b'{"op":"INFO","payload":{"idx":1e999,"requested_version":0,"nonce":"'
+                 + NONCE_HEX.encode() + b'","user":2}}\n', id="infinite-idx"),
+    pytest.param(b'{"op":"INFO","payload":{"idx":3.9,"requested_version":0,"nonce":"'
+                 + NONCE_HEX.encode() + b'","user":2}}\n', id="fractional-idx"),
+    pytest.param(b'{"op":"INFO","payload":{"idx":3,"requested_version":0,"nonce":"'
+                 + NONCE_HEX.encode() + b'","user":true}}\n', id="boolean-user"),
+    pytest.param(b'{"op":"CREATE","payload":{"kind":1e999,"idx":3,"counter":0,"value":"'
+                 + NONCE_HEX.encode() + b'","user":1,"sig":"' + NONCE_HEX.encode() + b'"}}\n',
+                 id="infinite-kind"),
+]
+
+
+class TestMalformedLines:
+    @pytest.mark.parametrize("line", MALFORMED_LINES)
+    def test_answered_as_an_error(self, env, capsys, line):
+        server, keys = env
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            sock.sendall(line)
+            reply = read_message(sock.makefile("rb"))
+        assert reply["status"] == STATUS_ERROR
+        assert client_for(server, keys, 2).info(3).verdict == Verdict.DENIED  # still serving
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestConnectionModel:
     def test_sequential_requests_reuse_the_handler_threads(self, env, monkeypatch):
         server, keys = env
@@ -565,8 +592,8 @@ STUB_KEY = bytes(range(32))
 @pytest.fixture
 def stub():
     """A loopback stand-in for a faulty service: ``replies[op](payload)`` gives
-    the ``(status, payload)`` each request is answered with, and ``lines``
-    collects every line received and sent, newline included."""
+    the ``(status, payload)`` each request is answered with, or the raw line,
+    and ``lines`` collects every line received and sent, newline included."""
     replies, lines = {}, []
 
     class Handler(socketserver.StreamRequestHandler):
@@ -574,11 +601,15 @@ def stub():
             line = self.rfile.readline()
             lines.append(line)
             message = json.loads(line)
-            status, payload = replies[message["op"]](message["payload"])
+            reply = replies[message["op"]](message["payload"])
             out = io.BytesIO()
-            wire.write_message(
-                out, {"request_id": message["request_id"], "status": status, "payload": payload}
-            )
+            if isinstance(reply, bytes):  # a raw line, sent as it is
+                out.write(reply)
+            else:
+                status, payload = reply
+                wire.write_message(
+                    out, {"request_id": message["request_id"], "status": status, "payload": payload}
+                )
             lines.append(out.getvalue())
             self.wfile.write(out.getvalue())
 
@@ -623,6 +654,17 @@ MALFORMED_REPLIES = [
                                                      "tag": "00"}})},
         id="info-short-nonce",
     ),
+    pytest.param(
+        "info",
+        {"INFO": lambda request: b'{"request_id":1,"status":"ok","payload":{"x":"\xff"}}\n'},
+        id="info-not-utf8",
+    ),
+    pytest.param(
+        "info",
+        {"INFO": answer(STATUS_DENIED, {"response": {"kind": "denial", "idx": float("inf"),
+                                                     "nonce": "00" * 32, "tag": "00" * 32}})},
+        id="info-infinite-idx",
+    ),
     pytest.param("fetch", {"FETCH": answer(STATUS_OK, {})}, id="fetch-without-response"),
     pytest.param(
         "fetch",
@@ -637,6 +679,10 @@ MALFORMED_REPLIES = [
     pytest.param(
         "modify", {"INFO": answer(STATUS_ERROR, {"hints": {"counter": "x"}})},
         id="modify-bad-counter-hint",
+    ),
+    pytest.param(
+        "modify", {"INFO": answer(STATUS_ERROR, {"hints": {"counter": float("inf")}})},
+        id="modify-infinite-counter-hint",
     ),
     pytest.param(
         "modify", {"INFO": COUNTER_HINT, "MODIFY": answer(STATUS_OK, {"ack": "zz"})},
@@ -691,17 +737,16 @@ class TestMalformedReplies:
             client.acl_set(5, 1000, 1)
         assert [json.loads(line).get("op") for line in lines[::2]] == ["INFO"]  # no ACL_SET sent
 
-    def test_transcript_holds_the_bytes_on_the_wire(self, stub):
+    def test_transcript_holds_the_bytes_on_the_wire(self, stub, wire_transcript):
+        # The recorder the confidentiality tests scan sees exactly the stub's lines.
         port, table, lines = stub
         table["INFO"] = COUNTER_HINT
         table["MODIFY"] = answer(STATUS_OK, {"ack": "00" * 32})
-        transcript: list[bytes] = []
-        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY),
-                                  transcript=transcript)
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
         with pytest.raises(RequestRejected, match="does not verify"):
             client.modify(5, IMAGE, BUILD, COMPOSE, encrypt=True)
         assert len(lines) == 4  # INFO and MODIFY, each with its reply
-        assert transcript == lines
+        assert wire_transcript == lines
 
 
 def encrypted_fetch_answer(tagged: bool):

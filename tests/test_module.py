@@ -10,7 +10,7 @@ import secrets
 import pytest
 
 import tcr.module
-from conftest import oracle_root
+from conftest import mutate_proof, oracle_root
 from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256, u64
 from tcr.module import (
@@ -21,6 +21,7 @@ from tcr.module import (
     RequestKind,
     StateIntegrityError,
     TrustedModule,
+    _read,
     load_state,
     save_state,
     secret_commitment,
@@ -113,54 +114,58 @@ class TestModuleState:
 
 
 class TestRecordVerify:
+    """A proof is a leaf and its complement path; the module reads it itself."""
+
     def test_pair_proves_absence(self):
-        module = fresh_module()
         tree = Iomt(3)
         for slot, leaf in enumerate(
             [Leaf(3, 4, counter_digest(1)), Leaf(1, 3, counter_digest(2)),
              Leaf(4, 7, counter_digest(3)), Leaf(7, 1, counter_digest(4))]
         ):
             tree.set_leaf(slot, leaf)
-        leaf = Leaf(4, 7, counter_digest(3))
-        proof = module.certify_record(leaf, tree.complement_path(2), absent_idx=5)
-        assert isinstance(proof, Certificate) and proof.kind == CertKind.RV
-        assert proof.values == (5, ZERO_DIGEST, tree.root)
-        assert module.certificate_valid(proof)
-        # Without an absent index, the same leaf proves only itself.
-        own = module.certify_record(leaf, tree.complement_path(2))
-        assert own.values == (4, counter_digest(3), tree.root)
+        proof = (Leaf(4, 7, counter_digest(3)), tree.complement_path(2))
+        assert _read(proof, 5, tree.root) == 0
+        # For its own index, the same leaf reads as its own value.
+        assert _read(proof, 4, tree.root) == 3
+        module = module_at(tree.root)
+        nonce = secrets.token_bytes(32)
+        response = module.verify_container(2, nonce, 5, 0, proof)
+        assert response.denied and response.idx == 5 and response.nonce == nonce
+        assert response.tag == hmac_sha256(response.tag_body(), KEYS[2])
 
     def test_tampered_leaf_refused(self):
-        # The RV for a leaf the store does not hold names a root the module refuses.
+        # A leaf the store does not hold folds to a root the module refuses.
         module = fresh_module()
         repo = ContainerFixture(module)
         repo.modify(1, sha256(b"v1"))
         slot, leaf = repo.tree.find_leaf(repo.idx)
         tampered = Leaf(leaf.idx, leaf.next_idx, counter_digest(99))
-        proof = module.certify_record(tampered, repo.tree.complement_path(slot))
+        proof = (tampered, repo.tree.complement_path(slot))
         snapshot = copy.deepcopy(module._state)
         response = module.verify_container(
-            1, secrets.token_bytes(32), 1, proof,
+            1, secrets.token_bytes(32), repo.idx, 1, proof,
             record=repo.record, acl_proof=repo.acl_proof(1), version_cert=repo.version_certs[1],
         )
         assert response is None
         assert module._state == snapshot
         assert repo.verify(1, secrets.token_bytes(32), 1) is not None  # the true leaf verifies
 
-    def test_non_enclosed_extra_index_yields_single(self):
-        module = fresh_module()
+    def test_non_enclosed_extra_index_reads_nothing(self):
+        # Leaf 3 links to 9: it encloses 4 to 8 only, and it is not 9 itself.
         tree = Iomt(3)
         tree.upsert(3, ZERO_DIGEST)
         tree.upsert(9, ZERO_DIGEST)
         slot, leaf = tree.find_leaf(3)
-        proof = module.certify_record(leaf, tree.complement_path(slot), absent_idx=9)
-        assert isinstance(proof, Certificate)
+        proof = (leaf, tree.complement_path(slot))
+        assert _read(proof, 9, tree.root) is None
+        assert _read(proof, 3, tree.root) == 0  # its own, placeholder, value
+        assert module_at(tree.root).verify_container(1, secrets.token_bytes(32), 9, 0, proof) is None
 
     def test_every_absent_index_of_random_trees(self):
         rng = random.Random(4)
-        module = fresh_module()
         for _ in range(5):
             tree = random_tree(rng, height=3, fill=6)
+            module = module_at(tree.root)
             present = {leaf.idx for _, leaf in tree.leaves()}
             for candidate in range(0, 40):
                 if candidate in present:
@@ -168,11 +173,10 @@ class TestRecordVerify:
                 found = tree.find_encloser(candidate)
                 assert found is not None
                 slot, leaf = found
-                path = tree.complement_path(slot)
-                proof = module.certify_record(leaf, path, absent_idx=candidate)
-                assert isinstance(proof, Certificate)
-                assert proof.values == (candidate, ZERO_DIGEST, tree.root)
-                assert module.certificate_valid(proof)
+                proof = (leaf, tree.complement_path(slot))
+                assert _read(proof, candidate, tree.root) == 0
+                response = module.verify_container(1, secrets.token_bytes(32), candidate, 0, proof)
+                assert response.denied and response.idx == candidate
 
 
 def module_at(root: bytes) -> TrustedModule:
@@ -448,15 +452,12 @@ class ContainerFixture:
 
     def container_proof(self):
         slot, leaf = self.tree.find_leaf(self.idx)
-        return self.module.certify_record(leaf, self.tree.complement_path(slot))
+        return leaf, self.tree.complement_path(slot)
 
     def acl_proof(self, user: int):
-        found = self.acl.find_leaf(user)
-        if found is not None:
-            slot, leaf = found
-            return self.module.certify_record(leaf, self.acl.complement_path(slot))
-        slot, leaf = self.acl.find_encloser(user)
-        return self.module.certify_record(leaf, self.acl.complement_path(slot), absent_idx=user)
+        """The user's ACL leaf, or the leaf enclosing its index, and its path."""
+        slot, leaf = self.acl.find_leaf(user) or self.acl.find_encloser(user)
+        return leaf, self.acl.complement_path(slot)
 
     def bump(self):
         """The container's slot, its leaf, that leaf's path, and the leaf counter-bumped."""
@@ -494,6 +495,7 @@ class ContainerFixture:
         return self.module.verify_container(
             user,
             nonce,
+            self.idx,
             requested_version,
             self.container_proof(),
             record=self.record,
@@ -560,9 +562,8 @@ class TestVerifyContainer:
         repo = ContainerFixture(module)
         tree = repo.tree
         slot, leaf = tree.find_encloser(55)
-        pair = module.certify_record(leaf, tree.complement_path(slot), absent_idx=55)
         nonce = secrets.token_bytes(32)
-        response = module.verify_container(2, nonce, 0, pair)
+        response = module.verify_container(2, nonce, 55, 0, (leaf, tree.complement_path(slot)))
         assert response is not None and response.denied
         assert response.idx == 55 and response.nonce == nonce
         assert response.tag == hmac_sha256(response.tag_body(), KEYS[2])
@@ -575,8 +576,7 @@ class TestVerifyContainer:
         denied = repo.verify(2, nonce, 1)  # user 2 has no ACL leaf
         assert denied is not None and denied.denied
         slot, leaf = repo.tree.find_encloser(55)
-        pair = module.certify_record(leaf, repo.tree.complement_path(slot), absent_idx=55)
-        absent = module.verify_container(2, nonce, 1, pair)
+        absent = module.verify_container(2, nonce, 55, 1, (leaf, repo.tree.complement_path(slot)))
         assert absent is not None and absent.denied
         assert {f for f in denied.__dataclass_fields__} == {f for f in absent.__dataclass_fields__}
         assert len(denied.tag) == len(absent.tag)
@@ -618,7 +618,7 @@ class TestVerifyContainer:
         stale_proof = repo.container_proof()
         repo.modify(1, sha256(b"v2"))
         response = module.verify_container(
-            1, secrets.token_bytes(32), 1, stale_proof,
+            1, secrets.token_bytes(32), repo.idx, 1, stale_proof,
             record=repo.record, acl_proof=repo.acl_proof(1),
             version_cert=repo.version_certs[1],
         )
@@ -751,15 +751,16 @@ class TestStateConfinement:
         repo.modify(1, sha256(b"v1"))
         snapshot = copy.deepcopy(module._state)
 
-        bad_cert = Certificate(CertKind.RV, (10, counter_digest(2), module.root), bytes(32))
         _, leaf, path, _ = repo.bump()
+        # A leaf claiming a higher counter than the store holds.
+        bad_proof = (Leaf(10, leaf.next_idx, counter_digest(3)), path)
         env = RequestEnvelope(RequestKind.CONTAINER, 10, 2, sha256(b"x"), 1, bytes(32))
         assert module.apply_request(env, leaf, path, repo.acl_proof(1), repo.record) is None
         signed = sign(1, RequestKind.CONTAINER, 10, 2, sha256(b"x"))
-        assert module.apply_request(signed, leaf, path, bad_cert, repo.record) is None
+        assert module.apply_request(signed, leaf, path, bad_proof, repo.record) is None
         create = sign(1, RequestKind.ACL, 11, 0, repo.acl_root)
         assert module.apply_request(create, leaf, path, slot_path=path) is None  # paths unchained
-        assert module.verify_container(1, secrets.token_bytes(32), 1, bad_cert) is None
+        assert module.verify_container(1, secrets.token_bytes(32), 10, 1, bad_proof) is None
         # Sound evidence and signature, but a secret that opens no commitment.
         assert repo.modify(1, sha256(b"v2"), secret=(bytes(32), bytes(32))) is None
 
@@ -767,68 +768,73 @@ class TestStateConfinement:
 
 
 class TestAbsenceForm:
-    """An absence RV has the shape of a placeholder's RV; only its root says which tree."""
+    """Absence in either tree reads as zero; only the root a proof folds to says which tree."""
 
     def test_acl_absence_refused_as_container_proof(self):
         module = fresh_module()
         repo = ContainerFixture(module)
         repo.modify(1, sha256(b"v1"))
         acl_absence = repo.acl_proof(2)  # user 2 has no ACL leaf
-        assert acl_absence.values == (2, ZERO_DIGEST, repo.acl_root)
+        assert _read(acl_absence, 2, repo.acl_root) == 0
         nonce = secrets.token_bytes(32)
         snapshot = copy.deepcopy(module._state)
-        assert module.verify_container(2, nonce, 1, acl_absence) is None
+        assert module.verify_container(2, nonce, 2, 1, acl_absence) is None
         assert module._state == snapshot
-        # Control: the container tree's own absence RV for index 2 is a denial.
+        # Control: the container tree's own absence proof for index 2 is a denial.
         slot, leaf = repo.tree.find_encloser(2)
-        absent = module.certify_record(leaf, repo.tree.complement_path(slot), absent_idx=2)
-        assert module.verify_container(2, nonce, 1, absent).denied
+        absent = (leaf, repo.tree.complement_path(slot))
+        assert module.verify_container(2, nonce, 2, 1, absent).denied
 
     def test_container_absence_refused_as_acl_proof(self):
         module = fresh_module()
         repo = ContainerFixture(module)
         repo.modify(1, sha256(b"v1"))
         slot, leaf = repo.tree.find_encloser(1)  # no container has index 1
-        absence = module.certify_record(leaf, repo.tree.complement_path(slot), absent_idx=1)
-        assert absence.values == (1, ZERO_DIGEST, module.root)
+        absence = (leaf, repo.tree.complement_path(slot))
+        assert _read(absence, 1, module.root) == 0
         snapshot = copy.deepcopy(module._state)
         response = module.verify_container(
-            1, secrets.token_bytes(32), 1, repo.container_proof(),
+            1, secrets.token_bytes(32), repo.idx, 1, repo.container_proof(),
             record=repo.record, acl_proof=absence, version_cert=repo.version_certs[1],
         )
-        assert response is None  # not even a denial: the RV proves another root
+        assert response is None  # not even a denial: the proof folds to another root
         assert module._state == snapshot
         _, leaf, path, _ = repo.bump()
         req = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v2"))
         assert module.apply_request(req, leaf, path, acl_proof=absence, record=repo.record) is None
         assert module._state == snapshot
-        # Control: the same request with the ACL tree's own RV is accepted.
+        # Control: the same request with the ACL tree's own proof is accepted.
         accepted = module.apply_request(
             req, leaf, path, acl_proof=repo.acl_proof(1), record=repo.record
         )
         assert accepted is not None
 
     def test_enclosed_and_empty_tree_absence_share_one_form(self):
-        module = fresh_module()
-        empty = Iomt(3)
-        from_empty = module.certify_record(None, empty.complement_path(0), absent_idx=5)
+        from_empty = (None, Iomt(3).complement_path(0))
         tree = Iomt(3)
         tree.upsert(3, counter_digest(1))
         tree.upsert(9, counter_digest(2))
         slot, leaf = tree.find_encloser(5)
-        from_leaf = module.certify_record(leaf, tree.complement_path(slot), absent_idx=5)
+        from_leaf = (leaf, tree.complement_path(slot))
+        nonce = secrets.token_bytes(32)
+        denials = []
         for proof, root in ((from_empty, ZERO_DIGEST), (from_leaf, tree.root)):
-            assert type(proof) is Certificate and proof.kind == CertKind.RV
-            assert proof.values == (5, ZERO_DIGEST, root)
-            assert module.certificate_valid(proof)
-        assert [type(v) for v in from_empty.values] == [type(v) for v in from_leaf.values]
-        assert len(from_empty.mac) == len(from_leaf.mac)
+            assert _read(proof, 5, root) == 0
+            denials.append(module_at(root).verify_container(2, nonce, 5, 0, proof))
+        assert all(d.denied for d in denials)
+        assert denials[0] == denials[1]  # one module key, so one and the same answer
+        # An empty slot's path folds to the root of a non-empty tree, yet
+        # ``leaf=None`` reads as absence only under the zero root.
+        empty_slot = next(s for s in range(8) if s not in dict(tree.leaves()))
+        hole = (None, tree.complement_path(empty_slot))
+        assert _read(hole, 5, tree.root) is None
+        assert module_at(tree.root).verify_container(2, nonce, 5, 0, hole) is None
 
 
 class TestSurface:
     def test_names_defined_by_the_module(self):
-        # Imports aside, every public name tcr.module defines; an absence
-        # proof is an RV certificate, so no second proof type belongs here.
+        # Imports aside, every public name tcr.module defines; a presence
+        # and an absence proof are both a RecordProof, read by one rule.
         defined = set()
         for node in ast.parse(inspect.getsource(tcr.module)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -843,6 +849,7 @@ class TestSurface:
             "Certificate",
             "ComplementPath",
             "ModuleState",
+            "RecordProof",
             "RequestEnvelope",
             "RequestKind",
             "StateIntegrityError",
@@ -860,7 +867,6 @@ class TestSurface:
         assert public == {
             "root",
             "certificate_valid",
-            "certify_record",
             "apply_request",
             "verify_container",
         }
@@ -868,9 +874,7 @@ class TestSurface:
     def test_certificate_kind_numbers_are_pinned(self):
         # The kind byte is under the MAC of every sealed record at rest, so a
         # renumbering would silently invalidate every existing store.
-        assert {kind.name: int(kind) for kind in CertKind} == {
-            "RV": 2, "CR": 5, "VR": 6,
-        }
+        assert {kind.name: int(kind) for kind in CertKind} == {"CR": 5, "VR": 6}
 
 
 class TestCertificateFuzzing:
@@ -879,11 +883,28 @@ class TestCertificateFuzzing:
         module = fresh_module()
         repo = ContainerFixture(module)
         repo.modify(1, sha256(b"v1"))
-        certs = [repo.record, repo.version_certs[1], repo.container_proof(), repo.acl_proof(1)]
-        for _ in range(500):
-            cert = rng.choice(certs)
-            mutated = mutate_certificate(rng, cert)
-            assert not module.certificate_valid(mutated)
+        certs = [repo.record, repo.version_certs[1]]
+        for _ in range(250):
+            assert not module.certificate_valid(mutate_certificate(rng, rng.choice(certs)))
+        # A proof carries no MAC: a flipped bit shows in the root it folds to.
+        nonce = secrets.token_bytes(32)
+
+        def answer(user, container_proof, acl_proof):
+            return module.verify_container(
+                user, nonce, repo.idx, 1, container_proof,
+                record=repo.record, acl_proof=acl_proof, version_cert=repo.version_certs[1],
+            )
+
+        # User 1 reads its own leaf, user 2 (no ACL leaf) the leaf enclosing it.
+        honest = [(user, repo.container_proof(), repo.acl_proof(user)) for user in (1, 2)]
+        assert not answer(*honest[0]).denied and answer(*honest[1]).denied
+        for _ in range(250):
+            user, container_proof, acl_proof = rng.choice(honest)
+            if rng.randrange(2):
+                container_proof = mutate_proof(rng, container_proof)
+            else:
+                acl_proof = mutate_proof(rng, acl_proof)
+            assert answer(user, container_proof, acl_proof) is None
 
 
 def mutate_certificate(rng: random.Random, cert):

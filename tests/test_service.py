@@ -81,14 +81,16 @@ class MovingClock(StepClock):
 
 
 class ModuleSpy:
-    """Stands in for the service's module and records each name looked up on it."""
+    """Stands in for the service's module and records each method looked up on it."""
 
     def __init__(self, module: TrustedModule) -> None:
         self.module, self.calls = module, []
 
     def __getattr__(self, name):
-        self.calls.append(name)
-        return getattr(self.module, name)
+        attr = getattr(self.module, name)
+        if callable(attr):  # reading the public root is no call
+            self.calls.append(name)
+        return attr
 
 
 class TestCreate:
@@ -177,7 +179,7 @@ class TestCreate:
 
 
 class TestWriteModuleCalls:
-    """A write makes one module call, and one more only to mint a missed ACL proof."""
+    """A write makes one module call, cold cache or warm: the module reads the ACL proof."""
 
     def test_create_modify_and_acl_set(self, service, credentials, monkeypatch):
         cred = credentials[1]
@@ -191,18 +193,41 @@ class TestWriteModuleCalls:
 
         assert calls(service.handle_create, signed_create(cred, 7)) == ["apply_request"]
         cold = calls(service.handle_modify, signed_modify(cred, 7, 1), BLOBS)
-        assert cold == ["certify_record", "apply_request"]
+        assert cold == ["apply_request"]
         assert calls(service.handle_modify, signed_modify(cred, 7, 2), BLOBS) == ["apply_request"]
-        # The grant proves user 1 under the ACL root the modifies proved it under.
+        # The grant reads user 1 under the ACL root the modifies read it under.
         grant = cred.sign_request(
             RequestKind.ACL, 7, 3, predicted_acl_root(acl_hints(service, 7), 2, 1)
         )
         assert calls(service.handle_acl_set, grant, 2, 1) == ["apply_request"]
-        # The grant moved the ACL root, so the next proof is minted afresh.
+        # The grant moved the ACL root, so the next proof is read afresh.
         regrant = cred.sign_request(
             RequestKind.ACL, 7, 4, predicted_acl_root(acl_hints(service, 7), 2, 2)
         )
-        assert calls(service.handle_acl_set, regrant, 2, 2) == ["certify_record", "apply_request"]
+        assert calls(service.handle_acl_set, regrant, 2, 2) == ["apply_request"]
+
+
+class TestQueryModuleCalls:
+    """A query makes one module call, cold cache or warm: the module reads every proof."""
+
+    def test_info_fetch_and_denial(self, service, credentials, monkeypatch):
+        cred = credentials[1]
+        assert service.handle_create(signed_create(cred, 7)) is not None
+        assert service.handle_modify(signed_modify(cred, 7, 1), BLOBS) is not None
+        spy = ModuleSpy(service.module)
+        monkeypatch.setattr(service, "module", spy)
+        queries = {
+            "info": lambda: service.handle_info(7, 0, secrets.token_bytes(32), 1),
+            "fetch": lambda: service.handle_fetch(7, 0, 1, nonce=secrets.token_bytes(32)),
+            "no access": lambda: service.handle_info(7, 0, secrets.token_bytes(32), 2),
+            "absent": lambda: service.handle_fetch(55, 0, 2, nonce=secrets.token_bytes(32)),
+        }
+        for name, query in queries.items():
+            for cache in ("cold", "warm"):
+                spy.calls.clear()
+                denied = query().response.denied
+                assert denied == (name in ("no access", "absent"))
+                assert spy.calls == ["verify_container"], (name, cache)
 
 
 class TestModify:
@@ -382,11 +407,12 @@ class TestInfo:
         assert check_info_response(credentials[2], info.response, nonce, 55) == Verdict.DENIED
 
     def test_empty_tree_absence_proof_useless_after_first_create(self, service, credentials):
-        # A zero-root absence certificate stops verifying the moment the
+        # An empty tree's absence proof stops reading the moment the
         # repository is no longer empty.
         stale = service._container_proof(55)
+        assert service.module.verify_container(2, secrets.token_bytes(32), 55, 0, stale).denied
         service.handle_create(signed_create(credentials[1], 7))
-        response = service.module.verify_container(2, secrets.token_bytes(32), 0, stale)
+        response = service.module.verify_container(2, secrets.token_bytes(32), 55, 0, stale)
         assert response is None
 
     def test_version_zero_resolves_latest(self, service, credentials):
@@ -449,12 +475,12 @@ class TestFetch:
         service.handle_create(signed_create(cred, 7))
         service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
         fetched = service.handle_fetch(7, 0, 1, nonce=secrets.token_bytes(32))
-        assert fetched.blobs == BLOBS and fetched.verify.response.requested_version == 1
+        assert fetched.blobs == BLOBS and fetched.response.requested_version == 1
         nonce = secrets.token_bytes(32)
         info = service.handle_info(7, 1, nonce, 1)
         assert check_info_response(credentials[1], info.response, nonce, 7) == Verdict.VERIFIED
         recomputed = content_digest(fetched.blobs.hashes(), fetched.secret_commitment)
-        assert recomputed == info.response.content_digest == fetched.verify.response.content_digest
+        assert recomputed == info.response.content_digest == fetched.response.content_digest
 
     @pytest.fixture
     def path_reads(self, monkeypatch):
@@ -477,7 +503,7 @@ class TestFetch:
         nonce = secrets.token_bytes(32)
         clock = StepClock()
         fetched = service.handle_fetch(7, 0, 1, nonce=nonce, clock=clock)
-        assert check_info_response(cred, fetched.verify.response, nonce, 7) == Verdict.VERIFIED
+        assert check_info_response(cred, fetched.response, nonce, 7) == Verdict.VERIFIED
         assert fetched.blobs == BLOBS
         # One container path serves the answer and the content; the modify
         # left the owner's ACL proof cached under the ACL root.
@@ -492,7 +518,7 @@ class TestFetch:
         path_reads.clear()
         nonce = secrets.token_bytes(32)
         fetched = cold.handle_fetch(7, 0, 1, nonce=nonce)
-        assert check_info_response(cred, fetched.verify.response, nonce, 7) == Verdict.VERIFIED
+        assert check_info_response(cred, fetched.response, nonce, 7) == Verdict.VERIFIED
         assert fetched.blobs == BLOBS
         # One container path and one ACL path serve the answer and the content.
         assert len(path_reads) == 2
@@ -508,12 +534,12 @@ class TestFetch:
             dataclasses.replace(fetched.blobs, image=bytes(tampered)).hashes(),
             fetched.secret_commitment,
         )
-        assert recomputed != fetched.verify.response.content_digest
+        assert recomputed != fetched.response.content_digest
 
     def test_absent_content_is_denied(self, service, credentials):
         nonce = secrets.token_bytes(32)
         fetched = service.handle_fetch(99, 0, 1, nonce=nonce)
-        assert check_info_response(credentials[1], fetched.verify.response, nonce, 99) == Verdict.DENIED
+        assert check_info_response(credentials[1], fetched.response, nonce, 99) == Verdict.DENIED
         assert fetched.blobs is None and fetched.secret_commitment is None
 
     def test_unauthorized_fetch_of_encrypted_yields_no_secret(self, service, credentials):
@@ -526,8 +552,8 @@ class TestFetch:
         service.handle_modify(env, cipher, wrapped_secret=wrapped, secret_commitment=commitment)
         nonce = secrets.token_bytes(32)
         fetched = service.handle_fetch(7, 1, 3, nonce=nonce)  # user 3 has no access
-        assert check_info_response(credentials[3], fetched.verify.response, nonce, 7) == Verdict.DENIED
-        assert fetched.verify.response.sealed_for_user is None
+        assert check_info_response(credentials[3], fetched.response, nonce, 7) == Verdict.DENIED
+        assert fetched.response.sealed_for_user is None
         assert fetched.blobs is None  # not even the ciphertext
 
 
@@ -553,7 +579,7 @@ class TestStatementCounts:
         def fetch(service, idx, user):
             fetched = service.handle_fetch(idx, 0, user, nonce=nonce)
             assert fetched.blobs is not None
-            return fetched.verify.response
+            return fetched.response
 
         # user 2 holds no access, so its query is a denial
         cases = [
@@ -642,7 +668,7 @@ class TestEpochSafety:
         record = service.storage.record_get(7)
         service.handle_modify(signed_modify(cred, 7, 2), BLOBS)
         response = service.module.verify_container(
-            1, secrets.token_bytes(32), 1, stale_proof,
+            1, secrets.token_bytes(32), 7, 1, stale_proof,
             record=record.as_certificate(),
             acl_proof=service._acl_proof(service.acl_tree(7), 1),
             version_cert=service.storage.version_get(7, 1).as_certificate(),
