@@ -1,7 +1,8 @@
 """Command-line client.
 
 Exit codes: 0 verified, 2 authenticated denial, 3 invalid proof or detected
-misbehavior, 4 protocol error or an unreadable local input.
+misbehavior, 4 protocol error, an unreadable local input, or verified content
+that cannot be written out.
 """
 
 from __future__ import annotations
@@ -125,10 +126,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "fetch":
             outcome = client.fetch(args.index, args.version)
             if outcome.verdict == Verdict.VERIFIED:
-                args.out.mkdir(parents=True, exist_ok=True)
-                (args.out / "image").write_bytes(outcome.blobs.image)
-                (args.out / "build").write_bytes(outcome.blobs.build)
-                (args.out / "compose").write_bytes(outcome.blobs.compose)
+                try:
+                    args.out.mkdir(parents=True, exist_ok=True)
+                    for name in ("image", "build", "compose"):
+                        (args.out / name).write_bytes(getattr(outcome.blobs, name))
+                except OSError as exc:
+                    print(f"verified, but cannot write {exc.filename}: {exc.strerror}",
+                          file=sys.stderr)
+                    return EXIT_PROTOCOL
                 print(f"verified version {outcome.version} written to {args.out}")
             elif outcome.verdict == Verdict.DENIED:
                 print(f"container {args.index}: authenticated denial")

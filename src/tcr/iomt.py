@@ -243,7 +243,7 @@ class Iomt:
         """Write a leaf and the h+1 nodes from it to the root in one batch.
 
         Returns the slot's complement path, which the write leaves unchanged,
-        so a certificate for the edit needs no second read.  A caller that
+        so the module can fold the edit's path with no second read.  A caller that
         already holds that path passes it as ``path`` and nothing is read.
         """
         if path is None:

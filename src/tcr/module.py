@@ -1,14 +1,14 @@
-"""The trusted module: sealed repository root, certificates, and procedures.
+"""The trusted module: sealed repository root, sealed rows, and procedures.
 
 This is the only code that may mutate the repository root or touch the
-module secret and user keys.  Everything it emits is either a certificate
-(the seal of a container or version record the store keeps at rest) or a
-user-facing value MACed under that user's shared key.
+module secret and user keys.  Everything it emits is either a sealed row
+(a container or version record the store keeps at rest, with the module's
+MAC over its fields) or a user-facing value MACed under that user's shared key.
 
 Every root the module names or moves to is folded in here from a leaf and
 its complement path: ``verify_container`` and ``apply_request`` fold each
 tree read they are given, and ``apply_request`` folds the edited leaf's path
-before and after the edit.  A procedure re-verifies each seal's MAC before
+before and after the edit.  A procedure re-verifies a row's seal before
 trusting a single field.  Rejections return ``None`` and leave the state
 bit-identical.
 """
@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 from .iomt import Leaf, counter_digest, counter_value, encloses, leaf_digest
 from .merkle import (
     DIGEST_SIZE,
-    FieldValue,
     Side,
     ZERO_DIGEST,
     compute_root,
@@ -37,19 +36,6 @@ from .merkle import (
     u64,
 )
 
-
-class CertKind(IntEnum):
-    # The numbers are under every sealed record's MAC: never renumber them.
-    # 1 to 4 named certificates since retired (2 was record verify): never reuse them.
-    CR = 5  # container record seal
-    VR = 6  # version record seal
-
-
-CERT_SCHEMAS: dict[int, tuple[str, ...]] = {
-    CertKind.CR: ("u64", "u64", "u64", "d32"),
-    CertKind.VR: ("u64", "u64", "d32"),
-}
-
 # Leading tags for user-facing MAC bodies, so a tag minted for one purpose
 # can never verify as another.
 _TAG_REQUEST = 0x20
@@ -57,19 +43,47 @@ _TAG_DENIAL = 0x21
 _TAG_FULL = 0x22
 
 
-def _cert_body(kind: int, values: Sequence[FieldValue]) -> bytes:
-    """Canonical bytes a certificate's MAC covers: the kind, then its fields."""
-    schema = CERT_SCHEMAS.get(kind)
-    if schema is None:
-        raise ValueError(f"unknown certificate kind {kind}")
-    return encode_fields(("u8",) + schema, (int(kind),) + tuple(values))
+@dataclass(frozen=True)
+class ContainerRecord:
+    """A container's row at rest; ``seal`` is the module's MAC over the other fields."""
+
+    idx: int
+    counter: int
+    version_count: int
+    acl_root: bytes
+    seal: bytes = b""
 
 
 @dataclass(frozen=True)
-class Certificate:
-    kind: int
-    values: tuple[FieldValue, ...]
-    mac: bytes
+class VersionRecord:
+    """A version's row at rest.  ``seal`` covers ``idx``, ``version`` and
+    ``content_digest``; the content digest covers the secret commitment, which
+    the wrapped secret must open before the module releases it."""
+
+    idx: int
+    version: int
+    secret_commitment: bytes  # zero for unencrypted versions
+    wrapped_secret: bytes  # zero for unencrypted versions
+    content_digest: bytes
+    seal: bytes = b""
+    hashes: tuple[bytes, ...] = ()  # addresses of the image, build and compose blobs
+
+
+def _sealed_body(row) -> bytes:
+    """The bytes a row's seal covers: a domain byte, then the row's sealed fields.
+
+    The domain byte keeps one row type's seal from verifying as the other's.
+    Rows at rest are sealed under 5 and 6, and 1 to 4 named certificates
+    since retired: 1 to 6 must never be renumbered or reused.
+    """
+    if type(row) is ContainerRecord:
+        fields = (5, row.idx, row.counter, row.version_count, row.acl_root)
+        return encode_fields(("u8", "u64", "u64", "u64", "d32"), fields)
+    if type(row) is VersionRecord:
+        fields = (6, row.idx, row.version, row.content_digest)
+        return encode_fields(("u8", "u64", "u64", "d32"), fields)
+    raise TypeError(f"{type(row).__name__} is not a sealed row")
+
 
 # Sibling digests from a leaf up to the root, each with the side it occupies.
 ComplementPath = Sequence[tuple[bytes, Side]]
@@ -133,10 +147,11 @@ class RequestEnvelope:
 
 @dataclass(frozen=True)
 class UpdateResult:
-    record_cert: Certificate
-    version_cert: Optional[Certificate]
+    """The container's new sealed row and, for a content update, the new version's."""
+
+    record: ContainerRecord
+    version: Optional[VersionRecord]  # its secret sealed under the module; no blob addresses
     ack: bytes
-    sealed_secret: Optional[bytes] = None  # an accepted content update's secret, sealed
 
 
 @dataclass(frozen=True)
@@ -195,9 +210,9 @@ class ModuleState:
                 raise ValueError("user keys must map u64 indices to 32-byte keys")
         return cls(root=ZERO_DIGEST, secret=secrets.token_bytes(DIGEST_SIZE), user_keys=dict(user_keys))
 
-    def seal(self, kind: int, values: Sequence[FieldValue]) -> bytes:
-        """MAC of the certificate ``(kind, values)`` under the module secret."""
-        return hmac_sha256(_cert_body(kind, values), self.secret)
+    def seal(self, row) -> bytes:
+        """MAC of a container or version row's sealed fields under the module secret."""
+        return hmac_sha256(_sealed_body(row), self.secret)
 
 
 def save_state(state: ModuleState, path: Path | str) -> None:
@@ -288,45 +303,32 @@ class TrustedModule:
         """Current repository root; public, but only mutable in here."""
         return self._state.root
 
-    # -- certificate plumbing -------------------------------------------------
+    # -- sealed rows ------------------------------------------------------------
 
-    def _issue(self, kind: CertKind, values: Sequence[FieldValue]) -> Certificate:
-        fields = tuple(values)
-        return Certificate(kind, fields, self._state.seal(kind, fields))
+    def _sealed(self, row):
+        return replace(row, seal=self._state.seal(row))
 
-    def _cert_ok(self, cert, kind: Optional[CertKind] = None) -> bool:
-        if not isinstance(cert, Certificate):
-            return False
-        if kind is not None and cert.kind != kind:
+    def _seal_ok(self, row, row_type: type) -> bool:
+        """Whether ``row`` is a ``row_type`` whose fields encode and whose seal verifies."""
+        if type(row) is not row_type:
             return False
         try:
-            expected = self._state.seal(cert.kind, cert.values)
+            return macs_equal(row.seal, self._state.seal(row))
         except (ValueError, TypeError):
             return False
-        return macs_equal(cert.mac, expected)
-
-    def certificate_valid(self, cert: Certificate) -> bool:
-        """Whether a certificate verifies under the module secret."""
-        with self._lock:
-            return self._cert_ok(cert)
 
     def _access(
-        self, record: Optional[Certificate], acl_proof: Optional[RecordProof], idx: int,
+        self, record: Optional[ContainerRecord], acl_proof: Optional[RecordProof], idx: int,
         counter: int, user_idx: int,
-    ) -> Optional[tuple[int, bytes, int]]:
-        """Check a sealed container record against ``(idx, counter)`` and read
-        the caller's level from the ACL tree that record names.
-
-        Returns ``(version_count, acl_root, level)``, or ``None`` when the seal
-        fails, the record disagrees, or the proof does not read under its root.
-        """
-        if not self._cert_ok(record, CertKind.CR):
+    ) -> Optional[int]:
+        """The caller's level, read under the ACL root of a sealed container
+        record that matches ``(idx, counter)``; ``None`` if the seal fails, the
+        record disagrees, or the proof does not read under that root."""
+        if not self._seal_ok(record, ContainerRecord):
             return None
-        c_idx, c_ctr, c_ver, acl_root = record.values
-        if c_idx != idx or c_ctr != counter:
+        if record.idx != idx or record.counter != counter:
             return None  # inconsistent evidence
-        level = _read(acl_proof, user_idx, acl_root)
-        return None if level is None else (c_ver, acl_root, level)
+        return _read(acl_proof, user_idx, record.acl_root)
 
     # -- procedures -------------------------------------------------------------
 
@@ -336,14 +338,14 @@ class TrustedModule:
         leaf: Optional[Leaf],
         path: Optional[ComplementPath],
         acl_proof: Optional[RecordProof] = None,
-        record: Optional[Certificate] = None,
+        record: Optional[ContainerRecord] = None,
         secret: Optional[tuple[bytes, bytes]] = None,
         slot_path: Optional[ComplementPath] = None,
     ) -> Optional[UpdateResult]:
         """Apply a signed user request: creation, content update, or ACL update.
 
         Updates pass the container's ``leaf`` and its complement ``path``,
-        the sealed container record, and ``acl_proof``, which reads the
+        the container's sealed record, and ``acl_proof``, which reads the
         caller's level under that record's ACL root (2+ to modify content, 3
         to modify the ACL).  A content update's ``secret`` (the container
         secret padded under the caller's key for ``(idx, counter)``, and its
@@ -354,8 +356,8 @@ class TrustedModule:
         relinked; the relinked encloser must fold to the root of that empty
         slot, so the two roots differ by one placeholder.  Every acceptance
         ends in one tail: it seals the record ``(idx, ctr + 1, versions,
-        acl_root)`` and moves the root once, to the fold of the leaf with its
-        counter incremented.
+        acl_root)`` (and a content update's version row) and moves the root
+        once, to the fold of the leaf with its counter incremented.
         """
         with self._lock:
             key = self._state.user_keys.get(request.user_idx)
@@ -367,7 +369,7 @@ class TrustedModule:
             if not macs_equal(request.sig, hmac_sha256(request.signed_body(), key)):
                 return None
 
-            root, version_cert, sealed = self._state.root, None, None
+            root, version = self._state.root, None
             if creating:
                 if leaf is None:  # only an empty repository has no encloser
                     chained = root == ZERO_DIGEST == _fold(None, slot_path)
@@ -386,27 +388,30 @@ class TrustedModule:
                     return None  # not this request's leaf under the sealed root
                 ctr, next_idx = counter_value(leaf.val), leaf.next_idx
                 # A value that is no counter matches no sealed record.
-                checked = self._access(record, acl_proof, request.idx, ctr, request.user_idx)
-                if checked is None or request.counter != ctr:
+                access = self._access(record, acl_proof, request.idx, ctr, request.user_idx)
+                if access is None or request.counter != ctr:
                     return None
-                versions, acl_root, access = checked
+                versions, acl_root = record.version_count, record.acl_root
                 if request.kind == RequestKind.CONTAINER and access >= 2:
+                    commitment = sealed = ZERO_DIGEST
                     if secret is not None:
                         pad = hmac_sha256(encode_fields(("u64", "u64"), (request.idx, ctr)), key)
                         sealed = _repad(*secret, pad, request.idx, self._state.secret)
                         if sealed is None:
                             return None
+                        commitment = secret[1]
                     versions += 1
-                    version_cert = self._issue(CertKind.VR, (request.idx, versions, request.value))
+                    row = VersionRecord(request.idx, versions, commitment, sealed, request.value)
+                    version = self._sealed(row)
                 elif request.kind == RequestKind.ACL and access >= 3:
                     acl_root = request.value  # the version count stays
                 else:
                     return None  # insufficient permissions
 
-            record_cert = self._issue(CertKind.CR, (request.idx, ctr + 1, versions, acl_root))
+            sealed_record = self._sealed(ContainerRecord(request.idx, ctr + 1, versions, acl_root))
             ack = hmac_sha256(request.ack_body(), key)
             self._state.root = _fold(Leaf(request.idx, next_idx, counter_digest(ctr + 1)), path)
-            return UpdateResult(record_cert, version_cert, ack, sealed)
+            return UpdateResult(sealed_record, version, ack)
 
     def verify_container(
         self,
@@ -415,10 +420,10 @@ class TrustedModule:
         idx: int,
         requested_version: int,
         container_proof: RecordProof,
-        record: Optional[Certificate] = None,
+        record: Optional[ContainerRecord] = None,
         acl_proof: Optional[RecordProof] = None,
-        version_cert: Optional[Certificate] = None,
-        secret: Optional[tuple[bytes, bytes]] = None,
+        version: Optional[VersionRecord] = None,
+        release: bool = False,
     ) -> Optional[VerifyResponse]:
         """Answer an information query about ``idx`` with a MACed response or denial.
 
@@ -427,9 +432,9 @@ class TrustedModule:
         denial for an absent container and the denial for a caller with zero
         access are built identically, so the caller cannot tell the two apart.
         ``None`` means the supplied evidence itself was bad, which
-        distinguishes service misbehavior from an authenticated denial.  A
-        full response carries ``secret`` (a sealed secret and its commitment)
-        re-padded for the caller if the commitment opens.
+        distinguishes service misbehavior from an authenticated denial.  With
+        ``release``, a full response carries the ``version`` row's sealed
+        secret re-padded for the caller, if it opens the row's commitment.
         """
         with self._lock:
             key = self._state.user_keys.get(user_idx)
@@ -441,31 +446,24 @@ class TrustedModule:
             if ctr == 0:
                 return self._denial(idx, nonce, key)
 
-            checked = self._access(record, acl_proof, idx, ctr, user_idx)
-            if checked is None:
+            access = self._access(record, acl_proof, idx, ctr, user_idx)
+            if access is None:
                 return None
-            c_ver, acl_root, access = checked
             if access == 0:
                 return self._denial(idx, nonce, key)
 
-            if not self._cert_ok(version_cert, CertKind.VR):
+            if not self._seal_ok(version, VersionRecord):
                 return None
-            v_idx, version, content_digest = version_cert.values
-            if v_idx != idx or version != requested_version:
+            if version.idx != idx or version.version != requested_version:
                 return None
-            sealed_for_user = None
-            if secret is not None:
-                sealed_for_user = _repad(*secret, sha256(secret[1] + self._state.secret), idx, key)
+            sealed_for_user, commitment = None, version.secret_commitment
+            if release and version.wrapped_secret != ZERO_DIGEST:
+                pad = sha256(commitment + self._state.secret)
+                sealed_for_user = _repad(version.wrapped_secret, commitment, pad, idx, key)
             response = VerifyResponse(
-                idx=idx,
-                nonce=nonce,
-                tag=b"",
-                counter=ctr,
-                max_version=c_ver,
-                requested_version=requested_version,
-                acl_root=acl_root,
-                content_digest=content_digest,
-                sealed_for_user=sealed_for_user,
+                idx=idx, nonce=nonce, tag=b"", counter=ctr, max_version=record.version_count,
+                requested_version=requested_version, acl_root=record.acl_root,
+                content_digest=version.content_digest, sealed_for_user=sealed_for_user,
             )
             return self._tagged(response, key)
 

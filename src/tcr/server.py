@@ -22,8 +22,8 @@ from typing import Optional
 
 from .iomt import IomtError
 from .module import ModuleState, StateIntegrityError, TrustedModule, load_state, save_state
-from .service import ProtocolError, Service
-from .storage import Storage, StorageError
+from .service import DEFAULT_ACL_HEIGHT, ProtocolError, Service
+from .storage import MAX_HEIGHT, Storage, StorageError
 from .wire import (
     STATUS_DENIED,
     STATUS_ERROR,
@@ -148,7 +148,7 @@ class RepositoryServer(socketserver.TCPServer):
             )
             if result is None:
                 return STATUS_REJECTED, {}
-            return STATUS_OK, {"ack": result.ack.hex(), "version": result.version_cert.values[1]}
+            return STATUS_OK, {"ack": result.ack.hex(), "version": result.version.version}
 
         if op == "ACL_SET":
             result = service.handle_acl_set(
@@ -266,10 +266,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--module-state", required=True, help="sealed module state file")
     parser.add_argument("--height", type=int, required=True, help="container tree height")
     parser.add_argument("--data-dir", required=True, help="content-addressed blob directory")
-    parser.add_argument("--acl-height", type=int, default=8)
+    parser.add_argument("--acl-height", type=int, default=DEFAULT_ACL_HEIGHT)
     parser.add_argument("--users", type=Path, default=None,
                         help="JSON user-key map for first-run provisioning")
     args = parser.parse_args(argv)
+    for flag, height in (("--height", args.height), ("--acl-height", args.acl_height)):
+        if not 0 <= height <= MAX_HEIGHT:
+            raise SystemExit(f"{flag} {height} is outside 0..{MAX_HEIGHT}")
 
     state_path = Path(args.module_state)
     state = _load_or_init_state(state_path, args.users)

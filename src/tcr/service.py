@@ -31,28 +31,22 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value, leaf_digest
 from .merkle import ZERO_DIGEST
 from .module import (
+    ContainerRecord,
     RecordProof,
     RequestEnvelope,
     RequestKind,
     TrustedModule,
     UpdateResult,
     VerifyResponse,
-)
-from .storage import (
-    BlobSet,
-    ContainerRecord,
-    Storage,
     VersionRecord,
-    bulk_prepopulate,
-    content_digest,
-    initial_acl_leaf,
 )
+from .storage import BlobSet, Storage, bulk_prepopulate, content_digest, initial_acl_leaf
 
 DEFAULT_ACL_HEIGHT = 8
 # Room for every ACL root in use and its callers' proofs; proofs for absent
@@ -287,8 +281,7 @@ class Service:
             if result is None:
                 raise _Rejected()
         with clock.step("persist_records"):
-            cert = result.record_cert
-            self.storage.record_put(ContainerRecord(*cert.values, seal=cert.mac))
+            self.storage.record_put(result.record)
         return result
 
     def _existing(
@@ -375,21 +368,11 @@ class Service:
                 acl_proof = self._acl_proof(self._acl_view(record), req.user_idx)
 
             result = self._apply(
-                req, leaf, path, clock, acl_proof=acl_proof, record=record.as_certificate(),
+                req, leaf, path, clock, acl_proof=acl_proof, record=record,
                 secret=None if wrapped_secret is None else (wrapped_secret, commitment),
             )
             with clock.step("persist_records"):
-                self.storage.version_put(
-                    VersionRecord(
-                        idx=req.idx,
-                        version=result.version_cert.values[1],
-                        secret_commitment=commitment,
-                        wrapped_secret=result.sealed_secret or ZERO_DIGEST,
-                        content_digest=digest,
-                        seal=result.version_cert.mac,
-                        hashes=hashes,
-                    )
-                )
+                self.storage.version_put(replace(result.version, hashes=hashes))
             return result
         return None
 
@@ -422,9 +405,7 @@ class Service:
                 if new_acl_root != req.value:
                     raise ProtocolError("request signature names a different ACL root: stale view")
 
-            result = self._apply(
-                req, leaf, path, clock, acl_proof=acl_proof, record=record.as_certificate()
-            )
+            result = self._apply(req, leaf, path, clock, acl_proof=acl_proof, record=record)
             with clock.step("persist_records"):
                 self.storage.acl_put(req.idx, acl.leaves())
             return result
@@ -484,7 +465,7 @@ class Service:
         """Look up the rows, read the proofs and ask the module for its answer.
 
         A version of 0 is resolved here to the latest stored version.  With
-        ``release``, the version's sealed secret goes to the module as well.
+        ``release``, the module re-pads the version's sealed secret for the caller.
         """
         with clock.step("record_lookup"):
             record = self.storage.record_get(idx)
@@ -502,19 +483,9 @@ class Service:
                 acl_proof = self._acl_proof(acl, user_idx)
 
         with clock.step("module_verify"):
-            secret = None
-            if release and version_row is not None and version_row.wrapped_secret != ZERO_DIGEST:
-                secret = (version_row.wrapped_secret, version_row.secret_commitment)
             response = self.module.verify_container(
-                user_idx,
-                nonce,
-                idx,
-                resolved,
-                container_proof,
-                record=record.as_certificate() if record is not None else None,
-                acl_proof=acl_proof,
-                version_cert=version_row.as_certificate() if version_row is not None else None,
-                secret=secret,
+                user_idx, nonce, idx, resolved, container_proof,
+                record=record, acl_proof=acl_proof, version=version_row, release=release,
             )
         if response is None:
             # Typically an unattestable version number.  Reveal hints only to

@@ -29,9 +29,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .iomt import Geometry, Leaf, counter_digest, encloses, leaf_digest, node_levels
 from .merkle import ZERO_DIGEST, sha256
-from .module import CertKind, Certificate, ModuleState
+from .module import ContainerRecord, ModuleState, VersionRecord
 
 SCHEMA_VERSION = 3
+
+# The tallest container tree the node table can address: a taller tree's node
+# positions pass sqlite's signed 64-bit integer key.
+MAX_HEIGHT = 62
 
 # Names the cipher an encrypted version's blobs were written under.  The
 # client keys its keystream with it and every encrypted version's content
@@ -49,34 +53,6 @@ class VersionExistsError(StorageError):
 
 class StoreNotEmptyError(StorageError):
     pass
-
-
-@dataclass(frozen=True)
-class ContainerRecord:
-    idx: int
-    counter: int
-    version_count: int
-    acl_root: bytes
-    seal: bytes  # module MAC over (idx, counter, version_count, acl_root); opaque here
-
-    def as_certificate(self) -> Certificate:
-        return Certificate(
-            CertKind.CR, (self.idx, self.counter, self.version_count, self.acl_root), self.seal
-        )
-
-
-@dataclass(frozen=True)
-class VersionRecord:
-    idx: int
-    version: int
-    secret_commitment: bytes  # zero for unencrypted versions
-    wrapped_secret: bytes  # zero for unencrypted versions
-    content_digest: bytes
-    seal: bytes
-    hashes: tuple[bytes, bytes, bytes]  # addresses of the image, build and compose blobs
-
-    def as_certificate(self) -> Certificate:
-        return Certificate(CertKind.VR, (self.idx, self.version, self.content_digest), self.seal)
 
 
 @dataclass(frozen=True)
@@ -499,7 +475,7 @@ def bulk_prepopulate(
             "INSERT INTO containers VALUES(?,?,?,?,?)",
             (
                 (_key(idx), counter, version, acl_root,
-                 state.seal(CertKind.CR, (idx, counter, version, acl_root)))
+                 state.seal(ContainerRecord(idx, counter, version, acl_root)))
                 for idx in indices
             ),
         )
@@ -507,7 +483,8 @@ def bulk_prepopulate(
             "INSERT INTO versions VALUES(?,?,?,?,?,?,?,?,?)",
             (
                 (_key(idx), version, ZERO_DIGEST, ZERO_DIGEST, digest,
-                 state.seal(CertKind.VR, (idx, version, digest)), *hashes)
+                 state.seal(VersionRecord(idx, version, ZERO_DIGEST, ZERO_DIGEST, digest)),
+                 *hashes)
                 for idx in indices
             ),
         )

@@ -11,7 +11,7 @@ import tcr.client
 from tcr.client import UserCredential
 from tcr.iomt import Geometry, Iomt, IomtError, Leaf, leaf_digest, left_child, right_child
 from tcr.merkle import Side, ZERO_DIGEST, parent
-from tcr.module import ModuleState, TrustedModule
+from tcr.module import ContainerRecord, ModuleState, TrustedModule, VersionRecord
 from tcr.service import Service
 from tcr.storage import Storage
 
@@ -104,6 +104,24 @@ def mutate_proof(rng: random.Random, proof):
     digest, side = path[at]
     path[at] = (_flip_bit(rng, digest), side) if kind == "digest" else (digest, Side(1 - side))
     return leaf, path
+
+
+# The fields under each sealed row's MAC.
+SEALED_FIELDS = {
+    ContainerRecord: ("idx", "counter", "version_count", "acl_root"),
+    VersionRecord: ("idx", "version", "content_digest"),
+}
+
+
+def mutate_row(rng: random.Random, row):
+    """A sealed ``row`` with one bit flipped in one of its sealed fields or in its seal."""
+    name = rng.choice(SEALED_FIELDS[type(row)] + ("seal",))
+    value = getattr(row, name)
+    if isinstance(value, int):
+        value ^= 1 << rng.randrange(64)
+    else:
+        value = _flip_bit(rng, value)
+    return dataclasses.replace(row, **{name: value})
 
 
 def _flip_bit(rng: random.Random, raw: bytes) -> bytes:

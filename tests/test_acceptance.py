@@ -9,6 +9,7 @@ store twice.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import secrets
 import threading
@@ -16,7 +17,7 @@ import time
 
 import pytest
 
-from conftest import acl_hints, mutate_proof, oracle_root, remove_placeholder
+from conftest import acl_hints, mutate_proof, mutate_row, oracle_root, remove_placeholder
 from tcr.bench import BenchConfig, run_bench
 from tcr.client import (
     RepositoryClient,
@@ -27,10 +28,10 @@ from tcr.client import (
 )
 from tcr.iomt import Iomt, Leaf, counter_digest, counter_value
 from tcr.merkle import ZERO_DIGEST, hmac_sha256
-from tcr.module import Certificate, ModuleState, RequestKind, TrustedModule, _read
+from tcr.module import ContainerRecord, ModuleState, RequestKind, TrustedModule, _read
 from tcr.server import RepositoryServer
 from tcr.service import ProtocolError, Service
-from tcr.storage import BlobSet, ContainerRecord, Storage, content_digest
+from tcr.storage import BlobSet, Storage, content_digest
 from tcr.wire import response_to_json
 
 BLOBS = BlobSet(b"image-bytes" * 30, b"FROM base\n", b"services: {}\n")
@@ -142,24 +143,6 @@ def _mutate_bytes(rng, raw: bytes) -> bytes:
     return bytes(out)
 
 
-def _mutate_certificate(rng, cert: Certificate) -> Certificate:
-    field = rng.randrange(3)
-    if field == 0:
-        return Certificate(int(cert.kind) ^ (1 << rng.randrange(3)), cert.values, cert.mac)
-    if field == 1:
-        values = list(cert.values)
-        pick = rng.randrange(len(values))
-        if isinstance(values[pick], int):
-            flipped = values[pick] ^ (1 << rng.randrange(64))
-            values[pick] = flipped & ((1 << 64) - 1)
-            if values[pick] == cert.values[pick]:
-                values[pick] ^= 1
-        else:
-            values[pick] = _mutate_bytes(rng, values[pick])
-        return Certificate(cert.kind, tuple(values), cert.mac)
-    return Certificate(cert.kind, cert.values, _mutate_bytes(rng, cert.mac))
-
-
 def test_criterion_3_tamper_detection(tmp_path):
     """Ten thousand single-bit mutations; every one is caught, none accepted."""
     rng = random.Random(3)
@@ -173,15 +156,13 @@ def test_criterion_3_tamper_detection(tmp_path):
 
     record = storage.record_get(10)
     version = storage.version_get(10, 1)
-    certificates = [record.as_certificate(), version.as_certificate()]
     container_proof = service._container_proof(10)
     acl = service.acl_tree(10)
     nonce = secrets.token_bytes(32)
 
-    def answer(user, container, acl_proof):
+    def answer(user, container, acl_proof, record=record, version=version):
         return module.verify_container(
-            user, nonce, 10, 1, container, record=record.as_certificate(),
-            acl_proof=acl_proof, version_cert=version.as_certificate(),
+            user, nonce, 10, 1, container, record=record, acl_proof=acl_proof, version=version,
         )
 
     # Proofs for user 1 (level 3) and user 3, whose absence reads as level 0.
@@ -190,12 +171,23 @@ def test_criterion_3_tamper_detection(tmp_path):
     checked = 0
     rejected = 0
 
-    # Stored certificates: any bit flip must fail MAC verification.  Proofs
-    # carry no MAC: any bit flip must fold to a root the module refuses.
+    # Stored rows: a bit flip in a sealed field or the seal must fail the MAC,
+    # and a row given as the other type, or under its seal, is refused.
+    # Proofs carry no MAC: any bit flip must fold to a root the module refuses.
+    confused = [
+        {"record": version}, {"version": record},
+        {"record": dataclasses.replace(record, seal=version.seal)},
+        {"version": dataclasses.replace(version, seal=record.seal)},
+    ]
+    for rows in confused:
+        checked += 1
+        rejected += answer(*proofs[0], **rows) is None
     for _ in range(6000):
         which = rng.randrange(3)
-        if which < 2:
-            rejected += not module.certificate_valid(_mutate_certificate(rng, certificates[which]))
+        if which == 0:
+            rejected += answer(*proofs[0], record=mutate_row(rng, record)) is None
+        elif which == 1:
+            rejected += answer(*proofs[0], version=mutate_row(rng, version)) is None
         else:
             user, container, acl_proof = rng.choice(proofs)
             if rng.randrange(2):
@@ -218,9 +210,9 @@ def test_criterion_3_tamper_detection(tmp_path):
             10,
             1,
             container_proof,
-            record=tampered.as_certificate(),
+            record=tampered,
             acl_proof=service._acl_proof(acl, 1),
-            version_cert=version.as_certificate(),
+            version=version,
         )
         checked += 1
         rejected += response is None
@@ -250,7 +242,7 @@ def test_criterion_4_access_control(tmp_path):
     owner = creds[1]
     _create(service, owner, 10)
     _, result = _modify(service, owner, 10, 1)
-    counter = result.record_cert.values[1]
+    counter = result.record.counter
     levels = {2: 0, 3: 1, 4: 2, 5: 3}
     for target, level in levels.items():
         _grant(service, owner, 10, counter, target, level)

@@ -836,8 +836,18 @@ class TestCli:
         assert db.read_bytes() == before
         assert not (tmp_path / "module.bin").exists()
 
+    # Tree heights the store cannot address: node positions past 2^63 - 1 are no sqlite key.
+    BAD_HEIGHTS = {
+        "height-63": ["--height", "63"],
+        "height-64": ["--height", "64"],
+        "negative-height": ["--height", "-1"],
+        "acl-height-63": ["--acl-height", "63"],
+        "negative-acl-height": ["--acl-height", "-1"],
+    }
+
     @pytest.mark.parametrize("damage", ["truncated-state", "flipped-state-byte", "non-hex-users-key",
-                                        "db-in-missing-dir", "db-not-sqlite", "state-in-missing-dir"])
+                                        "db-in-missing-dir", "db-not-sqlite", "state-in-missing-dir",
+                                        *BAD_HEIGHTS, "height-62"])
     def test_server_stops_on_a_damaged_state_or_users_file(self, damage, tmp_path, monkeypatch):
         from tcr.module import save_state
         from tcr.server import main as server_main
@@ -850,6 +860,17 @@ class TestCli:
             state_file = missing / "module.bin"
         argv = ["--listen", "127.0.0.1:0", "--db", str(db), "--module-state",
                 str(state_file), "--height", "4", "--data-dir", str(tmp_path / "blobs")]
+        if "height" in damage:
+            users.write_text(json.dumps({"1": STUB_KEY.hex()}))
+            flag, value = self.BAD_HEIGHTS.get(damage, ["--height", "62"])
+            if damage == "height-62":  # the tallest tree the store addresses is served
+                with pytest.raises(AssertionError, match="started serving"):
+                    server_main(argv + [flag, value, "--users", str(users)])
+                return
+            with pytest.raises(SystemExit, match=f"^{flag} {re.escape(value)} is outside 0..62$"):
+                server_main(argv + [flag, value, "--users", str(users)])
+            assert not state_file.exists() and not db.exists()  # stopped before provisioning
+            return
         if damage == "non-hex-users-key":
             users.write_text(json.dumps({"1": "zz" * 32}))
             with pytest.raises(SystemExit, match=f"users file {re.escape(str(users))}: non-hexadecimal"):
@@ -919,6 +940,25 @@ class TestCli:
         # Unreachable server: protocol error.
         dead = ["--server", "127.0.0.1:1", "--user", "1", "--key-file", str(key_file)]
         assert main(dead + ["info", "--index", "21"]) == 4
+
+    def test_unwritable_fetch_output_is_one_line(self, env, tmp_path, capsys):
+        from tcr.cli import EXIT_PROTOCOL, main
+
+        server, keys = env
+        key_file = tmp_path / "user1.key"
+        key_file.write_text(keys[1].hex())
+        base = ["--server", f"127.0.0.1:{server.server_address[1]}", "--user", "1",
+                "--key-file", str(key_file)]
+        client = client_for(server, keys, 1)
+        client.create(22)
+        client.modify(22, IMAGE, BUILD, COMPOSE)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"not a directory")
+        capsys.readouterr()
+        assert main(base + ["fetch", "--index", "22", "--out", str(taken)]) == EXIT_PROTOCOL
+        err = capsys.readouterr().err
+        assert err == f"verified, but cannot write {taken}: File exists\n", err
+        assert taken.read_bytes() == b"not a directory"
 
     @pytest.mark.parametrize("argv", [
         ["--user", "1", "create", "--index", "-1"],

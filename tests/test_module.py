@@ -7,20 +7,22 @@ import os
 import random
 import secrets
 
+from dataclasses import replace
+
 import pytest
 
 import tcr.module
-from conftest import mutate_proof, oracle_root
+from conftest import SEALED_FIELDS, mutate_proof, mutate_row, oracle_root
 from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256, u64
 from tcr.module import (
-    CertKind,
-    Certificate,
+    ContainerRecord,
     ModuleState,
     RequestEnvelope,
     RequestKind,
     StateIntegrityError,
     TrustedModule,
+    VersionRecord,
     _read,
     load_state,
     save_state,
@@ -37,6 +39,11 @@ def fresh_module() -> TrustedModule:
 def sign(user: int, kind: RequestKind, idx: int, counter: int, value: bytes) -> RequestEnvelope:
     env = RequestEnvelope(kind, idx, counter, value, user, b"")
     return RequestEnvelope(kind, idx, counter, value, user, hmac_sha256(env.signed_body(), KEYS[user]))
+
+
+def sealed_fields(row) -> tuple:
+    """The fields under ``row``'s seal, in body order."""
+    return tuple(getattr(row, name) for name in SEALED_FIELDS[type(row)])
 
 
 def random_tree(rng: random.Random, height: int = 3, fill: int = 5) -> Iomt:
@@ -144,7 +151,7 @@ class TestRecordVerify:
         snapshot = copy.deepcopy(module._state)
         response = module.verify_container(
             1, secrets.token_bytes(32), repo.idx, 1, proof,
-            record=repo.record, acl_proof=repo.acl_proof(1), version_cert=repo.version_certs[1],
+            record=repo.record, acl_proof=repo.acl_proof(1), version=repo.versions[1],
         )
         assert response is None
         assert module._state == snapshot
@@ -359,8 +366,8 @@ class TestApplyRequest:
         acl_root = leaf_digest(Leaf(1, 1, counter_digest(3)))
         slot, result = create_container(module, tree, 1, 10, acl_root)
         assert result is not None
-        assert result.record_cert.values == (10, 1, 0, acl_root)
-        assert result.version_cert is None
+        assert sealed_fields(result.record) == (10, 1, 0, acl_root)
+        assert result.version is None
         assert module.root == tree.root == oracle_root(dict(tree.leaves()), 3)
         req = sign(1, RequestKind.ACL, 10, 0, acl_root)
         assert result.ack == hmac_sha256(req.ack_body(), KEYS[1])
@@ -439,16 +446,16 @@ class ContainerFixture:
         self.acl.set_leaf(0, Leaf(owner, owner, counter_digest(3)))
         _, result = create_container(module, self.tree, owner, idx, self.acl.root)
         assert result is not None
-        self.record = result.record_cert
-        self.version_certs: dict[int, Certificate] = {}
+        self.record = result.record
+        self.versions: dict[int, VersionRecord] = {}
 
     @property
     def counter(self) -> int:
-        return self.record.values[1]
+        return self.record.counter
 
     @property
     def acl_root(self) -> bytes:
-        return self.record.values[3]
+        return self.record.acl_root
 
     def container_proof(self):
         slot, leaf = self.tree.find_leaf(self.idx)
@@ -473,8 +480,8 @@ class ContainerFixture:
         )
         if result is not None:
             self.tree.set_leaf(slot, new_leaf)
-            self.record = result.record_cert
-            self.version_certs[result.record_cert.values[2]] = result.version_cert
+            self.record = result.record
+            self.versions[result.record.version_count] = result.version
         return result
 
     def set_access(self, requester: int, target: int, level: int):
@@ -487,11 +494,11 @@ class ContainerFixture:
         )
         if result is not None:
             self.tree.set_leaf(slot, new_leaf)
-            self.record = result.record_cert
+            self.record = result.record
         return result
 
-    def verify(self, user: int, nonce: bytes, requested_version: int, secret=None):
-        version_cert = self.version_certs.get(requested_version)
+    def verify(self, user: int, nonce: bytes, requested_version: int, release=False, version=None):
+        """Query as the service does; ``version`` stands in for the stored version row."""
         return self.module.verify_container(
             user,
             nonce,
@@ -500,8 +507,8 @@ class ContainerFixture:
             self.container_proof(),
             record=self.record,
             acl_proof=self.acl_proof(user),
-            version_cert=version_cert,
-            secret=secret,
+            version=version or self.versions.get(requested_version),
+            release=release,
         )
 
 
@@ -512,8 +519,9 @@ class TestUpdateFlows:
         digest = sha256(b"content")
         result = repo.modify(1, digest)
         assert result is not None
-        assert result.record_cert.values == (10, 2, 1, repo.acl_root)
-        assert result.version_cert.values == (10, 1, digest)
+        assert sealed_fields(result.record) == (10, 2, 1, repo.acl_root)
+        assert sealed_fields(result.version) == (10, 1, digest)
+        assert result.version.secret_commitment == result.version.wrapped_secret == ZERO_DIGEST
         assert module.root == repo.tree.root
 
     def test_low_access_rejected(self):
@@ -546,8 +554,8 @@ class TestUpdateFlows:
         repo.modify(1, sha256(b"v1"))
         result = repo.set_access(1, 2, 2)
         assert result is not None
-        assert result.record_cert.values[2] == 1  # version count unchanged
-        assert result.version_cert is None
+        assert result.record.version_count == 1  # version count unchanged
+        assert result.version is None
 
     def test_acl_update_requires_level_three(self):
         module = fresh_module()
@@ -620,7 +628,7 @@ class TestVerifyContainer:
         response = module.verify_container(
             1, secrets.token_bytes(32), repo.idx, 1, stale_proof,
             record=repo.record, acl_proof=repo.acl_proof(1),
-            version_cert=repo.version_certs[1],
+            version=repo.versions[1],
         )
         assert response is None
 
@@ -643,14 +651,16 @@ class TestSecrets:
         wrapped, commitment = wrap(1, repo.idx, repo.counter, secret)
         result = repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment))
         assert result is not None
-        sealed = result.sealed_secret
-        assert sealed is not None and sealed != secret and sealed != wrapped
+        sealed = result.version.wrapped_secret
+        assert sealed not in (ZERO_DIGEST, secret, wrapped)
+        assert result.version.secret_commitment == commitment
 
         nonce = secrets.token_bytes(32)
-        response = repo.verify(1, nonce, 1, secret=(sealed, commitment))
+        response = repo.verify(1, nonce, 1, release=True)
         assert response is not None and not response.denied
         assert xor(response.sealed_for_user, sha256(commitment + KEYS[1])) == secret
         # The released secret rides outside the tag: the answer is tagged as without it.
+        # Only a release (a FETCH) re-pads it; an INFO never does.
         plain = repo.verify(1, nonce, 1)
         assert plain.sealed_for_user is None and plain.tag == response.tag
         assert response.tag == hmac_sha256(response.tag_body(), KEYS[1])
@@ -685,12 +695,14 @@ class TestSecrets:
             assert repo.modify(1, sha256(b"v1"), secret=(wrapped, misbound)) is None
             result = repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment))
             assert result is not None
-            sealed[repo.idx] = result.sealed_secret
-        assert sealed[5] is not None and sealed[6] is not None
+            sealed[repo.idx] = result.version.wrapped_secret
         assert sealed[5] != sealed[6]
-        # A seal made for container 5 does not open as container 6's.
-        foreign = (sealed[5], secret_commitment(5, secret))
-        response = second.verify(1, secrets.token_bytes(32), 1, secret=foreign)
+        # A seal made for container 5 does not open as container 6's.  The
+        # secret fields lie outside the version row's seal, which still verifies.
+        foreign = replace(
+            second.versions[1], wrapped_secret=sealed[5], secret_commitment=secret_commitment(5, secret)
+        )
+        response = second.verify(1, secrets.token_bytes(32), 1, release=True, version=foreign)
         assert response is not None and not response.denied
         assert response.sealed_for_user is None
 
@@ -699,12 +711,12 @@ class TestSecrets:
         repo = ContainerFixture(module)
         secret = secrets.token_bytes(32)
         wrapped, commitment = wrap(1, repo.idx, repo.counter, secret)
-        sealed = repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment)).sealed_secret
-        denied = repo.verify(2, secrets.token_bytes(32), 1, secret=(sealed, commitment))
+        assert repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment)) is not None
+        denied = repo.verify(2, secrets.token_bytes(32), 1, release=True)
         assert denied is not None and denied.denied
         assert denied.sealed_for_user is None
         assert repo.set_access(1, 2, 1) is not None  # read access
-        response = repo.verify(2, secrets.token_bytes(32), 1, secret=(sealed, commitment))
+        response = repo.verify(2, secrets.token_bytes(32), 1, release=True)
         assert response is not None and not response.denied
         assert xor(response.sealed_for_user, sha256(commitment + KEYS[2])) == secret
 
@@ -713,9 +725,10 @@ class TestSecrets:
         repo = ContainerFixture(module)
         secret = secrets.token_bytes(32)
         wrapped, commitment = wrap(1, repo.idx, repo.counter, secret)
-        sealed = bytearray(repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment)).sealed_secret)
+        sealed = bytearray(repo.modify(1, sha256(b"v1"), secret=(wrapped, commitment)).version.wrapped_secret)
         sealed[3] ^= 0x40
-        response = repo.verify(1, secrets.token_bytes(32), 1, secret=(bytes(sealed), commitment))
+        tampered = replace(repo.versions[1], wrapped_secret=bytes(sealed))
+        response = repo.verify(1, secrets.token_bytes(32), 1, release=True, version=tampered)
         # Content is still attested, but no usable secret is released.
         assert response is not None and not response.denied
         assert response.sealed_for_user is None
@@ -795,7 +808,7 @@ class TestAbsenceForm:
         snapshot = copy.deepcopy(module._state)
         response = module.verify_container(
             1, secrets.token_bytes(32), repo.idx, 1, repo.container_proof(),
-            record=repo.record, acl_proof=absence, version_cert=repo.version_certs[1],
+            record=repo.record, acl_proof=absence, version=repo.versions[1],
         )
         assert response is None  # not even a denial: the proof folds to another root
         assert module._state == snapshot
@@ -844,10 +857,8 @@ class TestSurface:
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 defined.add(node.target.id)
         assert {name for name in defined if not name.startswith("_")} == {
-            "CERT_SCHEMAS",
-            "CertKind",
-            "Certificate",
             "ComplementPath",
+            "ContainerRecord",
             "ModuleState",
             "RecordProof",
             "RequestEnvelope",
@@ -856,6 +867,7 @@ class TestSurface:
             "TrustedModule",
             "UpdateResult",
             "VerifyResponse",
+            "VersionRecord",
             "load_state",
             "save_state",
             "secret_commitment",
@@ -866,15 +878,41 @@ class TestSurface:
         public = {name for name in dir(TrustedModule) if not name.startswith("_")}
         assert public == {
             "root",
-            "certificate_valid",
             "apply_request",
             "verify_container",
         }
 
-    def test_certificate_kind_numbers_are_pinned(self):
-        # The kind byte is under the MAC of every sealed record at rest, so a
-        # renumbering would silently invalidate every existing store.
-        assert {kind.name: int(kind) for kind in CertKind} == {"CR": 5, "VR": 6}
+    def test_seal_bytes_are_pinned(self):
+        # Every row at rest carries one of these MACs: a change to a body's
+        # layout or domain byte would silently invalidate every existing store.
+        state = ModuleState(ZERO_DIGEST, bytes(range(32)), {1: KEYS[1]})
+        acl = Iomt(3)
+        acl.set_leaf(0, Leaf(1, 1, counter_digest(3)))
+        record = ContainerRecord(7, 3, 2, acl.root, bytes.fromhex(GOLDEN_CR))
+        version = VersionRecord(7, 2, ZERO_DIGEST, ZERO_DIGEST, sha256(b"content"),
+                                bytes.fromhex(GOLDEN_VR), (sha256(b"i"), sha256(b"b"), sha256(b"c")))
+        assert state.seal(record) == record.seal and state.seal(version) == version.seal
+        # The secret fields and blob addresses lie outside the seal.
+        loose = replace(version, secret_commitment=sha256(b"c"), wrapped_secret=sha256(b"w"), hashes=())
+        assert state.seal(loose) == version.seal
+        # A module holding that secret verifies both rows as stored.
+        tree = Iomt(3)
+        tree.set_leaf(0, Leaf(7, 7, counter_digest(3)))
+        state.root = tree.root
+        nonce = secrets.token_bytes(32)
+        response = TrustedModule(state).verify_container(
+            1, nonce, 7, 2, (tree.find_leaf(7)[1], tree.complement_path(0)),
+            record=record, acl_proof=(acl.find_leaf(1)[1], acl.complement_path(0)), version=version,
+        )
+        assert not response.denied
+        assert (response.counter, response.max_version, response.requested_version) == (3, 2, 2)
+        assert response.content_digest == sha256(b"content")
+
+
+# The seals of TestSurface's rows under the secret bytes(range(32)), as the
+# first layout of the CR and VR bodies computes them.
+GOLDEN_CR = "fe6b2d9e531c9f61e6581bd9b4b090f96eae2f9589292d3cec9ce0cfe20321e2"
+GOLDEN_VR = "9466d446bde84d4533b629b511fa558715c43d5331ed529c33beb61cbf1bec78"
 
 
 class TestCertificateFuzzing:
@@ -883,21 +921,24 @@ class TestCertificateFuzzing:
         module = fresh_module()
         repo = ContainerFixture(module)
         repo.modify(1, sha256(b"v1"))
-        certs = [repo.record, repo.version_certs[1]]
-        for _ in range(250):
-            assert not module.certificate_valid(mutate_certificate(rng, rng.choice(certs)))
-        # A proof carries no MAC: a flipped bit shows in the root it folds to.
         nonce = secrets.token_bytes(32)
 
-        def answer(user, container_proof, acl_proof):
+        def answer(user, container_proof, acl_proof, record=repo.record, version=repo.versions[1]):
             return module.verify_container(
                 user, nonce, repo.idx, 1, container_proof,
-                record=repo.record, acl_proof=acl_proof, version_cert=repo.version_certs[1],
+                record=record, acl_proof=acl_proof, version=version,
             )
 
         # User 1 reads its own leaf, user 2 (no ACL leaf) the leaf enclosing it.
         honest = [(user, repo.container_proof(), repo.acl_proof(user)) for user in (1, 2)]
         assert not answer(*honest[0]).denied and answer(*honest[1]).denied
+        # A stored row: a flipped bit in a sealed field or the seal fails its MAC.
+        for _ in range(250):
+            if rng.randrange(2):
+                assert answer(*honest[0], record=mutate_row(rng, repo.record)) is None
+            else:
+                assert answer(*honest[0], version=mutate_row(rng, repo.versions[1])) is None
+        # A proof carries no MAC: a flipped bit shows in the root it folds to.
         for _ in range(250):
             user, container_proof, acl_proof = rng.choice(honest)
             if rng.randrange(2):
@@ -907,24 +948,54 @@ class TestCertificateFuzzing:
             assert answer(user, container_proof, acl_proof) is None
 
 
-def mutate_certificate(rng: random.Random, cert):
-    """Flip one bit somewhere in (kind, values, mac)."""
-    field = rng.randrange(3)
-    if field == 0:
-        return Certificate(cert.kind ^ (1 << rng.randrange(3)), cert.values, cert.mac)
-    if field == 1:
-        values = list(cert.values)
-        pick = rng.randrange(len(values))
-        if isinstance(values[pick], int):
-            values[pick] ^= 1 << rng.randrange(64)
-            values[pick] &= (1 << 64) - 1
-            if values[pick] == cert.values[pick]:
-                values[pick] ^= 1
-        else:
-            raw = bytearray(values[pick])
-            raw[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
-            values[pick] = bytes(raw)
-        return Certificate(cert.kind, tuple(values), cert.mac)
-    mac = bytearray(cert.mac)
-    mac[rng.randrange(len(mac))] ^= 1 << rng.randrange(8)
-    return Certificate(cert.kind, cert.values, bytes(mac))
+class TestSealedRows:
+    """Each row type has one seal body: a row is refused as the other type, or unencodable."""
+
+    def test_type_confusion_refused(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        repo.modify(1, sha256(b"v1"))
+        record, version = repo.record, repo.versions[1]
+        confused = [
+            (version, version),  # a version row passed as record=
+            (record, record),  # a container row passed as version=
+            (replace(record, seal=version.seal), version),
+            (record, replace(version, seal=record.seal)),
+        ]
+        snapshot = copy.deepcopy(module._state)
+        for row, version_row in confused:
+            response = module.verify_container(
+                1, secrets.token_bytes(32), repo.idx, 1, repo.container_proof(),
+                record=row, acl_proof=repo.acl_proof(1), version=version_row,
+            )
+            assert response is None
+        _, leaf, path, _ = repo.bump()
+        req = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v2"))
+        for row in (version, replace(record, seal=version.seal)):
+            assert module.apply_request(req, leaf, path, repo.acl_proof(1), row) is None
+        assert module._state == snapshot
+        assert repo.verify(1, secrets.token_bytes(32), 1) is not None  # control
+        assert repo.modify(1, sha256(b"v2")) is not None
+
+    def test_unencodable_fields_refused(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        repo.modify(1, sha256(b"v1"))
+        record, version = repo.record, repo.versions[1]
+
+        def answer(record, version):
+            return module.verify_container(
+                1, secrets.token_bytes(32), repo.idx, 1, repo.container_proof(),
+                record=record, acl_proof=repo.acl_proof(1), version=version,
+            )
+
+        assert answer(record, version) is not None
+        snapshot = copy.deepcopy(module._state)
+        for bad in ({"idx": 1 << 64}, {"counter": -1}, {"version_count": "1"},
+                    {"acl_root": record.acl_root[:31]}, {"seal": None}, {"seal": 42}):
+            assert answer(replace(record, **bad), version) is None
+        for bad in ({"version": 1 << 64}, {"content_digest": None}, {"seal": "not bytes"}):
+            assert answer(record, replace(version, **bad)) is None
+        with pytest.raises(TypeError):
+            module._state.seal(repo.container_proof())  # no sealed row at all
+        assert module._state == snapshot

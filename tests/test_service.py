@@ -100,7 +100,11 @@ class TestCreate:
         result = service.handle_create(env)
         assert result is not None
         assert cred.verify_ack(env, result.ack)
-        assert result.record_cert.values == (7, 1, 0, cred.initial_acl_root())
+        record = result.record
+        assert record == service.storage.record_get(7)
+        assert (record.idx, record.counter, record.version_count, record.acl_root) == (
+            7, 1, 0, cred.initial_acl_root()
+        )
         assert service.module.root == service.container_tree().root
 
     def test_duplicate_create_rejected(self, service, credentials, monkeypatch):
@@ -236,7 +240,7 @@ class TestModify:
         service.handle_create(signed_create(cred, 7))
         env = signed_modify(cred, 7, 1)
         result = service.handle_modify(env, BLOBS)
-        assert result is not None and result.version_cert.values[1] == 1
+        assert result is not None and result.version.version == 1
         assert cred.verify_ack(env, result.ack)
         row = service.storage.version_get(7, 1)
         assert row.content_digest == env.value
@@ -385,7 +389,7 @@ def test_predicted_acl_root_is_the_stored_root(tmp_path_factory, grants):
             env = OWNER.sign_request(RequestKind.ACL, 7, counter, new_root)
             result = service.handle_acl_set(env, target, level)
             assert result is not None and OWNER.verify_ack(env, result.ack)
-            assert service.acl_tree(7).root == new_root == result.record_cert.values[3]
+            assert service.acl_tree(7).root == new_root == result.record.acl_root
             assert module.root == service.container_tree().root
     finally:
         storage.close()
@@ -669,9 +673,9 @@ class TestEpochSafety:
         service.handle_modify(signed_modify(cred, 7, 2), BLOBS)
         response = service.module.verify_container(
             1, secrets.token_bytes(32), 7, 1, stale_proof,
-            record=record.as_certificate(),
+            record=record,
             acl_proof=service._acl_proof(service.acl_tree(7), 1),
-            version_cert=service.storage.version_get(7, 1).as_certificate(),
+            version=service.storage.version_get(7, 1),
         )
         assert response is None
         assert service.module.root == service.container_tree().root
@@ -802,14 +806,14 @@ class TestMonotonicCounter:
         cred = credentials[1]
         counters = []
         result = service.handle_create(signed_create(cred, 7))
-        counters.append(result.record_cert.values[1])
+        counters.append(result.record.counter)
         for counter in (1, 2, 3):
             result = service.handle_modify(signed_modify(cred, 7, counter), BLOBS)
-            counters.append(result.record_cert.values[1])
+            counters.append(result.record.counter)
         new_root = predicted_acl_root(acl_hints(service, 7), 2, 1)
         env = cred.sign_request(RequestKind.ACL, 7, 4, new_root)
         result = service.handle_acl_set(env, 2, 1)
-        counters.append(result.record_cert.values[1])
+        counters.append(result.record.counter)
         assert counters == [1, 2, 3, 4, 5]
 
 

@@ -21,16 +21,14 @@ from tcr.iomt import (
     leaf_digest,
 )
 from tcr.merkle import Side, ZERO_DIGEST, parent, sha256
-from tcr.module import ModuleState, TrustedModule
+from tcr.module import ContainerRecord, ModuleState, TrustedModule, VersionRecord
 from tcr.storage import (
     SCHEMA_VERSION,
     BlobSet,
-    ContainerRecord,
     Storage,
     StorageError,
     StoreNotEmptyError,
     VersionExistsError,
-    VersionRecord,
     bulk_prepopulate,
 )
 
@@ -381,8 +379,15 @@ class TestBulkPrepopulate:
         assert record.counter == 2 and record.version_count == 1
         # Seals verify under the module built from the same state.
         module = TrustedModule(state)
-        assert module.certificate_valid(record.as_certificate())
-        assert module.certificate_valid(storage.version_get(1, 1).as_certificate())
+        acl_proof = (owner_acl[0][1], Iomt.from_leaves(8, owner_acl).complement_path(0))
+        for idx in (1, count):
+            slot, leaf = tree.find_leaf(idx)
+            version = storage.version_get(idx, 1)
+            response = module.verify_container(
+                1, bytes(32), idx, 1, (leaf, tree.complement_path(slot)),
+                record=storage.record_get(idx), acl_proof=acl_proof, version=version,
+            )
+            assert not response.denied and response.content_digest == version.content_digest
         storage.close()
 
     def test_cost_follows_the_population(self, tmp_path, keys, monkeypatch):
