@@ -33,8 +33,7 @@ from .wire import (
     STATUS_OK,
     STATUS_REJECTED,
     WireError,
-    blobs_from_json,
-    blobs_to_json,
+    blobs_field,
     envelope_to_json,
     read_message,
     response_from_json,
@@ -328,7 +327,7 @@ class RepositoryClient:
             commitment = ZERO_DIGEST
         digest = content_digest(blobs.hashes(), commitment)
         envelope = self.credential.sign_request(RequestKind.CONTAINER, idx, counter, digest)
-        extra.update(blobs_to_json(blobs))
+        extra["blobs"] = blobs
         return self._mutate("MODIFY", envelope, extra)
 
     def acl_set(self, idx: int, target_user: int, level: int) -> dict:
@@ -357,7 +356,7 @@ class RepositoryClient:
             )
             if verdict != Verdict.VERIFIED:
                 return FetchOutcome(verdict, None, None, False)
-            blobs = blobs_from_json(body)
+            blobs = blobs_field(body)
             commitment = bytes.fromhex(body["secret_commitment"])
             delivered = bytes.fromhex(body.get("sealed_for_user") or "")
 

@@ -23,15 +23,14 @@ from typing import Optional
 from .iomt import IomtError
 from .module import ModuleState, StateIntegrityError, TrustedModule, load_state, save_state
 from .service import DEFAULT_ACL_HEIGHT, ProtocolError, Service
-from .storage import MAX_HEIGHT, Storage, StorageError
+from .storage import Storage, StorageError, check_height
 from .wire import (
     STATUS_DENIED,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_REJECTED,
     WireError,
-    blobs_from_json,
-    blobs_to_json,
+    blobs_field,
     d32_field,
     envelope_from_json,
     read_message,
@@ -137,7 +136,7 @@ class RepositoryServer(socketserver.TCPServer):
             return STATUS_OK, {"ack": result.ack.hex()}
 
         if op == "MODIFY":
-            blobs = blobs_from_json(payload)
+            blobs = blobs_field(payload)
             wrapped = payload.get("wrapped_secret")
             commitment = payload.get("secret_commitment")
             result = service.handle_modify(
@@ -184,7 +183,7 @@ class RepositoryServer(socketserver.TCPServer):
             body = {"response": response_to_json(result.response)}
             if result.response.denied:
                 return STATUS_DENIED, body
-            body.update(blobs_to_json(result.blobs))
+            body["blobs"] = result.blobs
             body["secret_commitment"] = result.secret_commitment.hex()
             # Absent if the secret did not open its commitment: content, but no usable secret.
             sealed_for_user = result.response.sealed_for_user
@@ -270,9 +269,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--users", type=Path, default=None,
                         help="JSON user-key map for first-run provisioning")
     args = parser.parse_args(argv)
-    for flag, height in (("--height", args.height), ("--acl-height", args.acl_height)):
-        if not 0 <= height <= MAX_HEIGHT:
-            raise SystemExit(f"{flag} {height} is outside 0..{MAX_HEIGHT}")
+    try:  # refused before anything is opened or provisioned
+        check_height("--height", args.height)
+        check_height("--acl-height", args.acl_height)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
 
     state_path = Path(args.module_state)
     state = _load_or_init_state(state_path, args.users)

@@ -46,7 +46,14 @@ from .module import (
     VerifyResponse,
     VersionRecord,
 )
-from .storage import BlobSet, Storage, bulk_prepopulate, content_digest, initial_acl_leaf
+from .storage import (
+    BlobSet,
+    Storage,
+    bulk_prepopulate,
+    check_height,
+    content_digest,
+    initial_acl_leaf,
+)
 
 DEFAULT_ACL_HEIGHT = 8
 # Room for every ACL root in use and its callers' proofs; proofs for absent
@@ -171,8 +178,8 @@ class Service:
     ) -> None:
         self.storage = storage
         self.module = module
-        self.height = height
-        self.acl_height = acl_height
+        self.height = check_height("height", height)
+        self.acl_height = check_height("acl_height", acl_height)
         self._cache = CertCache()
         self._lock = threading.RLock()
 
@@ -358,10 +365,10 @@ class Service:
 
             with clock.step("content_digest"):
                 commitment = secret_commitment if secret_commitment is not None else ZERO_DIGEST
-                digest = content_digest(blobs.hashes(), commitment)
-                if digest != req.value:
+                hashes = blobs.hashes()
+                if content_digest(hashes, commitment) != req.value:
                     raise ProtocolError("request signature does not cover the supplied content")
-                hashes = self.storage.blob_put(blobs)
+                self.storage.blob_put(blobs, hashes)
 
             with clock.step("certificates"):
                 path = self._bump_counter(tree, slot, leaf, record.counter + 1)

@@ -37,6 +37,14 @@ SCHEMA_VERSION = 3
 # positions pass sqlite's signed 64-bit integer key.
 MAX_HEIGHT = 62
 
+
+def check_height(name: str, height: int) -> int:
+    """``height`` if the store can address a tree that tall, else a
+    :class:`ValueError` that calls it ``name``."""
+    if not 0 <= height <= MAX_HEIGHT:
+        raise ValueError(f"{name} {height} is outside 0..{MAX_HEIGHT}")
+    return height
+
 # Names the cipher an encrypted version's blobs were written under.  The
 # client keys its keystream with it and every encrypted version's content
 # digest covers it, so bytes sealed under another cipher never verify.
@@ -276,8 +284,7 @@ class Storage:
     def _blob_path(self, digest: bytes) -> Path:
         return self.data_dir / digest.hex() / "payload"
 
-    def _write_blob(self, content: bytes) -> bytes:
-        digest = sha256(content)
+    def _write_blob(self, content: bytes, digest: bytes) -> None:
         path = self._blob_path(digest)
         if not path.exists() or sha256(path.read_bytes()) != digest:
             # A damaged file is rewritten, so storing the content again
@@ -290,15 +297,12 @@ class Storage:
                 os.replace(partial, path)
             finally:
                 partial.unlink(missing_ok=True)
-        return digest
 
-    def blob_put(self, blobs: BlobSet) -> tuple[bytes, bytes, bytes]:
-        """Write the three blob files; their addresses, for the version row."""
-        return (
-            self._write_blob(blobs.image),
-            self._write_blob(blobs.build),
-            self._write_blob(blobs.compose),
-        )
+    def blob_put(self, blobs: BlobSet, hashes: Sequence[bytes]) -> None:
+        """Write the three blob files at ``hashes``, the ``blobs.hashes()`` the
+        caller has already checked, so no blob is hashed twice on the way in."""
+        for content, digest in zip((blobs.image, blobs.build, blobs.compose), hashes):
+            self._write_blob(content, digest)
 
     def blob_get(self, hashes: Sequence[bytes]) -> BlobSet:
         """The blobs at the addresses a version row names."""
@@ -433,7 +437,8 @@ def bulk_prepopulate(
         raise StorageError("owner has no key in the module state")
 
     blobs = blobs if blobs is not None else BlobSet(MOCK_IMAGE, MOCK_BUILD, MOCK_COMPOSE)
-    hashes = storage.blob_put(blobs)
+    hashes = blobs.hashes()
+    storage.blob_put(blobs, hashes)
     digest = content_digest(hashes, ZERO_DIGEST)
     owner = initial_acl_leaf(owner_idx)
     acl_root = leaf_digest(owner)  # one-leaf tree

@@ -2,10 +2,18 @@
 
 Binary values travel hex-encoded.  MACs are always computed over canonical
 bytes, never over this JSON, so the wire encoding carries no authority.
+
+A message that carries a version's blobs (a MODIFY request, an ``ok`` FETCH
+reply) is two lines: the JSON header, whose payload says ``"blobs": [len(image),
+len(build), len(compose)]``, then one frame line holding the three blobs
+concatenated, in hex.  Hex holds no newline, so both lines are read with
+``readline`` alone, and the header's lengths bound the frame before any of it
+is read.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 from typing import IO, Optional
 
@@ -18,7 +26,8 @@ STATUS_DENIED = "denied"
 STATUS_REJECTED = "rejected"
 STATUS_ERROR = "error"
 
-# Longest accepted line, newline included: a 16 MiB image travels as 32 MiB of hex.
+# Longest accepted message, header and frame lines with their newlines:
+# a 16 MiB image travels as 32 MiB of hex.
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 
@@ -53,12 +62,39 @@ def d32_field(obj: dict, name: str) -> bytes:
     return value
 
 
+def blobs_field(obj: dict) -> BlobSet:
+    """``obj["blobs"]``, which must be the :class:`BlobSet` a frame carried, else a
+    :class:`WireError`.  JSON cannot produce a ``BlobSet``; only
+    :func:`read_message` puts one there."""
+    try:
+        value = obj["blobs"]
+    except (KeyError, TypeError) as exc:
+        raise WireError(f"bad field 'blobs': {exc!r}") from exc
+    if not isinstance(value, BlobSet):
+        raise WireError(f"field 'blobs' is not a frame: {value!r:.40}")
+    return value
+
+
 def write_message(fp: IO[bytes], obj: dict) -> None:
-    fp.write(json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n")
+    """Send ``obj`` as one JSON line in one write; a :class:`BlobSet` at
+    ``obj["payload"]["blobs"]`` goes as its lengths in that line plus a hex frame line."""
+    payload = obj.get("payload")
+    blobs = payload.get("blobs") if isinstance(payload, dict) else None
+    if not isinstance(blobs, BlobSet):
+        fp.write(json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n")
+    else:
+        lengths = [len(blobs.image), len(blobs.build), len(blobs.compose)]
+        header = {**obj, "payload": {**payload, "blobs": lengths}}
+        fp.write(b"".join((
+            json.dumps(header, separators=(",", ":")).encode("utf-8"), b"\n",
+            binascii.hexlify(blobs.image + blobs.build + blobs.compose), b"\n",
+        )))
     fp.flush()
 
 
 def read_message(fp: IO[bytes]) -> Optional[dict]:
+    """The next message, its frame (if any) decoded into a :class:`BlobSet`;
+    ``None`` at end of input.  Reads through ``fp.readline`` only."""
     line = fp.readline(MAX_MESSAGE_BYTES)
     if not line:
         return None
@@ -70,7 +106,33 @@ def read_message(fp: IO[bytes]) -> Optional[dict]:
         raise WireError(f"undecodable message: {exc}") from exc
     if not isinstance(obj, dict):
         raise WireError("message must be a JSON object")
+    payload = obj.get("payload")
+    if isinstance(payload, dict) and "blobs" in payload:
+        payload["blobs"] = _read_frame(fp, payload["blobs"], len(line))
     return obj
+
+
+def _read_frame(fp: IO[bytes], lengths: object, header_bytes: int) -> BlobSet:
+    """The frame line after a header declaring ``lengths``, refused unread if
+    header and frame together would pass :data:`MAX_MESSAGE_BYTES`."""
+    if (
+        not isinstance(lengths, list)
+        or len(lengths) != 3
+        or any(type(n) is not int or n < 0 for n in lengths)
+    ):
+        raise WireError(f"field 'blobs' is not three lengths: {lengths!r:.60}")
+    size = 2 * sum(lengths) + 1
+    if header_bytes + size > MAX_MESSAGE_BYTES:
+        raise WireError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
+    frame = fp.readline(size)
+    if len(frame) != size or not frame.endswith(b"\n"):
+        raise WireError(f"frame is not {size - 1} hex digits and a newline")
+    try:
+        data = binascii.unhexlify(memoryview(frame)[:-1])
+    except binascii.Error as exc:
+        raise WireError(f"undecodable frame: {exc}") from exc
+    first, second = lengths[0], lengths[0] + lengths[1]
+    return BlobSet(data[:first], data[first:second], data[second:])
 
 
 def envelope_to_json(env: RequestEnvelope) -> dict:
@@ -96,18 +158,6 @@ def envelope_from_json(obj: dict) -> RequestEnvelope:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise WireError(f"bad request envelope: {exc}") from exc
-
-
-def blobs_to_json(blobs: BlobSet) -> dict:
-    """A version's three blobs as the fields of a MODIFY request or FETCH reply."""
-    return {"image": blobs.image.hex(), "build": blobs.build.hex(), "compose": blobs.compose.hex()}
-
-
-def blobs_from_json(obj: dict) -> BlobSet:
-    try:
-        return BlobSet(*(bytes.fromhex(obj[name]) for name in ("image", "build", "compose")))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise WireError(f"bad blobs: {exc}") from exc
 
 
 def response_to_json(resp: VerifyResponse) -> dict:

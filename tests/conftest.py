@@ -135,7 +135,7 @@ def acl_hints(service: Service, idx: int) -> dict:
     return service._hints(service.storage.record_get(idx), service.acl_tree(idx))
 
 
-class _RecordingFile:
+class RecordingFile:
     """File proxy that appends every chunk written and every line read to a list."""
 
     def __init__(self, fp, transcript: list[bytes]) -> None:
@@ -166,7 +166,7 @@ def wire_transcript(monkeypatch) -> list[bytes]:
     for name in ("write_message", "read_message"):
 
         def recorded(fp, *args, _hook=getattr(tcr.client, name)):
-            return _hook(_RecordingFile(fp, transcript), *args)
+            return _hook(RecordingFile(fp, transcript), *args)
 
         monkeypatch.setattr(tcr.client, name, recorded)
     return transcript

@@ -356,9 +356,7 @@ def test_criterion_6_secret_confidentiality(tmp_path, wire_transcript):
         envelope = cred.sign_request(RequestKind.CONTAINER, 10, counter, digest)
         payload = envelope_to_json(envelope)
         payload.update(
-            image=cipher.image.hex(),
-            build=cipher.build.hex(),
-            compose=cipher.compose.hex(),
+            blobs=cipher,
             wrapped_secret=wrapped.hex(),
             secret_commitment=commitment.hex(),
         )

@@ -16,7 +16,9 @@ import time
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from conftest import RecordingFile
 from tcr import server as server_module
 from tcr import wire
 from tcr.client import (
@@ -312,8 +314,8 @@ class TestWireFlows:
         alice.create(11)
         storage = server.service.storage
 
-        def disk_full(content: bytes) -> bytes:
-            path = storage._blob_path(sha256(content))
+        def disk_full(content: bytes, digest: bytes) -> None:
+            path = storage._blob_path(digest)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
 
         monkeypatch.setattr(storage, "_write_blob", disk_full)
@@ -445,6 +447,88 @@ class TestMessageBound:
         assert reply["status"] == "error" and "exceeds 1024 bytes" in reply["payload"]["message"]
         assert rest == b""  # the server closed the connection
         assert client_for(server, keys, 2).info(3).verdict == Verdict.DENIED
+
+
+def reader(data: bytes) -> tuple[RecordingFile, list[bytes]]:
+    """A readline-only file over ``data``, as the benchmark's client tracing
+    wraps the client's socket file, and the list of lines read through it."""
+    read: list[bytes] = []
+    return RecordingFile(io.BytesIO(data), read), read
+
+
+def header(lengths) -> bytes:
+    message = {"op": "MODIFY", "request_id": 1, "payload": {"blobs": lengths}}
+    return json.dumps(message).encode() + b"\n"
+
+
+class TestFrame:
+    @given(st.binary(), st.binary(), st.binary())
+    @example(b"", b"", b"")
+    @example(b"\n" * 300, b"\n", b"\r\n")
+    def test_round_trip_reads_a_header_and_one_frame_line(self, image, build, compose):
+        blobs = BlobSet(image, build, compose)
+        out = io.BytesIO()
+        wire.write_message(out, {"op": "MODIFY", "request_id": 7, "payload": {"idx": 5,
+                                                                            "blobs": blobs}})
+        data = out.getvalue()
+        assert data.count(b"\n") == 2 and data.endswith(b"\n")
+        fp, read = reader(data)
+        message = read_message(fp)
+        assert message == {"op": "MODIFY", "request_id": 7, "payload": {"idx": 5, "blobs": blobs}}
+        assert len(read) == 2 and read_message(fp) is None
+
+    @pytest.mark.parametrize("lengths", [
+        [True, 0, 0], [-1, 2, 0], [1.0, 0, 0], [1, 0], [1, 0, 0, 0], "3", None, {"image": 1},
+    ], ids=["bool", "negative", "float", "two", "four", "string", "null", "object"])
+    def test_lengths_that_are_not_three_u64s_are_refused_unread(self, lengths):
+        fp, read = reader(header(lengths) + b"00\n")
+        with pytest.raises(WireError, match="not three lengths"):
+            read_message(fp)
+        assert len(read) == 1
+
+    @pytest.mark.parametrize("frame, reason", [
+        (b"abc\n", "is not 4 hex digits"),  # odd length: the newline comes early
+        (b"abcdef\n", "is not 4 hex digits"),  # longer than declared
+        (b"zz00\n", "undecodable frame"),
+        (b"ab c\n", "undecodable frame"),
+        (b"ab", "is not 4 hex digits"),  # end of input mid-frame
+        (b"", "is not 4 hex digits"),
+    ], ids=["odd-length", "too-long", "non-hex", "space", "eof-mid-frame", "eof-before-frame"])
+    def test_a_bad_frame_is_refused(self, frame, reason):
+        with pytest.raises(WireError, match=reason):
+            read_message(reader(header([1, 1, 0]) + frame)[0])
+
+    def test_an_oversized_total_is_refused_before_any_frame_byte_is_read(self, monkeypatch):
+        line = header([1, 1, 1])
+        bound = len(line) + 2 * 3 + 1
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", bound)
+        message = read_message(reader(line + b"a1b2c3\n")[0])  # header and frame fill the bound
+        assert message["payload"]["blobs"] == BlobSet(b"\xa1", b"\xb2", b"\xc3")
+        for lengths in ([1, 1, 2], [1 << 62, 0, 0]):
+            fp, read = reader(header(lengths) + b"a1b2c3\n")
+            with pytest.raises(WireError, match=f"exceeds {bound} bytes"):
+                read_message(fp)
+            assert len(read) == 1
+
+    def test_a_256k_encrypted_version_crosses_as_one_frame_each_way(self, env, wire_transcript):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        image = secrets.token_bytes(256 * 1024)
+        alice.create(9)
+        alice.modify(9, image, BUILD, COMPOSE, encrypt=True)
+        outcome = alice.fetch(9)
+        assert outcome.verdict == Verdict.VERIFIED and outcome.encrypted
+        assert outcome.blobs == BlobSet(image, BUILD, COMPOSE)
+        lengths = [len(image), len(BUILD), len(COMPOSE)]
+        # MODIFY goes as one write: header and frame; the FETCH reply is read as two lines.
+        (modify,) = [c for c in wire_transcript if c.startswith(b'{"op":"MODIFY"')]
+        head, sent, rest = modify.split(b"\n")
+        assert json.loads(head)["payload"]["blobs"] == lengths and rest == b""
+        assert len(sent) == 2 * sum(lengths)
+        (fetched,) = [i for i, line in enumerate(wire_transcript)
+                      if line.startswith(b'{"request_id"') and b'"blobs"' in line]
+        assert wire_transcript[fetched + 1] == sent + b"\n"  # the stored ciphertext, as sent
+        assert image.hex().encode() not in b"".join(wire_transcript)
 
 
 NONCE_HEX = "00" * 32
@@ -592,18 +676,21 @@ STUB_KEY = bytes(range(32))
 @pytest.fixture
 def stub():
     """A loopback stand-in for a faulty service: ``replies[op](payload)`` gives
-    the ``(status, payload)`` each request is answered with, or the raw line,
-    and ``lines`` collects every line received and sent, newline included."""
+    the ``(status, payload)`` each request is answered with, or the raw lines,
+    and ``lines`` collects every message received and sent, a header and its
+    frame line together, newlines included."""
     replies, lines = {}, []
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
             line = self.rfile.readline()
-            lines.append(line)
             message = json.loads(line)
+            if "blobs" in message["payload"]:  # a frame line follows the header
+                line += self.rfile.readline()
+            lines.append(line)
             reply = replies[message["op"]](message["payload"])
             out = io.BytesIO()
-            if isinstance(reply, bytes):  # a raw line, sent as it is
+            if isinstance(reply, bytes):  # raw lines, sent as they are
                 out.write(reply)
             else:
                 status, payload = reply
@@ -640,6 +727,18 @@ def fetch_answer(digest: bytes = ZERO_DIGEST, **fields):
     return reply
 
 
+def framed(reply, frame: bytes):
+    """``reply`` sent as raw lines: its header declares one byte of blobs and
+    ``frame`` follows it.  For the first request of a client."""
+
+    def raw(request):
+        status, payload = reply(request)
+        header = {"request_id": 1, "status": status, "payload": {**payload, "blobs": [1, 0, 0]}}
+        return json.dumps(header).encode() + b"\n" + frame
+
+    return raw
+
+
 COUNTER_HINT = answer(STATUS_ERROR, {"hints": {"counter": 1}})
 
 MALFORMED_REPLIES = [
@@ -668,12 +767,21 @@ MALFORMED_REPLIES = [
     pytest.param("fetch", {"FETCH": answer(STATUS_OK, {})}, id="fetch-without-response"),
     pytest.param(
         "fetch",
-        {"FETCH": fetch_answer(image="zz", build="", compose="", secret_commitment="00" * 32)},
+        {"FETCH": framed(fetch_answer(secret_commitment="00" * 32), b"zz\n")},
         id="fetch-bad-image-hex",
     ),
     pytest.param(
-        "fetch", {"FETCH": fetch_answer(image="", build="", compose="")},
+        "fetch", {"FETCH": fetch_answer(blobs=BlobSet(b"", b"", b""))},
         id="fetch-without-commitment",
+    ),
+    pytest.param(
+        "fetch", {"FETCH": fetch_answer(secret_commitment="00" * 32)},
+        id="fetch-without-blobs",
+    ),
+    pytest.param(
+        "fetch",
+        {"FETCH": framed(fetch_answer(secret_commitment="00" * 32), b"0")},
+        id="fetch-cut-frame",
     ),
     pytest.param("modify", {"INFO": answer(STATUS_OK, {})}, id="modify-info-without-response"),
     pytest.param(
@@ -759,9 +867,7 @@ def encrypted_fetch_answer(tagged: bool):
     digest = sha256(b"".join(hashes) + commitment + (CIPHER_ID if tagged else b""))
     delivered = bytes(a ^ b for a, b in zip(secret, sha256(commitment + STUB_KEY)))
     return fetch_answer(
-        digest, image=cipher.image.hex(), build=cipher.build.hex(),
-        compose=cipher.compose.hex(), secret_commitment=commitment.hex(),
-        sealed_for_user=delivered.hex(),
+        digest, blobs=cipher, secret_commitment=commitment.hex(), sealed_for_user=delivered.hex(),
     )
 
 

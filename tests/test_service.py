@@ -8,6 +8,7 @@ import secrets
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import tcr.storage
 from conftest import acl_hints
 from tcr.bench import STEP_ORDER
 from tcr.client import (
@@ -234,6 +235,18 @@ class TestQueryModuleCalls:
                 assert spy.calls == ["verify_container"], (name, cache)
 
 
+@pytest.mark.parametrize("heights", [(63, 8), (-1, 8), (6, 63), (6, -1)])
+def test_a_height_the_store_cannot_address_is_refused(storage, module, heights):
+    height, acl_height = heights
+    with pytest.raises(ValueError, match="height -?[0-9]+ is outside 0..62$"):
+        Service(storage, module, height, acl_height=acl_height)
+
+
+def test_the_tallest_addressable_trees_are_served(storage, module, credentials):
+    service = Service(storage, module, 62, acl_height=62)
+    assert service.handle_create(signed_create(credentials[1], (1 << 64) - 1)) is not None
+
+
 class TestModify:
     def test_new_version(self, service, credentials):
         cred = credentials[1]
@@ -245,6 +258,22 @@ class TestModify:
         row = service.storage.version_get(7, 1)
         assert row.content_digest == env.value
         assert service.storage.blob_get(row.hashes) == BLOBS
+
+    def test_each_blob_is_hashed_once(self, service, credentials, monkeypatch):
+        cred = credentials[1]
+        service.handle_create(signed_create(cred, 7))
+        env = signed_modify(cred, 7, 1)
+        hashed = []
+
+        def counted(data: bytes) -> bytes:
+            hashed.append(bytes(data))
+            return sha256(data)
+
+        monkeypatch.setattr(tcr.storage, "sha256", counted)
+        assert service.handle_modify(env, BLOBS) is not None
+        assert [blob for blob in hashed if blob in dataclasses.astuple(BLOBS)] == list(
+            dataclasses.astuple(BLOBS)
+        )
 
     def test_unknown_container_rejected(self, service, credentials):
         assert service.handle_modify(signed_modify(credentials[1], 9, 1), BLOBS) is None
