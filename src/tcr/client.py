@@ -27,7 +27,7 @@ from .merkle import (
     sha256,
 )
 from .module import RequestEnvelope, RequestKind, VerifyResponse, secret_commitment
-from .storage import CIPHER_ID, BlobSet, content_digest, initial_acl_leaf
+from .storage import CIPHER_ID, BlobSet, check_height, content_digest, initial_acl_leaf
 from .wire import (
     STATUS_DENIED,
     STATUS_OK,
@@ -50,6 +50,17 @@ class Verdict(Enum):
 
 class RequestRejected(Exception):
     """The module refused the request; no acknowledgement exists."""
+
+
+class _Refused(RequestRejected):
+    """The reply's status says the module refused ``envelope``.
+
+    The status carries no authentication: it is the service's word only.
+    """
+
+    def __init__(self, op: str, envelope: RequestEnvelope) -> None:
+        super().__init__(f"{op} was not acknowledged")
+        self.envelope = envelope
 
 
 class ProtocolFailure(Exception):
@@ -185,16 +196,22 @@ def predicted_acl_root(hints: dict, target_user: int, level: int) -> bytes:
 
     Computed from the service's (unverified) view of the ACL tree; the
     signature over this root is what authorizes the change, and a lying
-    service only strands itself with a tree it cannot re-prove.
+    service only strands itself with a tree it cannot re-prove.  The height
+    and every row's ``[slot, idx, next_idx]`` must be u64s, and the height
+    one the store can address, so a hint cannot make the rebuild run long.
     """
-    tree = Iomt.from_leaves(
-        int(hints["acl_height"]),
-        [
-            (int(slot), Leaf(int(idx), int(nxt), bytes.fromhex(val)))
-            for slot, idx, nxt, val in hints["acl"]
-        ],
+    height = check_height("acl_height", u64_field(hints, "acl_height"))
+    return Iomt.from_leaves(height, map(_acl_row, hints["acl"])).upsert(
+        target_user, counter_digest(level)
     )
-    return tree.upsert(target_user, counter_digest(level))
+
+
+def _acl_row(row: object) -> tuple[int, Leaf]:
+    """One hinted ACL row, ``[slot, idx, next_idx, value hex]``, as a slot and its leaf."""
+    if not isinstance(row, list) or len(row) != 4:
+        raise WireError(f"ACL row is not four fields: {row!r:.60}")
+    slot, idx, nxt = (u64_field(row, i) for i in range(3))
+    return slot, Leaf(idx, nxt, bytes.fromhex(row[3]))
 
 
 @dataclass(frozen=True)
@@ -213,7 +230,19 @@ class FetchOutcome:
 
 
 class RepositoryClient:
-    """One-shot wire client; a fresh connection per command."""
+    """Wire client; a fresh connection per request.
+
+    An instance remembers, per container, the counter its next write must
+    sign, and learns it only from a verified acknowledgement of its own
+    write: the module moved the counter to the signed one plus one.  A MODIFY
+    signs from that memory and skips its INFO; if it is reported refused, the
+    client signs once more only where a verified INFO shows the refused
+    request can no longer apply and did not.  A refused attempt costs a whole
+    upload, so a container whose remembered counter was refused once (another
+    writer shares it) is asked for before every later MODIFY.  The memory
+    lives as long as the instance, and any write that is not acknowledged
+    drops the entry.
+    """
 
     def __init__(
         self, host: str, port: int, credential: UserCredential, timeout: float = 30.0
@@ -223,6 +252,8 @@ class RepositoryClient:
         self.credential = credential
         self.timeout = timeout
         self._next_id = 0
+        self._counters: dict[int, int] = {}  # idx -> the counter its next write signs
+        self._shared: set[int] = set()  # containers never remembered: another writer moves them
 
     # -- transport ----------------------------------------------------------------
 
@@ -248,18 +279,23 @@ class RepositoryClient:
         return reply.get("status", ""), body
 
     def _mutate(self, op: str, envelope: RequestEnvelope, extra: Optional[dict] = None) -> dict:
+        """Send a signed write; only its verified acknowledgement leaves a
+        counter remembered for ``envelope.idx``, the one the module moved to."""
+        self._counters.pop(envelope.idx, None)
         payload = envelope_to_json(envelope)
         if extra:
             payload.update(extra)
         status, body = self._request(op, payload)
         if status == STATUS_REJECTED:
-            raise RequestRejected(f"{op} was not acknowledged")
+            raise _Refused(op, envelope)
         if status != STATUS_OK:
             raise ProtocolFailure(body.get("message", f"{op} failed"))
         with _decoding(op):
             ack = bytes.fromhex(body.get("ack", ""))
         if not self.credential.verify_ack(envelope, ack):
             raise RequestRejected(f"{op} acknowledgement does not verify")
+        if envelope.idx not in self._shared:
+            self._counters[envelope.idx] = envelope.counter + 1
         return body
 
     # -- commands -------------------------------------------------------------------
@@ -315,8 +351,43 @@ class RepositoryClient:
     def modify(
         self, idx: int, image: bytes, build: bytes, compose: bytes, encrypt: bool = False
     ) -> dict:
-        counter, _ = self._counter_and_hints(idx)
         blobs = BlobSet(image, build, compose)
+        counter = self._counters.get(idx)
+        if counter is None:
+            counter, _ = self._counter_and_hints(idx)
+        else:
+            try:
+                return self._modify_at(idx, counter, blobs, encrypt)
+            except _Refused as refused:
+                self._shared.add(idx)
+                counter = self._counter_past(refused)
+        return self._modify_at(idx, counter, blobs, encrypt)
+
+    def _counter_past(self, refused: _Refused) -> int:
+        """The counter to sign a MODIFY at once more, after ``refused`` was
+        reported refused.
+
+        The report is the service's unauthenticated word, so a verified INFO
+        must show that the refused request can no longer apply and did not:
+        the counter has moved past the one it signed, and the latest version
+        is not its content.  Otherwise the refusal is raised.
+        """
+        envelope = refused.envelope
+        nonce, status, body = self._query("INFO", {"idx": envelope.idx, "requested_version": 0})
+        if status == STATUS_OK:
+            with _decoding("INFO"):
+                response = response_from_json(body["response"])
+                verdict = check_info_response(self.credential, response, nonce, envelope.idx)
+            if (
+                verdict == Verdict.VERIFIED
+                and response.counter > envelope.counter
+                and response.content_digest != envelope.value
+            ):
+                return response.counter
+        raise refused
+
+    def _modify_at(self, idx: int, counter: int, blobs: BlobSet, encrypt: bool) -> dict:
+        """One MODIFY signed at ``counter``, under a fresh secret when encrypting."""
         extra: dict = {}
         if encrypt:
             secret = secrets.token_bytes(DIGEST_SIZE)

@@ -31,6 +31,7 @@ from .wire import (
     STATUS_REJECTED,
     WireError,
     blobs_field,
+    check_fetchable,
     d32_field,
     envelope_from_json,
     read_message,
@@ -136,7 +137,7 @@ class RepositoryServer(socketserver.TCPServer):
             return STATUS_OK, {"ack": result.ack.hex()}
 
         if op == "MODIFY":
-            blobs = blobs_field(payload)
+            blobs = check_fetchable(blobs_field(payload))
             wrapped = payload.get("wrapped_secret")
             commitment = payload.get("secret_commitment")
             result = service.handle_modify(

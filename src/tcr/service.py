@@ -354,6 +354,8 @@ class Service:
 
         The blob files are written before the module is asked, so a full disk
         refuses the request instead of splitting the sealed root from the store.
+        A request signed at another counter than the leaf holds is one the
+        module refuses, so it is refused before its content is hashed or written.
         """
         if req.kind != RequestKind.CONTAINER:
             raise ProtocolError("content updates must be container-typed requests")
@@ -362,6 +364,8 @@ class Service:
         clock = clock or StepClock()
         with self._mutation(clock) as tree:
             record, slot, leaf = self._existing(tree, req.idx, clock)
+            if counter_value(leaf.val) != req.counter:
+                raise _Rejected()
 
             with clock.step("content_digest"):
                 commitment = secret_commitment if secret_commitment is not None else ZERO_DIGEST

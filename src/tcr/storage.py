@@ -286,10 +286,12 @@ class Storage:
 
     def _write_blob(self, content: bytes, digest: bytes) -> None:
         path = self._blob_path(digest)
-        if not path.exists() or sha256(path.read_bytes()) != digest:
-            # A damaged file is rewritten, so storing the content again
-            # repairs every version that shares it.  The bytes are renamed
-            # into place whole, so a torn write never sits under the address.
+        if not path.exists() or path.read_bytes() != content:
+            # The caller checked that ``content`` hashes to ``digest``, so a
+            # file holding other bytes is damaged.  It is rewritten, so storing
+            # the content again repairs every version that shares it.  The
+            # bytes are renamed into place whole, so a torn write never sits
+            # under the address.
             path.parent.mkdir(parents=True, exist_ok=True)
             partial = path.with_name(f"payload.{os.getpid()}.tmp")
             try:

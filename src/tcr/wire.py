@@ -30,6 +30,10 @@ STATUS_ERROR = "error"
 # a 16 MiB image travels as 32 MiB of hex.
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
+# Room an ``ok`` FETCH reply keeps for its header line beside the frame: with
+# every u64 (the echoed request id too) at its widest, that line is 778 bytes.
+FETCH_HEADER_BYTES = 1024
+
 
 class WireError(Exception):
     pass
@@ -73,6 +77,16 @@ def blobs_field(obj: dict) -> BlobSet:
     if not isinstance(value, BlobSet):
         raise WireError(f"field 'blobs' is not a frame: {value!r:.40}")
     return value
+
+
+def check_fetchable(blobs: BlobSet) -> BlobSet:
+    """``blobs`` if the ``ok`` FETCH reply that carries them fits in
+    :data:`MAX_MESSAGE_BYTES`, else a :class:`WireError`: a MODIFY is held to
+    this, so every version the store accepts can be fetched."""
+    frame = 2 * (len(blobs.image) + len(blobs.build) + len(blobs.compose)) + 1
+    if FETCH_HEADER_BYTES + frame > MAX_MESSAGE_BYTES:
+        raise WireError(f"a FETCH reply for this version would exceed {MAX_MESSAGE_BYTES} bytes")
+    return blobs
 
 
 def write_message(fp: IO[bytes], obj: dict) -> None:

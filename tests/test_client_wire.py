@@ -50,6 +50,7 @@ from tcr.wire import (
     STATUS_DENIED,
     STATUS_ERROR,
     STATUS_OK,
+    STATUS_REJECTED,
     WireError,
     read_message,
     response_from_json,
@@ -448,6 +449,35 @@ class TestMessageBound:
         assert rest == b""  # the server closed the connection
         assert client_for(server, keys, 2).info(3).verdict == Verdict.DENIED
 
+    def test_the_largest_storable_version_can_be_fetched(self, env, monkeypatch):
+        server, keys = env
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", 4000)
+        alice = client_for(server, keys, 1)
+        alice.create(11)
+        service = server.service
+        root = service.module.root
+        largest = (4000 - wire.FETCH_HEADER_BYTES - 1) // 2 - len(BUILD) - len(COMPOSE)
+        image = secrets.token_bytes(largest + 1)
+        with pytest.raises(ProtocolFailure, match="would exceed 4000 bytes"):
+            alice.modify(11, image, BUILD, COMPOSE, encrypt=True)
+        assert service.module.root == root == service.container_tree().root
+        assert list(service.storage.data_dir.rglob("payload")) == []  # nothing stored
+        assert alice.modify(11, image[:-1], BUILD, COMPOSE, encrypt=True)["version"] == 1
+        outcome = alice.fetch(11)
+        assert outcome.verdict == Verdict.VERIFIED
+        assert outcome.blobs == BlobSet(image[:-1], BUILD, COMPOSE)
+
+    def test_the_fetch_reserve_holds_the_widest_reply_header(self):
+        widest, digest = (1 << 64) - 1, b"\xff" * 32
+        response = VerifyResponse(
+            idx=widest, nonce=digest, tag=digest, counter=widest, max_version=widest,
+            requested_version=widest, acl_root=digest, content_digest=digest,
+        )
+        payload = {"response": response_to_json(response), "blobs": [widest] * 3,
+                   "secret_commitment": digest.hex(), "sealed_for_user": digest.hex()}
+        header = {"request_id": widest, "status": STATUS_OK, "payload": payload}
+        assert len(json.dumps(header, separators=(",", ":"))) + 1 <= wire.FETCH_HEADER_BYTES
+
 
 def reader(data: bytes) -> tuple[RecordingFile, list[bytes]]:
     """A readline-only file over ``data``, as the benchmark's client tracing
@@ -741,6 +771,14 @@ def framed(reply, frame: bytes):
 
 COUNTER_HINT = answer(STATUS_ERROR, {"hints": {"counter": 1}})
 
+
+def acl_hint(height=8, row=(0, 1, 1, counter_digest(3).hex())):
+    """An INFO error reply hinting a one-row ACL of ``height``.  The stub
+    answers no ACL_SET, so a client that sent one would fail otherwise."""
+    return {"INFO": answer(STATUS_ERROR, {"hints": {"counter": 1, "acl_height": height,
+                                                     "acl": [list(row)]}})}
+
+
 MALFORMED_REPLIES = [
     pytest.param("info", {"INFO": answer(STATUS_OK, {})}, id="info-without-response"),
     pytest.param("info", {"INFO": answer(STATUS_OK, ["a", "list"])}, id="info-payload-not-object"),
@@ -803,6 +841,15 @@ MALFORMED_REPLIES = [
         {"INFO": answer(STATUS_ERROR, {"hints": {"counter": 1, "acl_height": 8, "acl": [[0, 1]]}})},
         id="acl-set-short-acl-row",
     ),
+    pytest.param("acl_set", acl_hint(height=63), id="acl-set-height-63"),
+    pytest.param("acl_set", acl_hint(height=10**6), id="acl-set-height-1e6"),
+    pytest.param("acl_set", acl_hint(height="8"), id="acl-set-string-height"),
+    pytest.param("acl_set", acl_hint(height=True), id="acl-set-bool-height"),
+    pytest.param("acl_set", acl_hint(height=8.0), id="acl-set-float-height"),
+    pytest.param("acl_set", acl_hint(row=("0", 1, 1, "00" * 32)), id="acl-set-string-slot"),
+    pytest.param("acl_set", acl_hint(row=(0, True, 1, "00" * 32)), id="acl-set-bool-idx"),
+    pytest.param("acl_set", acl_hint(row=(0, 1, 1.9, "00" * 32)), id="acl-set-float-next"),
+    pytest.param("acl_set", acl_hint(row=(0, 1, 1, "00" * 32, 0)), id="acl-set-long-acl-row"),
 ]
 
 COMMANDS = {
@@ -884,6 +931,140 @@ class TestCipherTag:
         table["FETCH"] = encrypted_fetch_answer(tagged=False)
         outcome = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY)).fetch(5)
         assert outcome.verdict == Verdict.INVALID and outcome.blobs is None
+
+
+def requests_in(chunks: list[bytes]) -> list[dict]:
+    """The header of every request among ``chunks``, in the order sent: what
+    ``wire_transcript`` recorded, or the stub's ``lines``."""
+    return [json.loads(chunk.split(b"\n", 1)[0]) for chunk in chunks if chunk.startswith(b'{"op"')]
+
+
+def ops_in(chunks: list[bytes]) -> list[str]:
+    return [request["op"] for request in requests_in(chunks)]
+
+
+def acknowledged(request):
+    """A stub reply acknowledging ``request`` under ``STUB_KEY``."""
+    envelope = wire.envelope_from_json(request)
+    return STATUS_OK, {"ack": hmac_sha256(envelope.ack_body(), STUB_KEY).hex()}
+
+
+class TestRememberedCounter:
+    """A client signs a MODIFY from the counter its own acknowledged write proved."""
+
+    def test_a_fresh_client_asks_first(self, env, wire_transcript):
+        server, keys = env
+        client_for(server, keys, 1).create(11)
+        wire_transcript.clear()
+        alice = client_for(server, keys, 1)
+        assert alice.modify(11, IMAGE, BUILD, COMPOSE)["version"] == 1
+        assert ops_in(wire_transcript) == ["INFO", "MODIFY"]
+
+    def test_writes_after_an_acknowledged_write_send_only_the_write(self, env, wire_transcript):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(11)
+        assert alice.modify(11, IMAGE, BUILD, COMPOSE)["version"] == 1
+        assert alice.modify(11, IMAGE + b"2", BUILD, COMPOSE, encrypt=True)["version"] == 2
+        assert ops_in(wire_transcript) == ["CREATE", "MODIFY", "MODIFY"]
+        # ACL_SET still asks, for the ACL view; the MODIFY after it does not.
+        alice.acl_set(11, 2, 1)
+        assert alice.modify(11, IMAGE + b"3", BUILD, COMPOSE)["version"] == 3
+        assert ops_in(wire_transcript)[3:] == ["INFO", "ACL_SET", "MODIFY"]
+        outcome = alice.fetch(11)
+        assert outcome.verdict == Verdict.VERIFIED and outcome.blobs.image == IMAGE + b"3"
+
+    def test_a_stale_counter_is_refused_then_asked_for(self, env, wire_transcript):
+        server, keys = env
+        alice, bob = client_for(server, keys, 1), client_for(server, keys, 2)
+        alice.create(11)
+        alice.modify(11, IMAGE, BUILD, COMPOSE)
+        alice.acl_set(11, 2, 2)
+        bob.modify(11, IMAGE + b"bob", BUILD, COMPOSE)  # moves the counter alice remembers
+        wire_transcript.clear()
+        assert alice.modify(11, IMAGE + b"alice", BUILD, COMPOSE, encrypt=True)["version"] == 3
+        assert ops_in(wire_transcript) == ["MODIFY", "INFO", "MODIFY"]
+        first, second = (r["payload"] for r in requests_in(wire_transcript) if r["op"] == "MODIFY")
+        assert second["counter"] == first["counter"] + 1
+        assert second["secret_commitment"] != first["secret_commitment"]  # a fresh secret
+        outcome = alice.fetch(11)
+        assert outcome.verdict == Verdict.VERIFIED and outcome.version == 3
+        assert outcome.blobs.image == IMAGE + b"alice"
+        service = server.service
+        assert service.module.root == service.container_tree().root
+        # A shared container is asked for before every later MODIFY.
+        wire_transcript.clear()
+        assert alice.modify(11, IMAGE, BUILD, COMPOSE)["version"] == 4
+        assert ops_in(wire_transcript) == ["INFO", "MODIFY"]
+
+    def test_a_second_refusal_is_raised(self, env, wire_transcript):
+        server, keys = env
+        alice, bob = client_for(server, keys, 1), client_for(server, keys, 2)
+        alice.create(11)
+        alice.modify(11, IMAGE, BUILD, COMPOSE)
+        alice.acl_set(11, 2, 2)
+        bob.modify(11, IMAGE + b"bob", BUILD, COMPOSE)
+        alice.acl_set(11, 2, 1)  # bob may read, no longer write
+        wire_transcript.clear()
+        with pytest.raises(RequestRejected, match="not acknowledged"):
+            bob.modify(11, IMAGE, BUILD, COMPOSE)
+        assert ops_in(wire_transcript) == ["MODIFY", "INFO", "MODIFY"]
+        assert alice.info(11).response.max_version == 2
+
+    @pytest.mark.parametrize("applied", [True, False], ids=["applied", "held"])
+    @pytest.mark.parametrize("encrypt", [False, True], ids=["plain", "encrypted"])
+    def test_a_refusal_no_verified_info_bears_out_is_raised_unsigned(
+        self, env, wire_transcript, monkeypatch, applied, encrypt
+    ):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(11)
+        alice.modify(11, IMAGE, BUILD, COMPOSE)
+        service = server.service
+        modify = service.handle_modify
+
+        def lying(*args, **kwargs):
+            """Apply the request, or keep it, and report it refused."""
+            if applied:
+                modify(*args, **kwargs)
+            return None
+
+        monkeypatch.setattr(service, "handle_modify", lying)
+        wire_transcript.clear()
+        with pytest.raises(RequestRejected, match="not acknowledged"):
+            alice.modify(11, IMAGE + b"2", BUILD, COMPOSE, encrypt=encrypt)
+        assert ops_in(wire_transcript) == ["MODIFY", "INFO"]  # signed once only
+        assert alice.info(11).response.max_version == (2 if applied else 1)
+
+    def test_a_refusal_only_hints_answer_is_raised_unsigned(self, stub):
+        port, table, lines = stub
+        table.update({"CREATE": acknowledged, "MODIFY": answer(STATUS_REJECTED, {}),
+                      "INFO": COUNTER_HINT})
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+        client.create(5)
+        with pytest.raises(RequestRejected, match="not acknowledged"):
+            client.modify(5, IMAGE, BUILD, COMPOSE)
+        assert ops_in(lines) == ["CREATE", "MODIFY", "INFO"]
+
+    @pytest.mark.parametrize("reply, failure, match", [
+        (answer(STATUS_OK, {"ack": "00" * 32}), RequestRejected, "does not verify"),
+        (lambda request: b"", ProtocolFailure, "closed before a reply"),
+        (answer(STATUS_ERROR, {"message": "storage failure: EIO"}), ProtocolFailure, "EIO"),
+    ], ids=["bad-ack", "no-reply", "error"])
+    def test_a_remembered_write_that_may_have_applied_is_not_retried(
+        self, stub, reply, failure, match
+    ):
+        port, table, lines = stub
+        table.update({"CREATE": acknowledged, "MODIFY": reply, "INFO": COUNTER_HINT})
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+        client.create(5)
+        with pytest.raises(failure, match=match):
+            client.modify(5, IMAGE, BUILD, COMPOSE)
+        assert ops_in(lines) == ["CREATE", "MODIFY"]
+        # The entry is gone: the next MODIFY asks first.
+        with pytest.raises(failure, match=match):
+            client.modify(5, IMAGE, BUILD, COMPOSE)
+        assert ops_in(lines) == ["CREATE", "MODIFY", "INFO", "MODIFY"]
 
 
 class TestCli:

@@ -296,6 +296,16 @@ class TestModify:
         assert dump_store(service.storage) == before
         assert service.module.root == root
 
+    def test_stale_counter_modify_is_refused_before_its_content(self, service, credentials,
+                                                               monkeypatch):
+        cred = credentials[1]
+        service.handle_create(signed_create(cred, 7))
+        stale = signed_modify(cred, 7, 2)  # the leaf holds counter 1
+        monkeypatch.setattr(service.module, "apply_request", None)  # neither is reached
+        monkeypatch.setattr(BlobSet, "hashes", None)
+        assert service.handle_modify(stale, BLOBS) is None
+        assert list(service.storage.data_dir.rglob("payload")) == []
+
     def test_encrypted_modify_stores_sealed_secret(self, service, credentials):
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))

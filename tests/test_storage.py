@@ -276,6 +276,13 @@ class TestBlobs:
         storage.blob_put(blobs, hashes)
         assert storage.blob_get(hashes) == blobs
 
+    def test_intact_blob_is_left_in_place(self, storage):
+        blobs = BlobSet(b"image" * 100, b"build", b"compose")
+        storage.blob_put(blobs, blobs.hashes())
+        inodes = [storage._blob_path(h).stat().st_ino for h in blobs.hashes()]
+        storage.blob_put(blobs, blobs.hashes())
+        assert [storage._blob_path(h).stat().st_ino for h in blobs.hashes()] == inodes
+
 
 class TestDurability:
     def test_reopen_preserves_everything(self, tmp_path, keys):
