@@ -112,11 +112,14 @@ def main(argv: Optional[list[str]] = None) -> int:
             outcome = client.info(args.index, args.version)
             if outcome.verdict == Verdict.VERIFIED:
                 resp = outcome.response
-                print(
-                    f"container {resp.idx}: counter {resp.counter}, "
-                    f"versions {resp.max_version}, version {resp.requested_version} "
-                    f"content digest {resp.content_digest.hex()}"
-                )
+                if resp.max_version == 0:
+                    print(f"container {resp.idx}: counter {resp.counter}, no versions yet")
+                else:
+                    print(
+                        f"container {resp.idx}: counter {resp.counter}, "
+                        f"versions {resp.max_version}, version {resp.requested_version} "
+                        f"content digest {resp.content_digest.hex()}"
+                    )
             elif outcome.verdict == Verdict.DENIED:
                 print(f"container {args.index}: authenticated denial")
             else:

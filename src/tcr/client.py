@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Optional
 
-from .iomt import Iomt, Leaf, TreeFullError, counter_digest, leaf_digest
+from .iomt import Iomt, IomtError, Leaf, TreeFullError, counter_digest, leaf_digest
 from .merkle import (
     DIGEST_SIZE,
     ZERO_DIGEST,
@@ -73,7 +73,7 @@ def _decoding(op: str) -> Iterator[None]:
     :class:`ProtocolFailure`, not as whatever the decoding raised."""
     try:
         yield
-    except (KeyError, ValueError, TypeError, OverflowError, WireError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, WireError, IomtError) as exc:
         raise ProtocolFailure(f"malformed {op} reply: {exc!r}") from exc
 
 
@@ -191,19 +191,25 @@ def check_info_response(
     return Verdict.VERIFIED
 
 
-def predicted_acl_root(hints: dict, target_user: int, level: int) -> bytes:
+def predicted_acl_root(
+    hints: dict, target_user: int, level: int, *, acl_root: Optional[bytes] = None
+) -> bytes:
     """New ACL root after granting ``level`` to ``target_user``.
 
-    Computed from the service's (unverified) view of the ACL tree; the
-    signature over this root is what authorizes the change, and a lying
-    service only strands itself with a tree it cannot re-prove.  The height
-    and every row's ``[slot, idx, next_idx]`` must be u64s, and the height
-    one the store can address, so a hint cannot make the rebuild run long.
+    Rebuilt from the ACL rows the service hints.  The module takes the
+    signed root as the container's new ACL, so rows the service made up
+    would be signed into it: a grant to anyone the service likes.  Given
+    ``acl_root``, the root a verified INFO attested, the rows must rebuild
+    to it, or :class:`ProtocolFailure` is raised before anything is signed.
+    The height and every row's ``[slot, idx, next_idx]`` must be u64s, and
+    the height one the store can address, so a hint cannot make the
+    rebuild run long.
     """
     height = check_height("acl_height", u64_field(hints, "acl_height"))
-    return Iomt.from_leaves(height, map(_acl_row, hints["acl"])).upsert(
-        target_user, counter_digest(level)
-    )
+    acl = Iomt.from_leaves(height, map(_acl_row, hints["acl"]))
+    if acl_root is not None and acl.root != acl_root:
+        raise ProtocolFailure("the hinted ACL rows do not rebuild to the attested ACL root")
+    return acl.upsert(target_user, counter_digest(level))
 
 
 def _acl_row(row: object) -> tuple[int, Leaf]:
@@ -232,16 +238,18 @@ class FetchOutcome:
 class RepositoryClient:
     """Wire client; a fresh connection per request.
 
-    An instance remembers, per container, the counter its next write must
-    sign, and learns it only from a verified acknowledgement of its own
-    write: the module moved the counter to the signed one plus one.  A MODIFY
-    signs from that memory and skips its INFO; if it is reported refused, the
-    client signs once more only where a verified INFO shows the refused
-    request can no longer apply and did not.  A refused attempt costs a whole
-    upload, so a container whose remembered counter was refused once (another
-    writer shares it) is asked for before every later MODIFY.  The memory
-    lives as long as the instance, and any write that is not acknowledged
-    drops the entry.
+    A write signs only a counter and ACL view the module attested: from a
+    verified INFO, or from a verified acknowledgement of the instance's own
+    write.  An instance remembers, per container, the counter its next write
+    must sign, and learns it only from such an acknowledgement: the module
+    moved the counter to the signed one plus one.  A MODIFY signs from that
+    memory and skips its INFO; if it is reported refused, the client signs
+    once more only where a verified INFO shows the refused request can no
+    longer apply and did not.  A refused attempt costs a whole upload, so a
+    container whose remembered counter was refused once (another writer
+    shares it) is asked for before every later MODIFY.  The memory lives as
+    long as the instance, and any write that is not acknowledged drops the
+    entry.
     """
 
     def __init__(
@@ -326,27 +334,15 @@ class RepositoryClient:
             )
         return InfoOutcome(verdict=verdict, response=response, hints=body.get("hints"))
 
-    def _counter_and_hints(self, idx: int) -> tuple[int, Optional[dict]]:
-        """Current counter (verified when possible) plus the service's hints.
-
-        A container with no versions yet cannot be queried, so the counter
-        falls back to the unverified hint riding on the error reply; a wrong
-        hint only costs a rejected request.
-        """
-        nonce, status, body = self._query("INFO", {"idx": idx, "requested_version": 0})
-        hints = body.get("hints")
-        with _decoding("INFO"):
-            if status in (STATUS_OK, STATUS_DENIED):
-                response = response_from_json(body["response"])
-                verdict = check_info_response(self.credential, response, nonce, idx)
-                if verdict == Verdict.VERIFIED:
-                    return response.counter, hints
-                if verdict == Verdict.INVALID:
-                    raise RequestRejected("cannot trust the service's view of the container")
-                raise RequestRejected("container is not accessible")
-            if hints is None or "counter" not in hints:
-                raise RequestRejected("no usable counter for the request")
-            return u64_field(hints, "counter"), hints
+    def _attested(self, idx: int) -> InfoOutcome:
+        """A verified INFO on the latest version of ``idx``: the one source
+        of the counter and ACL view a write signs when none is remembered."""
+        outcome = self.info(idx)
+        if outcome.verdict == Verdict.INVALID:
+            raise RequestRejected("cannot trust the service's view of the container")
+        if outcome.verdict == Verdict.DENIED:
+            raise RequestRejected("container is not accessible")
+        return outcome
 
     def modify(
         self, idx: int, image: bytes, build: bytes, compose: bytes, encrypt: bool = False
@@ -354,7 +350,7 @@ class RepositoryClient:
         blobs = BlobSet(image, build, compose)
         counter = self._counters.get(idx)
         if counter is None:
-            counter, _ = self._counter_and_hints(idx)
+            counter = self._attested(idx).response.counter
         else:
             try:
                 return self._modify_at(idx, counter, blobs, encrypt)
@@ -370,20 +366,16 @@ class RepositoryClient:
         The report is the service's unauthenticated word, so a verified INFO
         must show that the refused request can no longer apply and did not:
         the counter has moved past the one it signed, and the latest version
-        is not its content.  Otherwise the refusal is raised.
+        is not its content.  Otherwise, and when INFO gives no verified full
+        answer, the refusal is raised.
         """
         envelope = refused.envelope
-        nonce, status, body = self._query("INFO", {"idx": envelope.idx, "requested_version": 0})
-        if status == STATUS_OK:
-            with _decoding("INFO"):
-                response = response_from_json(body["response"])
-                verdict = check_info_response(self.credential, response, nonce, envelope.idx)
-            if (
-                verdict == Verdict.VERIFIED
-                and response.counter > envelope.counter
-                and response.content_digest != envelope.value
-            ):
-                return response.counter
+        try:
+            response = self._attested(envelope.idx).response
+        except (RequestRejected, ProtocolFailure):
+            raise refused from None
+        if response.counter > envelope.counter and response.content_digest != envelope.value:
+            return response.counter
         raise refused
 
     def _modify_at(self, idx: int, counter: int, blobs: BlobSet, encrypt: bool) -> dict:
@@ -402,17 +394,18 @@ class RepositoryClient:
         return self._mutate("MODIFY", envelope, extra)
 
     def acl_set(self, idx: int, target_user: int, level: int) -> dict:
-        counter, hints = self._counter_and_hints(idx)
+        info = self._attested(idx)
+        response, hints = info.response, info.hints
         if hints is None:
             raise RequestRejected("no ACL view available; cannot form the request")
         with _decoding("INFO"):
             try:
-                new_root = predicted_acl_root(hints, target_user, level)
+                new_root = predicted_acl_root(hints, target_user, level, acl_root=response.acl_root)
             except TreeFullError as exc:
                 raise ProtocolFailure(
                     f"cannot grant user {target_user}: the ACL of container {idx} is full"
                 ) from exc
-        envelope = self.credential.sign_request(RequestKind.ACL, idx, counter, new_root)
+        envelope = self.credential.sign_request(RequestKind.ACL, idx, response.counter, new_root)
         return self._mutate("ACL_SET", envelope, {"target_user": target_user, "level": level})
 
     def fetch(self, idx: int, version: int = 0) -> FetchOutcome:

@@ -425,50 +425,46 @@ class TrustedModule:
         version: Optional[VersionRecord] = None,
         release: bool = False,
     ) -> Optional[VerifyResponse]:
-        """Answer an information query about ``idx`` with a MACed response or denial.
+        """Answer an information query about ``idx``: a MACed response or denial.
 
         ``container_proof`` reads ``idx``'s counter under the sealed root, and
-        ``acl_proof`` the caller's level under the record's ACL root.  The
-        denial for an absent container and the denial for a caller with zero
-        access are built identically, so the caller cannot tell the two apart.
-        ``None`` means the supplied evidence itself was bad, which
-        distinguishes service misbehavior from an authenticated denial.  With
-        ``release``, a full response carries the ``version`` row's sealed
-        secret re-padded for the caller, if it opens the row's commitment.
+        ``acl_proof`` the caller's level under the record's ACL root.  One
+        denial answers an absent container and a caller with zero access, so
+        the caller cannot tell the two apart.  ``None`` means the supplied
+        evidence itself was bad, which distinguishes service misbehavior from
+        an authenticated denial.  A container before its first version
+        answers version 0 with ``max_version`` 0 and a zero content digest;
+        any other answer, and any ``release``, needs the ``version`` row.
+        With ``release``, a full response carries that row's sealed secret
+        re-padded for the caller, if it opens the row's commitment.
         """
         with self._lock:
             key = self._state.user_keys.get(user_idx)
             if key is None or len(nonce) != DIGEST_SIZE:
                 return None
             ctr = _read(container_proof, idx, self._state.root)
-            if ctr is None:
-                return None
-            if ctr == 0:
-                return self._denial(idx, nonce, key)
-
-            access = self._access(record, acl_proof, idx, ctr, user_idx)
+            # An absent container reads as counter 0, and holds no access.
+            access = ctr and self._access(record, acl_proof, idx, ctr, user_idx)
             if access is None:
                 return None
             if access == 0:
-                return self._denial(idx, nonce, key)
+                return self._tagged(VerifyResponse(idx=idx, nonce=nonce, tag=b""), key)
 
-            if not self._seal_ok(version, VersionRecord):
-                return None
-            if version.idx != idx or version.version != requested_version:
-                return None
-            sealed_for_user, commitment = None, version.secret_commitment
-            if release and version.wrapped_secret != ZERO_DIGEST:
-                pad = sha256(commitment + self._state.secret)
-                sealed_for_user = _repad(version.wrapped_secret, commitment, pad, idx, key)
+            digest, sealed_for_user = ZERO_DIGEST, None
+            if release or requested_version or record.version_count:
+                row_ok = self._seal_ok(version, VersionRecord)
+                if not row_ok or (version.idx, version.version) != (idx, requested_version):
+                    return None
+                digest, commitment = version.content_digest, version.secret_commitment
+                if release and version.wrapped_secret != ZERO_DIGEST:
+                    pad = sha256(commitment + self._state.secret)
+                    sealed_for_user = _repad(version.wrapped_secret, commitment, pad, idx, key)
             response = VerifyResponse(
                 idx=idx, nonce=nonce, tag=b"", counter=ctr, max_version=record.version_count,
                 requested_version=requested_version, acl_root=record.acl_root,
-                content_digest=version.content_digest, sealed_for_user=sealed_for_user,
+                content_digest=digest, sealed_for_user=sealed_for_user,
             )
             return self._tagged(response, key)
-
-    def _denial(self, idx: int, nonce: bytes, key: bytes) -> VerifyResponse:
-        return self._tagged(VerifyResponse(idx=idx, nonce=nonce, tag=b""), key)
 
     @staticmethod
     def _tagged(response: VerifyResponse, key: bytes) -> VerifyResponse:

@@ -115,10 +115,7 @@ class RepositoryServer(socketserver.TCPServer):
         try:
             return self._dispatch(op, payload, peer)
         except ProtocolError as exc:
-            body: dict = {"message": str(exc)}
-            if exc.hints is not None:
-                body["hints"] = exc.hints
-            return STATUS_ERROR, body
+            return STATUS_ERROR, {"message": str(exc)}
         except StorageError as exc:
             return STATUS_ERROR, {"message": f"storage failure: {exc}"}
         except (OSError, sqlite3.Error) as exc:

@@ -65,12 +65,8 @@ class ProtocolError(Exception):
     """Malformed request or evidence the service cannot assemble.
 
     Distinct from an authenticated denial: denials are module-tagged
-    answers, protocol errors are not.
+    answers, protocol errors are not, so an error carries its message only.
     """
-
-    def __init__(self, message: str, hints: Optional[dict] = None) -> None:
-        super().__init__(message)
-        self.hints = hints
 
 
 class _Rejected(Exception):
@@ -153,10 +149,9 @@ class FetchResult:
 
 @dataclass(frozen=True)
 class _Answer:
-    """The module's answer to a query and the rows it was given."""
+    """The module's answer to a query, and the version row and ACL view it was given."""
 
     response: VerifyResponse
-    record: Optional[ContainerRecord]
     version_row: Optional[VersionRecord]
     acl: Optional[Iomt]  # the container's ACL view, loaded when the record exists
 
@@ -167,6 +162,9 @@ class Service:
     All module interactions and store accesses funnel through one lock, so
     pipelines execute in a total order; concurrent wire handlers simply
     queue.  The storage has no lock of its own and relies on this one.
+    The service is untrusted, so a client signs nothing it says unless the
+    module attested it: the ACL rows hinted beside a full INFO answer must
+    rebuild to the ACL root that answer attests.
     """
 
     def __init__(
@@ -243,17 +241,10 @@ class Service:
         """
         return self._record_proof(acl, user_idx, ("acl", user_idx), acl.root)
 
-    @staticmethod
-    def _access_level(acl: Iomt, user_idx: int) -> int:
-        found = acl.find_leaf(user_idx)
-        if found is None:
-            return 0
-        level = counter_value(found[1].val)
-        return level if level is not None else 0
-
-    def _hints(self, record: ContainerRecord, acl: Iomt) -> dict:
+    def _hints(self, acl: Iomt) -> dict:
+        """The ACL rows a client rebuilds to sign a grant; it checks them
+        against the ACL root the module attests beside them."""
         return {
-            "counter": record.counter,
             "acl_height": self.acl_height,
             "acl": [[slot, leaf.idx, leaf.next_idx, leaf.val.hex()] for slot, leaf in acl.leaves()],
         }
@@ -434,15 +425,16 @@ class Service:
     ) -> InfoResult:
         """Assemble proofs and relay the module's answer for one query.
 
-        Hints (current counter, ACL leaves) ride alongside full responses,
-        and alongside protocol errors when the requester holds read access;
-        they are never attached to denials, which must stay uninformative.
+        Every reader gets a full response, a container before its first
+        version included, so the counter and ACL root a writer signs from
+        are always module-attested.  Hints (the ACL rows) ride only
+        alongside full responses: never on denials, which must stay
+        uninformative, nor on protocol errors.
         """
         clock = clock or StepClock()
         with self._lock:
             answer = self._verified_answer(idx, requested_version, nonce, user_idx, clock)
-            denied = answer.response.denied
-            hints = None if denied else self._hints(answer.record, answer.acl)
+            hints = None if answer.response.denied else self._hints(answer.acl)
             return InfoResult(answer.response, hints=hints)
 
     def handle_fetch(
@@ -498,12 +490,6 @@ class Service:
                 user_idx, nonce, idx, resolved, container_proof,
                 record=record, acl_proof=acl_proof, version=version_row, release=release,
             )
-        if response is None:
-            # Typically an unattestable version number.  Reveal hints only to
-            # callers the service can see hold read access.
-            if acl is not None and self._access_level(acl, user_idx) >= 1:
-                raise ProtocolError(
-                    "no proof exists for the requested version", hints=self._hints(record, acl)
-                )
+        if response is None:  # typically an unattestable version number
             raise ProtocolError("no proof exists for the requested version")
-        return _Answer(response, record, version_row, acl)
+        return _Answer(response, version_row, acl)

@@ -131,8 +131,8 @@ def _flip_bit(rng: random.Random, raw: bytes) -> bytes:
 
 
 def acl_hints(service: Service, idx: int) -> dict:
-    """The hints an INFO reply carries for container ``idx``, ACL leaves included."""
-    return service._hints(service.storage.record_get(idx), service.acl_tree(idx))
+    """The hints an INFO reply carries for container ``idx``: its ACL leaves."""
+    return service._hints(service.acl_tree(idx))
 
 
 class RecordingFile:

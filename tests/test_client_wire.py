@@ -33,7 +33,7 @@ from tcr.client import (
     xor_blobs,
     xor_keystream,
 )
-from tcr.iomt import Iomt, counter_digest
+from tcr.iomt import Iomt, Leaf, counter_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256
 from tcr.module import (
     ModuleState,
@@ -271,12 +271,15 @@ class TestWireFlows:
         assert outcome.verdict == Verdict.DENIED
 
     def test_acl_set_on_versionless_container(self, env):
-        # Right after creation nothing is queryable yet; the ACL change must
-        # still work from the hinted counter.
+        # Before its first version a container still answers a verified INFO,
+        # with max_version 0: the ACL change and bob's first write sign from it.
         server, keys = env
         alice, bob = client_for(server, keys, 1), client_for(server, keys, 2)
         alice.create(19)
         alice.acl_set(19, 2, 2)
+        outcome = bob.info(19)
+        assert outcome.verdict == Verdict.VERIFIED
+        assert (outcome.response.counter, outcome.response.max_version) == (2, 0)
         assert bob.modify(19, IMAGE, BUILD, COMPOSE)["version"] == 1
 
     def test_grant_and_revoke_cycle(self, env):
@@ -742,17 +745,25 @@ def answer(status, payload):
     return lambda request: (status, payload)
 
 
+def full_answer(request, **fields) -> dict:
+    """A full module answer to ``request`` with ``fields``, tagged under
+    ``STUB_KEY``, as JSON; zero digests where ``fields`` name none."""
+    response = VerifyResponse(
+        idx=request["idx"], nonce=bytes.fromhex(request["nonce"]), tag=b"",
+        **{"acl_root": ZERO_DIGEST, "content_digest": ZERO_DIGEST, **fields},
+    )
+    return response_to_json(replace(response, tag=hmac_sha256(response.tag_body(), STUB_KEY)))
+
+
 def fetch_answer(digest: bytes = ZERO_DIGEST, **fields):
     """A FETCH reply whose module answer attests ``digest`` and verifies under
     ``STUB_KEY``, plus ``fields``."""
 
     def reply(request):
-        response = VerifyResponse(
-            idx=request["idx"], nonce=bytes.fromhex(request["nonce"]), tag=b"", counter=2,
-            max_version=1, requested_version=1, acl_root=ZERO_DIGEST, content_digest=digest,
+        response = full_answer(
+            request, counter=2, max_version=1, requested_version=1, content_digest=digest
         )
-        tagged = replace(response, tag=hmac_sha256(response.tag_body(), STUB_KEY))
-        return STATUS_OK, {"response": response_to_json(tagged), **fields}
+        return STATUS_OK, {"response": response, **fields}
 
     return reply
 
@@ -769,14 +780,35 @@ def framed(reply, frame: bytes):
     return raw
 
 
-COUNTER_HINT = answer(STATUS_ERROR, {"hints": {"counter": 1}})
+def info_answer(hints=None, acl_root: bytes = ZERO_DIGEST):
+    """An INFO reply about a container before its first version, at counter 1,
+    whose module answer attests ``acl_root`` and verifies under ``STUB_KEY``;
+    ``hints`` ride beside it when given."""
+
+    def reply(request):
+        response = full_answer(
+            request, counter=1, max_version=0, requested_version=0, acl_root=acl_root
+        )
+        payload = {"response": response}
+        if hints is not None:
+            payload["hints"] = hints
+        return STATUS_OK, payload
+
+    return reply
 
 
-def acl_hint(height=8, row=(0, 1, 1, counter_digest(3).hex())):
-    """An INFO error reply hinting a one-row ACL of ``height``.  The stub
-    answers no ACL_SET, so a client that sent one would fail otherwise."""
-    return {"INFO": answer(STATUS_ERROR, {"hints": {"counter": 1, "acl_height": height,
-                                                     "acl": [list(row)]}})}
+def acl_rows(acl: Iomt) -> list:
+    """``acl``'s leaves as the hints carry them."""
+    return [[slot, leaf.idx, leaf.next_idx, leaf.val.hex()] for slot, leaf in acl.leaves()]
+
+
+OWNER_ROW = [0, 1, 1, counter_digest(3).hex()]  # user 1 alone, at level 3
+
+
+def acl_hint(height=8, row=OWNER_ROW):
+    """A verified INFO hinting a one-row ACL of ``height``.  The stub answers
+    no ACL_SET, so a client that sent one would fail otherwise."""
+    return {"INFO": info_answer({"acl_height": height, "acl": [list(row)]})}
 
 
 MALFORMED_REPLIES = [
@@ -823,22 +855,15 @@ MALFORMED_REPLIES = [
     ),
     pytest.param("modify", {"INFO": answer(STATUS_OK, {})}, id="modify-info-without-response"),
     pytest.param(
-        "modify", {"INFO": answer(STATUS_ERROR, {"hints": {"counter": "x"}})},
-        id="modify-bad-counter-hint",
-    ),
-    pytest.param(
-        "modify", {"INFO": answer(STATUS_ERROR, {"hints": {"counter": float("inf")}})},
-        id="modify-infinite-counter-hint",
-    ),
-    pytest.param(
-        "modify", {"INFO": COUNTER_HINT, "MODIFY": answer(STATUS_OK, {"ack": "zz"})},
+        "modify", {"INFO": info_answer(), "MODIFY": answer(STATUS_OK, {"ack": "zz"})},
         id="modify-bad-ack-hex",
     ),
     pytest.param("acl_set", {"INFO": answer(STATUS_OK, {})}, id="acl-set-info-without-response"),
-    pytest.param("acl_set", {"INFO": COUNTER_HINT}, id="acl-set-hints-without-acl"),
     pytest.param(
-        "acl_set",
-        {"INFO": answer(STATUS_ERROR, {"hints": {"counter": 1, "acl_height": 8, "acl": [[0, 1]]}})},
+        "acl_set", {"INFO": info_answer({"acl_height": 8})}, id="acl-set-hints-without-acl"
+    ),
+    pytest.param(
+        "acl_set", {"INFO": info_answer({"acl_height": 8, "acl": [[0, 1]]})},
         id="acl-set-short-acl-row",
     ),
     pytest.param("acl_set", acl_hint(height=63), id="acl-set-height-63"),
@@ -850,6 +875,7 @@ MALFORMED_REPLIES = [
     pytest.param("acl_set", acl_hint(row=(0, True, 1, "00" * 32)), id="acl-set-bool-idx"),
     pytest.param("acl_set", acl_hint(row=(0, 1, 1.9, "00" * 32)), id="acl-set-float-next"),
     pytest.param("acl_set", acl_hint(row=(0, 1, 1, "00" * 32, 0)), id="acl-set-long-acl-row"),
+    pytest.param("acl_set", acl_hint(row=(256, 1, 1, "00" * 32)), id="acl-set-slot-past-the-tree"),
 ]
 
 COMMANDS = {
@@ -885,8 +911,7 @@ class TestMalformedReplies:
         acl = Iomt(8)
         for user in range(1, 257):
             acl.upsert(user, counter_digest(1))
-        rows = [[slot, leaf.idx, leaf.next_idx, leaf.val.hex()] for slot, leaf in acl.leaves()]
-        table["INFO"] = answer(STATUS_ERROR, {"hints": {"counter": 1, "acl_height": 8, "acl": rows}})
+        table["INFO"] = info_answer({"acl_height": 8, "acl": acl_rows(acl)}, acl_root=acl.root)
         client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
         with pytest.raises(ProtocolFailure, match="ACL of container 5 is full"):
             client.acl_set(5, 1000, 1)
@@ -895,13 +920,89 @@ class TestMalformedReplies:
     def test_transcript_holds_the_bytes_on_the_wire(self, stub, wire_transcript):
         # The recorder the confidentiality tests scan sees exactly the stub's lines.
         port, table, lines = stub
-        table["INFO"] = COUNTER_HINT
+        table["INFO"] = info_answer()
         table["MODIFY"] = answer(STATUS_OK, {"ack": "00" * 32})
         client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
         with pytest.raises(RequestRejected, match="does not verify"):
             client.modify(5, IMAGE, BUILD, COMPOSE, encrypt=True)
         assert len(lines) == 4  # INFO and MODIFY, each with its reply
         assert wire_transcript == lines
+
+
+class TestSignsOnlyWhatTheModuleAttested:
+    """A write signs no counter or ACL view but one a verified INFO attests."""
+
+    @pytest.mark.parametrize("command", ["modify", "acl_set"])
+    @pytest.mark.parametrize("payload", [
+        {"message": "no proof exists for the requested version"},
+        {"message": "no proof exists for the requested version",
+         "hints": {"counter": 1, "acl_height": 8, "acl": [OWNER_ROW]}},
+    ], ids=["bare", "with-hints"])
+    def test_an_info_error_stops_the_write_before_it_is_sent(self, stub, command, payload):
+        port, table, lines = stub
+        table.update({"INFO": answer(STATUS_ERROR, payload), "MODIFY": acknowledged,
+                      "ACL_SET": acknowledged})
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+        with pytest.raises(ProtocolFailure, match="no proof exists"):
+            COMMANDS[command](client)
+        assert ops_in(lines) == ["INFO"]
+
+    @staticmethod
+    def owner_only() -> Iomt:
+        acl = Iomt(8)
+        acl.set_leaf(0, Leaf(1, 1, counter_digest(3)))
+        return acl
+
+    def test_rows_that_rebuild_to_the_attested_root_are_signed(self, stub):
+        port, table, lines = stub
+        acl = self.owner_only()
+        hints = {"acl_height": 8, "acl": acl_rows(acl)}
+        table.update({"INFO": info_answer(hints, acl_root=acl.root), "ACL_SET": acknowledged})
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+        client.acl_set(5, 2, 1)
+        signed = requests_in(lines)[-1]["payload"]
+        assert ops_in(lines) == ["INFO", "ACL_SET"]
+        assert signed["value"] == acl.upsert(2, counter_digest(1)).hex()
+
+    def test_a_hinted_extra_row_is_never_signed(self, stub):
+        # Rows with one more administrator than the attested ACL: signed, they
+        # would become the container's ACL, and user 66 could read and write it.
+        port, table, lines = stub
+        acl = self.owner_only()
+        attested = acl.root
+        acl.upsert(66, counter_digest(3))
+        table.update({"INFO": info_answer({"acl_height": 8, "acl": acl_rows(acl)}, attested),
+                      "ACL_SET": acknowledged})
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+        with pytest.raises(ProtocolFailure, match="do not rebuild to the attested ACL root"):
+            client.acl_set(5, 2, 1)
+        assert ops_in(lines) == ["INFO"]
+
+    def test_a_service_hinting_an_extra_row_gets_no_signature(
+        self, env, wire_transcript, monkeypatch
+    ):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(11)
+        service = server.service
+        hints = service._hints
+
+        def padded(acl):
+            """The true rows plus user 4 at level 3; the served view stays as it is."""
+            extra = Iomt.from_leaves(acl.geometry.height, acl.leaves())
+            extra.upsert(4, counter_digest(3))
+            return {**hints(acl), "acl": acl_rows(extra)}
+
+        monkeypatch.setattr(service, "_hints", padded)
+        wire_transcript.clear()
+        with pytest.raises(ProtocolFailure, match="do not rebuild to the attested ACL root"):
+            alice.acl_set(11, 2, 1)
+        assert ops_in(wire_transcript) == ["INFO"]
+        assert client_for(server, keys, 4).info(11).verdict == Verdict.DENIED
+        monkeypatch.undo()
+        alice.acl_set(11, 2, 1)
+        assert client_for(server, keys, 2).info(11).verdict == Verdict.VERIFIED
+        assert client_for(server, keys, 4).info(11).verdict == Verdict.DENIED
 
 
 def encrypted_fetch_answer(tagged: bool):
@@ -1039,7 +1140,7 @@ class TestRememberedCounter:
     def test_a_refusal_only_hints_answer_is_raised_unsigned(self, stub):
         port, table, lines = stub
         table.update({"CREATE": acknowledged, "MODIFY": answer(STATUS_REJECTED, {}),
-                      "INFO": COUNTER_HINT})
+                      "INFO": answer(STATUS_ERROR, {"hints": {"counter": 2}})})
         client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
         client.create(5)
         with pytest.raises(RequestRejected, match="not acknowledged"):
@@ -1055,7 +1156,7 @@ class TestRememberedCounter:
         self, stub, reply, failure, match
     ):
         port, table, lines = stub
-        table.update({"CREATE": acknowledged, "MODIFY": reply, "INFO": COUNTER_HINT})
+        table.update({"CREATE": acknowledged, "MODIFY": reply, "INFO": info_answer()})
         client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
         client.create(5)
         with pytest.raises(failure, match=match):
@@ -1191,7 +1292,7 @@ class TestCli:
             server_main(argv)
         assert state_file.read_bytes() == bytes(data)
 
-    def test_exit_codes(self, env, tmp_path):
+    def test_exit_codes(self, env, tmp_path, capsys):
         from tcr.cli import main
 
         server, keys = env
@@ -1201,6 +1302,13 @@ class TestCli:
         base = ["--server", f"127.0.0.1:{port}", "--user", "1", "--key-file", str(key_file)]
 
         assert main(base + ["create", "--index", "21"]) == 0
+        # No version yet: INFO verifies, and FETCH has nothing to attest.
+        capsys.readouterr()
+        assert main(base + ["info", "--index", "21"]) == 0
+        assert capsys.readouterr().out == "container 21: counter 1, no versions yet\n"
+        assert main(base + ["fetch", "--index", "21", "--out", str(tmp_path / "none")]) == 4
+        assert "no proof exists" in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
 
         image, build, compose = tmp_path / "i", tmp_path / "b", tmp_path / "c"
         image.write_bytes(IMAGE)

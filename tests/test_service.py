@@ -474,15 +474,39 @@ class TestInfo:
         service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
         with pytest.raises(ProtocolError) as err:
             service.handle_info(7, 5, secrets.token_bytes(32), 1)
-        assert err.value.hints is not None  # owner holds read access
+        # The owner holds read access, yet the error carries its message only.
+        assert err.value.args == ("no proof exists for the requested version",)
+        assert vars(err.value) == {}
 
-    def test_no_versions_yet_is_protocol_error_with_hints(self, service, credentials):
+    def test_no_versions_yet_answers_a_verified_info(self, service, credentials):
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))
-        with pytest.raises(ProtocolError) as err:
-            service.handle_info(7, 0, secrets.token_bytes(32), 1)
-        assert err.value.hints is not None
-        assert err.value.hints["counter"] == 1
+        nonce = secrets.token_bytes(32)
+        info = service.handle_info(7, 0, nonce, 1)
+        assert check_info_response(cred, info.response, nonce, 7) == Verdict.VERIFIED
+        response = info.response
+        assert (response.counter, response.max_version, response.requested_version) == (1, 0, 0)
+        assert response.content_digest == ZERO_DIGEST and response.sealed_for_user is None
+        assert response.acl_root == cred.initial_acl_root()
+        assert info.hints == acl_hints(service, 7)
+        # No version row exists to attest: version 1 and any FETCH stay refused.
+        with pytest.raises(ProtocolError):
+            service.handle_info(7, 1, secrets.token_bytes(32), 1)
+        for version in (0, 1):
+            with pytest.raises(ProtocolError):
+                service.handle_fetch(7, version, 1, nonce=secrets.token_bytes(32))
+
+    def test_no_versions_yet_denies_as_an_absent_index(self, service, credentials):
+        # The denials are deterministic in (key, idx, nonce): user 2's answers
+        # about 7 before and after its creation must be the same bytes.
+        service.handle_create(signed_create(credentials[1], 5))
+        nonce = secrets.token_bytes(32)
+        queries = (service.handle_info, service.handle_fetch)
+        absent = [query(7, 0, nonce=nonce, user_idx=2).response for query in queries]
+        service.handle_create(signed_create(credentials[1], 7))
+        no_access = [query(7, 0, nonce=nonce, user_idx=2).response for query in queries]
+        assert all(response.denied for response in absent)
+        assert no_access == absent
 
     def test_out_of_range_probe_by_outsider_is_still_denied(self, service, credentials):
         # A zero-access caller probing an impossible version learns nothing:
@@ -494,21 +518,24 @@ class TestInfo:
         info = service.handle_info(7, 5, nonce, 2)
         assert info.response.denied and info.hints is None
 
-    def test_hints_hidden_from_unknown_callers(self, service, credentials):
+    def test_unknown_callers_get_a_bare_protocol_error(self, service, credentials):
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))
         service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
         with pytest.raises(ProtocolError) as err:
             service.handle_info(7, 1, secrets.token_bytes(32), 99)  # no key in the module
-        assert err.value.hints is None
+        assert vars(err.value) == {}
 
     def test_full_response_carries_hints(self, service, credentials):
         cred = credentials[1]
         service.handle_create(signed_create(cred, 7))
         service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
         info = service.handle_info(7, 1, secrets.token_bytes(32), 1)
-        assert info.hints["counter"] == 2
-        assert info.hints["acl"] == [[0, 1, 1, (b"\x00" * 24 + (3).to_bytes(8, "big")).hex()]]
+        # The counter is the module's to attest, in the response; the hints
+        # hold only the ACL rows.
+        assert info.hints == {
+            "acl_height": 8, "acl": [[0, 1, 1, (b"\x00" * 24 + (3).to_bytes(8, "big")).hex()]],
+        }
 
 
 class TestFetch:
@@ -832,10 +859,16 @@ def test_served_hints_match_the_stored_rows(tmp_path_factory, ops):
             elif op == "grant" and idx in created:
                 grant(service, OWNER, idx, *change)
             for queried in sorted(created):
-                # No version yet: the owner's INFO is a protocol error with hints.
-                with pytest.raises(ProtocolError) as refused:
-                    service.handle_info(queried, 0, secrets.token_bytes(32), 1)
-                assert refused.value.hints == acl_hints(service, queried)
+                # No version yet: the owner's INFO verifies, and its hinted rows
+                # rebuild to the ACL root it attests.
+                nonce = secrets.token_bytes(32)
+                info = service.handle_info(queried, 0, nonce, 1)
+                assert check_info_response(OWNER, info.response, nonce, queried) == Verdict.VERIFIED
+                hints = info.hints
+                assert hints == acl_hints(service, queried)
+                rows = [(slot, Leaf(leaf_idx, nxt, bytes.fromhex(val)))
+                        for slot, leaf_idx, nxt, val in hints["acl"]]
+                assert Iomt.from_leaves(hints["acl_height"], rows).root == info.response.acl_root
     finally:
         storage.close()
 
