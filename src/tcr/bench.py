@@ -5,6 +5,9 @@ operation category runs ``ops`` times with microsecond per-step timing.
 The whole cycle repeats ``repeats`` times on a fresh store (creation
 consumes the free slots, so repeats cannot share one), and the emitted
 figure per step is the median across repeats of the per-repeat mean.
+Python's cyclic garbage collector is paused while operations are timed, as
+``timeit`` does: one full collection lands in whichever operation happens
+to trigger it and charges that operation for the whole heap.
 
 ``tcr-bench --heights 10..20 --ops 500 --repeats 25 --payload 12288
 --out results.csv``
@@ -14,15 +17,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import random
 import secrets
 import shutil
 import statistics
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .client import (
     UserCredential,
@@ -146,17 +151,18 @@ def _one_repeat(cfg: BenchConfig, height: int, seed: int) -> dict[str, dict[str,
 
         counters: dict[int, int] = {}
         results: dict[str, dict[str, float]] = {}
-        results["create"] = _time_create(service, credential, count, cfg)
-        results["modify"] = _time_modify(
-            service, credential, _targets(rng, count, cfg.ops, 0), counters, blobs, False
-        )
-        encrypted_targets = _targets(rng, count, cfg.ops, 1)
-        results["modify_encrypted"] = _time_modify(
-            service, credential, encrypted_targets, counters, blobs, True
-        )
-        results["info"] = _time_info(service, credential, _targets(rng, count, cfg.ops, 2))
-        results["fetch"] = _time_fetch(service, credential, _targets(rng, count, cfg.ops, 3))
-        results["fetch_encrypted"] = _time_fetch(service, credential, encrypted_targets)
+        with _collector_paused():
+            results["create"] = _time_create(service, credential, count, cfg)
+            results["modify"] = _time_modify(
+                service, credential, _targets(rng, count, cfg.ops, 0), counters, blobs, False
+            )
+            encrypted_targets = _targets(rng, count, cfg.ops, 1)
+            results["modify_encrypted"] = _time_modify(
+                service, credential, encrypted_targets, counters, blobs, True
+            )
+            results["info"] = _time_info(service, credential, _targets(rng, count, cfg.ops, 2))
+            results["fetch"] = _time_fetch(service, credential, _targets(rng, count, cfg.ops, 3))
+            results["fetch_encrypted"] = _time_fetch(service, credential, encrypted_targets)
         return results
     finally:
         storage.close()
@@ -164,6 +170,17 @@ def _one_repeat(cfg: BenchConfig, height: int, seed: int) -> dict[str, dict[str,
             print(f"kept benchmark store at {workdir}", file=sys.stderr)
         else:
             shutil.rmtree(workdir, ignore_errors=True)
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _targets(rng: random.Random, count: int, n: int, block: int) -> list[int]:

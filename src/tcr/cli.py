@@ -19,6 +19,7 @@ from .client import (
     UserCredential,
     Verdict,
 )
+from .wire import parse_address
 
 EXIT_VERIFIED = 0
 EXIT_DENIED = 2
@@ -68,9 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    host, _, port = args.server.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"bad --server value {args.server!r}", file=sys.stderr)
+    try:
+        host, port = parse_address(args.server)
+    except ValueError as exc:
+        print(f"bad --server value: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL
     # Indices are u64 in every signed or queried field; refuse others before signing.
     for name in ("user", "index", "target_user", "version"):
@@ -90,7 +92,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         except OSError as exc:
             print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
             return EXIT_PROTOCOL
-    client = RepositoryClient(host, int(port), credential)
+    client = RepositoryClient(host, port, credential)
 
     try:
         if args.command == "create":

@@ -34,12 +34,19 @@ from .wire import (
     STATUS_REJECTED,
     WireError,
     blobs_field,
+    check_fetchable,
     envelope_to_json,
     read_message,
     response_from_json,
     u64_field,
     write_message,
 )
+
+
+# Read buffer of the client's socket file: a FETCH reply's hex frame line
+# arrives in a few fills of this size, not in one per 8 KiB.  Writes keep the
+# default buffer, since a MODIFY goes out in one write.
+REPLY_BUFFER_BYTES = 1 << 20
 
 
 class Verdict(Enum):
@@ -269,10 +276,13 @@ class RepositoryClient:
         self._next_id += 1
         message = {"op": op, "request_id": self._next_id, "payload": payload}
         try:
-            with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
-                fp = sock.makefile("rwb")
-                write_message(fp, message)
-                reply = read_message(fp)
+            with (
+                socket.create_connection((self.host, self.port), timeout=self.timeout) as sock,
+                sock.makefile("wb") as out,
+                sock.makefile("rb", buffering=REPLY_BUFFER_BYTES) as replies,
+            ):
+                write_message(out, message)
+                reply = read_message(replies)
         except OSError as exc:
             raise ProtocolFailure(f"transport failure: {exc}") from exc
         except WireError as exc:
@@ -347,6 +357,10 @@ class RepositoryClient:
     def modify(
         self, idx: int, image: bytes, build: bytes, compose: bytes, encrypt: bool = False
     ) -> dict:
+        try:  # an unfetchable version is refused before anything is sent
+            check_fetchable([len(image), len(build), len(compose)])
+        except WireError as exc:
+            raise ProtocolFailure(str(exc)) from exc
         blobs = BlobSet(image, build, compose)
         counter = self._counters.get(idx)
         if counter is None:

@@ -1,4 +1,4 @@
-"""TCP front end for the service: one JSON message per line, one reply each.
+"""TCP front end for the service: one reply to each request on a connection.
 
 A fixed set of handler threads, started by ``serve_forever``, each accept a
 connection and answer it; a connection idle for ``READ_TIMEOUT_S`` is closed
@@ -31,9 +31,9 @@ from .wire import (
     STATUS_REJECTED,
     WireError,
     blobs_field,
-    check_fetchable,
     d32_field,
     envelope_from_json,
+    parse_address,
     read_message,
     response_to_json,
     u64_field,
@@ -134,7 +134,7 @@ class RepositoryServer(socketserver.TCPServer):
             return STATUS_OK, {"ack": result.ack.hex()}
 
         if op == "MODIFY":
-            blobs = check_fetchable(blobs_field(payload))
+            blobs = blobs_field(payload)
             wrapped = payload.get("wrapped_secret")
             commitment = payload.get("secret_commitment")
             result = service.handle_modify(
@@ -216,7 +216,7 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
     def _serve_connection(self) -> None:
         while True:
             try:
-                message = read_message(self.rfile)
+                message = read_message(self.rfile, request=True)
             except WireError as exc:
                 write_message(self.wfile, {"status": STATUS_ERROR, "payload": {"message": str(exc)}})
                 return
@@ -232,10 +232,10 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
 
 
 def _parse_address(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"bad address {text!r}; expected host:port")
-    return host, int(port)
+    try:
+        return parse_address(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _load_or_init_state(state_path: Path, users_path: Optional[Path]) -> ModuleState:

@@ -1,21 +1,24 @@
 """Newline-delimited JSON wire protocol: framing and payload codecs.
 
-Binary values travel hex-encoded.  MACs are always computed over canonical
-bytes, never over this JSON, so the wire encoding carries no authority.
+Binary fields travel hex-encoded in the JSON.  MACs are always computed over
+canonical bytes, never over this JSON, so the wire encoding carries no
+authority.
 
 A message that carries a version's blobs (a MODIFY request, an ``ok`` FETCH
-reply) is two lines: the JSON header, whose payload says ``"blobs": [len(image),
-len(build), len(compose)]``, then one frame line holding the three blobs
-concatenated, in hex.  Hex holds no newline, so both lines are read with
-``readline`` alone, and the header's lengths bound the frame before any of it
-is read.
+reply) is the JSON header line, whose payload says ``"blobs": [len(image),
+len(build), len(compose)]``, then a frame holding ``image || build ||
+compose``.  In a request (a message with an ``op``) the frame is those bytes
+raw plus one newline, which the server takes with one ``read``.  In a reply
+it is one line of hex, which holds no newline, so the client reads every
+reply with ``readline`` alone.  Either way the header's lengths bound the
+frame before any of it is read.
 """
 
 from __future__ import annotations
 
 import binascii
 import json
-from typing import IO, Optional
+from typing import IO, Optional, Sequence
 
 from .merkle import DIGEST_SIZE
 from .module import RequestEnvelope, VerifyResponse
@@ -26,8 +29,9 @@ STATUS_DENIED = "denied"
 STATUS_REJECTED = "rejected"
 STATUS_ERROR = "error"
 
-# Longest accepted message, header and frame lines with their newlines:
-# a 16 MiB image travels as 32 MiB of hex.
+# Longest accepted message, header and frame with their newlines.  The
+# content cap comes from the ``ok`` FETCH reply, whose frame is still hex: a
+# version of just under 32 MiB travels as just under 64 MiB of it.
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 # Room an ``ok`` FETCH reply keeps for its header line beside the frame: with
@@ -79,36 +83,40 @@ def blobs_field(obj: dict) -> BlobSet:
     return value
 
 
-def check_fetchable(blobs: BlobSet) -> BlobSet:
-    """``blobs`` if the ``ok`` FETCH reply that carries them fits in
-    :data:`MAX_MESSAGE_BYTES`, else a :class:`WireError`: a MODIFY is held to
-    this, so every version the store accepts can be fetched."""
-    frame = 2 * (len(blobs.image) + len(blobs.build) + len(blobs.compose)) + 1
-    if FETCH_HEADER_BYTES + frame > MAX_MESSAGE_BYTES:
+def check_fetchable(lengths: Sequence[int]) -> None:
+    """A :class:`WireError` unless the ``ok`` FETCH reply carrying blobs of
+    ``lengths`` fits in :data:`MAX_MESSAGE_BYTES`: a MODIFY is held to this,
+    by the client before it connects and by the server before it reads the
+    frame, so every version the store accepts can be fetched."""
+    if FETCH_HEADER_BYTES + 2 * sum(lengths) + 1 > MAX_MESSAGE_BYTES:
         raise WireError(f"a FETCH reply for this version would exceed {MAX_MESSAGE_BYTES} bytes")
-    return blobs
+
+
+def _json_line(obj: dict) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 def write_message(fp: IO[bytes], obj: dict) -> None:
-    """Send ``obj`` as one JSON line in one write; a :class:`BlobSet` at
-    ``obj["payload"]["blobs"]`` goes as its lengths in that line plus a hex frame line."""
+    """Send ``obj`` as one JSON line in one write.  A :class:`BlobSet` at
+    ``obj["payload"]["blobs"]`` goes as its lengths in that line, then its
+    frame: raw and a newline in a request, one hex line in a reply."""
     payload = obj.get("payload")
     blobs = payload.get("blobs") if isinstance(payload, dict) else None
     if not isinstance(blobs, BlobSet):
-        fp.write(json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n")
+        fp.write(_json_line(obj))
     else:
-        lengths = [len(blobs.image), len(blobs.build), len(blobs.compose)]
-        header = {**obj, "payload": {**payload, "blobs": lengths}}
-        fp.write(b"".join((
-            json.dumps(header, separators=(",", ":")).encode("utf-8"), b"\n",
-            binascii.hexlify(blobs.image + blobs.build + blobs.compose), b"\n",
-        )))
+        parts = (blobs.image, blobs.build, blobs.compose)
+        head = _json_line({**obj, "payload": {**payload, "blobs": [len(p) for p in parts]}})
+        if "op" not in obj:
+            parts = tuple(map(binascii.hexlify, parts))
+        fp.write(b"".join((head, *parts, b"\n")))
     fp.flush()
 
 
-def read_message(fp: IO[bytes]) -> Optional[dict]:
+def read_message(fp: IO[bytes], request: bool = False) -> Optional[dict]:
     """The next message, its frame (if any) decoded into a :class:`BlobSet`;
-    ``None`` at end of input.  Reads through ``fp.readline`` only."""
+    ``None`` at end of input.  A reply is read through ``fp.readline`` only;
+    a ``request``'s raw frame is taken with one ``fp.read``."""
     line = fp.readline(MAX_MESSAGE_BYTES)
     if not line:
         return None
@@ -122,31 +130,48 @@ def read_message(fp: IO[bytes]) -> Optional[dict]:
         raise WireError("message must be a JSON object")
     payload = obj.get("payload")
     if isinstance(payload, dict) and "blobs" in payload:
-        payload["blobs"] = _read_frame(fp, payload["blobs"], len(line))
+        payload["blobs"] = _read_frame(fp, payload["blobs"], len(line), request)
     return obj
 
 
-def _read_frame(fp: IO[bytes], lengths: object, header_bytes: int) -> BlobSet:
-    """The frame line after a header declaring ``lengths``, refused unread if
-    header and frame together would pass :data:`MAX_MESSAGE_BYTES`."""
+def _read_frame(fp: IO[bytes], lengths: object, header_bytes: int, raw: bool) -> BlobSet:
+    """The frame after a header declaring ``lengths``, raw or in hex, refused
+    unread if header and frame together would pass :data:`MAX_MESSAGE_BYTES`
+    or, for a raw (MODIFY) frame, if the version could not be fetched."""
     if (
         not isinstance(lengths, list)
         or len(lengths) != 3
         or any(type(n) is not int or n < 0 for n in lengths)
     ):
         raise WireError(f"field 'blobs' is not three lengths: {lengths!r:.60}")
-    size = 2 * sum(lengths) + 1
+    total = sum(lengths)
+    size = (total if raw else 2 * total) + 1
     if header_bytes + size > MAX_MESSAGE_BYTES:
         raise WireError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
-    frame = fp.readline(size)
-    if len(frame) != size or not frame.endswith(b"\n"):
-        raise WireError(f"frame is not {size - 1} hex digits and a newline")
-    try:
-        data = binascii.unhexlify(memoryview(frame)[:-1])
-    except binascii.Error as exc:
-        raise WireError(f"undecodable frame: {exc}") from exc
+    if raw:
+        check_fetchable(lengths)
+        data = fp.read(size)
+    else:
+        data = fp.readline(size)
+    if len(data) != size or not data.endswith(b"\n"):
+        unit = "bytes" if raw else "hex digits"
+        raise WireError(f"frame is not {size - 1} {unit} and a newline")
+    if not raw:
+        try:
+            data = binascii.unhexlify(memoryview(data)[:-1])
+        except binascii.Error as exc:
+            raise WireError(f"undecodable frame: {exc}") from exc
     first, second = lengths[0], lengths[0] + lengths[1]
-    return BlobSet(data[:first], data[first:second], data[second:])
+    return BlobSet(data[:first], data[first:second], data[second:total])
+
+
+def parse_address(text: str) -> tuple[str, int]:
+    """``host:port`` as a pair; a :class:`ValueError` unless the port is
+    decimal digits naming a TCP port, 0 to 65535."""
+    host, _, port = text.rpartition(":")
+    if not (host and port.isascii() and port.isdigit() and len(port) <= 5 and int(port) <= 0xFFFF):
+        raise ValueError(f"bad address {text!r}; expected host:port with a port in 0..65535")
+    return host, int(port)
 
 
 def envelope_to_json(env: RequestEnvelope) -> dict:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import gc
 
 import pytest
 
+from tcr import service
 from tcr.bench import (
     CSV_HEADER,
     OPERATIONS,
@@ -116,3 +118,18 @@ def test_aborted_run_leaves_marked_partial_csv(tmp_path, monkeypatch):
     assert not out.exists()
     partial = read_csv(tmp_path / "rows.csv.partial")
     assert partial and {row.height for row in partial} == {8}
+
+
+def test_operations_are_timed_with_the_cyclic_collector_paused(monkeypatch, tmp_path):
+    collector_on: list[bool] = []
+    handle_fetch = service.Service.handle_fetch
+
+    def recording_fetch(self, *args, **kwargs):
+        collector_on.append(gc.isenabled())
+        return handle_fetch(self, *args, **kwargs)
+
+    monkeypatch.setattr(service.Service, "handle_fetch", recording_fetch)
+    assert gc.isenabled()
+    run_bench(BenchConfig(heights=(4,), ops=3, repeats=1, workdir=tmp_path), log=lambda _: None)
+    assert collector_on == [False] * 6  # fetch and fetch_encrypted, 3 each
+    assert gc.isenabled()  # and switched back on afterwards

@@ -13,6 +13,7 @@ import sqlite3
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -470,6 +471,38 @@ class TestMessageBound:
         assert outcome.verdict == Verdict.VERIFIED
         assert outcome.blobs == BlobSet(image[:-1], BUILD, COMPOSE)
 
+    def test_an_unfetchable_modify_is_refused_with_its_frame_unread(self, env, monkeypatch):
+        server, keys = env
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", 4000)
+        # A server that waited for the frame would time out and close with no reply.
+        monkeypatch.setattr(server_module._ConnectionHandler, "timeout", 2.0)
+        alice = client_for(server, keys, 1)
+        alice.create(12)
+        too_long = (4000 - wire.FETCH_HEADER_BYTES - 1) // 2 + 1
+        envelope = alice.credential.sign_request(RequestKind.CONTAINER, 12, 1, ZERO_DIGEST)
+        payload = {**wire.envelope_to_json(envelope), "blobs": [too_long, 0, 0]}
+        line = json.dumps({"op": "MODIFY", "request_id": 1, "payload": payload}).encode()
+        start = time.monotonic()
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            sock.sendall(line + b"\n")  # the header only: no frame byte follows
+            fp = sock.makefile("rb")
+            reply, rest = read_message(fp), fp.read()
+        assert time.monotonic() - start < 1.5
+        assert reply["status"] == STATUS_ERROR
+        assert "FETCH reply for this version would exceed 4000 bytes" in reply["payload"]["message"]
+        assert rest == b""  # the server closed the connection
+        assert list(server.service.storage.data_dir.rglob("payload")) == []
+        assert alice.info(12).response.max_version == 0
+
+    def test_the_client_refuses_an_unfetchable_version_before_connecting(self, stub, monkeypatch):
+        port, _, lines = stub
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", 4000)
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+        too_long = (4000 - wire.FETCH_HEADER_BYTES - 1) // 2 + 1
+        with pytest.raises(ProtocolFailure, match="would exceed 4000 bytes"):
+            client.modify(5, b"\x00" * (too_long - 2), b"b", b"c")
+        assert lines == []  # no INFO, no MODIFY
+
     def test_the_fetch_reserve_holds_the_widest_reply_header(self):
         widest, digest = (1 << 64) - 1, b"\xff" * 32
         response = VerifyResponse(
@@ -489,25 +522,60 @@ def reader(data: bytes) -> tuple[RecordingFile, list[bytes]]:
     return RecordingFile(io.BytesIO(data), read), read
 
 
-def header(lengths) -> bytes:
-    message = {"op": "MODIFY", "request_id": 1, "payload": {"blobs": lengths}}
+def header(lengths, request: bool = False, pad: int = 0) -> bytes:
+    """A MODIFY request's header, or an ``ok`` FETCH reply's, declaring ``lengths``,
+    with ``pad`` bytes of padding in its payload."""
+    payload = {"blobs": lengths, **({"pad": "0" * pad} if pad else {})}
+    if request:
+        message = {"op": "MODIFY", "request_id": 1, "payload": payload}
+    else:
+        message = {"request_id": 1, "status": STATUS_OK, "payload": payload}
     return json.dumps(message).encode() + b"\n"
 
 
+def raw_request(lengths, frame: bytes, pad: int = 0) -> tuple[io.BytesIO, int]:
+    """A file with ``read`` over a request declaring ``lengths`` followed by
+    ``frame``, as the server's socket file, and the header's length."""
+    line = header(lengths, request=True, pad=pad)
+    return io.BytesIO(line + frame), len(line)
+
+
+BLOB_EXAMPLES = [(b"", b"", b""), (b"\n" * 300, b"\n", b"\r\n"), (b"\r\n" * 64, b"\r", b"\n\n")]
+
+
+def with_blob_examples(test):
+    for image, build, compose in BLOB_EXAMPLES:
+        test = example(image, build, compose)(test)
+    return given(st.binary(), st.binary(), st.binary())(test)
+
+
 class TestFrame:
-    @given(st.binary(), st.binary(), st.binary())
-    @example(b"", b"", b"")
-    @example(b"\n" * 300, b"\n", b"\r\n")
-    def test_round_trip_reads_a_header_and_one_frame_line(self, image, build, compose):
+    @with_blob_examples
+    def test_a_request_round_trips_as_a_header_and_a_raw_frame(self, image, build, compose):
         blobs = BlobSet(image, build, compose)
         out = io.BytesIO()
         wire.write_message(out, {"op": "MODIFY", "request_id": 7, "payload": {"idx": 5,
                                                                             "blobs": blobs}})
         data = out.getvalue()
+        head, _, frame = data.partition(b"\n")
+        assert json.loads(head)["payload"]["blobs"] == [len(image), len(build), len(compose)]
+        assert frame == image + build + compose + b"\n"  # raw, newlines and all
+        fp = io.BytesIO(data)
+        message = read_message(fp, request=True)
+        assert message == {"op": "MODIFY", "request_id": 7, "payload": {"idx": 5, "blobs": blobs}}
+        assert fp.tell() == len(data) and read_message(fp, request=True) is None
+
+    @with_blob_examples
+    def test_a_reply_round_trips_as_a_header_and_one_hex_line(self, image, build, compose):
+        blobs = BlobSet(image, build, compose)
+        out = io.BytesIO()
+        wire.write_message(out, {"request_id": 7, "status": STATUS_OK, "payload": {"blobs": blobs}})
+        data = out.getvalue()
         assert data.count(b"\n") == 2 and data.endswith(b"\n")
+        assert data.split(b"\n")[1] == (image + build + compose).hex().encode()
         fp, read = reader(data)
         message = read_message(fp)
-        assert message == {"op": "MODIFY", "request_id": 7, "payload": {"idx": 5, "blobs": blobs}}
+        assert message == {"request_id": 7, "status": STATUS_OK, "payload": {"blobs": blobs}}
         assert len(read) == 2 and read_message(fp) is None
 
     @pytest.mark.parametrize("lengths", [
@@ -518,6 +586,47 @@ class TestFrame:
         with pytest.raises(WireError, match="not three lengths"):
             read_message(fp)
         assert len(read) == 1
+        fp, line = raw_request(lengths, b"\x00\n")
+        with pytest.raises(WireError, match="not three lengths"):
+            read_message(fp, request=True)
+        assert fp.tell() == line
+
+    @pytest.mark.parametrize("frame", [
+        b"a\n" + header([0, 0, 0], request=True),  # short: the next message's bytes fill it
+        b"abc\n",  # longer than declared: no newline where the frame ends
+        b"ab" + header([0, 0, 0], request=True),  # the next message follows with no newline
+        b"ab",  # end of input where the newline belongs
+        b"a",  # end of input mid-frame
+        b"",  # end of input before the frame
+    ], ids=["short", "too-long", "missing-terminator", "eof-at-terminator", "eof-mid-frame",
+            "eof-before-frame"])
+    def test_a_bad_raw_frame_is_refused(self, frame):
+        fp, _ = raw_request([1, 1, 0], frame)
+        with pytest.raises(WireError, match="frame is not 2 bytes and a newline"):
+            read_message(fp, request=True)
+
+    def test_a_request_over_either_bound_is_refused_before_any_frame_byte_is_read(
+        self, monkeypatch
+    ):
+        bound = 2000
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", bound)
+        # The FETCH reply bound: its 1024-byte header reserve plus the hex frame.
+        fetchable = (bound - wire.FETCH_HEADER_BYTES - 1) // 2
+        fp, _ = raw_request([fetchable - 2, 1, 1], b"\x01" * fetchable + b"\n")
+        assert read_message(fp, request=True)["payload"]["blobs"].compose == b"\x01"
+        # The message bound: a padded header, with its frame, fills it exactly.
+        pad = bound - len(header([1, 1, 1], request=True, pad=1)) + 1 - 4
+        fp, line = raw_request([1, 1, 1], b"abc\n", pad=pad)
+        assert line + 4 == bound and read_message(fp, request=True) is not None
+        for lengths, pad, reason in (
+            ([fetchable - 1, 1, 1], 0, f"FETCH reply for this version would exceed {bound} bytes"),
+            ([1 << 62, 0, 0], 0, f"exceeds {bound} bytes"),
+            ([1, 1, 2], pad, f"message exceeds {bound} bytes"),
+        ):
+            fp, line = raw_request(lengths, b"\x01" * fetchable + b"\n", pad=pad)
+            with pytest.raises(WireError, match=reason):
+                read_message(fp, request=True)
+            assert fp.tell() == line
 
     @pytest.mark.parametrize("frame, reason", [
         (b"abc\n", "is not 4 hex digits"),  # odd length: the newline comes early
@@ -527,11 +636,11 @@ class TestFrame:
         (b"ab", "is not 4 hex digits"),  # end of input mid-frame
         (b"", "is not 4 hex digits"),
     ], ids=["odd-length", "too-long", "non-hex", "space", "eof-mid-frame", "eof-before-frame"])
-    def test_a_bad_frame_is_refused(self, frame, reason):
+    def test_a_bad_reply_frame_is_refused(self, frame, reason):
         with pytest.raises(WireError, match=reason):
             read_message(reader(header([1, 1, 0]) + frame)[0])
 
-    def test_an_oversized_total_is_refused_before_any_frame_byte_is_read(self, monkeypatch):
+    def test_an_oversized_reply_is_refused_before_any_frame_byte_is_read(self, monkeypatch):
         line = header([1, 1, 1])
         bound = len(line) + 2 * 3 + 1
         monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", bound)
@@ -543,7 +652,25 @@ class TestFrame:
                 read_message(fp)
             assert len(read) == 1
 
+    def test_decoding_an_8_mib_upload_peaks_at_about_twice_the_payload(self):
+        size = 8 << 20
+        blobs = BlobSet(secrets.token_bytes(size - len(BUILD) - len(COMPOSE)), BUILD, COMPOSE)
+        out = io.BytesIO()
+        wire.write_message(out, {"op": "MODIFY", "request_id": 1, "payload": {"blobs": blobs}})
+        fp = io.BytesIO(out.getvalue())
+        del out
+        tracemalloc.start()
+        try:
+            message = read_message(fp, request=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert message["payload"]["blobs"] == blobs
+        assert peak <= 2 * size + (256 << 10), peak / size  # the frame read, then cut in three
+
     def test_a_256k_encrypted_version_crosses_as_one_frame_each_way(self, env, wire_transcript):
+        # The client's files are recorded readline-only, so it must read every reply that way.
+        assert not hasattr(RecordingFile, "read")
         server, keys = env
         alice = client_for(server, keys, 1)
         image = secrets.token_bytes(256 * 1024)
@@ -553,15 +680,18 @@ class TestFrame:
         assert outcome.verdict == Verdict.VERIFIED and outcome.encrypted
         assert outcome.blobs == BlobSet(image, BUILD, COMPOSE)
         lengths = [len(image), len(BUILD), len(COMPOSE)]
-        # MODIFY goes as one write: header and frame; the FETCH reply is read as two lines.
+        # MODIFY goes as one write: header, the ciphertext raw and a newline.
         (modify,) = [c for c in wire_transcript if c.startswith(b'{"op":"MODIFY"')]
-        head, sent, rest = modify.split(b"\n")
-        assert json.loads(head)["payload"]["blobs"] == lengths and rest == b""
-        assert len(sent) == 2 * sum(lengths)
+        head, _, frame = modify.partition(b"\n")
+        assert json.loads(head)["payload"]["blobs"] == lengths
+        assert len(frame) == sum(lengths) + 1 and frame.endswith(b"\n")
+        sent = frame[:-1]
+        # The FETCH reply is read as two lines: a header, then those same bytes in hex.
         (fetched,) = [i for i, line in enumerate(wire_transcript)
                       if line.startswith(b'{"request_id"') and b'"blobs"' in line]
-        assert wire_transcript[fetched + 1] == sent + b"\n"  # the stored ciphertext, as sent
-        assert image.hex().encode() not in b"".join(wire_transcript)
+        assert wire_transcript[fetched + 1] == sent.hex().encode() + b"\n"
+        crossed = b"".join(wire_transcript)
+        assert image not in crossed and image.hex().encode() not in crossed
 
 
 NONCE_HEX = "00" * 32
@@ -711,15 +841,15 @@ def stub():
     """A loopback stand-in for a faulty service: ``replies[op](payload)`` gives
     the ``(status, payload)`` each request is answered with, or the raw lines,
     and ``lines`` collects every message received and sent, a header and its
-    frame line together, newlines included."""
+    frame together, newlines included."""
     replies, lines = {}, []
 
     class Handler(socketserver.StreamRequestHandler):
         def handle(self):
             line = self.rfile.readline()
             message = json.loads(line)
-            if "blobs" in message["payload"]:  # a frame line follows the header
-                line += self.rfile.readline()
+            if "blobs" in message["payload"]:  # the raw frame and its newline follow
+                line += self.rfile.read(sum(message["payload"]["blobs"]) + 1)
             lines.append(line)
             reply = replies[message["op"]](message["payload"])
             out = io.BytesIO()
@@ -1291,6 +1421,42 @@ class TestCli:
         with pytest.raises(SystemExit, match=f"module state {re.escape(str(state_file))}: .*{reason}"):
             server_main(argv)
         assert state_file.read_bytes() == bytes(data)
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1", "\u00b2", "9" * 5000],
+                             ids=["99999", "65536", "negative", "superscript", "5000-digits"])
+    def test_cli_refuses_a_port_outside_the_tcp_range_before_reading_the_key(
+        self, port, tmp_path, capsys, monkeypatch
+    ):
+        from tcr.cli import EXIT_PROTOCOL, main
+
+        def no_connection(*args, **kwargs):
+            raise AssertionError("connected")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        argv = ["--server", f"127.0.0.1:{port}", "--user", "1",
+                "--key-file", str(tmp_path / "missing.key"), "info", "--index", "5"]
+        assert main(argv) == EXIT_PROTOCOL
+        err = capsys.readouterr().err
+        assert "bad --server value" in err and "0..65535" in err and "key-file" not in err, err
+
+    def test_server_refuses_a_port_outside_the_tcp_range_before_opening_anything(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from tcr.server import main as server_main
+
+        self.never_serve(monkeypatch)
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps({"1": STUB_KEY.hex()}))
+        argv = ["--db", str(tmp_path / "repo.db"), "--module-state", str(tmp_path / "module.bin"),
+                "--height", "4", "--data-dir", str(tmp_path / "blobs"), "--users", str(users)]
+        with pytest.raises(SystemExit) as stopped:
+            server_main(["--listen", "127.0.0.1:99999"] + argv)
+        assert stopped.value.code == 2  # argparse's usage error, not a bind() traceback
+        assert "port in 0..65535" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["users.json"]
+        # Port 0, "any free port", stays valid.
+        with pytest.raises(AssertionError, match="started serving"):
+            server_main(["--listen", "127.0.0.1:0"] + argv)
 
     def test_exit_codes(self, env, tmp_path, capsys):
         from tcr.cli import main
