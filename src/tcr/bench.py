@@ -44,8 +44,7 @@ from .storage import MOCK_BUILD, MOCK_COMPOSE, BlobSet, Storage, bulk_prepopulat
 OPERATIONS = ("create", "modify", "modify_encrypted", "info", "fetch", "fetch_encrypted")
 
 STEP_ORDER = {
-    "create": ("record_lookup", "eq_certificate", "ru_certificate",
-               "root_update", "persist_records", "total"),
+    "create": ("record_lookup", "eq_certificate", "root_update", "persist_records", "total"),
     "modify": ("record_lookup", "content_digest", "certificates", "root_update",
                "persist_records", "total"),
     "modify_encrypted": ("record_lookup", "content_digest", "certificates", "root_update",

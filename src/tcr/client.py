@@ -27,7 +27,7 @@ from .merkle import (
     sha256,
 )
 from .module import RequestEnvelope, RequestKind, VerifyResponse, secret_commitment
-from .storage import CIPHER_ID, BlobSet, check_height, content_digest, initial_acl_leaf
+from .storage import ACL_HEIGHT, CIPHER_ID, BlobSet, content_digest, initial_acl_leaf
 from .wire import (
     STATUS_DENIED,
     STATUS_OK,
@@ -198,23 +198,19 @@ def check_info_response(
     return Verdict.VERIFIED
 
 
-def predicted_acl_root(
-    hints: dict, target_user: int, level: int, *, acl_root: Optional[bytes] = None
-) -> bytes:
+def predicted_acl_root(hints: dict, target_user: int, level: int, *, acl_root: bytes) -> bytes:
     """New ACL root after granting ``level`` to ``target_user``.
 
     Rebuilt from the ACL rows the service hints.  The module takes the
     signed root as the container's new ACL, so rows the service made up
-    would be signed into it: a grant to anyone the service likes.  Given
-    ``acl_root``, the root a verified INFO attested, the rows must rebuild
-    to it, or :class:`ProtocolFailure` is raised before anything is signed.
-    The height and every row's ``[slot, idx, next_idx]`` must be u64s, and
-    the height one the store can address, so a hint cannot make the
-    rebuild run long.
+    would be signed into it: a grant to anyone the service likes.  The rows
+    must rebuild to ``acl_root``, the root a verified INFO attested, or
+    :class:`ProtocolFailure` is raised before anything is signed.  Every
+    row's ``[slot, idx, next_idx]`` must be u64s, and its slot one of the
+    2^``ACL_HEIGHT`` an ACL tree has.
     """
-    height = check_height("acl_height", u64_field(hints, "acl_height"))
-    acl = Iomt.from_leaves(height, map(_acl_row, hints["acl"]))
-    if acl_root is not None and acl.root != acl_root:
+    acl = Iomt.from_leaves(ACL_HEIGHT, map(_acl_row, hints["acl"]))
+    if acl.root != acl_root:
         raise ProtocolFailure("the hinted ACL rows do not rebuild to the attested ACL root")
     return acl.upsert(target_user, counter_digest(level))
 

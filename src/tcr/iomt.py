@@ -19,6 +19,9 @@ from .merkle import DIGEST_SIZE, Side, ZERO_DIGEST, encode_fields, parent, sha25
 
 LEAF_SCHEMA = ("u64", "u64", "d32")
 
+# Sibling digests from the leaf level up, each tagged with the sibling's side.
+ComplementPath = list[tuple[bytes, Side]]
+
 
 class IomtError(Exception):
     pass
@@ -136,21 +139,6 @@ def node_levels(height: int, items: Iterable[tuple[int, Leaf]]) -> Iterator[dict
         yield level
 
 
-@dataclass(frozen=True)
-class PlaceholderPlan:
-    """The two-step edit that introduces a placeholder for a new index.
-
-    The encloser fields are ``None`` when the tree is empty and the new leaf
-    is simply self-linked.
-    """
-
-    encloser_slot: Optional[int]
-    encloser_leaf: Optional[Leaf]
-    updated_encloser: Optional[Leaf]
-    placeholder_slot: int
-    placeholder_leaf: Leaf
-
-
 class MemoryTreeStore:
     """Dict-backed node/leaf store; zero nodes and absent leaves are not kept."""
 
@@ -180,12 +168,12 @@ class MemoryTreeStore:
     def has_leaves(self) -> bool:
         return bool(self._leaves)
 
-    def find_leaf(self, idx: int) -> Optional[tuple[int, Leaf]]:
-        return next(((s, l) for s, l in self._leaves.items() if l.idx == idx), None)
-
-    def find_encloser(self, idx: int) -> Optional[tuple[int, Leaf]]:
+    def locate(self, idx: int) -> Optional[tuple[int, Leaf]]:
+        # In a well-formed linkage one leaf at most holds or encloses ``idx``.
         return next(
-            ((s, l) for s, l in self._leaves.items() if encloses(l.idx, l.next_idx, idx)), None
+            ((s, l) for s, l in self._leaves.items()
+             if l.idx == idx or encloses(l.idx, l.next_idx, idx)),
+            None,
         )
 
     def first_free_slot(self) -> int:
@@ -196,15 +184,16 @@ class Iomt:
     """An IOMT bound to a node/leaf store.
 
     Instances are single-writer; concurrent readers are safe between edits.
-    The store (:class:`MemoryTreeStore`, ``storage.SqliteTreeStore``) provides:
+    The one structural edit is :meth:`insert`, which places a new index
+    between its encloser and that encloser's successor.  The store
+    (:class:`MemoryTreeStore`, ``storage.SqliteTreeStore``) provides:
 
     - ``get_nodes(positions)`` and ``set_nodes([(pos, digest), ...])``: node
       digests in one batch each way, the zero digest where none is stored;
     - ``set_leaf(slot, leaf)``, ``leaf_items()`` in slot order, and
       ``has_leaves()``: leaf records;
-    - ``find_leaf(idx)``: the ``(slot, leaf)`` holding ``idx``, or ``None``;
-    - ``find_encloser(idx)``: the ``(slot, leaf)`` enclosing an absent
-      ``idx``, or ``None``;
+    - ``locate(idx)``: the ``(slot, leaf)`` holding ``idx``, or else the one
+      enclosing it, or ``None`` (an empty tree, or a broken linkage);
     - ``first_free_slot()``: the lowest empty slot, with no upper bound.
 
     The sqlite store never removes a leaf, so its ``first_free_slot()`` is
@@ -238,8 +227,8 @@ class Iomt:
         return self.store.leaf_items()
 
     def set_leaf(
-        self, slot: int, leaf: Optional[Leaf], path: Optional[list[tuple[bytes, Side]]] = None
-    ) -> list[tuple[bytes, Side]]:
+        self, slot: int, leaf: Optional[Leaf], path: Optional[ComplementPath] = None
+    ) -> ComplementPath:
         """Write a leaf and the h+1 nodes from it to the root in one batch.
 
         Returns the slot's complement path, which the write leaves unchanged,
@@ -259,7 +248,7 @@ class Iomt:
         self.store.set_nodes(nodes)
         return path
 
-    def complement_path(self, slot: int) -> list[tuple[bytes, Side]]:
+    def complement_path(self, slot: int) -> ComplementPath:
         """Sibling digests from the leaf level up, tagged with the sibling's side.
 
         The siblings are read in one batch from the store.
@@ -278,52 +267,44 @@ class Iomt:
             return pos + 1, Side.RIGHT
         return pos - 1, Side.LEFT
 
-    def find_leaf(self, idx: int) -> Optional[tuple[int, Leaf]]:
-        return self.store.find_leaf(idx)
+    def locate(self, idx: int) -> Optional[tuple[int, Leaf]]:
+        """The ``(slot, leaf)`` holding ``idx``, or else the one enclosing it;
+        ``None`` if none does.  A caller that needs the holder checks the
+        leaf's index."""
+        return self.store.locate(idx)
 
-    def find_encloser(self, idx: int) -> Optional[tuple[int, Leaf]]:
-        """The unique leaf enclosing an absent index; ``None`` if none qualifies."""
-        return self.store.find_encloser(idx)
+    def insert(
+        self, idx: int, val: bytes, encloser: Optional[tuple[int, Leaf]]
+    ) -> tuple[Optional[Leaf], Optional[ComplementPath], ComplementPath]:
+        """Insert the absent ``idx`` with value ``val`` after ``encloser``, the
+        ``(slot, leaf)`` :meth:`locate` returned for it.
 
-    def placeholder_plan(self, new_idx: int) -> PlaceholderPlan:
-        """Plan the encloser edit plus placeholder insertion for an absent ``new_idx``.
-
-        Callers look ``new_idx`` up first; the plan looks it up again only to
-        explain why no leaf encloses it.
+        The encloser is relinked to ``idx``, and the new leaf is written once,
+        in the lowest free slot, with its final value.  Returns the encloser
+        as it was (``None`` in an empty tree), its complement path, and the
+        new slot's path as read after the relink: the evidence the module
+        folds for a creation.  Every refusal is raised before any write.
         """
-        found = self.store.find_encloser(new_idx)
-        if found is None and self.store.has_leaves():
-            if self.store.find_leaf(new_idx) is not None:
-                raise IndexPresentError(f"index {new_idx} already present")
-            raise IomtError(f"no encloser for {new_idx}: circular linkage broken")
+        if encloser is None:
+            if self.store.has_leaves():
+                raise IomtError(f"no encloser for {idx}: circular linkage broken")
+        elif encloser[1].idx == idx:
+            raise IndexPresentError(f"index {idx} already present")
         slot = self.store.first_free_slot()
         if slot >= self.geometry.leaf_count:
             raise TreeFullError(f"all {self.geometry.leaf_count} slots used")
-        if found is None:
-            return PlaceholderPlan(None, None, None, slot, Leaf(new_idx, new_idx, ZERO_DIGEST))
-        enc_slot, enc = found
-        return PlaceholderPlan(
-            encloser_slot=enc_slot,
-            encloser_leaf=enc,
-            updated_encloser=Leaf(enc.idx, new_idx, enc.val),
-            placeholder_slot=slot,
-            placeholder_leaf=Leaf(new_idx, enc.next_idx, ZERO_DIGEST),
-        )
+        if encloser is None:
+            return None, None, self.set_leaf(slot, Leaf(idx, idx, val))
+        enc_slot, enc = encloser
+        enc_path = self.set_leaf(enc_slot, Leaf(enc.idx, idx, enc.val))
+        return enc, enc_path, self.set_leaf(slot, Leaf(idx, enc.next_idx, val))
 
     def upsert(self, idx: int, val: bytes) -> bytes:
-        """Set the value of ``idx``, inserting its leaf if absent; returns the new root.
-
-        A new index follows :meth:`placeholder_plan`: the encloser is relinked
-        to it, and its leaf takes the lowest free slot.
-        """
-        found = self.store.find_leaf(idx)
-        if found is not None:
+        """Set the value of ``idx``, inserting its leaf if absent; returns the new root."""
+        found = self.store.locate(idx)
+        if found is not None and found[1].idx == idx:
             slot, leaf = found
             self.set_leaf(slot, Leaf(idx, leaf.next_idx, val))
         else:
-            plan = self.placeholder_plan(idx)
-            if plan.encloser_slot is not None:
-                self.set_leaf(plan.encloser_slot, plan.updated_encloser)
-            self.set_leaf(plan.placeholder_slot, Leaf(idx, plan.placeholder_leaf.next_idx, val))
+            self.insert(idx, val, found)
         return self.root
-

@@ -2,7 +2,9 @@
 
 A fixed set of handler threads, started by ``serve_forever``, each accept a
 connection and answer it; a connection idle for ``READ_TIMEOUT_S`` is closed
-so that idle clients cannot pin every thread.
+so that idle clients cannot pin every thread.  A refused message is answered,
+then the connection is half-closed and drained, so the reply is not lost to
+a reset.
 
 Run with ``tcr-server --listen 127.0.0.1:7700 --db repo.db --module-state
 module.bin --height 16 --data-dir blobs``.
@@ -17,12 +19,14 @@ import socketserver
 import sqlite3
 import sys
 import threading
+from contextlib import suppress
 from pathlib import Path
 from typing import Optional
 
+from . import wire
 from .iomt import IomtError
 from .module import ModuleState, StateIntegrityError, TrustedModule, load_state, save_state
-from .service import DEFAULT_ACL_HEIGHT, ProtocolError, Service
+from .service import ProtocolError, Service
 from .storage import Storage, StorageError, check_height
 from .wire import (
     STATUS_DENIED,
@@ -219,6 +223,7 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 message = read_message(self.rfile, request=True)
             except WireError as exc:
                 write_message(self.wfile, {"status": STATUS_ERROR, "payload": {"message": str(exc)}})
+                self._drain()
                 return
             if message is None:
                 return
@@ -229,6 +234,19 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 self.wfile,
                 {"request_id": message.get("request_id"), "status": status, "payload": body},
             )
+
+    def _drain(self) -> None:
+        """Half-close, then discard what the client still sends, up to the
+        message bound: closing with a refused frame unread would reset the
+        connection before the client reads the reply."""
+        with suppress(OSError):  # a timeout, or a client already gone
+            self.connection.shutdown(socket.SHUT_WR)
+            remaining = wire.MAX_MESSAGE_BYTES
+            while remaining > 0:
+                chunk = self.rfile.read1(min(remaining, 1 << 16))
+                if not chunk:
+                    return
+                remaining -= len(chunk)
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -263,13 +281,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--module-state", required=True, help="sealed module state file")
     parser.add_argument("--height", type=int, required=True, help="container tree height")
     parser.add_argument("--data-dir", required=True, help="content-addressed blob directory")
-    parser.add_argument("--acl-height", type=int, default=DEFAULT_ACL_HEIGHT)
     parser.add_argument("--users", type=Path, default=None,
                         help="JSON user-key map for first-run provisioning")
     args = parser.parse_args(argv)
     try:  # refused before anything is opened or provisioned
         check_height("--height", args.height)
-        check_height("--acl-height", args.acl_height)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
 
@@ -285,7 +301,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         except OSError as exc:
             storage.close()
             raise SystemExit(f"cannot save module state {state_path}: {exc}") from exc
-    service = Service(storage, TrustedModule(state), args.height, acl_height=args.acl_height)
+    service = Service(storage, TrustedModule(state), args.height)
     server = RepositoryServer(args.listen, service, state=state, state_path=state_path)
     host, port = server.server_address[:2]
     print(f"listening on {host}:{port}", file=sys.stderr)

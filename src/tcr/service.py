@@ -10,8 +10,8 @@ transaction rolls back and the store never holds state it cannot re-prove.
 A modify writes its content blobs before the module is asked, once they match
 the request's content digest, so a failed blob write refuses the request
 instead of following an acceptance the transaction can no longer undo.  The
-service cannot check a signature, so a refused MODIFY may leave blob files
-behind; they are content-addressed, so such an orphan changes no version.
+service cannot check a signature, so a refused MODIFY's blobs are removed
+with its rollback, all but those that were stored before it.
 
 A query or write hands the module raw tree reads: the leaf that holds or
 encloses an index and its complement path, which the module folds itself.
@@ -47,6 +47,7 @@ from .module import (
     VersionRecord,
 )
 from .storage import (
+    ACL_HEIGHT,
     BlobSet,
     Storage,
     bulk_prepopulate,
@@ -55,7 +56,6 @@ from .storage import (
     initial_acl_leaf,
 )
 
-DEFAULT_ACL_HEIGHT = 8
 # Room for every ACL root in use and its callers' proofs; proofs for absent
 # indices and retired container roots age out instead of piling up.
 CACHE_ENTRIES = 1024
@@ -80,8 +80,8 @@ class StepClock:
     single uncontended in-process caller, where wall time tracks service
     work, and process CPU clocks tick far too coarsely inside containers to
     resolve microsecond steps.  The labels are the names the benchmark's
-    per-step report reads, so ``certificates``, ``eq_certificate`` and
-    ``ru_certificate`` keep the names of the certificates they once made.
+    per-step report reads, so ``certificates`` and ``eq_certificate`` keep
+    the names of the certificates they once made.
     """
 
     now = staticmethod(time.perf_counter_ns)
@@ -164,20 +164,15 @@ class Service:
     queue.  The storage has no lock of its own and relies on this one.
     The service is untrusted, so a client signs nothing it says unless the
     module attested it: the ACL rows hinted beside a full INFO answer must
-    rebuild to the ACL root that answer attests.
+    rebuild to the ACL root that answer attests.  A creation and a new ACL
+    grant make the same tree edit, :meth:`Iomt.insert`, on the container tree
+    of ``height`` and on an ACL tree of ``storage.ACL_HEIGHT``.
     """
 
-    def __init__(
-        self,
-        storage: Storage,
-        module: TrustedModule,
-        height: int,
-        acl_height: int = DEFAULT_ACL_HEIGHT,
-    ) -> None:
+    def __init__(self, storage: Storage, module: TrustedModule, height: int) -> None:
         self.storage = storage
         self.module = module
         self.height = check_height("height", height)
-        self.acl_height = check_height("acl_height", acl_height)
         self._cache = CertCache()
         self._lock = threading.RLock()
 
@@ -186,7 +181,7 @@ class Service:
 
     def acl_tree(self, container_idx: int) -> Iomt:
         """The container's ACL tree, rebuilt in memory from one read of its leaves."""
-        return Iomt.from_leaves(self.acl_height, self.storage.acl_leaves(container_idx))
+        return Iomt.from_leaves(ACL_HEIGHT, self.storage.acl_leaves(container_idx))
 
     def _acl_view(self, record: ContainerRecord) -> Iomt:
         """The ACL tree ``record`` names, shared by every container on its root.
@@ -208,13 +203,13 @@ class Service:
     # -- proof assembly ---------------------------------------------------------
 
     @staticmethod
-    def _bump_counter(tree: Iomt, slot: int, leaf: Leaf, counter: int, path=None) -> list:
+    def _bump_counter(tree: Iomt, slot: int, leaf: Leaf, counter: int) -> list:
         """Write ``leaf`` with value ``counter``; the slot's complement path.
 
-        ``path`` is that path if the caller has already read it.  A caller
-        refused after this must raise :class:`_Rejected` to roll the write back.
+        A caller refused after this must raise :class:`_Rejected` to roll the
+        write back.
         """
-        return tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)), path)
+        return tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)))
 
     def _record_proof(self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes) -> RecordProof:
         """The leaf holding ``idx``, or else the leaf enclosing it, and its path.
@@ -225,7 +220,7 @@ class Service:
         if hit is not None:
             return hit
         # No encloser: the tree is empty, and absence is read against the zero root.
-        slot, leaf = tree.find_leaf(idx) or tree.find_encloser(idx) or (0, None)
+        slot, leaf = tree.locate(idx) or (0, None)
         proof = (leaf, tree.complement_path(slot))
         self._cache.put(cache_key, epoch, proof)
         return proof
@@ -244,10 +239,8 @@ class Service:
     def _hints(self, acl: Iomt) -> dict:
         """The ACL rows a client rebuilds to sign a grant; it checks them
         against the ACL root the module attests beside them."""
-        return {
-            "acl_height": self.acl_height,
-            "acl": [[slot, leaf.idx, leaf.next_idx, leaf.val.hex()] for slot, leaf in acl.leaves()],
-        }
+        rows = [[slot, leaf.idx, leaf.next_idx, leaf.val.hex()] for slot, leaf in acl.leaves()]
+        return {"acl": rows}
 
     # -- mutation pipelines -------------------------------------------------------
 
@@ -288,18 +281,18 @@ class Service:
         """The container's sealed record, slot and leaf; refused unless it exists."""
         with clock.step("record_lookup"):
             record = self.storage.record_get(idx)
-            found = tree.find_leaf(idx)
-            if record is None or found is None:
+            found = tree.locate(idx)
+            if record is None or found is None or found[1].idx != idx:
                 raise _Rejected()
             return (record, *found)
 
     def handle_create(
         self, req: RequestEnvelope, clock: Optional[StepClock] = None
     ) -> Optional[UpdateResult]:
-        """Create a container: placeholder insertion, then counter 0 -> 1.
+        """Create a container: its leaf goes in after its encloser, at counter 1.
 
-        The module accepts both edits in one root move.  Returns ``None``
-        (store and sealed root untouched) when the module rejects.
+        The module accepts the relink and the new leaf in one root move.
+        Returns ``None`` (store and sealed root untouched) when it rejects.
         """
         if req.kind != RequestKind.ACL or req.counter != 0:
             raise ProtocolError("creation must be an ACL-typed request with counter 0")
@@ -309,25 +302,17 @@ class Service:
         clock = clock or StepClock()
         with self._mutation(clock) as tree:
             with clock.step("record_lookup"):
-                if tree.find_leaf(req.idx) is not None:
+                encloser = tree.locate(req.idx)
+                if encloser is not None and encloser[1].idx == req.idx:
                     raise _Rejected()  # before any write or module call
 
             with clock.step("eq_certificate"):
                 try:
-                    plan = tree.placeholder_plan(req.idx)
+                    leaf, path, slot_path = tree.insert(req.idx, counter_digest(1), encloser)
                 except TreeFullError as exc:
                     raise ProtocolError(str(exc)) from exc
-                enc_path = None
-                if plan.encloser_slot is not None:
-                    enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
-                # The new slot is written once, below, with the created leaf;
-                # the path read here is still the slot's path at that write.
-                slot_path = tree.complement_path(plan.placeholder_slot)
 
-            with clock.step("ru_certificate"):
-                self._bump_counter(tree, plan.placeholder_slot, plan.placeholder_leaf, 1, slot_path)
-
-            result = self._apply(req, plan.encloser_leaf, enc_path, clock, slot_path=slot_path)
+            result = self._apply(req, leaf, path, clock, slot_path=slot_path)
             with clock.step("persist_records"):
                 self.storage.acl_put(req.idx, [(0, owner)])
             return result

@@ -7,8 +7,8 @@ append-only: a leaf row is inserted or overwritten, never deleted, so the
 occupied slots are always ``0..n-1``.  Each container's ACL tree (at most
 2^8 leaves) is kept as its leaf rows alone, in ``acl_leaves``; the service
 rebuilds the tree in memory from one query.  Indices are stored as 8-byte
-big-endian blobs so the full u64 domain sorts correctly, which the encloser
-lookup relies on.
+big-endian blobs so the full u64 domain sorts correctly, which ``locate``
+relies on.
 
 The layout's version is stamped in ``PRAGMA user_version``; a store written
 under another version is refused, not migrated.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -81,6 +81,9 @@ def content_digest(hashes: Sequence[bytes], commitment: bytes) -> bytes:
     """
     tag = CIPHER_ID if commitment != ZERO_DIGEST else b""
     return sha256(b"".join(hashes) + commitment + tag)
+
+
+ACL_HEIGHT = 8  # every container's ACL tree has 2^8 leaf slots
 
 
 def initial_acl_leaf(user_idx: int) -> Leaf:
@@ -153,6 +156,7 @@ class Storage:
         self.db_path = str(db_path)
         self.data_dir = Path(data_dir)
         self._conn = None
+        self._created: list[Path] = []  # blob files made since the last BEGIN
         try:
             self._conn = sqlite3.connect(self.db_path, isolation_level=None, check_same_thread=False)
             (version,) = self._conn.execute("PRAGMA user_version").fetchone()
@@ -181,20 +185,23 @@ class Storage:
         self._conn.close()
 
     @contextmanager
-    def transaction(self, commit_timer=None) -> Iterator[None]:
+    def transaction(self, commit_timer=nullcontext()) -> Iterator[None]:
         """Group writes; ``commit_timer`` (a context manager) may bracket the
-        commit so step timings attribute the flush to the persisting step."""
+        commit so step timings attribute the flush to the persisting step.
+        A rollback also removes each blob file the transaction created."""
         self._conn.execute("BEGIN IMMEDIATE")
+        self._created = []
         try:
             yield
         except BaseException:
             self._conn.execute("ROLLBACK")
+            for path in self._created:  # never a file that was there before
+                with suppress(OSError):  # rmdir fails while another file shares the directory
+                    path.unlink(missing_ok=True)
+                    path.parent.rmdir()
             raise
         else:
-            if commit_timer is not None:
-                with commit_timer:
-                    self._conn.execute("COMMIT")
-            else:
+            with commit_timer:
                 self._conn.execute("COMMIT")
 
     def tree(self) -> "SqliteTreeStore":
@@ -286,12 +293,14 @@ class Storage:
 
     def _write_blob(self, content: bytes, digest: bytes) -> None:
         path = self._blob_path(digest)
-        if not path.exists() or path.read_bytes() != content:
-            # The caller checked that ``content`` hashes to ``digest``, so a
-            # file holding other bytes is damaged.  It is rewritten, so storing
-            # the content again repairs every version that shares it.  The
-            # bytes are renamed into place whole, so a torn write never sits
-            # under the address.
+        existed = path.exists()
+        if not existed or path.read_bytes() != content:
+            # The caller checked that ``content`` hashes to ``digest``, so a file
+            # holding other bytes is damaged and is rewritten, which repairs
+            # every version sharing it.  The bytes are renamed into place whole,
+            # so a torn write never sits under the address.
+            if not existed:
+                self._created.append(path)  # before the write, which may fail midway
             path.parent.mkdir(parents=True, exist_ok=True)
             partial = path.with_name(f"payload.{os.getpid()}.tmp")
             try:
@@ -371,30 +380,18 @@ class SqliteTreeStore:
     def has_leaves(self) -> bool:
         return self._conn.execute("SELECT 1 FROM leaves LIMIT 1").fetchone() is not None
 
-    def find_leaf(self, idx: int) -> Optional[tuple[int, Leaf]]:
+    def locate(self, idx: int) -> Optional[tuple[int, Leaf]]:
+        # In a well-formed circular linkage the leaf holding or enclosing
+        # ``idx`` is the one with the greatest index at or below it, or the
+        # overall greatest index when none is (wrap-around).
         row = self._conn.execute(
-            "SELECT slot, next_idx, val FROM leaves WHERE idx=?", (_key(idx),)
-        ).fetchone()
-        if row is None:
-            return None
-        return row[0], Leaf(idx, int.from_bytes(row[1], "big"), row[2])
-
-    def find_encloser(self, idx: int) -> Optional[tuple[int, Leaf]]:
-        # In a well-formed circular linkage the encloser of an absent index is
-        # the leaf with the greatest index below it, or the overall greatest
-        # index when none is below (wrap-around).
-        row = self._conn.execute(
-            "SELECT slot, idx, next_idx, val FROM leaves WHERE idx<? ORDER BY idx DESC LIMIT 1",
+            "SELECT slot, idx, next_idx, val FROM leaves WHERE idx<=? ORDER BY idx DESC LIMIT 1",
             (_key(idx),),
+        ).fetchone() or self._conn.execute(
+            "SELECT slot, idx, next_idx, val FROM leaves ORDER BY idx DESC LIMIT 1"
         ).fetchone()
-        if row is None:
-            row = self._conn.execute(
-                "SELECT slot, idx, next_idx, val FROM leaves ORDER BY idx DESC LIMIT 1"
-            ).fetchone()
-        if row is None:
-            return None
-        leaf = _leaf(*row[1:])
-        if not encloses(leaf.idx, leaf.next_idx, idx):
+        leaf = _leaf(*row[1:]) if row else None
+        if leaf is None or (leaf.idx != idx and not encloses(leaf.idx, leaf.next_idx, idx)):
             return None
         return row[0], leaf
 

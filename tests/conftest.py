@@ -18,8 +18,8 @@ from tcr.storage import Storage
 
 def remove_placeholder(tree: Iomt, idx: int) -> bytes:
     """Exact inverse of ``tree.upsert(idx, ZERO_DIGEST)`` on an index that was absent."""
-    found = tree.find_leaf(idx)
-    if found is None:
+    found = tree.locate(idx)
+    if found is None or found[1].idx != idx:
         raise IomtError(f"index {idx} not present")
     slot, leaf = found
     if leaf.val != ZERO_DIGEST:
@@ -133,6 +133,12 @@ def _flip_bit(rng: random.Random, raw: bytes) -> bytes:
 def acl_hints(service: Service, idx: int) -> dict:
     """The hints an INFO reply carries for container ``idx``: its ACL leaves."""
     return service._hints(service.acl_tree(idx))
+
+
+def attested_acl_root(service: Service, idx: int) -> bytes:
+    """The ACL root a full INFO answer about container ``idx`` attests: the one
+    its sealed record names."""
+    return service.storage.record_get(idx).acl_root
 
 
 class RecordingFile:

@@ -17,7 +17,14 @@ import time
 
 import pytest
 
-from conftest import acl_hints, mutate_proof, mutate_row, oracle_root, remove_placeholder
+from conftest import (
+    acl_hints,
+    attested_acl_root,
+    mutate_proof,
+    mutate_row,
+    oracle_root,
+    remove_placeholder,
+)
 from tcr.bench import BenchConfig, run_bench
 from tcr.client import (
     RepositoryClient,
@@ -58,7 +65,9 @@ def _modify(service, cred, idx, counter, blobs=BLOBS, commitment=ZERO_DIGEST, **
 
 
 def _grant(service, owner_cred, idx, counter, target, level):
-    new_root = predicted_acl_root(acl_hints(service, idx), target, level)
+    new_root = predicted_acl_root(
+        acl_hints(service, idx), target, level, acl_root=attested_acl_root(service, idx)
+    )
     env = owner_cred.sign_request(RequestKind.ACL, idx, counter, new_root)
     result = service.handle_acl_set(env, target, level)
     assert result is not None
@@ -128,7 +137,7 @@ def test_criterion_2_non_existence_completeness():
                     own = counter_value(leaf.val) if leaf.idx == candidate else None
                     assert value == own, (candidate, slot)
             else:
-                enc_slot, enc_leaf = tree.find_encloser(candidate)
+                enc_slot, enc_leaf = tree.locate(candidate)
                 proof = (enc_leaf, tree.complement_path(enc_slot))
                 assert _read(proof, candidate, tree.root) == 0
                 nonce = secrets.token_bytes(32)

@@ -343,12 +343,13 @@ class TestWireFlows:
         service = server.service
         root = service.module.root
 
-        def disk_full(content: bytes) -> bytes:
+        def disk_full(content: bytes, digest: bytes) -> None:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(service.storage, "_write_blob", disk_full)
-        with pytest.raises(ProtocolFailure):
+        with pytest.raises(ProtocolFailure) as failure:
             alice.modify(11, IMAGE, BUILD, COMPOSE)
+        assert str(failure.value) == "storage failure: No space left on device"
         assert service.module.root == root == service.container_tree().root
         monkeypatch.undo()
         assert alice.modify(11, IMAGE, BUILD, COMPOSE)["version"] == 1
@@ -491,6 +492,28 @@ class TestMessageBound:
         assert reply["status"] == STATUS_ERROR
         assert "FETCH reply for this version would exceed 4000 bytes" in reply["payload"]["message"]
         assert rest == b""  # the server closed the connection
+        assert list(server.service.storage.data_dir.rglob("payload")) == []
+        assert alice.info(12).response.max_version == 0
+
+    def test_a_refused_frame_sent_whole_before_any_read_gets_its_reply(self, env, monkeypatch):
+        # The server half-closes after its reply and drains the unread frame:
+        # closing with it unread would reset the connection under the reply.
+        server, keys = env
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", 16 << 20)
+        alice = client_for(server, keys, 1)
+        alice.create(12)
+        image = bytes(8 << 20)
+        envelope = alice.credential.sign_request(RequestKind.CONTAINER, 12, 1, ZERO_DIGEST)
+        payload = {**wire.envelope_to_json(envelope), "blobs": [len(image), 0, 0]}
+        line = json.dumps({"op": "MODIFY", "request_id": 1, "payload": payload}).encode()
+        with socket.create_connection(server.server_address[:2], timeout=5) as sock:
+            sock.sendall(line + b"\n" + image + b"\n")  # the whole frame, before any read
+            sock.shutdown(socket.SHUT_WR)
+            fp = sock.makefile("rb")
+            reply, rest = read_message(fp), fp.read()
+        assert reply["status"] == STATUS_ERROR
+        assert "FETCH reply for this version would exceed" in reply["payload"]["message"]
+        assert rest == b""
         assert list(server.service.storage.data_dir.rglob("payload")) == []
         assert alice.info(12).response.max_version == 0
 
@@ -935,10 +958,10 @@ def acl_rows(acl: Iomt) -> list:
 OWNER_ROW = [0, 1, 1, counter_digest(3).hex()]  # user 1 alone, at level 3
 
 
-def acl_hint(height=8, row=OWNER_ROW):
-    """A verified INFO hinting a one-row ACL of ``height``.  The stub answers
-    no ACL_SET, so a client that sent one would fail otherwise."""
-    return {"INFO": info_answer({"acl_height": height, "acl": [list(row)]})}
+def acl_hint(row=OWNER_ROW):
+    """A verified INFO hinting a one-row ACL.  The stub answers no ACL_SET, so
+    a client that sent one would fail otherwise."""
+    return {"INFO": info_answer({"acl": [list(row)]})}
 
 
 MALFORMED_REPLIES = [
@@ -990,17 +1013,12 @@ MALFORMED_REPLIES = [
     ),
     pytest.param("acl_set", {"INFO": answer(STATUS_OK, {})}, id="acl-set-info-without-response"),
     pytest.param(
-        "acl_set", {"INFO": info_answer({"acl_height": 8})}, id="acl-set-hints-without-acl"
+        "acl_set", {"INFO": info_answer({})}, id="acl-set-hints-without-acl"
     ),
     pytest.param(
-        "acl_set", {"INFO": info_answer({"acl_height": 8, "acl": [[0, 1]]})},
+        "acl_set", {"INFO": info_answer({"acl": [[0, 1]]})},
         id="acl-set-short-acl-row",
     ),
-    pytest.param("acl_set", acl_hint(height=63), id="acl-set-height-63"),
-    pytest.param("acl_set", acl_hint(height=10**6), id="acl-set-height-1e6"),
-    pytest.param("acl_set", acl_hint(height="8"), id="acl-set-string-height"),
-    pytest.param("acl_set", acl_hint(height=True), id="acl-set-bool-height"),
-    pytest.param("acl_set", acl_hint(height=8.0), id="acl-set-float-height"),
     pytest.param("acl_set", acl_hint(row=("0", 1, 1, "00" * 32)), id="acl-set-string-slot"),
     pytest.param("acl_set", acl_hint(row=(0, True, 1, "00" * 32)), id="acl-set-bool-idx"),
     pytest.param("acl_set", acl_hint(row=(0, 1, 1.9, "00" * 32)), id="acl-set-float-next"),
@@ -1041,7 +1059,7 @@ class TestMalformedReplies:
         acl = Iomt(8)
         for user in range(1, 257):
             acl.upsert(user, counter_digest(1))
-        table["INFO"] = info_answer({"acl_height": 8, "acl": acl_rows(acl)}, acl_root=acl.root)
+        table["INFO"] = info_answer({"acl": acl_rows(acl)}, acl_root=acl.root)
         client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
         with pytest.raises(ProtocolFailure, match="ACL of container 5 is full"):
             client.acl_set(5, 1000, 1)
@@ -1066,7 +1084,7 @@ class TestSignsOnlyWhatTheModuleAttested:
     @pytest.mark.parametrize("payload", [
         {"message": "no proof exists for the requested version"},
         {"message": "no proof exists for the requested version",
-         "hints": {"counter": 1, "acl_height": 8, "acl": [OWNER_ROW]}},
+         "hints": {"counter": 1, "acl": [OWNER_ROW]}},
     ], ids=["bare", "with-hints"])
     def test_an_info_error_stops_the_write_before_it_is_sent(self, stub, command, payload):
         port, table, lines = stub
@@ -1086,7 +1104,7 @@ class TestSignsOnlyWhatTheModuleAttested:
     def test_rows_that_rebuild_to_the_attested_root_are_signed(self, stub):
         port, table, lines = stub
         acl = self.owner_only()
-        hints = {"acl_height": 8, "acl": acl_rows(acl)}
+        hints = {"acl": acl_rows(acl)}
         table.update({"INFO": info_answer(hints, acl_root=acl.root), "ACL_SET": acknowledged})
         client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
         client.acl_set(5, 2, 1)
@@ -1101,7 +1119,7 @@ class TestSignsOnlyWhatTheModuleAttested:
         acl = self.owner_only()
         attested = acl.root
         acl.upsert(66, counter_digest(3))
-        table.update({"INFO": info_answer({"acl_height": 8, "acl": acl_rows(acl)}, attested),
+        table.update({"INFO": info_answer({"acl": acl_rows(acl)}, attested),
                       "ACL_SET": acknowledged})
         client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
         with pytest.raises(ProtocolFailure, match="do not rebuild to the attested ACL root"):
@@ -1359,8 +1377,6 @@ class TestCli:
         "height-63": ["--height", "63"],
         "height-64": ["--height", "64"],
         "negative-height": ["--height", "-1"],
-        "acl-height-63": ["--acl-height", "63"],
-        "negative-acl-height": ["--acl-height", "-1"],
     }
 
     @pytest.mark.parametrize("damage", ["truncated-state", "flipped-state-byte", "non-hex-users-key",

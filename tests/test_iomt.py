@@ -197,7 +197,7 @@ class TestSetLeaf:
             four_leaf_tree().set_leaf(4, Leaf(9, 9, ZERO_DIGEST))
 
 
-class TestPlaceholderPlan:
+class TestInsert:
     @staticmethod
     def roomy_four_leaf_tree() -> Iomt:
         tree = Iomt(3)  # same four leaves, with slots to spare
@@ -206,34 +206,55 @@ class TestPlaceholderPlan:
         return tree
 
     def test_four_leaf_gap(self):
-        plan = self.roomy_four_leaf_tree().placeholder_plan(5)
-        assert plan.encloser_leaf == Leaf(4, 7, W[4])
-        assert plan.updated_encloser == Leaf(4, 5, W[4])
-        assert plan.placeholder_leaf == Leaf(5, 7, ZERO_DIGEST)
+        tree = self.roomy_four_leaf_tree()
+        encloser, _, _ = tree.insert(5, ZERO_DIGEST, tree.locate(5))
+        assert encloser == Leaf(4, 7, W[4])
+        leaves = dict(tree.leaves())
+        assert leaves[2] == Leaf(4, 5, W[4])
+        assert leaves[4] == Leaf(5, 7, ZERO_DIGEST)
 
     def test_empty_tree_self_link(self):
-        plan = Iomt(2).placeholder_plan(9)
-        assert plan.encloser_slot is None
-        assert plan.placeholder_leaf == Leaf(9, 9, ZERO_DIGEST)
+        tree = Iomt(2)
+        encloser, path, _ = tree.insert(9, ZERO_DIGEST, tree.locate(9))
+        assert encloser is None and path is None
+        assert dict(tree.leaves()) == {0: Leaf(9, 9, ZERO_DIGEST)}
 
     def test_low_gap_and_oracle_root(self):
         tree = self.roomy_four_leaf_tree()
-        plan = tree.placeholder_plan(2)
-        assert plan.encloser_leaf == Leaf(1, 3, W[1])
-        assert plan.updated_encloser == Leaf(1, 2, W[1])
-        assert plan.placeholder_leaf == Leaf(2, 3, ZERO_DIGEST)
-        tree.upsert(2, ZERO_DIGEST)
-        expected = dict(tree.leaves())
-        assert tree.root == oracle_root(expected, 3)
+        encloser, _, _ = tree.insert(2, ZERO_DIGEST, tree.locate(2))
+        assert encloser == Leaf(1, 3, W[1])
+        leaves = dict(tree.leaves())
+        assert leaves[1] == Leaf(1, 2, W[1])
+        assert leaves[4] == Leaf(2, 3, ZERO_DIGEST)
+        assert tree.root == oracle_root(leaves, 3)
 
     def test_present_index_rejected(self):
+        tree = four_leaf_tree()
         with pytest.raises(IndexPresentError):
-            four_leaf_tree().placeholder_plan(4)
+            tree.insert(4, ZERO_DIGEST, tree.locate(4))
 
     def test_full_tree_rejected(self):
         tree = four_leaf_tree()  # height 2: all four slots used
         with pytest.raises(TreeFullError):
-            tree.placeholder_plan(5)
+            tree.insert(5, ZERO_DIGEST, tree.locate(5))
+
+    def test_refusals_come_before_any_write(self):
+        broken = Iomt(3)
+        broken.set_leaf(0, Leaf(1, 3, W[1]))  # links to an absent 3: nothing encloses 5
+        cases = [(four_leaf_tree(), 4, IndexPresentError), (four_leaf_tree(), 5, TreeFullError),
+                 (broken, 5, IomtError)]
+        for tree, idx, error in cases:
+            before = (tree.root, list(tree.leaves()))
+            with pytest.raises(error):
+                tree.insert(idx, ZERO_DIGEST, tree.locate(idx))
+            assert (tree.root, list(tree.leaves())) == before
+
+    def test_returns_the_encloser_path_and_the_new_slot_path(self):
+        tree = self.roomy_four_leaf_tree()
+        encloser_path = tree.complement_path(2)
+        _, path, slot_path = tree.insert(5, counter_digest(1), tree.locate(5))
+        assert path == encloser_path
+        assert slot_path == tree.complement_path(4)  # the new slot, after the relink
 
     def test_remove_is_inverse(self):
         tree = Iomt(3)

@@ -145,7 +145,7 @@ class TestRecordVerify:
         module = fresh_module()
         repo = ContainerFixture(module)
         repo.modify(1, sha256(b"v1"))
-        slot, leaf = repo.tree.find_leaf(repo.idx)
+        slot, leaf = repo.tree.locate(repo.idx)
         tampered = Leaf(leaf.idx, leaf.next_idx, counter_digest(99))
         proof = (tampered, repo.tree.complement_path(slot))
         snapshot = copy.deepcopy(module._state)
@@ -162,7 +162,7 @@ class TestRecordVerify:
         tree = Iomt(3)
         tree.upsert(3, ZERO_DIGEST)
         tree.upsert(9, ZERO_DIGEST)
-        slot, leaf = tree.find_leaf(3)
+        slot, leaf = tree.locate(3)
         proof = (leaf, tree.complement_path(slot))
         assert _read(proof, 9, tree.root) is None
         assert _read(proof, 3, tree.root) == 0  # its own, placeholder, value
@@ -177,7 +177,7 @@ class TestRecordVerify:
             for candidate in range(0, 40):
                 if candidate in present:
                     continue
-                found = tree.find_encloser(candidate)
+                found = tree.locate(candidate)
                 assert found is not None
                 slot, leaf = found
                 proof = (leaf, tree.complement_path(slot))
@@ -220,7 +220,7 @@ class TestRecordUpdate:
             repo = rng.choice(repos)
             counter = repo.counter
             assert repo.modify(1, sha256(bytes([counter]))) is not None
-            slot, leaf = tree.find_leaf(repo.idx)
+            slot, leaf = tree.locate(repo.idx)
             assert leaf.val == counter_digest(counter + 1)
             assert module.root == tree.root == oracle_root(dict(tree.leaves()), 3)
 
@@ -266,29 +266,18 @@ class TestRecordUpdate:
 def creation(tree: Iomt, user: int, idx: int, acl_root: bytes):
     """A signed creation and the evidence ``apply_request`` takes for it.
 
-    Relinks the encloser in ``tree`` the way the service does.  The evidence
-    is the encloser before the relink, its path, and the new slot's path.
+    Inserts ``idx`` into ``tree`` the way the service does.  The evidence is
+    the encloser before the relink, its path, and the new slot's path.
     """
-    plan = tree.placeholder_plan(idx)
-    enc_path = None
-    if plan.encloser_slot is not None:
-        enc_path = tree.set_leaf(plan.encloser_slot, plan.updated_encloser)
-    evidence = {
-        "leaf": plan.encloser_leaf,
-        "path": enc_path,
-        "slot_path": tree.complement_path(plan.placeholder_slot),
-    }
-    return plan, sign(user, RequestKind.ACL, idx, 0, acl_root), evidence
+    leaf, path, slot_path = tree.insert(idx, counter_digest(1), tree.locate(idx))
+    evidence = {"leaf": leaf, "path": path, "slot_path": slot_path}
+    return sign(user, RequestKind.ACL, idx, 0, acl_root), evidence
 
 
 def create_container(module: TrustedModule, tree: Iomt, user: int, idx: int, acl_root: bytes):
-    """Full creation flow against an in-memory container tree."""
-    plan, req, evidence = creation(tree, user, idx, acl_root)
-    result = module.apply_request(req, **evidence)
-    if result is not None:
-        created = Leaf(idx, plan.placeholder_leaf.next_idx, counter_digest(1))
-        tree.set_leaf(plan.placeholder_slot, created)
-    return plan.placeholder_slot, result
+    """Full creation flow against an in-memory container tree; the new slot and the result."""
+    req, evidence = creation(tree, user, idx, acl_root)
+    return tree.locate(idx)[0], module.apply_request(req, **evidence)
 
 
 class TestRootEquivalence:
@@ -313,7 +302,7 @@ class TestRootEquivalence:
         tree = Iomt(3)
         tree.upsert(3, ZERO_DIGEST)
         module = module_at(tree.root)
-        _, req, evidence = creation(tree, 1, 6, ZERO_DIGEST)
+        req, evidence = creation(tree, 1, 6, ZERO_DIGEST)
         swapped = dict(evidence, path=evidence["slot_path"], slot_path=evidence["path"])
         snapshot = copy.deepcopy(module._state)
         assert module.apply_request(req, **swapped) is None
@@ -336,7 +325,7 @@ class TestRootEquivalence:
         assert module.apply_request(req, encloser, enc_path, slot_path=slot_path) is None
         assert module._state == snapshot
         # Control: the leaf that does enclose 6 is accepted.
-        _, _, evidence = creation(tree, 1, 6, ZERO_DIGEST)
+        _, evidence = creation(tree, 1, 6, ZERO_DIGEST)
         assert evidence["leaf"] == Leaf(3, 1, counter_digest(1))
         assert module.apply_request(req, **evidence) is not None
 
@@ -374,7 +363,7 @@ class TestApplyRequest:
 
     def test_forged_signature_refused(self):
         module = fresh_module()
-        _, req, evidence = creation(Iomt(3), 1, 10, ZERO_DIGEST)
+        req, evidence = creation(Iomt(3), 1, 10, ZERO_DIGEST)
         forged = RequestEnvelope(req.kind, req.idx, req.counter, req.value, req.user_idx, bytes(32))
         snapshot = copy.deepcopy(module._state)
         assert module.apply_request(forged, **evidence) is None
@@ -382,7 +371,7 @@ class TestApplyRequest:
 
     def test_unknown_user_refused(self):
         module = fresh_module()
-        _, _, evidence = creation(Iomt(3), 1, 10, ZERO_DIGEST)
+        _, evidence = creation(Iomt(3), 1, 10, ZERO_DIGEST)
         env = RequestEnvelope(RequestKind.ACL, 10, 0, ZERO_DIGEST, 99, bytes(32))
         assert module.apply_request(env, **evidence) is None
 
@@ -391,7 +380,7 @@ class TestApplyRequest:
         module = fresh_module()
         repo = ContainerFixture(module)
         shadow = Iomt.from_leaves(3, repo.tree.leaves())
-        _, req, evidence = creation(shadow, 1, 12, ZERO_DIGEST)
+        req, evidence = creation(shadow, 1, 12, ZERO_DIGEST)
         snapshot = copy.deepcopy(module._state)
         assert module.apply_request(req, evidence["leaf"], evidence["path"]) is None
         _, leaf, path, _ = repo.bump()
@@ -412,7 +401,7 @@ class TestTogglePlaceholder:
         tree = Iomt(3)
         assert create_container(module, tree, 1, 9, ZERO_DIGEST)[1] is not None
         shadow = Iomt.from_leaves(3, tree.leaves())
-        _, req, evidence = creation(shadow, 1, 12, ZERO_DIGEST)
+        req, evidence = creation(shadow, 1, 12, ZERO_DIGEST)
         # Control: a second module at the same root accepts the very same evidence.
         twin = TrustedModule(copy.deepcopy(module._state))
         assert twin.apply_request(req, **evidence) is not None
@@ -426,7 +415,7 @@ class TestTogglePlaceholder:
         module = fresh_module()
         tree = Iomt(3)
         assert create_container(module, tree, 1, 9, ZERO_DIGEST)[1] is not None
-        _, req, evidence = creation(tree, 1, 12, ZERO_DIGEST)
+        req, evidence = creation(tree, 1, 12, ZERO_DIGEST)
         (digest, side), *rest = evidence["slot_path"]
         tampered = dict(evidence, slot_path=[(sha256(digest), side), *rest])
         snapshot = copy.deepcopy(module._state)
@@ -458,17 +447,17 @@ class ContainerFixture:
         return self.record.acl_root
 
     def container_proof(self):
-        slot, leaf = self.tree.find_leaf(self.idx)
+        slot, leaf = self.tree.locate(self.idx)
         return leaf, self.tree.complement_path(slot)
 
     def acl_proof(self, user: int):
         """The user's ACL leaf, or the leaf enclosing its index, and its path."""
-        slot, leaf = self.acl.find_leaf(user) or self.acl.find_encloser(user)
+        slot, leaf = self.acl.locate(user)
         return leaf, self.acl.complement_path(slot)
 
     def bump(self):
         """The container's slot, its leaf, that leaf's path, and the leaf counter-bumped."""
-        slot, leaf = self.tree.find_leaf(self.idx)
+        slot, leaf = self.tree.locate(self.idx)
         new_leaf = Leaf(self.idx, leaf.next_idx, counter_digest(self.counter + 1))
         return slot, leaf, self.tree.complement_path(slot), new_leaf
 
@@ -538,7 +527,7 @@ class TestUpdateFlows:
         assert repo.modify(1, sha256(b"v1")) is not None
         # Re-sign against the old counter: the old leaf does not fold to the
         # current root.
-        slot, leaf = repo.tree.find_leaf(10)
+        slot, leaf = repo.tree.locate(10)
         stale_leaf = Leaf(10, leaf.next_idx, counter_digest(1))
         req = sign(1, RequestKind.CONTAINER, 10, 1, sha256(b"v1"))
         snapshot = copy.deepcopy(module._state)
@@ -569,7 +558,7 @@ class TestVerifyContainer:
         module = fresh_module()
         repo = ContainerFixture(module)
         tree = repo.tree
-        slot, leaf = tree.find_encloser(55)
+        slot, leaf = tree.locate(55)
         nonce = secrets.token_bytes(32)
         response = module.verify_container(2, nonce, 55, 0, (leaf, tree.complement_path(slot)))
         assert response is not None and response.denied
@@ -583,7 +572,7 @@ class TestVerifyContainer:
         nonce = secrets.token_bytes(32)
         denied = repo.verify(2, nonce, 1)  # user 2 has no ACL leaf
         assert denied is not None and denied.denied
-        slot, leaf = repo.tree.find_encloser(55)
+        slot, leaf = repo.tree.locate(55)
         absent = module.verify_container(2, nonce, 55, 1, (leaf, repo.tree.complement_path(slot)))
         assert absent is not None and absent.denied
         assert {f for f in denied.__dataclass_fields__} == {f for f in absent.__dataclass_fields__}
@@ -794,7 +783,7 @@ class TestAbsenceForm:
         assert module.verify_container(2, nonce, 2, 1, acl_absence) is None
         assert module._state == snapshot
         # Control: the container tree's own absence proof for index 2 is a denial.
-        slot, leaf = repo.tree.find_encloser(2)
+        slot, leaf = repo.tree.locate(2)
         absent = (leaf, repo.tree.complement_path(slot))
         assert module.verify_container(2, nonce, 2, 1, absent).denied
 
@@ -802,7 +791,7 @@ class TestAbsenceForm:
         module = fresh_module()
         repo = ContainerFixture(module)
         repo.modify(1, sha256(b"v1"))
-        slot, leaf = repo.tree.find_encloser(1)  # no container has index 1
+        slot, leaf = repo.tree.locate(1)  # no container has index 1
         absence = (leaf, repo.tree.complement_path(slot))
         assert _read(absence, 1, module.root) == 0
         snapshot = copy.deepcopy(module._state)
@@ -827,7 +816,7 @@ class TestAbsenceForm:
         tree = Iomt(3)
         tree.upsert(3, counter_digest(1))
         tree.upsert(9, counter_digest(2))
-        slot, leaf = tree.find_encloser(5)
+        slot, leaf = tree.locate(5)
         from_leaf = (leaf, tree.complement_path(slot))
         nonce = secrets.token_bytes(32)
         denials = []
@@ -906,8 +895,8 @@ class TestSurface:
         state.root = tree.root
         nonce = secrets.token_bytes(32)
         response = TrustedModule(state).verify_container(
-            1, nonce, 7, 2, (tree.find_leaf(7)[1], tree.complement_path(0)),
-            record=record, acl_proof=(acl.find_leaf(1)[1], acl.complement_path(0)), version=version,
+            1, nonce, 7, 2, (tree.locate(7)[1], tree.complement_path(0)),
+            record=record, acl_proof=(acl.locate(1)[1], acl.complement_path(0)), version=version,
         )
         assert not response.denied
         assert (response.counter, response.max_version, response.requested_version) == (3, 2, 2)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcr.storage
-from conftest import acl_hints
+from conftest import acl_hints, attested_acl_root
 from tcr.bench import STEP_ORDER
 from tcr.client import (
     UserCredential,
@@ -24,7 +24,7 @@ from tcr.iomt import Iomt, Leaf, TreeFullError, counter_digest
 from tcr.merkle import ZERO_DIGEST, sha256
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule
 from tcr.service import CACHE_ENTRIES, ProtocolError, Service, StepClock
-from tcr.storage import BlobSet, Storage, bulk_prepopulate, content_digest
+from tcr.storage import ACL_HEIGHT, BlobSet, Storage, bulk_prepopulate, content_digest
 
 BLOBS = BlobSet(b"layer-bytes" * 200, b"FROM base\n", b"services: {app: {}}\n")
 
@@ -56,13 +56,9 @@ def foreign_creation(service, cred, idx):
     """
     module = service.module
     shadow = Iomt.from_leaves(service.height, service.container_tree().leaves())
-    plan = shadow.placeholder_plan(idx)
-    enc_path = shadow.set_leaf(plan.encloser_slot, plan.updated_encloser)
-    path = shadow.complement_path(plan.placeholder_slot)
-    created = Leaf(idx, plan.placeholder_leaf.next_idx, counter_digest(1))
-    shadow.set_leaf(plan.placeholder_slot, created, path)
+    leaf, path, slot_path = shadow.insert(idx, counter_digest(1), shadow.locate(idx))
     accept = functools.partial(
-        module.apply_request, signed_create(cred, idx), plan.encloser_leaf, enc_path, slot_path=path
+        module.apply_request, signed_create(cred, idx), leaf, path, slot_path=slot_path
     )
     return accept, shadow
 
@@ -122,8 +118,8 @@ class TestCreate:
 
     def test_root_moved_after_the_equivalence_refuses_create(self, service, credentials):
         # Once the service has read the equivalence evidence (its
-        # eq_certificate step), the module alone accepts a creation of the
-        # same index 9 from elsewhere.
+        # eq_certificate step) and before it asks the module (root_update),
+        # the module alone accepts a creation of the same index 9 from elsewhere.
         cred = credentials[1]
         assert service.handle_create(signed_create(cred, 7)) is not None
         module = service.module
@@ -135,7 +131,7 @@ class TestCreate:
             moved.append(copy.deepcopy(module._state))
 
         before = dump_store(service.storage)
-        clock = MovingClock("ru_certificate", move)
+        clock = MovingClock("root_update", move)
         assert service.handle_create(signed_create(cred, 9), clock=clock) is None
         assert len(moved) == 1 and module._state == moved[0]  # not moved again
         assert dump_store(service.storage) == before
@@ -201,14 +197,16 @@ class TestWriteModuleCalls:
         assert cold == ["apply_request"]
         assert calls(service.handle_modify, signed_modify(cred, 7, 2), BLOBS) == ["apply_request"]
         # The grant reads user 1 under the ACL root the modifies read it under.
-        grant = cred.sign_request(
-            RequestKind.ACL, 7, 3, predicted_acl_root(acl_hints(service, 7), 2, 1)
+        root = predicted_acl_root(
+            acl_hints(service, 7), 2, 1, acl_root=attested_acl_root(service, 7)
         )
+        grant = cred.sign_request(RequestKind.ACL, 7, 3, root)
         assert calls(service.handle_acl_set, grant, 2, 1) == ["apply_request"]
         # The grant moved the ACL root, so the next proof is read afresh.
-        regrant = cred.sign_request(
-            RequestKind.ACL, 7, 4, predicted_acl_root(acl_hints(service, 7), 2, 2)
+        root = predicted_acl_root(
+            acl_hints(service, 7), 2, 2, acl_root=attested_acl_root(service, 7)
         )
+        regrant = cred.sign_request(RequestKind.ACL, 7, 4, root)
         assert calls(service.handle_acl_set, regrant, 2, 2) == ["apply_request"]
 
 
@@ -235,15 +233,14 @@ class TestQueryModuleCalls:
                 assert spy.calls == ["verify_container"], (name, cache)
 
 
-@pytest.mark.parametrize("heights", [(63, 8), (-1, 8), (6, 63), (6, -1)])
-def test_a_height_the_store_cannot_address_is_refused(storage, module, heights):
-    height, acl_height = heights
+@pytest.mark.parametrize("height", [63, -1])
+def test_a_height_the_store_cannot_address_is_refused(storage, module, height):
     with pytest.raises(ValueError, match="height -?[0-9]+ is outside 0..62$"):
-        Service(storage, module, height, acl_height=acl_height)
+        Service(storage, module, height)
 
 
 def test_the_tallest_addressable_trees_are_served(storage, module, credentials):
-    service = Service(storage, module, 62, acl_height=62)
+    service = Service(storage, module, 62)
     assert service.handle_create(signed_create(credentials[1], (1 << 64) - 1)) is not None
 
 
@@ -337,7 +334,9 @@ class TestModify:
 
 class TestAclSet:
     def grant(self, service, credentials, requester, target, level, counter, clock=None):
-        new_root = predicted_acl_root(acl_hints(service, 7), target, level)
+        new_root = predicted_acl_root(
+            acl_hints(service, 7), target, level, acl_root=attested_acl_root(service, 7)
+        )
         env = credentials[requester].sign_request(RequestKind.ACL, 7, counter, new_root)
         return service.handle_acl_set(env, target, level, clock=clock)
 
@@ -403,33 +402,49 @@ OWNER = UserCredential(1, bytes(range(32)))
 
 
 @settings(max_examples=40, deadline=None)
-@example(grants=[(2, 1), (3, 2), (2, 3), (4, 0), (5, 1)])  # fills the tree, then one more
+@example(grants=[(2, 1), (3, 2), (2, 3), (4, 0), (5, 1)])  # re-grants and a revocation
 @given(st.lists(st.tuples(st.integers(2, 9), st.integers(0, 3)), min_size=1, max_size=8))
 def test_predicted_acl_root_is_the_stored_root(tmp_path_factory, grants):
     """Re-grants and new grants alike: the client predicts what the service stores."""
     storage = Storage(":memory:", tmp_path_factory.mktemp("blobs"))
     module = TrustedModule(ModuleState.fresh({1: OWNER.key}))
-    service = Service(storage, module, height=3, acl_height=2)  # four ACL slots
+    service = Service(storage, module, height=3)
     try:
         assert service.handle_create(signed_create(OWNER, 7)) is not None
         for counter, (target, level) in enumerate(grants, start=1):
             hints = acl_hints(service, 7)
-            held = {leaf_idx for _, leaf_idx, _, _ in hints["acl"]}
-            if target not in held and len(held) == 4:
-                with pytest.raises(TreeFullError):
-                    predicted_acl_root(hints, target, level)
-                root = module.root
-                env = OWNER.sign_request(RequestKind.ACL, 7, counter, service.acl_tree(7).root)
-                with pytest.raises(ProtocolError):
-                    service.handle_acl_set(env, target, level)
-                assert module.root == root and acl_hints(service, 7) == hints
-                return
-            new_root = predicted_acl_root(hints, target, level)
+            new_root = predicted_acl_root(
+                hints, target, level, acl_root=attested_acl_root(service, 7)
+            )
             env = OWNER.sign_request(RequestKind.ACL, 7, counter, new_root)
             result = service.handle_acl_set(env, target, level)
             assert result is not None and OWNER.verify_ack(env, result.ack)
             assert service.acl_tree(7).root == new_root == result.record.acl_root
             assert module.root == service.container_tree().root
+    finally:
+        storage.close()
+
+
+def test_a_grant_past_a_full_acl_is_refused(tmp_path):
+    """The client and the service alike refuse a new user once all 2^8 ACL slots are held."""
+    storage = Storage(":memory:", tmp_path / "blobs")
+    module = TrustedModule(ModuleState.fresh({1: OWNER.key}))
+    service = Service(storage, module, height=3)
+    try:
+        assert service.handle_create(signed_create(OWNER, 7)) is not None
+        for target in range(2, (1 << ACL_HEIGHT) + 1):
+            grant(service, OWNER, 7, target, 1)
+        hints = acl_hints(service, 7)
+        assert len(hints["acl"]) == 1 << ACL_HEIGHT
+        with pytest.raises(TreeFullError):
+            predicted_acl_root(hints, 999, 1, acl_root=attested_acl_root(service, 7))
+        root = module.root
+        counter = storage.record_get(7).counter
+        env = OWNER.sign_request(RequestKind.ACL, 7, counter, service.acl_tree(7).root)
+        with pytest.raises(ProtocolError):
+            service.handle_acl_set(env, 999, 1)
+        assert module.root == root == service.container_tree().root
+        assert acl_hints(service, 7) == hints
     finally:
         storage.close()
 
@@ -534,7 +549,7 @@ class TestInfo:
         # The counter is the module's to attest, in the response; the hints
         # hold only the ACL rows.
         assert info.hints == {
-            "acl_height": 8, "acl": [[0, 1, 1, (b"\x00" * 24 + (3).to_bytes(8, "big")).hex()]],
+            "acl": [[0, 1, 1, (b"\x00" * 24 + (3).to_bytes(8, "big")).hex()]],
         }
 
 
@@ -651,11 +666,13 @@ class TestStatementCounts:
             assert fetched.blobs is not None
             return fetched.response
 
-        # user 2 holds no access, so its query is a denial
+        # user 2 holds no access, so its query is a denial; an absent index
+        # is denied from its record lookup, the leaf enclosing it and that path
         cases = [
             (info, 1, Verdict.VERIFIED, (5, 5), (1, 4)),
             (fetch, 1, Verdict.VERIFIED, (6, 5), (2, 4)),
             (info, 2, Verdict.DENIED, (7, 5), (3, 4)),
+            (info, 2, Verdict.DENIED, (100, 3), (200, 3)),
         ]
         for query, user, verdict, cold, warm in cases:
             service = Service(storage, module, height=16)
@@ -682,10 +699,12 @@ class TestStatementCounts:
             assert handle(*args) is not None
             return len(statements)
 
-        assert counted(service.handle_create, signed_create(cred, 100)) == 13, statements
+        assert counted(service.handle_create, signed_create(cred, 100)) == 12, statements
         assert counted(service.handle_modify, signed_modify(cred, 5, 2), BLOBS) == 10, statements
         for counter, level in ((3, 1), (4, 2)):  # new grant, then re-grant
-            root = predicted_acl_root(acl_hints(service, 5), 2, level)
+            root = predicted_acl_root(
+                acl_hints(service, 5), 2, level, acl_root=attested_acl_root(service, 5)
+            )
             env = cred.sign_request(RequestKind.ACL, 5, counter, root)
             assert counted(service.handle_acl_set, env, 2, level) == 10, statements
         assert service.module.root == service.container_tree().root
@@ -697,13 +716,17 @@ class TestRejectedMutationsRollBack:
     def test_refusal_persists_nothing(self, service, credentials, refusal):
         owner, reader = credentials[1], credentials[2]
         service.handle_create(signed_create(owner, 7))
-        grant_root = predicted_acl_root(acl_hints(service, 7), 2, 1)
+        grant_root = predicted_acl_root(
+            acl_hints(service, 7), 2, 1, acl_root=attested_acl_root(service, 7)
+        )
         assert service.handle_acl_set(owner.sign_request(RequestKind.ACL, 7, 1, grant_root), 2, 1)
         before = dump_store(service.storage)
         if refusal == "modify_by_reader":
             result = service.handle_modify(signed_modify(reader, 7, 2), BLOBS)
         elif refusal == "acl_set_by_reader":
-            root = predicted_acl_root(acl_hints(service, 7), 3, 1)
+            root = predicted_acl_root(
+                acl_hints(service, 7), 3, 1, acl_root=attested_acl_root(service, 7)
+            )
             result = service.handle_acl_set(reader.sign_request(RequestKind.ACL, 7, 2, root), 3, 1)
         else:
             # The commitment names another secret, so apply_request refuses.
@@ -716,6 +739,38 @@ class TestRejectedMutationsRollBack:
         assert result is None
         assert dump_store(service.storage) == before
         assert service.module.root == service.container_tree().root
+
+
+    def test_a_refused_modify_leaves_no_blob_it_wrote(self, service, credentials):
+        owner = credentials[1]
+        service.handle_create(signed_create(owner, 5))
+        data_dir = service.storage.data_dir
+        before = sorted(data_dir.rglob("*"))
+        blobs = BlobSet(bytes(range(256)) * 4096, b"FROM forged\n", b"services: {forged: {}}\n")
+        digest = content_digest(blobs.hashes(), ZERO_DIGEST)
+        # User 77 has no key; the signature is zero bytes; counter 1 is a guess anyone makes.
+        forged = RequestEnvelope(RequestKind.CONTAINER, 5, 1, digest, 77, bytes(32))
+        assert service.handle_modify(forged, blobs) is None
+        assert sorted(data_dir.rglob("*")) == before
+        grant(service, owner, 5, 2, 0)
+        # Correctly signed, at the right counter, by a user at level 0.
+        assert service.handle_modify(signed_modify(credentials[2], 5, 2, blobs), blobs) is None
+        assert sorted(data_dir.rglob("*")) == before
+        assert service.module.root == service.container_tree().root
+
+    def test_a_refused_modify_keeps_the_stored_content_it_repeats(self, service, credentials):
+        owner = credentials[1]
+        service.handle_create(signed_create(owner, 5))
+        assert service.handle_modify(signed_modify(owner, 5, 1), BLOBS) is not None
+        stored = service.storage.version_get(5, 1).hashes
+        image = service.storage._blob_path(stored[0])
+        image.write_bytes(b"damaged")  # the refused MODIFY below repairs it, and keeps it
+        assert service.handle_modify(signed_modify(credentials[2], 5, 2), BLOBS) is None
+        assert service.storage.blob_get(stored) == BLOBS
+        nonce = secrets.token_bytes(32)
+        fetched = service.handle_fetch(5, 1, 1, nonce=nonce)
+        assert check_info_response(owner, fetched.response, nonce, 5, 1) == Verdict.VERIFIED
+        assert fetched.blobs == BLOBS
 
 
 class TestEpochSafety:
@@ -749,7 +804,9 @@ class TestEpochSafety:
 
 def grant(service, cred, idx, target, level):
     """Have ``cred`` set ``target``'s level on container ``idx``; the new ACL root."""
-    root = predicted_acl_root(acl_hints(service, idx), target, level)
+    root = predicted_acl_root(
+        acl_hints(service, idx), target, level, acl_root=attested_acl_root(service, idx)
+    )
     counter = service.storage.record_get(idx).counter
     assert service.handle_acl_set(cred.sign_request(RequestKind.ACL, idx, counter, root), target, level)
     return root
@@ -868,7 +925,7 @@ def test_served_hints_match_the_stored_rows(tmp_path_factory, ops):
                 assert hints == acl_hints(service, queried)
                 rows = [(slot, Leaf(leaf_idx, nxt, bytes.fromhex(val)))
                         for slot, leaf_idx, nxt, val in hints["acl"]]
-                assert Iomt.from_leaves(hints["acl_height"], rows).root == info.response.acl_root
+                assert Iomt.from_leaves(ACL_HEIGHT, rows).root == info.response.acl_root
     finally:
         storage.close()
 
@@ -882,7 +939,9 @@ class TestMonotonicCounter:
         for counter in (1, 2, 3):
             result = service.handle_modify(signed_modify(cred, 7, counter), BLOBS)
             counters.append(result.record.counter)
-        new_root = predicted_acl_root(acl_hints(service, 7), 2, 1)
+        new_root = predicted_acl_root(
+            acl_hints(service, 7), 2, 1, acl_root=attested_acl_root(service, 7)
+        )
         env = cred.sign_request(RequestKind.ACL, 7, 4, new_root)
         result = service.handle_acl_set(env, 2, 1)
         counters.append(result.record.counter)

@@ -113,7 +113,7 @@ class TestLeafTable:
         leaf = Leaf(9, 12, counter_digest(3))
         store.set_leaf(4, leaf)
         assert list(store.leaf_items()) == [(4, leaf)]
-        assert store.find_leaf(9) == (4, leaf)
+        assert store.locate(9) == (4, leaf)
 
     def test_memory_store_removes_a_leaf(self):
         # Only the in-memory store deletes; the sqlite tree is append-only.
@@ -134,7 +134,7 @@ class TestLeafTable:
         storage._conn.set_trace_callback(None)
         assert list(store.leaf_items()) == [(0, Leaf(9, 9, counter_digest(2)))]
 
-    def test_find_encloser_matches_scan(self, storage):
+    def test_locate_matches_scan(self, storage):
         rng = random.Random(3)
         for store in (MemoryTreeStore(), storage.tree()):
             tree = Iomt(4, store)
@@ -147,9 +147,9 @@ class TestLeafTable:
             for candidate in range(0, 256):
                 scan = [(s, l) for s, l in leaves if encloses(l.idx, l.next_idx, candidate)]
                 assert len(scan) <= 1
-                assert store.find_encloser(candidate) == (scan[0] if scan else None), candidate
                 held = [(s, l) for s, l in leaves if l.idx == candidate]
-                assert store.find_leaf(candidate) == (held[0] if held else None), candidate
+                assert not (held and scan)
+                assert store.locate(candidate) == (held or scan or [None])[0], candidate
 
     def test_first_free_slot_finds_gaps(self, storage):
         # The sqlite store is append-only: its free slot is one past the
@@ -169,7 +169,7 @@ class TestLeafTable:
             # Full: the store has no bound, the tree maps it to "full".
             assert store.first_free_slot() == 4
             with pytest.raises(TreeFullError):
-                tree.placeholder_plan(9)
+                tree.insert(9, ZERO_DIGEST, tree.locate(9))
 
     def test_freed_top_slot_is_refilled_before_higher_ones(self):
         store = MemoryTreeStore()  # the sqlite store never frees a slot
@@ -303,7 +303,7 @@ class TestDurability:
         reopened = Storage(tmp_path / "d.db", tmp_path / "blobs")
         tree2 = Iomt(3, reopened.tree())
         assert tree2.root == root
-        assert tree2.find_leaf(5) is not None
+        assert tree2.locate(5)[1].idx == 5
         assert reopened.record_get(5) == record
         assert reopened.version_get(5, 1) == version
         assert reopened.blob_get(version.hashes) == blobs
@@ -391,7 +391,7 @@ class TestBulkPrepopulate:
         module = TrustedModule(state)
         acl_proof = (owner_acl[0][1], Iomt.from_leaves(8, owner_acl).complement_path(0))
         for idx in (1, count):
-            slot, leaf = tree.find_leaf(idx)
+            slot, leaf = tree.locate(idx)
             version = storage.version_get(idx, 1)
             response = module.verify_container(
                 1, bytes(32), idx, 1, (leaf, tree.complement_path(slot)),
