@@ -1024,6 +1024,8 @@ MALFORMED_REPLIES = [
     pytest.param("acl_set", acl_hint(row=(0, 1, 1.9, "00" * 32)), id="acl-set-float-next"),
     pytest.param("acl_set", acl_hint(row=(0, 1, 1, "00" * 32, 0)), id="acl-set-long-acl-row"),
     pytest.param("acl_set", acl_hint(row=(256, 1, 1, "00" * 32)), id="acl-set-slot-past-the-tree"),
+    pytest.param("acl_set", acl_hint(row=(-1, 1, 1, "00" * 32)), id="acl-set-negative-slot"),
+    pytest.param("acl_set", acl_hint(row=(0, 1, 1, "zz" * 32)), id="acl-set-bad-value-hex"),
 ]
 
 COMMANDS = {
@@ -1125,6 +1127,18 @@ class TestSignsOnlyWhatTheModuleAttested:
         with pytest.raises(ProtocolFailure, match="do not rebuild to the attested ACL root"):
             client.acl_set(5, 2, 1)
         assert ops_in(lines) == ["INFO"]
+
+    def test_a_hinted_acl_height_is_not_read(self, stub):
+        # Every ACL tree has storage.ACL_HEIGHT levels; a height in the hints
+        # cannot make the rebuild run long or change the root that is signed.
+        port, table, lines = stub
+        acl = self.owner_only()
+        hints = {"acl_height": 63, "acl": acl_rows(acl)}
+        table.update({"INFO": info_answer(hints, acl_root=acl.root), "ACL_SET": acknowledged})
+        client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+        client.acl_set(5, 2, 1)
+        assert ops_in(lines) == ["INFO", "ACL_SET"]
+        assert requests_in(lines)[-1]["payload"]["value"] == acl.upsert(2, counter_digest(1)).hex()
 
     def test_a_service_hinting_an_extra_row_gets_no_signature(
         self, env, wire_transcript, monkeypatch
@@ -1371,6 +1385,23 @@ class TestCli:
                          str(tmp_path / "blobs"), "--users", str(users)])
         assert db.read_bytes() == before
         assert not (tmp_path / "module.bin").exists()
+
+    def test_the_acl_height_is_no_option(self, tmp_path, monkeypatch, capsys):
+        # Every ACL tree has storage.ACL_HEIGHT levels: a server told another
+        # height stops at the command line instead of serving with this one.
+        from tcr.server import main as server_main
+
+        self.never_serve(monkeypatch)
+        users = tmp_path / "users.json"
+        users.write_text(json.dumps({"1": STUB_KEY.hex()}))
+        argv = ["--listen", "127.0.0.1:0", "--db", str(tmp_path / "repo.db"), "--module-state",
+                str(tmp_path / "module.bin"), "--height", "4", "--data-dir",
+                str(tmp_path / "blobs"), "--users", str(users), "--acl-height", "16"]
+        with pytest.raises(SystemExit) as stopped:
+            server_main(argv)
+        assert stopped.value.code == 2
+        assert "unrecognized arguments: --acl-height 16" in capsys.readouterr().err
+        assert not (tmp_path / "module.bin").exists() and not (tmp_path / "repo.db").exists()
 
     # Tree heights the store cannot address: node positions past 2^63 - 1 are no sqlite key.
     BAD_HEIGHTS = {

@@ -233,7 +233,7 @@ class TestQueryModuleCalls:
                 assert spy.calls == ["verify_container"], (name, cache)
 
 
-@pytest.mark.parametrize("height", [63, -1])
+@pytest.mark.parametrize("height", [63, 64, -1])
 def test_a_height_the_store_cannot_address_is_refused(storage, module, height):
     with pytest.raises(ValueError, match="height -?[0-9]+ is outside 0..62$"):
         Service(storage, module, height)
