@@ -8,7 +8,6 @@ says is believed on its own.
 
 from __future__ import annotations
 
-import hashlib
 import secrets
 import socket
 from contextlib import contextmanager
@@ -16,6 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Optional
+
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .iomt import Iomt, IomtError, Leaf, TreeFullError, counter_digest, leaf_digest
 from .merkle import (
@@ -27,7 +28,7 @@ from .merkle import (
     sha256,
 )
 from .module import RequestEnvelope, RequestKind, VerifyResponse, secret_commitment
-from .storage import ACL_HEIGHT, CIPHER_ID, BlobSet, content_digest, initial_acl_leaf
+from .storage import ACL_HEIGHT, BlobSet, content_digest, initial_acl_leaf
 from .wire import (
     STATUS_DENIED,
     STATUS_OK,
@@ -122,17 +123,17 @@ class UserCredential:
 def xor_keystream(secret: bytes, data: bytes) -> bytes:
     """Keyed keystream cipher; applying it twice is the identity.
 
-    The data is XORed with the first ``len(data)`` bytes of the SHAKE-256
-    output (FIPS 202) of ``CIPHER_ID || secret``.  A pad byte must never be
-    used twice, so a secret encrypts one byte string only; :func:`xor_blobs`
-    makes a version's three blobs one such string.  Integrity comes from the
-    content digest, not from the cipher.
+    The data is XORed with the ChaCha20 keystream (RFC 8439) keyed by the
+    32-byte ``secret``; the 16-byte initial block counter and nonce are all
+    zero.  A key and nonce pair must never encrypt two strings, so a secret
+    encrypts one byte string only; :func:`xor_blobs` makes a version's three
+    blobs one such string.  Integrity comes from the content digest, not
+    from the cipher.
     """
     if len(secret) != DIGEST_SIZE:
         raise ValueError("keystream secret must be 32 bytes")
-    pad = hashlib.shake_256(CIPHER_ID + secret).digest(len(data))
-    stream = int.from_bytes(pad, "big")
-    return (int.from_bytes(data, "big") ^ stream).to_bytes(len(data), "big")
+    cipher = Cipher(algorithms.ChaCha20(secret, bytes(16)), mode=None)
+    return cipher.encryptor().update(data)
 
 
 def xor_blobs(secret: bytes, blobs: BlobSet) -> BlobSet:

@@ -226,17 +226,13 @@ class Iomt:
     def leaves(self) -> Iterator[tuple[int, Leaf]]:
         return self.store.leaf_items()
 
-    def set_leaf(
-        self, slot: int, leaf: Optional[Leaf], path: Optional[ComplementPath] = None
-    ) -> ComplementPath:
+    def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> ComplementPath:
         """Write a leaf and the h+1 nodes from it to the root in one batch.
 
         Returns the slot's complement path, which the write leaves unchanged,
-        so the module can fold the edit's path with no second read.  A caller that
-        already holds that path passes it as ``path`` and nothing is read.
+        so the module can fold the edit's path with no second read.
         """
-        if path is None:
-            path = self.complement_path(slot)
+        path = self.complement_path(slot)
         pos = self.geometry.leaf_node(slot)
         value = leaf_digest(leaf)
         nodes = [(pos, value)]

@@ -45,10 +45,11 @@ def check_height(name: str, height: int) -> int:
         raise ValueError(f"{name} {height} is outside 0..{MAX_HEIGHT}")
     return height
 
-# Names the cipher an encrypted version's blobs were written under.  The
-# client keys its keystream with it and every encrypted version's content
-# digest covers it, so bytes sealed under another cipher never verify.
-CIPHER_ID = b"tcr/shake256-xor/v1"
+# Names the cipher an encrypted version's blobs were written under: ChaCha20
+# (RFC 8439) keyed by the version's secret.  Every encrypted version's content
+# digest covers it, so bytes sealed under another cipher (v1's SHAKE-256 pad,
+# or the untagged HMAC pad before it) never verify.
+CIPHER_ID = b"tcr/chacha20/v2"
 
 
 class StorageError(Exception):

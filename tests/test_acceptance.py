@@ -338,7 +338,7 @@ def test_criterion_5_denial_and_version_availability(tmp_path):
 
 def test_criterion_6_secret_confidentiality(tmp_path, wire_transcript):
     """A thousand secrets survive the full pipeline; none leak onto the wire."""
-    from tcr.client import wrap_secret, xor_keystream
+    from tcr.client import wrap_secret, xor_blobs
     from tcr.wire import envelope_to_json
 
     keys = {1: secrets.token_bytes(32)}
@@ -356,11 +356,7 @@ def test_criterion_6_secret_confidentiality(tmp_path, wire_transcript):
         secret = secrets.token_bytes(32)
         observed_secrets.append(secret)
         wrapped, commitment = wrap_secret(cred, secret, 10, counter)
-        cipher = BlobSet(
-            xor_keystream(secret, plain.image),
-            xor_keystream(secret, plain.build),
-            xor_keystream(secret, plain.compose),
-        )
+        cipher = xor_blobs(secret, plain)
         digest = content_digest(cipher.hashes(), commitment)
         envelope = cred.sign_request(RequestKind.CONTAINER, 10, counter, digest)
         payload = envelope_to_json(envelope)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import errno
-import hashlib
 import io
 import json
 import os
@@ -10,6 +9,8 @@ import secrets
 import socket
 import socketserver
 import sqlite3
+import struct
+import subprocess
 import sys
 import threading
 import time
@@ -81,14 +82,59 @@ def client_for(server, keys, user) -> RepositoryClient:
     return RepositoryClient("127.0.0.1", port, UserCredential(user, keys[user]))
 
 
+MASK32 = 0xFFFFFFFF
+
+
+def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
+    """The ChaCha20 block function written from RFC 8439, section 2.3."""
+
+    def rotl(v, n):
+        return ((v << n) & MASK32) | (v >> (32 - n))
+
+    def quarter_round(x, a, b, c, d):
+        x[a] = (x[a] + x[b]) & MASK32
+        x[d] = rotl(x[d] ^ x[a], 16)
+        x[c] = (x[c] + x[d]) & MASK32
+        x[b] = rotl(x[b] ^ x[c], 12)
+        x[a] = (x[a] + x[b]) & MASK32
+        x[d] = rotl(x[d] ^ x[a], 8)
+        x[c] = (x[c] + x[d]) & MASK32
+        x[b] = rotl(x[b] ^ x[c], 7)
+
+    state = [0x61707865, 0x3320646E, 0x79622D32, 0x6B206574]
+    state += struct.unpack("<8I", key) + (counter,) + struct.unpack("<3I", nonce)
+    x = list(state)
+    for _ in range(10):
+        for a, b, c, d in ((0, 4, 8, 12), (1, 5, 9, 13), (2, 6, 10, 14), (3, 7, 11, 15),
+                           (0, 5, 10, 15), (1, 6, 11, 12), (2, 7, 8, 13), (3, 4, 9, 14)):
+            quarter_round(x, a, b, c, d)
+    return struct.pack("<16I", *((w + s) & MASK32 for w, s in zip(x, state)))
+
+
 def per_block_keystream(secret: bytes, data: bytes) -> bytes:
-    """The keystream written from FIPS 202: one SHAKE-256 pad, XORed byte by byte."""
-    pad = hashlib.shake_256(CIPHER_ID + secret).digest(len(data))
+    """ChaCha20 under ``secret`` with a zero nonce, one RFC 8439 block at a time
+    from counter 0, XORed byte by byte."""
+    pad = b"".join(chacha20_block(secret, n, bytes(12)) for n in range(-(-len(data) // 64)))
     return bytes(a ^ b for a, b in zip(data, pad))
 
 
 class TestCrypto:
-    @pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 12 * 1024, 256 * 1024 + 7])
+    def test_reference_block_matches_rfc8439_block_vector(self):
+        # RFC 8439 section 2.3.2: key 00..1f, nonce 000000090000004a00000000, counter 1.
+        block = chacha20_block(bytes(range(32)), 1, bytes.fromhex("000000090000004a00000000"))
+        assert block.hex() == (
+            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+        )
+
+    def test_keystream_matches_rfc8439_test_vector_1(self):
+        # RFC 8439 appendix A.1, test vector #1: zero key, zero nonce, counter 0.
+        assert xor_keystream(bytes(32), bytes(64)).hex() == (
+            "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
+            "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586"
+        )
+
+    @pytest.mark.parametrize("size", [0, 1, 31, 32, 33, 63, 64, 65, 12 * 1024, 256 * 1024 + 7])
     def test_keystream_matches_per_block_reference(self, size):
         secret = secrets.token_bytes(32)
         data = secrets.token_bytes(size)
@@ -104,6 +150,17 @@ class TestCrypto:
         assert xor_keystream(secrets.token_bytes(32), data) != xor_keystream(
             secrets.token_bytes(32), data
         )
+
+    def test_server_import_loads_neither_the_client_nor_its_cipher(self):
+        src = os.path.dirname(os.path.dirname(server_module.__file__))
+        probe = (
+            "import sys, tcr.server; "
+            "print(sorted(m for m in ('cryptography', 'tcr.client') if m in sys.modules))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
     def test_content_digest_sensitivity(self):
         def digest(image, commitment=ZERO_DIGEST):
@@ -1167,14 +1224,14 @@ class TestSignsOnlyWhatTheModuleAttested:
         assert client_for(server, keys, 4).info(11).verdict == Verdict.DENIED
 
 
-def encrypted_fetch_answer(tagged: bool):
+def encrypted_fetch_answer(tag: bytes):
     """A FETCH reply for an encrypted version of container 5 whose secret opens
-    for ``STUB_KEY``; its attested digest covers the cipher tag only if ``tagged``."""
+    for ``STUB_KEY``; its attested digest covers the cipher tag ``tag``."""
     secret = secrets.token_bytes(32)
     commitment = secret_commitment(5, secret)
     cipher = xor_blobs(secret, BlobSet(IMAGE, BUILD, COMPOSE))
     hashes = cipher.hashes()
-    digest = sha256(b"".join(hashes) + commitment + (CIPHER_ID if tagged else b""))
+    digest = sha256(b"".join(hashes) + commitment + tag)
     delivered = bytes(a ^ b for a, b in zip(secret, sha256(commitment + STUB_KEY)))
     return fetch_answer(
         digest, blobs=cipher, secret_commitment=commitment.hex(), sealed_for_user=delivered.hex(),
@@ -1184,14 +1241,15 @@ def encrypted_fetch_answer(tagged: bool):
 class TestCipherTag:
     def test_tagged_version_verifies(self, stub):
         port, table, _ = stub
-        table["FETCH"] = encrypted_fetch_answer(tagged=True)
+        table["FETCH"] = encrypted_fetch_answer(CIPHER_ID)
         outcome = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY)).fetch(5)
         assert outcome.verdict == Verdict.VERIFIED and outcome.encrypted
         assert outcome.blobs == BlobSet(IMAGE, BUILD, COMPOSE)
 
-    def test_version_attested_without_the_cipher_tag_is_invalid(self, stub):
+    @pytest.mark.parametrize("tag", [b"", b"tcr/shake256-xor/v1"], ids=["untagged", "shake256-v1"])
+    def test_version_attested_under_another_cipher_tag_is_invalid(self, stub, tag):
         port, table, _ = stub
-        table["FETCH"] = encrypted_fetch_answer(tagged=False)
+        table["FETCH"] = encrypted_fetch_answer(tag)
         outcome = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY)).fetch(5)
         assert outcome.verdict == Verdict.INVALID and outcome.blobs is None
 

@@ -302,18 +302,6 @@ def test_from_leaves_rejects_out_of_range_slots():
         Iomt.from_leaves(2, [(4, Leaf(1, 1, counter_digest(1)))])
 
 
-class TestSetLeafWithPath:
-    def test_given_path_is_not_read_again(self):
-        tree = four_leaf_tree()
-        path = tree.complement_path(1)
-        leaf = Leaf(1, 3, counter_digest(5))
-        with mock.patch.object(Iomt, "complement_path", side_effect=AssertionError):
-            assert tree.set_leaf(1, leaf, path) == path
-        expected = dict(enumerate(FOUR_LEAVES))
-        expected[1] = leaf
-        assert tree.root == oracle_root(expected, 2)
-
-
 class TestOracleRoot:
     def test_empty(self):
         assert oracle_root({}, 3) == ZERO_DIGEST
