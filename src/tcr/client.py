@@ -44,9 +44,9 @@ from .wire import (
 )
 
 
-# Read buffer of the client's socket file: a FETCH reply's hex frame line
-# arrives in a few fills of this size, not in one per 8 KiB.  Writes keep the
-# default buffer, since a MODIFY goes out in one write.
+# Read buffer of the client's socket file: a FETCH reply's raw frame arrives
+# in a few fills of this size, and each readline of it is served from here.
+# Writes keep the default buffer, since a MODIFY goes out in one write.
 REPLY_BUFFER_BYTES = 1 << 20
 
 

@@ -13,9 +13,10 @@ relies on.
 The layout's version is stamped in ``PRAGMA user_version``; a store written
 under another version is refused, not migrated.
 
-Blobs are content-addressed files under a data directory; identical content
-is stored once regardless of how many versions reference it.  A version's
-row holds the addresses of its three blobs.
+Blobs are content-addressed files, one flat file per distinct blob named by
+its hex digest in the data directory; identical content is stored once
+regardless of how many versions reference it.  A version's row holds the
+addresses of its three blobs.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .iomt import Geometry, Leaf, counter_digest, encloses, leaf_digest, node_le
 from .merkle import ZERO_DIGEST, sha256
 from .module import ContainerRecord, ModuleState, VersionRecord
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # The tallest container tree the node table can address: a taller tree's node
 # positions pass sqlite's signed 64-bit integer key.
@@ -159,9 +160,10 @@ class Storage:
         self._conn = None
         self._created: list[Path] = []  # blob files made since the last BEGIN
         try:
+            self.data_dir.mkdir(parents=True, exist_ok=True)  # here, not once per blob
             self._conn = sqlite3.connect(self.db_path, isolation_level=None, check_same_thread=False)
             (version,) = self._conn.execute("PRAGMA user_version").fetchone()
-        except sqlite3.Error as exc:  # a missing directory, or a file that is not sqlite
+        except (OSError, sqlite3.Error) as exc:  # a directory missing or not made, or not sqlite
             if self._conn is not None:
                 self._conn.close()
             raise StorageError(str(exc)) from exc
@@ -197,9 +199,8 @@ class Storage:
         except BaseException:
             self._conn.execute("ROLLBACK")
             for path in self._created:  # never a file that was there before
-                with suppress(OSError):  # rmdir fails while another file shares the directory
+                with suppress(OSError):
                     path.unlink(missing_ok=True)
-                    path.parent.rmdir()
             raise
         else:
             with commit_timer:
@@ -290,7 +291,7 @@ class Storage:
     # -- content blobs ------------------------------------------------------------
 
     def _blob_path(self, digest: bytes) -> Path:
-        return self.data_dir / digest.hex() / "payload"
+        return self.data_dir / digest.hex()
 
     def _write_blob(self, content: bytes, digest: bytes) -> None:
         path = self._blob_path(digest)
@@ -302,8 +303,7 @@ class Storage:
             # so a torn write never sits under the address.
             if not existed:
                 self._created.append(path)  # before the write, which may fail midway
-            path.parent.mkdir(parents=True, exist_ok=True)
-            partial = path.with_name(f"payload.{os.getpid()}.tmp")
+            partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")  # never an address
             try:
                 partial.write_bytes(content)
                 os.replace(partial, path)

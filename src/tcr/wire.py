@@ -7,16 +7,14 @@ authority.
 A message that carries a version's blobs (a MODIFY request, an ``ok`` FETCH
 reply) is the JSON header line, whose payload says ``"blobs": [len(image),
 len(build), len(compose)]``, then a frame holding ``image || build ||
-compose``.  In a request (a message with an ``op``) the frame is those bytes
-raw plus one newline, which the server takes with one ``read``.  In a reply
-it is one line of hex, which holds no newline, so the client reads every
-reply with ``readline`` alone.  Either way the header's lengths bound the
-frame before any of it is read.
+compose`` raw plus one newline.  The header's lengths bound the frame before
+any of it is read.  The server takes a request's frame with one ``read``;
+the client reads every reply through ``readline`` alone, so it takes a
+reply's frame line by line.
 """
 
 from __future__ import annotations
 
-import binascii
 import json
 from typing import IO, Optional, Sequence
 
@@ -30,8 +28,8 @@ STATUS_REJECTED = "rejected"
 STATUS_ERROR = "error"
 
 # Longest accepted message, header and frame with their newlines.  The
-# content cap comes from the ``ok`` FETCH reply, whose frame is still hex: a
-# version of just under 32 MiB travels as just under 64 MiB of it.
+# content cap comes from the ``ok`` FETCH reply, which keeps room for its
+# header beside the frame: a version holds just under 64 MiB.
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 # Room an ``ok`` FETCH reply keeps for its header line beside the frame: with
@@ -88,7 +86,7 @@ def check_fetchable(lengths: Sequence[int]) -> None:
     ``lengths`` fits in :data:`MAX_MESSAGE_BYTES`: a MODIFY is held to this,
     by the client before it connects and by the server before it reads the
     frame, so every version the store accepts can be fetched."""
-    if FETCH_HEADER_BYTES + 2 * sum(lengths) + 1 > MAX_MESSAGE_BYTES:
+    if FETCH_HEADER_BYTES + sum(lengths) + 1 > MAX_MESSAGE_BYTES:
         raise WireError(f"a FETCH reply for this version would exceed {MAX_MESSAGE_BYTES} bytes")
 
 
@@ -99,7 +97,7 @@ def _json_line(obj: dict) -> bytes:
 def write_message(fp: IO[bytes], obj: dict) -> None:
     """Send ``obj`` as one JSON line in one write.  A :class:`BlobSet` at
     ``obj["payload"]["blobs"]`` goes as its lengths in that line, then its
-    frame: raw and a newline in a request, one hex line in a reply."""
+    frame: the bytes raw and a newline."""
     payload = obj.get("payload")
     blobs = payload.get("blobs") if isinstance(payload, dict) else None
     if not isinstance(blobs, BlobSet):
@@ -107,16 +105,14 @@ def write_message(fp: IO[bytes], obj: dict) -> None:
     else:
         parts = (blobs.image, blobs.build, blobs.compose)
         head = _json_line({**obj, "payload": {**payload, "blobs": [len(p) for p in parts]}})
-        if "op" not in obj:
-            parts = tuple(map(binascii.hexlify, parts))
         fp.write(b"".join((head, *parts, b"\n")))
     fp.flush()
 
 
 def read_message(fp: IO[bytes], request: bool = False) -> Optional[dict]:
-    """The next message, its frame (if any) decoded into a :class:`BlobSet`;
+    """The next message, its frame (if any) cut into a :class:`BlobSet`;
     ``None`` at end of input.  A reply is read through ``fp.readline`` only;
-    a ``request``'s raw frame is taken with one ``fp.read``."""
+    a ``request``'s frame is taken with one ``fp.read``."""
     line = fp.readline(MAX_MESSAGE_BYTES)
     if not line:
         return None
@@ -134,10 +130,10 @@ def read_message(fp: IO[bytes], request: bool = False) -> Optional[dict]:
     return obj
 
 
-def _read_frame(fp: IO[bytes], lengths: object, header_bytes: int, raw: bool) -> BlobSet:
-    """The frame after a header declaring ``lengths``, raw or in hex, refused
-    unread if header and frame together would pass :data:`MAX_MESSAGE_BYTES`
-    or, for a raw (MODIFY) frame, if the version could not be fetched."""
+def _read_frame(fp: IO[bytes], lengths: object, header_bytes: int, request: bool) -> BlobSet:
+    """The raw frame after a header declaring ``lengths``, refused unread if
+    header and frame together would pass :data:`MAX_MESSAGE_BYTES` or, for a
+    ``request`` (a MODIFY), if the version could not be fetched."""
     if (
         not isinstance(lengths, list)
         or len(lengths) != 3
@@ -145,24 +141,23 @@ def _read_frame(fp: IO[bytes], lengths: object, header_bytes: int, raw: bool) ->
     ):
         raise WireError(f"field 'blobs' is not three lengths: {lengths!r:.60}")
     total = sum(lengths)
-    size = (total if raw else 2 * total) + 1
+    size = total + 1  # the bytes and their newline
     if header_bytes + size > MAX_MESSAGE_BYTES:
         raise WireError(f"message exceeds {MAX_MESSAGE_BYTES} bytes")
-    if raw:
+    if request:
         check_fetchable(lengths)
         data = fp.read(size)
     else:
-        data = fp.readline(size)
+        # A reply file offers readline alone: one call per newline byte in the
+        # frame, never more calls than the frame has bytes, each line appended
+        # to one buffer so memory follows the frame, not its count of lines.
+        data = bytearray()
+        while len(data) < size and (line := fp.readline(size - len(data))):
+            data += line
     if len(data) != size or not data.endswith(b"\n"):
-        unit = "bytes" if raw else "hex digits"
-        raise WireError(f"frame is not {size - 1} {unit} and a newline")
-    if not raw:
-        try:
-            data = binascii.unhexlify(memoryview(data)[:-1])
-        except binascii.Error as exc:
-            raise WireError(f"undecodable frame: {exc}") from exc
-    first, second = lengths[0], lengths[0] + lengths[1]
-    return BlobSet(data[:first], data[first:second], data[second:total])
+        raise WireError(f"frame is not {total} bytes and a newline")
+    first, second, view = lengths[0], lengths[0] + lengths[1], memoryview(data)
+    return BlobSet(bytes(view[:first]), bytes(view[first:second]), bytes(view[second:total]))
 
 
 def parse_address(text: str) -> tuple[str, int]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import secrets
+from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import pytest
@@ -59,6 +60,24 @@ CREATE TABLE blob_sets(idx BLOB NOT NULL, version INTEGER NOT NULL, image_hash B
 INSERT INTO blob_sets VALUES(zeroblob(8), 1, zeroblob(32), zeroblob(32), zeroblob(32));
 PRAGMA user_version=2;
 """
+
+# The version-3 layout: these tables, but each blob sat at ``<hex>/payload``
+# in a directory of its own under the data directory.
+V3_LAYOUT = """
+CREATE TABLE versions(idx BLOB NOT NULL, version INTEGER NOT NULL,
+    secret_commitment BLOB NOT NULL, wrapped_secret BLOB NOT NULL,
+    content_digest BLOB NOT NULL, seal BLOB NOT NULL, image_hash BLOB NOT NULL,
+    build_hash BLOB NOT NULL, compose_hash BLOB NOT NULL,
+    PRIMARY KEY(idx, version)) WITHOUT ROWID;
+INSERT INTO versions VALUES(zeroblob(8), 1, zeroblob(32), zeroblob(32), zeroblob(32),
+    zeroblob(32), zeroblob(32), zeroblob(32), zeroblob(32));
+PRAGMA user_version=3;
+"""
+
+
+def stored_files(storage: Storage) -> list[Path]:
+    """Every file under ``storage``'s data directory, at any depth and under any name."""
+    return sorted(p for p in storage.data_dir.rglob("*") if p.is_file())
 
 
 def oracle_root(leaves: Mapping[int, Leaf] | Sequence[Optional[Leaf]], height: int) -> bytes:

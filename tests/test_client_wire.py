@@ -15,12 +15,13 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import deque
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import RecordingFile
+from conftest import RecordingFile, stored_files
 from tcr import server as server_module
 from tcr import wire
 from tcr.client import (
@@ -518,16 +519,45 @@ class TestMessageBound:
         alice.create(11)
         service = server.service
         root = service.module.root
-        largest = (4000 - wire.FETCH_HEADER_BYTES - 1) // 2 - len(BUILD) - len(COMPOSE)
+        largest = 4000 - wire.FETCH_HEADER_BYTES - 1 - len(BUILD) - len(COMPOSE)
         image = secrets.token_bytes(largest + 1)
         with pytest.raises(ProtocolFailure, match="would exceed 4000 bytes"):
             alice.modify(11, image, BUILD, COMPOSE, encrypt=True)
         assert service.module.root == root == service.container_tree().root
-        assert list(service.storage.data_dir.rglob("payload")) == []  # nothing stored
+        assert stored_files(service.storage) == []  # nothing stored
         assert alice.modify(11, image[:-1], BUILD, COMPOSE, encrypt=True)["version"] == 1
         outcome = alice.fetch(11)
         assert outcome.verdict == Verdict.VERIFIED
         assert outcome.blobs == BlobSet(image[:-1], BUILD, COMPOSE)
+
+    def test_the_largest_version_is_the_bound_less_the_reply_header_and_newline(
+        self, env, monkeypatch
+    ):
+        server, keys = env
+        bound = 64 << 10
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", bound)
+        connections, connect = [], socket.create_connection
+
+        def counted(*args, **kwargs):
+            connections.append(args)
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counted)
+        alice = client_for(server, keys, 1)
+        alice.create(13)
+        made = len(connections)
+        largest = bound - wire.FETCH_HEADER_BYTES - 1
+        size = largest - len(BUILD) - len(COMPOSE)
+        image = (b"\r\n" * size)[:size]  # its reply frame is read a line at a time
+        with pytest.raises(ProtocolFailure, match=f"would exceed {bound} bytes"):
+            alice.modify(13, image + b"\n", BUILD, COMPOSE)
+        assert len(connections) == made  # refused before connecting
+        assert stored_files(server.service.storage) == []
+        assert alice.modify(13, image, BUILD, COMPOSE)["version"] == 1
+        outcome = alice.fetch(13)
+        assert outcome.verdict == Verdict.VERIFIED
+        assert outcome.blobs == BlobSet(image, BUILD, COMPOSE)
+        assert len(image) + len(BUILD) + len(COMPOSE) == largest
 
     def test_an_unfetchable_modify_is_refused_with_its_frame_unread(self, env, monkeypatch):
         server, keys = env
@@ -536,7 +566,7 @@ class TestMessageBound:
         monkeypatch.setattr(server_module._ConnectionHandler, "timeout", 2.0)
         alice = client_for(server, keys, 1)
         alice.create(12)
-        too_long = (4000 - wire.FETCH_HEADER_BYTES - 1) // 2 + 1
+        too_long = 4000 - wire.FETCH_HEADER_BYTES  # one byte past the largest version
         envelope = alice.credential.sign_request(RequestKind.CONTAINER, 12, 1, ZERO_DIGEST)
         payload = {**wire.envelope_to_json(envelope), "blobs": [too_long, 0, 0]}
         line = json.dumps({"op": "MODIFY", "request_id": 1, "payload": payload}).encode()
@@ -549,17 +579,17 @@ class TestMessageBound:
         assert reply["status"] == STATUS_ERROR
         assert "FETCH reply for this version would exceed 4000 bytes" in reply["payload"]["message"]
         assert rest == b""  # the server closed the connection
-        assert list(server.service.storage.data_dir.rglob("payload")) == []
+        assert stored_files(server.service.storage) == []
         assert alice.info(12).response.max_version == 0
 
     def test_a_refused_frame_sent_whole_before_any_read_gets_its_reply(self, env, monkeypatch):
         # The server half-closes after its reply and drains the unread frame:
         # closing with it unread would reset the connection under the reply.
         server, keys = env
-        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", 16 << 20)
+        image = bytes(8 << 20)  # storable under this bound, but its FETCH reply would pass it
+        monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", len(image) + wire.FETCH_HEADER_BYTES)
         alice = client_for(server, keys, 1)
         alice.create(12)
-        image = bytes(8 << 20)
         envelope = alice.credential.sign_request(RequestKind.CONTAINER, 12, 1, ZERO_DIGEST)
         payload = {**wire.envelope_to_json(envelope), "blobs": [len(image), 0, 0]}
         line = json.dumps({"op": "MODIFY", "request_id": 1, "payload": payload}).encode()
@@ -571,14 +601,14 @@ class TestMessageBound:
         assert reply["status"] == STATUS_ERROR
         assert "FETCH reply for this version would exceed" in reply["payload"]["message"]
         assert rest == b""
-        assert list(server.service.storage.data_dir.rglob("payload")) == []
+        assert stored_files(server.service.storage) == []
         assert alice.info(12).response.max_version == 0
 
     def test_the_client_refuses_an_unfetchable_version_before_connecting(self, stub, monkeypatch):
         port, _, lines = stub
         monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", 4000)
         client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
-        too_long = (4000 - wire.FETCH_HEADER_BYTES - 1) // 2 + 1
+        too_long = 4000 - wire.FETCH_HEADER_BYTES  # one byte past the largest version
         with pytest.raises(ProtocolFailure, match="would exceed 4000 bytes"):
             client.modify(5, b"\x00" * (too_long - 2), b"b", b"c")
         assert lines == []  # no INFO, no MODIFY
@@ -620,6 +650,18 @@ def raw_request(lengths, frame: bytes, pad: int = 0) -> tuple[io.BytesIO, int]:
     return io.BytesIO(line + frame), len(line)
 
 
+# Frames for a header declaring ``[1, 1, 0]`` that are not 2 bytes and a newline.
+BAD_FRAMES = [
+    b"a\n" + header([0, 0, 0], request=True),  # short: the next message's bytes fill it
+    b"abc\n",  # longer than declared: no newline where the frame ends
+    b"ab" + header([0, 0, 0], request=True),  # the next message follows with no newline
+    b"ab",  # end of input where the newline belongs
+    b"a",  # end of input mid-frame
+    b"",  # end of input before the frame
+]
+BAD_FRAME_IDS = ["short", "too-long", "missing-terminator", "eof-at-terminator", "eof-mid-frame",
+                 "eof-before-frame"]
+
 BLOB_EXAMPLES = [(b"", b"", b""), (b"\n" * 300, b"\n", b"\r\n"), (b"\r\n" * 64, b"\r", b"\n\n")]
 
 
@@ -646,17 +688,22 @@ class TestFrame:
         assert fp.tell() == len(data) and read_message(fp, request=True) is None
 
     @with_blob_examples
-    def test_a_reply_round_trips_as_a_header_and_one_hex_line(self, image, build, compose):
+    def test_a_reply_round_trips_as_a_header_and_a_raw_frame(self, image, build, compose):
         blobs = BlobSet(image, build, compose)
         out = io.BytesIO()
         wire.write_message(out, {"request_id": 7, "status": STATUS_OK, "payload": {"blobs": blobs}})
         data = out.getvalue()
-        assert data.count(b"\n") == 2 and data.endswith(b"\n")
-        assert data.split(b"\n")[1] == (image + build + compose).hex().encode()
+        head, _, frame = data.partition(b"\n")
+        assert json.loads(head)["payload"]["blobs"] == [len(image), len(build), len(compose)]
+        assert frame == image + build + compose + b"\n"  # raw, newlines and all
         fp, read = reader(data)
         message = read_message(fp)
         assert message == {"request_id": 7, "status": STATUS_OK, "payload": {"blobs": blobs}}
-        assert len(read) == 2 and read_message(fp) is None
+        got = message["payload"]["blobs"]
+        assert {type(part) for part in (got.image, got.build, got.compose)} == {bytes}
+        # Read line by line: the header, then one readline per newline in the frame.
+        assert b"".join(read) == data and len(read) == data.count(b"\n")
+        assert read_message(fp) is None
 
     @pytest.mark.parametrize("lengths", [
         [True, 0, 0], [-1, 2, 0], [1.0, 0, 0], [1, 0], [1, 0, 0, 0], "3", None, {"image": 1},
@@ -671,15 +718,7 @@ class TestFrame:
             read_message(fp, request=True)
         assert fp.tell() == line
 
-    @pytest.mark.parametrize("frame", [
-        b"a\n" + header([0, 0, 0], request=True),  # short: the next message's bytes fill it
-        b"abc\n",  # longer than declared: no newline where the frame ends
-        b"ab" + header([0, 0, 0], request=True),  # the next message follows with no newline
-        b"ab",  # end of input where the newline belongs
-        b"a",  # end of input mid-frame
-        b"",  # end of input before the frame
-    ], ids=["short", "too-long", "missing-terminator", "eof-at-terminator", "eof-mid-frame",
-            "eof-before-frame"])
+    @pytest.mark.parametrize("frame", BAD_FRAMES, ids=BAD_FRAME_IDS)
     def test_a_bad_raw_frame_is_refused(self, frame):
         fp, _ = raw_request([1, 1, 0], frame)
         with pytest.raises(WireError, match="frame is not 2 bytes and a newline"):
@@ -690,8 +729,8 @@ class TestFrame:
     ):
         bound = 2000
         monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", bound)
-        # The FETCH reply bound: its 1024-byte header reserve plus the hex frame.
-        fetchable = (bound - wire.FETCH_HEADER_BYTES - 1) // 2
+        # The FETCH reply bound: its 1024-byte header reserve plus the raw frame.
+        fetchable = bound - wire.FETCH_HEADER_BYTES - 1
         fp, _ = raw_request([fetchable - 2, 1, 1], b"\x01" * fetchable + b"\n")
         assert read_message(fp, request=True)["payload"]["blobs"].compose == b"\x01"
         # The message bound: a padded header, with its frame, fills it exactly.
@@ -708,26 +747,29 @@ class TestFrame:
                 read_message(fp, request=True)
             assert fp.tell() == line
 
-    @pytest.mark.parametrize("frame, reason", [
-        (b"abc\n", "is not 4 hex digits"),  # odd length: the newline comes early
-        (b"abcdef\n", "is not 4 hex digits"),  # longer than declared
-        (b"zz00\n", "undecodable frame"),
-        (b"ab c\n", "undecodable frame"),
-        (b"ab", "is not 4 hex digits"),  # end of input mid-frame
-        (b"", "is not 4 hex digits"),
-    ], ids=["odd-length", "too-long", "non-hex", "space", "eof-mid-frame", "eof-before-frame"])
-    def test_a_bad_reply_frame_is_refused(self, frame, reason):
-        with pytest.raises(WireError, match=reason):
+    @pytest.mark.parametrize("frame", BAD_FRAMES, ids=BAD_FRAME_IDS)
+    def test_a_bad_reply_frame_is_refused(self, frame):
+        with pytest.raises(WireError, match="frame is not 2 bytes and a newline"):
             read_message(reader(header([1, 1, 0]) + frame)[0])
+
+    def test_a_frame_of_newlines_is_read_one_line_at_a_time(self):
+        frame = b"\n" * (64 << 10)
+        fp, read = reader(header([len(frame), 0, 0]) + frame + b"\n")
+        assert read_message(fp)["payload"]["blobs"] == BlobSet(frame, b"", b"")
+        assert len(read) == 1 + len(frame) + 1  # the header, then a readline per newline
+        fp, read = reader(header([len(frame), 0, 0]) + frame)  # one byte short
+        with pytest.raises(WireError, match=f"frame is not {len(frame)} bytes and a newline"):
+            read_message(fp)
+        assert b"".join(read) == header([len(frame), 0, 0]) + frame
 
     def test_an_oversized_reply_is_refused_before_any_frame_byte_is_read(self, monkeypatch):
         line = header([1, 1, 1])
-        bound = len(line) + 2 * 3 + 1
+        bound = len(line) + 3 + 1
         monkeypatch.setattr(wire, "MAX_MESSAGE_BYTES", bound)
-        message = read_message(reader(line + b"a1b2c3\n")[0])  # header and frame fill the bound
+        message = read_message(reader(line + b"\xa1\xb2\xc3\n")[0])  # header and frame fill it
         assert message["payload"]["blobs"] == BlobSet(b"\xa1", b"\xb2", b"\xc3")
         for lengths in ([1, 1, 2], [1 << 62, 0, 0]):
-            fp, read = reader(header(lengths) + b"a1b2c3\n")
+            fp, read = reader(header(lengths) + b"\xa1\xb2\xc3\n")
             with pytest.raises(WireError, match=f"exceeds {bound} bytes"):
                 read_message(fp)
             assert len(read) == 1
@@ -748,6 +790,23 @@ class TestFrame:
         assert message["payload"]["blobs"] == blobs
         assert peak <= 2 * size + (256 << 10), peak / size  # the frame read, then cut in three
 
+    def test_decoding_an_8_mib_reply_line_by_line_peaks_at_about_twice_the_payload(self):
+        size = 8 << 20
+        blobs = BlobSet(secrets.token_bytes(size - len(BUILD) - len(COMPOSE)), BUILD, COMPOSE)
+        out = io.BytesIO()
+        wire.write_message(out, {"request_id": 1, "status": STATUS_OK, "payload": {"blobs": blobs}})
+        fp = RecordingFile(io.BytesIO(out.getvalue()), deque(maxlen=0))  # readline only, kept none
+        del out
+        tracemalloc.start()
+        try:
+            message = read_message(fp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert message["payload"]["blobs"] == blobs
+        # The frame gathered in one buffer, which keeps at most an eighth spare, then cut in three.
+        assert peak <= 2 * size + size // 8 + (256 << 10), peak / size
+
     def test_a_256k_encrypted_version_crosses_as_one_frame_each_way(self, env, wire_transcript):
         # The client's files are recorded readline-only, so it must read every reply that way.
         assert not hasattr(RecordingFile, "read")
@@ -766,12 +825,12 @@ class TestFrame:
         assert json.loads(head)["payload"]["blobs"] == lengths
         assert len(frame) == sum(lengths) + 1 and frame.endswith(b"\n")
         sent = frame[:-1]
-        # The FETCH reply is read as two lines: a header, then those same bytes in hex.
+        # The FETCH reply, the last message read, is a header, then those same bytes raw.
         (fetched,) = [i for i, line in enumerate(wire_transcript)
                       if line.startswith(b'{"request_id"') and b'"blobs"' in line]
-        assert wire_transcript[fetched + 1] == sent.hex().encode() + b"\n"
-        crossed = b"".join(wire_transcript)
-        assert image not in crossed and image.hex().encode() not in crossed
+        assert json.loads(wire_transcript[fetched])["payload"]["blobs"] == lengths
+        assert b"".join(wire_transcript[fetched + 1:]) == sent + b"\n"
+        assert image not in b"".join(wire_transcript)
 
 
 NONCE_HEX = "00" * 32
@@ -1425,6 +1484,11 @@ class TestCli:
 
         self.check_refused(tmp_path, monkeypatch, 2, V2_LAYOUT)
 
+    def test_server_refuses_a_version_3_store(self, tmp_path, monkeypatch):
+        from conftest import V3_LAYOUT
+
+        self.check_refused(tmp_path, monkeypatch, 3, V3_LAYOUT)
+
     def check_refused(self, tmp_path, monkeypatch, version, layout):
         from tcr.server import main as server_main
 
@@ -1436,7 +1500,7 @@ class TestCli:
         before = db.read_bytes()
         users = tmp_path / "users.json"
         users.write_text(json.dumps({"1": "00" * 32}))
-        match = f"schema version {version}.*needs 3.*provision a fresh store"
+        match = f"schema version {version}.*needs 4.*provision a fresh store"
         with pytest.raises(SystemExit, match=match):
             server_main(["--listen", "127.0.0.1:0", "--db", str(db), "--module-state",
                          str(tmp_path / "module.bin"), "--height", "4", "--data-dir",

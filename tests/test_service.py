@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcr.storage
-from conftest import acl_hints, attested_acl_root
+from conftest import acl_hints, attested_acl_root, stored_files
 from tcr.bench import STEP_ORDER
 from tcr.client import (
     UserCredential,
@@ -301,7 +301,7 @@ class TestModify:
         monkeypatch.setattr(service.module, "apply_request", None)  # neither is reached
         monkeypatch.setattr(BlobSet, "hashes", None)
         assert service.handle_modify(stale, BLOBS) is None
-        assert list(service.storage.data_dir.rglob("payload")) == []
+        assert stored_files(service.storage) == []
 
     def test_encrypted_modify_stores_sealed_secret(self, service, credentials):
         cred = credentials[1]

@@ -9,7 +9,14 @@ import pytest
 
 import tcr.iomt
 import tcr.storage
-from conftest import V1_TREE_LAYOUT, V2_LAYOUT, oracle_root, remove_placeholder
+from conftest import (
+    V1_TREE_LAYOUT,
+    V2_LAYOUT,
+    V3_LAYOUT,
+    oracle_root,
+    remove_placeholder,
+    stored_files,
+)
 from tcr.iomt import (
     Geometry,
     Iomt,
@@ -241,14 +248,14 @@ class TestBlobs:
         storage.blob_put(blobs, hashes)
         assert storage.blob_get(hashes) == blobs
         path = storage._blob_path(hashes[0])
-        assert path.exists() and path.parent.name == hashes[0].hex()
+        assert path.exists() and path.name == hashes[0].hex()
+        assert path.parent == storage.data_dir  # one flat file, no directory of its own
 
     def test_identical_content_shares_files(self, storage):
         blobs = BlobSet(b"same", b"same-build", b"same-compose")
         storage.blob_put(blobs, blobs.hashes())
         storage.blob_put(blobs, blobs.hashes())
-        files = list(storage.data_dir.rglob("payload"))
-        assert len(files) == 3
+        assert len(stored_files(storage)) == 3
 
     def test_torn_write_is_never_served(self, storage, monkeypatch):
         blobs = BlobSet(b"image" * 100, b"build", b"compose")
@@ -264,8 +271,8 @@ class TestBlobs:
         monkeypatch.undo()
         storage.blob_put(blobs, blobs.hashes())
         assert storage.blob_get(blobs.hashes()) == blobs
-        files = [p.name for p in storage.data_dir.rglob("*") if p.is_file()]
-        assert files == ["payload"] * 3  # no partial file left behind
+        names = [p.name for p in stored_files(storage)]
+        assert names == sorted(h.hex() for h in blobs.hashes())  # no partial file left behind
 
     def test_damaged_blob_is_rewritten_by_the_next_put(self, storage):
         blobs = BlobSet(b"image" * 100, b"build", b"compose")
@@ -475,7 +482,7 @@ class TestSchemaVersion:
     def test_fresh_store_is_stamped(self, tmp_path):
         Storage(tmp_path / "s.db", tmp_path / "blobs").close()
         conn = sqlite3.connect(tmp_path / "s.db")
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 3
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 4
         conn.close()
         Storage(tmp_path / "s.db", tmp_path / "blobs").close()  # the stamped store reopens
 
@@ -502,6 +509,15 @@ class TestSchemaVersion:
     def test_version_2_store_is_refused(self, tmp_path):
         self.check_refused(tmp_path, 2, V2_LAYOUT)
 
+    def test_version_3_store_is_refused(self, tmp_path):
+        # Layout 3 kept each blob at <hex>/payload; its files are left as they were.
+        blob = tmp_path / "blobs" / sha256(b"image").hex() / "payload"
+        blob.parent.mkdir(parents=True)
+        blob.write_bytes(b"image")
+        self.check_refused(tmp_path, 3, V3_LAYOUT)
+        assert [p for p in blob.parents[1].rglob("*") if p.is_file()] == [blob]
+        assert blob.read_bytes() == b"image"
+
     @staticmethod
     def check_refused(tmp_path, version, layout):
         path = tmp_path / f"v{version}.db"
@@ -511,7 +527,7 @@ class TestSchemaVersion:
         before = path.read_bytes()
         with pytest.raises(
             StorageError,
-            match=f"schema version {version}, this build needs 3: provision a fresh store",
+            match=f"schema version {version}, this build needs 4: provision a fresh store",
         ):
             Storage(path, tmp_path / "blobs")
         assert path.read_bytes() == before
