@@ -160,10 +160,9 @@ class Storage:
         self._conn = None
         self._created: list[Path] = []  # blob files made since the last BEGIN
         try:
-            self.data_dir.mkdir(parents=True, exist_ok=True)  # here, not once per blob
             self._conn = sqlite3.connect(self.db_path, isolation_level=None, check_same_thread=False)
             (version,) = self._conn.execute("PRAGMA user_version").fetchone()
-        except (OSError, sqlite3.Error) as exc:  # a directory missing or not made, or not sqlite
+        except sqlite3.Error as exc:  # a missing directory, or a file that is not sqlite
             if self._conn is not None:
                 self._conn.close()
             raise StorageError(str(exc)) from exc
@@ -174,6 +173,11 @@ class Storage:
                 f"store has schema version {version}, this build needs {SCHEMA_VERSION}: "
                 "provision a fresh store"
             )
+        try:
+            self.data_dir.mkdir(parents=True, exist_ok=True)  # once a store is taken, not per blob
+        except OSError as exc:
+            self._conn.close()
+            raise StorageError(f"data directory {self.data_dir}: {exc.strerror}") from exc
         if self.db_path != ":memory:":
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA wal_autocheckpoint=10000")

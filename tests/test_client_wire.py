@@ -830,7 +830,8 @@ class TestFrame:
                       if line.startswith(b'{"request_id"') and b'"blobs"' in line]
         assert json.loads(wire_transcript[fetched])["payload"]["blobs"] == lengths
         assert b"".join(wire_transcript[fetched + 1:]) == sent + b"\n"
-        assert image not in b"".join(wire_transcript)
+        crossed = b"".join(wire_transcript)
+        assert image not in crossed and image.hex().encode() not in crossed
 
 
 NONCE_HEX = "00" * 32
@@ -1534,7 +1535,7 @@ class TestCli:
 
     @pytest.mark.parametrize("damage", ["truncated-state", "flipped-state-byte", "non-hex-users-key",
                                         "db-in-missing-dir", "db-not-sqlite", "state-in-missing-dir",
-                                        *BAD_HEIGHTS, "height-62"])
+                                        "data-dir-is-a-file", *BAD_HEIGHTS, "height-62"])
     def test_server_stops_on_a_damaged_state_or_users_file(self, damage, tmp_path, monkeypatch):
         from tcr.module import save_state
         from tcr.server import main as server_main
@@ -1564,19 +1565,25 @@ class TestCli:
                 server_main(argv + ["--users", str(users)])
             assert not state_file.exists() and not (tmp_path / "repo.db").exists()
             return
-        if damage.startswith("db-") or damage == "state-in-missing-dir":
+        if damage.startswith(("db-", "data-dir-")) or damage == "state-in-missing-dir":
             # Provisioning from a users file, on paths that cannot be opened or written.
             users.write_text(json.dumps({"1": STUB_KEY.hex()}))
             if damage == "db-not-sqlite":
                 db.write_bytes(b"not a database" * 100)
+            if damage == "data-dir-is-a-file":
+                (tmp_path / "blobs").write_bytes(b"not a directory")
             expected = {
                 "db-in-missing-dir": f"cannot open {re.escape(str(db))}: unable to open",
                 "db-not-sqlite": f"cannot open {re.escape(str(db))}: file is not a database",
                 "state-in-missing-dir": f"cannot save module state {re.escape(str(state_file))}: ",
+                "data-dir-is-a-file": f"cannot open {re.escape(str(db))}: data directory "
+                                      f"{re.escape(str(tmp_path / 'blobs'))}: File exists$",
             }[damage]
             with pytest.raises(SystemExit, match=expected):
                 server_main(argv + ["--users", str(users)])
             assert not missing.exists() and not state_file.exists()
+            if damage.startswith("db-"):  # a store refused before its data directory is made
+                assert not (tmp_path / "blobs").exists()
             return
         save_state(ModuleState.fresh({1: STUB_KEY}), state_file)
         data = bytearray(state_file.read_bytes())

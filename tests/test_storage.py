@@ -524,13 +524,14 @@ class TestSchemaVersion:
         conn = sqlite3.connect(path)
         conn.executescript(layout)
         conn.close()
-        before = path.read_bytes()
+        before, had_blobs = path.read_bytes(), (tmp_path / "blobs").exists()
         with pytest.raises(
             StorageError,
             match=f"schema version {version}, this build needs 4: provision a fresh store",
         ):
             Storage(path, tmp_path / "blobs")
         assert path.read_bytes() == before
+        assert (tmp_path / "blobs").exists() == had_blobs  # a refused store makes no data directory
 
     def test_other_version_is_refused_even_when_empty(self, tmp_path):
         path = tmp_path / "next.db"
@@ -542,3 +543,4 @@ class TestSchemaVersion:
         conn.close()
         with pytest.raises(StorageError, match=f"version {SCHEMA_VERSION + 1}"):
             Storage(path, tmp_path / "blobs")
+        assert not (tmp_path / "blobs").exists()
