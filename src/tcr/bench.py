@@ -29,30 +29,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
-from .client import (
-    UserCredential,
-    Verdict,
-    check_info_response,
-    wrap_secret,
-    xor_blobs,
-)
-from .merkle import DIGEST_SIZE, ZERO_DIGEST
+from .client import UserCredential, Verdict, check_info_response, form_modify
+from .merkle import DIGEST_SIZE
 from .module import ModuleState, RequestKind, TrustedModule
-from .service import Service, StepClock
-from .storage import MOCK_BUILD, MOCK_COMPOSE, BlobSet, Storage, bulk_prepopulate, content_digest
+from .service import STEPS, Service, StepClock
+from .storage import MOCK_BUILD, MOCK_COMPOSE, BlobSet, Storage, bulk_prepopulate, check_height
 
 OPERATIONS = ("create", "modify", "modify_encrypted", "info", "fetch", "fetch_encrypted")
 
-STEP_ORDER = {
-    "create": ("record_lookup", "eq_certificate", "root_update", "persist_records", "total"),
-    "modify": ("record_lookup", "content_digest", "certificates", "root_update",
-               "persist_records", "total"),
-    "modify_encrypted": ("record_lookup", "content_digest", "certificates", "root_update",
-                         "persist_records", "total"),
-    "info": ("record_lookup", "certificates", "module_verify", "total"),
-    "fetch": ("record_lookup", "certificates", "module_verify", "total"),
-    "fetch_encrypted": ("record_lookup", "certificates", "module_verify", "total"),
-}
+# Each operation's service steps, then the whole operation.
+STEP_ORDER = {op: STEPS[op.removesuffix("_encrypted")] + ("total",) for op in OPERATIONS}
 
 CSV_HEADER = ("h", "operation", "step", "median_us", "stderr_us")
 
@@ -80,6 +66,10 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not self.heights or self.ops < 1 or self.repeats < 1:
             raise ValueError("heights must be non-empty and ops/repeats at least 1")
+        for height in self.heights:
+            # The store keeps at least one container besides the ops created.
+            if self.ops >= 1 << check_height("height", height):
+                raise ValueError(f"ops {self.ops} must be below 2^{height} at height {height}")
 
 
 @dataclass(frozen=True)
@@ -236,17 +226,7 @@ def _time_modify(service: Service, credential: UserCredential, targets: list[int
     steps: dict[str, list[int]] = {}
     for idx in targets:
         counter = counters.get(idx, 2)  # prepopulated containers sit at counter 2
-        if encrypt:
-            secret = secrets.token_bytes(DIGEST_SIZE)
-            wrapped, commitment = wrap_secret(credential, secret, idx, counter)
-            content = xor_blobs(secret, blobs)
-        else:
-            wrapped = commitment = None
-            content = blobs
-        digest = content_digest(
-            content.hashes(), commitment if commitment is not None else ZERO_DIGEST
-        )
-        envelope = credential.sign_request(RequestKind.CONTAINER, idx, counter, digest)
+        envelope, content, wrapped, commitment = form_modify(credential, idx, counter, blobs, encrypt)
         clock = StepClock()
         start = StepClock.now()
         result = service.handle_modify(
@@ -316,15 +296,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--workdir", type=Path, default=None)
     args = parser.parse_args(argv)
 
-    cfg = BenchConfig(
-        heights=args.heights,
-        ops=args.ops,
-        repeats=args.repeats,
-        payload_size=args.payload,
-        keep_db=args.keep_db,
-        workdir=args.workdir,
-        seed=args.seed,
-    )
+    try:
+        cfg = BenchConfig(
+            heights=args.heights,
+            ops=args.ops,
+            repeats=args.repeats,
+            payload_size=args.payload,
+            keep_db=args.keep_db,
+            workdir=args.workdir,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2 before any store is built
     try:
         rows = run_bench(cfg)
     except BenchError as exc:

@@ -157,6 +157,22 @@ def wrap_secret(cred: UserCredential, secret: bytes, idx: int, counter: int) -> 
     return wrapped, secret_commitment(idx, secret)
 
 
+def form_modify(
+    cred: UserCredential, idx: int, counter: int, blobs: BlobSet, encrypt: bool
+) -> tuple[RequestEnvelope, BlobSet, Optional[bytes], Optional[bytes]]:
+    """One MODIFY signed at ``counter``, under a fresh secret when encrypting:
+    its envelope, the blobs as sent, the wrapped secret and its commitment
+    (the last two ``None`` for plain content)."""
+    wrapped = commitment = None
+    if encrypt:
+        secret = secrets.token_bytes(DIGEST_SIZE)
+        wrapped, commitment = wrap_secret(cred, secret, idx, counter)
+        blobs = xor_blobs(secret, blobs)
+    digest = content_digest(blobs.hashes(), ZERO_DIGEST if commitment is None else commitment)
+    envelope = cred.sign_request(RequestKind.CONTAINER, idx, counter, digest)
+    return envelope, blobs, wrapped, commitment
+
+
 def unwrap_secret(
     cred: UserCredential, delivered: bytes, commitment: bytes, idx: int
 ) -> Optional[bytes]:
@@ -174,7 +190,6 @@ def check_info_response(
     nonce_sent: bytes,
     expected_idx: int,
     requested_version: int = 0,
-    expect_exists: Optional[bool] = None,
 ) -> Verdict:
     """Classify a query response: verified content, authenticated denial, or
     evidence of service misbehavior.
@@ -189,12 +204,8 @@ def check_info_response(
     if response.nonce != nonce_sent or response.idx != expected_idx:
         return Verdict.INVALID
     if response.denied:
-        if expect_exists:
-            return Verdict.INVALID  # a verified creation says otherwise
         return Verdict.DENIED
     if response.requested_version != (requested_version or response.max_version):
-        return Verdict.INVALID
-    if expect_exists is False:
         return Verdict.INVALID
     return Verdict.VERIFIED
 
@@ -329,15 +340,14 @@ class RepositoryClient:
         )
         return nonce, status, body
 
-    def info(self, idx: int, version: int = 0, expect_exists: Optional[bool] = None) -> InfoOutcome:
+    def info(self, idx: int, version: int = 0) -> InfoOutcome:
         nonce, status, body = self._query("INFO", {"idx": idx, "requested_version": version})
         if status not in (STATUS_OK, STATUS_DENIED):
             raise ProtocolFailure(body.get("message", "INFO failed"))
         with _decoding("INFO"):
             response = response_from_json(body["response"])
             verdict = check_info_response(
-                self.credential, response, nonce, idx, requested_version=version,
-                expect_exists=expect_exists,
+                self.credential, response, nonce, idx, requested_version=version
             )
         return InfoOutcome(verdict=verdict, response=response, hints=body.get("hints"))
 
@@ -390,18 +400,14 @@ class RepositoryClient:
         raise refused
 
     def _modify_at(self, idx: int, counter: int, blobs: BlobSet, encrypt: bool) -> dict:
-        """One MODIFY signed at ``counter``, under a fresh secret when encrypting."""
+        """Send the MODIFY :func:`form_modify` signs at ``counter``."""
+        envelope, sent, wrapped, commitment = form_modify(
+            self.credential, idx, counter, blobs, encrypt
+        )
         extra: dict = {}
-        if encrypt:
-            secret = secrets.token_bytes(DIGEST_SIZE)
-            wrapped, commitment = wrap_secret(self.credential, secret, idx, counter)
-            blobs = xor_blobs(secret, blobs)
+        if wrapped is not None:
             extra = {"wrapped_secret": wrapped.hex(), "secret_commitment": commitment.hex()}
-        else:
-            commitment = ZERO_DIGEST
-        digest = content_digest(blobs.hashes(), commitment)
-        envelope = self.credential.sign_request(RequestKind.CONTAINER, idx, counter, digest)
-        extra["blobs"] = blobs
+        extra["blobs"] = sent
         return self._mutate("MODIFY", envelope, extra)
 
     def acl_set(self, idx: int, target_user: int, level: int) -> dict:

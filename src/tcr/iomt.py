@@ -11,7 +11,6 @@ initialized but holds no record yet.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -140,7 +139,7 @@ def node_levels(height: int, items: Iterable[tuple[int, Leaf]]) -> Iterator[dict
 
 
 class MemoryTreeStore:
-    """Dict-backed node/leaf store; zero nodes and absent leaves are not kept."""
+    """Dict-backed, append-only node/leaf store; zero nodes and absent leaves are not kept."""
 
     def __init__(self) -> None:
         self._nodes: dict[int, bytes] = {}
@@ -156,17 +155,11 @@ class MemoryTreeStore:
             else:
                 self._nodes[pos] = digest
 
-    def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> None:
-        if leaf is None:
-            self._leaves.pop(slot, None)
-        else:
-            self._leaves[slot] = leaf
+    def set_leaf(self, slot: int, leaf: Leaf) -> None:
+        self._leaves[slot] = leaf
 
     def leaf_items(self) -> Iterator[tuple[int, Leaf]]:
         return iter(sorted(self._leaves.items()))
-
-    def has_leaves(self) -> bool:
-        return bool(self._leaves)
 
     def locate(self, idx: int) -> Optional[tuple[int, Leaf]]:
         # In a well-formed linkage one leaf at most holds or encloses ``idx``.
@@ -177,7 +170,7 @@ class MemoryTreeStore:
         )
 
     def first_free_slot(self) -> int:
-        return next(s for s in itertools.count() if s not in self._leaves)
+        return max(self._leaves, default=-1) + 1
 
 
 class Iomt:
@@ -190,15 +183,15 @@ class Iomt:
 
     - ``get_nodes(positions)`` and ``set_nodes([(pos, digest), ...])``: node
       digests in one batch each way, the zero digest where none is stored;
-    - ``set_leaf(slot, leaf)``, ``leaf_items()`` in slot order, and
-      ``has_leaves()``: leaf records;
+    - ``set_leaf(slot, leaf)`` and ``leaf_items()`` in slot order: leaf
+      records, written or overwritten, never removed;
     - ``locate(idx)``: the ``(slot, leaf)`` holding ``idx``, or else the one
       enclosing it, or ``None`` (an empty tree, or a broken linkage);
-    - ``first_free_slot()``: the lowest empty slot, with no upper bound.
+    - ``first_free_slot()``: one past the highest occupied slot, with no
+      upper bound; 0 exactly when the store is empty.
 
-    The sqlite store never removes a leaf, so its ``first_free_slot()`` is
-    one past the highest occupied slot.  Only :class:`MemoryTreeStore`
-    accepts ``set_leaf(slot, None)`` and refills the hole it leaves.
+    Both stores are append-only and a new leaf only ever takes
+    ``first_free_slot()``, so the occupied slots are always ``0..n-1``.
     """
 
     def __init__(self, height: int, store=None) -> None:
@@ -226,7 +219,7 @@ class Iomt:
     def leaves(self) -> Iterator[tuple[int, Leaf]]:
         return self.store.leaf_items()
 
-    def set_leaf(self, slot: int, leaf: Optional[Leaf]) -> ComplementPath:
+    def set_leaf(self, slot: int, leaf: Leaf) -> ComplementPath:
         """Write a leaf and the h+1 nodes from it to the root in one batch.
 
         Returns the slot's complement path, which the write leaves unchanged,
@@ -276,17 +269,17 @@ class Iomt:
         ``(slot, leaf)`` :meth:`locate` returned for it.
 
         The encloser is relinked to ``idx``, and the new leaf is written once,
-        in the lowest free slot, with its final value.  Returns the encloser
+        in the first free slot, with its final value.  Returns the encloser
         as it was (``None`` in an empty tree), its complement path, and the
         new slot's path as read after the relink: the evidence the module
         folds for a creation.  Every refusal is raised before any write.
         """
+        slot = self.store.first_free_slot()
         if encloser is None:
-            if self.store.has_leaves():
+            if slot:  # only an empty tree has no encloser
                 raise IomtError(f"no encloser for {idx}: circular linkage broken")
         elif encloser[1].idx == idx:
             raise IndexPresentError(f"index {idx} already present")
-        slot = self.store.first_free_slot()
         if slot >= self.geometry.leaf_count:
             raise TreeFullError(f"all {self.geometry.leaf_count} slots used")
         if encloser is None:

@@ -3,12 +3,12 @@
 The node and leaf tables hold the container tree only.  They are sparse: a
 missing node row reads back as the zero digest, and every node a write
 touches lies above a stored leaf, so none written is zero.  The tree is
-append-only: a leaf row is inserted or overwritten, never deleted, so the
-occupied slots are always ``0..n-1``.  Each container's ACL tree (at most
-2^8 leaves) is kept as its leaf rows alone, in ``acl_leaves``; the service
-rebuilds the tree in memory from one query.  Indices are stored as 8-byte
-big-endian blobs so the full u64 domain sorts correctly, which ``locate``
-relies on.
+append-only, as every ``Iomt`` store is: a leaf row is inserted or
+overwritten, never deleted, so the occupied slots are always ``0..n-1``.
+Each container's ACL tree (at most 2^8 leaves) is kept as its leaf rows
+alone, in ``acl_leaves``; the service rebuilds the tree in memory from one
+query.  Indices are stored as 8-byte big-endian blobs so the full u64
+domain sorts correctly, which ``locate`` relies on.
 
 The layout's version is stamped in ``PRAGMA user_version``; a store written
 under another version is refused, not migrated.
@@ -340,7 +340,7 @@ class SqliteTreeStore:
     leaf tables, for the :class:`~tcr.iomt.Iomt` store protocol.
 
     Append-only: leaves are inserted or overwritten, never removed, so the
-    lowest empty slot is always one past the highest occupied one.
+    free slot is one past the highest occupied one, and 0 in an empty tree.
     """
 
     def __init__(self, conn: sqlite3.Connection) -> None:
@@ -381,9 +381,6 @@ class SqliteTreeStore:
         ).fetchall()
         for slot, *fields in rows:
             yield slot, _leaf(*fields)
-
-    def has_leaves(self) -> bool:
-        return self._conn.execute("SELECT 1 FROM leaves LIMIT 1").fetchone() is not None
 
     def locate(self, idx: int) -> Optional[tuple[int, Leaf]]:
         # In a well-formed circular linkage the leaf holding or enclosing

@@ -18,22 +18,33 @@ from tcr.storage import Storage
 
 
 def remove_placeholder(tree: Iomt, idx: int) -> bytes:
-    """Exact inverse of ``tree.upsert(idx, ZERO_DIGEST)`` on an index that was absent."""
+    """Undo ``tree.upsert(idx, ZERO_DIGEST)`` on an index that was absent.
+
+    The tree stores are append-only, so the deletion is done here: the
+    predecessor is relinked past ``idx``, the leaf in the highest slot moves
+    into the freed one so the slots stay ``0..n-1``, and ``tree`` gets a
+    memory store rebuilt from the remaining leaves.  Returns the new root,
+    the one before the upsert whenever ``idx`` took the highest slot.
+    """
     found = tree.locate(idx)
     if found is None or found[1].idx != idx:
         raise IomtError(f"index {idx} not present")
     slot, leaf = found
     if leaf.val != ZERO_DIGEST:
         raise IomtError(f"index {idx} is not a placeholder")
-    if leaf.idx == leaf.next_idx:
-        tree.set_leaf(slot, None)
-        return tree.root
-    for pred_slot, pred in tree.leaves():
-        if pred.next_idx == idx and pred_slot != slot:
-            tree.set_leaf(pred_slot, Leaf(pred.idx, leaf.next_idx, pred.val))
-            tree.set_leaf(slot, None)
-            return tree.root
-    raise IomtError(f"no predecessor links to {idx}: circular linkage broken")
+    leaves = dict(tree.leaves())
+    del leaves[slot]
+    if leaf.idx != leaf.next_idx:
+        pred_slot = next((s for s, pred in leaves.items() if pred.next_idx == idx), None)
+        if pred_slot is None:
+            raise IomtError(f"no predecessor links to {idx}: circular linkage broken")
+        pred = leaves[pred_slot]
+        leaves[pred_slot] = Leaf(pred.idx, leaf.next_idx, pred.val)
+    top = max(leaves, default=slot)
+    if top > slot:
+        leaves[slot] = leaves.pop(top)
+    tree.store = Iomt.from_leaves(tree.geometry.height, leaves.items()).store
+    return tree.root
 
 
 # The version-1 container-tree layout, which also kept a free-slot table.

@@ -5,7 +5,8 @@ import gc
 
 import pytest
 
-from tcr import service
+import tcr.client
+from tcr import bench, service
 from tcr.bench import (
     CSV_HEADER,
     OPERATIONS,
@@ -13,9 +14,11 @@ from tcr.bench import (
     BenchConfig,
     TimingRow,
     emit_csv,
+    main,
     parse_heights,
     run_bench,
 )
+from tcr.storage import MOCK_BUILD, MOCK_COMPOSE
 
 
 def read_csv(path) -> list[TimingRow]:
@@ -44,6 +47,51 @@ def test_config_validation():
         BenchConfig(heights=())
     with pytest.raises(ValueError):
         BenchConfig(heights=(10,), ops=0)
+    assert BenchConfig(heights=(1, 4), ops=1).heights == (1, 4)  # one container is prepopulated
+    with pytest.raises(ValueError, match="ops 16 must be below 2\\^4"):
+        BenchConfig(heights=(12, 4), ops=16)  # nothing left to prepopulate
+    with pytest.raises(ValueError, match="height 63 is outside 0..62"):
+        BenchConfig(heights=(63,), ops=1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--heights", "4", "--ops", "16"], "ops 16 must be below 2^4"),
+        (["--heights", "4", "--ops", "20"], "ops 20 must be below 2^4"),
+        (["--heights", "20..10"], "heights must be non-empty"),
+        (["--heights", "70"], "height 70 is outside 0..62"),
+    ],
+)
+def test_impossible_settings_are_a_usage_error(tmp_path, monkeypatch, capsys, args, message):
+    def no_store(*_args):
+        raise AssertionError("a store was built")
+
+    monkeypatch.setattr(bench, "Storage", no_store)
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as stop:
+        main([*args, "--repeats", "1", "--workdir", str(tmp_path), "--out", str(out)])
+    assert stop.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("tcr-bench: error: ") and message in last
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_encrypted_modifies_go_through_the_client_keystream(monkeypatch, tmp_path):
+    # The benchmark forms a MODIFY with the client's own former, so a hook on
+    # ``tcr.client.xor_keystream`` sees every encrypted one.
+    sizes: list[int] = []
+    keystream = tcr.client.xor_keystream
+
+    def counted(secret, data):
+        sizes.append(len(data))
+        return keystream(secret, data)
+
+    monkeypatch.setattr(tcr.client, "xor_keystream", counted)
+    cfg = BenchConfig(heights=(4,), ops=3, repeats=1, payload_size=100, workdir=tmp_path)
+    run_bench(cfg, log=lambda _: None)
+    content = 100 + len(MOCK_BUILD) + len(MOCK_COMPOSE)
+    assert sizes == [content] * 3  # modify_encrypted only; fetch bypasses the client
 
 
 @pytest.fixture(scope="module")

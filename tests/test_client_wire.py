@@ -199,16 +199,6 @@ class TestResponseChecks:
         replay = check_info_response(alice.credential, outcome.response, fresh_nonce, 7)
         assert replay == Verdict.INVALID
 
-    def test_denial_after_verified_creation_flags_misbehavior(self):
-        cred = UserCredential(1, bytes(range(32)))
-        from tcr.merkle import hmac_sha256
-
-        nonce = secrets.token_bytes(32)
-        denial = VerifyResponse(idx=7, nonce=nonce, tag=b"")
-        denial = VerifyResponse(idx=7, nonce=nonce, tag=hmac_sha256(denial.tag_body(), cred.key))
-        assert check_info_response(cred, denial, nonce, 7) == Verdict.DENIED
-        assert check_info_response(cred, denial, nonce, 7, expect_exists=True) == Verdict.INVALID
-
     def test_wrong_version_echo_rejected(self, env):
         server, keys = env
         alice = client_for(server, keys, 1)

@@ -266,6 +266,15 @@ class TestInsert:
         remove_placeholder(tree, 5)
         assert tree.root == before
 
+    def test_remove_keeps_the_slots_dense(self):
+        tree = Iomt(3)
+        for idx in (5, 9, 1):
+            tree.upsert(idx, ZERO_DIGEST)
+        remove_placeholder(tree, 5)  # slot 0 is freed, and slot 2's leaf moves in
+        assert dict(tree.leaves()) == {0: Leaf(1, 9, ZERO_DIGEST), 1: Leaf(9, 1, ZERO_DIGEST)}
+        assert tree.root == oracle_root(dict(tree.leaves()), 3)
+        assert tree.store.first_free_slot() == 2
+
 
 def _slot_sets():
     return st.integers(0, 8).flatmap(
@@ -392,12 +401,12 @@ def test_upsert_sets_present_index_in_place():
 def test_upsert_inserts_new_index_after_its_encloser():
     tree = Iomt(3)
     tree.set_leaf(0, Leaf(3, 20, counter_digest(3)))
-    tree.set_leaf(2, Leaf(20, 3, counter_digest(5)))
+    tree.set_leaf(1, Leaf(20, 3, counter_digest(5)))
     root = tree.upsert(10, counter_digest(1))
-    expected = {  # the new leaf takes slot 1, the lowest free one
+    expected = {  # the new leaf takes slot 2, the one after the highest
         0: Leaf(3, 10, counter_digest(3)),
-        1: Leaf(10, 20, counter_digest(1)),
-        2: Leaf(20, 3, counter_digest(5)),
+        1: Leaf(20, 3, counter_digest(5)),
+        2: Leaf(10, 20, counter_digest(1)),
     }
     assert dict(tree.leaves()) == expected
     assert root == tree.root == oracle_root(expected, 3)

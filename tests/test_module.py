@@ -622,6 +622,84 @@ class TestVerifyContainer:
         assert response is None
 
 
+class TestEvidenceNoHonestStoreBuilds:
+    """Rows and proofs that each verify on their own but do not belong
+    together, handed to the module directly.  The service never assembles
+    them, so only these tests hold the module's own consistency checks."""
+
+    def test_another_containers_record_grants_nothing_here(self):
+        module = fresh_module()
+        mine = ContainerFixture(module, idx=10)
+        theirs = ContainerFixture(module, idx=20, tree=mine.tree)
+        assert mine.modify(1, sha256(b"v1")) is not None
+        assert theirs.set_access(1, 2, 1) is not None  # both records now at counter 2
+        nonce = secrets.token_bytes(32)
+        assert mine.verify(2, nonce, 1).denied
+        borrowed = module.verify_container(
+            2, nonce, mine.idx, 1, mine.container_proof(),
+            record=theirs.record, acl_proof=theirs.acl_proof(2), version=mine.versions[1],
+        )
+        assert borrowed is None
+
+    def test_a_record_from_before_a_revocation_grants_nothing(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        assert repo.set_access(1, 2, 1) is not None
+        stale_record, stale_proof = repo.record, repo.acl_proof(2)
+        assert repo.set_access(1, 2, 0) is not None
+        nonce = secrets.token_bytes(32)
+        assert repo.verify(2, nonce, 0).denied
+        stale = module.verify_container(
+            2, nonce, repo.idx, 0, repo.container_proof(),
+            record=stale_record, acl_proof=stale_proof,
+        )
+        assert stale is None
+
+    def test_a_replayed_request_is_refused_on_current_evidence(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        assert repo.modify(1, sha256(b"v1")) is not None  # signed at counter 1
+        replay = sign(1, RequestKind.CONTAINER, repo.idx, 1, sha256(b"v1"))
+        _, leaf, path, _ = repo.bump()
+        snapshot = copy.deepcopy(module._state)
+        assert module.apply_request(
+            replay, leaf, path, acl_proof=repo.acl_proof(1), record=repo.record
+        ) is None
+        assert module._state == snapshot
+
+    def test_an_older_version_row_does_not_answer_for_a_newer_one(self):
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        repo.modify(1, sha256(b"v1"))
+        repo.modify(1, sha256(b"v2"))
+        nonce = secrets.token_bytes(32)
+        assert repo.verify(1, nonce, 2).content_digest == sha256(b"v2")
+        assert repo.verify(1, nonce, 2, version=repo.versions[1]) is None
+
+    def test_another_containers_version_row_does_not_answer_here(self):
+        module = fresh_module()
+        mine = ContainerFixture(module, idx=10)
+        theirs = ContainerFixture(module, idx=20, tree=mine.tree)
+        mine.modify(1, sha256(b"mine"))
+        theirs.modify(1, sha256(b"theirs"))
+        nonce = secrets.token_bytes(32)
+        assert mine.verify(1, nonce, 1).content_digest == sha256(b"mine")
+        assert mine.verify(1, nonce, 1, version=theirs.versions[1]) is None
+
+    @pytest.mark.parametrize("length", [31, 33])
+    def test_a_nonce_of_another_length_is_refused_not_raised(self, length):
+        # A response's tag body encodes the nonce as a 32-byte digest.
+        module = fresh_module()
+        repo = ContainerFixture(module)
+        repo.modify(1, sha256(b"v1"))
+        nonce = secrets.token_bytes(length)
+        slot, leaf = repo.tree.locate(55)
+        absent = (leaf, repo.tree.complement_path(slot))
+        assert module.verify_container(1, secrets.token_bytes(32), 55, 0, absent).denied
+        assert module.verify_container(1, nonce, 55, 0, absent) is None
+        assert repo.verify(1, nonce, 1) is None
+
+
 def xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 

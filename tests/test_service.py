@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import tcr.storage
 from conftest import acl_hints, attested_acl_root, stored_files
-from tcr.bench import STEP_ORDER
 from tcr.client import (
     UserCredential,
     Verdict,
@@ -23,7 +22,7 @@ from tcr.client import (
 from tcr.iomt import Iomt, Leaf, TreeFullError, counter_digest
 from tcr.merkle import ZERO_DIGEST, sha256
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule
-from tcr.service import CACHE_ENTRIES, ProtocolError, Service, StepClock
+from tcr.service import CACHE_ENTRIES, STEPS, ProtocolError, Service, StepClock
 from tcr.storage import ACL_HEIGHT, BlobSet, Storage, bulk_prepopulate, content_digest
 
 BLOBS = BlobSet(b"layer-bytes" * 200, b"FROM base\n", b"services: {app: {}}\n")
@@ -340,34 +339,46 @@ class TestAclSet:
         env = credentials[requester].sign_request(RequestKind.ACL, 7, counter, new_root)
         return service.handle_acl_set(env, target, level, clock=clock)
 
-    def test_step_clock_times_each_step(self, service, credentials):
-        # Each handler records, in order, the steps the benchmark reports for its op.
+    def test_each_handler_records_the_steps_it_declares(self, service, credentials):
+        # Accepted, a handler records every label of STEPS[op] in order;
+        # refused, a prefix of them.
         cred = credentials[1]
 
-        def steps(handle, *args, **kwargs):
+        def steps(op, handle, *args, accepted, **kwargs):
             clock = StepClock()
-            assert handle(*args, clock=clock, **kwargs) is not None
-            return tuple(clock.steps)
+            result = handle(*args, clock=clock, **kwargs)
+            if op in ("info", "fetch"):
+                assert result.response.denied != accepted
+            else:
+                assert (result is not None) == accepted
+            recorded = tuple(clock.steps)
+            assert recorded == (STEPS[op] if accepted else STEPS[op][: len(recorded)]), op
 
-        def expected(op):
-            return tuple(label for label in STEP_ORDER[op] if label != "total")
-
-        assert steps(service.handle_create, signed_create(cred, 7)) == expected("create")
-        assert steps(service.handle_modify, signed_modify(cred, 7, 1), BLOBS) == expected("modify")
+        forged = dataclasses.replace(signed_create(cred, 7), sig=bytes(32))
+        steps("create", service.handle_create, forged, accepted=False)
+        steps("create", service.handle_create, signed_create(cred, 7), accepted=True)
+        forged = dataclasses.replace(signed_modify(cred, 7, 1), sig=bytes(32))
+        steps("modify", service.handle_modify, forged, BLOBS, accepted=False)
+        steps("modify", service.handle_modify, signed_modify(cred, 7, 1), BLOBS, accepted=True)
         secret = secrets.token_bytes(32)
         wrapped, commitment = wrap_secret(cred, secret, 7, 2)
         cipher = xor_blobs(secret, BLOBS)
-        assert steps(
-            service.handle_modify, signed_modify(cred, 7, 2, cipher, commitment), cipher,
-            wrapped_secret=wrapped, secret_commitment=commitment,
-        ) == expected("modify_encrypted")
-        assert steps(service.handle_info, 7, 1, secrets.token_bytes(32), 1) == expected("info")
-        for version, op in ((1, "fetch"), (2, "fetch_encrypted")):
-            nonce = secrets.token_bytes(32)
-            assert steps(service.handle_fetch, 7, version, 1, nonce=nonce) == expected(op)
-        clock = StepClock()
-        assert self.grant(service, credentials, 1, 2, 1, 3, clock=clock) is not None
-        assert set(clock.steps) == {"record_lookup", "certificates", "root_update", "persist_records"}
+        steps(
+            "modify", service.handle_modify, signed_modify(cred, 7, 2, cipher, commitment), cipher,
+            wrapped_secret=wrapped, secret_commitment=commitment, accepted=True,
+        )
+
+        def grant(requester, clock):
+            return self.grant(service, credentials, requester, 2, 1, 3, clock=clock)
+
+        steps("acl_set", grant, 2, accepted=False)  # user 2 holds no level yet
+        steps("acl_set", grant, 1, accepted=True)
+        for idx, accepted in ((8, False), (7, True)):  # 8 is absent: a denial
+            steps("info", service.handle_info, idx, 0, secrets.token_bytes(32), 1,
+                  accepted=accepted)
+            for version in (0, 1):  # the encrypted version 2, then the plain one
+                steps("fetch", service.handle_fetch, idx, version, 1,
+                      nonce=secrets.token_bytes(32), accepted=accepted)
 
     def test_owner_grants_and_user_queries(self, service, credentials):
         service.handle_create(signed_create(credentials[1], 7))
@@ -682,6 +693,17 @@ class TestStatementCounts:
                 assert check_info_response(credentials[user], response, nonce, idx) == verdict
                 assert len(statements) == count, (idx, statements)
         storage.close()
+
+    def test_creates_into_an_empty_tree_and_after_it(self, storage, module, credentials):
+        # An empty tree is one whose free slot is 0: no separate emptiness
+        # query, and it has no encloser to relink.
+        service = Service(storage, module, height=16)
+        statements: list[str] = []
+        storage._conn.set_trace_callback(statements.append)
+        for idx, count in ((100, 10), (200, 12)):
+            statements.clear()
+            assert service.handle_create(signed_create(credentials[1], idx)) is not None
+            assert len(statements) == count, statements
 
     def test_writes_at_h16(self, tmp_path, user_keys, credentials):
         # One transaction each: create, modify, a new grant and a re-grant.

@@ -14,7 +14,6 @@ from conftest import (
     V2_LAYOUT,
     V3_LAYOUT,
     oracle_root,
-    remove_placeholder,
     stored_files,
 )
 from tcr.iomt import (
@@ -66,7 +65,7 @@ class TestNodeTable:
         tree = Iomt(20, storage.tree())
         assert tree.root == ZERO_DIGEST
         assert node_rows(storage) == 0
-        assert not tree.store.has_leaves()
+        assert tree.store.first_free_slot() == 0
 
 
 def per_node_path(tree: Iomt, slot: int) -> list:
@@ -122,13 +121,6 @@ class TestLeafTable:
         assert list(store.leaf_items()) == [(4, leaf)]
         assert store.locate(9) == (4, leaf)
 
-    def test_memory_store_removes_a_leaf(self):
-        # Only the in-memory store deletes; the sqlite tree is append-only.
-        store = MemoryTreeStore()
-        store.set_leaf(4, Leaf(9, 12, counter_digest(3)))
-        store.set_leaf(4, None)
-        assert list(store.leaf_items()) == [] and not store.has_leaves()
-
     def test_overwrite_is_one_statement(self, storage):
         store = storage.tree()
         statements: list[str] = []
@@ -148,8 +140,6 @@ class TestLeafTable:
             indices = rng.sample(range(1, 250), 12)
             for idx in indices:
                 tree.upsert(idx, ZERO_DIGEST)
-            if isinstance(store, MemoryTreeStore):
-                remove_placeholder(tree, indices[5])  # frees a slot in the middle
             leaves = list(tree.leaves())
             for candidate in range(0, 256):
                 scan = [(s, l) for s, l in leaves if encloses(l.idx, l.next_idx, candidate)]
@@ -158,37 +148,42 @@ class TestLeafTable:
                 assert not (held and scan)
                 assert store.locate(candidate) == (held or scan or [None])[0], candidate
 
-    def test_first_free_slot_finds_gaps(self, storage):
-        # The sqlite store is append-only: its free slot is one past the
-        # highest occupied one.  Only the memory store refills a gap.
-        for store, gap_refilled in ((MemoryTreeStore(), True), (storage.tree(), False)):
-            tree = Iomt(2, store)
-            assert store.first_free_slot() == 0
-            store.set_leaf(0, Leaf(1, 1, ZERO_DIGEST))
-            store.set_leaf(1, Leaf(2, 2, ZERO_DIGEST))
-            store.set_leaf(3, Leaf(3, 3, ZERO_DIGEST))
-            assert store.first_free_slot() == (2 if gap_refilled else 4)
-            if gap_refilled:
-                store.set_leaf(1, None)  # a deleted slot is free again
-                assert store.first_free_slot() == 1
-                store.set_leaf(1, Leaf(2, 2, ZERO_DIGEST))
-            store.set_leaf(2, Leaf(4, 4, ZERO_DIGEST))
-            # Full: the store has no bound, the tree maps it to "full".
-            assert store.first_free_slot() == 4
-            with pytest.raises(TreeFullError):
-                tree.insert(9, ZERO_DIGEST, tree.locate(9))
-
-    def test_freed_top_slot_is_refilled_before_higher_ones(self):
-        store = MemoryTreeStore()  # the sqlite store never frees a slot
-        for slot in (0, 1, 2, 4):
-            store.set_leaf(slot, Leaf(slot + 1, slot + 1, ZERO_DIGEST))
-        store.set_leaf(4, None)  # the hole at 3 is now above the high-water mark
-        store.set_leaf(2, None)
-        assert store.first_free_slot() == 2
-        store.set_leaf(2, Leaf(3, 3, ZERO_DIGEST))
-        assert store.first_free_slot() == 3
-        store.set_leaf(3, Leaf(4, 4, ZERO_DIGEST))
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_first_free_slot_is_one_past_the_highest(self, backend, storage):
+        # Both stores are append-only: a gap below the highest slot is never reused.
+        store = MemoryTreeStore() if backend == "memory" else storage.tree()
+        tree = Iomt(2, store)
+        assert store.first_free_slot() == 0
+        store.set_leaf(0, Leaf(1, 1, ZERO_DIGEST))
+        store.set_leaf(1, Leaf(2, 2, ZERO_DIGEST))
+        store.set_leaf(3, Leaf(3, 3, ZERO_DIGEST))
         assert store.first_free_slot() == 4
+        store.set_leaf(2, Leaf(4, 4, ZERO_DIGEST))
+        # Full: the store has no bound, the tree maps it to "full".
+        assert store.first_free_slot() == 4
+        with pytest.raises(TreeFullError):
+            tree.insert(9, ZERO_DIGEST, tree.locate(9))
+
+    def test_both_stores_answer_alike_after_the_same_writes(self, storage):
+        rng = random.Random(8)
+        memory, sqlite = MemoryTreeStore(), storage.tree()
+        trees = [Iomt(4, memory), Iomt(4, sqlite)]
+        for _ in range(40):
+            leaves = list(memory.leaf_items())
+            val = counter_digest(rng.randrange(1, 99))
+            if leaves and (len(leaves) == 16 or rng.random() < 0.3):
+                slot, leaf = rng.choice(leaves)
+                for tree in trees:
+                    tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, val))
+            else:
+                idx = rng.randrange(1, 250)
+                for tree in trees:
+                    tree.upsert(idx, val)
+            assert trees[0].root == trees[1].root
+            assert memory.first_free_slot() == sqlite.first_free_slot()
+            assert list(memory.leaf_items()) == list(sqlite.leaf_items())
+            assert [memory.locate(i) for i in range(256)] == [sqlite.locate(i) for i in range(256)]
+        assert memory.first_free_slot() == len(list(memory.leaf_items())) == 16
 
 
 class TestSparseDenseEquivalence:
