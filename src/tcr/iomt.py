@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .merkle import DIGEST_SIZE, Side, ZERO_DIGEST, encode_fields, parent, sha256
 
 LEAF_SCHEMA = ("u64", "u64", "d32")
+LEAF_BYTES = 8 + 8 + DIGEST_SIZE  # a leaf's canonical encoding
 
 # Sibling digests from the leaf level up, each tagged with the sibling's side.
 ComplementPath = list[tuple[bytes, Side]]
@@ -48,6 +49,11 @@ class Leaf:
 
     def encode(self) -> bytes:
         return encode_fields(LEAF_SCHEMA, (self.idx, self.next_idx, self.val))
+
+    @classmethod
+    def decode(cls, raw: bytes) -> "Leaf":
+        """Inverse of :meth:`encode` on ``LEAF_BYTES`` bytes."""
+        return cls(int.from_bytes(raw[:8], "big"), int.from_bytes(raw[8:16], "big"), raw[16:])
 
 
 def leaf_digest(leaf: Optional[Leaf]) -> bytes:

@@ -138,15 +138,12 @@ class RepositoryServer(socketserver.TCPServer):
             return STATUS_OK, {"ack": result.ack.hex()}
 
         if op == "MODIFY":
-            blobs = blobs_field(payload)
-            wrapped = payload.get("wrapped_secret")
-            commitment = payload.get("secret_commitment")
-            result = service.handle_modify(
-                envelope_from_json(payload),
-                blobs,
-                wrapped_secret=bytes.fromhex(wrapped) if wrapped else None,
-                secret_commitment=bytes.fromhex(commitment) if commitment else None,
-            )
+            secret = {}
+            if "wrapped_secret" in payload or "secret_commitment" in payload:
+                secret = {name: d32_field(payload, name)
+                          for name in ("wrapped_secret", "secret_commitment")}
+            result = service.handle_modify(envelope_from_json(payload), blobs_field(payload),
+                                           **secret)
             if result is None:
                 return STATUS_REJECTED, {}
             return STATUS_OK, {"ack": result.ack.hex(), "version": result.version.version}
@@ -295,13 +292,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         storage = Storage(args.db, args.data_dir)
     except StorageError as exc:
         raise SystemExit(f"cannot open {args.db}: {exc}") from exc
-    if not state_path.exists():
-        try:
-            save_state(state, state_path)  # provisioned only once the store opens
-        except OSError as exc:
-            storage.close()
-            raise SystemExit(f"cannot save module state {state_path}: {exc}") from exc
-    service = Service(storage, TrustedModule(state), args.height)
+    try:  # a store bound to another height is refused before anything is provisioned
+        service = Service(storage, TrustedModule(state), args.height)
+        if not state_path.exists():
+            save_state(state, state_path)
+    except (StorageError, OSError) as exc:
+        storage.close()
+        what = (f"open {args.db}" if isinstance(exc, StorageError)
+                else f"save module state {state_path}")
+        raise SystemExit(f"cannot {what}: {exc}") from exc
     server = RepositoryServer(args.listen, service, state=state, state_path=state_path)
     host, port = server.server_address[:2]
     print(f"listening on {host}:{port}", file=sys.stderr)

@@ -15,14 +15,16 @@ with its rollback, all but those that were stored before it.
 
 A query or write hands the module raw tree reads: the leaf that holds or
 encloses an index and its complement path, which the module folds itself.
+A present container's leaf, sealed record and ACL leaves are its one row;
+only an absent index, or a creation, searches for the leaf enclosing it.
 Evidence is keyed by the root it proves.  A container proof is cached under
 the module root it was read under, so every root move retires it.  A
-container's ACL tree is rebuilt in memory from its leaf rows and cached as a
+container's ACL tree is rebuilt in memory from its row and cached as a
 read-only view under the ACL root its sealed record names; ACL proofs are
 cached under the ACL root they prove, which container-tree writes leave
 alone, so containers sharing an ACL share its view and proofs.  An ACL edit
-rebuilds its own tree from the rows and writes the leaves back; its new root
-is simply a new key.  The cache holds at most ``CACHE_ENTRIES`` entries.
+rebuilds its own tree and writes its leaves back; its new root is simply a
+new key.  The cache holds at most ``CACHE_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .iomt import Iomt, Leaf, TreeFullError, counter_digest, counter_value, leaf_digest
+from .iomt import Iomt, Leaf, TreeFullError, counter_digest, leaf_digest
 from .merkle import ZERO_DIGEST
 from .module import (
-    ContainerRecord,
     RecordProof,
     RequestEnvelope,
     RequestKind,
@@ -49,7 +50,9 @@ from .module import (
 from .storage import (
     ACL_HEIGHT,
     BlobSet,
+    ContainerRow,
     Storage,
+    StorageError,
     bulk_prepopulate,
     check_height,
     content_digest,
@@ -178,34 +181,45 @@ class Service:
     module attested it: the ACL rows hinted beside a full INFO answer must
     rebuild to the ACL root that answer attests.  A creation and a new ACL
     grant make the same tree edit, :meth:`Iomt.insert`, on the container tree
-    of ``height`` and on an ACL tree of ``storage.ACL_HEIGHT``.
+    of ``height`` and on an ACL tree of ``storage.ACL_HEIGHT``.  A store is
+    bound to its first ``height``: another raises ``StorageError``.
     """
 
     def __init__(self, storage: Storage, module: TrustedModule, height: int) -> None:
         self.storage = storage
         self.module = module
         self.height = check_height("height", height)
+        storage.bind_height(height)
         self._cache = CertCache()
         self._lock = threading.RLock()
 
     def container_tree(self) -> Iomt:
         return Iomt(self.height, self.storage.tree())
 
+    def _container(self, idx: int) -> Optional[ContainerRow]:
+        try:  # a damaged row is bad evidence, never a denial, and is not cached
+            return self.storage.container(idx)
+        except StorageError as exc:
+            raise ProtocolError(str(exc)) from exc
+
     def acl_tree(self, container_idx: int) -> Iomt:
-        """The container's ACL tree, rebuilt in memory from one read of its leaves."""
-        return Iomt.from_leaves(ACL_HEIGHT, self.storage.acl_leaves(container_idx))
+        """The present container's ACL tree, rebuilt in memory from its row."""
+        return self._acl_tree(self._container(container_idx).acl)
 
-    def _acl_view(self, record: ContainerRecord) -> Iomt:
-        """The ACL tree ``record`` names, shared by every container on its root.
+    @staticmethod
+    def _acl_tree(acl: Iterable[Leaf]) -> Iomt:
+        return Iomt.from_leaves(ACL_HEIGHT, enumerate(acl))
 
-        A view is read-only.  Rows that rebuild to another root are served
-        uncached, so the module refuses their proofs as it does any bad proof.
-        """
-        view = self._cache.get(("acl_view",), record.acl_root)
+    def _acl_view(self, row: ContainerRow) -> Iomt:
+        """The ACL tree ``row``'s record names, shared by every container on its
+        root.  A view is read-only; leaves that rebuild to another root are served
+        uncached, so the module refuses their proofs as it does any bad proof."""
+        acl_root = row.record.acl_root
+        view = self._cache.get(("acl_view",), acl_root)
         if view is None:
-            view = self.acl_tree(record.idx)
-            if view.root == record.acl_root:
-                self._cache.put(("acl_view",), record.acl_root, view)
+            view = self._acl_tree(row.acl)
+            if view.root == acl_root:
+                self._cache.put(("acl_view",), acl_root, view)
         return view
 
     def prepopulate(self, count: int, owner_idx: int, state) -> bytes:
@@ -223,22 +237,23 @@ class Service:
         """
         return tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)))
 
-    def _record_proof(self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes) -> RecordProof:
-        """The leaf holding ``idx``, or else the leaf enclosing it, and its path.
-
-        ``epoch`` is the tree's root, the root the proof is cached under.
-        """
+    def _record_proof(self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes,
+                      found=None) -> RecordProof:
+        """The leaf holding ``idx`` (``found``, its slot and leaf, if already read),
+        or else the one enclosing it, and its path; cached under ``epoch``, the tree's root."""
         hit = self._cache.get(cache_key, epoch)
         if hit is not None:
             return hit
         # No encloser: the tree is empty, and absence is read against the zero root.
-        slot, leaf = tree.locate(idx) or (0, None)
+        slot, leaf = found or tree.locate(idx) or (0, None)
         proof = (leaf, tree.complement_path(slot))
         self._cache.put(cache_key, epoch, proof)
         return proof
 
-    def _container_proof(self, idx: int) -> RecordProof:
-        return self._record_proof(self.container_tree(), idx, ("container", idx), self.module.root)
+    def _container_proof(self, idx: int, row: Optional[ContainerRow] = None) -> RecordProof:
+        found = None if row is None else (row.slot, row.leaf)
+        tree, epoch = self.container_tree(), self.module.root
+        return self._record_proof(tree, idx, ("container", idx), epoch, found)
 
     def _acl_proof(self, acl: Iomt, user_idx: int) -> RecordProof:
         """``user_idx``'s leaf in ``acl``, or the leaf enclosing it, and its path.
@@ -271,9 +286,11 @@ class Service:
                 pass
 
     def _apply(
-        self, req: RequestEnvelope, leaf: Optional[Leaf], path, clock: StepClock, **evidence
+        self, req: RequestEnvelope, leaf: Optional[Leaf], path, clock: StepClock,
+        acl: Optional[Iterable[Leaf]] = None, **evidence,
     ) -> UpdateResult:
-        """Have the module accept ``req`` and store the container record it seals.
+        """Have the module accept ``req`` and store the container record it
+        seals, and the container's ``acl`` leaves when they changed.
 
         ``leaf`` and ``path`` are the leaf as it was before this request and its
         complement path.  The only place the sealed root moves; a refusal
@@ -284,19 +301,16 @@ class Service:
             if result is None:
                 raise _Rejected()
         with clock.step("persist_records"):
-            self.storage.record_put(result.record)
+            self.storage.container_put(result.record, acl)
         return result
 
-    def _existing(
-        self, tree: Iomt, idx: int, clock: StepClock
-    ) -> tuple[ContainerRecord, int, Leaf]:
-        """The container's sealed record, slot and leaf; refused unless it exists."""
+    def _existing(self, idx: int, clock: StepClock) -> ContainerRow:
+        """The container's row; refused unless it exists."""
         with clock.step("record_lookup"):
-            record = self.storage.record_get(idx)
-            found = tree.locate(idx)
-            if record is None or found is None or found[1].idx != idx:
+            row = self._container(idx)
+            if row is None:
                 raise _Rejected()
-            return (record, *found)
+            return row
 
     def handle_create(
         self, req: RequestEnvelope, clock: Optional[StepClock] = None
@@ -324,10 +338,7 @@ class Service:
                 except TreeFullError as exc:
                     raise ProtocolError(str(exc)) from exc
 
-            result = self._apply(req, leaf, path, clock, slot_path=slot_path)
-            with clock.step("persist_records"):
-                self.storage.acl_put(req.idx, [(0, owner)])
-            return result
+            return self._apply(req, leaf, path, clock, acl=[owner], slot_path=slot_path)
         return None
 
     def handle_modify(
@@ -351,8 +362,8 @@ class Service:
             raise ProtocolError("wrapped secret and commitment must come together")
         clock = clock or StepClock()
         with self._mutation(clock) as tree:
-            record, slot, leaf = self._existing(tree, req.idx, clock)
-            if counter_value(leaf.val) != req.counter:
+            row = self._existing(req.idx, clock)
+            if row.record.counter != req.counter:
                 raise _Rejected()
 
             with clock.step("content_digest"):
@@ -363,11 +374,11 @@ class Service:
                 self.storage.blob_put(blobs, hashes)
 
             with clock.step("certificates"):
-                path = self._bump_counter(tree, slot, leaf, record.counter + 1)
-                acl_proof = self._acl_proof(self._acl_view(record), req.user_idx)
+                path = self._bump_counter(tree, row.slot, row.leaf, row.record.counter + 1)
+                acl_proof = self._acl_proof(self._acl_view(row), req.user_idx)
 
             result = self._apply(
-                req, leaf, path, clock, acl_proof=acl_proof, record=record,
+                req, row.leaf, path, clock, acl_proof=acl_proof, record=row.record,
                 secret=None if wrapped_secret is None else (wrapped_secret, commitment),
             )
             with clock.step("persist_records"):
@@ -389,12 +400,12 @@ class Service:
             raise ProtocolError(f"access level {level} out of range")
         clock = clock or StepClock()
         with self._mutation(clock) as tree:
-            record, slot, leaf = self._existing(tree, req.idx, clock)
+            row = self._existing(req.idx, clock)
 
             with clock.step("certificates"):
-                acl = self.acl_tree(req.idx)  # edited below, so never a cached view
+                acl = self._acl_tree(row.acl)  # edited below, so never a cached view
                 acl_proof = self._acl_proof(acl, req.user_idx)
-                path = self._bump_counter(tree, slot, leaf, record.counter + 1)
+                path = self._bump_counter(tree, row.slot, row.leaf, row.record.counter + 1)
 
             with clock.step("root_update"):
                 try:
@@ -404,10 +415,10 @@ class Service:
                 if new_acl_root != req.value:
                     raise ProtocolError("request signature names a different ACL root: stale view")
 
-            result = self._apply(req, leaf, path, clock, acl_proof=acl_proof, record=record)
-            with clock.step("persist_records"):
-                self.storage.acl_put(req.idx, acl.leaves())
-            return result
+            return self._apply(
+                req, row.leaf, path, clock, acl=[leaf for _, leaf in acl.leaves()],
+                acl_proof=acl_proof, record=row.record,
+            )
         return None
 
     # -- query pipelines ----------------------------------------------------------
@@ -468,18 +479,19 @@ class Service:
         ``release``, the module re-pads the version's sealed secret for the caller.
         """
         with clock.step("record_lookup"):
-            record = self.storage.record_get(idx)
-            resolved, version_row = requested_version, None
-            if record is not None:
+            row = self._container(idx)
+            record, resolved, version_row = None, requested_version, None
+            if row is not None:
+                record = row.record
                 resolved = requested_version or record.version_count
                 if 1 <= resolved <= record.version_count:
                     version_row = self.storage.version_get(idx, resolved)
 
         with clock.step("certificates"):
-            container_proof = self._container_proof(idx)
+            container_proof = self._container_proof(idx, row)
             acl = acl_proof = None
-            if record is not None:
-                acl = self._acl_view(record)
+            if row is not None:
+                acl = self._acl_view(row)
                 acl_proof = self._acl_proof(acl, user_idx)
 
         with clock.step("module_verify"):

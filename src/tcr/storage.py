@@ -1,17 +1,20 @@
-"""SQLite-backed persistence for trees, records, and content blobs.
+"""SQLite-backed persistence for the container tree, its records, and content blobs.
 
-The node and leaf tables hold the container tree only.  They are sparse: a
-missing node row reads back as the zero digest, and every node a write
-touches lies above a stored leaf, so none written is zero.  The tree is
-append-only, as every ``Iomt`` store is: a leaf row is inserted or
-overwritten, never deleted, so the occupied slots are always ``0..n-1``.
-Each container's ACL tree (at most 2^8 leaves) is kept as its leaf rows
-alone, in ``acl_leaves``; the service rebuilds the tree in memory from one
-query.  Indices are stored as 8-byte big-endian blobs so the full u64
-domain sorts correctly, which ``locate`` relies on.
+Layout 5 has three tables: ``nodes`` and ``leaves`` hold the container tree,
+``versions`` one row per version.  The tree is sparse: a missing node row
+reads back as the zero digest, and every node a write touches lies above a
+stored leaf, so none written is zero.  It is append-only, as every ``Iomt``
+store is, so the occupied slots are always ``0..n-1``.  A container is its
+one leaf row: beside ``(idx, next_idx, val)``, whose value is the counter,
+it holds the rest of the sealed record and the container's ACL (at most 2^8
+leaves), each leaf's 48-byte encoding in slot order.  Indices are stored as
+8-byte big-endian blobs so the full u64 domain sorts correctly, which
+``locate`` relies on.
 
-The layout's version is stamped in ``PRAGMA user_version``; a store written
-under another version is refused, not migrated.
+The layout's version is stamped in ``PRAGMA user_version``, and the tree's
+height, once a store is bound to one, in ``PRAGMA application_id``; a store
+written under another version is refused, not migrated, and one stamped with
+another height is refused too.
 
 Blobs are content-addressed files, one flat file per distinct blob named by
 its hex digest in the data directory; identical content is stored once
@@ -26,13 +29,14 @@ import sqlite3
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .iomt import Geometry, Leaf, counter_digest, encloses, leaf_digest, node_levels
+from .iomt import LEAF_BYTES, Geometry, Leaf, counter_digest, counter_value, encloses
+from .iomt import leaf_digest, node_levels
 from .merkle import ZERO_DIGEST, sha256
 from .module import ContainerRecord, ModuleState, VersionRecord
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 # The tallest container tree the node table can address: a taller tree's node
 # positions pass sqlite's signed 64-bit integer key.
@@ -110,24 +114,13 @@ CREATE TABLE leaves(
     slot INTEGER PRIMARY KEY,
     idx BLOB NOT NULL,
     next_idx BLOB NOT NULL,
-    val BLOB NOT NULL
+    val BLOB NOT NULL,
+    version_count INTEGER NOT NULL DEFAULT 0,
+    acl_root BLOB NOT NULL DEFAULT x'',
+    seal BLOB NOT NULL DEFAULT x'',
+    acl BLOB NOT NULL DEFAULT x''
 );
 CREATE INDEX leaves_by_idx ON leaves(idx);
-CREATE TABLE acl_leaves(
-    container BLOB NOT NULL,
-    slot INTEGER NOT NULL,
-    idx BLOB NOT NULL,
-    next_idx BLOB NOT NULL,
-    val BLOB NOT NULL,
-    PRIMARY KEY(container, slot)
-) WITHOUT ROWID;
-CREATE TABLE containers(
-    idx BLOB PRIMARY KEY,
-    counter INTEGER NOT NULL,
-    version_count INTEGER NOT NULL,
-    acl_root BLOB NOT NULL,
-    seal BLOB NOT NULL
-) WITHOUT ROWID;
 CREATE TABLE versions(
     idx BLOB NOT NULL,
     version INTEGER NOT NULL,
@@ -143,6 +136,15 @@ CREATE TABLE versions(
 """
 
 
+class ContainerRow(NamedTuple):
+    """A present container's leaf row, as :meth:`Storage.container` reads it."""
+
+    slot: int
+    leaf: Leaf
+    record: ContainerRecord  # sealed; its counter is the leaf's value
+    acl: list[Leaf]  # the ACL tree's leaves; a leaf's position is its slot
+
+
 class Storage:
     """One sqlite connection plus a content-addressed blob directory.
 
@@ -155,12 +157,11 @@ class Storage:
     """
 
     def __init__(self, db_path: str | Path, data_dir: str | Path) -> None:
-        self.db_path = str(db_path)
         self.data_dir = Path(data_dir)
         self._conn = None
         self._created: list[Path] = []  # blob files made since the last BEGIN
         try:
-            self._conn = sqlite3.connect(self.db_path, isolation_level=None, check_same_thread=False)
+            self._conn = sqlite3.connect(db_path, isolation_level=None, check_same_thread=False)
             (version,) = self._conn.execute("PRAGMA user_version").fetchone()
         except sqlite3.Error as exc:  # a missing directory, or a file that is not sqlite
             if self._conn is not None:
@@ -178,9 +179,8 @@ class Storage:
         except OSError as exc:
             self._conn.close()
             raise StorageError(f"data directory {self.data_dir}: {exc.strerror}") from exc
-        if self.db_path != ":memory:":
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA wal_autocheckpoint=10000")
+        self._conn.execute("PRAGMA journal_mode=WAL")  # an in-memory db stays "memory"
+        self._conn.execute("PRAGMA wal_autocheckpoint=10000")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA cache_size=-65536")
         if fresh:
@@ -213,54 +213,45 @@ class Storage:
     def tree(self) -> "SqliteTreeStore":
         return SqliteTreeStore(self._conn)
 
-    # -- ACL leaf rows --------------------------------------------------------------
+    def bind_height(self, height: int) -> None:
+        """Stamp ``height`` on a store that holds none; one stamped with another
+        raises :class:`StorageError`.  The stamp is the height plus one."""
+        (stamp,) = self._conn.execute("PRAGMA application_id").fetchone()
+        if stamp == 0:
+            self._conn.execute(f"PRAGMA application_id={height + 1}")
+        elif stamp != height + 1:
+            raise StorageError(f"store holds a tree of height {stamp - 1}, not of height {height}")
 
-    def acl_leaves(self, idx: int) -> list[tuple[int, Leaf]]:
-        """Container ``idx``'s ACL leaves in slot order, from one query."""
-        rows = self._conn.execute(
-            "SELECT slot, idx, next_idx, val FROM acl_leaves WHERE container=? ORDER BY slot",
-            (_key(idx),),
-        ).fetchall()
-        return [(slot, _leaf(*fields)) for slot, *fields in rows]
+    # -- containers and versions --------------------------------------------------
 
-    def acl_put(self, idx: int, items: Iterable[tuple[int, Leaf]]) -> None:
-        """Upsert ``(slot, leaf)`` pairs of container ``idx``'s ACL in one statement.
-
-        ACL leaves are never removed (a revocation writes level 0), so the
-        rows written are always a superset of the rows stored.
-        """
-        container = _key(idx)
-        rows = [
-            (container, slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val) for slot, leaf in items
-        ]
-        if rows:
-            self._conn.execute(
-                "INSERT INTO acl_leaves(container, slot, idx, next_idx, val) VALUES "
-                f"{','.join(['(?,?,?,?,?)'] * len(rows))} "
-                "ON CONFLICT(container, slot) DO UPDATE SET "
-                "idx=excluded.idx, next_idx=excluded.next_idx, val=excluded.val",
-                [field for row in rows for field in row],
-            )
-
-    # -- container and version records -------------------------------------------
-
-    def record_put(self, record: ContainerRecord) -> None:
-        self._conn.execute(
-            "INSERT INTO containers(idx, counter, version_count, acl_root, seal) "
-            "VALUES(?,?,?,?,?) ON CONFLICT(idx) DO UPDATE SET "
-            "counter=excluded.counter, version_count=excluded.version_count, "
-            "acl_root=excluded.acl_root, seal=excluded.seal",
-            (_key(record.idx), record.counter, record.version_count, record.acl_root, record.seal),
-        )
-
-    def record_get(self, idx: int) -> Optional[ContainerRecord]:
+    def container(self, idx: int) -> Optional[ContainerRow]:
+        """Container ``idx``'s row from one query; ``None`` if no leaf holds ``idx``.
+        A damaged row, whose value holds no counter or whose ACL bytes are not
+        whole leaves, raises :class:`StorageError`."""
         row = self._conn.execute(
-            "SELECT counter, version_count, acl_root, seal FROM containers WHERE idx=?",
+            "SELECT slot, next_idx, val, version_count, acl_root, seal, acl FROM leaves "
+            "WHERE idx=?",
             (_key(idx),),
         ).fetchone()
         if row is None:
             return None
-        return ContainerRecord(idx, row[0], row[1], row[2], row[3])
+        slot, next_idx, val, version_count, acl_root, seal, acl = row
+        counter = counter_value(val)
+        if counter is None or len(acl) % LEAF_BYTES:
+            raise StorageError(f"the row of container {idx} is damaged")
+        leaves = [Leaf.decode(acl[at:at + LEAF_BYTES]) for at in range(0, len(acl), LEAF_BYTES)]
+        return ContainerRow(slot, Leaf(idx, int.from_bytes(next_idx, "big"), val),
+                            ContainerRecord(idx, counter, version_count, acl_root, seal), leaves)
+
+    def container_put(self, record: ContainerRecord, acl: Optional[Iterable[Leaf]] = None) -> None:
+        """Store the sealed ``record`` in its container's leaf row, whose value holds
+        the counter, and ``acl``, the ACL leaves in slot order, when it changed."""
+        self._conn.execute(
+            "UPDATE leaves SET version_count=?, acl_root=?, seal=?, acl=COALESCE(?, acl) "
+            "WHERE idx=?",
+            (record.version_count, record.acl_root, record.seal,
+             None if acl is None else b"".join(leaf.encode() for leaf in acl), _key(record.idx)),
+        )
 
     def version_put(self, record: VersionRecord) -> None:
         # A failed statement leaves the enclosing transaction open.
@@ -329,10 +320,8 @@ class Storage:
             raise StorageError(f"content blob unreadable ({exc.strerror})") from exc
 
     def is_empty(self) -> bool:
-        for table in ("nodes", "leaves", "acl_leaves", "containers", "versions"):
-            if self._conn.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone():
-                return False
-        return True
+        return not any(self._conn.execute(f"SELECT 1 FROM {table} LIMIT 1").fetchone()
+                       for table in ("nodes", "leaves", "versions"))
 
 
 class SqliteTreeStore:
@@ -420,10 +409,11 @@ def bulk_prepopulate(
 
     Container ``i`` (1..count) takes slot ``i - 1`` of the circularly linked
     container tree, with counter 2 (one creation plus one content update),
-    one shared version, a sealed record and an owner-only ACL leaf.  The
-    tree's non-zero nodes come from :func:`~tcr.iomt.node_levels` and the
-    seals from :meth:`~tcr.module.ModuleState.seal`; this function only
-    streams the rows into sqlite, one ``executemany`` per table, so time
+    one shared version, a sealed record and an owner-only ACL, all but the
+    version in its leaf row.  The tree's non-zero nodes come from
+    :func:`~tcr.iomt.node_levels` and the seals from
+    :meth:`~tcr.module.ModuleState.seal`; this function only streams the
+    rows into sqlite, one ``executemany`` per table, so time
     and memory follow ``count`` rather than 2^height.  Runs at provisioning
     time, before the module state is put behind the module boundary, since
     sealing needs the module secret.  Returns the new root.
@@ -436,6 +426,7 @@ def bulk_prepopulate(
         raise StorageError("bulk prepopulation requires a freshly initialized module")
     if owner_idx not in state.user_keys:
         raise StorageError("owner has no key in the module state")
+    storage.bind_height(height)
 
     blobs = blobs if blobs is not None else BlobSet(MOCK_IMAGE, MOCK_BUILD, MOCK_COMPOSE)
     hashes = blobs.hashes()
@@ -456,34 +447,24 @@ def bulk_prepopulate(
     levels = list(node_levels(height, container_leaves()))
     root = levels[-1].get(0, ZERO_DIGEST)
 
-    owner_key = _key(owner_idx)
+    acl = owner.encode()
     conn = storage._conn
+    (journal_mode,) = conn.execute("PRAGMA journal_mode").fetchone()
     conn.execute("PRAGMA journal_mode=OFF")
     conn.execute("PRAGMA synchronous=OFF")
     try:
         conn.execute("BEGIN")
         conn.executemany(
-            "INSERT INTO leaves VALUES(?,?,?,?)",
+            "INSERT INTO leaves VALUES(?,?,?,?,?,?,?,?)",
             (
-                (slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val)
+                (slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val, version, acl_root,
+                 state.seal(ContainerRecord(leaf.idx, counter, version, acl_root)), acl)
                 for slot, leaf in container_leaves()
             ),
         )
         conn.executemany(
-            "INSERT INTO acl_leaves VALUES(?,?,?,?,?)",
-            ((_key(idx), 0, owner_key, owner_key, owner.val) for idx in indices),
-        )
-        conn.executemany(
             "INSERT INTO nodes VALUES(?,?)",
             ((pos, level[pos]) for level in reversed(levels) for pos in sorted(level)),
-        )
-        conn.executemany(
-            "INSERT INTO containers VALUES(?,?,?,?,?)",
-            (
-                (_key(idx), counter, version, acl_root,
-                 state.seal(ContainerRecord(idx, counter, version, acl_root)))
-                for idx in indices
-            ),
         )
         conn.executemany(
             "INSERT INTO versions VALUES(?,?,?,?,?,?,?,?,?)",
@@ -499,8 +480,9 @@ def bulk_prepopulate(
         conn.execute("ROLLBACK")
         raise
     finally:
-        if storage.db_path != ":memory:":
-            conn.execute("PRAGMA journal_mode=WAL")
+        # Exactly the mode it had: an in-memory store keeps "memory", so its
+        # later transactions can still roll back.
+        conn.execute(f"PRAGMA journal_mode={journal_mode}")
         conn.execute("PRAGMA synchronous=NORMAL")
 
     state.root = root

@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import random
 import secrets
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -13,6 +15,7 @@ from tcr.client import UserCredential
 from tcr.iomt import Geometry, Iomt, IomtError, Leaf, leaf_digest, left_child, right_child
 from tcr.merkle import Side, ZERO_DIGEST, parent
 from tcr.module import ContainerRecord, ModuleState, TrustedModule, VersionRecord
+from tcr.server import RepositoryServer
 from tcr.service import Service
 from tcr.storage import Storage
 
@@ -83,6 +86,21 @@ CREATE TABLE versions(idx BLOB NOT NULL, version INTEGER NOT NULL,
 INSERT INTO versions VALUES(zeroblob(8), 1, zeroblob(32), zeroblob(32), zeroblob(32),
     zeroblob(32), zeroblob(32), zeroblob(32), zeroblob(32));
 PRAGMA user_version=3;
+"""
+
+
+# The version-4 layout: a container's sealed record and its ACL leaves sat in
+# tables of their own beside its leaf row.
+V4_LAYOUT = """
+CREATE TABLE leaves(slot INTEGER PRIMARY KEY, idx BLOB NOT NULL, next_idx BLOB NOT NULL,
+    val BLOB NOT NULL);
+CREATE TABLE acl_leaves(container BLOB NOT NULL, slot INTEGER NOT NULL, idx BLOB NOT NULL,
+    next_idx BLOB NOT NULL, val BLOB NOT NULL, PRIMARY KEY(container, slot)) WITHOUT ROWID;
+CREATE TABLE containers(idx BLOB PRIMARY KEY, counter INTEGER NOT NULL,
+    version_count INTEGER NOT NULL, acl_root BLOB NOT NULL, seal BLOB NOT NULL) WITHOUT ROWID;
+INSERT INTO leaves VALUES(0, zeroblob(8), zeroblob(8), zeroblob(32));
+INSERT INTO containers VALUES(zeroblob(8), 1, 0, zeroblob(32), zeroblob(32));
+PRAGMA user_version=4;
 """
 
 
@@ -168,7 +186,7 @@ def acl_hints(service: Service, idx: int) -> dict:
 def attested_acl_root(service: Service, idx: int) -> bytes:
     """The ACL root a full INFO answer about container ``idx`` attests: the one
     its sealed record names."""
-    return service.storage.record_get(idx).acl_root
+    return service.storage.container(idx).record.acl_root
 
 
 class RecordingFile:
@@ -206,6 +224,25 @@ def wire_transcript(monkeypatch) -> list[bytes]:
 
         monkeypatch.setattr(tcr.client, name, recorded)
     return transcript
+
+
+@contextmanager
+def running_server(directory: Path, keys: Mapping[int, bytes]):
+    """A loopback server at height 6 on a fresh store in ``directory``, run
+    in this process by its own threads until the block ends."""
+    storage = Storage(directory / "wire.db", directory / "blobs")
+    state = ModuleState.fresh(dict(keys))
+    service = Service(storage, TrustedModule(state), height=6)
+    server = RepositoryServer(("127.0.0.1", 0), service, state=state,
+                              state_path=directory / "module.bin")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        storage.close()
 
 
 @pytest.fixture

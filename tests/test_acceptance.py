@@ -163,7 +163,7 @@ def test_criterion_3_tamper_detection(tmp_path):
     _modify(service, cred, 10, 1)
     _grant(service, cred, 10, 2, 2, 1)
 
-    record = storage.record_get(10)
+    record = storage.container(10).record
     version = storage.version_get(10, 1)
     container_proof = service._container_proof(10)
     acl = service.acl_tree(10)
@@ -261,12 +261,12 @@ def test_criterion_4_access_control(tmp_path):
     outcomes = {}
     for user, level in sorted(levels.items()):
         cred = creds[user]
-        record = storage.record_get(10)
+        record = storage.container(10).record
 
         env, modified = _modify(service, cred, 10, record.counter)
         can_modify = modified is not None
 
-        record = storage.record_get(10)
+        record = storage.container(10).record
         try:
             _grant(service, cred, 10, record.counter, 6, 1)
             can_admin = True

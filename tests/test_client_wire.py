@@ -21,7 +21,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import RecordingFile, stored_files
+from conftest import RecordingFile, running_server, stored_files
 from tcr import server as server_module
 from tcr import wire
 from tcr.client import (
@@ -42,12 +42,10 @@ from tcr.module import (
     ModuleState,
     RequestEnvelope,
     RequestKind,
-    TrustedModule,
     VerifyResponse,
     secret_commitment,
 )
 from tcr.server import RepositoryServer
-from tcr.service import Service
 from tcr.storage import CIPHER_ID, BlobSet, Storage, content_digest
 from tcr.wire import (
     STATUS_DENIED,
@@ -65,17 +63,8 @@ IMAGE, BUILD, COMPOSE = b"image" * 500, b"FROM scratch\n", b"services: {}\n"
 
 @pytest.fixture
 def env(tmp_path, user_keys):
-    storage = Storage(tmp_path / "wire.db", tmp_path / "blobs")
-    state = ModuleState.fresh(user_keys)
-    service = Service(storage, TrustedModule(state), height=6)
-    server = RepositoryServer(("127.0.0.1", 0), service, state=state,
-                              state_path=tmp_path / "module.bin")
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, user_keys
-    server.shutdown()
-    server.server_close()
-    storage.close()
+    with running_server(tmp_path, user_keys) as server:
+        yield server, user_keys
 
 
 def client_for(server, keys, user) -> RepositoryClient:
@@ -480,6 +469,37 @@ class TestWireFlows:
         ):
             status, body = server.dispatch(op, payload, "127.0.0.1")
             assert status == STATUS_ERROR and body["message"].startswith("malformed request")
+
+
+    @pytest.mark.parametrize("wrapped, commitment", [
+        ("00" * 32, "11" * 31), ("00" * 31, "11" * 32), ("00" * 32, "zz" * 32),
+        ("00" * 32, None), (None, "11" * 32),
+    ], ids=["short-commitment", "short-wrapped-secret", "non-hex", "no-commitment", "no-secret"])
+    def test_secret_fields_are_checked_before_any_content_is_hashed(
+        self, env, monkeypatch, wrapped, commitment
+    ):
+        server, keys = env
+        alice = client_for(server, keys, 1)
+        alice.create(5)
+        files, root = stored_files(server.service.storage), server.service.module.root
+        blobs = BlobSet(IMAGE, BUILD, COMPOSE)
+        signed = bytes.fromhex(commitment) if commitment and commitment != "zz" * 32 else ZERO_DIGEST
+        envelope = alice.credential.sign_request(
+            RequestKind.CONTAINER, 5, 1, content_digest(blobs.hashes(), signed)
+        )
+        payload = {**wire.envelope_to_json(envelope), "blobs": blobs}
+        for name, value in (("wrapped_secret", wrapped), ("secret_commitment", commitment)):
+            if value is not None:
+                payload[name] = value
+
+        def hashed(self):
+            raise AssertionError("content hashed")
+
+        monkeypatch.setattr(BlobSet, "hashes", hashed)
+        status, body = server.dispatch("MODIFY", payload, "127.0.0.1")
+        assert status == STATUS_ERROR and body["message"].startswith("malformed request")
+        assert stored_files(server.service.storage) == files
+        assert server.service.module.root == root
 
 
 class TestMessageBound:
@@ -1480,6 +1500,38 @@ class TestCli:
 
         self.check_refused(tmp_path, monkeypatch, 3, V3_LAYOUT)
 
+    def test_server_refuses_a_version_4_store(self, tmp_path, monkeypatch):
+        from conftest import V4_LAYOUT
+
+        self.check_refused(tmp_path, monkeypatch, 4, V4_LAYOUT)
+
+    @pytest.mark.parametrize("height", [6, 10])
+    def test_server_refuses_a_store_of_another_height(self, tmp_path, monkeypatch, height):
+        # A store bound at height 8 is never served at another height: each
+        # INFO would be answered "no proof exists" instead.
+        from tcr.module import save_state
+        from tcr.server import main as server_main
+        from tcr.storage import bulk_prepopulate
+
+        self.never_serve(monkeypatch)
+        db, state_file = tmp_path / "repo.db", tmp_path / "module.bin"
+        storage = Storage(db, tmp_path / "blobs")
+        state = ModuleState.fresh({1: STUB_KEY})
+        bulk_prepopulate(storage, 8, 5, 1, state)
+        storage.close()
+        save_state(state, state_file)
+        before = db.read_bytes()
+        argv = ["--listen", "127.0.0.1:0", "--db", str(db), "--module-state", str(state_file),
+                "--data-dir", str(tmp_path / "blobs")]
+        with pytest.raises(SystemExit) as stopped:
+            server_main(argv + ["--height", str(height)])
+        assert str(stopped.value.code) == (
+            f"cannot open {db}: store holds a tree of height 8, not of height {height}"
+        )
+        assert db.read_bytes() == before
+        with pytest.raises(AssertionError, match="started serving"):  # its own height is served
+            server_main(argv + ["--height", "8"])
+
     def check_refused(self, tmp_path, monkeypatch, version, layout):
         from tcr.server import main as server_main
 
@@ -1491,7 +1543,7 @@ class TestCli:
         before = db.read_bytes()
         users = tmp_path / "users.json"
         users.write_text(json.dumps({"1": "00" * 32}))
-        match = f"schema version {version}.*needs 4.*provision a fresh store"
+        match = f"schema version {version}.*needs 5.*provision a fresh store"
         with pytest.raises(SystemExit, match=match):
             server_main(["--listen", "127.0.0.1:0", "--db", str(db), "--module-state",
                          str(tmp_path / "module.bin"), "--height", "4", "--data-dir",

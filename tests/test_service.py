@@ -23,7 +23,14 @@ from tcr.iomt import Iomt, Leaf, TreeFullError, counter_digest
 from tcr.merkle import ZERO_DIGEST, sha256
 from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule
 from tcr.service import CACHE_ENTRIES, STEPS, ProtocolError, Service, StepClock
-from tcr.storage import ACL_HEIGHT, BlobSet, Storage, bulk_prepopulate, content_digest
+from tcr.storage import (
+    ACL_HEIGHT,
+    BlobSet,
+    Storage,
+    StorageError,
+    bulk_prepopulate,
+    content_digest,
+)
 
 BLOBS = BlobSet(b"layer-bytes" * 200, b"FROM base\n", b"services: {app: {}}\n")
 
@@ -39,11 +46,19 @@ def signed_modify(cred: UserCredential, idx: int, counter: int, blobs: BlobSet =
 
 
 def dump_store(storage) -> list:
-    tables = ("nodes", "leaves", "acl_leaves", "containers", "versions")
+    tables = ("nodes", "leaves", "versions")
     out = []
     for table in tables:
         out.append(storage._conn.execute(f"SELECT * FROM {table} ORDER BY 1, 2").fetchall())
     return out
+
+
+def put_acl(storage, idx, leaves) -> None:
+    """Overwrite container ``idx``'s stored ACL with ``leaves``, as packed bytes."""
+    storage._conn.execute(
+        "UPDATE leaves SET acl=? WHERE idx=?",
+        (b"".join(leaf.encode() for leaf in leaves), idx.to_bytes(8, "big")),
+    )
 
 
 def foreign_creation(service, cred, idx):
@@ -97,7 +112,7 @@ class TestCreate:
         assert result is not None
         assert cred.verify_ack(env, result.ack)
         record = result.record
-        assert record == service.storage.record_get(7)
+        assert record == service.storage.container(7).record
         assert (record.idx, record.counter, record.version_count, record.acl_root) == (
             7, 1, 0, cred.initial_acl_root()
         )
@@ -450,7 +465,7 @@ def test_a_grant_past_a_full_acl_is_refused(tmp_path):
         with pytest.raises(TreeFullError):
             predicted_acl_root(hints, 999, 1, acl_root=attested_acl_root(service, 7))
         root = module.root
-        counter = storage.record_get(7).counter
+        counter = storage.container(7).record.counter
         env = OWNER.sign_request(RequestKind.ACL, 7, counter, service.acl_tree(7).root)
         with pytest.raises(ProtocolError):
             service.handle_acl_set(env, 999, 1)
@@ -656,11 +671,12 @@ class TestFetch:
 class TestStatementCounts:
     def test_verified_queries_at_h16(self, tmp_path, user_keys, credentials):
         # No cached container proof, so the container path is read: each
-        # query asks for another container than the one before.  Cold, on a
-        # fresh service, the ACL tree costs one read of its leaf rows.  Warm,
-        # on another container under the same ACL root (every prepopulated
-        # container has the owner-only ACL), the view and the caller's ACL
-        # proof are cached and the ACL costs nothing.
+        # query asks for another container than the one before.  A present
+        # container is one row read, its version row and its path, cold or
+        # warm: its ACL leaves come in its row, so a cold view costs no
+        # statement, and warm, on another container under the same ACL root
+        # (every prepopulated container has the owner-only ACL), the view and
+        # the caller's ACL proof are cached.
         storage = Storage(tmp_path / "h16.db", tmp_path / "blobs")
         state = ModuleState.fresh(user_keys)
         bulk_prepopulate(storage, 16, 8, 1, state)
@@ -678,11 +694,11 @@ class TestStatementCounts:
             return fetched.response
 
         # user 2 holds no access, so its query is a denial; an absent index
-        # is denied from its record lookup, the leaf enclosing it and that path
+        # is denied from its row lookup, the leaf enclosing it and that path
         cases = [
-            (info, 1, Verdict.VERIFIED, (5, 5), (1, 4)),
-            (fetch, 1, Verdict.VERIFIED, (6, 5), (2, 4)),
-            (info, 2, Verdict.DENIED, (7, 5), (3, 4)),
+            (info, 1, Verdict.VERIFIED, (5, 3), (1, 3)),
+            (fetch, 1, Verdict.VERIFIED, (6, 3), (2, 3)),
+            (info, 2, Verdict.DENIED, (7, 3), (3, 3)),
             (info, 2, Verdict.DENIED, (100, 3), (200, 3)),
         ]
         for query, user, verdict, cold, warm in cases:
@@ -700,14 +716,15 @@ class TestStatementCounts:
         service = Service(storage, module, height=16)
         statements: list[str] = []
         storage._conn.set_trace_callback(statements.append)
-        for idx, count in ((100, 10), (200, 12)):
+        for idx, count in ((100, 9), (200, 11)):
             statements.clear()
             assert service.handle_create(signed_create(credentials[1], idx)) is not None
             assert len(statements) == count, statements
 
     def test_writes_at_h16(self, tmp_path, user_keys, credentials):
         # One transaction each: create, modify, a new grant and a re-grant.
-        # An ACL is read as one query and written back as one upsert.
+        # A container's row, its ACL included, is read in one query and its
+        # sealed record, with the ACL when it changed, written in one update.
         storage = Storage(tmp_path / "h16.db", tmp_path / "blobs")
         state = ModuleState.fresh(user_keys)
         bulk_prepopulate(storage, 16, 8, 1, state)
@@ -721,14 +738,14 @@ class TestStatementCounts:
             assert handle(*args) is not None
             return len(statements)
 
-        assert counted(service.handle_create, signed_create(cred, 100)) == 12, statements
-        assert counted(service.handle_modify, signed_modify(cred, 5, 2), BLOBS) == 10, statements
+        assert counted(service.handle_create, signed_create(cred, 100)) == 11, statements
+        assert counted(service.handle_modify, signed_modify(cred, 5, 2), BLOBS) == 8, statements
         for counter, level in ((3, 1), (4, 2)):  # new grant, then re-grant
             root = predicted_acl_root(
                 acl_hints(service, 5), 2, level, acl_root=attested_acl_root(service, 5)
             )
             env = cred.sign_request(RequestKind.ACL, 5, counter, root)
-            assert counted(service.handle_acl_set, env, 2, level) == 10, statements
+            assert counted(service.handle_acl_set, env, 2, level) == 7, statements
         assert service.module.root == service.container_tree().root
         storage.close()
 
@@ -812,7 +829,7 @@ class TestEpochSafety:
         service.handle_create(signed_create(cred, 7))
         service.handle_modify(signed_modify(cred, 7, 1), BLOBS)
         stale_proof = service._container_proof(7)
-        record = service.storage.record_get(7)
+        record = service.storage.container(7).record
         service.handle_modify(signed_modify(cred, 7, 2), BLOBS)
         response = service.module.verify_container(
             1, secrets.token_bytes(32), 7, 1, stale_proof,
@@ -829,7 +846,7 @@ def grant(service, cred, idx, target, level):
     root = predicted_acl_root(
         acl_hints(service, idx), target, level, acl_root=attested_acl_root(service, idx)
     )
-    counter = service.storage.record_get(idx).counter
+    counter = service.storage.container(idx).record.counter
     assert service.handle_acl_set(cred.sign_request(RequestKind.ACL, idx, counter, root), target, level)
     return root
 
@@ -861,8 +878,9 @@ class TestAclCache:
         borrowed = grant(service, owner, 7, 2, 1)
         assert info_verdict(service, credentials, 7, 2)[0] == Verdict.VERIFIED
         assert service._cache.get(("acl_view",), borrowed) is not None
-        record = service.storage.record_get(8)
-        service.storage.record_put(dataclasses.replace(record, acl_root=borrowed))  # seal kept
+        service.storage._conn.execute(  # the seal kept
+            "UPDATE leaves SET acl_root=? WHERE idx=?", (borrowed, (8).to_bytes(8, "big"))
+        )
         for user in (1, 2):
             with pytest.raises(ProtocolError):
                 service.handle_info(8, 0, secrets.token_bytes(32), user)
@@ -875,9 +893,9 @@ class TestAclCache:
         service.handle_modify(signed_modify(owner, 9, 1), BLOBS)
         sealed_root = grant(service, owner, 9, 3, 1)  # a root no query has cached yet
         assert service._cache.get(("acl_view",), sealed_root) is None
-        rows = service.storage.acl_leaves(9)
-        slot, leaf = next((s, l) for s, l in rows if l.idx == 3)
-        service.storage.acl_put(9, [(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(2)))])
+        leaves = service.storage.container(9).acl
+        damaged = [Leaf(l.idx, l.next_idx, counter_digest(2)) if l.idx == 3 else l for l in leaves]
+        put_acl(service.storage, 9, damaged)
         damaged_root = service.acl_tree(9).root
         assert damaged_root != sealed_root
         for _ in range(2):
@@ -885,7 +903,7 @@ class TestAclCache:
                 service.handle_info(9, 0, secrets.token_bytes(32), 1)
         views = [e for e in service._cache._entries.values() if isinstance(e, Iomt)]
         assert all(view.root not in (damaged_root, sealed_root) for view in views)
-        service.storage.acl_put(9, rows)  # the proper rows back, no restart
+        put_acl(service.storage, 9, leaves)  # the proper leaves back, no restart
         assert info_verdict(service, credentials, 9, 1)[0] == Verdict.VERIFIED
         assert info_verdict(service, credentials, 9, 3)[0] == Verdict.VERIFIED
 
@@ -894,8 +912,8 @@ class TestAclCache:
         for idx in (7, 8):
             service.handle_create(signed_create(owner, idx))
             service.handle_modify(signed_modify(owner, idx, 1), BLOBS)
-        shared = service.storage.record_get(7).acl_root
-        assert service.storage.record_get(8).acl_root == shared
+        shared = service.storage.container(7).record.acl_root
+        assert service.storage.container(8).record.acl_root == shared
         _, hints_before = info_verdict(service, credentials, 8, 1)
         proof_before = service._cache.get(("acl", 1), shared)
         assert proof_before is not None
@@ -1050,3 +1068,81 @@ class TestConsistencyAcrossRestart:
         info = service2.handle_info(7, 1, nonce, 1)
         assert check_info_response(cred, info.response, nonce, 7) == Verdict.VERIFIED
         storage2.close()
+
+
+class TestStoreBinding:
+    @pytest.mark.parametrize("height", [6, 10])
+    def test_a_store_is_served_at_the_height_it_was_filled_at_only(
+        self, tmp_path, user_keys, credentials, height
+    ):
+        storage = Storage(tmp_path / "h8.db", tmp_path / "blobs")
+        state = ModuleState.fresh(user_keys)
+        bulk_prepopulate(storage, 8, 5, 1, state)
+        module = TrustedModule(state)
+        with pytest.raises(StorageError, match=f"height 8, not of height {height}$"):
+            Service(storage, module, height)
+        service = Service(storage, module, 8)
+        nonce = secrets.token_bytes(32)
+        info = service.handle_info(3, 0, nonce, 1)
+        assert check_info_response(credentials[1], info.response, nonce, 3) == Verdict.VERIFIED
+        storage.close()
+        reopened = Storage(tmp_path / "h8.db", tmp_path / "blobs")  # the stamp outlives a restart
+        with pytest.raises(StorageError, match="height 8"):
+            Service(reopened, module, height)
+        reopened.close()
+
+    def test_the_first_service_binds_a_fresh_store(self, storage, module, user_keys):
+        Service(storage, module, 6)
+        Service(storage, module, 6)
+        with pytest.raises(StorageError, match="height 6, not of height 7$"):
+            bulk_prepopulate(storage, 7, 3, 1, ModuleState.fresh(user_keys))
+        assert storage.is_empty()
+
+    def test_an_in_memory_store_rolls_back_after_bulk_prepopulation(
+        self, tmp_path, user_keys, credentials
+    ):
+        storage = Storage(":memory:", tmp_path / "blobs")
+        state = ModuleState.fresh(user_keys)
+        bulk_prepopulate(storage, 6, 5, 1, state)
+        service = Service(storage, TrustedModule(state), height=6)
+        before = dump_store(storage)
+        forged = dataclasses.replace(signed_modify(credentials[1], 3, 2), sig=bytes(32))
+        assert service.handle_modify(forged, BLOBS) is None
+        assert dump_store(storage) == before
+        assert service.module.root == service.container_tree().root
+        assert service.handle_modify(signed_modify(credentials[1], 3, 2), BLOBS) is not None
+        assert service.module.root == service.container_tree().root
+        storage.close()
+
+
+class TestDamagedRows:
+    """A row the store cannot read back is a protocol error, and nothing read
+    from it is cached."""
+
+    @pytest.mark.parametrize("column, value", [
+        ("val", sha256(b"no counter")),
+        ("acl", bytes(47)),
+        ("acl", bytes(97)),
+    ], ids=["value-without-counter", "acl-short-of-a-leaf", "acl-past-two-leaves"])
+    def test_every_request_on_it_is_a_protocol_error(self, service, credentials, column, value):
+        owner = credentials[1]
+        service.handle_create(signed_create(owner, 7))
+        service.handle_modify(signed_modify(owner, 7, 1), BLOBS)
+        service.storage._conn.execute(
+            f"UPDATE leaves SET {column}=? WHERE idx=?", (value, (7).to_bytes(8, "big"))
+        )
+        cached = dict(service._cache._entries)
+        root = service.module.root
+        nonce = secrets.token_bytes(32)
+        for user in (1, 2):
+            with pytest.raises(ProtocolError, match="container 7 is damaged"):
+                service.handle_info(7, 0, nonce, user)
+            with pytest.raises(ProtocolError, match="container 7 is damaged"):
+                service.handle_fetch(7, 1, user, nonce=nonce)
+        with pytest.raises(ProtocolError, match="container 7 is damaged"):
+            service.handle_modify(signed_modify(owner, 7, 2), BLOBS)
+        with pytest.raises(ProtocolError, match="container 7 is damaged"):
+            service.handle_acl_set(owner.sign_request(RequestKind.ACL, 7, 2, sha256(b"a")), 2, 1)
+        assert service._cache._entries == cached
+        assert service.module.root == root
+

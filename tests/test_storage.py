@@ -13,6 +13,7 @@ from conftest import (
     V1_TREE_LAYOUT,
     V2_LAYOUT,
     V3_LAYOUT,
+    V4_LAYOUT,
     oracle_root,
     stored_files,
 )
@@ -31,6 +32,7 @@ from tcr.module import ContainerRecord, ModuleState, TrustedModule, VersionRecor
 from tcr.storage import (
     SCHEMA_VERSION,
     BlobSet,
+    ContainerRow,
     Storage,
     StorageError,
     StoreNotEmptyError,
@@ -212,14 +214,51 @@ class TestSparseDenseEquivalence:
             storage.close()
 
 
+def put_container(storage, slot: int, record: ContainerRecord, acl=None) -> Leaf:
+    """Write ``record``'s container as the self-linked leaf in ``slot``, then its row."""
+    leaf = Leaf(record.idx, record.idx, counter_digest(record.counter))
+    storage.tree().set_leaf(slot, leaf)
+    storage.container_put(record, acl)
+    return leaf
+
+
 class TestRecords:
     def test_container_round_trip(self, storage):
         record = ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal"))
-        storage.record_put(record)
-        assert storage.record_get(7) == record
+        acl = [Leaf(1, 4, counter_digest(3)), Leaf(4, 1, counter_digest(1))]
+        leaf = put_container(storage, 3, record, acl)
+        assert storage.container(7) == ContainerRow(3, leaf, record, acl)
 
     def test_absent_container_signals_absence(self, storage):
-        assert storage.record_get(12345) is None
+        assert storage.container(12345) is None
+
+    def test_counter_is_read_from_the_leaf_value(self, storage):
+        put_container(storage, 0, ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal")))
+        storage.tree().set_leaf(0, Leaf(7, 7, counter_digest(5)))
+        assert storage.container(7).record.counter == 5
+
+    def test_record_write_keeps_the_acl_unless_given_and_a_relink_keeps_both(self, storage):
+        record = ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal"))
+        acl = [Leaf(1, 1, counter_digest(3))]
+        put_container(storage, 0, record, acl)
+        later = ContainerRecord(7, 2, 2, sha256(b"acl"), sha256(b"seal2"))
+        storage.container_put(later)
+        assert storage.container(7).acl == acl
+        storage.tree().set_leaf(0, Leaf(7, 9, counter_digest(2)))  # relinked, as an encloser is
+        assert storage.container(7) == ContainerRow(0, Leaf(7, 9, counter_digest(2)), later, acl)
+
+    @pytest.mark.parametrize("damage", [
+        ("val", sha256(b"not a counter")),
+        ("val", b"short"),
+        ("acl", Leaf(1, 1, counter_digest(3)).encode()[:-1]),
+        ("acl", bytes(49)),
+    ])
+    def test_damaged_row_raises_storage_error(self, storage, damage):
+        put_container(storage, 0, ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal")))
+        column, value = damage
+        storage._conn.execute(f"UPDATE leaves SET {column}=? WHERE slot=0", (value,))
+        with pytest.raises(StorageError, match="container 7 is damaged"):
+            storage.container(7)
 
     def test_version_immutable(self, storage):
         hashes = BlobSet(b"i", b"b", b"c").hashes()
@@ -229,11 +268,12 @@ class TestRecords:
         with pytest.raises(VersionExistsError):
             storage.version_put(record)
         # The refused insert leaves the enclosing transaction open.
+        container = ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal"))
         with storage.transaction():
-            storage.record_put(ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal")))
+            put_container(storage, 0, container)
             with pytest.raises(VersionExistsError):
                 storage.version_put(record)
-        assert storage.record_get(7).counter == 2
+        assert storage.container(7).record == container
 
 
 class TestBlobs:
@@ -290,9 +330,9 @@ class TestDurability:
     def test_reopen_preserves_everything(self, tmp_path, keys):
         storage = Storage(tmp_path / "d.db", tmp_path / "blobs")
         tree = Iomt(3, storage.tree())
-        tree.upsert(5, ZERO_DIGEST)
+        tree.upsert(5, counter_digest(1))
         record = ContainerRecord(5, 1, 0, sha256(b"a"), sha256(b"s"))
-        storage.record_put(record)
+        storage.container_put(record, [Leaf(1, 1, counter_digest(3))])
         blobs = BlobSet(b"i", b"b", b"c")
         storage.blob_put(blobs, blobs.hashes())
         version = VersionRecord(
@@ -306,7 +346,8 @@ class TestDurability:
         tree2 = Iomt(3, reopened.tree())
         assert tree2.root == root
         assert tree2.locate(5)[1].idx == 5
-        assert reopened.record_get(5) == record
+        assert reopened.container(5).record == record
+        assert reopened.container(5).acl == [Leaf(1, 1, counter_digest(3))]
         assert reopened.version_get(5, 1) == version
         assert reopened.blob_get(version.hashes) == blobs
         reopened.close()
@@ -323,38 +364,42 @@ class TestDurability:
 
 class TestAclIsolation:
     def test_edits_do_not_cross_trees(self, storage):
-        storage.acl_put(1, [(0, Leaf(1, 1, counter_digest(3)))])
-        storage.acl_put(2, [(0, Leaf(2, 2, counter_digest(3)))])
-        b_before = storage.acl_leaves(2)
-        a = Iomt.from_leaves(3, storage.acl_leaves(1))
+        for slot, idx in enumerate((1, 2)):
+            put_container(storage, slot, ContainerRecord(idx, 1, 0, sha256(b"a"), sha256(b"s")),
+                          [Leaf(idx, idx, counter_digest(3))])
+        b_before = storage.container(2).acl
+        a = Iomt.from_leaves(3, enumerate(storage.container(1).acl))
         a.upsert(9, counter_digest(1))
-        storage.acl_put(1, a.leaves())
-        assert storage.acl_leaves(2) == b_before == [(0, Leaf(2, 2, counter_digest(3)))]
-        assert storage.acl_leaves(1) == [
-            (0, Leaf(1, 9, counter_digest(3))),
-            (1, Leaf(9, 1, counter_digest(1))),
+        storage.container_put(storage.container(1).record, [leaf for _, leaf in a.leaves()])
+        assert storage.container(2).acl == b_before == [Leaf(2, 2, counter_digest(3))]
+        assert storage.container(1).acl == [
+            Leaf(1, 9, counter_digest(3)),
+            Leaf(9, 1, counter_digest(1)),
         ]
-        assert Iomt.from_leaves(3, storage.acl_leaves(1)).root == a.root
+        assert Iomt.from_leaves(3, enumerate(storage.container(1).acl)).root == a.root
 
-    def test_put_is_one_statement_and_overwrites(self, storage):
+    def test_whole_acl_is_one_statement_each_way(self, storage):
+        record = ContainerRecord(1, 1, 0, sha256(b"a"), sha256(b"s"))
+        put_container(storage, 0, record)
+        acl = [Leaf(slot, slot, counter_digest(3)) for slot in range(256)]
+        acl[7] = Leaf(7, 7, ZERO_DIGEST)  # a revocation
         statements: list[str] = []
         storage._conn.set_trace_callback(statements.append)
-        storage.acl_put(1, [(slot, Leaf(slot, slot, counter_digest(3))) for slot in range(256)])
-        storage.acl_put(1, [(7, Leaf(7, 7, ZERO_DIGEST))])  # a revocation
-        storage.acl_put(1, [])
-        assert len(statements) == 2, statements
+        storage.container_put(record, acl)
+        assert len(statements) == 1, statements
         statements.clear()
-        leaves = storage.acl_leaves(1)
+        row = storage.container(1)
         assert len(statements) == 1
         storage._conn.set_trace_callback(None)
-        assert len(leaves) == 256 and leaves[7] == (7, Leaf(7, 7, ZERO_DIGEST))
-        assert storage.acl_leaves(2) == []
+        assert row.acl == acl
+        assert storage.container(2) is None
 
     def test_u64_container_keys(self, storage):
         top = (1 << 64) - 1
-        storage.acl_put(top, [(0, Leaf(top, top, counter_digest(3)))])
-        assert storage.acl_leaves(top) == [(0, Leaf(top, top, counter_digest(3)))]
-        assert storage.acl_leaves(top - 1) == []
+        put_container(storage, 0, ContainerRecord(top, 1, 0, sha256(b"a"), sha256(b"s")),
+                      [Leaf(top, top, counter_digest(3))])
+        assert storage.container(top).acl == [Leaf(top, top, counter_digest(3))]
+        assert storage.container(top - 1) is None
 
 
 class TestBulkPrepopulate:
@@ -381,23 +426,24 @@ class TestBulkPrepopulate:
             written.set_leaf(slot, leaf)
         stored = dict(storage._conn.execute("SELECT pos, digest FROM nodes").fetchall())
         assert stored == written.store._nodes
-        # One owner-only ACL leaf row per container, under the record's ACL root.
-        owner_acl = [(0, Leaf(1, 1, counter_digest(3)))]
-        assert storage._conn.execute("SELECT COUNT(*) FROM acl_leaves").fetchone()[0] == count
-        assert storage.acl_leaves(1) == storage.acl_leaves(count) == owner_acl
-        assert storage.acl_leaves(count + 1) == []
-        record = storage.record_get(1)
-        assert record.acl_root == Iomt.from_leaves(8, owner_acl).root
+        # One owner-only ACL in every container's row, under the record's ACL root.
+        owner_acl = [Leaf(1, 1, counter_digest(3))]
+        stored_acls = "SELECT COUNT(*) FROM leaves WHERE acl=?"
+        assert storage._conn.execute(stored_acls, (owner_acl[0].encode(),)).fetchone()[0] == count
+        assert storage.container(1).acl == storage.container(count).acl == owner_acl
+        assert storage.container(count + 1) is None
+        record = storage.container(1).record
+        assert record.acl_root == Iomt.from_leaves(8, enumerate(owner_acl)).root
         assert record.counter == 2 and record.version_count == 1
         # Seals verify under the module built from the same state.
         module = TrustedModule(state)
-        acl_proof = (owner_acl[0][1], Iomt.from_leaves(8, owner_acl).complement_path(0))
+        acl_proof = (owner_acl[0], Iomt.from_leaves(8, enumerate(owner_acl)).complement_path(0))
         for idx in (1, count):
             slot, leaf = tree.locate(idx)
             version = storage.version_get(idx, 1)
             response = module.verify_container(
                 1, bytes(32), idx, 1, (leaf, tree.complement_path(slot)),
-                record=storage.record_get(idx), acl_proof=acl_proof, version=version,
+                record=storage.container(idx).record, acl_proof=acl_proof, version=version,
             )
             assert not response.denied and response.content_digest == version.content_digest
         storage.close()
@@ -439,7 +485,8 @@ class TestBulkPrepopulate:
             bulk_prepopulate(storage, 3, 2, 1, ModuleState.fresh(keys))
         storage.close()
         storage = Storage(tmp_path / "g.db", tmp_path / "blobs")
-        storage.acl_put(4, [(0, Leaf(1, 1, counter_digest(3)))])
+        storage.version_put(VersionRecord(4, 1, ZERO_DIGEST, ZERO_DIGEST, sha256(b"d"), sha256(b"s"),
+                                          BlobSet(b"i", b"b", b"c").hashes()))
         with pytest.raises(StoreNotEmptyError):
             bulk_prepopulate(storage, 3, 2, 1, ModuleState.fresh(keys))
         storage.close()
@@ -477,7 +524,9 @@ class TestSchemaVersion:
     def test_fresh_store_is_stamped(self, tmp_path):
         Storage(tmp_path / "s.db", tmp_path / "blobs").close()
         conn = sqlite3.connect(tmp_path / "s.db")
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 4
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 5
+        tables = conn.execute("SELECT name FROM sqlite_master WHERE type='table' ORDER BY name")
+        assert [name for (name,) in tables] == ["leaves", "nodes", "versions"]
         conn.close()
         Storage(tmp_path / "s.db", tmp_path / "blobs").close()  # the stamped store reopens
 
@@ -513,6 +562,10 @@ class TestSchemaVersion:
         assert [p for p in blob.parents[1].rglob("*") if p.is_file()] == [blob]
         assert blob.read_bytes() == b"image"
 
+    def test_version_4_store_is_refused(self, tmp_path):
+        # Layout 4 kept the sealed record and the ACL leaves in tables of their own.
+        self.check_refused(tmp_path, 4, V4_LAYOUT)
+
     @staticmethod
     def check_refused(tmp_path, version, layout):
         path = tmp_path / f"v{version}.db"
@@ -522,7 +575,7 @@ class TestSchemaVersion:
         before, had_blobs = path.read_bytes(), (tmp_path / "blobs").exists()
         with pytest.raises(
             StorageError,
-            match=f"schema version {version}, this build needs 4: provision a fresh store",
+            match=f"schema version {version}, this build needs 5: provision a fresh store",
         ):
             Storage(path, tmp_path / "blobs")
         assert path.read_bytes() == before
