@@ -1,15 +1,17 @@
-"""The trusted module: sealed repository root, sealed rows, and procedures.
+"""The trusted module: sealed repository root, container records, sealed versions.
 
 This is the only code that may mutate the repository root or touch the
-module secret and user keys.  Everything it emits is either a sealed row
-(a container or version record the store keeps at rest, with the module's
-MAC over its fields) or a user-facing value MACed under that user's shared key.
+module secret and user keys.  A container is one leaf of the container tree,
+whose value is the digest of the container's record; a version row carries
+the module's MAC over its fields; a user-facing value is MACed under that
+user's shared key.
 
 Every root the module names or moves to is folded in here from a leaf and
 its complement path: ``verify_container`` and ``apply_request`` fold each
 tree read they are given, and ``apply_request`` folds the edited leaf's path
-before and after the edit.  A procedure re-verifies a row's seal before
-trusting a single field.  Rejections return ``None`` and leave the state
+before and after the edit.  A procedure trusts a container record only when
+its digest is the value the container's leaf holds, and a version row only
+when its seal verifies.  Rejections return ``None`` and leave the state
 bit-identical.
 """
 
@@ -23,7 +25,7 @@ from enum import IntEnum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .iomt import Leaf, counter_digest, counter_value, encloses, leaf_digest
+from .iomt import Leaf, counter_value, encloses, leaf_digest
 from .merkle import (
     DIGEST_SIZE,
     Side,
@@ -45,13 +47,17 @@ _TAG_FULL = 0x22
 
 @dataclass(frozen=True)
 class ContainerRecord:
-    """A container's row at rest; ``seal`` is the module's MAC over the other fields."""
+    """A container's record; the container's leaf holds its :meth:`digest`."""
 
     idx: int
     counter: int
     version_count: int
     acl_root: bytes
-    seal: bytes = b""
+
+    def digest(self) -> bytes:
+        """The value of the container's leaf: sha256 over domain byte 7 and the fields."""
+        fields = (7, self.idx, self.counter, self.version_count, self.acl_root)
+        return sha256(encode_fields(("u8", "u64", "u64", "u64", "d32"), fields))
 
 
 @dataclass(frozen=True)
@@ -69,20 +75,16 @@ class VersionRecord:
     hashes: tuple[bytes, ...] = ()  # addresses of the image, build and compose blobs
 
 
-def _sealed_body(row) -> bytes:
-    """The bytes a row's seal covers: a domain byte, then the row's sealed fields.
+def _sealed_body(row: VersionRecord) -> bytes:
+    """The bytes a version row's seal covers: domain byte 6, then its sealed fields.
 
-    The domain byte keeps one row type's seal from verifying as the other's.
-    Rows at rest are sealed under 5 and 6, and 1 to 4 named certificates
-    since retired: 1 to 6 must never be renumbered or reused.
+    Version rows are sealed under 6 and container records digested under 7;
+    1 to 4 named certificates and 5 the container record's seal, all since
+    retired: 1 to 7 must never be renumbered or reused.
     """
-    if type(row) is ContainerRecord:
-        fields = (5, row.idx, row.counter, row.version_count, row.acl_root)
-        return encode_fields(("u8", "u64", "u64", "u64", "d32"), fields)
-    if type(row) is VersionRecord:
-        fields = (6, row.idx, row.version, row.content_digest)
-        return encode_fields(("u8", "u64", "u64", "d32"), fields)
-    raise TypeError(f"{type(row).__name__} is not a sealed row")
+    if type(row) is not VersionRecord:
+        raise TypeError(f"{type(row).__name__} is not a sealed row")
+    return encode_fields(("u8", "u64", "u64", "d32"), (6, row.idx, row.version, row.content_digest))
 
 
 # Sibling digests from a leaf up to the root, each with the side it occupies.
@@ -97,23 +99,38 @@ def _fold(leaf: Optional[Leaf], path: ComplementPath) -> bytes:
     return compute_root(leaf_digest(leaf), [d for d, _ in path], [s for _, s in path])
 
 
-def _read(proof: Optional[RecordProof], idx: int, root: bytes) -> Optional[int]:
-    """The counter ``idx`` holds in the tree of ``root``, as ``proof`` shows it.
+def _read(proof: Optional[RecordProof], idx: int, root: bytes) -> Optional[bytes]:
+    """The value ``idx`` holds in the tree of ``root``, as ``proof`` shows it.
 
     The leaf holding ``idx`` reads as its own value.  A leaf enclosing
-    ``idx`` reads as zero, as a placeholder or a level-0 grant does; so does
-    an empty tree (``leaf=None``), but only under the zero root, the one root
-    free of every index.  ``None`` if the proof does not fold to ``root``,
-    speaks for another index, or holds no counter.
+    ``idx`` reads as the zero digest, as a placeholder or a level-0 grant
+    does; so does an empty tree (``leaf=None``), but only under the zero
+    root, the one root free of every index.  ``None`` if the proof does not
+    fold to ``root`` or speaks for another index.
     """
     if proof is None or _fold(*proof) != root:
         return None
     leaf = proof[0]
     if leaf is None:
-        return 0 if root == ZERO_DIGEST else None
+        return ZERO_DIGEST if root == ZERO_DIGEST else None
     if leaf.idx == idx:
-        return counter_value(leaf.val)
-    return 0 if encloses(leaf.idx, leaf.next_idx, idx) else None
+        return leaf.val
+    return ZERO_DIGEST if encloses(leaf.idx, leaf.next_idx, idx) else None
+
+
+def _access(
+    record: Optional[ContainerRecord], value: bytes, acl_proof: Optional[RecordProof], user_idx: int
+) -> Optional[int]:
+    """The caller's level, read under the ACL root of ``record``; ``None`` unless
+    ``record`` is the one a container leaf of ``value`` holds the digest of, and
+    the proof reads a level under its ACL root."""
+    try:
+        if type(record) is not ContainerRecord or record.digest() != value:
+            return None
+    except (ValueError, TypeError):  # fields that do not encode
+        return None
+    level = _read(acl_proof, user_idx, record.acl_root)
+    return None if level is None else counter_value(level)
 
 
 class RequestKind(IntEnum):
@@ -147,7 +164,7 @@ class RequestEnvelope:
 
 @dataclass(frozen=True)
 class UpdateResult:
-    """The container's new sealed row and, for a content update, the new version's."""
+    """The container's new record and, for a content update, the new version's sealed row."""
 
     record: ContainerRecord
     version: Optional[VersionRecord]  # its secret sealed under the module; no blob addresses
@@ -210,8 +227,8 @@ class ModuleState:
                 raise ValueError("user keys must map u64 indices to 32-byte keys")
         return cls(root=ZERO_DIGEST, secret=secrets.token_bytes(DIGEST_SIZE), user_keys=dict(user_keys))
 
-    def seal(self, row) -> bytes:
-        """MAC of a container or version row's sealed fields under the module secret."""
+    def seal(self, row: VersionRecord) -> bytes:
+        """MAC of a version row's sealed fields under the module secret."""
         return hmac_sha256(_sealed_body(row), self.secret)
 
 
@@ -303,33 +320,6 @@ class TrustedModule:
         """Current repository root; public, but only mutable in here."""
         return self._state.root
 
-    # -- sealed rows ------------------------------------------------------------
-
-    def _sealed(self, row):
-        return replace(row, seal=self._state.seal(row))
-
-    def _seal_ok(self, row, row_type: type) -> bool:
-        """Whether ``row`` is a ``row_type`` whose fields encode and whose seal verifies."""
-        if type(row) is not row_type:
-            return False
-        try:
-            return macs_equal(row.seal, self._state.seal(row))
-        except (ValueError, TypeError):
-            return False
-
-    def _access(
-        self, record: Optional[ContainerRecord], acl_proof: Optional[RecordProof], idx: int,
-        counter: int, user_idx: int,
-    ) -> Optional[int]:
-        """The caller's level, read under the ACL root of a sealed container
-        record that matches ``(idx, counter)``; ``None`` if the seal fails, the
-        record disagrees, or the proof does not read under that root."""
-        if not self._seal_ok(record, ContainerRecord):
-            return None
-        if record.idx != idx or record.counter != counter:
-            return None  # inconsistent evidence
-        return _read(acl_proof, user_idx, record.acl_root)
-
     # -- procedures -------------------------------------------------------------
 
     def apply_request(
@@ -345,19 +335,19 @@ class TrustedModule:
         """Apply a signed user request: creation, content update, or ACL update.
 
         Updates pass the container's ``leaf`` and its complement ``path``,
-        the container's sealed record, and ``acl_proof``, which reads the
-        caller's level under that record's ACL root (2+ to modify content, 3
-        to modify the ACL).  A content update's ``secret`` (the container
-        secret padded under the caller's key for ``(idx, counter)``, and its
-        commitment) is sealed only on acceptance; a bad one refuses it.
-        Creation is an ACL-typed request with counter 0.  It passes the leaf
-        enclosing the new index and its path (both ``None`` in an empty
-        tree), and ``slot_path``, the new slot's path once the encloser is
-        relinked; the relinked encloser must fold to the root of that empty
-        slot, so the two roots differ by one placeholder.  Every acceptance
-        ends in one tail: it seals the record ``(idx, ctr + 1, versions,
-        acl_root)`` (and a content update's version row) and moves the root
-        once, to the fold of the leaf with its counter incremented.
+        the container's record, whose digest that leaf must hold, and
+        ``acl_proof``, which reads the caller's level under the record's ACL
+        root (2+ to modify content, 3 to modify the ACL).  A content update's
+        ``secret`` (the container secret padded under the caller's key for
+        ``(idx, counter)``, and its commitment) is sealed only on acceptance;
+        a bad one refuses it.  Creation is an ACL-typed request with counter
+        0.  It passes the leaf enclosing the new index and its path (both
+        ``None`` in an empty tree), and ``slot_path``, the new slot's path
+        once the encloser is relinked; the relinked encloser must fold to the
+        root of that empty slot, so the two roots differ by one placeholder.  Every acceptance
+        ends in one tail: it makes the record ``(idx, ctr + 1, versions,
+        acl_root)`` (and seals a content update's version row) and moves the
+        root once, to the fold of the leaf holding that record's digest.
         """
         with self._lock:
             key = self._state.user_keys.get(request.user_idx)
@@ -386,11 +376,10 @@ class TrustedModule:
             else:
                 if leaf is None or leaf.idx != request.idx or _fold(leaf, path) != root:
                     return None  # not this request's leaf under the sealed root
-                ctr, next_idx = counter_value(leaf.val), leaf.next_idx
-                # A value that is no counter matches no sealed record.
-                access = self._access(record, acl_proof, request.idx, ctr, request.user_idx)
-                if access is None or request.counter != ctr:
+                access = _access(record, leaf.val, acl_proof, request.user_idx)
+                if access is None or request.counter != record.counter:
                     return None
+                ctr, next_idx = record.counter, leaf.next_idx
                 versions, acl_root = record.version_count, record.acl_root
                 if request.kind == RequestKind.CONTAINER and access >= 2:
                     commitment = sealed = ZERO_DIGEST
@@ -402,16 +391,16 @@ class TrustedModule:
                         commitment = secret[1]
                     versions += 1
                     row = VersionRecord(request.idx, versions, commitment, sealed, request.value)
-                    version = self._sealed(row)
+                    version = replace(row, seal=self._state.seal(row))
                 elif request.kind == RequestKind.ACL and access >= 3:
                     acl_root = request.value  # the version count stays
                 else:
                     return None  # insufficient permissions
 
-            sealed_record = self._sealed(ContainerRecord(request.idx, ctr + 1, versions, acl_root))
+            record = ContainerRecord(request.idx, ctr + 1, versions, acl_root)
             ack = hmac_sha256(request.ack_body(), key)
-            self._state.root = _fold(Leaf(request.idx, next_idx, counter_digest(ctr + 1)), path)
-            return UpdateResult(sealed_record, version, ack)
+            self._state.root = _fold(Leaf(request.idx, next_idx, record.digest()), path)
+            return UpdateResult(record, version, ack)
 
     def verify_container(
         self,
@@ -427,10 +416,11 @@ class TrustedModule:
     ) -> Optional[VerifyResponse]:
         """Answer an information query about ``idx``: a MACed response or denial.
 
-        ``container_proof`` reads ``idx``'s counter under the sealed root, and
-        ``acl_proof`` the caller's level under the record's ACL root.  One
-        denial answers an absent container and a caller with zero access, so
-        the caller cannot tell the two apart.  ``None`` means the supplied
+        ``container_proof`` reads ``idx``'s leaf value under the sealed root,
+        the digest of ``record`` for a present container, and ``acl_proof``
+        the caller's level under that record's ACL root.  One denial answers
+        an absent container and a caller with zero access, so the caller
+        cannot tell the two apart.  ``None`` means the supplied
         evidence itself was bad, which distinguishes service misbehavior from
         an authenticated denial.  A container before its first version
         answers version 0 with ``max_version`` 0 and a zero content digest;
@@ -442,9 +432,9 @@ class TrustedModule:
             key = self._state.user_keys.get(user_idx)
             if key is None or len(nonce) != DIGEST_SIZE:
                 return None
-            ctr = _read(container_proof, idx, self._state.root)
-            # An absent container reads as counter 0, and holds no access.
-            access = ctr and self._access(record, acl_proof, idx, ctr, user_idx)
+            value = _read(container_proof, idx, self._state.root)
+            # An absent container reads as the zero digest, and holds no access.
+            access = 0 if value == ZERO_DIGEST else _access(record, value, acl_proof, user_idx)
             if access is None:
                 return None
             if access == 0:
@@ -452,7 +442,10 @@ class TrustedModule:
 
             digest, sealed_for_user = ZERO_DIGEST, None
             if release or requested_version or record.version_count:
-                row_ok = self._seal_ok(version, VersionRecord)
+                try:  # a version row whose fields encode and whose seal verifies
+                    row_ok = macs_equal(self._state.seal(version), version.seal)
+                except (ValueError, TypeError):
+                    row_ok = False
                 if not row_ok or (version.idx, version.version) != (idx, requested_version):
                     return None
                 digest, commitment = version.content_digest, version.secret_commitment
@@ -460,9 +453,9 @@ class TrustedModule:
                     pad = sha256(commitment + self._state.secret)
                     sealed_for_user = _repad(version.wrapped_secret, commitment, pad, idx, key)
             response = VerifyResponse(
-                idx=idx, nonce=nonce, tag=b"", counter=ctr, max_version=record.version_count,
-                requested_version=requested_version, acl_root=record.acl_root,
-                content_digest=digest, sealed_for_user=sealed_for_user,
+                idx=idx, nonce=nonce, tag=b"", counter=record.counter,
+                max_version=record.version_count, requested_version=requested_version,
+                acl_root=record.acl_root, content_digest=digest, sealed_for_user=sealed_for_user,
             )
             return self._tagged(response, key)
 

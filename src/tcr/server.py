@@ -294,6 +294,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         raise SystemExit(f"cannot open {args.db}: {exc}") from exc
     try:  # a store bound to another height is refused before anything is provisioned
         service = Service(storage, TrustedModule(state), args.height)
+        if service.container_tree().root != state.root:  # no proof it reads would verify
+            raise StorageError(f"sealed root {state.root.hex()} is not the store's root "
+                               f"{service.container_tree().root.hex()}")
         if not state_path.exists():
             save_state(state, state_path)
     except (StorageError, OSError) as exc:

@@ -2,25 +2,27 @@
 
 Every mutation pipeline runs under the service lock in one sqlite
 transaction: it writes each tree edit and keeps the complement path that the
-write returned.  ``Service._apply`` then hands the edited leaf and its path
-to the module, which folds them itself, and stores the container record the
-module seals; it is the only place the sealed root moves.  A handler returns
-the module's ``UpdateResult`` as it is.  Any refusal raises, so the
-transaction rolls back and the store never holds state it cannot re-prove.
-A modify writes its content blobs before the module is asked, once they match
-the request's content digest, so a failed blob write refuses the request
-instead of following an acceptance the transaction can no longer undo.  The
-service cannot check a signature, so a refused MODIFY's blobs are removed
-with its rollback, all but those that were stored before it.
+write returned.  The edited leaf holds the digest of the container's next
+record, which the pipeline computes as the module will.  ``Service._apply``
+then hands the leaf as it was and its path to the module, which folds them
+itself, and stores the container record the module returns; it is the only
+place the sealed root moves.  A handler returns the module's
+``UpdateResult`` as it is.  Any refusal raises, so the transaction rolls back
+and the store never holds state it cannot re-prove.  A modify writes its
+content blobs before the module is asked, once they match the request's
+content digest, so a failed blob write refuses the request instead of
+following an acceptance the transaction can no longer undo.  The service
+cannot check a signature, so a refused MODIFY's blobs are removed with its
+rollback, all but those that were stored before it.
 
 A query or write hands the module raw tree reads: the leaf that holds or
 encloses an index and its complement path, which the module folds itself.
-A present container's leaf, sealed record and ACL leaves are its one row;
+A present container's leaf, record and ACL leaves are its one row;
 only an absent index, or a creation, searches for the leaf enclosing it.
 Evidence is keyed by the root it proves.  A container proof is cached under
 the module root it was read under, so every root move retires it.  A
 container's ACL tree is rebuilt in memory from its row and cached as a
-read-only view under the ACL root its sealed record names; ACL proofs are
+read-only view under the ACL root its record names; ACL proofs are
 cached under the ACL root they prove, which container-tree writes leave
 alone, so containers sharing an ACL share its view and proofs.  An ACL edit
 rebuilds its own tree and writes its leaves back; its new root is simply a
@@ -39,6 +41,7 @@ from typing import Iterable, Iterator, Optional
 from .iomt import Iomt, Leaf, TreeFullError, counter_digest, leaf_digest
 from .merkle import ZERO_DIGEST
 from .module import (
+    ContainerRecord,
     RecordProof,
     RequestEnvelope,
     RequestKind,
@@ -202,10 +205,6 @@ class Service:
         except StorageError as exc:
             raise ProtocolError(str(exc)) from exc
 
-    def acl_tree(self, container_idx: int) -> Iomt:
-        """The present container's ACL tree, rebuilt in memory from its row."""
-        return self._acl_tree(self._container(container_idx).acl)
-
     @staticmethod
     def _acl_tree(acl: Iterable[Leaf]) -> Iomt:
         return Iomt.from_leaves(ACL_HEIGHT, enumerate(acl))
@@ -229,13 +228,14 @@ class Service:
     # -- proof assembly ---------------------------------------------------------
 
     @staticmethod
-    def _bump_counter(tree: Iomt, slot: int, leaf: Leaf, counter: int) -> list:
-        """Write ``leaf`` with value ``counter``; the slot's complement path.
+    def _bump(tree: Iomt, row: ContainerRow, **changes) -> list:
+        """Write ``row``'s leaf with its next record's digest; the slot's complement path.
 
         A caller refused after this must raise :class:`_Rejected` to roll the
         write back.
         """
-        return tree.set_leaf(slot, Leaf(leaf.idx, leaf.next_idx, counter_digest(counter)))
+        record = replace(row.record, counter=row.record.counter + 1, **changes)
+        return tree.set_leaf(row.slot, Leaf(row.leaf.idx, row.leaf.next_idx, record.digest()))
 
     def _record_proof(self, tree: Iomt, idx: int, cache_key: tuple, epoch: bytes,
                       found=None) -> RecordProof:
@@ -290,7 +290,7 @@ class Service:
         acl: Optional[Iterable[Leaf]] = None, **evidence,
     ) -> UpdateResult:
         """Have the module accept ``req`` and store the container record it
-        seals, and the container's ``acl`` leaves when they changed.
+        returns, and the container's ``acl`` leaves when they changed.
 
         ``leaf`` and ``path`` are the leaf as it was before this request and its
         complement path.  The only place the sealed root moves; a refusal
@@ -334,7 +334,8 @@ class Service:
 
             with clock.step("eq_certificate"):
                 try:
-                    leaf, path, slot_path = tree.insert(req.idx, counter_digest(1), encloser)
+                    value = ContainerRecord(req.idx, 1, 0, req.value).digest()
+                    leaf, path, slot_path = tree.insert(req.idx, value, encloser)
                 except TreeFullError as exc:
                     raise ProtocolError(str(exc)) from exc
 
@@ -374,7 +375,7 @@ class Service:
                 self.storage.blob_put(blobs, hashes)
 
             with clock.step("certificates"):
-                path = self._bump_counter(tree, row.slot, row.leaf, row.record.counter + 1)
+                path = self._bump(tree, row, version_count=row.record.version_count + 1)
                 acl_proof = self._acl_proof(self._acl_view(row), req.user_idx)
 
             result = self._apply(
@@ -405,7 +406,7 @@ class Service:
             with clock.step("certificates"):
                 acl = self._acl_tree(row.acl)  # edited below, so never a cached view
                 acl_proof = self._acl_proof(acl, req.user_idx)
-                path = self._bump_counter(tree, row.slot, row.leaf, row.record.counter + 1)
+                path = self._bump(tree, row, acl_root=req.value)  # checked below
 
             with clock.step("root_update"):
                 try:

@@ -1,15 +1,16 @@
 """SQLite-backed persistence for the container tree, its records, and content blobs.
 
-Layout 5 has three tables: ``nodes`` and ``leaves`` hold the container tree,
+Layout 6 has three tables: ``nodes`` and ``leaves`` hold the container tree,
 ``versions`` one row per version.  The tree is sparse: a missing node row
 reads back as the zero digest, and every node a write touches lies above a
 stored leaf, so none written is zero.  It is append-only, as every ``Iomt``
 store is, so the occupied slots are always ``0..n-1``.  A container is its
-one leaf row: beside ``(idx, next_idx, val)``, whose value is the counter,
-it holds the rest of the sealed record and the container's ACL (at most 2^8
-leaves), each leaf's 48-byte encoding in slot order.  Indices are stored as
-8-byte big-endian blobs so the full u64 domain sorts correctly, which
-``locate`` relies on.
+one leaf row: beside ``(idx, next_idx, val)``, whose value is the digest of
+the container's record, it holds that record's fields (counter, version
+count and ACL root) and the container's ACL (at most 2^8 leaves), each
+leaf's 48-byte encoding in slot order.  Only version rows carry a seal.
+Indices are stored as 8-byte big-endian blobs so the full u64 domain sorts
+correctly, which ``locate`` relies on.
 
 The layout's version is stamped in ``PRAGMA user_version``, and the tree's
 height, once a store is bound to one, in ``PRAGMA application_id``; a store
@@ -31,12 +32,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .iomt import LEAF_BYTES, Geometry, Leaf, counter_digest, counter_value, encloses
+from .iomt import LEAF_BYTES, Geometry, Leaf, counter_digest, encloses
 from .iomt import leaf_digest, node_levels
-from .merkle import ZERO_DIGEST, sha256
+from .merkle import DIGEST_SIZE, ZERO_DIGEST, sha256
 from .module import ContainerRecord, ModuleState, VersionRecord
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 # The tallest container tree the node table can address: a taller tree's node
 # positions pass sqlite's signed 64-bit integer key.
@@ -115,9 +116,9 @@ CREATE TABLE leaves(
     idx BLOB NOT NULL,
     next_idx BLOB NOT NULL,
     val BLOB NOT NULL,
+    counter INTEGER NOT NULL DEFAULT 0,
     version_count INTEGER NOT NULL DEFAULT 0,
     acl_root BLOB NOT NULL DEFAULT x'',
-    seal BLOB NOT NULL DEFAULT x'',
     acl BLOB NOT NULL DEFAULT x''
 );
 CREATE INDEX leaves_by_idx ON leaves(idx);
@@ -141,7 +142,7 @@ class ContainerRow(NamedTuple):
 
     slot: int
     leaf: Leaf
-    record: ContainerRecord  # sealed; its counter is the leaf's value
+    record: ContainerRecord  # as stored; the module accepts it if the leaf holds its digest
     acl: list[Leaf]  # the ACL tree's leaves; a leaf's position is its slot
 
 
@@ -226,30 +227,29 @@ class Storage:
 
     def container(self, idx: int) -> Optional[ContainerRow]:
         """Container ``idx``'s row from one query; ``None`` if no leaf holds ``idx``.
-        A damaged row, whose value holds no counter or whose ACL bytes are not
-        whole leaves, raises :class:`StorageError`."""
+        A damaged row, whose value is no digest or whose ACL bytes are not whole
+        leaves, raises :class:`StorageError`."""
         row = self._conn.execute(
-            "SELECT slot, next_idx, val, version_count, acl_root, seal, acl FROM leaves "
+            "SELECT slot, next_idx, val, counter, version_count, acl_root, acl FROM leaves "
             "WHERE idx=?",
             (_key(idx),),
         ).fetchone()
         if row is None:
             return None
-        slot, next_idx, val, version_count, acl_root, seal, acl = row
-        counter = counter_value(val)
-        if counter is None or len(acl) % LEAF_BYTES:
+        slot, next_idx, val, counter, version_count, acl_root, acl = row
+        if len(val) != DIGEST_SIZE or len(acl) % LEAF_BYTES:
             raise StorageError(f"the row of container {idx} is damaged")
         leaves = [Leaf.decode(acl[at:at + LEAF_BYTES]) for at in range(0, len(acl), LEAF_BYTES)]
         return ContainerRow(slot, Leaf(idx, int.from_bytes(next_idx, "big"), val),
-                            ContainerRecord(idx, counter, version_count, acl_root, seal), leaves)
+                            ContainerRecord(idx, counter, version_count, acl_root), leaves)
 
     def container_put(self, record: ContainerRecord, acl: Optional[Iterable[Leaf]] = None) -> None:
-        """Store the sealed ``record`` in its container's leaf row, whose value holds
-        the counter, and ``acl``, the ACL leaves in slot order, when it changed."""
+        """Store ``record`` in its container's leaf row, whose value holds its
+        digest, and ``acl``, the ACL leaves in slot order, when it changed."""
         self._conn.execute(
-            "UPDATE leaves SET version_count=?, acl_root=?, seal=?, acl=COALESCE(?, acl) "
+            "UPDATE leaves SET counter=?, version_count=?, acl_root=?, acl=COALESCE(?, acl) "
             "WHERE idx=?",
-            (record.version_count, record.acl_root, record.seal,
+            (record.counter, record.version_count, record.acl_root,
              None if acl is None else b"".join(leaf.encode() for leaf in acl), _key(record.idx)),
         )
 
@@ -409,14 +409,15 @@ def bulk_prepopulate(
 
     Container ``i`` (1..count) takes slot ``i - 1`` of the circularly linked
     container tree, with counter 2 (one creation plus one content update),
-    one shared version, a sealed record and an owner-only ACL, all but the
-    version in its leaf row.  The tree's non-zero nodes come from
-    :func:`~tcr.iomt.node_levels` and the seals from
+    one shared version and an owner-only ACL; its leaf row holds the record's
+    digest, the record and the ACL.  The tree's non-zero nodes come from
+    :func:`~tcr.iomt.node_levels`, the leaf values from
+    :meth:`~tcr.module.ContainerRecord.digest` and the version seals from
     :meth:`~tcr.module.ModuleState.seal`; this function only streams the
-    rows into sqlite, one ``executemany`` per table, so time
-    and memory follow ``count`` rather than 2^height.  Runs at provisioning
-    time, before the module state is put behind the module boundary, since
-    sealing needs the module secret.  Returns the new root.
+    rows into sqlite, one ``executemany`` per table, so time and memory
+    follow ``count`` rather than 2^height.  Runs at provisioning time, before
+    the module state is put behind the module boundary, since sealing needs
+    the module secret.  Returns the new root.
     """
     if count < 0 or count > Geometry(height).leaf_count:
         raise StorageError(f"cannot place {count} containers in 2^{height} slots")
@@ -435,12 +436,12 @@ def bulk_prepopulate(
     owner = initial_acl_leaf(owner_idx)
     acl_root = leaf_digest(owner)  # one-leaf tree
     counter, version = 2, 1
-    ctr_val = counter_digest(counter)
     indices = range(1, count + 1)
 
     def container_leaves() -> Iterator[tuple[int, Leaf]]:
         for idx in indices:
-            yield idx - 1, Leaf(idx, idx + 1 if idx < count else 1, ctr_val)
+            value = ContainerRecord(idx, counter, version, acl_root).digest()
+            yield idx - 1, Leaf(idx, idx + 1 if idx < count else 1, value)
 
     # Top level first and each level sorted: node rows go in by ascending
     # position, which keeps the B-tree as compact as a sequential build.
@@ -457,8 +458,8 @@ def bulk_prepopulate(
         conn.executemany(
             "INSERT INTO leaves VALUES(?,?,?,?,?,?,?,?)",
             (
-                (slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val, version, acl_root,
-                 state.seal(ContainerRecord(leaf.idx, counter, version, acl_root)), acl)
+                (slot, _key(leaf.idx), _key(leaf.next_idx), leaf.val, counter, version, acl_root,
+                 acl)
                 for slot, leaf in container_leaves()
             ),
         )

@@ -17,7 +17,7 @@ from tcr.merkle import Side, ZERO_DIGEST, parent
 from tcr.module import ContainerRecord, ModuleState, TrustedModule, VersionRecord
 from tcr.server import RepositoryServer
 from tcr.service import Service
-from tcr.storage import Storage
+from tcr.storage import ACL_HEIGHT, Storage
 
 
 def remove_placeholder(tree: Iomt, idx: int) -> bytes:
@@ -103,6 +103,18 @@ INSERT INTO containers VALUES(zeroblob(8), 1, 0, zeroblob(32), zeroblob(32));
 PRAGMA user_version=4;
 """
 
+# The version-5 layout: a container's leaf value was its counter, and its leaf
+# row kept the module's seal over the record beside the record's other fields.
+V5_LAYOUT = """
+CREATE TABLE leaves(slot INTEGER PRIMARY KEY, idx BLOB NOT NULL, next_idx BLOB NOT NULL,
+    val BLOB NOT NULL, version_count INTEGER NOT NULL DEFAULT 0,
+    acl_root BLOB NOT NULL DEFAULT x'', seal BLOB NOT NULL DEFAULT x'',
+    acl BLOB NOT NULL DEFAULT x'');
+INSERT INTO leaves VALUES(0, zeroblob(8), zeroblob(8), zeroblob(32), 0, zeroblob(32),
+    zeroblob(32), x'');
+PRAGMA user_version=5;
+"""
+
 
 def stored_files(storage: Storage) -> list[Path]:
     """Every file under ``storage``'s data directory, at any depth and under any name."""
@@ -154,16 +166,17 @@ def mutate_proof(rng: random.Random, proof):
     return leaf, path
 
 
-# The fields under each sealed row's MAC.
-SEALED_FIELDS = {
+# The fields each row's authenticator covers: a container record's digest,
+# which its leaf holds, and a version row's seal, which the row carries.
+BOUND_FIELDS = {
     ContainerRecord: ("idx", "counter", "version_count", "acl_root"),
-    VersionRecord: ("idx", "version", "content_digest"),
+    VersionRecord: ("idx", "version", "content_digest", "seal"),
 }
 
 
 def mutate_row(rng: random.Random, row):
-    """A sealed ``row`` with one bit flipped in one of its sealed fields or in its seal."""
-    name = rng.choice(SEALED_FIELDS[type(row)] + ("seal",))
+    """``row`` with one bit flipped in one of its bound fields or in its seal."""
+    name = rng.choice(BOUND_FIELDS[type(row)])
     value = getattr(row, name)
     if isinstance(value, int):
         value ^= 1 << rng.randrange(64)
@@ -178,14 +191,19 @@ def _flip_bit(rng: random.Random, raw: bytes) -> bytes:
     return bytes(out)
 
 
+def acl_tree(service: Service, idx: int) -> Iomt:
+    """Container ``idx``'s ACL tree, rebuilt in memory from its stored leaves."""
+    return Iomt.from_leaves(ACL_HEIGHT, enumerate(service.storage.container(idx).acl))
+
+
 def acl_hints(service: Service, idx: int) -> dict:
     """The hints an INFO reply carries for container ``idx``: its ACL leaves."""
-    return service._hints(service.acl_tree(idx))
+    return service._hints(acl_tree(service, idx))
 
 
 def attested_acl_root(service: Service, idx: int) -> bytes:
     """The ACL root a full INFO answer about container ``idx`` attests: the one
-    its sealed record names."""
+    its record names."""
     return service.storage.container(idx).record.acl_root
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from conftest import (
     acl_hints,
+    acl_tree,
     attested_acl_root,
     mutate_proof,
     mutate_row,
@@ -33,7 +34,7 @@ from tcr.client import (
     check_info_response,
     predicted_acl_root,
 )
-from tcr.iomt import Iomt, Leaf, counter_digest, counter_value
+from tcr.iomt import Iomt, Leaf, counter_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256
 from tcr.module import ContainerRecord, ModuleState, RequestKind, TrustedModule, _read
 from tcr.server import RepositoryServer
@@ -134,12 +135,12 @@ def test_criterion_2_non_existence_completeness():
                 for slot, leaf in slots.items():
                     value = _read((leaf, tree.complement_path(slot)), candidate, tree.root)
                     # Only the leaf's own value: no leaf reads the present index as absent.
-                    own = counter_value(leaf.val) if leaf.idx == candidate else None
+                    own = leaf.val if leaf.idx == candidate else None
                     assert value == own, (candidate, slot)
             else:
                 enc_slot, enc_leaf = tree.locate(candidate)
                 proof = (enc_leaf, tree.complement_path(enc_slot))
-                assert _read(proof, candidate, tree.root) == 0
+                assert _read(proof, candidate, tree.root) == ZERO_DIGEST
                 nonce = secrets.token_bytes(32)
                 response = module.verify_container(1, nonce, candidate, 0, proof)
                 assert response.denied and response.idx == candidate
@@ -166,7 +167,7 @@ def test_criterion_3_tamper_detection(tmp_path):
     record = storage.container(10).record
     version = storage.version_get(10, 1)
     container_proof = service._container_proof(10)
-    acl = service.acl_tree(10)
+    acl = acl_tree(service, 10)
     nonce = secrets.token_bytes(32)
 
     def answer(user, container, acl_proof, record=record, version=version):
@@ -180,13 +181,15 @@ def test_criterion_3_tamper_detection(tmp_path):
     checked = 0
     rejected = 0
 
-    # Stored rows: a bit flip in a sealed field or the seal must fail the MAC,
-    # and a row given as the other type, or under its seal, is refused.
-    # Proofs carry no MAC: any bit flip must fold to a root the module refuses.
+    # Stored rows: a bit flip in a record field must break the digest its leaf
+    # holds, one in a version row's sealed field or seal must fail the MAC,
+    # and a row given as the other type, or under the other's authenticator,
+    # is refused.  Proofs carry no MAC: any bit flip must fold to a root the
+    # module refuses.
     confused = [
         {"record": version}, {"version": record},
-        {"record": dataclasses.replace(record, seal=version.seal)},
-        {"version": dataclasses.replace(version, seal=record.seal)},
+        {"record": dataclasses.replace(record, acl_root=version.content_digest)},
+        {"version": dataclasses.replace(version, seal=record.digest())},
     ]
     for rows in confused:
         checked += 1
@@ -207,7 +210,7 @@ def test_criterion_3_tamper_detection(tmp_path):
         checked += 1
 
     # Stored records: a tampered row cannot back a verifying response.
-    fields = ("counter", "version_count", "acl_root", "seal")
+    fields = ("counter", "version_count", "acl_root", "idx")
     for _ in range(2500):
         field = rng.choice(fields)
         value = getattr(record, field)

@@ -1505,6 +1505,45 @@ class TestCli:
 
         self.check_refused(tmp_path, monkeypatch, 4, V4_LAYOUT)
 
+    def test_server_refuses_a_version_5_store(self, tmp_path, monkeypatch):
+        from conftest import V5_LAYOUT
+
+        self.check_refused(tmp_path, monkeypatch, 5, V5_LAYOUT)
+
+    def test_server_refuses_a_store_its_sealed_root_does_not_prove(self, tmp_path):
+        # A real server accepts a create and a modify, then is stopped by
+        # SIGTERM before its moved root is saved: the restarted server stops
+        # before it listens, naming both roots, instead of answering every
+        # INFO "no proof exists".
+        users, db = tmp_path / "users.json", tmp_path / "repo.db"
+        users.write_text(json.dumps({"1": STUB_KEY.hex()}))
+        argv = [sys.executable, "-m", "tcr.server", "--listen", "127.0.0.1:0", "--db", str(db),
+                "--module-state", str(tmp_path / "module.bin"), "--height", "8",
+                "--data-dir", str(tmp_path / "blobs"), "--users", str(users)]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(server_module.__file__))}
+        first = subprocess.Popen(argv, env=env, stdin=subprocess.DEVNULL,
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        try:
+            port = int(first.stderr.readline().rsplit(":", 1)[1])
+            client = RepositoryClient("127.0.0.1", port, UserCredential(1, STUB_KEY))
+            client.create(5)
+            client.modify(5, IMAGE, BUILD, COMPOSE)
+        finally:
+            first.terminate()
+            first.wait(timeout=30)
+            first.stderr.close()
+        storage = Storage(db, tmp_path / "blobs")
+        store_root = Iomt(8, storage.tree()).root
+        storage.close()
+        assert store_root != ZERO_DIGEST
+        before = db.read_bytes()
+        restarted = subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+                                   text=True, timeout=30)
+        assert restarted.returncode == 1
+        assert restarted.stderr == (f"cannot open {db}: sealed root {ZERO_DIGEST.hex()} is not "
+                                    f"the store's root {store_root.hex()}\n")
+        assert db.read_bytes() == before
+
     @pytest.mark.parametrize("height", [6, 10])
     def test_server_refuses_a_store_of_another_height(self, tmp_path, monkeypatch, height):
         # A store bound at height 8 is never served at another height: each
@@ -1543,7 +1582,7 @@ class TestCli:
         before = db.read_bytes()
         users = tmp_path / "users.json"
         users.write_text(json.dumps({"1": "00" * 32}))
-        match = f"schema version {version}.*needs 5.*provision a fresh store"
+        match = f"schema version {version}.*needs 6.*provision a fresh store"
         with pytest.raises(SystemExit, match=match):
             server_main(["--listen", "127.0.0.1:0", "--db", str(db), "--module-state",
                          str(tmp_path / "module.bin"), "--height", "4", "--data-dir",

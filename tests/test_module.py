@@ -10,10 +10,11 @@ import secrets
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tcr.module
-from conftest import SEALED_FIELDS, mutate_proof, mutate_row, oracle_root
-from tcr.iomt import Iomt, Leaf, counter_digest, leaf_digest
+from conftest import BOUND_FIELDS, mutate_proof, mutate_row, oracle_root
+from tcr.iomt import Iomt, Leaf, counter_digest, counter_value, leaf_digest
 from tcr.merkle import ZERO_DIGEST, hmac_sha256, sha256, u64
 from tcr.module import (
     ContainerRecord,
@@ -41,9 +42,9 @@ def sign(user: int, kind: RequestKind, idx: int, counter: int, value: bytes) -> 
     return RequestEnvelope(kind, idx, counter, value, user, hmac_sha256(env.signed_body(), KEYS[user]))
 
 
-def sealed_fields(row) -> tuple:
-    """The fields under ``row``'s seal, in body order."""
-    return tuple(getattr(row, name) for name in SEALED_FIELDS[type(row)])
+def bound_fields(row) -> tuple:
+    """The fields ``row``'s digest or seal covers, in body order."""
+    return tuple(getattr(row, name) for name in BOUND_FIELDS[type(row)] if name != "seal")
 
 
 def random_tree(rng: random.Random, height: int = 3, fill: int = 5) -> Iomt:
@@ -131,9 +132,9 @@ class TestRecordVerify:
         ):
             tree.set_leaf(slot, leaf)
         proof = (Leaf(4, 7, counter_digest(3)), tree.complement_path(2))
-        assert _read(proof, 5, tree.root) == 0
+        assert _read(proof, 5, tree.root) == ZERO_DIGEST
         # For its own index, the same leaf reads as its own value.
-        assert _read(proof, 4, tree.root) == 3
+        assert _read(proof, 4, tree.root) == counter_digest(3)
         module = module_at(tree.root)
         nonce = secrets.token_bytes(32)
         response = module.verify_container(2, nonce, 5, 0, proof)
@@ -165,7 +166,7 @@ class TestRecordVerify:
         slot, leaf = tree.locate(3)
         proof = (leaf, tree.complement_path(slot))
         assert _read(proof, 9, tree.root) is None
-        assert _read(proof, 3, tree.root) == 0  # its own, placeholder, value
+        assert _read(proof, 3, tree.root) == ZERO_DIGEST  # its own, placeholder, value
         assert module_at(tree.root).verify_container(1, secrets.token_bytes(32), 9, 0, proof) is None
 
     def test_every_absent_index_of_random_trees(self):
@@ -181,7 +182,7 @@ class TestRecordVerify:
                 assert found is not None
                 slot, leaf = found
                 proof = (leaf, tree.complement_path(slot))
-                assert _read(proof, candidate, tree.root) == 0
+                assert _read(proof, candidate, tree.root) == ZERO_DIGEST
                 response = module.verify_container(1, secrets.token_bytes(32), candidate, 0, proof)
                 assert response.denied and response.idx == candidate
 
@@ -197,11 +198,11 @@ class TestRecordUpdate:
     """An update hands ``apply_request`` the container's leaf and path; the module bumps it."""
 
     def test_no_op_update(self):
-        # A leaf that already holds the new counter (the store's leaf after
-        # the write) is no update from the sealed root: only the leaf before it is.
+        # A leaf that already holds the new record's digest (the store's leaf
+        # after the write) is no update from the sealed root: only the leaf before it is.
         module = fresh_module()
         repo = ContainerFixture(module)
-        slot, leaf, path, bumped = repo.bump()
+        slot, leaf, path, bumped = repo.bump(version_count=1)
         req = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v1"))
         snapshot = copy.deepcopy(module._state)
         assert module.apply_request(req, bumped, path, repo.acl_proof(1), repo.record) is None
@@ -221,7 +222,7 @@ class TestRecordUpdate:
             counter = repo.counter
             assert repo.modify(1, sha256(bytes([counter]))) is not None
             slot, leaf = tree.locate(repo.idx)
-            assert leaf.val == counter_digest(counter + 1)
+            assert repo.counter == counter + 1 and leaf.val == repo.record.digest()
             assert module.root == tree.root == oracle_root(dict(tree.leaves()), 3)
 
     def test_mismatched_leaf_refused(self):
@@ -269,7 +270,8 @@ def creation(tree: Iomt, user: int, idx: int, acl_root: bytes):
     Inserts ``idx`` into ``tree`` the way the service does.  The evidence is
     the encloser before the relink, its path, and the new slot's path.
     """
-    leaf, path, slot_path = tree.insert(idx, counter_digest(1), tree.locate(idx))
+    value = ContainerRecord(idx, 1, 0, acl_root).digest()
+    leaf, path, slot_path = tree.insert(idx, value, tree.locate(idx))
     evidence = {"leaf": leaf, "path": path, "slot_path": slot_path}
     return sign(user, RequestKind.ACL, idx, 0, acl_root), evidence
 
@@ -295,7 +297,7 @@ class TestRootEquivalence:
         assert result is not None
         leaves = dict(tree.leaves())
         assert leaves[2] == Leaf(4, 5, counter_digest(3))  # the relinked encloser
-        assert leaves[slot] == Leaf(5, 7, counter_digest(1))
+        assert leaves[slot] == Leaf(5, 7, ContainerRecord(5, 1, 0, ZERO_DIGEST).digest())
         assert module.root == oracle_root(leaves, 3)
 
     def test_swapped_proofs_refused(self):
@@ -355,7 +357,7 @@ class TestApplyRequest:
         acl_root = leaf_digest(Leaf(1, 1, counter_digest(3)))
         slot, result = create_container(module, tree, 1, 10, acl_root)
         assert result is not None
-        assert sealed_fields(result.record) == (10, 1, 0, acl_root)
+        assert bound_fields(result.record) == (10, 1, 0, acl_root)
         assert result.version is None
         assert module.root == tree.root == oracle_root(dict(tree.leaves()), 3)
         req = sign(1, RequestKind.ACL, 10, 0, acl_root)
@@ -455,14 +457,15 @@ class ContainerFixture:
         slot, leaf = self.acl.locate(user)
         return leaf, self.acl.complement_path(slot)
 
-    def bump(self):
-        """The container's slot, its leaf, that leaf's path, and the leaf counter-bumped."""
+    def bump(self, **changes):
+        """The container's slot, its leaf, that leaf's path, and the leaf holding
+        the digest of its record at the next counter, with ``changes``."""
         slot, leaf = self.tree.locate(self.idx)
-        new_leaf = Leaf(self.idx, leaf.next_idx, counter_digest(self.counter + 1))
-        return slot, leaf, self.tree.complement_path(slot), new_leaf
+        record = replace(self.record, counter=self.counter + 1, **changes)
+        return slot, leaf, self.tree.complement_path(slot), Leaf(self.idx, leaf.next_idx, record.digest())
 
     def modify(self, user: int, content_digest: bytes, secret=None):
-        slot, leaf, path, new_leaf = self.bump()
+        slot, leaf, path, new_leaf = self.bump(version_count=self.record.version_count + 1)
         req = sign(user, RequestKind.CONTAINER, self.idx, self.counter, content_digest)
         result = self.module.apply_request(
             req, leaf, path, acl_proof=self.acl_proof(user), record=self.record, secret=secret
@@ -476,7 +479,7 @@ class ContainerFixture:
     def set_access(self, requester: int, target: int, level: int):
         requester_proof = self.acl_proof(requester)  # over the pre-edit ACL root
         self.acl.upsert(target, counter_digest(level))
-        slot, leaf, path, new_leaf = self.bump()
+        slot, leaf, path, new_leaf = self.bump(acl_root=self.acl.root)
         req = sign(requester, RequestKind.ACL, self.idx, self.counter, self.acl.root)
         result = self.module.apply_request(
             req, leaf, path, acl_proof=requester_proof, record=self.record
@@ -508,8 +511,8 @@ class TestUpdateFlows:
         digest = sha256(b"content")
         result = repo.modify(1, digest)
         assert result is not None
-        assert sealed_fields(result.record) == (10, 2, 1, repo.acl_root)
-        assert sealed_fields(result.version) == (10, 1, digest)
+        assert bound_fields(result.record) == (10, 2, 1, repo.acl_root)
+        assert bound_fields(result.version) == (10, 1, digest)
         assert result.version.secret_commitment == result.version.wrapped_secret == ZERO_DIGEST
         assert module.root == repo.tree.root
 
@@ -524,16 +527,17 @@ class TestUpdateFlows:
     def test_replay_with_stale_counter_rejected(self):
         module = fresh_module()
         repo = ContainerFixture(module)
+        stale_record = repo.record
         assert repo.modify(1, sha256(b"v1")) is not None
         # Re-sign against the old counter: the old leaf does not fold to the
         # current root.
         slot, leaf = repo.tree.locate(10)
-        stale_leaf = Leaf(10, leaf.next_idx, counter_digest(1))
+        stale_leaf = Leaf(10, leaf.next_idx, stale_record.digest())
         req = sign(1, RequestKind.CONTAINER, 10, 1, sha256(b"v1"))
         snapshot = copy.deepcopy(module._state)
         assert module.apply_request(
             req, stale_leaf, repo.tree.complement_path(slot),
-            acl_proof=repo.acl_proof(1), record=repo.record,
+            acl_proof=repo.acl_proof(1), record=stale_record,
         ) is None
         assert module._state == snapshot
 
@@ -625,7 +629,7 @@ class TestVerifyContainer:
 class TestEvidenceNoHonestStoreBuilds:
     """Rows and proofs that each verify on their own but do not belong
     together, handed to the module directly.  The service never assembles
-    them, so only these tests hold the module's own consistency checks."""
+    them, so only these tests hold the module's own checks that they do."""
 
     def test_another_containers_record_grants_nothing_here(self):
         module = fresh_module()
@@ -832,8 +836,8 @@ class TestStateConfinement:
         snapshot = copy.deepcopy(module._state)
 
         _, leaf, path, _ = repo.bump()
-        # A leaf claiming a higher counter than the store holds.
-        bad_proof = (Leaf(10, leaf.next_idx, counter_digest(3)), path)
+        # A leaf claiming a later record than the store holds.
+        bad_proof = (Leaf(10, leaf.next_idx, replace(repo.record, counter=3).digest()), path)
         env = RequestEnvelope(RequestKind.CONTAINER, 10, 2, sha256(b"x"), 1, bytes(32))
         assert module.apply_request(env, leaf, path, repo.acl_proof(1), repo.record) is None
         signed = sign(1, RequestKind.CONTAINER, 10, 2, sha256(b"x"))
@@ -855,7 +859,7 @@ class TestAbsenceForm:
         repo = ContainerFixture(module)
         repo.modify(1, sha256(b"v1"))
         acl_absence = repo.acl_proof(2)  # user 2 has no ACL leaf
-        assert _read(acl_absence, 2, repo.acl_root) == 0
+        assert _read(acl_absence, 2, repo.acl_root) == ZERO_DIGEST
         nonce = secrets.token_bytes(32)
         snapshot = copy.deepcopy(module._state)
         assert module.verify_container(2, nonce, 2, 1, acl_absence) is None
@@ -871,7 +875,7 @@ class TestAbsenceForm:
         repo.modify(1, sha256(b"v1"))
         slot, leaf = repo.tree.locate(1)  # no container has index 1
         absence = (leaf, repo.tree.complement_path(slot))
-        assert _read(absence, 1, module.root) == 0
+        assert _read(absence, 1, module.root) == ZERO_DIGEST
         snapshot = copy.deepcopy(module._state)
         response = module.verify_container(
             1, secrets.token_bytes(32), repo.idx, 1, repo.container_proof(),
@@ -899,7 +903,7 @@ class TestAbsenceForm:
         nonce = secrets.token_bytes(32)
         denials = []
         for proof, root in ((from_empty, ZERO_DIGEST), (from_leaf, tree.root)):
-            assert _read(proof, 5, root) == 0
+            assert _read(proof, 5, root) == ZERO_DIGEST
             denials.append(module_at(root).verify_container(2, nonce, 5, 0, proof))
         assert all(d.denied for d in denials)
         assert denials[0] == denials[1]  # one module key, so one and the same answer
@@ -952,24 +956,25 @@ class TestSurface:
     def test_size_of_the_trusted_module(self):
         # The trusted computing base's size: any growth is offset in the same change.
         source = inspect.getsource(tcr.module)
-        assert len(source.splitlines()) <= 475
+        assert len(source.splitlines()) <= 464
 
     def test_seal_bytes_are_pinned(self):
-        # Every row at rest carries one of these MACs: a change to a body's
-        # layout or domain byte would silently invalidate every existing store.
+        # Every container leaf holds a record digest and every version row one
+        # of these MACs: a change to a body's layout or domain byte would
+        # silently invalidate every existing store.
         state = ModuleState(ZERO_DIGEST, bytes(range(32)), {1: KEYS[1]})
         acl = Iomt(3)
         acl.set_leaf(0, Leaf(1, 1, counter_digest(3)))
-        record = ContainerRecord(7, 3, 2, acl.root, bytes.fromhex(GOLDEN_CR))
+        record = ContainerRecord(7, 3, 2, acl.root)
         version = VersionRecord(7, 2, ZERO_DIGEST, ZERO_DIGEST, sha256(b"content"),
                                 bytes.fromhex(GOLDEN_VR), (sha256(b"i"), sha256(b"b"), sha256(b"c")))
-        assert state.seal(record) == record.seal and state.seal(version) == version.seal
+        assert record.digest() == bytes.fromhex(GOLDEN_CR) and state.seal(version) == version.seal
         # The secret fields and blob addresses lie outside the seal.
         loose = replace(version, secret_commitment=sha256(b"c"), wrapped_secret=sha256(b"w"), hashes=())
         assert state.seal(loose) == version.seal
-        # A module holding that secret verifies both rows as stored.
+        # A module holding that secret verifies the record and the row as stored.
         tree = Iomt(3)
-        tree.set_leaf(0, Leaf(7, 7, counter_digest(3)))
+        tree.set_leaf(0, Leaf(7, 7, record.digest()))
         state.root = tree.root
         nonce = secrets.token_bytes(32)
         response = TrustedModule(state).verify_container(
@@ -981,9 +986,10 @@ class TestSurface:
         assert response.content_digest == sha256(b"content")
 
 
-# The seals of TestSurface's rows under the secret bytes(range(32)), as the
-# first layout of the CR and VR bodies computes them.
-GOLDEN_CR = "fe6b2d9e531c9f61e6581bd9b4b090f96eae2f9589292d3cec9ce0cfe20321e2"
+# The digest of TestSurface's container record, sha256 over domain byte 7 and
+# its fields, and the seal of its version row under the secret
+# bytes(range(32)), as the first layout of the VR body computes it.
+GOLDEN_CR = "e5d2b1042bbad8a5f873ec152cbdf3ce20a6cb178a9a623ded7770f4f1340ed5"
 GOLDEN_VR = "9466d446bde84d4533b629b511fa558715c43d5331ed529c33beb61cbf1bec78"
 
 
@@ -1004,7 +1010,8 @@ class TestCertificateFuzzing:
         # User 1 reads its own leaf, user 2 (no ACL leaf) the leaf enclosing it.
         honest = [(user, repo.container_proof(), repo.acl_proof(user)) for user in (1, 2)]
         assert not answer(*honest[0]).denied and answer(*honest[1]).denied
-        # A stored row: a flipped bit in a sealed field or the seal fails its MAC.
+        # A stored row: a flipped bit in a record field breaks its digest, and
+        # one in a version row's sealed field or seal fails its MAC.
         for _ in range(250):
             if rng.randrange(2):
                 assert answer(*honest[0], record=mutate_row(rng, repo.record)) is None
@@ -1021,7 +1028,7 @@ class TestCertificateFuzzing:
 
 
 class TestSealedRows:
-    """Each row type has one seal body: a row is refused as the other type, or unencodable."""
+    """Each row type has one authenticator: a row is refused as the other type, or unencodable."""
 
     def test_type_confusion_refused(self):
         module = fresh_module()
@@ -1031,8 +1038,7 @@ class TestSealedRows:
         confused = [
             (version, version),  # a version row passed as record=
             (record, record),  # a container row passed as version=
-            (replace(record, seal=version.seal), version),
-            (record, replace(version, seal=record.seal)),
+            (record, replace(version, seal=record.digest())),  # the record's digest as a seal
         ]
         snapshot = copy.deepcopy(module._state)
         for row, version_row in confused:
@@ -1043,7 +1049,7 @@ class TestSealedRows:
             assert response is None
         _, leaf, path, _ = repo.bump()
         req = sign(1, RequestKind.CONTAINER, repo.idx, repo.counter, sha256(b"v2"))
-        for row in (version, replace(record, seal=version.seal)):
+        for row in (version, None):
             assert module.apply_request(req, leaf, path, repo.acl_proof(1), row) is None
         assert module._state == snapshot
         assert repo.verify(1, secrets.token_bytes(32), 1) is not None  # control
@@ -1064,10 +1070,166 @@ class TestSealedRows:
         assert answer(record, version) is not None
         snapshot = copy.deepcopy(module._state)
         for bad in ({"idx": 1 << 64}, {"counter": -1}, {"version_count": "1"},
-                    {"acl_root": record.acl_root[:31]}, {"seal": None}, {"seal": 42}):
+                    {"acl_root": record.acl_root[:31]}, {"acl_root": None}):
             assert answer(replace(record, **bad), version) is None
         for bad in ({"version": 1 << 64}, {"content_digest": None}, {"seal": "not bytes"}):
             assert answer(record, replace(version, **bad)) is None
-        with pytest.raises(TypeError):
-            module._state.seal(repo.container_proof())  # no sealed row at all
+        for unsealed in (record, repo.container_proof()):  # a record is digested, never sealed
+            with pytest.raises(TypeError):
+                module._state.seal(unsealed)
         assert module._state == snapshot
+
+
+USERS = (1, 2, 3)
+ABSENT = (3, 7, 20)  # indices no container holds
+
+
+def snapshot(repos) -> dict:
+    """Each container's evidence as it stands: its proof, record, ACL proofs and versions."""
+    return {idx: (repo.container_proof(), repo.record,
+                  {user: repo.acl_proof(user) for user in USERS}, dict(repo.versions))
+            for idx, repo in repos.items()}
+
+
+def world(secret: bytes):
+    """The module, container tree and fixtures over containers 5, 9 and 12
+    after a short history, and the evidence each step left behind.  The same
+    ``secret`` builds the same world, seals and all."""
+    module = TrustedModule(ModuleState(ZERO_DIGEST, secret, dict(KEYS)))
+    tree = Iomt(3)
+    repos = {idx: ContainerFixture(module, idx=idx, tree=tree) for idx in (5, 9, 12)}
+    older = [snapshot(repos)]
+    for idx, user, change in ((5, 1, "v1"), (5, 1, (2, 2)), (9, 1, "v1"), (5, 2, "v2"), (9, 1, (3, 1))):
+        repo = repos[idx]
+        if isinstance(change, str):
+            assert repo.modify(user, sha256(f"{idx}{change}".encode())) is not None
+        else:
+            assert repo.set_access(user, *change) is not None
+        older.append(snapshot(repos))
+    return module, tree, repos, older
+
+
+def level_of(repo, user: int) -> int:
+    """The user's level in the container's ACL, as the honest ACL tree holds it."""
+    leaf = repo.acl.locate(user)[1]
+    return counter_value(leaf.val) if leaf.idx == user else 0
+
+
+def proof_at(tree: Iomt, idx: int):
+    slot, leaf = tree.locate(idx)
+    return leaf, tree.complement_path(slot)
+
+
+class TestCorruptedEvidence:
+    """Honest evidence with one part corrupted: a flipped sibling, side or
+    field, another index's leaf, proof, record or version row, or an older
+    one.  ``apply_request`` moves the root exactly when the honest trees
+    accept the request and the evidence is the honest evidence, and
+    ``verify_container`` answers on a part it reads only if that part is honest."""
+
+    @staticmethod
+    def corrupt(data, honest: dict, repos, tree: Iomt, older: list) -> dict:
+        part = data.draw(st.sampled_from(["none", *sorted(honest)]))
+        if part == "none":
+            return dict(honest)
+        value, rng = honest[part], random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        past = [state[idx] for state in older for idx in state]
+        if part == "container":
+            candidates = [proof_at(tree, idx) for idx in (*repos, *ABSENT)] + [p[0] for p in past]
+        elif part == "record":
+            candidates = [None] + [p[1] for p in past]
+        elif part == "acl":
+            candidates = [p[2][user] for p in past for user in USERS]
+        elif part == "version":
+            candidates = [None] + [v for p in past for v in p[3].values()]
+        else:  # the slot path of a creation, which folds up from an empty slot
+            candidates = [tree.complement_path(slot) for slot in range(8)]
+            # The first non-zero sibling meets a zero node, so its side is no
+            # tamper: flip a bit of a sibling digest instead.
+            at = rng.randrange(len(value))
+            digest, side = value[at]
+            candidates.append([*value[:at], (sha256(digest), side), *value[at + 1:]])
+        if part in ("container", "acl") and value is not None:
+            candidates.append(mutate_proof(rng, value))
+        elif part in ("record", "version") and value is not None:
+            candidates.append(mutate_row(rng, value))
+        return {**honest, part: data.draw(st.sampled_from(candidates))}
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_a_query_is_answered_only_on_the_honest_parts_it_reads(self, data):
+        module, tree, repos, older = world(bytes(range(32)))
+        idx = data.draw(st.sampled_from([*repos, *ABSENT]))
+        user, release = data.draw(st.sampled_from(USERS)), data.draw(st.booleans())
+        requested = data.draw(st.integers(0, 3))
+        present = idx in repos
+        honest = {"container": proof_at(tree, idx), "record": None, "acl": None, "version": None}
+        level, resolved = 0, requested
+        if present:
+            repo = repos[idx]
+            level, resolved = level_of(repo, user), requested or repo.record.version_count
+            honest.update(record=repo.record, acl=repo.acl_proof(user),
+                          version=repo.versions.get(resolved))
+        reads = {"container": True, "record": present, "acl": present,
+                 "version": present and level > 0 and bool(release or resolved)}
+        nonce = secrets.token_bytes(32)
+
+        def answer(evidence):
+            return module.verify_container(
+                user, nonce, idx, resolved, evidence["container"], record=evidence["record"],
+                acl_proof=evidence["acl"], version=evidence["version"], release=release,
+            )
+
+        expected = answer(honest)
+        if expected is not None:
+            assert expected.denied == (level == 0)
+            if not expected.denied:
+                assert (expected.counter, expected.acl_root) == (repo.counter, repo.acl_root)
+        evidence = self.corrupt(data, honest, repos, tree, older)
+        changed = [part for part in honest if evidence[part] != honest[part] and reads[part]]
+        snapshot_state = copy.deepcopy(module._state)
+        assert answer(evidence) == (None if changed else expected), changed
+        assert module._state == snapshot_state
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_the_root_moves_exactly_when_the_honest_trees_accept(self, data):
+        secret = secrets.token_bytes(32)
+        module, tree, repos, older = world(secret)
+        honest_module, honest_tree, honest_repos, _ = world(secret)
+        op = data.draw(st.sampled_from(["create", "modify", "grant"]))
+        user = data.draw(st.sampled_from(USERS))
+        if op == "create":
+            idx = data.draw(st.sampled_from(ABSENT))
+            acl_root = leaf_digest(Leaf(user, user, counter_digest(3)))
+            req, evidence = creation(Iomt.from_leaves(3, tree.leaves()), user, idx, acl_root)
+            honest = {"container": (evidence["leaf"], evidence["path"]),
+                      "slot_path": evidence["slot_path"]}
+            expected = create_container(honest_module, honest_tree, user, idx, acl_root)[1]
+            assert expected is not None  # every user may create an absent index
+        else:
+            idx = data.draw(st.sampled_from(sorted(repos)))
+            repo = repos[idx]
+            _, leaf, path, _ = repo.bump()
+            honest = {"container": (leaf, path), "record": repo.record, "acl": repo.acl_proof(user)}
+            if op == "modify":
+                req = sign(user, RequestKind.CONTAINER, idx, repo.counter, sha256(b"new"))
+                expected = honest_repos[idx].modify(user, sha256(b"new"))
+                assert (expected is not None) == (level_of(repo, user) >= 2)
+            else:
+                target, level = data.draw(st.sampled_from(USERS)), data.draw(st.integers(0, 3))
+                acl = Iomt.from_leaves(3, repo.acl.leaves())
+                acl.upsert(target, counter_digest(level))
+                req = sign(user, RequestKind.ACL, idx, repo.counter, acl.root)
+                expected = honest_repos[idx].set_access(user, target, level)
+                assert (expected is not None) == (level_of(repo, user) == 3)
+        evidence = self.corrupt(data, honest, repos, tree, older)
+        leaf, path = evidence["container"]
+        extra = {"slot_path": evidence["slot_path"]} if op == "create" else {
+            "acl_proof": evidence["acl"], "record": evidence["record"]}
+        before = copy.deepcopy(module._state)
+        result = module.apply_request(req, leaf, path, **extra)
+        if expected is None or evidence != honest:
+            assert result is None and module._state == before
+        else:
+            assert result == expected and module.root == honest_tree.root == honest_module.root

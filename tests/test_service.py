@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tcr.storage
-from conftest import acl_hints, attested_acl_root, stored_files
+from conftest import acl_hints, acl_tree, attested_acl_root, stored_files
 from tcr.client import (
     UserCredential,
     Verdict,
@@ -21,7 +21,7 @@ from tcr.client import (
 )
 from tcr.iomt import Iomt, Leaf, TreeFullError, counter_digest
 from tcr.merkle import ZERO_DIGEST, sha256
-from tcr.module import ModuleState, RequestEnvelope, RequestKind, TrustedModule
+from tcr.module import ContainerRecord, ModuleState, RequestEnvelope, RequestKind, TrustedModule
 from tcr.service import CACHE_ENTRIES, STEPS, ProtocolError, Service, StepClock
 from tcr.storage import (
     ACL_HEIGHT,
@@ -70,7 +70,8 @@ def foreign_creation(service, cred, idx):
     """
     module = service.module
     shadow = Iomt.from_leaves(service.height, service.container_tree().leaves())
-    leaf, path, slot_path = shadow.insert(idx, counter_digest(1), shadow.locate(idx))
+    value = ContainerRecord(idx, 1, 0, cred.initial_acl_root()).digest()
+    leaf, path, slot_path = shadow.insert(idx, value, shadow.locate(idx))
     accept = functools.partial(
         module.apply_request, signed_create(cred, idx), leaf, path, slot_path=slot_path
     )
@@ -445,7 +446,7 @@ def test_predicted_acl_root_is_the_stored_root(tmp_path_factory, grants):
             env = OWNER.sign_request(RequestKind.ACL, 7, counter, new_root)
             result = service.handle_acl_set(env, target, level)
             assert result is not None and OWNER.verify_ack(env, result.ack)
-            assert service.acl_tree(7).root == new_root == result.record.acl_root
+            assert acl_tree(service, 7).root == new_root == result.record.acl_root
             assert module.root == service.container_tree().root
     finally:
         storage.close()
@@ -466,7 +467,7 @@ def test_a_grant_past_a_full_acl_is_refused(tmp_path):
             predicted_acl_root(hints, 999, 1, acl_root=attested_acl_root(service, 7))
         root = module.root
         counter = storage.container(7).record.counter
-        env = OWNER.sign_request(RequestKind.ACL, 7, counter, service.acl_tree(7).root)
+        env = OWNER.sign_request(RequestKind.ACL, 7, counter, acl_tree(service, 7).root)
         with pytest.raises(ProtocolError):
             service.handle_acl_set(env, 999, 1)
         assert module.root == root == service.container_tree().root
@@ -724,7 +725,7 @@ class TestStatementCounts:
     def test_writes_at_h16(self, tmp_path, user_keys, credentials):
         # One transaction each: create, modify, a new grant and a re-grant.
         # A container's row, its ACL included, is read in one query and its
-        # sealed record, with the ACL when it changed, written in one update.
+        # record, with the ACL when it changed, written in one update.
         storage = Storage(tmp_path / "h16.db", tmp_path / "blobs")
         state = ModuleState.fresh(user_keys)
         bulk_prepopulate(storage, 16, 8, 1, state)
@@ -834,7 +835,7 @@ class TestEpochSafety:
         response = service.module.verify_container(
             1, secrets.token_bytes(32), 7, 1, stale_proof,
             record=record,
-            acl_proof=service._acl_proof(service.acl_tree(7), 1),
+            acl_proof=service._acl_proof(acl_tree(service, 7), 1),
             version=service.storage.version_get(7, 1),
         )
         assert response is None
@@ -878,7 +879,7 @@ class TestAclCache:
         borrowed = grant(service, owner, 7, 2, 1)
         assert info_verdict(service, credentials, 7, 2)[0] == Verdict.VERIFIED
         assert service._cache.get(("acl_view",), borrowed) is not None
-        service.storage._conn.execute(  # the seal kept
+        service.storage._conn.execute(  # the leaf's value kept
             "UPDATE leaves SET acl_root=? WHERE idx=?", (borrowed, (8).to_bytes(8, "big"))
         )
         for user in (1, 2):
@@ -896,7 +897,7 @@ class TestAclCache:
         leaves = service.storage.container(9).acl
         damaged = [Leaf(l.idx, l.next_idx, counter_digest(2)) if l.idx == 3 else l for l in leaves]
         put_acl(service.storage, 9, damaged)
-        damaged_root = service.acl_tree(9).root
+        damaged_root = acl_tree(service, 9).root
         assert damaged_root != sealed_root
         for _ in range(2):
             with pytest.raises(ProtocolError):
@@ -1120,10 +1121,10 @@ class TestDamagedRows:
     from it is cached."""
 
     @pytest.mark.parametrize("column, value", [
-        ("val", sha256(b"no counter")),
+        ("val", b"short"),
         ("acl", bytes(47)),
         ("acl", bytes(97)),
-    ], ids=["value-without-counter", "acl-short-of-a-leaf", "acl-past-two-leaves"])
+    ], ids=["value-short-of-a-digest", "acl-short-of-a-leaf", "acl-past-two-leaves"])
     def test_every_request_on_it_is_a_protocol_error(self, service, credentials, column, value):
         owner = credentials[1]
         service.handle_create(signed_create(owner, 7))
@@ -1146,3 +1147,31 @@ class TestDamagedRows:
         assert service._cache._entries == cached
         assert service.module.root == root
 
+    @pytest.mark.parametrize("column, value", [
+        ("counter", 5), ("version_count", 7), ("acl_root", sha256(b"another acl")),
+    ], ids=["counter", "version-count", "acl-root"])
+    def test_a_record_its_leaf_does_not_hold_the_digest_of_is_refused(
+        self, service, credentials, column, value
+    ):
+        # The record's fields sit beside the leaf value that commits to them:
+        # one changed field answers no query and moves no root.
+        owner = credentials[1]
+        service.handle_create(signed_create(owner, 7))
+        service.handle_modify(signed_modify(owner, 7, 1), BLOBS)
+        service.storage._conn.execute(
+            f"UPDATE leaves SET {column}=? WHERE idx=?", (value, (7).to_bytes(8, "big"))
+        )
+        before, root = dump_store(service.storage), service.module.root
+        nonce = secrets.token_bytes(32)
+        for user in (1, 2):
+            with pytest.raises(ProtocolError, match="no proof exists"):
+                service.handle_info(7, 0, nonce, user)
+            with pytest.raises(ProtocolError, match="no proof exists"):
+                service.handle_fetch(7, 1, user, nonce=nonce)
+        assert service.handle_modify(signed_modify(owner, 7, 2), BLOBS) is None
+        new_acl_root = acl_tree(service, 7).upsert(2, counter_digest(1))
+        assert service.handle_acl_set(
+            owner.sign_request(RequestKind.ACL, 7, 2, new_acl_root), 2, 1
+        ) is None
+        assert dump_store(service.storage) == before
+        assert service.module.root == root == service.container_tree().root

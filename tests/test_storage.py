@@ -14,6 +14,7 @@ from conftest import (
     V2_LAYOUT,
     V3_LAYOUT,
     V4_LAYOUT,
+    V5_LAYOUT,
     oracle_root,
     stored_files,
 )
@@ -216,7 +217,7 @@ class TestSparseDenseEquivalence:
 
 def put_container(storage, slot: int, record: ContainerRecord, acl=None) -> Leaf:
     """Write ``record``'s container as the self-linked leaf in ``slot``, then its row."""
-    leaf = Leaf(record.idx, record.idx, counter_digest(record.counter))
+    leaf = Leaf(record.idx, record.idx, record.digest())
     storage.tree().set_leaf(slot, leaf)
     storage.container_put(record, acl)
     return leaf
@@ -224,7 +225,7 @@ def put_container(storage, slot: int, record: ContainerRecord, acl=None) -> Leaf
 
 class TestRecords:
     def test_container_round_trip(self, storage):
-        record = ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal"))
+        record = ContainerRecord(7, 2, 1, sha256(b"acl"))
         acl = [Leaf(1, 4, counter_digest(3)), Leaf(4, 1, counter_digest(1))]
         leaf = put_container(storage, 3, record, acl)
         assert storage.container(7) == ContainerRow(3, leaf, record, acl)
@@ -232,29 +233,30 @@ class TestRecords:
     def test_absent_container_signals_absence(self, storage):
         assert storage.container(12345) is None
 
-    def test_counter_is_read_from_the_leaf_value(self, storage):
-        put_container(storage, 0, ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal")))
-        storage.tree().set_leaf(0, Leaf(7, 7, counter_digest(5)))
-        assert storage.container(7).record.counter == 5
+    def test_the_record_is_read_from_its_columns_not_from_the_leaf_value(self, storage):
+        record = ContainerRecord(7, 2, 1, sha256(b"acl"))
+        put_container(storage, 0, record)
+        storage.tree().set_leaf(0, Leaf(7, 7, counter_digest(5)))  # the layout-5 leaf value
+        assert storage.container(7) == ContainerRow(0, Leaf(7, 7, counter_digest(5)), record, [])
 
     def test_record_write_keeps_the_acl_unless_given_and_a_relink_keeps_both(self, storage):
-        record = ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal"))
+        record = ContainerRecord(7, 2, 1, sha256(b"acl"))
         acl = [Leaf(1, 1, counter_digest(3))]
         put_container(storage, 0, record, acl)
-        later = ContainerRecord(7, 2, 2, sha256(b"acl"), sha256(b"seal2"))
+        later = ContainerRecord(7, 2, 2, sha256(b"acl"))
         storage.container_put(later)
         assert storage.container(7).acl == acl
-        storage.tree().set_leaf(0, Leaf(7, 9, counter_digest(2)))  # relinked, as an encloser is
-        assert storage.container(7) == ContainerRow(0, Leaf(7, 9, counter_digest(2)), later, acl)
+        storage.tree().set_leaf(0, Leaf(7, 9, later.digest()))  # relinked, as an encloser is
+        assert storage.container(7) == ContainerRow(0, Leaf(7, 9, later.digest()), later, acl)
 
     @pytest.mark.parametrize("damage", [
-        ("val", sha256(b"not a counter")),
+        ("val", bytes(33)),
         ("val", b"short"),
         ("acl", Leaf(1, 1, counter_digest(3)).encode()[:-1]),
         ("acl", bytes(49)),
     ])
     def test_damaged_row_raises_storage_error(self, storage, damage):
-        put_container(storage, 0, ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal")))
+        put_container(storage, 0, ContainerRecord(7, 2, 1, sha256(b"acl")))
         column, value = damage
         storage._conn.execute(f"UPDATE leaves SET {column}=? WHERE slot=0", (value,))
         with pytest.raises(StorageError, match="container 7 is damaged"):
@@ -268,7 +270,7 @@ class TestRecords:
         with pytest.raises(VersionExistsError):
             storage.version_put(record)
         # The refused insert leaves the enclosing transaction open.
-        container = ContainerRecord(7, 2, 1, sha256(b"acl"), sha256(b"seal"))
+        container = ContainerRecord(7, 2, 1, sha256(b"acl"))
         with storage.transaction():
             put_container(storage, 0, container)
             with pytest.raises(VersionExistsError):
@@ -330,8 +332,8 @@ class TestDurability:
     def test_reopen_preserves_everything(self, tmp_path, keys):
         storage = Storage(tmp_path / "d.db", tmp_path / "blobs")
         tree = Iomt(3, storage.tree())
-        tree.upsert(5, counter_digest(1))
-        record = ContainerRecord(5, 1, 0, sha256(b"a"), sha256(b"s"))
+        record = ContainerRecord(5, 1, 0, sha256(b"a"))
+        tree.upsert(5, record.digest())
         storage.container_put(record, [Leaf(1, 1, counter_digest(3))])
         blobs = BlobSet(b"i", b"b", b"c")
         storage.blob_put(blobs, blobs.hashes())
@@ -365,7 +367,7 @@ class TestDurability:
 class TestAclIsolation:
     def test_edits_do_not_cross_trees(self, storage):
         for slot, idx in enumerate((1, 2)):
-            put_container(storage, slot, ContainerRecord(idx, 1, 0, sha256(b"a"), sha256(b"s")),
+            put_container(storage, slot, ContainerRecord(idx, 1, 0, sha256(b"a")),
                           [Leaf(idx, idx, counter_digest(3))])
         b_before = storage.container(2).acl
         a = Iomt.from_leaves(3, enumerate(storage.container(1).acl))
@@ -379,7 +381,7 @@ class TestAclIsolation:
         assert Iomt.from_leaves(3, enumerate(storage.container(1).acl)).root == a.root
 
     def test_whole_acl_is_one_statement_each_way(self, storage):
-        record = ContainerRecord(1, 1, 0, sha256(b"a"), sha256(b"s"))
+        record = ContainerRecord(1, 1, 0, sha256(b"a"))
         put_container(storage, 0, record)
         acl = [Leaf(slot, slot, counter_digest(3)) for slot in range(256)]
         acl[7] = Leaf(7, 7, ZERO_DIGEST)  # a revocation
@@ -396,7 +398,7 @@ class TestAclIsolation:
 
     def test_u64_container_keys(self, storage):
         top = (1 << 64) - 1
-        put_container(storage, 0, ContainerRecord(top, 1, 0, sha256(b"a"), sha256(b"s")),
+        put_container(storage, 0, ContainerRecord(top, 1, 0, sha256(b"a")),
                       [Leaf(top, top, counter_digest(3))])
         assert storage.container(top).acl == [Leaf(top, top, counter_digest(3))]
         assert storage.container(top - 1) is None
@@ -435,11 +437,13 @@ class TestBulkPrepopulate:
         record = storage.container(1).record
         assert record.acl_root == Iomt.from_leaves(8, enumerate(owner_acl)).root
         assert record.counter == 2 and record.version_count == 1
-        # Seals verify under the module built from the same state.
+        # Each leaf holds its record's digest, and the records and version
+        # seals verify under the module built from the same state.
         module = TrustedModule(state)
         acl_proof = (owner_acl[0], Iomt.from_leaves(8, enumerate(owner_acl)).complement_path(0))
         for idx in (1, count):
             slot, leaf = tree.locate(idx)
+            assert leaf.val == storage.container(idx).record.digest()
             version = storage.version_get(idx, 1)
             response = module.verify_container(
                 1, bytes(32), idx, 1, (leaf, tree.complement_path(slot)),
@@ -453,9 +457,10 @@ class TestBulkPrepopulate:
         # so at most one parent digest per container per level is computed.
         height, count = 22, 1000
         expected = Iomt(height)
+        acl_root = leaf_digest(Leaf(1, 1, counter_digest(3)))
         for slot in range(count):
-            expected.set_leaf(slot, Leaf(slot + 1, slot + 2 if slot + 1 < count else 1,
-                                         counter_digest(2)))
+            value = ContainerRecord(slot + 1, 2, 1, acl_root).digest()
+            expected.set_leaf(slot, Leaf(slot + 1, slot + 2 if slot + 1 < count else 1, value))
         computed = 0
 
         def counted(*args):
@@ -524,7 +529,7 @@ class TestSchemaVersion:
     def test_fresh_store_is_stamped(self, tmp_path):
         Storage(tmp_path / "s.db", tmp_path / "blobs").close()
         conn = sqlite3.connect(tmp_path / "s.db")
-        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 5
+        assert conn.execute("PRAGMA user_version").fetchone()[0] == SCHEMA_VERSION == 6
         tables = conn.execute("SELECT name FROM sqlite_master WHERE type='table' ORDER BY name")
         assert [name for (name,) in tables] == ["leaves", "nodes", "versions"]
         conn.close()
@@ -566,6 +571,10 @@ class TestSchemaVersion:
         # Layout 4 kept the sealed record and the ACL leaves in tables of their own.
         self.check_refused(tmp_path, 4, V4_LAYOUT)
 
+    def test_version_5_store_is_refused(self, tmp_path):
+        # Layout 5 held a counter in each container's leaf value and sealed the record.
+        self.check_refused(tmp_path, 5, V5_LAYOUT)
+
     @staticmethod
     def check_refused(tmp_path, version, layout):
         path = tmp_path / f"v{version}.db"
@@ -575,7 +584,7 @@ class TestSchemaVersion:
         before, had_blobs = path.read_bytes(), (tmp_path / "blobs").exists()
         with pytest.raises(
             StorageError,
-            match=f"schema version {version}, this build needs 5: provision a fresh store",
+            match=f"schema version {version}, this build needs 6: provision a fresh store",
         ):
             Storage(path, tmp_path / "blobs")
         assert path.read_bytes() == before
